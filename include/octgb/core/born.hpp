@@ -35,7 +35,8 @@ class PlanRecorder;  // core/plan.hpp
 /// raw config value. A non-null `recorder` captures every near/far
 /// decision into an InteractionPlan *and forces the traversal serial*
 /// (even under an active scheduler), so the recorded order is the
-/// deterministic serial traversal order plan replay reproduces.
+/// deterministic serial traversal order — the reference/oracle that the
+/// parallel InteractionPlan::capture() walk is tested against.
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,

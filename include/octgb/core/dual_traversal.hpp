@@ -33,8 +33,8 @@ class PlanRecorder;  // core/plan.hpp
 /// order), exactly like approx_integrals() — the PUSH phase is shared.
 /// Thread-safe; recursion forks under an active scheduler. A non-null
 /// `recorder` captures every near/far decision into an InteractionPlan
-/// and forces the traversal serial (deterministic capture order), as in
-/// approx_integrals().
+/// and forces the traversal serial (deterministic capture order) — the
+/// serial oracle of InteractionPlan::capture(), as in approx_integrals().
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s,

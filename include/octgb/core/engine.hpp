@@ -195,8 +195,8 @@ class GBEngine {
   /// buffers and the Epol context come from (and are left in) `scratch`,
   /// so back-to-back computes on the same tree shape allocate nothing.
   /// This is the hot path of ScoringSession. Under PlanMode::Auto (the
-  /// default) the Born phase goes through the scratch's plan cache: an
-  /// instrumented capture on the first evaluation, flat-list replay or a
+  /// default) the Born phase goes through the scratch's plan cache: a
+  /// decision-walk capture + replay on the first evaluation, replay or a
   /// full Born-result reuse afterwards — bit-identical to the traversal
   /// in every case (DESIGN.md §2.6).
   EvalResult compute(EvalScratch& scratch, ws::Scheduler* sched = nullptr) const;

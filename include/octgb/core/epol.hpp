@@ -56,7 +56,9 @@ struct EpolContext {
 /// Node-based division: energy from the interaction of every atom under
 /// the given T_A leaves (the "V" side) with the entire tree. Summing over
 /// a partition of all leaves yields the full ordered-pair sum of Eq. 2,
-/// diagonal included. Thread-safe; parallelizes over leaves. `kernel`
+/// diagonal included. Thread-safe; parallelizes over fixed blocks of
+/// leaves and folds the block sums in block order, so the result is
+/// bitwise identical at any worker count (and serially). `kernel`
 /// selects the exact leaf×leaf implementation (SoA batch vs scalar AoS);
 /// `vector` additionally routes the Batched near field and the node-path
 /// bin-pair far field through the explicit-SIMD kernels

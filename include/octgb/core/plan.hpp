@@ -6,13 +6,22 @@
 /// The admissibility structure of APPROX-INTEGRALS (and of the dual-tree
 /// variant) depends only on the tree geometry and on (eps_born,
 /// strict_criterion) — not on the evaluation-time knobs a ScoringSession
-/// re-dials between calls. An InteractionPlan records, from one
-/// *instrumented* run of the ordinary recursive traversal, every decision
-/// it made:
+/// re-dials between calls. An InteractionPlan holds every decision the
+/// serial recursive traversal makes:
 ///
 ///   - the near-field list: (A-leaf, Q-leaf) pairs evaluated exactly, and
 ///   - the far-field list: (A-node, Q-node) pairs evaluated as one
 ///     pseudo-particle term into node_s[A].
+///
+/// capture() compiles the lists with a *math-free decision walk*: the
+/// traversal's admissibility rule and recursion order, no arithmetic. The
+/// single-tree walk runs in parallel over fixed segments of the T_Q leaf
+/// sequence (the paper's node-based division, Fig. 2): a count pass sizes
+/// every segment, a prefix sum turns the sizes into offsets, and an emit
+/// pass writes each segment's decisions straight into the lists at its
+/// offset. Concatenated in Q-leaf order the segments are the serial
+/// traversal order, element for element. The dual-tree walk is one
+/// segment (serial).
 ///
 /// replay() then evaluates those lists as flat loops grouped by target
 /// A-node ("owner"): every owner's node_s slot and every A-leaf's atom_s
@@ -25,10 +34,12 @@
 ///
 /// Lifecycle (driven by GBEngine::compute on the EvalScratch path, see
 /// DESIGN.md §2.6):
-///   capture  — instrumented traversal, serial, fills the lists;
+///   capture  — parallel decision walk + finalize; the evaluation that
+///              captured then replays, so even the first one is exact;
 ///   replay   — flat execution at unchanged tree geometry;
-///   validate — after an in-place refit, a math-free serial re-walk of the
-///              decision structure; any divergence from the stored lists
+///   validate — after an in-place refit, the same walk in parallel over
+///              the same segments, compared element-wise with the stored
+///              lists at the stored segment offsets; any divergence
 ///              invalidates the plan (drift) and triggers a recapture;
 ///   born cache — when even the geometry is unchanged, the previous
 ///              evaluation's Born radii are exact, and the whole Born
@@ -74,10 +85,12 @@ struct PlanKey {
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
-/// Append-only sink the instrumented traversals write their decisions to.
-/// Handed to approx_integrals / approx_integrals_dual as an optional
-/// argument; recording forces the traversal serial, so append order is the
-/// serial traversal order — the order replay must reproduce per slot.
+/// Append-only sink the instrumented traversals write their decisions to:
+/// the serial reference/oracle for capture(). Handed to approx_integrals /
+/// approx_integrals_dual as an optional argument; recording forces the
+/// traversal serial, so append order is the serial traversal order — the
+/// order capture() must reproduce and replay must preserve per slot. The
+/// engine never records; tests (and the benchmark's traced mirror) do.
 class PlanRecorder {
  public:
   void near(std::uint32_t a_leaf, std::uint32_t q_leaf) {
@@ -108,8 +121,21 @@ class InteractionPlan {
  public:
   // --- capture ----------------------------------------------------------
 
-  /// Start a capture for `key`. Invalidates the previous plan and Born
-  /// cache; list capacity is kept.
+  /// Capture `key`'s partition of (ta, tq) by the parallel decision walk
+  /// (count → prefix sum → emit over fixed T_Q-leaf segments; the dual
+  /// flavor walks one segment) and finalize it at `geometry_epoch`. The
+  /// walk also tallies the Born-phase work counters the arithmetic
+  /// traversal would report. Parallel under an active scheduler, serial
+  /// otherwise; the lists are identical either way. Does not evaluate:
+  /// follow with replay(). Returns true when any internal buffer had to
+  /// grow.
+  bool capture(const AtomsTree& ta, const QPointsTree& tq, const PlanKey& key,
+               std::uint64_t geometry_epoch);
+
+  /// Start a recorder capture for `key` (serial oracle, see PlanRecorder).
+  /// Invalidates the previous plan and Born cache; list capacity is kept.
+  /// Run the recorder-instrumented traversal over *every* T_Q leaf, then
+  /// finalize().
   PlanRecorder begin_capture(const PlanKey& key);
 
   /// Freeze the captured lists: group them by owner A-node (stable — the
@@ -118,7 +144,9 @@ class InteractionPlan {
   /// replay's parallel_for. `captured_work` is the traversal's Born-phase
   /// counter contribution (reported verbatim by later replays — operation
   /// counts are a property of the partition, not of how it is executed).
-  /// Returns true when any internal buffer had to grow.
+  /// After a recorder capture this also derives the per-segment offsets
+  /// validate() compares against, from the lists' Q-leaf ids. Returns
+  /// true when any internal buffer had to grow.
   bool finalize(const AtomsTree& ta, const QPointsTree& tq,
                 std::uint64_t geometry_epoch,
                 const perf::WorkCounters& captured_work);
@@ -136,6 +164,15 @@ class InteractionPlan {
     return chunk_begin_.empty() ? 0 : chunk_begin_.size() - 1;
   }
   std::size_t footprint_bytes() const;
+  /// Walk-segment offsets into the near / far lists (size S+1; segment s
+  /// owns [offsets[s], offsets[s+1])). Single flavor: S = min(n, 256)
+  /// over the n T_Q leaves, segment s walking leaf_ids()[s·n/S,
+  /// (s+1)·n/S); dual flavor: S = 1; S = 0 for an empty tree. Fixed by
+  /// the trees, never by the worker count.
+  std::span<const std::size_t> segment_near_offsets() const {
+    return seg_near_;
+  }
+  std::span<const std::size_t> segment_far_offsets() const { return seg_far_; }
 
   // --- locality introspection (DESIGN.md §2.11) --------------------------
 
@@ -166,12 +203,14 @@ class InteractionPlan {
 
   // --- replay path ------------------------------------------------------
 
-  /// Math-free serial re-walk of the traversal's decision structure
-  /// against (possibly refitted) trees, compared element-wise with the
-  /// stored lists. True — the partition is unchanged, replay at this
-  /// geometry is bit-identical to re-traversing; the plan's geometry
+  /// Math-free re-walk of the traversal's decision structure against
+  /// (possibly refitted) trees, parallel over the capture's segments,
+  /// each compared element-wise with the stored lists from its stored
+  /// offset to the next. True — the partition is unchanged, replay at
+  /// this geometry is bit-identical to re-traversing; the plan's geometry
   /// epoch is advanced to `geometry_epoch`. False — drift flipped at
-  /// least one admissibility decision; the plan is invalidated.
+  /// least one admissibility decision (or moved a segment boundary); the
+  /// plan is invalidated.
   bool validate(const AtomsTree& ta, const QPointsTree& tq,
                 std::uint64_t geometry_epoch);
 
@@ -216,10 +255,10 @@ class InteractionPlan {
                  perf::WorkCounters& work) const;
 
  private:
-  bool validate_single(const AtomsTree& ta, const QPointsTree& tq,
-                       double threshold) const;
-  bool validate_dual(const AtomsTree& ta, const QPointsTree& tq,
-                     double threshold) const;
+  /// Recorder capture: the lists are in Q-leaf order, so each walk
+  /// segment's offsets are where its first leaf's entries begin.
+  void derive_segments(const AtomsTree& ta, const QPointsTree& tq);
+  std::size_t list_capacity() const;
 
   PlanKey key_{};
   bool valid_ = false;
@@ -227,6 +266,9 @@ class InteractionPlan {
 
   // Capture-order pair lists — also the validate() reference.
   std::vector<std::uint32_t> near_a_, near_q_, far_a_, far_q_;
+  // Walk-segment offsets into the lists (segment_near/far_offsets()).
+  std::vector<std::size_t> seg_near_, seg_far_;
+  bool recorded_ = false;  ///< lists came from a PlanRecorder
 
   // Owner-grouped CSR over the same pairs (stable within owner).
   std::vector<std::uint32_t> owner_;       ///< owner A-node id per group
@@ -242,8 +284,8 @@ class InteractionPlan {
 
   // finalize() scratch (reused capacity).
   std::vector<std::uint32_t> group_of_node_, cursor_;
-  std::vector<std::uint64_t> cost_;
-  std::size_t capture_cap_mark_ = 0;  ///< list capacities at begin_capture
+  std::vector<std::uint64_t> cost_, sorted_cost_;
+  std::size_t capture_cap_mark_ = 0;  ///< list_capacity() at capture start
 
   perf::WorkCounters base_work_;  ///< capture's Born-traversal counters
 

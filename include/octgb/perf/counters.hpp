@@ -102,8 +102,8 @@ static_assert(sizeof(WorkCounters) ==
 /// under the `plan.*` metric names by trace::MetricsRegistry::add_plan
 /// (schema in OBSERVABILITY.md).
 struct PlanCounters {
-  std::uint64_t builds = 0;       ///< plan captures (instrumented traversals)
-  std::uint64_t replays = 0;      ///< flat-list replay executions
+  std::uint64_t builds = 0;       ///< plan captures (decision walks)
+  std::uint64_t replays = 0;      ///< cached-plan replays (not a build's own)
   std::uint64_t born_reuses = 0;  ///< Born phase skipped (cached radii valid)
   std::uint64_t key_hits = 0;     ///< evaluations whose plan key matched
   std::uint64_t key_misses = 0;   ///< evaluations that needed a new key

@@ -1,8 +1,8 @@
 #include "octgb/core/born.hpp"
 
-#include <atomic>
 #include <cmath>
 
+#include "atomic_add.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/naive.hpp"
@@ -18,15 +18,7 @@ namespace {
 
 using geom::Vec3;
 using octree::Octree;
-
-void atomic_add(double& slot, double v) {
-  std::atomic_ref<double>(slot).fetch_add(v, std::memory_order_relaxed);
-}
-
-void atomic_add(std::uint64_t& slot, std::uint64_t v) {
-  std::atomic_ref<std::uint64_t>(slot).fetch_add(v,
-                                                 std::memory_order_relaxed);
-}
+using detail::atomic_add;
 
 /// Local tallies flushed once per leaf task.
 struct LocalCounts {
@@ -47,7 +39,7 @@ struct IntegralsPass {
   bool mixed;                  ///< float streams (vec must be non-null)
   std::span<double> node_s;
   std::span<double> atom_s;
-  PlanRecorder* recorder;    ///< non-null: capture decisions, stay serial
+  PlanRecorder* recorder;    ///< non-null: record decisions (oracle), serial
 
   void descend(std::uint32_t a_id, LocalCounts& lc) const {
     ++lc.visits;

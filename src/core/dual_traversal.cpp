@@ -1,8 +1,8 @@
 #include "octgb/core/dual_traversal.hpp"
 
-#include <atomic>
 #include <cmath>
 
+#include "atomic_add.hpp"
 #include "octgb/core/born.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/plan.hpp"
@@ -16,14 +16,7 @@ namespace {
 
 using geom::Vec3;
 using octree::Octree;
-
-void atomic_add(double& slot, double v) {
-  std::atomic_ref<double>(slot).fetch_add(v, std::memory_order_relaxed);
-}
-void atomic_add(std::uint64_t& slot, std::uint64_t v) {
-  std::atomic_ref<std::uint64_t>(slot).fetch_add(v,
-                                                 std::memory_order_relaxed);
-}
+using detail::atomic_add;
 
 struct DualCounts {
   std::uint64_t exact = 0, approx = 0, visits = 0;
@@ -40,7 +33,7 @@ struct DualPass {
   std::span<double> node_s;
   std::span<double> atom_s;
   perf::WorkCounters* shared;
-  PlanRecorder* recorder;  ///< non-null: capture decisions, stay serial
+  PlanRecorder* recorder;  ///< non-null: record decisions (oracle), serial
 
   void flush(const DualCounts& lc) const {
     atomic_add(shared->born_exact, lc.exact);

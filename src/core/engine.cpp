@@ -151,11 +151,14 @@ std::uint64_t GBEngine::next_engine_id() {
 ///
 /// The Born phase runs through the scratch's plan cache (PlanMode::Auto,
 /// unless the caller disallows it):
-///   capture    — key miss: instrumented serial traversal, lists recorded;
-///   replay     — key hit at changed geometry: structural re-validation,
-///                then flat-list execution (recapture on drift);
+///   capture    — key miss: math-free decision walk (parallel over T_Q-leaf
+///                segments) + finalize, then the flat-list replay;
+///   replay     — key hit at changed geometry: parallel structural
+///                re-validation, then flat-list execution (recapture on
+///                drift);
 ///   born reuse — key hit at unchanged geometry + arithmetic: the cached
 ///                Born radii are exact, integrals + push are skipped.
+/// Validation, capture and replay all run inside the scheduler's run().
 /// Every path reports the same operation counters a fresh traversal would
 /// (counts are partition properties) and reproduces its results bit for
 /// bit — see DESIGN.md §2.6 for the determinism argument.
@@ -207,9 +210,13 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
       }
       act = Action::Capture;
     }
+  }
+
+  auto body = [&] {
     if (act == Action::Replay && geometry_epoch_ != pc.plan.geometry_epoch()) {
       // An in-place refit moved centroids/radii; the pair structure
-      // usually survives. Prove it (math-free serial re-walk) or recapture.
+      // usually survives. Prove it (math-free parallel re-walk) or
+      // recapture.
       OCTGB_SPAN("plan.validate");
       ++pc.stats.validations;
       if (!pc.plan.validate(ta_, tq_, geometry_epoch_)) {
@@ -223,33 +230,33 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
       pc.locality.prefetch_batches += pc.plan.prefetches_per_replay();
     }
     if (act == Action::BornReuse) ++pc.stats.born_reuses;
-  }
 
-  // NUMA-conscious placement: re-zero the near-field accumulator socket by
-  // socket from the cores that will write it, mapping chunk → worker the
-  // same way parallel_for's recursive halving does on average (chunk c →
-  // worker ⌊c·W/C⌋). The pass only places pages the kernel has not backed
-  // yet (freshly grown scratch); for warm buffers it is a cheap redundant
-  // zero of memory prepare() already zeroed. Skipped structurally on
-  // single-socket hosts (touch_zero_by_domain returns false).
-  if (act == Action::Replay && approx.locality && sched != nullptr &&
-      !pc.plan.chunk_atom_begin().empty()) {
-    const auto boundary = pc.plan.chunk_atom_begin();
-    const std::size_t n_chunks = boundary.size() - 1;
-    const auto& topo = sched->topo();
-    if (topo.sockets > 1 && n_chunks > 0) {
-      std::vector<int> domain(n_chunks);
-      const std::size_t w = static_cast<std::size_t>(sched->num_workers());
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const int worker = static_cast<int>(c * w / n_chunks);
-        domain[c] = topo.cpu(sched->worker_cpu(worker)).socket;
+    // NUMA-conscious placement: re-zero the near-field accumulator socket
+    // by socket from the cores that will write it, mapping chunk → worker
+    // the same way parallel_for's recursive halving does on average (chunk
+    // c → worker ⌊c·W/C⌋). The pass only places pages the kernel has not
+    // backed yet (freshly grown scratch); for warm buffers it is a cheap
+    // redundant zero of memory prepare() already zeroed. Skipped
+    // structurally on single-socket hosts (touch_zero_by_domain returns
+    // false).
+    if (act == Action::Replay && approx.locality && sched != nullptr &&
+        !pc.plan.chunk_atom_begin().empty()) {
+      const auto boundary = pc.plan.chunk_atom_begin();
+      const std::size_t n_chunks = boundary.size() - 1;
+      const auto& topo = sched->topo();
+      if (topo.sockets > 1 && n_chunks > 0) {
+        std::vector<int> domain(n_chunks);
+        const std::size_t w = static_cast<std::size_t>(sched->num_workers());
+        for (std::size_t c = 0; c < n_chunks; ++c) {
+          const int worker = static_cast<int>(c * w / n_chunks);
+          domain[c] = topo.cpu(sched->worker_cpu(worker)).socket;
+        }
+        if (perf::touch_zero_by_domain(scratch.atom_s, boundary, domain,
+                                       topo))
+          ++pc.locality.numa_touch_passes;
       }
-      if (perf::touch_zero_by_domain(scratch.atom_s, boundary, domain, topo))
-        ++pc.locality.numa_touch_passes;
     }
-  }
 
-  auto body = [&] {
     switch (act) {
       case Action::BornReuse: {
         OCTGB_SPAN("plan.born_reuse");
@@ -263,24 +270,15 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
         break;
       }
       case Action::Capture: {
-        OCTGB_SPAN("plan.build");
-        PlanRecorder rec = pc.plan.begin_capture(key);
-        perf::WorkCounters captured;
-        if (flavor == PlanFlavor::Single) {
-          approx_integrals(ta_, tq_, q_leaves(), approx.eps_born,
-                           approx.approx_math, scratch.node_s, scratch.atom_s,
-                           captured, approx.strict_born_criterion,
-                           approx.kernel, rvec, &rec);
-        } else {
-          approx_integrals_dual(ta_, tq_, approx.eps_born, approx.approx_math,
-                                scratch.node_s, scratch.atom_s, captured,
-                                approx.strict_born_criterion, approx.kernel,
-                                rvec, &rec);
+        {
+          OCTGB_SPAN("plan.build");
+          if (pc.plan.capture(ta_, tq_, key, geometry_epoch_))
+            ++scratch.allocation_events;
         }
-        if (pc.plan.finalize(ta_, tq_, geometry_epoch_, captured))
-          ++scratch.allocation_events;
         pc.locality += pc.plan.locality_stats();
-        result.work += captured;
+        OCTGB_SPAN("plan.replay");
+        pc.plan.replay(ta_, tq_, approx.approx_math, rvec, scratch.node_s,
+                       scratch.atom_s, result.work);
         break;
       }
       case Action::Traverse: {

@@ -1,9 +1,10 @@
 #include "octgb/core/epol.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cmath>
 
+#include "atomic_add.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/trace/trace.hpp"
@@ -16,14 +17,7 @@ namespace {
 
 using geom::Vec3;
 using octree::Octree;
-
-void atomic_add(double& slot, double v) {
-  std::atomic_ref<double>(slot).fetch_add(v, std::memory_order_relaxed);
-}
-void atomic_add(std::uint64_t& slot, std::uint64_t v) {
-  std::atomic_ref<std::uint64_t>(slot).fetch_add(v,
-                                                 std::memory_order_relaxed);
-}
+using detail::atomic_add;
 
 /// 1/f_GB with optional approximate math.
 inline double inv_f_gb(double r2, double ri_rj, bool approx) {
@@ -313,6 +307,36 @@ struct EpolPass {
   std::size_t v_node_id = 0;
 };
 
+/// Deterministic parallel sum of the Epol phase. The items [0, n) are cut
+/// into at most kSumBlocks fixed contiguous blocks; one task sums a
+/// block's items in order (`block(lo, hi, counts)` returns that sum), and
+/// the block sums are folded in block order. The association depends only
+/// on n, so the energy is bitwise identical at every worker count, with
+/// or without a scheduler; up to kSumBlocks items it is the plain serial
+/// left-to-right sum. Counter tallies are exact integer sums.
+constexpr std::size_t kSumBlocks = 256;
+
+template <class Block>
+double ordered_sum(std::size_t n, perf::WorkCounters& counters,
+                   const Block& block) {
+  std::array<double, kSumBlocks> partial{};
+  const std::size_t blocks = std::min(n, kSumBlocks);
+  ws::Scheduler::parallel_for(
+      0, static_cast<std::int64_t>(blocks), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t b = lo; b < hi; ++b) {
+          EpolCounts lc;
+          partial[b] = block(b * n / blocks, (b + 1) * n / blocks, lc);
+          atomic_add(counters.epol_exact, lc.exact);
+          atomic_add(counters.epol_bins, lc.binpairs);
+          atomic_add(counters.epol_visits, lc.visits);
+        }
+      });
+  double total = 0.0;
+  for (std::size_t b = 0; b < blocks; ++b) total += partial[b];
+  return total;
+}
+
 }  // namespace
 
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
@@ -328,15 +352,13 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
       kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
   const bool mixed = vec != nullptr && !approx_math &&
                      rvec.precision == simd::Precision::Mixed;
-  double total = 0.0;
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(v_leaf_ids.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        // Per-worker Epol activity under the "epol.traversal" phase span.
+  const double total = ordered_sum(
+      v_leaf_ids.size(), counters,
+      [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
+        // Per-block Epol activity under the "epol.traversal" phase span.
         OCTGB_SPAN("epol.leaves");
         double mine = 0.0;
-        EpolCounts lc;
-        for (std::int64_t li = lo; li < hi; ++li) {
+        for (std::size_t li = lo; li < hi; ++li) {
           EpolPass pass{ta,        ctx,      born_tree,
                         ta,        ctx,      born_tree,
                         eps_epol,  approx_math, kernel, vec, mixed,
@@ -344,10 +366,7 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
           pass.v_node_id = v_leaf_ids[li];
           mine += pass.descend(0, lc);
         }
-        atomic_add(total, mine);
-        atomic_add(counters.epol_exact, lc.exact);
-        atomic_add(counters.epol_bins, lc.binpairs);
-        atomic_add(counters.epol_visits, lc.visits);
+        return mine;
       });
   return -0.5 * gb.tau() * total;
 }
@@ -375,14 +394,12 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
   // division changing with P while node-based division's stays constant.
   const auto& leaves = ta.tree.leaf_ids();
   const auto pts = ta.tree.points();
-  double total = 0.0;
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(leaves.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
+  const double total = ordered_sum(
+      leaves.size(), counters,
+      [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.atoms");
         double mine = 0.0;
-        EpolCounts lc;
-        for (std::int64_t li = lo; li < hi; ++li) {
+        for (std::size_t li = lo; li < hi; ++li) {
           const Octree::Node& leaf = ta.tree.node(leaves[li]);
           const std::uint32_t b = std::max(leaf.begin, atom_begin);
           const std::uint32_t e = std::min(leaf.end, atom_end);
@@ -418,10 +435,7 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             }
           }
         }
-        atomic_add(total, mine);
-        atomic_add(counters.epol_exact, lc.exact);
-        atomic_add(counters.epol_bins, lc.binpairs);
-        atomic_add(counters.epol_visits, lc.visits);
+        return mine;
       });
   return -0.5 * gb.tau() * total;
 }
@@ -442,14 +456,12 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
   const bool mixed = vec != nullptr && !approx_math &&
                      rvec.precision == simd::Precision::Mixed;
   const auto& v_leaves = tb.tree.leaf_ids();
-  double total = 0.0;
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(v_leaves.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
+  const double total = ordered_sum(
+      v_leaves.size(), counters,
+      [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.cross");
         double mine = 0.0;
-        EpolCounts lc;
-        for (std::int64_t li = lo; li < hi; ++li) {
+        for (std::size_t li = lo; li < hi; ++li) {
           EpolPass pass{ta,        ctx_a,    born_a,
                         tb,        ctx_b,    born_b,
                         eps_epol,  approx_math, kernel, vec, mixed,
@@ -457,10 +469,7 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
           pass.v_node_id = v_leaves[li];
           mine += pass.descend(0, lc);
         }
-        atomic_add(total, mine);
-        atomic_add(counters.epol_exact, lc.exact);
-        atomic_add(counters.epol_bins, lc.binpairs);
-        atomic_add(counters.epol_visits, lc.visits);
+        return mine;
       });
   // Ordered-pair convention of Eq. 2: every unordered A–B pair appears
   // twice in Σ_{ij}, so the cross block carries −τ, not −τ/2.

@@ -1,8 +1,8 @@
 #include "octgb/core/forces.hpp"
 
-#include <atomic>
 #include <cmath>
 
+#include "atomic_add.hpp"
 #include "octgb/core/epol.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
@@ -13,11 +13,7 @@ namespace {
 
 using geom::Vec3;
 using octree::Octree;
-
-void atomic_add(std::uint64_t& slot, std::uint64_t v) {
-  std::atomic_ref<std::uint64_t>(slot).fetch_add(v,
-                                                 std::memory_order_relaxed);
-}
+using detail::atomic_add;
 
 }  // namespace
 

@@ -1,9 +1,11 @@
 #include "octgb/core/plan.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
+#include "atomic_add.hpp"
 #include "octgb/core/born.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/util/check.hpp"
@@ -14,6 +16,7 @@ namespace octgb::core {
 namespace {
 
 using octree::Octree;
+using detail::atomic_add;
 
 constexpr std::uint32_t kNoGroup = 0xffffffffu;
 
@@ -55,7 +58,251 @@ inline void prefetch_rw(void* p) {
 #endif
 }
 
+/// Upper bound on the decision walk's T_Q-leaf segments: a few dozen
+/// stealable pieces per worker at any realistic worker count, each still
+/// many leaves long on production inputs. Fixed so the segment offsets a
+/// capture stores are the ones validate() re-walks, whatever the workers.
+constexpr std::size_t kWalkSegments = 256;
+
+/// Admissibility factor of the key's criterion — the same expression the
+/// traversals evaluate, so the walk makes bit-identical decisions.
+double born_threshold(const PlanKey& key) {
+  return key.strict_criterion ? std::pow(1.0 + key.eps_born, 1.0 / 6.0)
+                              : 1.0 + key.eps_born;
+}
+
+/// Number of walk segments for (flavor, trees): the T_Q leaves cut into
+/// at most kWalkSegments contiguous runs (single flavor), one segment for
+/// the dual walk, none when either tree is empty (the traversals return
+/// before deciding anything).
+std::size_t segment_count(PlanFlavor flavor, const AtomsTree& ta,
+                          const QPointsTree& tq) {
+  if (ta.tree.empty() || tq.tree.empty()) return 0;
+  if (flavor == PlanFlavor::Dual) return 1;
+  return std::min(tq.tree.leaf_ids().size(), kWalkSegments);
+}
+
+/// The traversals' decision structure without their arithmetic: the
+/// admissibility rule and serial recursion order of IntegralsPass::descend
+/// (born.cpp) and DualPass::descend (dual_traversal.cpp), each decision
+/// handed to a sink instead of evaluated. A sink returning false aborts
+/// the walk (the compare sink's mismatch).
+template <class Sink>
+struct DecisionWalk {
+  const Octree& ta;
+  const Octree& tq;
+  double threshold;
+  Sink& sink;
+
+  /// Single flavor: T_A descent against the T_Q leaf `q`.
+  bool single(std::uint32_t a_id, const Octree::Node& q, std::uint32_t q_id) {
+    sink.visit();
+    const Octree::Node& a = ta.node(a_id);
+    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
+    if (born_far_enough(d, a.radius, q.radius, threshold))
+      return sink.far(a_id, q_id);
+    if (a.is_leaf())
+      return sink.near(a_id, q_id, std::uint64_t{a.size()} * q.size());
+    for (std::uint8_t c = 0; c < a.child_count; ++c)
+      if (!single(a.first_child + c, q, q_id)) return false;
+    return true;
+  }
+
+  /// Dual flavor: simultaneous descent, refining the larger-radius node.
+  bool dual(std::uint32_t a_id, std::uint32_t q_id) {
+    sink.visit();
+    const Octree::Node& a = ta.node(a_id);
+    const Octree::Node& q = tq.node(q_id);
+    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
+    if (born_far_enough(d, a.radius, q.radius, threshold))
+      return sink.far(a_id, q_id);
+    const bool a_leaf = a.is_leaf();
+    const bool q_leaf = q.is_leaf();
+    if (a_leaf && q_leaf)
+      return sink.near(a_id, q_id, std::uint64_t{a.size()} * q.size());
+    if (!a_leaf && (q_leaf || a.radius >= q.radius)) {
+      for (std::uint8_t c = 0; c < a.child_count; ++c)
+        if (!dual(a.first_child + c, q_id)) return false;
+    } else {
+      for (std::uint8_t c = 0; c < q.child_count; ++c)
+        if (!dual(a_id, q.first_child + c)) return false;
+    }
+    return true;
+  }
+};
+
+/// First T_Q leaf index of segment `s` of `n_seg` over `n` leaves.
+std::size_t segment_begin(std::size_t s, std::size_t n_seg, std::size_t n) {
+  return s * n / n_seg;
+}
+
+/// Walk segment `s` of `n_seg` into `sink`.
+template <class Sink>
+bool walk_segment(const AtomsTree& ta, const QPointsTree& tq,
+                  PlanFlavor flavor, double threshold, std::size_t s,
+                  std::size_t n_seg, Sink& sink) {
+  DecisionWalk<Sink> walk{ta.tree, tq.tree, threshold, sink};
+  if (flavor == PlanFlavor::Dual) return walk.dual(0, 0);
+  const auto& leaves = tq.tree.leaf_ids();
+  const std::size_t hi = segment_begin(s + 1, n_seg, leaves.size());
+  for (std::size_t li = segment_begin(s, n_seg, leaves.size()); li < hi; ++li)
+    if (!walk.single(0, tq.tree.node(leaves[li]), leaves[li])) return false;
+  return true;
+}
+
+/// Count sink: list lengths plus the Born-phase work counters
+/// (born_approx is the far count).
+struct CountSink {
+  std::uint64_t n_near = 0, n_far = 0, exact = 0, visits = 0;
+  void visit() { ++visits; }
+  bool far(std::uint32_t, std::uint32_t) {
+    ++n_far;
+    return true;
+  }
+  bool near(std::uint32_t, std::uint32_t, std::uint64_t pairs) {
+    ++n_near;
+    exact += pairs;
+    return true;
+  }
+};
+
+/// Emit sink: writes one segment's decisions at its list offsets.
+struct EmitSink {
+  std::uint32_t *na, *nq, *fa, *fq;
+  void visit() {}
+  bool far(std::uint32_t a_id, std::uint32_t q_id) {
+    *fa++ = a_id;
+    *fq++ = q_id;
+    return true;
+  }
+  bool near(std::uint32_t a_id, std::uint32_t q_id, std::uint64_t) {
+    *na++ = a_id;
+    *nq++ = q_id;
+    return true;
+  }
+};
+
+/// Compare sink: checks one segment's decisions against its stored slice
+/// [begin, end) of each list; done() additionally demands the slice be
+/// consumed exactly (a segment that decides less is drift too).
+struct CompareSink {
+  const std::uint32_t *na, *nq, *na_end, *fa, *fq, *fa_end;
+  void visit() {}
+  bool far(std::uint32_t a_id, std::uint32_t q_id) {
+    if (fa == fa_end || *fa != a_id || *fq != q_id) return false;
+    ++fa;
+    ++fq;
+    return true;
+  }
+  bool near(std::uint32_t a_id, std::uint32_t q_id, std::uint64_t) {
+    if (na == na_end || *na != a_id || *nq != q_id) return false;
+    ++na;
+    ++nq;
+    return true;
+  }
+  bool done() const { return na == na_end && fa == fa_end; }
+};
+
 }  // namespace
+
+std::size_t InteractionPlan::list_capacity() const {
+  return near_a_.capacity() + near_q_.capacity() + far_a_.capacity() +
+         far_q_.capacity() + seg_near_.capacity() + seg_far_.capacity();
+}
+
+bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
+                              const PlanKey& key,
+                              std::uint64_t geometry_epoch) {
+  key_ = key;
+  valid_ = false;
+  born_valid_ = false;
+  recorded_ = false;
+  capture_cap_mark_ = list_capacity();
+  const PlanFlavor flavor = key_.flavor;
+  const double threshold = born_threshold(key_);
+  const std::size_t n_seg = segment_count(flavor, ta, tq);
+  seg_near_.assign(n_seg + 1, 0);
+  seg_far_.assign(n_seg + 1, 0);
+
+  // Count pass: per-segment list lengths and the Born work counters.
+  perf::WorkCounters work;
+  ws::Scheduler::parallel_for(
+      0, static_cast<std::int64_t>(n_seg), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t s = lo; s < hi; ++s) {
+          CountSink sink;
+          walk_segment(ta, tq, flavor, threshold, s, n_seg, sink);
+          seg_near_[s + 1] = sink.n_near;
+          seg_far_[s + 1] = sink.n_far;
+          atomic_add(work.born_exact, sink.exact);
+          atomic_add(work.born_approx, sink.n_far);
+          atomic_add(work.born_visits, sink.visits);
+        }
+      });
+  std::partial_sum(seg_near_.begin(), seg_near_.end(), seg_near_.begin());
+  std::partial_sum(seg_far_.begin(), seg_far_.end(), seg_far_.begin());
+
+  // Emit pass: every segment writes its decisions at its offsets.
+  // Resized, not cleared: the emit pass overwrites every element.
+  near_a_.resize(seg_near_.back());
+  near_q_.resize(seg_near_.back());
+  far_a_.resize(seg_far_.back());
+  far_q_.resize(seg_far_.back());
+  ws::Scheduler::parallel_for(
+      0, static_cast<std::int64_t>(n_seg), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t s = lo; s < hi; ++s) {
+          EmitSink sink{near_a_.data() + seg_near_[s],
+                        near_q_.data() + seg_near_[s],
+                        far_a_.data() + seg_far_[s],
+                        far_q_.data() + seg_far_[s]};
+          walk_segment(ta, tq, flavor, threshold, s, n_seg, sink);
+          OCTGB_CHECK(sink.na == near_a_.data() + seg_near_[s + 1] &&
+                      sink.fa == far_a_.data() + seg_far_[s + 1]);
+        }
+      });
+  return finalize(ta, tq, geometry_epoch, work);
+}
+
+void InteractionPlan::derive_segments(const AtomsTree& ta,
+                                      const QPointsTree& tq) {
+  const std::size_t n_seg = segment_count(key_.flavor, ta, tq);
+  const auto& leaves = tq.tree.leaf_ids();
+  seg_near_.assign(n_seg + 1, 0);
+  seg_far_.assign(n_seg + 1, 0);
+  if (n_seg == 0) return;  // nothing was decided (empty tree)
+  if (n_seg == 1) {
+    seg_near_[1] = near_a_.size();
+    seg_far_[1] = far_a_.size();
+    return;
+  }
+  // Single flavor: every entry's Q id is a T_Q leaf, and the lists run in
+  // leaf order, so segment s starts at the first entry whose leaf lies in
+  // segment s or later (cursor_ maps Q-leaf id → segment until finalize
+  // reuses it). Searching from the previous offset keeps the offsets a
+  // tiling even for lists out of leaf order — validate() then reports
+  // them as drift.
+  cursor_.assign(tq.tree.nodes().size(), 0);
+  for (std::size_t s = 0; s < n_seg; ++s)
+    for (std::size_t li = segment_begin(s, n_seg, leaves.size());
+         li < segment_begin(s + 1, n_seg, leaves.size()); ++li)
+      cursor_[leaves[li]] = static_cast<std::uint32_t>(s);
+  const auto start = [this](const std::vector<std::uint32_t>& q_list,
+                            std::size_t from, std::size_t s) {
+    return static_cast<std::size_t>(
+        std::partition_point(q_list.begin() + from, q_list.end(),
+                             [&](std::uint32_t q_id) {
+                               return cursor_[q_id] < s;
+                             }) -
+        q_list.begin());
+  };
+  for (std::size_t s = 1; s < n_seg; ++s) {
+    seg_near_[s] = start(near_q_, seg_near_[s - 1], s);
+    seg_far_[s] = start(far_q_, seg_far_[s - 1], s);
+  }
+  seg_near_[n_seg] = near_q_.size();
+  seg_far_[n_seg] = far_q_.size();
+}
 
 PlanRecorder InteractionPlan::begin_capture(const PlanKey& key) {
   key_ = key;
@@ -65,24 +312,26 @@ PlanRecorder InteractionPlan::begin_capture(const PlanKey& key) {
   near_q_.clear();
   far_a_.clear();
   far_q_.clear();
-  capture_cap_mark_ = near_a_.capacity() + near_q_.capacity() +
-                      far_a_.capacity() + far_q_.capacity();
+  recorded_ = true;
+  capture_cap_mark_ = list_capacity();
   return PlanRecorder(&near_a_, &near_q_, &far_a_, &far_q_);
 }
 
 bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
                                std::uint64_t geometry_epoch,
                                const perf::WorkCounters& captured_work) {
-  bool grew = near_a_.capacity() + near_q_.capacity() + far_a_.capacity() +
-                  far_q_.capacity() >
-              capture_cap_mark_;
   const auto caps = [this] {
     return owner_.capacity() + near_begin_.capacity() + far_begin_.capacity() +
            near_q_sorted_.capacity() + far_q_sorted_.capacity() +
            owner_order_.capacity() + chunk_begin_.capacity() +
-           group_of_node_.capacity() + cursor_.capacity() + cost_.capacity();
+           run_begin_.capacity() + chunk_atom_begin_.capacity() +
+           group_of_node_.capacity() + cursor_.capacity() + cost_.capacity() +
+           sorted_cost_.capacity();
   };
   const std::size_t caps_before = caps();
+  if (recorded_) derive_segments(ta, tq);
+  recorded_ = false;
+  const bool grew = list_capacity() > capture_cap_mark_;
 
   // Group ids in first-appearance (capture) order; owner = target A-node.
   const std::size_t n_nodes = ta.tree.nodes().size();
@@ -194,14 +443,14 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
     // (Counting only needs the multiset of costs, and greedy packing is
     // order-dependent, so run it over the actual sorted costs.)
     {
-      std::vector<std::uint64_t> sorted_costs(cost_.begin(), cost_.end());
-      std::sort(sorted_costs.begin(), sorted_costs.end(),
+      sorted_cost_.assign(cost_.begin(), cost_.end());
+      std::sort(sorted_cost_.begin(), sorted_cost_.end(),
                 std::greater<std::uint64_t>());
       const std::uint64_t target =
           std::max<std::uint64_t>(1, total / kTargetChunks);
       std::uint64_t count = groups == 0 ? 0 : 1, acc = 0;
       for (std::size_t i = 0; i < groups; ++i) {
-        acc += sorted_costs[i];
+        acc += sorted_cost_[i];
         if (acc >= target && i + 1 < groups) {
           ++count;
           acc = 0;
@@ -278,97 +527,45 @@ std::size_t InteractionPlan::footprint_bytes() const {
           chunk_begin_.capacity() + run_begin_.capacity() +
           group_of_node_.capacity() + cursor_.capacity()) *
              sizeof(std::uint32_t) +
-         chunk_atom_begin_.capacity() * sizeof(std::size_t) +
-         cost_.capacity() * sizeof(std::uint64_t) +
+         (chunk_atom_begin_.capacity() + seg_near_.capacity() +
+          seg_far_.capacity()) *
+             sizeof(std::size_t) +
+         (cost_.capacity() + sorted_cost_.capacity()) * sizeof(std::uint64_t) +
          born_tree_.capacity() * sizeof(double);
-}
-
-bool InteractionPlan::validate_single(const AtomsTree& ta,
-                                      const QPointsTree& tq,
-                                      double threshold) const {
-  std::size_t nc = 0, fc = 0;
-  // Math-free mirror of IntegralsPass::descend (born.cpp): same decision
-  // rule, same serial recursion order, decisions compared element-wise
-  // against the capture instead of evaluated.
-  const auto walk = [&](auto&& self, std::uint32_t a_id,
-                        const Octree::Node& q,
-                        std::uint32_t q_id) -> bool {
-    const Octree::Node& a = ta.tree.node(a_id);
-    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
-    if (born_far_enough(d, a.radius, q.radius, threshold)) {
-      if (fc >= far_a_.size() || far_a_[fc] != a_id || far_q_[fc] != q_id)
-        return false;
-      ++fc;
-      return true;
-    }
-    if (a.is_leaf()) {
-      if (nc >= near_a_.size() || near_a_[nc] != a_id || near_q_[nc] != q_id)
-        return false;
-      ++nc;
-      return true;
-    }
-    for (std::uint8_t c = 0; c < a.child_count; ++c)
-      if (!self(self, a.first_child + c, q, q_id)) return false;
-    return true;
-  };
-  for (const std::uint32_t q_leaf : tq.tree.leaf_ids())
-    if (!walk(walk, 0, tq.tree.node(q_leaf), q_leaf)) return false;
-  return nc == near_a_.size() && fc == far_a_.size();
-}
-
-bool InteractionPlan::validate_dual(const AtomsTree& ta, const QPointsTree& tq,
-                                    double threshold) const {
-  std::size_t nc = 0, fc = 0;
-  // Mirror of DualPass::descend (dual_traversal.cpp) without the math.
-  const auto walk = [&](auto&& self, std::uint32_t a_id,
-                        std::uint32_t q_id) -> bool {
-    const Octree::Node& a = ta.tree.node(a_id);
-    const Octree::Node& q = tq.tree.node(q_id);
-    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
-    if (born_far_enough(d, a.radius, q.radius, threshold)) {
-      if (fc >= far_a_.size() || far_a_[fc] != a_id || far_q_[fc] != q_id)
-        return false;
-      ++fc;
-      return true;
-    }
-    const bool a_leaf = a.is_leaf();
-    const bool q_leaf = q.is_leaf();
-    if (a_leaf && q_leaf) {
-      if (nc >= near_a_.size() || near_a_[nc] != a_id || near_q_[nc] != q_id)
-        return false;
-      ++nc;
-      return true;
-    }
-    if (!a_leaf && (q_leaf || a.radius >= q.radius)) {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        if (!self(self, a.first_child + c, q_id)) return false;
-    } else {
-      for (std::uint8_t c = 0; c < q.child_count; ++c)
-        if (!self(self, a_id, q.first_child + c)) return false;
-    }
-    return true;
-  };
-  if (!walk(walk, 0, 0)) return false;
-  return nc == near_a_.size() && fc == far_a_.size();
 }
 
 bool InteractionPlan::validate(const AtomsTree& ta, const QPointsTree& tq,
                                std::uint64_t geometry_epoch) {
   OCTGB_CHECK_MSG(valid_, "validate() on an invalid plan");
-  if (ta.tree.empty() || tq.tree.empty()) {
-    if (!near_a_.empty() || !far_a_.empty()) {
-      valid_ = born_valid_ = false;
-      return false;
-    }
-    geometry_epoch_ = geometry_epoch;
-    return true;
+  const PlanFlavor flavor = key_.flavor;
+  const double threshold = born_threshold(key_);
+  const std::size_t n_seg = seg_near_.size() - 1;
+  // Same segment count (none for an empty tree) and offsets that tile
+  // the lists; then every segment must reproduce its slice exactly, so
+  // the concatenated walk equals the stored lists.
+  bool ok = segment_count(flavor, ta, tq) == n_seg &&
+            seg_near_.back() == near_a_.size() &&
+            seg_far_.back() == far_a_.size();
+  if (ok) {
+    std::atomic<bool> same{true};
+    ws::Scheduler::parallel_for(
+        0, static_cast<std::int64_t>(n_seg), 1,
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t s = lo; s < hi; ++s) {
+            if (!same.load(std::memory_order_relaxed)) return;
+            CompareSink sink{near_a_.data() + seg_near_[s],
+                             near_q_.data() + seg_near_[s],
+                             near_a_.data() + seg_near_[s + 1],
+                             far_a_.data() + seg_far_[s],
+                             far_q_.data() + seg_far_[s],
+                             far_a_.data() + seg_far_[s + 1]};
+            if (!walk_segment(ta, tq, flavor, threshold, s, n_seg, sink) ||
+                !sink.done())
+              same.store(false, std::memory_order_relaxed);
+          }
+        });
+    ok = same.load(std::memory_order_relaxed);
   }
-  const double threshold =
-      key_.strict_criterion ? std::pow(1.0 + key_.eps_born, 1.0 / 6.0)
-                            : 1.0 + key_.eps_born;
-  const bool ok = key_.flavor == PlanFlavor::Single
-                      ? validate_single(ta, tq, threshold)
-                      : validate_dual(ta, tq, threshold);
   if (!ok) {
     valid_ = born_valid_ = false;
     return false;

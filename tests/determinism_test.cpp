@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "octgb/core/engine.hpp"
+#include "octgb/core/epol.hpp"
 #include "octgb/core/hybrid.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
@@ -98,6 +99,58 @@ TEST(Determinism, BatchedAndScalarEnginesAreBitDeterministic) {
     const auto r2 = engine.compute();
     EXPECT_EQ(r1.epol, r2.epol);
     EXPECT_EQ(r1.born, r2.born);
+  }
+}
+
+TEST(Determinism, EpolIsBitwiseAtEveryWorkerCount) {
+  // Every Epol entry point folds fixed leaf-block partials in block order,
+  // so the energy (and its counters) is identical with no scheduler and at
+  // any worker count — including trees with more leaves than blocks,
+  // where a block sums several leaves.
+  const auto ma = mol::generate_protein({.target_atoms = 5000, .seed = 3});
+  const auto mb = mol::generate_protein({.target_atoms = 600, .seed = 4});
+  const auto ta = core::AtomsTree::build(ma, {.max_leaf_size = 16});
+  const auto tb = core::AtomsTree::build(mb, {.max_leaf_size = 16});
+  ASSERT_GT(ta.tree.leaf_ids().size(), 256u);
+  const auto radii = [](const core::AtomsTree& t) {
+    std::vector<double> born(t.num_atoms());
+    for (std::size_t i = 0; i < born.size(); ++i)
+      born[i] = 1.3 * t.vdw_radius[i] + 0.05 * static_cast<double>(i % 7);
+    return born;
+  };
+  const auto born_a = radii(ta);
+  const auto born_b = radii(tb);
+  const double eps = 0.5;
+  const auto ctx_a = core::EpolContext::build(ta, born_a, eps);
+  const auto ctx_b = core::EpolContext::build(tb, born_b, eps);
+  const core::GBParams gb;
+  const auto n_a = static_cast<std::uint32_t>(ta.num_atoms());
+
+  struct Energies {
+    double leaf = 0.0, atom = 0.0, cross = 0.0;
+    perf::WorkCounters work;
+  };
+  const auto run = [&] {
+    Energies e;
+    e.leaf = core::approx_epol(ta, ctx_a, born_a, ta.tree.leaf_ids(), eps,
+                               false, gb, e.work);
+    e.atom = core::approx_epol_atom_based(ta, ctx_a, born_a, 0, n_a / 2, eps,
+                                          false, gb, e.work);
+    e.cross = core::approx_epol_cross(ta, ctx_a, born_a, tb, ctx_b, born_b,
+                                      eps, false, gb, e.work);
+    return e;
+  };
+  const Energies serial = run();
+  for (int workers : {1, 2, 4}) {
+    ws::Scheduler sched(workers);
+    Energies par;
+    sched.run([&] { par = run(); });
+    EXPECT_EQ(par.leaf, serial.leaf) << workers << " workers";
+    EXPECT_EQ(par.atom, serial.atom) << workers << " workers";
+    EXPECT_EQ(par.cross, serial.cross) << workers << " workers";
+    EXPECT_EQ(par.work.epol_exact, serial.work.epol_exact);
+    EXPECT_EQ(par.work.epol_bins, serial.work.epol_bins);
+    EXPECT_EQ(par.work.epol_visits, serial.work.epol_visits);
   }
 }
 

@@ -1,7 +1,8 @@
 // Interaction-plan lifecycle tests (core/plan.hpp): capture / replay /
-// Born-reuse equivalence against the recursive traversal, key-based
+// Born-reuse equivalence against the recursive traversal, the parallel
+// decision-walk capture against the serial PlanRecorder oracle, key-based
 // invalidation (params, topology), refit validation and drift recapture,
-// and the allocation-free steady state of the warm path.
+// and the allocation-free steady state of the warm path and of recapture.
 //
 // The load-bearing invariant everywhere: any plan-driven Born result is
 // bit-identical to the serial recursive traversal at the same geometry
@@ -10,12 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "octgb/core/born.hpp"
+#include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/engine.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/trace/metrics.hpp"
 #include "octgb/util/rng.hpp"
@@ -23,6 +32,7 @@
 using namespace octgb;
 using core::EvalScratch;
 using core::GBEngine;
+using core::PlanFlavor;
 using core::PlanMode;
 
 namespace {
@@ -65,6 +75,61 @@ void expect_bitwise_equal(const core::EvalResult& got,
   EXPECT_EQ(got.work.epol_exact, want.work.epol_exact);
   EXPECT_EQ(got.work.epol_bins, want.work.epol_bins);
   EXPECT_EQ(got.work.epol_visits, want.work.epol_visits);
+}
+
+/// `surf` with every quadrature point of the T_Q leaves [leaf_lo, leaf_hi)
+/// (positions in leaf_ids() order) translated by `shift`: a refit to it
+/// moves exactly those leaves and keeps the topology.
+surface::Surface shift_leaves(const surface::Surface& surf,
+                              const core::QPointsTree& tq, std::size_t leaf_lo,
+                              std::size_t leaf_hi, const geom::Vec3& shift) {
+  surface::Surface out = surf;
+  const auto idx = tq.tree.point_index();
+  for (std::size_t li = leaf_lo; li < leaf_hi; ++li) {
+    const auto& leaf = tq.tree.node(tq.tree.leaf_ids()[li]);
+    for (std::uint32_t pos = leaf.begin; pos < leaf.end; ++pos)
+      out.positions[idx[pos]] += shift;
+  }
+  return out;
+}
+
+/// First T_Q leaf index of walk segment `s` (the documented segmentation:
+/// segment s of S covers leaves [s·n/S, (s+1)·n/S)).
+std::size_t segment_first_leaf(const core::InteractionPlan& plan,
+                               const core::QPointsTree& tq, std::size_t s) {
+  const std::size_t n_seg = plan.segment_near_offsets().size() - 1;
+  return s * tq.tree.leaf_ids().size() / n_seg;
+}
+
+/// The serial oracle: `key`'s plan recorded by the instrumented traversal
+/// of `engine`'s trees (over `leaves`, single flavor), with the phase
+/// buffers and Born-phase counters that traversal produced.
+struct Recorded {
+  core::InteractionPlan plan;
+  std::vector<double> node_s, atom_s;
+  perf::WorkCounters work;
+};
+
+Recorded record_oracle(const GBEngine& engine, const core::PlanKey& key,
+                       std::span<const std::uint32_t> leaves,
+                       const simd::VectorParams& vector = {}) {
+  const core::AtomsTree& ta = engine.atoms_tree();
+  const core::QPointsTree& tq = engine.qpoints_tree();
+  Recorded r;
+  r.node_s.assign(engine.num_ta_nodes(), 0.0);
+  r.atom_s.assign(engine.num_atoms(), 0.0);
+  core::PlanRecorder rec = r.plan.begin_capture(key);
+  if (key.flavor == PlanFlavor::Single) {
+    core::approx_integrals(ta, tq, leaves, key.eps_born, false, r.node_s,
+                           r.atom_s, r.work, key.strict_criterion, key.kernel,
+                           vector, &rec);
+  } else {
+    core::approx_integrals_dual(ta, tq, key.eps_born, false, r.node_s,
+                                r.atom_s, r.work, key.strict_criterion,
+                                key.kernel, vector, &rec);
+  }
+  (void)r.plan.finalize(ta, tq, 0, r.work);
+  return r;
 }
 
 }  // namespace
@@ -258,6 +323,247 @@ TEST(Plan, DualFlavorReplayMatchesTraversalAfterRefit) {
   EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 0u);
 }
 
+// ---- parallel capture vs the serial recorder oracle ------------------------
+
+struct CaptureParams {
+  PlanFlavor flavor;
+  bool strict;
+  simd::VectorIsa isa;
+  simd::Precision precision;
+};
+
+class ParallelCapture : public ::testing::TestWithParam<CaptureParams> {};
+
+TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
+  const auto [flavor, strict, isa, precision] = GetParam();
+  if (!simd::isa_available(isa)) GTEST_SKIP() << "width not runnable here";
+  const Problem p(700);
+  core::EngineConfig config;
+  config.approx.strict_born_criterion = strict;
+  config.approx.vector = {isa, precision};
+  const simd::VectorParams rvec = simd::resolve(config.approx.vector);
+  const auto& approx = config.approx;
+
+  for (int workers : {1, 2, 4}) {
+    GBEngine engine(p.molecule, p.surf, config);
+    const core::AtomsTree& ta = engine.atoms_tree();
+    const core::QPointsTree& tq = engine.qpoints_tree();
+    const std::size_t n_atoms = engine.num_atoms();
+
+    // Oracle: the recorder-instrumented serial traversal, then the push.
+    const core::PlanKey key{1, 0, approx.eps_born, strict,
+                            approx.kernel, flavor, approx.locality};
+    auto [oracle, node_s, atom_s, want] =
+        record_oracle(engine, key, engine.q_leaves(), rvec);
+    std::vector<double> born_ref(n_atoms, 0.0);
+    core::push_integrals_to_atoms(ta, node_s, atom_s, 0,
+                                  static_cast<std::uint32_t>(n_atoms),
+                                  approx.approx_math, born_ref, want);
+
+    // Parallel capture + replay through the engine.
+    EvalScratch scratch;
+    ws::Scheduler sched(workers);
+    const auto got = flavor == PlanFlavor::Single
+                         ? engine.compute(scratch, &sched)
+                         : engine.compute_dual(scratch, &sched);
+    const core::InteractionPlan& plan = scratch.plan_cache.plan;
+    const perf::PlanCounters& stats = scratch.plan_cache.stats;
+    EXPECT_EQ(stats.builds, 1u) << workers;
+    EXPECT_EQ(stats.key_misses, 1u) << workers;
+    EXPECT_EQ(stats.replays, 0u) << workers;
+    EXPECT_EQ(stats.validations, 0u) << workers;
+
+    EXPECT_EQ(plan.near_pairs(), oracle.near_pairs()) << workers;
+    EXPECT_EQ(plan.far_pairs(), oracle.far_pairs()) << workers;
+    EXPECT_TRUE(std::ranges::equal(plan.segment_near_offsets(),
+                                   oracle.segment_near_offsets()));
+    EXPECT_TRUE(std::ranges::equal(plan.segment_far_offsets(),
+                                   oracle.segment_far_offsets()));
+    EXPECT_EQ(scratch.node_s, node_s) << workers << " workers";
+    EXPECT_EQ(scratch.atom_s, atom_s) << workers << " workers";
+    EXPECT_EQ(scratch.born_tree, born_ref) << workers << " workers";
+    EXPECT_EQ(got.work.born_exact, want.born_exact);
+    EXPECT_EQ(got.work.born_approx, want.born_approx);
+    EXPECT_EQ(got.work.born_visits, want.born_visits);
+    EXPECT_EQ(got.work.push_atoms, want.push_atoms);
+    EXPECT_EQ(got.work.push_visits, want.push_visits);
+    // Element-wise list identity: the parallel walk's compare sink accepts
+    // the recorder's lists at the parallel capture's offsets.
+    EXPECT_TRUE(oracle.validate(ta, tq, 1)) << workers << " workers";
+  }
+}
+
+std::vector<CaptureParams> capture_matrix() {
+  std::vector<CaptureParams> out;
+  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
+    for (bool strict : {false, true})
+      for (simd::VectorIsa isa :
+           {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
+            simd::VectorIsa::V256, simd::VectorIsa::V512})
+        for (simd::Precision precision :
+             {simd::Precision::Double, simd::Precision::Mixed})
+          out.push_back({flavor, strict, isa, precision});
+  return out;
+}
+
+std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
+  static constexpr const char* kIsa[] = {"Auto", "Scalar", "V128", "V256",
+                                         "V512"};
+  const CaptureParams& c = p.param;
+  return std::string(c.flavor == PlanFlavor::Single ? "Single" : "Dual") +
+         (c.strict ? "Strict" : "Loose") + kIsa[static_cast<int>(c.isa)] +
+         (c.precision == simd::Precision::Double ? "Double" : "Mixed");
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCapture,
+                         ::testing::ValuesIn(capture_matrix()), capture_name);
+
+TEST(Plan, CaptureForksUnderScheduler) {
+  // The capture is a parallel walk: under a 4-worker scheduler it spawns
+  // tasks, and the lists it emits are still the serial oracle's.
+  const Problem p(800);
+  GBEngine engine(p.molecule, p.surf);
+  const core::AtomsTree& ta = engine.atoms_tree();
+  const core::QPointsTree& tq = engine.qpoints_tree();
+  const core::PlanKey key{1, 0, 0.9, false, core::KernelKind::Batched,
+                          PlanFlavor::Single, true};
+  core::InteractionPlan plan;
+  ws::Scheduler sched(4);
+  sched.reset_stats();
+  sched.run([&] { (void)plan.capture(ta, tq, key, 0); });
+  EXPECT_GT(sched.stats().spawns, 0u);
+  ASSERT_GT(plan.segment_near_offsets().size(), 2u);  // >1 segment
+
+  core::InteractionPlan oracle =
+      record_oracle(engine, key, engine.q_leaves()).plan;
+  EXPECT_EQ(plan.near_pairs(), oracle.near_pairs());
+  EXPECT_EQ(plan.far_pairs(), oracle.far_pairs());
+  EXPECT_TRUE(oracle.validate(ta, tq, 1));
+}
+
+// ---- parallel validate: drift -----------------------------------------------
+
+TEST(Plan, ValidateCatchesDriftInOneSegment) {
+  // Move every T_Q leaf of one middle walk segment far away: only that
+  // segment's decisions change (the single-flavor walk of a Q-leaf reads
+  // only that leaf), and the parallel validate must still report drift.
+  const Problem p(700);
+  GBEngine warm(p.molecule, p.surf);
+  GBEngine cold(p.molecule, p.surf);
+  EvalScratch scratch;
+  ws::Scheduler sched(4);
+  (void)warm.compute(scratch, &sched);
+  const core::InteractionPlan& plan = scratch.plan_cache.plan;
+  const std::vector<std::size_t> near_before(
+      plan.segment_near_offsets().begin(), plan.segment_near_offsets().end());
+  const std::size_t n_seg = near_before.size() - 1;
+  ASSERT_GE(n_seg, 4u);
+  const std::size_t s = n_seg / 2;
+  const core::QPointsTree& tq = warm.qpoints_tree();
+  const auto moved =
+      shift_leaves(p.surf, tq, segment_first_leaf(plan, tq, s),
+                   segment_first_leaf(plan, tq, s + 1),
+                   geom::Vec3(500.0, 0.0, 0.0));
+  warm.refit_qpoints(moved);
+  cold.refit_qpoints(moved);
+
+  expect_bitwise_equal(warm.compute(scratch, &sched), cold.compute());
+  EXPECT_EQ(scratch.plan_cache.stats.validations, 1u);
+  EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 1u);
+  EXPECT_EQ(scratch.plan_cache.stats.builds, 2u);
+  // The recapture differs from the old plan in segment s alone: offsets
+  // up to s are unchanged, every later one shifts by the same amount.
+  const auto near_after = plan.segment_near_offsets();
+  ASSERT_EQ(near_after.size(), near_before.size());
+  for (std::size_t k = 0; k <= s; ++k) EXPECT_EQ(near_after[k], near_before[k]);
+  const auto delta = static_cast<std::int64_t>(near_after[s + 1]) -
+                     static_cast<std::int64_t>(near_before[s + 1]);
+  EXPECT_NE(delta, 0);
+  for (std::size_t k = s + 1; k <= n_seg; ++k)
+    EXPECT_EQ(static_cast<std::int64_t>(near_after[k]) -
+                  static_cast<std::int64_t>(near_before[k]),
+              delta);
+}
+
+TEST(Plan, ValidateComparesDecisionsNotJustCounts) {
+  // Record the serial oracle with two T_Q leaves of one segment visited
+  // in swapped order: every segment keeps its list lengths, but the
+  // segment's decisions no longer come in walk order. The parallel
+  // validate must compare element-wise and report drift; the unswapped
+  // recording validates.
+  const Problem p(700);
+  GBEngine engine(p.molecule, p.surf);
+  const core::AtomsTree& ta = engine.atoms_tree();
+  const core::QPointsTree& tq = engine.qpoints_tree();
+  const core::PlanKey key{1, 0, 0.9, false, core::KernelKind::Batched,
+                          PlanFlavor::Single, true};
+  core::InteractionPlan in_order =
+      record_oracle(engine, key, engine.q_leaves()).plan;
+  const std::size_t n_seg = in_order.segment_near_offsets().size() - 1;
+  ASSERT_GE(n_seg, 4u);
+  // A middle segment with at least two leaves (their entries carry
+  // different Q ids, so the swap changes elements, not lengths).
+  std::vector<std::uint32_t> leaves = engine.q_leaves();
+  const std::size_t s = n_seg / 2;
+  const std::size_t lo = segment_first_leaf(in_order, tq, s);
+  const std::size_t hi = segment_first_leaf(in_order, tq, s + 1);
+  ASSERT_GE(hi - lo, 2u);
+  std::swap(leaves[lo], leaves[lo + 1]);
+  core::InteractionPlan swapped = record_oracle(engine, key, leaves).plan;
+
+  EXPECT_TRUE(std::ranges::equal(swapped.segment_near_offsets(),
+                                 in_order.segment_near_offsets()));
+  EXPECT_TRUE(std::ranges::equal(swapped.segment_far_offsets(),
+                                 in_order.segment_far_offsets()));
+  EXPECT_TRUE(in_order.validate(ta, tq, 1));
+  EXPECT_FALSE(swapped.validate(ta, tq, 1));
+}
+
+TEST(Plan, ValidateCatchesShiftedSegmentBoundary) {
+  const Problem p(700);
+  GBEngine warm(p.molecule, p.surf);
+  GBEngine cold(p.molecule, p.surf);
+  EvalScratch scratch;
+  ws::Scheduler sched(4);
+  (void)warm.compute(scratch, &sched);
+  const core::InteractionPlan& plan = scratch.plan_cache.plan;
+  const std::vector<std::size_t> near_before(
+      plan.segment_near_offsets().begin(), plan.segment_near_offsets().end());
+  const std::vector<std::size_t> far_before(
+      plan.segment_far_offsets().begin(), plan.segment_far_offsets().end());
+  const std::size_t n_seg = near_before.size() - 1;
+  ASSERT_GE(n_seg, 4u);
+
+  // Move only the *last* Q-leaf of segment s, out of the molecule's reach:
+  // its decisions collapse to one far term, so segment s's list slices
+  // end earlier and the boundary with segment s+1 moves in both lists.
+  const std::size_t s = n_seg / 3;
+  const core::QPointsTree& tq = warm.qpoints_tree();
+  const std::size_t last = segment_first_leaf(plan, tq, s + 1) - 1;
+  const auto moved = shift_leaves(p.surf, tq, last, last + 1,
+                                  geom::Vec3(0.0, 0.0, 800.0));
+  warm.refit_qpoints(moved);
+  cold.refit_qpoints(moved);
+  expect_bitwise_equal(warm.compute(scratch, &sched), cold.compute());
+  EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 1u);
+  const auto near_after = plan.segment_near_offsets();
+  const auto far_after = plan.segment_far_offsets();
+  EXPECT_EQ(near_after[s], near_before[s]);
+  EXPECT_LT(near_after[s + 1], near_before[s + 1]);
+  EXPECT_NE(far_after[s + 1], far_before[s + 1]);
+
+  // A T_Q with another leaf count cuts the segments elsewhere: the stored
+  // offsets no longer describe it, which validate reports as drift
+  // (without reading past the stored lists).
+  core::EngineConfig fine;
+  fine.qpoints_tree_params.max_leaf_size = 16;
+  const GBEngine other(p.molecule, p.surf, fine);
+  ASSERT_NE(other.q_leaves().size(), warm.q_leaves().size());
+  core::InteractionPlan copy = plan;
+  EXPECT_FALSE(copy.validate(warm.atoms_tree(), other.qpoints_tree(), 99));
+  EXPECT_FALSE(copy.valid());
+}
+
 // ---- parallel replay --------------------------------------------------------
 
 TEST(Plan, ReplayUnderSchedulerIsExactOnBornRadii) {
@@ -282,8 +588,8 @@ TEST(Plan, ReplayUnderSchedulerIsExactOnBornRadii) {
   ASSERT_EQ(par.born.size(), serial_ref.born.size());
   for (std::size_t i = 0; i < par.born.size(); ++i)
     ASSERT_EQ(par.born[i], serial_ref.born[i]) << "atom " << i;
-  // The Epol phase still accumulates atomically under the scheduler.
-  EXPECT_NEAR(par.epol, serial_ref.epol, 1e-8 * std::abs(serial_ref.epol));
+  // The Epol phase folds fixed leaf blocks in block order: exact too.
+  EXPECT_EQ(par.epol, serial_ref.epol);
 
   // Born reuse under the scheduler: radii come straight from the cache.
   const auto reuse = warm.compute(scratch, &sched);
@@ -315,6 +621,29 @@ TEST(Plan, ReplayAndReuseAreAllocationFree) {
   EXPECT_EQ(scratch.plan_cache.stats.builds, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.replays, 4u);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 4u);
+}
+
+TEST(Plan, RecaptureSteadyStateIsAllocationFree) {
+  // Topology-invalidating rebuilds at unchanged sizes recapture every
+  // time; after the first recapture every plan buffer (lists, segment
+  // offsets, owner CSR, carve scratch) is warm and reused.
+  const Problem p(600);
+  GBEngine engine(p.molecule, p.surf);
+  EvalScratch scratch;
+  ws::Scheduler sched(4);
+
+  (void)engine.compute(scratch, &sched);  // capture
+  engine.rebuild_atoms(p.molecule);
+  (void)engine.compute(scratch, &sched);  // recapture
+  const auto settled = scratch.allocation_events;
+
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    engine.rebuild_atoms(p.molecule);
+    (void)engine.compute(scratch, &sched);
+  }
+  EXPECT_EQ(scratch.allocation_events, settled);
+  EXPECT_EQ(scratch.plan_cache.stats.builds, 5u);
+  EXPECT_EQ(scratch.plan_cache.stats.invalidated_topology, 4u);
 }
 
 // ---- session surface --------------------------------------------------------
@@ -354,12 +683,9 @@ TEST(Plan, LocalityReplayBitwiseMatchesBaselineAtEveryWorkerCount) {
   // The acceptance gate of the locality work: warm replay with
   // run-coalesced carving must produce bitwise-identical phase buffers
   // (node_s, atom_s, Born radii) to the locality-off carving — the PR-9
-  // baseline — at every worker count. Epol is compared bitwise only at
-  // one worker: the Epol phase folds per-range partials into the total
-  // in completion order (atomic_add in approx_epol), so its last bits
-  // are schedule-dependent whenever >1 worker runs — a pre-existing
-  // property of the energy phase, not of plan replay. The plan path
-  // itself must be (and is) exactly deterministic.
+  // baseline — at every worker count. Epol is bitwise too: approx_epol
+  // folds fixed leaf-block partials in block order, whatever the
+  // schedule, so it matches the serial traversal reference as well.
   const Problem p(800);
   core::EngineConfig on_cfg, off_cfg;
   on_cfg.approx.locality = true;
@@ -388,16 +714,14 @@ TEST(Plan, LocalityReplayBitwiseMatchesBaselineAtEveryWorkerCount) {
     EXPECT_EQ(s_on.node_s, s_off.node_s) << workers << " workers";
     EXPECT_EQ(s_on.atom_s, s_off.atom_s) << workers << " workers";
     EXPECT_EQ(s_on.born_tree, s_off.born_tree) << workers << " workers";
+    EXPECT_EQ(epol_on, r_off.epol) << workers << " workers";
 
-    if (workers == 1) {
-      EXPECT_EQ(epol_on, r_off.epol);
-      GBEngine cold(p.molecule, p.surf, on_cfg);  // traversal reference
-      cold.refit_atoms(moved);
-      const auto c = cold.compute();
-      EXPECT_EQ(epol_on, c.epol);
-      for (std::size_t i = 0; i < born_on.size(); ++i)
-        ASSERT_EQ(born_on[i], c.born[i]) << "atom " << i;
-    }
+    GBEngine cold(p.molecule, p.surf, on_cfg);  // traversal reference
+    cold.refit_atoms(moved);
+    const auto c = cold.compute();
+    EXPECT_EQ(epol_on, c.epol) << workers << " workers";
+    for (std::size_t i = 0; i < born_on.size(); ++i)
+      ASSERT_EQ(born_on[i], c.born[i]) << "atom " << i;
   }
 }
 
