@@ -234,7 +234,10 @@ class GBEngine {
   EpolContext build_epol_context(std::span<const double> born_tree) const;
 
   /// Energy phase on a segment of a_leaves(); returns this segment's
-  /// partial Epol (node-based work division).
+  /// partial Epol (node-based work division). Each mutual near leaf pair
+  /// is evaluated by only one of its two leaves (see approx_epol), so a
+  /// segment's partial is not its own leaves' share: only the sum over
+  /// segments that partition a_leaves() is the full energy.
   double phase_epol(const EpolContext& ctx,
                     std::span<const double> born_tree, Segment a_leaf_segment,
                     perf::WorkCounters& counters) const;

@@ -7,6 +7,11 @@
 /// [Rmin(1+ε)^k, Rmin(1+ε)^(k+1)), and a far (U,V) pair contributes one
 /// f_GB evaluation per non-empty bin pair instead of one per atom pair.
 ///
+/// approx_epol mirrors the near field: an exact leaf pair (U, V) that both
+/// leaves' descents reach is evaluated once, from one side, weighted ×2
+/// (DESIGN.md §2.12). The atom-based variant keeps the paper's plain
+/// descent and doubles as the unmirrored reference.
+///
 /// Also provides the atom-based work division variant (§IV): dividing
 /// *atoms* instead of leaves makes the admissibility decisions depend on
 /// the segment boundaries, so the error drifts with P — the effect the
@@ -33,7 +38,8 @@ struct EpolContext {
   std::vector<double> bins;
   /// Inclusive nonzero-bin range per node (skip empty bins in the M² loop).
   std::vector<std::int16_t> bin_lo, bin_hi;
-  /// Representative radius per bin: Rmin(1+ε)^k (the paper's choice).
+  /// Representative radius per bin: the geometric mid-bin Rmin(1+ε)^(k+½)
+  /// (the paper's Fig. 3 uses the lower edge Rmin(1+ε)^k).
   std::vector<double> rep;
 
   /// Bin index of a Born radius.
@@ -48,22 +54,30 @@ struct EpolContext {
   /// In-place rebuild reusing this context's allocated storage (the warm
   /// path of GBEngine::compute(EvalScratch&)). Returns true when any
   /// buffer's capacity had to grow — i.e. an allocation happened; repeated
-  /// rebuilds for the same tree shape return false.
+  /// rebuilds for the same tree shape return false. Throws
+  /// util::CheckError when the bin count would exceed INT16_MAX (ε too
+  /// small for the Born-radius range).
   bool rebuild(const AtomsTree& ta, std::span<const double> born_tree,
                double eps_epol);
 };
 
 /// Node-based division: energy from the interaction of every atom under
-/// the given T_A leaves (the "V" side) with the entire tree. Summing over
-/// a partition of all leaves yields the full ordered-pair sum of Eq. 2,
-/// diagonal included. Thread-safe; parallelizes over fixed blocks of
-/// leaves and folds the block sums in block order, so the result is
-/// bitwise identical at any worker count (and serially). `kernel`
-/// selects the exact leaf×leaf implementation (SoA batch vs scalar AoS);
-/// `vector` additionally routes the Batched near field and the node-path
-/// bin-pair far field through the explicit-SIMD kernels
-/// (simd/dispatch.hpp) — resolved internally, callers pass the raw
-/// config value.
+/// the given T_A leaves (the "V" side) with the entire tree, with the
+/// same near/far decisions as the paper's descent. A mutual exact leaf
+/// pair — U's descent would reach V as V's reaches U — is evaluated only
+/// by the leaf the parity rule picks, at twice the weight; the other
+/// leaf skips it. The result is therefore exact only when summed over a
+/// **partition of all leaves**, which yields the full ordered-pair sum of
+/// Eq. 2, diagonal included; the partial of a single segment is not its
+/// leaves' share. `epol_exact` counts ordered pairs covered (the owner
+/// adds 2·|U|·|V|), so counter totals over a partition are unchanged.
+/// Thread-safe; parallelizes over fixed blocks of leaves and folds the
+/// block sums in block order, so the result is bitwise identical at any
+/// worker count (and serially). `kernel` selects the exact leaf×leaf
+/// implementation (SoA batch vs scalar AoS); `vector` additionally routes
+/// the Batched near field and the node-path bin-pair far field through
+/// the explicit-SIMD kernels (simd/dispatch.hpp) — resolved internally,
+/// callers pass the raw config value.
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    std::span<const double> born_tree,
                    std::span<const std::uint32_t> v_leaf_ids, double eps_epol,
@@ -73,7 +87,9 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    const simd::VectorParams& vector = {});
 
 /// Atom-based division: energy from the interaction of atoms in tree
-/// positions [atom_begin, atom_end) with the entire tree.
+/// positions [atom_begin, atom_end) with the entire tree. Plain descent,
+/// no mirroring: over [0, n) it evaluates approx_epol's interaction set
+/// from both sides, which makes it the unmirrored test reference.
 double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
                               std::span<const double> born_tree,
                               std::uint32_t atom_begin, std::uint32_t atom_end,

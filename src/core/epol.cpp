@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "atomic_add.hpp"
 #include "octgb/core/fastmath.hpp"
@@ -72,12 +73,22 @@ bool EpolContext::rebuild(const AtomsTree& ta,
     born_min = std::min(born_min, r);
     born_max = std::max(born_max, r);
   }
-  rmin = born_min;
-  log1pe = std::log1p(eps_epol);
-  nbins = std::max(
-      1, static_cast<int>(std::ceil(std::log(born_max / born_min) / log1pe)));
+  // bin_lo/bin_hi hold bin indices as int16_t and the far-field loops
+  // index the bin tables with them, so the bin count must fit. It is
+  // checked before any table is sized; the cap also bounds the loop below,
+  // which otherwise spins ~1e-16/ε times when all radii are equal.
+  const double l1pe = std::log1p(eps_epol);
+  const double needed = std::ceil(std::log(born_max / born_min) / l1pe);
+  int nb = needed < INT16_MAX ? std::max(1, static_cast<int>(needed))
+                              : INT16_MAX + 1;
   // A radius exactly equal to rmax must land inside the last bin.
-  while (born_min * std::exp(log1pe * nbins) <= born_max) ++nbins;
+  while (nb <= INT16_MAX && born_min * std::exp(l1pe * nb) <= born_max) ++nb;
+  OCTGB_CHECK_MSG(nb <= INT16_MAX,
+                  "eps_epol too small for the Born-radius range: the bin "
+                  "count exceeds the int16 bin index");
+  rmin = born_min;
+  log1pe = l1pe;
+  nbins = nb;
   rep.resize(nbins);
   // Geometric mid-bin representative (the paper's Fig. 3 uses the lower
   // edge Rmin(1+ε)^k; the mid-bin value halves the systematic bias of the
@@ -129,7 +140,8 @@ struct EpolCounts {
 /// The U side is the tree being descended; the V side usually aliases it
 /// (approx_epol / approx_epol_atom_based pass the same tree, context, and
 /// Born plane for both) but may be a different body entirely — the
-/// cross-tree kernel of approx_epol_cross.
+/// cross-tree kernel of approx_epol_cross. With v_ancestors set (the
+/// approx_epol path) the near field is mirrored: see descend().
 struct EpolPass {
   // U side: the descended tree.
   const AtomsTree& ta;
@@ -168,7 +180,16 @@ struct EpolPass {
     const double d = std::sqrt(d2);
 
     if (u.is_leaf()) {
-      return exact_leaf(u, lc);
+      if (v_ancestors.empty() || u_id == v_node_id || !u_reaches_v(u))
+        return exact_leaf(u, lc);
+      // Mutual pair: U's own descent reaches V and computes the same sum,
+      // so one side evaluates it for both. The parity rule gives each leaf
+      // about half of its neighbours on either side of its id.
+      const bool owner = ((u_id + v_node_id) & 1u) ? v_node_id < u_id
+                                                    : v_node_id > u_id;
+      if (!owner) return 0.0;
+      lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
+      return 2.0 * exact_leaf(u, lc);
     }
     if (epol_far_enough(d, u.radius, vr, eps)) {
       return far_field(u_id, d2, lc);
@@ -177,6 +198,18 @@ struct EpolPass {
     for (std::uint8_t c = 0; c < u.child_count; ++c)
       sum += descend(u.first_child + c, lc);
     return sum;
+  }
+
+  /// Whether leaf U's descent would reach leaf V: no strict ancestor B of
+  /// V is far from U, tested with the exact operands U's descend() uses.
+  bool u_reaches_v(const Octree::Node& u) const {
+    for (const std::uint32_t b_id : v_ancestors) {
+      const Octree::Node& b = ta.tree.node(b_id);
+      if (epol_far_enough(std::sqrt(geom::dist2(b.centroid, u.centroid)),
+                          b.radius, u.radius, eps))
+        return false;
+    }
+    return true;
   }
 
   double exact_leaf(const Octree::Node& u, EpolCounts& lc) const {
@@ -305,7 +338,29 @@ struct EpolPass {
   }
 
   std::size_t v_node_id = 0;
+  /// Strict ancestors of v_node, root first. Non-empty only on the
+  /// mirrored same-tree path of approx_epol, which evaluates each mutual
+  /// leaf pair from one side; empty means the plain descent.
+  std::span<const std::uint32_t> v_ancestors{};
 };
+
+/// Strict ancestors of leaf `v_id`, root first, found by walking down by
+/// point range (children tile their parent's range in order). Node depth
+/// is a uint8_t, so a 256-entry stack always holds the path.
+std::span<const std::uint32_t> ancestors_of(
+    const Octree& tree, std::uint32_t v_id,
+    std::array<std::uint32_t, 256>& path) {
+  const std::uint32_t v_begin = tree.node(v_id).begin;
+  std::size_t depth = 0;
+  for (std::uint32_t id = 0; id != v_id;) {
+    const Octree::Node& n = tree.node(id);
+    OCTGB_CHECK(!n.is_leaf() && depth < path.size());
+    path[depth++] = id;
+    id = n.first_child;
+    while (tree.node(id).end <= v_begin) ++id;
+  }
+  return {path.data(), depth};
+}
 
 /// Deterministic parallel sum of the Epol phase. The items [0, n) are cut
 /// into at most kSumBlocks fixed contiguous blocks; one task sums a
@@ -357,6 +412,7 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         // Per-block Epol activity under the "epol.traversal" phase span.
         OCTGB_SPAN("epol.leaves");
+        std::array<std::uint32_t, 256> path{};
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
           EpolPass pass{ta,        ctx,      born_tree,
@@ -364,6 +420,7 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                         eps_epol,  approx_math, kernel, vec, mixed,
                         &ta.tree.node(v_leaf_ids[li]), 0};
           pass.v_node_id = v_leaf_ids[li];
+          pass.v_ancestors = ancestors_of(ta.tree, v_leaf_ids[li], path);
           mine += pass.descend(0, lc);
         }
         return mine;

@@ -16,7 +16,9 @@
 #include "octgb/mol/generate.hpp"
 #include "octgb/mol/zdock.hpp"
 #include "octgb/perf/stats.hpp"
+#include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
+#include "octgb/util/check.hpp"
 
 using namespace octgb;
 using core::EngineConfig;
@@ -350,6 +352,143 @@ TEST(EpolContext, BinCountGrowsAsEpsShrinks) {
   const auto c_large = core::EpolContext::build(engine.atoms_tree(),
                                                 born_tree, 0.9);
   EXPECT_GT(c_small.nbins, 2 * c_large.nbins);
+}
+
+TEST(EpolContext, RejectsBinCountBeyondInt16Index) {
+  // bin_lo/bin_hi are int16_t: radii 2.00/2.02 at ε = 1e-7 need 99,504
+  // bins, which used to wrap bin_lo[0] to −31,569 and send the far field
+  // reading before each node's table. The build must refuse instead.
+  const auto m = mol::generate_protein({.target_atoms = 200, .seed = 3});
+  const auto ta = core::AtomsTree::build(m);
+  std::vector<double> born(ta.num_atoms());
+  for (std::size_t i = 0; i < born.size(); ++i) born[i] = i % 2 ? 2.02 : 2.00;
+  EXPECT_THROW(core::EpolContext::build(ta, born, 1e-7), util::CheckError);
+  // Equal radii at a tiny ε used to spin ~1e-16/ε times growing the bin
+  // count until exp(nbins·log1p(ε)) left 1.0; it is refused the same way.
+  std::fill(born.begin(), born.end(), 2.0);
+  EXPECT_THROW(core::EpolContext::build(ta, born, 1e-30), util::CheckError);
+  // A wide but representable range still builds.
+  for (std::size_t i = 0; i < born.size(); ++i) born[i] = i % 2 ? 2.02 : 2.00;
+  EXPECT_LE(core::EpolContext::build(ta, born, 1e-6).nbins, INT16_MAX);
+}
+
+namespace {
+
+/// Synthetic tree-order Born radii spread over a few bins.
+std::vector<double> synthetic_born(const core::AtomsTree& t) {
+  std::vector<double> born(t.num_atoms());
+  for (std::size_t i = 0; i < born.size(); ++i)
+    born[i] = 1.3 * t.vdw_radius[i] + 0.05 * static_cast<double>(i % 7);
+  return born;
+}
+
+}  // namespace
+
+TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
+  // approx_epol evaluates each mutual exact leaf pair once, weighted ×2;
+  // approx_epol_atom_based over all atoms runs the plain descent over the
+  // same interaction set. Energies agree to reassociation and every work
+  // counter is identical (epol_exact counts ordered pairs covered).
+  mol::Molecule one_atom("one-atom");
+  one_atom.add_atom({.pos = {1, 2, 3}, .radius = 1.5, .charge = -0.7});
+  const auto small = mol::generate_protein({.target_atoms = 24, .seed = 8});
+  struct Input {
+    const char* name;
+    mol::Molecule molecule;
+    std::uint32_t max_leaf_size;
+  };
+  const Input inputs[] = {
+      {"zdock 1PPE_l_b", mol::make_benchmark_molecule("1PPE_l_b"), 16},
+      {"cmv shell", mol::make_cmv(0.003), 32},
+      {"single leaf", small, 64},
+      {"one atom", one_atom, 32},
+  };
+  std::vector<simd::VectorParams> vectors = {{simd::VectorIsa::Scalar, {}}};
+  for (auto isa : {simd::VectorIsa::V128, simd::VectorIsa::V256,
+                   simd::VectorIsa::V512}) {
+    if (!simd::isa_available(isa)) continue;
+    vectors.push_back({isa, simd::Precision::Double});
+    vectors.push_back({isa, simd::Precision::Mixed});
+  }
+  const GBParams gb;
+  for (const auto& in : inputs) {
+    const auto ta = core::AtomsTree::build(
+        in.molecule, {.max_leaf_size = in.max_leaf_size});
+    if (std::string_view(in.name) == "single leaf") {
+      ASSERT_EQ(ta.tree.leaf_ids().size(), 1u);
+    }
+    const auto born = synthetic_born(ta);
+    const auto n = static_cast<std::uint32_t>(ta.num_atoms());
+    for (double eps : {0.1, 0.5, 0.9}) {
+      const auto ctx = core::EpolContext::build(ta, born, eps);
+      for (auto kernel : {core::KernelKind::Scalar, core::KernelKind::Batched})
+        for (const auto& vec : vectors)
+          for (bool approx_math : {false, true}) {
+            if (kernel == core::KernelKind::Scalar &&
+                vec.isa != simd::VectorIsa::Scalar)
+              continue;  // the scalar kernel ignores the vector knob
+            perf::WorkCounters wm, wo;
+            const double mirrored =
+                core::approx_epol(ta, ctx, born, ta.tree.leaf_ids(), eps,
+                                  approx_math, gb, wm, kernel, vec);
+            const double oracle = core::approx_epol_atom_based(
+                ta, ctx, born, 0, n, eps, approx_math, gb, wo, kernel, vec);
+            // Mixed streams round each term in float from either side, so
+            // the two orientations differ at float, not double, level.
+            const bool float_terms = kernel == core::KernelKind::Batched &&
+                                     vec.precision == simd::Precision::Mixed &&
+                                     !approx_math;
+            const double tol = float_terms ? 1e-7 : 1e-12;
+            const std::string where =
+                std::string(in.name) + " eps=" + std::to_string(eps) +
+                " kernel=" + std::to_string(int(kernel)) +
+                " isa=" + std::to_string(int(vec.isa)) +
+                " prec=" + std::to_string(int(vec.precision)) +
+                " approx_math=" + std::to_string(approx_math);
+            EXPECT_NEAR(mirrored, oracle, tol * std::abs(oracle)) << where;
+            EXPECT_EQ(wm.epol_exact, wo.epol_exact) << where;
+            EXPECT_EQ(wm.epol_bins, wo.epol_bins) << where;
+            EXPECT_EQ(wm.epol_visits, wo.epol_visits) << where;
+          }
+    }
+  }
+}
+
+TEST(MirroredEpol, PartitionSumsMatchTheFullCall) {
+  // The mirrored pass is exact only summed over a partition of all leaves:
+  // every caller's segmentation must reproduce the full call, with the
+  // counter totals unchanged.
+  const Problem p(900);
+  EngineConfig cfg;
+  cfg.atoms_tree_params.max_leaf_size = 8;
+  cfg.approx.eps_epol = 0.5;
+  GBEngine engine(p.molecule, p.surf, cfg);
+  const auto& ta = engine.atoms_tree();
+  const auto born = synthetic_born(ta);
+  const auto ctx = engine.build_epol_context(born);
+  const auto& leaves = engine.a_leaves();
+  perf::WorkCounters full_work;
+  const double full = engine.phase_epol(
+      ctx, born, {0, static_cast<std::uint32_t>(leaves.size())}, full_work);
+  for (int parts : {1, 2, 3, 5, 8}) {
+    const auto weighted = core::weighted_leaf_segments(ta.tree, leaves, parts);
+    ASSERT_EQ(weighted.size(), static_cast<std::size_t>(parts));
+    for (bool use_weighted : {false, true}) {
+      perf::WorkCounters work;
+      double sum = 0.0;
+      for (int r = 0; r < parts; ++r)
+        sum += engine.phase_epol(
+            ctx, born,
+            use_weighted ? weighted[r]
+                         : core::even_segment(leaves.size(), parts, r),
+            work);
+      EXPECT_NEAR(sum, full, 1e-12 * std::abs(full))
+          << "P=" << parts << " weighted=" << use_weighted;
+      EXPECT_EQ(work.epol_exact, full_work.epol_exact) << "P=" << parts;
+      EXPECT_EQ(work.epol_bins, full_work.epol_bins) << "P=" << parts;
+      EXPECT_EQ(work.epol_visits, full_work.epol_visits) << "P=" << parts;
+    }
+  }
 }
 
 // ---- approximate math ---------------------------------------------------------
