@@ -27,16 +27,19 @@ class PlanRecorder;  // core/plan.hpp
 /// `node_s` (one slot per T_A node) and `atom_s` (one slot per atom, tree
 /// order). Both spans must be pre-sized and are added to, not overwritten —
 /// ranks each process disjoint leaf sets and then Allreduce the arrays.
-/// Thread-safe. Counter updates are batched per leaf. `kernel` selects
-/// the exact leaf×leaf implementation (SoA batch vs scalar AoS); both
-/// compute the same sums up to floating-point reassociation.
-/// `vector` selects the explicit-SIMD kernels for the Batched near field
-/// (simd/dispatch.hpp); it is resolved internally, so callers may pass the
-/// raw config value. A non-null `recorder` captures every near/far
-/// decision into an InteractionPlan *and forces the traversal serial*
-/// (even under an active scheduler), so the recorded order is the
-/// deterministic serial traversal order — the reference/oracle that the
-/// parallel InteractionPlan::capture() walk is tested against.
+/// Thread-safe. Counter updates are batched per leaf. `kernel`, `vector`
+/// and `approx_math` pick the exact leaf×leaf arithmetic through the one
+/// near-field selector (DESIGN.md §2.3): KernelKind::Scalar runs the AoS
+/// loop whatever `vector` says; Batched runs the kernel table of the
+/// resolved ISA (`vector` is resolved internally, so callers may pass the
+/// raw config value), whose Mixed precision yields to approx_math and to
+/// the Scalar ISA. All compute the same sums up to floating-point
+/// reassociation (plus float rounding for Mixed). A non-null `recorder`
+/// captures every near/far decision into an InteractionPlan *and forces
+/// the traversal serial* (even under an active scheduler), so the
+/// recorded order is the deterministic serial traversal order — the
+/// reference/oracle that the parallel InteractionPlan::capture() walk is
+/// tested against.
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,
@@ -80,7 +83,8 @@ double inv_r6(double r2, bool approx_math);
 /// Exact scalar (AoS) Born integral of the atom at `pa` against the
 /// q-points [q_begin, q_end) of `tq` — the KernelKind::Scalar near-field
 /// body, shared between the traversals and plan replay for the same
-/// bit-identity reason as born_far_term.
+/// bit-identity reason as born_far_term. Q-points with r² ≤ 1e-12 are
+/// skipped, the same guard as every other near kernel.
 [[gnu::noinline]] double scalar_born_pair(const geom::Vec3& pa,
                                           const QPointsTree& tq,
                                           std::uint32_t q_begin,

@@ -35,6 +35,8 @@ class PlanRecorder;  // core/plan.hpp
 /// `recorder` captures every near/far decision into an InteractionPlan
 /// and forces the traversal serial (deterministic capture order) — the
 /// serial oracle of InteractionPlan::capture(), as in approx_integrals().
+/// `kernel`, `vector` and `approx_math` pick the exact leaf×leaf
+/// arithmetic through the same near-field selector as approx_integrals().
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s,

@@ -73,11 +73,14 @@ struct EpolContext {
 /// adds 2·|U|·|V|), so counter totals over a partition are unchanged.
 /// Thread-safe; parallelizes over fixed blocks of leaves and folds the
 /// block sums in block order, so the result is bitwise identical at any
-/// worker count (and serially). `kernel` selects the exact leaf×leaf
-/// implementation (SoA batch vs scalar AoS); `vector` additionally routes
-/// the Batched near field and the node-path bin-pair far field through
-/// the explicit-SIMD kernels (simd/dispatch.hpp) — resolved internally,
-/// callers pass the raw config value.
+/// worker count (and serially). `kernel`, `vector` and `approx_math` pick
+/// the arithmetic of the exact leaf×leaf sum and the node-path bin-pair
+/// far field through the one near-field selector (DESIGN.md §2.3):
+/// KernelKind::Scalar runs the AoS loop and the scalar far field whatever
+/// `vector` says; Batched runs the kernel table of the resolved ISA
+/// (`vector` is resolved internally, callers pass the raw config value),
+/// whose Mixed precision yields to approx_math and to the Scalar ISA. The
+/// same applies to the two entry points below.
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    std::span<const double> born_tree,
                    std::span<const std::uint32_t> v_leaf_ids, double eps_epol,

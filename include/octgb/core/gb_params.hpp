@@ -79,14 +79,14 @@ struct ApproxParams {
   /// artifact digest like PlanMode; it does sit in the PlanKey, since
   /// flipping it changes the carving and must recapture.
   bool locality = true;
-
-  /// Threshold k used by born_far_enough: far iff (d+s) ≤ k·(d−s).
-  double born_threshold() const;
 };
 
-inline double ApproxParams::born_threshold() const {
-  return strict_born_criterion ? std::pow(1.0 + eps_born, 1.0 / 6.0)
-                               : 1.0 + eps_born;
+/// Threshold k used by born_far_enough: far iff (d+s) ≤ k·(d−s) — the
+/// paper's (1+ε)^(1/6) under the strict criterion, 1+ε otherwise. Every
+/// traversal, plan walk and near-leaf collector evaluates this one
+/// expression, so their decisions agree bit for bit.
+inline double born_threshold(double eps_born, bool strict) {
+  return strict ? std::pow(1.0 + eps_born, 1.0 / 6.0) : 1.0 + eps_born;
 }
 
 /// The Still f_GB function: sqrt(r² + R_i R_j exp(−r²/(4 R_i R_j))).

@@ -10,11 +10,13 @@
 /// compiled with, say, AVX-512 flags can leak into a binary path that runs
 /// on a narrower CPU (the classic multi-ISA ODR trap).
 ///
-/// Callers never branch on width: they resolve an EngineConfig's
-/// VectorParams once per evaluation (simd::resolve), fetch the KernelSet
-/// for the resolved ISA, and stream the existing SoA leaf planes through
-/// it. `kernels(VectorIsa::Scalar)` is nullptr by design — the legacy
-/// autovectorized batch kernels remain the reference implementation.
+/// Callers never branch on width. In the core, the one caller is the
+/// near-field selector (src/core/near_field.hpp): it resolves an
+/// EngineConfig's VectorParams once per call (simd::resolve), fetches the
+/// KernelSet for the resolved ISA, and streams the SoA leaf planes
+/// through it. `kernels(VectorIsa::Scalar)` is nullptr by design — the
+/// autovectorized batch kernels remain the reference implementation, and
+/// the selector substitutes the core's scalar table built from them.
 
 #include <cstdint>
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "near_field.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/util/check.hpp"
 
@@ -108,5 +109,40 @@ double batch_epol_sum_fast(double vx, double vy, double vz, double qv,
   }
   return qv * sum;
 }
+
+namespace {
+
+/// Bin-pair far field of the Scalar ISA: the skip-zeros loop over the
+/// nonzero bins of both tables (KernelSet::FarBinsFn contract).
+template <bool Fast>
+double far_bins(const double* ub, int ulo, int uhi, const double* rep_u,
+                const double* vb, int vlo, int vhi, const double* rep_v,
+                double d2, std::uint64_t& binpairs) {
+  double sum = 0.0;
+  for (int i = ulo; i <= uhi; ++i) {
+    if (ub[i] == 0.0) continue;
+    for (int j = vlo; j <= vhi; ++j) {
+      if (vb[j] == 0.0) continue;
+      sum += ub[i] * vb[j] * detail::inv_f_gb(d2, rep_u[i] * rep_v[j], Fast);
+      ++binpairs;
+    }
+  }
+  return sum;
+}
+
+constexpr simd::KernelSet kScalarKernels{
+    .born_integral = batch_born_integral,
+    .born_integral_fast = batch_born_integral_fast,
+    .born_integral_mixed = nullptr,
+    .epol_sum = batch_epol_sum,
+    .epol_sum_fast = batch_epol_sum_fast,
+    .epol_sum_mixed = nullptr,
+    .epol_far_bins = far_bins<false>,
+    .epol_far_bins_fast = far_bins<true>,
+};
+
+}  // namespace
+
+const simd::KernelSet& detail::scalar_kernels() { return kScalarKernels; }
 
 }  // namespace octgb::core

@@ -3,11 +3,11 @@
 #include <cmath>
 
 #include "atomic_add.hpp"
+#include "near_field.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/core/plan.hpp"
-#include "octgb/simd/dispatch.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
@@ -32,11 +32,8 @@ struct IntegralsPass {
   const Octree::Node& q;     ///< the T_Q leaf
   std::uint32_t q_id;        ///< the T_Q leaf's node id
   Vec3 q_wnormal;            ///< Σ w·n over the leaf
-  double one_plus_eps_pow6;  ///< (1+ε)^(1/6)
-  bool approx_math;
-  KernelKind kernel;
-  const simd::KernelSet* vec;  ///< non-null: explicit-SIMD near field
-  bool mixed;                  ///< float streams (vec must be non-null)
+  double threshold;          ///< admissibility factor (born_threshold)
+  detail::NearField nf;
   std::span<double> node_s;
   std::span<double> atom_s;
   PlanRecorder* recorder;    ///< non-null: record decisions (oracle), serial
@@ -46,51 +43,19 @@ struct IntegralsPass {
     const Octree::Node& a = ta.tree.node(a_id);
     const double d2 = geom::dist2(a.centroid, q.centroid);
     const double d = std::sqrt(d2);
-    if (born_far_enough(d, a.radius, q.radius, one_plus_eps_pow6)) {
+    if (born_far_enough(d, a.radius, q.radius, threshold)) {
       // Whole leaf Q acts on node A as one pseudo q-point at its centroid.
       if (recorder) recorder->far(a_id, q_id);
       atomic_add(node_s[a_id],
-                 born_far_term(a.centroid, q.centroid, q_wnormal, approx_math));
+                 born_far_term(a.centroid, q.centroid, q_wnormal, nf.fast));
       ++lc.approx;
       return;
     }
     if (a.is_leaf()) {
       if (recorder) recorder->near(a_id, q_id);
-      if (kernel == KernelKind::Batched && vec != nullptr) {
-        const double* __restrict ax = ta.soa_x().data();
-        const double* __restrict ay = ta.soa_y().data();
-        const double* __restrict az = ta.soa_z().data();
-        if (mixed) {
-          const QPointBatchF qb = tq.node_batch_f(q);
-          for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-            atomic_add(atom_s[ai],
-                       vec->born_integral_mixed(ax[ai], ay[ai], az[ai], qb));
-        } else {
-          const QPointBatch qb = tq.node_batch(q);
-          const auto fn =
-              approx_math ? vec->born_integral_fast : vec->born_integral;
-          for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-            atomic_add(atom_s[ai], fn(ax[ai], ay[ai], az[ai], qb));
-        }
-      } else if (kernel == KernelKind::Batched) {
-        const QPointBatch qb = tq.node_batch(q);
-        const double* __restrict ax = ta.soa_x().data();
-        const double* __restrict ay = ta.soa_y().data();
-        const double* __restrict az = ta.soa_z().data();
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-          const double s =
-              approx_math
-                  ? batch_born_integral_fast(ax[ai], ay[ai], az[ai], qb)
-                  : batch_born_integral(ax[ai], ay[ai], az[ai], qb);
-          atomic_add(atom_s[ai], s);
-        }
-      } else {
-        const auto atom_pts = ta.tree.points();
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-          atomic_add(atom_s[ai], scalar_born_pair(atom_pts[ai], tq, q.begin,
-                                                  q.end, approx_math));
-        }
-      }
+      detail::born_near(nf, ta, a, tq, q, [this](std::uint32_t ai, double v) {
+        atomic_add(atom_s[ai], v);
+      });
       lc.exact += static_cast<std::uint64_t>(a.size()) * q.size();
       return;
     }
@@ -157,7 +122,7 @@ double scalar_born_pair(const Vec3& pa, const QPointsTree& tq,
   for (std::uint32_t qi = q_begin; qi < q_end; ++qi) {
     const Vec3 delta = q_pts[qi] - pa;
     const double r2 = delta.norm2();
-    if (r2 < 1e-12) continue;
+    if (r2 <= 1e-12) continue;
     s += tq.wnormal[qi].dot(delta) * inv_r6(r2, approx_math);
   }
   return s;
@@ -175,32 +140,18 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
   if (ta.tree.empty() || tq.tree.empty()) return;
 
-  const double pow6 = strict_criterion
-                          ? std::pow(1.0 + eps_born, 1.0 / 6.0)
-                          : 1.0 + eps_born;
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec =
-      kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
+  const double threshold = born_threshold(eps_born, strict_criterion);
+  const detail::NearField nf =
+      detail::select_near_field(kernel, vector, approx_math);
   const auto leaf_range = [&](std::int64_t lo, std::int64_t hi) {
     // One span per leaf-range task: the per-worker Born activity the
     // trace shows under the phase-level "born.traversal" span.
     OCTGB_SPAN("born.leaves");
     for (std::int64_t li = lo; li < hi; ++li) {
       const Octree::Node& q = tq.tree.node(q_leaf_ids[li]);
-      IntegralsPass pass{ta,
-                         tq,
-                         q,
-                         q_leaf_ids[li],
+      IntegralsPass pass{ta,        tq,     q,      q_leaf_ids[li],
                          tq.node_wnormal[q_leaf_ids[li]],
-                         pow6,
-                         approx_math,
-                         kernel,
-                         vec,
-                         mixed,
-                         node_s,
-                         atom_s,
+                         threshold, nf,     node_s, atom_s,
                          recorder};
       pass.shared = &counters;
       LocalCounts lc;

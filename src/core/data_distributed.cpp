@@ -70,9 +70,7 @@ std::vector<std::uint32_t> collect_near_ta_leaves(
     const AtomsTree& ta, const QPointsTree& tq,
     std::span<const std::uint32_t> q_leaf_ids, double eps_born,
     bool strict_criterion) {
-  const double threshold = strict_criterion
-                               ? std::pow(1.0 + eps_born, 1.0 / 6.0)
-                               : 1.0 + eps_born;
+  const double threshold = born_threshold(eps_born, strict_criterion);
   std::vector<bool> touched(ta.tree.nodes().size(), false);
   for (std::uint32_t q_id : q_leaf_ids)
     near_ta_descend(ta.tree, tq.tree.node(q_id), threshold, 0, touched);

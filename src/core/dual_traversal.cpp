@@ -3,10 +3,10 @@
 #include <cmath>
 
 #include "atomic_add.hpp"
+#include "near_field.hpp"
 #include "octgb/core/born.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/plan.hpp"
-#include "octgb/simd/dispatch.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
 
@@ -26,10 +26,7 @@ struct DualPass {
   const AtomsTree& ta;
   const QPointsTree& tq;
   double threshold;  ///< admissibility factor k: far iff (d+s) ≤ k(d−s)
-  bool approx_math;
-  KernelKind kernel;
-  const simd::KernelSet* vec;  ///< non-null: explicit-SIMD near field
-  bool mixed;                  ///< float streams (vec must be non-null)
+  detail::NearField nf;
   std::span<double> node_s;
   std::span<double> atom_s;
   perf::WorkCounters* shared;
@@ -39,45 +36,6 @@ struct DualPass {
     atomic_add(shared->born_exact, lc.exact);
     atomic_add(shared->born_approx, lc.approx);
     atomic_add(shared->born_visits, lc.visits);
-  }
-
-  void exact_pair(const Octree::Node& a, const Octree::Node& q,
-                  DualCounts& lc) const {
-    if (kernel == KernelKind::Batched && vec != nullptr) {
-      const double* __restrict ax = ta.soa_x().data();
-      const double* __restrict ay = ta.soa_y().data();
-      const double* __restrict az = ta.soa_z().data();
-      if (mixed) {
-        const QPointBatchF qb = tq.node_batch_f(q);
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-          atomic_add(atom_s[ai],
-                     vec->born_integral_mixed(ax[ai], ay[ai], az[ai], qb));
-      } else {
-        const QPointBatch qb = tq.node_batch(q);
-        const auto fn =
-            approx_math ? vec->born_integral_fast : vec->born_integral;
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-          atomic_add(atom_s[ai], fn(ax[ai], ay[ai], az[ai], qb));
-      }
-    } else if (kernel == KernelKind::Batched) {
-      const QPointBatch qb = tq.node_batch(q);
-      const double* __restrict ax = ta.soa_x().data();
-      const double* __restrict ay = ta.soa_y().data();
-      const double* __restrict az = ta.soa_z().data();
-      for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-        const double s =
-            approx_math ? batch_born_integral_fast(ax[ai], ay[ai], az[ai], qb)
-                        : batch_born_integral(ax[ai], ay[ai], az[ai], qb);
-        atomic_add(atom_s[ai], s);
-      }
-    } else {
-      const auto atom_pts = ta.tree.points();
-      for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-        atomic_add(atom_s[ai], scalar_born_pair(atom_pts[ai], tq, q.begin,
-                                                q.end, approx_math));
-      }
-    }
-    lc.exact += static_cast<std::uint64_t>(a.size()) * q.size();
   }
 
   void descend(std::uint32_t a_id, std::uint32_t q_id, DualCounts& lc) const {
@@ -92,7 +50,7 @@ struct DualPass {
       if (recorder) recorder->far(a_id, q_id);
       atomic_add(node_s[a_id],
                  born_far_term(a.centroid, q.centroid, tq.node_wnormal[q_id],
-                               approx_math));
+                               nf.fast));
       ++lc.approx;
       return;
     }
@@ -100,7 +58,10 @@ struct DualPass {
     const bool q_leaf = q.is_leaf();
     if (a_leaf && q_leaf) {
       if (recorder) recorder->near(a_id, q_id);
-      exact_pair(a, q, lc);
+      detail::born_near(nf, ta, a, tq, q, [this](std::uint32_t ai, double v) {
+        atomic_add(atom_s[ai], v);
+      });
+      lc.exact += static_cast<std::uint64_t>(a.size()) * q.size();
       return;
     }
     // Refine the node with the larger radius (both when only one is a
@@ -145,16 +106,13 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
   OCTGB_CHECK(node_s.size() == ta.tree.nodes().size());
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
   if (ta.tree.empty() || tq.tree.empty()) return;
-  const double threshold = strict_criterion
-                               ? std::pow(1.0 + eps_born, 1.0 / 6.0)
-                               : 1.0 + eps_born;
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec =
-      kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
-  DualPass pass{ta,    tq,     threshold, approx_math, kernel,
-                vec,   mixed,  node_s,    atom_s,      &counters,
+  DualPass pass{ta,
+                tq,
+                born_threshold(eps_born, strict_criterion),
+                detail::select_near_field(kernel, vector, approx_math),
+                node_s,
+                atom_s,
+                &counters,
                 recorder};
   DualCounts lc;
   pass.descend(0, 0, lc);

@@ -6,8 +6,7 @@
 #include <cstdint>
 
 #include "atomic_add.hpp"
-#include "octgb/core/fastmath.hpp"
-#include "octgb/simd/dispatch.hpp"
+#include "near_field.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
@@ -19,15 +18,6 @@ namespace {
 using geom::Vec3;
 using octree::Octree;
 using detail::atomic_add;
-
-/// 1/f_GB with optional approximate math.
-inline double inv_f_gb(double r2, double ri_rj, bool approx) {
-  if (approx) {
-    const double e = fast_exp(-r2 / (4.0 * ri_rj));
-    return fast_rsqrt(r2 + ri_rj * e);
-  }
-  return 1.0 / f_gb(r2, ri_rj);
-}
 
 }  // namespace
 
@@ -152,10 +142,7 @@ struct EpolPass {
   const EpolContext& ctx_v;
   std::span<const double> born_v;  // tv tree order
   double eps;
-  bool approx_math;
-  KernelKind kernel;
-  const simd::KernelSet* vec;  ///< non-null: explicit-SIMD kernels
-  bool mixed;                  ///< float streams (vec must be non-null)
+  detail::NearField nf;
 
   // V side: either a leaf node (node-based division)…
   const Octree::Node* v_node = nullptr;
@@ -212,127 +199,36 @@ struct EpolPass {
     return true;
   }
 
+  /// Exact U×V sum. The self term (r ≈ 0) is included by the kernels'
+  /// contract (cross-tree calls never hit r ≈ 0 — the sets are disjoint
+  /// bodies).
   double exact_leaf(const Octree::Node& u, EpolCounts& lc) const {
-    if (kernel == KernelKind::Batched) return exact_leaf_batched(u, lc);
-    const auto pts = ta.tree.points();
-    const auto pts_v = tv.tree.points();
-    double sum = 0.0;
-    if (v_node) {
-      for (std::uint32_t vi = v_node->begin; vi < v_node->end; ++vi) {
-        const Vec3 pv = pts_v[vi];
-        const double qv = tv.charge[vi];
-        const double rv = born_v[vi];
-        for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
-          const double r2 = geom::dist2(pts[ui], pv);
-          sum += ta.charge[ui] * qv * inv_f_gb(r2, born[ui] * rv, approx_math);
-        }
-      }
-      lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
-    } else {
-      const Vec3 pv = pts_v[v_atom];
-      const double qv = tv.charge[v_atom];
-      const double rv = born_v[v_atom];
-      for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
-        const double r2 = geom::dist2(pts[ui], pv);
-        sum += ta.charge[ui] * qv * inv_f_gb(r2, born[ui] * rv, approx_math);
-      }
-      lc.exact += u.size();
-    }
-    return sum;
-  }
-
-  /// Batched leaf×leaf kernel: each V-side atom sweeps U's SoA batch. The
-  /// self term (r ≈ 0) is included by the kernel's contract, matching the
-  /// scalar loop (cross-tree calls never hit r ≈ 0 — the sets are
-  /// disjoint bodies).
-  double exact_leaf_batched(const Octree::Node& u, EpolCounts& lc) const {
-    const double* __restrict vx = tv.soa_x().data();
-    const double* __restrict vy = tv.soa_y().data();
-    const double* __restrict vz = tv.soa_z().data();
-    double sum = 0.0;
-    if (vec != nullptr && mixed) {
-      const AtomBatchF ub = ta.node_batch_f(u, born);
-      if (v_node) {
-        for (std::uint32_t vi = v_node->begin; vi < v_node->end; ++vi)
-          sum += vec->epol_sum_mixed(vx[vi], vy[vi], vz[vi], tv.charge[vi],
-                                     born_v[vi], ub);
-        lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
-      } else {
-        sum = vec->epol_sum_mixed(vx[v_atom], vy[v_atom], vz[v_atom],
-                                  tv.charge[v_atom], born_v[v_atom], ub);
-        lc.exact += u.size();
-      }
-      return sum;
-    }
-    const AtomBatch ub = ta.node_batch(u, born);
-    if (vec != nullptr) {
-      const auto fn = approx_math ? vec->epol_sum_fast : vec->epol_sum;
-      if (v_node) {
-        for (std::uint32_t vi = v_node->begin; vi < v_node->end; ++vi)
-          sum += fn(vx[vi], vy[vi], vz[vi], tv.charge[vi], born_v[vi], ub);
-        lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
-      } else {
-        sum = fn(vx[v_atom], vy[v_atom], vz[v_atom], tv.charge[v_atom],
-                 born_v[v_atom], ub);
-        lc.exact += u.size();
-      }
-      return sum;
-    }
-    if (v_node) {
-      for (std::uint32_t vi = v_node->begin; vi < v_node->end; ++vi) {
-        sum += approx_math
-                   ? batch_epol_sum_fast(vx[vi], vy[vi], vz[vi],
-                                         tv.charge[vi], born_v[vi], ub)
-                   : batch_epol_sum(vx[vi], vy[vi], vz[vi], tv.charge[vi],
-                                    born_v[vi], ub);
-      }
-      lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
-    } else {
-      sum = approx_math
-                ? batch_epol_sum_fast(vx[v_atom], vy[v_atom], vz[v_atom],
-                                      tv.charge[v_atom], born_v[v_atom], ub)
-                : batch_epol_sum(vx[v_atom], vy[v_atom], vz[v_atom],
-                                 tv.charge[v_atom], born_v[v_atom], ub);
-      lc.exact += u.size();
-    }
-    return sum;
+    const std::uint32_t vb = v_node ? v_node->begin : v_atom;
+    const std::uint32_t ve = v_node ? v_node->end : v_atom + 1;
+    lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);
+    return detail::epol_near(nf, ta, u, born, tv, vb, ve, born_v);
   }
 
   double far_field(std::uint32_t u_id, double d2, EpolCounts& lc) const {
     const int nb = ctx.nbins;
     const double* ub = ctx.bins.data() + static_cast<std::size_t>(u_id) * nb;
-    double sum = 0.0;
     if (v_node) {
       const std::size_t v_id = v_node_id;
       const double* vb =
           ctx_v.bins.data() + v_id * static_cast<std::size_t>(ctx_v.nbins);
-      if (kernel == KernelKind::Batched && vec != nullptr) {
-        // Vectorized M² bin-pair loop. Counts nnz_u·nnz_v bin pairs —
-        // identical to the scalar skip-zeros loop below (zero-charge lanes
-        // contribute exactly 0 because rep[·] > 0 keeps f_GB finite).
-        const auto fn =
-            approx_math ? vec->epol_far_bins_fast : vec->epol_far_bins;
-        return fn(ub, ctx.bin_lo[u_id], ctx.bin_hi[u_id], ctx.rep.data(), vb,
-                  ctx_v.bin_lo[v_id], ctx_v.bin_hi[v_id], ctx_v.rep.data(),
-                  d2, lc.binpairs);
-      }
-      for (int i = ctx.bin_lo[u_id]; i <= ctx.bin_hi[u_id]; ++i) {
-        if (ub[i] == 0.0) continue;
-        for (int j = ctx_v.bin_lo[v_id]; j <= ctx_v.bin_hi[v_id]; ++j) {
-          if (vb[j] == 0.0) continue;
-          sum += ub[i] * vb[j] *
-                 inv_f_gb(d2, ctx.rep[i] * ctx_v.rep[j], approx_math);
-          ++lc.binpairs;
-        }
-      }
-    } else {
-      const double qv = tv.charge[v_atom];
-      const double rv = born_v[v_atom];
-      for (int i = ctx.bin_lo[u_id]; i <= ctx.bin_hi[u_id]; ++i) {
-        if (ub[i] == 0.0) continue;
-        sum += ub[i] * qv * inv_f_gb(d2, ctx.rep[i] * rv, approx_math);
-        ++lc.binpairs;
-      }
+      const auto fn =
+          nf.fast ? nf.set->epol_far_bins_fast : nf.set->epol_far_bins;
+      return fn(ub, ctx.bin_lo[u_id], ctx.bin_hi[u_id], ctx.rep.data(), vb,
+                ctx_v.bin_lo[v_id], ctx_v.bin_hi[v_id], ctx_v.rep.data(), d2,
+                lc.binpairs);
+    }
+    const double qv = tv.charge[v_atom];
+    const double rv = born_v[v_atom];
+    double sum = 0.0;
+    for (int i = ctx.bin_lo[u_id]; i <= ctx.bin_hi[u_id]; ++i) {
+      if (ub[i] == 0.0) continue;
+      sum += ub[i] * qv * detail::inv_f_gb(d2, ctx.rep[i] * rv, nf.fast);
+      ++lc.binpairs;
     }
     return sum;
   }
@@ -402,11 +298,8 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    const simd::VectorParams& vector) {
   OCTGB_CHECK(born_tree.size() == ta.num_atoms());
   if (ta.tree.empty() || v_leaf_ids.empty()) return 0.0;
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec =
-      kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
+  const detail::NearField nf =
+      detail::select_near_field(kernel, vector, approx_math);
   const double total = ordered_sum(
       v_leaf_ids.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
@@ -415,10 +308,8 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
         std::array<std::uint32_t, 256> path{};
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          EpolPass pass{ta,        ctx,      born_tree,
-                        ta,        ctx,      born_tree,
-                        eps_epol,  approx_math, kernel, vec, mixed,
-                        &ta.tree.node(v_leaf_ids[li]), 0};
+          EpolPass pass{ta,       ctx, born_tree, ta, ctx, born_tree,
+                        eps_epol, nf,  &ta.tree.node(v_leaf_ids[li])};
           pass.v_node_id = v_leaf_ids[li];
           pass.v_ancestors = ancestors_of(ta.tree, v_leaf_ids[li], path);
           mine += pass.descend(0, lc);
@@ -438,11 +329,8 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
                               const simd::VectorParams& vector) {
   OCTGB_CHECK(born_tree.size() == ta.num_atoms());
   if (ta.tree.empty() || atom_begin >= atom_end) return 0.0;
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec =
-      kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
+  const detail::NearField nf =
+      detail::select_near_field(kernel, vector, approx_math);
 
   // Atom-based division works on the leaves *clipped to the atom range*:
   // a segment boundary that falls inside a leaf splits it, and the split
@@ -473,9 +361,8 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             r2max = std::max(r2max, geom::dist2(v.centroid, pts[i]));
           v.radius = std::sqrt(r2max);
 
-          EpolPass pass{ta,       ctx,         born_tree, ta, ctx,
-                        born_tree, eps_epol,   approx_math,
-                        kernel,   vec,         mixed,     &v, 0};
+          EpolPass pass{ta,       ctx, born_tree, ta, ctx, born_tree,
+                        eps_epol, nf,  &v};
           // The clipped leaf is not a persistent node; bin lookups on the
           // V side must use its own charge-by-bin table, so fall back to
           // the per-atom path when the clip is partial.
@@ -486,8 +373,8 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             for (std::uint32_t ai = b; ai < e; ++ai) {
               EpolPass atom_pass{ta,        ctx,      born_tree,
                                  ta,        ctx,      born_tree,
-                                 eps_epol,  approx_math, kernel, vec,
-                                 mixed,     nullptr,  ai};
+                                 eps_epol,  nf,       nullptr,
+                                 ai};
               mine += atom_pass.descend(0, lc);
             }
           }
@@ -507,11 +394,8 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
   OCTGB_CHECK(born_a.size() == ta.num_atoms());
   OCTGB_CHECK(born_b.size() == tb.num_atoms());
   if (ta.tree.empty() || tb.tree.empty()) return 0.0;
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec =
-      kernel == KernelKind::Batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
+  const detail::NearField nf =
+      detail::select_near_field(kernel, vector, approx_math);
   const auto& v_leaves = tb.tree.leaf_ids();
   const double total = ordered_sum(
       v_leaves.size(), counters,
@@ -519,10 +403,8 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
         OCTGB_SPAN("epol.cross");
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          EpolPass pass{ta,        ctx_a,    born_a,
-                        tb,        ctx_b,    born_b,
-                        eps_epol,  approx_math, kernel, vec, mixed,
-                        &tb.tree.node(v_leaves[li]), 0};
+          EpolPass pass{ta,       ctx_a, born_a, tb, ctx_b, born_b,
+                        eps_epol, nf,    &tb.tree.node(v_leaves[li])};
           pass.v_node_id = v_leaves[li];
           mine += pass.descend(0, lc);
         }

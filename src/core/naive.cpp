@@ -48,7 +48,7 @@ std::vector<double> naive_born_radii(const mol::Molecule& mol,
       for (std::size_t k = 0; k < surf.size(); ++k) {
         const geom::Vec3 d = surf.positions[k] - x;
         const double r2 = d.norm2();
-        if (r2 < 1e-12) continue;  // quadrature point on the atom center
+        if (r2 <= 1e-12) continue;  // quadrature point on the atom center
         const double r6 = r2 * r2 * r2;
         s += surf.weights[k] * d.dot(surf.normals[k]) / r6;
       }

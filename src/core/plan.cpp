@@ -6,8 +6,8 @@
 #include <numeric>
 
 #include "atomic_add.hpp"
+#include "near_field.hpp"
 #include "octgb/core/born.hpp"
-#include "octgb/simd/dispatch.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
 
@@ -63,13 +63,6 @@ inline void prefetch_rw(void* p) {
 /// many leaves long on production inputs. Fixed so the segment offsets a
 /// capture stores are the ones validate() re-walks, whatever the workers.
 constexpr std::size_t kWalkSegments = 256;
-
-/// Admissibility factor of the key's criterion — the same expression the
-/// traversals evaluate, so the walk makes bit-identical decisions.
-double born_threshold(const PlanKey& key) {
-  return key.strict_criterion ? std::pow(1.0 + key.eps_born, 1.0 / 6.0)
-                              : 1.0 + key.eps_born;
-}
 
 /// Number of walk segments for (flavor, trees): the T_Q leaves cut into
 /// at most kWalkSegments contiguous runs (single flavor), one segment for
@@ -219,7 +212,8 @@ bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
   recorded_ = false;
   capture_cap_mark_ = list_capacity();
   const PlanFlavor flavor = key_.flavor;
-  const double threshold = born_threshold(key_);
+  const double threshold =
+      born_threshold(key_.eps_born, key_.strict_criterion);
   const std::size_t n_seg = segment_count(flavor, ta, tq);
   seg_near_.assign(n_seg + 1, 0);
   seg_far_.assign(n_seg + 1, 0);
@@ -538,7 +532,8 @@ bool InteractionPlan::validate(const AtomsTree& ta, const QPointsTree& tq,
                                std::uint64_t geometry_epoch) {
   OCTGB_CHECK_MSG(valid_, "validate() on an invalid plan");
   const PlanFlavor flavor = key_.flavor;
-  const double threshold = born_threshold(key_);
+  const double threshold =
+      born_threshold(key_.eps_born, key_.strict_criterion);
   const std::size_t n_seg = seg_near_.size() - 1;
   // Same segment count (none for an empty tree) and offsets that tile
   // the lists; then every segment must reproduce its slice exactly, so
@@ -581,13 +576,10 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
                              std::span<double> atom_s,
                              perf::WorkCounters& work) const {
   OCTGB_CHECK_MSG(valid_, "replay() on an invalid plan");
-  const bool batched = key_.kernel == KernelKind::Batched;
-  // Same dispatch resolution as the traversals: identical out-of-line
+  // Same arithmetic selection as the traversals: identical out-of-line
   // kernel code per near pair keeps replay bit-identical to capture.
-  const simd::VectorParams rvec = simd::resolve(vector);
-  const simd::KernelSet* vec = batched ? simd::kernels(rvec.isa) : nullptr;
-  const bool mixed = vec != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
+  const detail::NearField nf =
+      detail::select_near_field(key_.kernel, vector, approx_math);
   const std::int64_t nchunks = static_cast<std::int64_t>(chunks());
   // Stream-plane base pointers, hoisted for the next-run prefetch below
   // (cheap cached spans; the near-loop kernels re-derive their own).
@@ -637,41 +629,9 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
             for (std::uint32_t k = near_begin_[g]; k < near_begin_[g + 1];
                  ++k) {
               const Octree::Node& q = tq.tree.node(near_q_sorted_[k]);
-              if (batched && vec != nullptr) {
-                const double* __restrict ax = ta.soa_x().data();
-                const double* __restrict ay = ta.soa_y().data();
-                const double* __restrict az = ta.soa_z().data();
-                if (mixed) {
-                  const QPointBatchF qb = tq.node_batch_f(q);
-                  for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-                    atom_s[ai] +=
-                        vec->born_integral_mixed(ax[ai], ay[ai], az[ai], qb);
-                } else {
-                  const QPointBatch qb = tq.node_batch(q);
-                  const auto fn =
-                      approx_math ? vec->born_integral_fast
-                                  : vec->born_integral;
-                  for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-                    atom_s[ai] += fn(ax[ai], ay[ai], az[ai], qb);
-                }
-              } else if (batched) {
-                const QPointBatch qb = tq.node_batch(q);
-                const double* __restrict ax = ta.soa_x().data();
-                const double* __restrict ay = ta.soa_y().data();
-                const double* __restrict az = ta.soa_z().data();
-                for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-                  atom_s[ai] +=
-                      approx_math
-                          ? batch_born_integral_fast(ax[ai], ay[ai], az[ai],
-                                                     qb)
-                          : batch_born_integral(ax[ai], ay[ai], az[ai], qb);
-                }
-              } else {
-                const auto atom_pts = ta.tree.points();
-                for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-                  atom_s[ai] += scalar_born_pair(atom_pts[ai], tq, q.begin,
-                                                 q.end, approx_math);
-              }
+              detail::born_near(
+                  nf, ta, a, tq, q,
+                  [ps](std::uint32_t ai, double v) { ps[ai] += v; });
             }
           }
         }

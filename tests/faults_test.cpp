@@ -184,13 +184,17 @@ TEST(Faults, RetryAbortsRemainingBackoffWhenFailureEpochAdvances) {
   // Regression for the fail-fast contract: a death *anywhere* in the job
   // (not just at the awaited source) must abort a retry-with-backoff wait
   // immediately. Rank 0 waits on rank 1 — who never sends — under a
-  // schedule worth ~10 s; rank 2 dies at its first comm op. The epoch
+  // schedule worth ~10 s; rank 2 dies at its second comm op. The epoch
   // advance must surface as Timeout long before the schedule drains.
+  // The wait snapshots the failure epoch on entry, so the death must come
+  // after it: rank 0 signals rank 2 just before waiting, and rank 2 dies
+  // a margin after receiving the signal.
   auto o = base_opts(3);
-  o.fault_plan = rank_kill_plan(/*seed=*/23, /*victim=*/2, /*after_op=*/0);
+  o.fault_plan = rank_kill_plan(/*seed=*/23, /*victim=*/2, /*after_op=*/1);
   Runtime::run(o, [](Comm& c) {
     if (c.rank() == 0) {
       int v = 0;
+      c.send_value(2, 7, 1);  // go: rank 2 may die from here on
       const auto t0 = std::chrono::steady_clock::now();
       auto r = c.recv_bytes_retry(1, 6, &v, sizeof(v),
                                   {.attempts = 50, .deadline_ms = 200.0,
@@ -206,6 +210,8 @@ TEST(Faults, RetryAbortsRemainingBackoffWhenFailureEpochAdvances) {
       EXPECT_LT(elapsed_ms, 5000.0) << "epoch advance did not abort the "
                                        "remaining backoff schedule";
     } else if (c.rank() == 2) {
+      (void)c.recv_value<int>(0, 7);
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
       c.send_value(0, 99, 1);  // fault point: dies here
       FAIL() << "rank 2 should have been killed";
     }

@@ -19,6 +19,7 @@
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 
 using namespace octgb;
@@ -338,6 +339,53 @@ TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
   const double vf = core::scalar_born_pair(
       q_pts[0], tq, 0, static_cast<std::uint32_t>(tq.num_points()), true);
   EXPECT_TRUE(std::isfinite(vf));
+}
+
+TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
+  // The coincidence guard skips r² ≤ 1e-12 on every path. A q-point at
+  // the origin and an atom at (−h, 0, 0) give a computed r² of h·h; pick
+  // h so that this is exactly the double 1e-12. The AoS pair, the batch
+  // kernels and every runnable vector table must all skip the point.
+  double h = 0.0;
+  double lo = 1e-6, hi = 1e-6;
+  for (int i = 0; i < 64 && h == 0.0; ++i) {
+    if (lo * lo == 1e-12) h = lo;
+    else if (hi * hi == 1e-12) h = hi;
+    lo = std::nextafter(lo, 0.0);
+    hi = std::nextafter(hi, 1.0);
+  }
+  ASSERT_NE(h, 0.0) << "no double h near 1e-6 with h*h == 1e-12";
+
+  surface::Surface s;
+  s.positions = {{0.0, 0.0, 0.0}};
+  s.normals = {{1.0, 0.0, 0.0}};
+  s.weights = {1.0};
+  s.owner_atom = {0};
+  const core::QPointsTree tq = core::QPointsTree::build(s);
+  const geom::Vec3 pa{-h, 0.0, 0.0};
+  ASSERT_EQ((tq.tree.points()[0] - pa).norm2(), 1e-12);
+
+  // 17 copies: a vector body at every width plus a scalar tail.
+  const std::vector<double> x(17, 0.0), y(17, 0.0), z(17, 0.0);
+  const std::vector<double> wnx(17, 1.0), wny(17, 0.0), wnz(17, 0.0);
+  const QPointBatch q{x, y, z, wnx, wny, wnz};
+  const std::vector<float> xf(17, 0.0f), wnxf(17, 1.0f), zf(17, 0.0f);
+  const core::QPointBatchF qf{xf, xf, xf, wnxf, zf, zf};
+
+  for (bool fast : {false, true}) {
+    EXPECT_EQ(core::scalar_born_pair(pa, tq, 0, 1, fast), 0.0) << fast;
+    const double b = fast ? core::batch_born_integral_fast(pa.x, 0.0, 0.0, q)
+                          : core::batch_born_integral(pa.x, 0.0, 0.0, q);
+    EXPECT_EQ(b, 0.0) << fast;
+  }
+  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256,
+                              simd::VectorIsa::V512}) {
+    if (!simd::isa_available(isa)) continue;
+    const simd::KernelSet* k = simd::kernels(isa);
+    EXPECT_EQ(k->born_integral(pa.x, 0.0, 0.0, q), 0.0) << k->name;
+    EXPECT_EQ(k->born_integral_fast(pa.x, 0.0, 0.0, q), 0.0) << k->name;
+    EXPECT_EQ(k->born_integral_mixed(pa.x, 0.0, 0.0, qf), 0.0) << k->name;
+  }
 }
 
 TEST(BatchKernelEdge, CriterionBoundaryPairsClassifyConsistently) {

@@ -112,7 +112,8 @@ struct Recorded {
 
 Recorded record_oracle(const GBEngine& engine, const core::PlanKey& key,
                        std::span<const std::uint32_t> leaves,
-                       const simd::VectorParams& vector = {}) {
+                       const simd::VectorParams& vector = {},
+                       bool approx_math = false) {
   const core::AtomsTree& ta = engine.atoms_tree();
   const core::QPointsTree& tq = engine.qpoints_tree();
   Recorded r;
@@ -120,11 +121,11 @@ Recorded record_oracle(const GBEngine& engine, const core::PlanKey& key,
   r.atom_s.assign(engine.num_atoms(), 0.0);
   core::PlanRecorder rec = r.plan.begin_capture(key);
   if (key.flavor == PlanFlavor::Single) {
-    core::approx_integrals(ta, tq, leaves, key.eps_born, false, r.node_s,
-                           r.atom_s, r.work, key.strict_criterion, key.kernel,
-                           vector, &rec);
+    core::approx_integrals(ta, tq, leaves, key.eps_born, approx_math,
+                           r.node_s, r.atom_s, r.work, key.strict_criterion,
+                           key.kernel, vector, &rec);
   } else {
-    core::approx_integrals_dual(ta, tq, key.eps_born, false, r.node_s,
+    core::approx_integrals_dual(ta, tq, key.eps_born, approx_math, r.node_s,
                                 r.atom_s, r.work, key.strict_criterion,
                                 key.kernel, vector, &rec);
   }
@@ -332,15 +333,19 @@ struct CaptureParams {
   simd::Precision precision;
 };
 
-class ParallelCapture : public ::testing::TestWithParam<CaptureParams> {};
-
-TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
-  const auto [flavor, strict, isa, precision] = GetParam();
+/// Parallel capture + replay through the engine against the serial
+/// recorder traversal, bit for bit, at 1, 2 and 4 workers.
+void expect_capture_matches_recorder(const CaptureParams& c,
+                                     core::KernelKind kernel,
+                                     bool approx_math) {
+  const auto [flavor, strict, isa, precision] = c;
   if (!simd::isa_available(isa)) GTEST_SKIP() << "width not runnable here";
   const Problem p(700);
   core::EngineConfig config;
   config.approx.strict_born_criterion = strict;
   config.approx.vector = {isa, precision};
+  config.approx.kernel = kernel;
+  config.approx.approx_math = approx_math;
   const simd::VectorParams rvec = simd::resolve(config.approx.vector);
   const auto& approx = config.approx;
 
@@ -354,7 +359,7 @@ TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
     const core::PlanKey key{1, 0, approx.eps_born, strict,
                             approx.kernel, flavor, approx.locality};
     auto [oracle, node_s, atom_s, want] =
-        record_oracle(engine, key, engine.q_leaves(), rvec);
+        record_oracle(engine, key, engine.q_leaves(), rvec, approx_math);
     std::vector<double> born_ref(n_atoms, 0.0);
     core::push_integrals_to_atoms(ta, node_s, atom_s, 0,
                                   static_cast<std::uint32_t>(n_atoms),
@@ -393,6 +398,13 @@ TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
   }
 }
 
+class ParallelCapture : public ::testing::TestWithParam<CaptureParams> {};
+
+TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
+  expect_capture_matches_recorder(GetParam(), core::KernelKind::Batched,
+                                  false);
+}
+
 std::vector<CaptureParams> capture_matrix() {
   std::vector<CaptureParams> out;
   for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
@@ -406,17 +418,76 @@ std::vector<CaptureParams> capture_matrix() {
   return out;
 }
 
-std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
+std::string capture_label(const CaptureParams& c) {
   static constexpr const char* kIsa[] = {"Auto", "Scalar", "V128", "V256",
                                          "V512"};
-  const CaptureParams& c = p.param;
   return std::string(c.flavor == PlanFlavor::Single ? "Single" : "Dual") +
          (c.strict ? "Strict" : "Loose") + kIsa[static_cast<int>(c.isa)] +
          (c.precision == simd::Precision::Double ? "Double" : "Mixed");
 }
 
+std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
+  return capture_label(p.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCapture,
                          ::testing::ValuesIn(capture_matrix()), capture_name);
+
+// The near-field selector rows beyond ParallelCapture's default kernel
+// (Batched, exact math). A separate parameter struct keeps the 32 cases
+// above under their names: gtest prints an unprintable parameter's raw
+// bytes into the test name.
+struct SelectorParams {
+  CaptureParams capture;
+  core::KernelKind kernel;
+  bool approx_math;
+};
+
+class ParallelCaptureSelector
+    : public ::testing::TestWithParam<SelectorParams> {};
+
+TEST_P(ParallelCaptureSelector, MatchesSerialRecorderBitForBit) {
+  const auto& [capture, kernel, approx_math] = GetParam();
+  expect_capture_matches_recorder(capture, kernel, approx_math);
+}
+
+/// Loose criterion only, to bound the runtime: approx_math at every width
+/// and precision (fastmath overrides Mixed), and the AoS kernel with and
+/// without approx_math at the Scalar ISA and at V128 Mixed (which AoS
+/// ignores).
+std::vector<SelectorParams> selector_matrix() {
+  using simd::Precision;
+  using simd::VectorIsa;
+  std::vector<SelectorParams> out;
+  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
+    for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128,
+                          VectorIsa::V256, VectorIsa::V512})
+      for (Precision precision : {Precision::Double, Precision::Mixed})
+        out.push_back({{flavor, false, isa, precision},
+                       core::KernelKind::Batched,
+                       true});
+    for (const auto& [isa, precision] :
+         {std::pair{VectorIsa::Scalar, Precision::Double},
+          std::pair{VectorIsa::V128, Precision::Mixed}})
+      for (bool approx_math : {false, true})
+        out.push_back({{flavor, false, isa, precision},
+                       core::KernelKind::Scalar,
+                       approx_math});
+  }
+  return out;
+}
+
+std::string selector_name(
+    const ::testing::TestParamInfo<SelectorParams>& p) {
+  const SelectorParams& s = p.param;
+  return capture_label(s.capture) +
+         (s.kernel == core::KernelKind::Scalar ? "Aos" : "") +
+         (s.approx_math ? "Fast" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCaptureSelector,
+                         ::testing::ValuesIn(selector_matrix()),
+                         selector_name);
 
 TEST(Plan, CaptureForksUnderScheduler) {
   // The capture is a parallel walk: under a 4-worker scheduler it spawns
