@@ -23,7 +23,7 @@
 //     point sorted once, node/leaf emission counts matching the tree, and
 //     no resorts on a cold build.
 //
-// `--metrics-out` dumps the per-strategy timings, the speedup, and the
+// `--metrics-out` dumps the per-builder timings, the speedup, and the
 // tree.build.* counter block per the OBSERVABILITY.md schema.
 
 #include <algorithm>
@@ -36,7 +36,6 @@
 
 using namespace octgb;
 using octree::BuildParams;
-using octree::BuildStrategy;
 using octree::Octree;
 
 namespace {
@@ -105,17 +104,13 @@ int main(int argc, char** argv) {
         positions_of(mol::make_benchmark_molecule(e.name, e.atoms));
     const int reps = reps_for(pts.size(), smoke);
     BuildParams params;
-    const double legacy_s = time_builds(reps, [&] {
-      params.strategy = BuildStrategy::Legacy;
-      return Octree::build(pts, params);
-    });
+    const double legacy_s = time_builds(
+        reps, [&] { return Octree::build_legacy(pts, params); });
     const double serial_s = time_builds(reps, [&] {
-      params.strategy = BuildStrategy::Morton;
       params.parallel = false;
       return Octree::build(pts, params);
     });
     const double parallel_s = time_builds(reps, [&] {
-      params.strategy = BuildStrategy::Morton;
       params.parallel = true;
       return Octree::build(pts, params);
     });
@@ -149,13 +144,12 @@ int main(int argc, char** argv) {
               "(gate >= %.2fx)\n",
               molecule_name.c_str(), speedup, gate);
 
-  // One counted build per strategy: the equivalence witness and the flat
+  // One counted build per builder: the equivalence witness and the flat
   // work-counter contract (the full differential is octree_equiv_test).
   const auto pts = positions_of(mol::make_benchmark_molecule(molecule_name));
   BuildParams params;
   const Octree morton = Octree::build(pts, params);
-  params.strategy = BuildStrategy::Legacy;
-  const Octree legacy = Octree::build(pts, params);
+  const Octree legacy = Octree::build_legacy(pts, params);
   OCTGB_CHECK_MSG(morton.nodes().size() == legacy.nodes().size() &&
                       morton.leaf_ids().size() == legacy.leaf_ids().size() &&
                       morton.max_depth() == legacy.max_depth(),

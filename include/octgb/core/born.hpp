@@ -6,10 +6,13 @@
 /// Born-radius finalization).
 ///
 /// Work division follows §IV: the caller hands each rank a *segment of T_Q
-/// leaf ids* (node-based division); inside a rank, the leaf loop and the
-/// T_A recursion run under the work-stealing scheduler when one is active.
-/// Accumulation into the shared s-arrays uses std::atomic_ref, so
-/// concurrent leaf tasks compose correctly.
+/// leaf ids* (node-based division). Inside a rank, APPROX-INTEGRALS runs
+/// as the owner-major Born walk (DESIGN.md §2.6): T_A is descended once,
+/// each node carrying the T_Q leaves that reached it, and the walk forks
+/// over T_A children under the work-stealing scheduler when one is
+/// active. Every s-array slot is written by the one task owning its T_A
+/// node, in serial Q-major order — no atomics, and the results are
+/// bitwise at every worker count.
 
 #include <cstdint>
 #include <span>
@@ -27,7 +30,9 @@ class PlanRecorder;  // core/plan.hpp
 /// `node_s` (one slot per T_A node) and `atom_s` (one slot per atom, tree
 /// order). Both spans must be pre-sized and are added to, not overwritten —
 /// ranks each process disjoint leaf sets and then Allreduce the arrays.
-/// Thread-safe. Counter updates are batched per leaf. `kernel`, `vector`
+/// Each term is added to its slot in the serial Q-major order of Fig. 2,
+/// whatever the schedule. Concurrent calls must not share the output
+/// spans. Counter updates are batched per task. `kernel`, `vector`
 /// and `approx_math` pick the exact leaf×leaf arithmetic through the one
 /// near-field selector (DESIGN.md §2.3): KernelKind::Scalar runs the AoS
 /// loop whatever `vector` says; Batched runs the kernel table of the
@@ -35,11 +40,9 @@ class PlanRecorder;  // core/plan.hpp
 /// raw config value), whose Mixed precision yields to approx_math and to
 /// the Scalar ISA. All compute the same sums up to floating-point
 /// reassociation (plus float rounding for Mixed). A non-null `recorder`
-/// captures every near/far decision into an InteractionPlan *and forces
-/// the traversal serial* (even under an active scheduler), so the
-/// recorded order is the deterministic serial traversal order — the
-/// reference/oracle that the parallel InteractionPlan::capture() walk is
-/// tested against.
+/// captures every near/far decision into an InteractionPlan *and keeps
+/// the walk serial* (even under an active scheduler), so it sees the
+/// owners one at a time.
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,
@@ -73,8 +76,8 @@ double inv_r6(double r2, bool approx_math);
 /// the near kernels) contribute 0 instead of a division-by-zero infinity —
 /// unreachable through the admissibility criterion (far ⇒ d > 0) but
 /// reachable through direct calls and degenerate geometry. Never inlined:
-/// the recursive traversals and the plan replay executor (core/plan.hpp)
-/// must evaluate the *same machine code*, or per-call-site FMA contraction
+/// the Born walk and the plan replay executor (core/plan.hpp) must
+/// evaluate the *same machine code*, or per-call-site FMA contraction
 /// could make replay differ from the traversal in the last bit.
 [[gnu::noinline]] double born_far_term(const geom::Vec3& ac,
                                        const geom::Vec3& qc,
@@ -82,7 +85,7 @@ double inv_r6(double r2, bool approx_math);
 
 /// Exact scalar (AoS) Born integral of the atom at `pa` against the
 /// q-points [q_begin, q_end) of `tq` — the KernelKind::Scalar near-field
-/// body, shared between the traversals and plan replay for the same
+/// body, shared between the Born walk and plan replay for the same
 /// bit-identity reason as born_far_term. Q-points with r² ≤ 1e-12 are
 /// skipped, the same guard as every other near kernel.
 [[gnu::noinline]] double scalar_born_pair(const geom::Vec3& pa,

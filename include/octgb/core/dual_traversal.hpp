@@ -14,7 +14,13 @@
 ///  * if both are leaves, accumulate exactly;
 ///  * otherwise recurse into the children of the non-leaf node(s) —
 ///    when both are internal, into the one with the larger radius (the
-///    standard dual-tree refinement rule), in parallel.
+///    standard dual-tree refinement rule).
+///
+/// It runs as the same owner-major Born walk as approx_integrals(),
+/// started from the T_Q root instead of the T_Q leaves (DESIGN.md §2.6):
+/// T_A splits become pass-down lists forked over T_A children, T_Q splits
+/// happen in place, and each slot has one writer adding its terms in the
+/// serial recursion's order.
 
 #include <cstdint>
 #include <span>
@@ -31,10 +37,9 @@ class PlanRecorder;  // core/plan.hpp
 /// Dual-tree APPROX-INTEGRALS: accumulates node partials into `node_s`
 /// (one slot per T_A node) and exact leaf sums into `atom_s` (tree
 /// order), exactly like approx_integrals() — the PUSH phase is shared.
-/// Thread-safe; recursion forks under an active scheduler. A non-null
-/// `recorder` captures every near/far decision into an InteractionPlan
-/// and forces the traversal serial (deterministic capture order) — the
-/// serial oracle of InteractionPlan::capture(), as in approx_integrals().
+/// Bitwise at every worker count; the walk forks under an active
+/// scheduler. A non-null `recorder` captures every near/far decision into
+/// an InteractionPlan and keeps the walk serial, as in approx_integrals().
 /// `kernel`, `vector` and `approx_math` pick the exact leaf×leaf
 /// arithmetic through the same near-field selector as approx_integrals().
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,

@@ -188,7 +188,8 @@ class GBEngine {
   /// Full computation in this process. When `sched` is non-null, the
   /// phases run under it (the OCT_CILK configuration); otherwise serial.
   /// Thin compatibility wrapper over compute(EvalScratch&): allocates a
-  /// cold scratch per call, numerically identical to the warm path.
+  /// cold scratch per call and runs the Born walk without a plan;
+  /// bitwise identical to the warm path at any worker count.
   EnergyResult compute(ws::Scheduler* sched = nullptr) const;
 
   /// Stage-3 evaluation against caller-owned working memory: all phase
@@ -196,9 +197,9 @@ class GBEngine {
   /// so back-to-back computes on the same tree shape allocate nothing.
   /// This is the hot path of ScoringSession. Under PlanMode::Auto (the
   /// default) the Born phase goes through the scratch's plan cache: a
-  /// decision-walk capture + replay on the first evaluation, replay or a
-  /// full Born-result reuse afterwards — bit-identical to the traversal
-  /// in every case (DESIGN.md §2.6).
+  /// capture + replay on the first evaluation, replay or a full
+  /// Born-result reuse afterwards — bit-identical to the plan-off walk,
+  /// at any worker count, in every case (DESIGN.md §2.6).
   EvalResult compute(EvalScratch& scratch, ws::Scheduler* sched = nullptr) const;
 
   /// Full computation using the legacy dual-tree Born traversal of
@@ -219,7 +220,8 @@ class GBEngine {
   // --- phase API for distributed drivers -------------------------------
 
   /// Born phase A on a segment of q_leaves(); accumulates into
-  /// node_s (size num_ta_nodes()) and atom_s (size num_atoms()).
+  /// node_s (size num_ta_nodes()) and atom_s (size num_atoms()), bitwise
+  /// at any worker count. Concurrent calls must not share the spans.
   void phase_integrals(Segment q_leaf_segment, std::span<double> node_s,
                        std::span<double> atom_s,
                        perf::WorkCounters& counters) const;

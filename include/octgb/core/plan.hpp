@@ -13,34 +13,35 @@
 ///   - the far-field list: (A-node, Q-node) pairs evaluated as one
 ///     pseudo-particle term into node_s[A].
 ///
-/// capture() compiles the lists with a *math-free decision walk*: the
-/// traversal's admissibility rule and recursion order, no arithmetic. The
-/// single-tree walk runs in parallel over fixed segments of the T_Q leaf
-/// sequence (the paper's node-based division, Fig. 2): a count pass sizes
-/// every segment, a prefix sum turns the sizes into offsets, and an emit
-/// pass writes each segment's decisions straight into the lists at its
-/// offset. Concatenated in Q-leaf order the segments are the serial
-/// traversal order, element for element. The dual-tree walk is one
-/// segment (serial).
+/// Both lists are stored grouped by target A-node ("owner"), each
+/// owner's entries in the order the serial traversal accumulates them.
 ///
-/// replay() then evaluates those lists as flat loops grouped by target
-/// A-node ("owner"): every owner's node_s slot and every A-leaf's atom_s
-/// range is written by exactly one task, so replay needs no atomics, is
-/// race-free under any schedule, and — because the owner grouping is a
-/// *stable* sort of the capture order and the arithmetic goes through the
-/// same out-of-line kernels (born_far_term / scalar_born_pair /
-/// batch_born_integral) — reproduces the serial traversal's accumulation
-/// order per slot, hence its results, bit for bit.
+/// capture() compiles the lists with the owner-major Born walk
+/// (src/core/born_walk.hpp) — the traversal's admissibility rule and
+/// per-owner order, no arithmetic — in parallel over T_A subtrees: a
+/// count pass sizes every owner's lists, a prefix sum over the T_A nodes
+/// turns the sizes into offsets, and an emit pass writes each owner's
+/// decisions straight into its slice. Every owner is written by the one
+/// task visiting it, so there is nothing to regroup afterwards.
+///
+/// replay() then evaluates those lists as flat loops over owners: every
+/// owner's node_s slot and every A-leaf's atom_s range is written by
+/// exactly one task, so replay needs no atomics, is race-free under any
+/// schedule, and — because each owner's list is in the serial
+/// accumulation order and the arithmetic goes through the same
+/// out-of-line kernels (born_far_term / scalar_born_pair / the near-field
+/// kernel table) — reproduces the traversal's results bit for bit.
 ///
 /// Lifecycle (driven by GBEngine::compute on the EvalScratch path, see
 /// DESIGN.md §2.6):
-///   capture  — parallel decision walk + finalize; the evaluation that
-///              captured then replays, so even the first one is exact;
+///   capture  — parallel count + emit walk, then finalize; the evaluation
+///              that captured then replays, so even the first one is
+///              exact;
 ///   replay   — flat execution at unchanged tree geometry;
-///   validate — after an in-place refit, the same walk in parallel over
-///              the same segments, compared element-wise with the stored
-///              lists at the stored segment offsets; any divergence
-///              invalidates the plan (drift) and triggers a recapture;
+///   validate — after an in-place refit, the same walk in parallel, each
+///              owner's decisions compared element-wise with its stored
+///              slice; any divergence invalidates the plan (drift) and
+///              triggers a recapture;
 ///   born cache — when even the geometry is unchanged, the previous
 ///              evaluation's Born radii are exact, and the whole Born
 ///              phase (integrals + push) is skipped.
@@ -56,10 +57,11 @@
 
 namespace octgb::core {
 
-/// Which traversal produced (and re-validates) the plan's partition.
+/// Which starting list the Born walk captures (and re-validates) the
+/// plan's partition from.
 enum class PlanFlavor : std::uint8_t {
-  Single,  ///< approx_integrals: T_A descent per T_Q leaf (Fig. 2)
-  Dual,    ///< approx_integrals_dual: simultaneous dual-tree descent
+  Single,  ///< approx_integrals: every T_Q leaf (Fig. 2)
+  Dual,    ///< approx_integrals_dual: the T_Q root (Fig. 1)
 };
 
 /// Everything the Born-phase partition depends on. Two evaluations with
@@ -85,33 +87,7 @@ struct PlanKey {
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
-/// Append-only sink the instrumented traversals write their decisions to:
-/// the serial reference/oracle for capture(). Handed to approx_integrals /
-/// approx_integrals_dual as an optional argument; recording forces the
-/// traversal serial, so append order is the serial traversal order — the
-/// order capture() must reproduce and replay must preserve per slot. The
-/// engine never records; tests (and the benchmark's traced mirror) do.
-class PlanRecorder {
- public:
-  void near(std::uint32_t a_leaf, std::uint32_t q_leaf) {
-    near_a_->push_back(a_leaf);
-    near_q_->push_back(q_leaf);
-  }
-  void far(std::uint32_t a_node, std::uint32_t q_node) {
-    far_a_->push_back(a_node);
-    far_q_->push_back(q_node);
-  }
-
- private:
-  friend class InteractionPlan;
-  PlanRecorder(std::vector<std::uint32_t>* na, std::vector<std::uint32_t>* nq,
-               std::vector<std::uint32_t>* fa, std::vector<std::uint32_t>* fq)
-      : near_a_(na), near_q_(nq), far_a_(fa), far_q_(fq) {}
-  std::vector<std::uint32_t>* near_a_;
-  std::vector<std::uint32_t>* near_q_;
-  std::vector<std::uint32_t>* far_a_;
-  std::vector<std::uint32_t>* far_q_;
-};
+class PlanRecorder;
 
 /// One captured Born-phase partition plus its replay machinery and the
 /// piggy-backed Born-result cache. Buffers are reused across recaptures
@@ -121,32 +97,30 @@ class InteractionPlan {
  public:
   // --- capture ----------------------------------------------------------
 
-  /// Capture `key`'s partition of (ta, tq) by the parallel decision walk
-  /// (count → prefix sum → emit over fixed T_Q-leaf segments; the dual
-  /// flavor walks one segment) and finalize it at `geometry_epoch`. The
-  /// walk also tallies the Born-phase work counters the arithmetic
-  /// traversal would report. Parallel under an active scheduler, serial
-  /// otherwise; the lists are identical either way. Does not evaluate:
-  /// follow with replay(). Returns true when any internal buffer had to
-  /// grow.
+  /// Capture `key`'s partition of (ta, tq) by the owner-major walk
+  /// (count → prefix sum over T_A nodes → emit) and finalize it at
+  /// `geometry_epoch`. The walk also tallies the Born-phase work counters
+  /// the evaluating walk would report. Parallel under an active
+  /// scheduler, serial otherwise; the lists are identical either way.
+  /// Does not evaluate: follow with replay(). Returns true when any
+  /// internal buffer had to grow.
   bool capture(const AtomsTree& ta, const QPointsTree& tq, const PlanKey& key,
                std::uint64_t geometry_epoch);
 
-  /// Start a recorder capture for `key` (serial oracle, see PlanRecorder).
-  /// Invalidates the previous plan and Born cache; list capacity is kept.
-  /// Run the recorder-instrumented traversal over *every* T_Q leaf, then
-  /// finalize().
+  /// Start a recorder capture for `key` (see PlanRecorder). Invalidates
+  /// the previous plan and Born cache; list capacity is kept. Run the
+  /// recorder-instrumented approx_integrals over *every* T_Q leaf (or
+  /// approx_integrals_dual), then finalize().
   PlanRecorder begin_capture(const PlanKey& key);
 
-  /// Freeze the captured lists: group them by owner A-node (stable — the
-  /// capture order is preserved within each owner), compute per-owner
-  /// costs, sort owners by cost, and carve cost-balanced chunk ranges for
-  /// replay's parallel_for. `captured_work` is the traversal's Born-phase
-  /// counter contribution (reported verbatim by later replays — operation
-  /// counts are a property of the partition, not of how it is executed).
-  /// After a recorder capture this also derives the per-segment offsets
-  /// validate() compares against, from the lists' Q-leaf ids. Returns
-  /// true when any internal buffer had to grow.
+  /// Freeze the captured lists: compute per-owner costs, order the owners
+  /// (by cost, or by atom range under locality carving) and carve the
+  /// chunk ranges of replay's parallel_for. `captured_work` is the walk's
+  /// Born-phase counter contribution (reported verbatim by later replays
+  /// — operation counts are a property of the partition, not of how it
+  /// is executed). After a recorder capture this first closes the
+  /// recorded owner groups. Returns true when any internal buffer had to
+  /// grow since the capture began.
   bool finalize(const AtomsTree& ta, const QPointsTree& tq,
                 std::uint64_t geometry_epoch,
                 const perf::WorkCounters& captured_work);
@@ -158,21 +132,31 @@ class InteractionPlan {
   /// Geometry epoch the lists were last known to match (capture or last
   /// successful validate()).
   std::uint64_t geometry_epoch() const { return geometry_epoch_; }
-  std::size_t near_pairs() const { return near_a_.size(); }
-  std::size_t far_pairs() const { return far_a_.size(); }
+  std::size_t near_pairs() const { return near_q_.size(); }
+  std::size_t far_pairs() const { return far_q_.size(); }
   std::size_t chunks() const {
     return chunk_begin_.empty() ? 0 : chunk_begin_.size() - 1;
   }
   std::size_t footprint_bytes() const;
-  /// Walk-segment offsets into the near / far lists (size S+1; segment s
-  /// owns [offsets[s], offsets[s+1])). Single flavor: S = min(n, 256)
-  /// over the n T_Q leaves, segment s walking leaf_ids()[s·n/S,
-  /// (s+1)·n/S); dual flavor: S = 1; S = 0 for an empty tree. Fixed by
-  /// the trees, never by the worker count.
-  std::span<const std::size_t> segment_near_offsets() const {
-    return seg_near_;
+
+  // --- owner groups -------------------------------------------------------
+
+  /// Number of owner groups: the T_A nodes with at least one decision.
+  std::size_t groups() const { return owner_.size(); }
+  /// Owner A-node of group `g`. Groups run in T_A node-id order after
+  /// capture(), in walk order after a recorder capture; either way a
+  /// node owns at most one group.
+  std::uint32_t owner(std::uint32_t g) const { return owner_[g]; }
+  /// Group `g`'s near (T_Q leaf) and far (T_Q node) ids, in the order the
+  /// walk accumulates them into the owner's slots.
+  std::span<const std::uint32_t> near_list(std::uint32_t g) const {
+    return std::span(near_q_).subspan(near_begin_[g],
+                                      near_begin_[g + 1] - near_begin_[g]);
   }
-  std::span<const std::size_t> segment_far_offsets() const { return seg_far_; }
+  std::span<const std::uint32_t> far_list(std::uint32_t g) const {
+    return std::span(far_q_).subspan(far_begin_[g],
+                                     far_begin_[g + 1] - far_begin_[g]);
+  }
 
   // --- locality introspection (DESIGN.md §2.11) --------------------------
 
@@ -203,14 +187,13 @@ class InteractionPlan {
 
   // --- replay path ------------------------------------------------------
 
-  /// Math-free re-walk of the traversal's decision structure against
-  /// (possibly refitted) trees, parallel over the capture's segments,
-  /// each compared element-wise with the stored lists from its stored
-  /// offset to the next. True — the partition is unchanged, replay at
+  /// Math-free re-walk of the decision structure against (possibly
+  /// refitted) trees, parallel over T_A subtrees, every owner's decisions
+  /// compared element-wise with its stored lists. True — the partition
+  /// is unchanged (every stored owner was visited and matched), replay at
   /// this geometry is bit-identical to re-traversing; the plan's geometry
   /// epoch is advanced to `geometry_epoch`. False — drift flipped at
-  /// least one admissibility decision (or moved a segment boundary); the
-  /// plan is invalidated.
+  /// least one admissibility decision; the plan is invalidated.
   bool validate(const AtomsTree& ta, const QPointsTree& tq,
                 std::uint64_t geometry_epoch);
 
@@ -255,26 +238,22 @@ class InteractionPlan {
                  perf::WorkCounters& work) const;
 
  private:
-  /// Recorder capture: the lists are in Q-leaf order, so each walk
-  /// segment's offsets are where its first leaf's entries begin.
-  void derive_segments(const AtomsTree& ta, const QPointsTree& tq);
-  std::size_t list_capacity() const;
+  friend class PlanRecorder;
+  std::size_t capacity() const;
 
   PlanKey key_{};
   bool valid_ = false;
   std::uint64_t geometry_epoch_ = 0;
 
-  // Capture-order pair lists — also the validate() reference.
-  std::vector<std::uint32_t> near_a_, near_q_, far_a_, far_q_;
-  // Walk-segment offsets into the lists (segment_near/far_offsets()).
-  std::vector<std::size_t> seg_near_, seg_far_;
-  bool recorded_ = false;  ///< lists came from a PlanRecorder
-
-  // Owner-grouped CSR over the same pairs (stable within owner).
+  // Owner-grouped CSR of the captured pairs.
   std::vector<std::uint32_t> owner_;       ///< owner A-node id per group
-  std::vector<std::uint32_t> near_begin_;  ///< groups+1, into near_q_sorted_
-  std::vector<std::uint32_t> far_begin_;   ///< groups+1, into far_q_sorted_
-  std::vector<std::uint32_t> near_q_sorted_, far_q_sorted_;
+  std::vector<std::uint32_t> near_begin_;  ///< groups+1, into near_q_
+  std::vector<std::uint32_t> far_begin_;   ///< groups+1, into far_q_
+  std::vector<std::uint32_t> near_q_, far_q_;
+  std::vector<std::uint32_t> group_of_node_;  ///< T_A node → group or ~0
+  bool recording_ = false;  ///< a PlanRecorder is filling the CSR
+
+  // Replay carve.
   std::vector<std::uint32_t> owner_order_;  ///< group execution order
   std::vector<std::uint32_t> chunk_begin_;  ///< owner_order_ chunk bounds
   std::vector<std::uint32_t> run_begin_;    ///< owner_order_ run bounds
@@ -282,12 +261,12 @@ class InteractionPlan {
   perf::LocalityCounters locality_{};
   std::uint64_t prefetches_per_replay_ = 0;
 
-  // finalize() scratch (reused capacity).
-  std::vector<std::uint32_t> group_of_node_, cursor_;
+  // capture() / finalize() scratch (reused capacity).
+  std::vector<std::uint32_t> node_near_, node_far_;  ///< counts per T_A node
   std::vector<std::uint64_t> cost_, sorted_cost_;
-  std::size_t capture_cap_mark_ = 0;  ///< list_capacity() at capture start
+  std::size_t capture_cap_mark_ = 0;  ///< capacity() at capture start
 
-  perf::WorkCounters base_work_;  ///< capture's Born-traversal counters
+  perf::WorkCounters base_work_;  ///< capture's Born-walk counters
 
   // Tier-1 Born cache.
   bool born_valid_ = false;
@@ -296,6 +275,37 @@ class InteractionPlan {
   simd::VectorParams born_vector_{};
   std::vector<double> born_tree_;
   perf::WorkCounters born_work_;  ///< full phase A + push counters
+};
+
+/// Append-only sink the instrumented approx_integrals /
+/// approx_integrals_dual write their decisions to (an optional argument
+/// that forces the walk serial). The serial walk visits owners one at a
+/// time, so the recorder builds the owner-grouped lists as it goes: a
+/// decision for a new owner opens its group. Perfbench's traced mirror
+/// captures this way; the engine never records.
+class PlanRecorder {
+ public:
+  void near(std::uint32_t a_leaf, std::uint32_t q_leaf) {
+    open(a_leaf);
+    plan_->near_q_.push_back(q_leaf);
+  }
+  void far(std::uint32_t a_node, std::uint32_t q_node) {
+    open(a_node);
+    plan_->far_q_.push_back(q_node);
+  }
+
+ private:
+  friend class InteractionPlan;
+  explicit PlanRecorder(InteractionPlan* plan) : plan_(plan) {}
+  void open(std::uint32_t a) {
+    if (!plan_->owner_.empty() && plan_->owner_.back() == a) return;
+    plan_->owner_.push_back(a);
+    plan_->near_begin_.push_back(
+        static_cast<std::uint32_t>(plan_->near_q_.size()));
+    plan_->far_begin_.push_back(
+        static_cast<std::uint32_t>(plan_->far_q_.size()));
+  }
+  InteractionPlan* plan_;
 };
 
 /// Single-slot plan cache plus its statistics, owned by EvalScratch so

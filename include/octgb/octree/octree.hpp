@@ -29,12 +29,6 @@
 
 namespace octgb::octree {
 
-/// Which construction pipeline build() runs.
-enum class BuildStrategy : std::uint8_t {
-  Morton = 0,  ///< sort-based linear octree (default)
-  Legacy = 1,  ///< recursive partitioner (reference for differential tests)
-};
-
 /// Build-time knobs. Every field shapes tree topology, so svc/digest.hpp
 /// must pin all of them in the artifact-cache key.
 struct BuildParams {
@@ -43,7 +37,6 @@ struct BuildParams {
   /// Morton quantization bits per axis (clamped to 1..21). Coarser grids
   /// merge near-coincident points into shared keys earlier.
   std::uint8_t grid_bits = 21;
-  BuildStrategy strategy = BuildStrategy::Morton;
   /// Allow the Morton sort to use a ws::Scheduler: the ambient one when
   /// the build runs inside Scheduler::run, else a private one when the
   /// host has multiple cores and the input is large enough to split.
@@ -73,7 +66,7 @@ class Octree {
     std::uint32_t size() const { return end - begin; }
   };
 
-  /// Build from a point set via the strategy in `params`. The original
+  /// Build from a point set (sort-based Morton pipeline). The original
   /// points are not stored; the tree keeps a permuted copy plus the
   /// permutation back to input indices.
   static Octree build(std::span<const geom::Vec3> points,
@@ -110,7 +103,7 @@ class Octree {
   std::span<const double> soa_z() const { return soa_z_; }
 
   /// True when the tree carries Morton state (grid + sorted keys): built
-  /// by the Morton strategy or loaded from a serialize-v2 stream that had
+  /// by build() / build_with_grid() or loaded from a serialize-v2 stream that had
   /// it. Legacy-built and v1-loaded trees return false.
   bool has_morton() const { return grid_.bits != 0; }
   /// The quantization grid of the build (meaningful when has_morton()).

@@ -3,12 +3,13 @@
 #include <cmath>
 
 #include "atomic_add.hpp"
+#include "born_walk.hpp"
 #include "near_field.hpp"
+#include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/core/plan.hpp"
-#include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
 
@@ -20,74 +21,41 @@ using geom::Vec3;
 using octree::Octree;
 using detail::atomic_add;
 
-/// Local tallies flushed once per leaf task.
+/// Local tallies flushed once per push task.
 struct LocalCounts {
-  std::uint64_t exact = 0, approx = 0, visits = 0;
+  std::uint64_t exact = 0, visits = 0;
 };
 
-/// Recursive descent of T_A against one T_Q leaf (Fig. 2 lines 1–3).
-struct IntegralsPass {
+/// Evaluate sink of the Born walk: far terms into node_s[A], exact leaf
+/// pairs into A's atom_s range, each decision optionally recorded.
+struct EvalSink {
   const AtomsTree& ta;
   const QPointsTree& tq;
-  const Octree::Node& q;     ///< the T_Q leaf
-  std::uint32_t q_id;        ///< the T_Q leaf's node id
-  Vec3 q_wnormal;            ///< Σ w·n over the leaf
-  double threshold;          ///< admissibility factor (born_threshold)
   detail::NearField nf;
-  std::span<double> node_s;
-  std::span<double> atom_s;
-  PlanRecorder* recorder;    ///< non-null: record decisions (oracle), serial
+  double* node_s;
+  double* atom_s;
+  PlanRecorder* recorder;  ///< non-null: the walk runs serially
 
-  void descend(std::uint32_t a_id, LocalCounts& lc) const {
-    ++lc.visits;
-    const Octree::Node& a = ta.tree.node(a_id);
-    const double d2 = geom::dist2(a.centroid, q.centroid);
-    const double d = std::sqrt(d2);
-    if (born_far_enough(d, a.radius, q.radius, threshold)) {
-      // Whole leaf Q acts on node A as one pseudo q-point at its centroid.
-      if (recorder) recorder->far(a_id, q_id);
-      atomic_add(node_s[a_id],
-                 born_far_term(a.centroid, q.centroid, q_wnormal, nf.fast));
-      ++lc.approx;
-      return;
+  struct Owner {
+    const EvalSink& s;
+    std::uint32_t a_id;
+    const Octree::Node& a;
+    void far(std::uint32_t q_id) {
+      if (s.recorder) s.recorder->far(a_id, q_id);
+      s.node_s[a_id] +=
+          born_far_term(a.centroid, s.tq.tree.node(q_id).centroid,
+                        s.tq.node_wnormal[q_id], s.nf.fast);
     }
-    if (a.is_leaf()) {
-      if (recorder) recorder->near(a_id, q_id);
-      detail::born_near(nf, ta, a, tq, q, [this](std::uint32_t ai, double v) {
-        atomic_add(atom_s[ai], v);
-      });
-      lc.exact += static_cast<std::uint64_t>(a.size()) * q.size();
-      return;
+    void near(std::uint32_t q_id) {
+      if (s.recorder) s.recorder->near(a_id, q_id);
+      double* const ps = s.atom_s;
+      detail::born_near(s.nf, s.ta, a, s.tq, s.tq.tree.node(q_id),
+                        [ps](std::uint32_t ai, double v) { ps[ai] += v; });
     }
-    // Recurse on the children. Fork only while subtrees are big enough to
-    // be worth a steal; below that, serial recursion wins. Recording
-    // forbids forking: the capture order must be the serial one.
-    if (a.size() > 4096 && ws::Scheduler::current() != nullptr &&
-        recorder == nullptr) {
-      std::vector<std::function<void()>> forks;
-      forks.reserve(a.child_count);
-      // Each forked child keeps its own tallies, flushed on completion,
-      // because LocalCounts is not thread safe.
-      for (std::uint8_t c = 0; c < a.child_count; ++c) {
-        const std::uint32_t child = a.first_child + c;
-        forks.emplace_back([this, child] {
-          LocalCounts mine;
-          descend(child, mine);
-          flush(mine);
-        });
-      }
-      ws::Scheduler::fork_all(forks);
-    } else {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        descend(a.first_child + c, lc);
-    }
-  }
-
-  perf::WorkCounters* shared = nullptr;
-  void flush(const LocalCounts& lc) const {
-    atomic_add(shared->born_exact, lc.exact);
-    atomic_add(shared->born_approx, lc.approx);
-    atomic_add(shared->born_visits, lc.visits);
+    bool close() const { return true; }
+  };
+  Owner open(std::uint32_t a_id) const {
+    return {*this, a_id, ta.tree.node(a_id)};
   }
 };
 
@@ -138,37 +106,31 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
   OCTGB_CHECK_MSG(eps_born > 0.0, "eps_born must be positive");
   OCTGB_CHECK(node_s.size() == ta.tree.nodes().size());
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
-  if (ta.tree.empty() || tq.tree.empty()) return;
+  EvalSink sink{ta,
+                tq,
+                detail::select_near_field(kernel, vector, approx_math),
+                node_s.data(),
+                atom_s.data(),
+                recorder};
+  // One "born.leaves" span per walk task: the per-worker Born activity
+  // the trace shows under the phase-level "born.traversal" span.
+  detail::BornWalk<EvalSink>(ta, tq,
+                             born_threshold(eps_born, strict_criterion), sink,
+                             recorder == nullptr, "born.leaves")
+      .run(q_leaf_ids, counters);
+}
 
-  const double threshold = born_threshold(eps_born, strict_criterion);
-  const detail::NearField nf =
-      detail::select_near_field(kernel, vector, approx_math);
-  const auto leaf_range = [&](std::int64_t lo, std::int64_t hi) {
-    // One span per leaf-range task: the per-worker Born activity the
-    // trace shows under the phase-level "born.traversal" span.
-    OCTGB_SPAN("born.leaves");
-    for (std::int64_t li = lo; li < hi; ++li) {
-      const Octree::Node& q = tq.tree.node(q_leaf_ids[li]);
-      IntegralsPass pass{ta,        tq,     q,      q_leaf_ids[li],
-                         tq.node_wnormal[q_leaf_ids[li]],
-                         threshold, nf,     node_s, atom_s,
-                         recorder};
-      pass.shared = &counters;
-      LocalCounts lc;
-      pass.descend(0, lc);
-      pass.flush(lc);
-    }
-  };
-  if (recorder != nullptr) {
-    // Capture runs serially even under an active scheduler: the recorded
-    // decision order *is* the deterministic serial traversal order.
-    leaf_range(0, static_cast<std::int64_t>(q_leaf_ids.size()));
-    return;
-  }
-  // Parallel loop over this rank's T_Q leaves; grain of 1 leaf — the inner
-  // traversal provides plenty of work per task.
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(q_leaf_ids.size()), 1, leaf_range);
+void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
+                           double eps_born, bool approx_math,
+                           std::span<double> node_s, std::span<double> atom_s,
+                           perf::WorkCounters& counters,
+                           bool strict_criterion, KernelKind kernel,
+                           const simd::VectorParams& vector,
+                           PlanRecorder* recorder) {
+  // Fig. 1 is the same walk started from the T_Q root (DESIGN.md §2.6).
+  const std::uint32_t root = 0;
+  approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
+                   counters, strict_criterion, kernel, vector, recorder);
 }
 
 namespace {

@@ -151,17 +151,18 @@ std::uint64_t GBEngine::next_engine_id() {
 ///
 /// The Born phase runs through the scratch's plan cache (PlanMode::Auto,
 /// unless the caller disallows it):
-///   capture    — key miss: math-free decision walk (parallel over T_Q-leaf
-///                segments) + finalize, then the flat-list replay;
+///   capture    — key miss: math-free owner-major walk (count + emit,
+///                parallel over T_A subtrees) + finalize, then the
+///                flat-list replay;
 ///   replay     — key hit at changed geometry: parallel structural
 ///                re-validation, then flat-list execution (recapture on
 ///                drift);
 ///   born reuse — key hit at unchanged geometry + arithmetic: the cached
 ///                Born radii are exact, integrals + push are skipped.
 /// Validation, capture and replay all run inside the scheduler's run().
-/// Every path reports the same operation counters a fresh traversal would
-/// (counts are partition properties) and reproduces its results bit for
-/// bit — see DESIGN.md §2.6 for the determinism argument.
+/// Without a plan (one-shot calls, PlanMode::Off) the evaluating walk runs
+/// directly. Every path reports the same operation counters and the same
+/// bits at every worker count — see DESIGN.md §2.6.
 EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
                                   PlanFlavor flavor, bool allow_plan) const {
   if (config_.trace.enabled) trace::Tracer::instance().set_enabled(true);

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "atomic_add.hpp"
+#include "born_walk.hpp"
 #include "near_field.hpp"
 #include "octgb/core/born.hpp"
 #include "octgb/util/check.hpp"
@@ -16,7 +16,6 @@ namespace octgb::core {
 namespace {
 
 using octree::Octree;
-using detail::atomic_add;
 
 constexpr std::uint32_t kNoGroup = 0xffffffffu;
 
@@ -58,149 +57,99 @@ inline void prefetch_rw(void* p) {
 #endif
 }
 
-/// Upper bound on the decision walk's T_Q-leaf segments: a few dozen
-/// stealable pieces per worker at any realistic worker count, each still
-/// many leaves long on production inputs. Fixed so the segment offsets a
-/// capture stores are the ones validate() re-walks, whatever the workers.
-constexpr std::size_t kWalkSegments = 256;
-
-/// Number of walk segments for (flavor, trees): the T_Q leaves cut into
-/// at most kWalkSegments contiguous runs (single flavor), one segment for
-/// the dual walk, none when either tree is empty (the traversals return
-/// before deciding anything).
-std::size_t segment_count(PlanFlavor flavor, const AtomsTree& ta,
-                          const QPointsTree& tq) {
-  if (ta.tree.empty() || tq.tree.empty()) return 0;
-  if (flavor == PlanFlavor::Dual) return 1;
-  return std::min(tq.tree.leaf_ids().size(), kWalkSegments);
-}
-
-/// The traversals' decision structure without their arithmetic: the
-/// admissibility rule and serial recursion order of IntegralsPass::descend
-/// (born.cpp) and DualPass::descend (dual_traversal.cpp), each decision
-/// handed to a sink instead of evaluated. A sink returning false aborts
-/// the walk (the compare sink's mismatch).
-template <class Sink>
-struct DecisionWalk {
-  const Octree& ta;
-  const Octree& tq;
-  double threshold;
-  Sink& sink;
-
-  /// Single flavor: T_A descent against the T_Q leaf `q`.
-  bool single(std::uint32_t a_id, const Octree::Node& q, std::uint32_t q_id) {
-    sink.visit();
-    const Octree::Node& a = ta.node(a_id);
-    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
-    if (born_far_enough(d, a.radius, q.radius, threshold))
-      return sink.far(a_id, q_id);
-    if (a.is_leaf())
-      return sink.near(a_id, q_id, std::uint64_t{a.size()} * q.size());
-    for (std::uint8_t c = 0; c < a.child_count; ++c)
-      if (!single(a.first_child + c, q, q_id)) return false;
-    return true;
-  }
-
-  /// Dual flavor: simultaneous descent, refining the larger-radius node.
-  bool dual(std::uint32_t a_id, std::uint32_t q_id) {
-    sink.visit();
-    const Octree::Node& a = ta.node(a_id);
-    const Octree::Node& q = tq.node(q_id);
-    const double d = std::sqrt(geom::dist2(a.centroid, q.centroid));
-    if (born_far_enough(d, a.radius, q.radius, threshold))
-      return sink.far(a_id, q_id);
-    const bool a_leaf = a.is_leaf();
-    const bool q_leaf = q.is_leaf();
-    if (a_leaf && q_leaf)
-      return sink.near(a_id, q_id, std::uint64_t{a.size()} * q.size());
-    if (!a_leaf && (q_leaf || a.radius >= q.radius)) {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        if (!dual(a.first_child + c, q_id)) return false;
-    } else {
-      for (std::uint8_t c = 0; c < q.child_count; ++c)
-        if (!dual(a_id, q.first_child + c)) return false;
-    }
-    return true;
-  }
-};
-
-/// First T_Q leaf index of segment `s` of `n_seg` over `n` leaves.
-std::size_t segment_begin(std::size_t s, std::size_t n_seg, std::size_t n) {
-  return s * n / n_seg;
-}
-
-/// Walk segment `s` of `n_seg` into `sink`.
-template <class Sink>
-bool walk_segment(const AtomsTree& ta, const QPointsTree& tq,
-                  PlanFlavor flavor, double threshold, std::size_t s,
-                  std::size_t n_seg, Sink& sink) {
-  DecisionWalk<Sink> walk{ta.tree, tq.tree, threshold, sink};
-  if (flavor == PlanFlavor::Dual) return walk.dual(0, 0);
-  const auto& leaves = tq.tree.leaf_ids();
-  const std::size_t hi = segment_begin(s + 1, n_seg, leaves.size());
-  for (std::size_t li = segment_begin(s, n_seg, leaves.size()); li < hi; ++li)
-    if (!walk.single(0, tq.tree.node(leaves[li]), leaves[li])) return false;
-  return true;
-}
-
-/// Count sink: list lengths plus the Born-phase work counters
-/// (born_approx is the far count).
+/// Count sink: every owner's list lengths, by T_A node id.
 struct CountSink {
-  std::uint64_t n_near = 0, n_far = 0, exact = 0, visits = 0;
-  void visit() { ++visits; }
-  bool far(std::uint32_t, std::uint32_t) {
-    ++n_far;
-    return true;
-  }
-  bool near(std::uint32_t, std::uint32_t, std::uint64_t pairs) {
-    ++n_near;
-    exact += pairs;
-    return true;
-  }
+  std::uint32_t* node_near;
+  std::uint32_t* node_far;
+  struct Owner {
+    CountSink& s;
+    std::uint32_t a_id;
+    std::uint32_t n_near = 0, n_far = 0;
+    void far(std::uint32_t) { ++n_far; }
+    void near(std::uint32_t) { ++n_near; }
+    bool close() {
+      s.node_near[a_id] = n_near;
+      s.node_far[a_id] = n_far;
+      return true;
+    }
+  };
+  Owner open(std::uint32_t a_id) { return {*this, a_id}; }
 };
 
-/// Emit sink: writes one segment's decisions at its list offsets.
+/// Emit sink: every owner writes its decisions into its group's slices.
 struct EmitSink {
-  std::uint32_t *na, *nq, *fa, *fq;
-  void visit() {}
-  bool far(std::uint32_t a_id, std::uint32_t q_id) {
-    *fa++ = a_id;
-    *fq++ = q_id;
-    return true;
-  }
-  bool near(std::uint32_t a_id, std::uint32_t q_id, std::uint64_t) {
-    *na++ = a_id;
-    *nq++ = q_id;
-    return true;
+  const std::uint32_t* group_of_node;
+  const std::uint32_t* near_begin;
+  const std::uint32_t* far_begin;
+  std::uint32_t* near_q;
+  std::uint32_t* far_q;
+  struct Owner {
+    std::uint32_t *np, *fp;
+    void far(std::uint32_t q_id) { *fp++ = q_id; }
+    void near(std::uint32_t q_id) { *np++ = q_id; }
+    bool close() const { return true; }
+  };
+  Owner open(std::uint32_t a_id) const {
+    // A node without a group makes no decision: its cursors stay unused.
+    const std::uint32_t g = group_of_node[a_id];
+    if (g == kNoGroup) return {nullptr, nullptr};
+    return {near_q + near_begin[g], far_q + far_begin[g]};
   }
 };
 
-/// Compare sink: checks one segment's decisions against its stored slice
-/// [begin, end) of each list; done() additionally demands the slice be
-/// consumed exactly (a segment that decides less is drift too).
+/// Compare sink: every owner's decisions against its stored slices, which
+/// it must consume exactly; `matched` counts the owners that did, so the
+/// caller can demand that no stored owner went unvisited.
 struct CompareSink {
-  const std::uint32_t *na, *nq, *na_end, *fa, *fq, *fa_end;
-  void visit() {}
-  bool far(std::uint32_t a_id, std::uint32_t q_id) {
-    if (fa == fa_end || *fa != a_id || *fq != q_id) return false;
-    ++fa;
-    ++fq;
-    return true;
+  const std::vector<std::uint32_t>& group_of_node;
+  const InteractionPlan& plan;
+  std::atomic<std::size_t> matched{0};
+  struct Owner {
+    CompareSink& s;
+    bool grouped;
+    std::span<const std::uint32_t> want_near, want_far;
+    std::size_t n = 0, f = 0;
+    bool same = true;
+    void far(std::uint32_t q_id) {
+      same = same && f < want_far.size() && want_far[f] == q_id;
+      ++f;
+    }
+    void near(std::uint32_t q_id) {
+      same = same && n < want_near.size() && want_near[n] == q_id;
+      ++n;
+    }
+    bool close() {
+      if (!same || n != want_near.size() || f != want_far.size())
+        return false;
+      if (grouped) s.matched.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  };
+  Owner open(std::uint32_t a_id) {
+    const std::uint32_t g =
+        a_id < group_of_node.size() ? group_of_node[a_id] : kNoGroup;
+    if (g == kNoGroup) return {*this, false, {}, {}};
+    return {*this, true, plan.near_list(g), plan.far_list(g)};
   }
-  bool near(std::uint32_t a_id, std::uint32_t q_id, std::uint64_t) {
-    if (na == na_end || *na != a_id || *nq != q_id) return false;
-    ++na;
-    ++nq;
-    return true;
-  }
-  bool done() const { return na == na_end && fa == fa_end; }
 };
+
+/// The walk's starting list for `flavor`: every T_Q leaf, or the root.
+std::span<const std::uint32_t> walk_start(PlanFlavor flavor,
+                                          const QPointsTree& tq) {
+  static constexpr std::uint32_t kRoot = 0;
+  if (flavor == PlanFlavor::Dual) return {&kRoot, 1};
+  return tq.tree.leaf_ids();
+}
 
 }  // namespace
 
-std::size_t InteractionPlan::list_capacity() const {
-  return near_a_.capacity() + near_q_.capacity() + far_a_.capacity() +
-         far_q_.capacity() + seg_near_.capacity() + seg_far_.capacity();
+std::size_t InteractionPlan::capacity() const {
+  return owner_.capacity() + near_begin_.capacity() + far_begin_.capacity() +
+         near_q_.capacity() + far_q_.capacity() + group_of_node_.capacity() +
+         owner_order_.capacity() + chunk_begin_.capacity() +
+         run_begin_.capacity() + chunk_atom_begin_.capacity() +
+         node_near_.capacity() + node_far_.capacity() + cost_.capacity() +
+         sorted_cost_.capacity();
 }
 
 bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
@@ -209,162 +158,81 @@ bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
   key_ = key;
   valid_ = false;
   born_valid_ = false;
-  recorded_ = false;
-  capture_cap_mark_ = list_capacity();
-  const PlanFlavor flavor = key_.flavor;
+  recording_ = false;
+  capture_cap_mark_ = capacity();
   const double threshold =
       born_threshold(key_.eps_born, key_.strict_criterion);
-  const std::size_t n_seg = segment_count(flavor, ta, tq);
-  seg_near_.assign(n_seg + 1, 0);
-  seg_far_.assign(n_seg + 1, 0);
+  const auto start = walk_start(key_.flavor, tq);
 
-  // Count pass: per-segment list lengths and the Born work counters.
+  // Count pass: list lengths per T_A node and the Born work counters.
+  // Nodes the walk never reaches keep their zero counts.
+  const std::size_t n_nodes = ta.tree.nodes().size();
+  node_near_.assign(n_nodes, 0);
+  node_far_.assign(n_nodes, 0);
   perf::WorkCounters work;
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(n_seg), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          CountSink sink;
-          walk_segment(ta, tq, flavor, threshold, s, n_seg, sink);
-          seg_near_[s + 1] = sink.n_near;
-          seg_far_[s + 1] = sink.n_far;
-          atomic_add(work.born_exact, sink.exact);
-          atomic_add(work.born_approx, sink.n_far);
-          atomic_add(work.born_visits, sink.visits);
-        }
-      });
-  std::partial_sum(seg_near_.begin(), seg_near_.end(), seg_near_.begin());
-  std::partial_sum(seg_far_.begin(), seg_far_.end(), seg_far_.begin());
+  {
+    CountSink sink{node_near_.data(), node_far_.data()};
+    detail::BornWalk<CountSink>(ta, tq, threshold, sink, true)
+        .run(start, work);
+  }
 
-  // Emit pass: every segment writes its decisions at its offsets.
-  // Resized, not cleared: the emit pass overwrites every element.
-  near_a_.resize(seg_near_.back());
-  near_q_.resize(seg_near_.back());
-  far_a_.resize(seg_far_.back());
-  far_q_.resize(seg_far_.back());
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(n_seg), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          EmitSink sink{near_a_.data() + seg_near_[s],
-                        near_q_.data() + seg_near_[s],
-                        far_a_.data() + seg_far_[s],
-                        far_q_.data() + seg_far_[s]};
-          walk_segment(ta, tq, flavor, threshold, s, n_seg, sink);
-          OCTGB_CHECK(sink.na == near_a_.data() + seg_near_[s + 1] &&
-                      sink.fa == far_a_.data() + seg_far_[s + 1]);
-        }
-      });
+  // Prefix sum over T_A nodes: a group per node with decisions.
+  owner_.clear();
+  near_begin_.assign(1, 0);
+  far_begin_.assign(1, 0);
+  group_of_node_.assign(n_nodes, kNoGroup);
+  for (std::uint32_t a = 0; a < n_nodes; ++a) {
+    if (node_near_[a] == 0 && node_far_[a] == 0) continue;
+    group_of_node_[a] = static_cast<std::uint32_t>(owner_.size());
+    owner_.push_back(a);
+    near_begin_.push_back(near_begin_.back() + node_near_[a]);
+    far_begin_.push_back(far_begin_.back() + node_far_[a]);
+  }
+
+  // Emit pass: every owner writes its decisions at its offsets. Resized,
+  // not cleared: the emit pass overwrites every element.
+  near_q_.resize(near_begin_.back());
+  far_q_.resize(far_begin_.back());
+  {
+    EmitSink sink{group_of_node_.data(), near_begin_.data(),
+                  far_begin_.data(), near_q_.data(), far_q_.data()};
+    perf::WorkCounters again;
+    detail::BornWalk<EmitSink>(ta, tq, threshold, sink, true)
+        .run(start, again);
+  }
   return finalize(ta, tq, geometry_epoch, work);
-}
-
-void InteractionPlan::derive_segments(const AtomsTree& ta,
-                                      const QPointsTree& tq) {
-  const std::size_t n_seg = segment_count(key_.flavor, ta, tq);
-  const auto& leaves = tq.tree.leaf_ids();
-  seg_near_.assign(n_seg + 1, 0);
-  seg_far_.assign(n_seg + 1, 0);
-  if (n_seg == 0) return;  // nothing was decided (empty tree)
-  if (n_seg == 1) {
-    seg_near_[1] = near_a_.size();
-    seg_far_[1] = far_a_.size();
-    return;
-  }
-  // Single flavor: every entry's Q id is a T_Q leaf, and the lists run in
-  // leaf order, so segment s starts at the first entry whose leaf lies in
-  // segment s or later (cursor_ maps Q-leaf id → segment until finalize
-  // reuses it). Searching from the previous offset keeps the offsets a
-  // tiling even for lists out of leaf order — validate() then reports
-  // them as drift.
-  cursor_.assign(tq.tree.nodes().size(), 0);
-  for (std::size_t s = 0; s < n_seg; ++s)
-    for (std::size_t li = segment_begin(s, n_seg, leaves.size());
-         li < segment_begin(s + 1, n_seg, leaves.size()); ++li)
-      cursor_[leaves[li]] = static_cast<std::uint32_t>(s);
-  const auto start = [this](const std::vector<std::uint32_t>& q_list,
-                            std::size_t from, std::size_t s) {
-    return static_cast<std::size_t>(
-        std::partition_point(q_list.begin() + from, q_list.end(),
-                             [&](std::uint32_t q_id) {
-                               return cursor_[q_id] < s;
-                             }) -
-        q_list.begin());
-  };
-  for (std::size_t s = 1; s < n_seg; ++s) {
-    seg_near_[s] = start(near_q_, seg_near_[s - 1], s);
-    seg_far_[s] = start(far_q_, seg_far_[s - 1], s);
-  }
-  seg_near_[n_seg] = near_q_.size();
-  seg_far_[n_seg] = far_q_.size();
 }
 
 PlanRecorder InteractionPlan::begin_capture(const PlanKey& key) {
   key_ = key;
   valid_ = false;
   born_valid_ = false;
-  near_a_.clear();
+  capture_cap_mark_ = capacity();
+  owner_.clear();
+  near_begin_.clear();
+  far_begin_.clear();
   near_q_.clear();
-  far_a_.clear();
   far_q_.clear();
-  recorded_ = true;
-  capture_cap_mark_ = list_capacity();
-  return PlanRecorder(&near_a_, &near_q_, &far_a_, &far_q_);
+  recording_ = true;
+  return PlanRecorder(this);
 }
 
 bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
                                std::uint64_t geometry_epoch,
                                const perf::WorkCounters& captured_work) {
-  const auto caps = [this] {
-    return owner_.capacity() + near_begin_.capacity() + far_begin_.capacity() +
-           near_q_sorted_.capacity() + far_q_sorted_.capacity() +
-           owner_order_.capacity() + chunk_begin_.capacity() +
-           run_begin_.capacity() + chunk_atom_begin_.capacity() +
-           group_of_node_.capacity() + cursor_.capacity() + cost_.capacity() +
-           sorted_cost_.capacity();
-  };
-  const std::size_t caps_before = caps();
-  if (recorded_) derive_segments(ta, tq);
-  recorded_ = false;
-  const bool grew = list_capacity() > capture_cap_mark_;
-
-  // Group ids in first-appearance (capture) order; owner = target A-node.
-  const std::size_t n_nodes = ta.tree.nodes().size();
-  group_of_node_.assign(n_nodes, kNoGroup);
-  owner_.clear();
-  const auto claim = [&](std::uint32_t a_id) {
-    if (group_of_node_[a_id] == kNoGroup) {
-      group_of_node_[a_id] = static_cast<std::uint32_t>(owner_.size());
-      owner_.push_back(a_id);
-    }
-  };
-  for (const std::uint32_t a_id : near_a_) claim(a_id);
-  for (const std::uint32_t a_id : far_a_) claim(a_id);
   const std::size_t groups = owner_.size();
-
-  // Stable counting sort of both lists into owner-grouped CSR form: the
-  // capture (= serial traversal) order survives within every owner, which
-  // is exactly the per-slot accumulation order replay must reproduce.
-  near_begin_.assign(groups + 1, 0);
-  far_begin_.assign(groups + 1, 0);
-  for (const std::uint32_t a_id : near_a_)
-    ++near_begin_[group_of_node_[a_id] + 1];
-  for (const std::uint32_t a_id : far_a_)
-    ++far_begin_[group_of_node_[a_id] + 1];
-  for (std::size_t g = 0; g < groups; ++g) {
-    near_begin_[g + 1] += near_begin_[g];
-    far_begin_[g + 1] += far_begin_[g];
-  }
-  near_q_sorted_.resize(near_q_.size());
-  far_q_sorted_.resize(far_q_.size());
-  cursor_.assign(groups, 0);
-  for (std::size_t i = 0; i < near_a_.size(); ++i) {
-    const std::uint32_t g = group_of_node_[near_a_[i]];
-    near_q_sorted_[near_begin_[g] + cursor_[g]++] = near_q_[i];
-  }
-  cursor_.assign(groups, 0);
-  for (std::size_t i = 0; i < far_a_.size(); ++i) {
-    const std::uint32_t g = group_of_node_[far_a_[i]];
-    far_q_sorted_[far_begin_[g] + cursor_[g]++] = far_q_[i];
+  if (recording_) {
+    // Close the recorded groups and index them by node; a node owning
+    // two groups means the decisions did not arrive owner-major.
+    near_begin_.push_back(static_cast<std::uint32_t>(near_q_.size()));
+    far_begin_.push_back(static_cast<std::uint32_t>(far_q_.size()));
+    group_of_node_.assign(ta.tree.nodes().size(), kNoGroup);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      OCTGB_CHECK_MSG(group_of_node_[owner_[g]] == kNoGroup,
+                      "recorded decisions are not owner-major");
+      group_of_node_[owner_[g]] = g;
+    }
+    recording_ = false;
   }
 
   // Per-owner modeled cost, then owners sorted most-expensive-first so the
@@ -373,7 +241,7 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
   for (std::size_t g = 0; g < groups; ++g) {
     const std::uint64_t a_size = ta.tree.node(owner_[g]).size();
     for (std::uint32_t k = near_begin_[g]; k < near_begin_[g + 1]; ++k)
-      cost_[g] += a_size * tq.tree.node(near_q_sorted_[k]).size();
+      cost_[g] += a_size * tq.tree.node(near_q_[k]).size();
     cost_[g] += kFarCost * (far_begin_[g + 1] - far_begin_[g]);
   }
   owner_order_.resize(groups);
@@ -510,20 +378,17 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
   base_work_ = captured_work;
   geometry_epoch_ = geometry_epoch;
   valid_ = true;
-  return grew || caps() > caps_before;
+  return capacity() > capture_cap_mark_;
 }
 
 std::size_t InteractionPlan::footprint_bytes() const {
-  return (near_a_.capacity() + near_q_.capacity() + far_a_.capacity() +
-          far_q_.capacity() + owner_.capacity() + near_begin_.capacity() +
-          far_begin_.capacity() + near_q_sorted_.capacity() +
-          far_q_sorted_.capacity() + owner_order_.capacity() +
+  return (owner_.capacity() + near_begin_.capacity() + far_begin_.capacity() +
+          near_q_.capacity() + far_q_.capacity() +
+          group_of_node_.capacity() + owner_order_.capacity() +
           chunk_begin_.capacity() + run_begin_.capacity() +
-          group_of_node_.capacity() + cursor_.capacity()) *
+          node_near_.capacity() + node_far_.capacity()) *
              sizeof(std::uint32_t) +
-         (chunk_atom_begin_.capacity() + seg_near_.capacity() +
-          seg_far_.capacity()) *
-             sizeof(std::size_t) +
+         chunk_atom_begin_.capacity() * sizeof(std::size_t) +
          (cost_.capacity() + sorted_cost_.capacity()) * sizeof(std::uint64_t) +
          born_tree_.capacity() * sizeof(double);
 }
@@ -531,36 +396,14 @@ std::size_t InteractionPlan::footprint_bytes() const {
 bool InteractionPlan::validate(const AtomsTree& ta, const QPointsTree& tq,
                                std::uint64_t geometry_epoch) {
   OCTGB_CHECK_MSG(valid_, "validate() on an invalid plan");
-  const PlanFlavor flavor = key_.flavor;
-  const double threshold =
-      born_threshold(key_.eps_born, key_.strict_criterion);
-  const std::size_t n_seg = seg_near_.size() - 1;
-  // Same segment count (none for an empty tree) and offsets that tile
-  // the lists; then every segment must reproduce its slice exactly, so
-  // the concatenated walk equals the stored lists.
-  bool ok = segment_count(flavor, ta, tq) == n_seg &&
-            seg_near_.back() == near_a_.size() &&
-            seg_far_.back() == far_a_.size();
-  if (ok) {
-    std::atomic<bool> same{true};
-    ws::Scheduler::parallel_for(
-        0, static_cast<std::int64_t>(n_seg), 1,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t s = lo; s < hi; ++s) {
-            if (!same.load(std::memory_order_relaxed)) return;
-            CompareSink sink{near_a_.data() + seg_near_[s],
-                             near_q_.data() + seg_near_[s],
-                             near_a_.data() + seg_near_[s + 1],
-                             far_a_.data() + seg_far_[s],
-                             far_q_.data() + seg_far_[s],
-                             far_a_.data() + seg_far_[s + 1]};
-            if (!walk_segment(ta, tq, flavor, threshold, s, n_seg, sink) ||
-                !sink.done())
-              same.store(false, std::memory_order_relaxed);
-          }
-        });
-    ok = same.load(std::memory_order_relaxed);
-  }
+  CompareSink sink{group_of_node_, *this};
+  perf::WorkCounters work;
+  const bool ok =
+      detail::BornWalk<CompareSink>(
+          ta, tq, born_threshold(key_.eps_born, key_.strict_criterion), sink,
+          true)
+          .run(walk_start(key_.flavor, tq), work) &&
+      sink.matched.load(std::memory_order_relaxed) == owner_.size();
   if (!ok) {
     valid_ = born_valid_ = false;
     return false;
@@ -576,8 +419,8 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
                              std::span<double> atom_s,
                              perf::WorkCounters& work) const {
   OCTGB_CHECK_MSG(valid_, "replay() on an invalid plan");
-  // Same arithmetic selection as the traversals: identical out-of-line
-  // kernel code per near pair keeps replay bit-identical to capture.
+  // Same arithmetic selection as the Born walk: identical out-of-line
+  // kernel code per near pair keeps replay bit-identical to it.
   const detail::NearField nf =
       detail::select_near_field(key_.kernel, vector, approx_math);
   const std::int64_t nchunks = static_cast<std::int64_t>(chunks());
@@ -608,15 +451,15 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
               prefetch_ro(pz + nx.begin);
               prefetch_rw(ps + nx.begin);
             }
-            // Far terms: node_s[a_id] belongs to this task alone; capture
-            // order is preserved, so the sum matches the serial traversal
-            // bit for bit (the arithmetic is the same out-of-line
-            // born_far_term both traversals call).
+            // Far terms: node_s[a_id] belongs to this task alone; the list
+            // is in the walk's order, so the sum matches the walk bit for
+            // bit (the arithmetic is the same out-of-line born_far_term
+            // the walk calls).
             if (far_begin_[g] != far_begin_[g + 1]) {
               double acc = 0.0;
               for (std::uint32_t k = far_begin_[g]; k < far_begin_[g + 1];
                    ++k) {
-                const std::uint32_t q_id = far_q_sorted_[k];
+                const std::uint32_t q_id = far_q_[k];
                 acc += born_far_term(a.centroid, tq.tree.node(q_id).centroid,
                                      tq.node_wnormal[q_id], approx_math);
               }
@@ -625,10 +468,10 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
             // Near pairs: the owner is an A-leaf, and its atom range
             // [a.begin, a.end) of atom_s is exclusive to this task. The
             // q-outer / atom-inner loop hands every atom its additions in
-            // capture order.
+            // the walk's order.
             for (std::uint32_t k = near_begin_[g]; k < near_begin_[g + 1];
                  ++k) {
-              const Octree::Node& q = tq.tree.node(near_q_sorted_[k]);
+              const Octree::Node& q = tq.tree.node(near_q_[k]);
               detail::born_near(
                   nf, ta, a, tq, q,
                   [ps](std::uint32_t ai, double v) { ps[ai] += v; });

@@ -1,5 +1,6 @@
 #include "octgb/mol/pdb.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -25,19 +26,26 @@ std::string_view column(std::string_view line, std::size_t begin,
 // produce silent nonsense.
 constexpr std::size_t kMaxPdbLine = 512;
 
-/// Parse a mandatory coordinate column; blank or non-numeric fields are
-/// hard errors naming the line, not silent zeros.
+/// Parse a mandatory coordinate column; blank, non-numeric and
+/// non-finite (nan / inf, which strtod accepts) fields are hard errors
+/// naming the line, not silent zeros or poisoned geometry.
 double parse_coord(std::string_view field, char axis, int line_no) {
   if (util::trim(field).empty())
     throw PdbParseError(util::format(
         "PDB line %d: blank %c-coordinate field", line_no, axis));
+  double v = 0.0;
   try {
-    return util::parse_double_field(field, 0.0);
+    v = util::parse_double_field(field, 0.0);
   } catch (const util::CheckError&) {
     throw PdbParseError(util::format(
         "PDB line %d: non-numeric %c-coordinate field '%.*s'", line_no,
         axis, static_cast<int>(field.size()), field.data()));
   }
+  if (!std::isfinite(v))
+    throw PdbParseError(util::format(
+        "PDB line %d: non-finite %c-coordinate field '%.*s'", line_no, axis,
+        static_cast<int>(field.size()), field.data()));
+  return v;
 }
 
 }  // namespace

@@ -293,8 +293,6 @@ struct MortonBuilder {
 
 Octree Octree::build(std::span<const geom::Vec3> input,
                      const BuildParams& params) {
-  if (params.strategy == BuildStrategy::Legacy)
-    return build_legacy(input, params);
   OCTGB_SPAN("tree.build.morton");
   const int bits =
       std::clamp<int>(params.grid_bits, 1, kMortonMaxBits);

@@ -68,19 +68,17 @@ Digest digest_job_inputs(const mol::Molecule& mol,
   b.pod(surface.quad_degree);
   b.pod(surface.burial_scale);
   // Tree topology knobs. The Morton fields must separate artifacts too:
-  // grid_bits and the strategy change node partitions (and therefore plan
-  // capture order and result bits), and `parallel` is pinned for safety so
+  // grid_bits changes node partitions (and therefore plan capture order
+  // and result bits), and `parallel` is pinned for safety so
   // a sort-path bug could never alias two artifacts (the sorts are
   // deterministic by construction, but the digest should not rely on it).
   b.pod(config.atoms_tree_params.max_leaf_size);
   b.pod(config.atoms_tree_params.max_depth);
   b.pod(config.atoms_tree_params.grid_bits);
-  b.pod(config.atoms_tree_params.strategy);
   b.pod(config.atoms_tree_params.parallel);
   b.pod(config.qpoints_tree_params.max_leaf_size);
   b.pod(config.qpoints_tree_params.max_depth);
   b.pod(config.qpoints_tree_params.grid_bits);
-  b.pod(config.qpoints_tree_params.strategy);
   b.pod(config.qpoints_tree_params.parallel);
   // Partition + arithmetic knobs (everything the plan key or the Born
   // cache stamp depends on). eps_epol and GBParams are deliberately

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "octgb/core/engine.hpp"
 #include "octgb/core/epol.hpp"
@@ -154,13 +155,12 @@ TEST(Determinism, EpolIsBitwiseAtEveryWorkerCount) {
   }
 }
 
-/// Batched path across hybrid rank/thread shapes. Single-threaded ranks
-/// ((P, p) with p = 1) are bitwise reproducible run to run: rank work is
-/// serial and the mpp collectives reduce in fixed rank order. Shapes with
-/// p > 1 accumulate into the shared s-arrays in work-stealing order, so —
-/// exactly like the scalar path — they are reproducible only up to
-/// reassociation; all shapes must agree with the serial engine to the
-/// same tight tolerance the scalar hybrid tests use.
+/// Batched path across hybrid rank/thread shapes. Every shape is bitwise
+/// reproducible run to run: each rank's Born slots have one writer
+/// whatever p is, and the mpp collectives reduce in fixed rank order.
+/// Shapes with P > 1 reassociate the cross-rank sums, so they agree with
+/// the serial engine to the same tight tolerance the scalar hybrid tests
+/// use.
 TEST(Determinism, BatchedHybridIsDeterministicAcrossRankShapes) {
   const auto m = mol::generate_protein({.target_atoms = 350, .seed = 5});
   const auto surf = surface::build_surface(m);
@@ -176,13 +176,8 @@ TEST(Determinism, BatchedHybridIsDeterministicAcrossRankShapes) {
     hc.threads_per_rank = p;
     const auto r1 = core::run_hybrid(engine, hc);
     const auto r2 = core::run_hybrid(engine, hc);
-    if (p == 1) {
-      EXPECT_EQ(r1.epol, r2.epol) << "P=" << P << " p=" << p;
-      EXPECT_EQ(r1.born, r2.born) << "P=" << P << " p=" << p;
-    } else {
-      EXPECT_NEAR(r1.epol, r2.epol, 1e-11 * std::abs(r2.epol))
-          << "P=" << P << " p=" << p;
-    }
+    EXPECT_EQ(r1.epol, r2.epol) << "P=" << P << " p=" << p;
+    EXPECT_EQ(r1.born, r2.born) << "P=" << P << " p=" << p;
     EXPECT_NEAR(r1.epol, serial.epol, 1e-9 * std::abs(serial.epol))
         << "P=" << P << " p=" << p;
     ASSERT_EQ(r1.born.size(), serial.born.size());
@@ -190,6 +185,91 @@ TEST(Determinism, BatchedHybridIsDeterministicAcrossRankShapes) {
       EXPECT_NEAR(r1.born[i], serial.born[i],
                   1e-9 * serial.born[i] + 1e-12)
           << "P=" << P << " p=" << p << " atom " << i;
+  }
+}
+
+void expect_same_born_counters(const perf::WorkCounters& got,
+                               const perf::WorkCounters& want,
+                               const std::string& what) {
+  EXPECT_EQ(got.born_exact, want.born_exact) << what;
+  EXPECT_EQ(got.born_approx, want.born_approx) << what;
+  EXPECT_EQ(got.born_visits, want.born_visits) << what;
+  EXPECT_EQ(got.push_atoms, want.push_atoms) << what;
+  EXPECT_EQ(got.push_visits, want.push_visits) << what;
+}
+
+TEST(Determinism, OneShotBornIsBitwiseAtEveryWorkerCount) {
+  // One-shot compute() / compute_dual() run the evaluating Born walk, in
+  // which every node_s slot and atom_s range has one writer: Born radii,
+  // Epol and the Born counters cannot depend on the schedule.
+  const auto m = mol::generate_protein({.target_atoms = 1500, .seed = 21});
+  const auto surf = surface::build_surface(m);
+  core::GBEngine engine(m, surf);
+  const auto single = engine.compute();
+  const auto dual = engine.compute_dual();
+  for (int workers : {1, 2, 4}) {
+    ws::Scheduler sched(workers);
+    for (int run = 0; run < 2; ++run) {
+      const std::string at = std::to_string(workers) + " workers, run " +
+                             std::to_string(run);
+      const auto s = engine.compute(&sched);
+      EXPECT_EQ(s.epol, single.epol) << at;
+      EXPECT_EQ(s.born, single.born) << at;
+      expect_same_born_counters(s.work, single.work, "single, " + at);
+      const auto d = engine.compute_dual(&sched);
+      EXPECT_EQ(d.epol, dual.epol) << at;
+      EXPECT_EQ(d.born, dual.born) << at;
+      expect_same_born_counters(d.work, dual.work, "dual, " + at);
+    }
+  }
+}
+
+TEST(Determinism, HybridIsBitwiseAcrossThreadsPerRank) {
+  // At fixed P the threads per rank change nothing: each rank's Born
+  // phase is the one-writer walk over its T_Q-leaf segment. (Across P the
+  // Allreduce of per-rank partials reassociates, so only P = 1 is bitwise
+  // against the single-process engine.)
+  const auto m = mol::generate_protein({.target_atoms = 900, .seed = 13});
+  const auto surf = surface::build_surface(m);
+  core::GBEngine engine(m, surf);
+
+  for (int P : {2, 4}) {
+    core::HybridConfig hc;
+    hc.ranks = P;
+    const auto ref = core::run_hybrid(engine, hc);
+    for (int p : {1, 2}) {
+      hc.threads_per_rank = p;
+      for (int run = 0; run < 2; ++run) {
+        const std::string at = "P=" + std::to_string(P) +
+                               " p=" + std::to_string(p) + " run " +
+                               std::to_string(run);
+        const auto r = core::run_hybrid(engine, hc);
+        EXPECT_EQ(r.epol, ref.epol) << at;
+        EXPECT_EQ(r.born, ref.born) << at;
+        for (int k = 0; k < P; ++k)
+          expect_same_born_counters(r.work_per_rank[k], ref.work_per_rank[k],
+                                    at + " rank " + std::to_string(k));
+      }
+    }
+  }
+
+  core::HybridConfig one;
+  one.ranks = 1;
+  const auto r1 = core::run_hybrid(engine, one);
+  const auto serial = engine.compute();
+  EXPECT_EQ(r1.epol, serial.epol);
+  EXPECT_EQ(r1.born, serial.born);
+
+  // The fault-free elastic driver: bitwise at p = 2, run to run and
+  // against p = 1.
+  core::ElasticConfig ec;
+  ec.hybrid.ranks = 2;
+  const auto e1 = core::run_hybrid_elastic(engine, ec);
+  ec.hybrid.threads_per_rank = 2;
+  for (int run = 0; run < 2; ++run) {
+    const auto e2 = core::run_hybrid_elastic(engine, ec);
+    EXPECT_EQ(e2.epol, e1.epol) << "elastic run " << run;
+    EXPECT_EQ(e2.born, e1.born) << "elastic run " << run;
   }
 }
 

@@ -146,6 +146,21 @@ TEST(Pdb, MalformedInputThrowsParseErrorsWithLineNumbers) {
   expect_parse_error(
       "ATOM      1  CA  ALA A   1      banana   6.134  -6.504\n",
       "line 1: non-numeric x-coordinate");
+  // Non-finite coordinate (strtod reads these as numbers): names the line
+  // and the axis, in every axis.
+  for (const char* field : {"     nan", "     inf", "    -inf"}) {
+    const std::string f(field);
+    expect_parse_error("ATOM      1  CA  ALA A   1    " + f +
+                           "   6.134  -6.504\n",
+                       "line 1: non-finite x-coordinate");
+    expect_parse_error("ATOM      1  CA  ALA A   1      11.104" + f +
+                           "  -6.504\n",
+                       "line 1: non-finite y-coordinate");
+    expect_parse_error("REMARK    padding\n"
+                       "ATOM      1  CA  ALA A   1      11.104   6.134" +
+                           f + "\n",
+                       "line 2: non-finite z-coordinate");
+  }
   // Blank coordinate column (short line cuts off z).
   expect_parse_error(
       "REMARK    padding\n"

@@ -21,7 +21,6 @@
 
 using namespace octgb;
 using octree::BuildParams;
-using octree::BuildStrategy;
 using octree::Octree;
 
 namespace {
@@ -121,7 +120,6 @@ TEST_P(BuildEquivalence, MortonMatchesLegacyOnRandomClouds) {
   BuildParams params;
   params.max_leaf_size = static_cast<std::uint32_t>(leaf);
   const auto pts = random_points(n, 9000 + n + leaf);
-  params.strategy = BuildStrategy::Morton;
   const Octree morton = Octree::build(pts, params);
   const Octree legacy = Octree::build_legacy(pts, params);
   EXPECT_TRUE(morton.validate());

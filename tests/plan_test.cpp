@@ -1,19 +1,22 @@
 // Interaction-plan lifecycle tests (core/plan.hpp): capture / replay /
-// Born-reuse equivalence against the recursive traversal, the parallel
-// decision-walk capture against the serial PlanRecorder oracle, key-based
-// invalidation (params, topology), refit validation and drift recapture,
-// and the allocation-free steady state of the warm path and of recapture.
+// Born-reuse equivalence against the evaluating walk, the owner-major
+// walk (evaluate, parallel capture, serial PlanRecorder capture, validate)
+// against literal serial Fig. 2 / Fig. 1 descents kept here as test code,
+// key-based invalidation (params, topology), refit validation and drift
+// recapture, and the allocation-free steady state of the warm path and of
+// recapture.
 //
 // The load-bearing invariant everywhere: any plan-driven Born result is
-// bit-identical to the serial recursive traversal at the same geometry
-// and parameters (DESIGN.md §2.6). The cold compute() wrapper always runs
-// with the plan off, so it is the traversal reference.
+// bit-identical to the serial Q-major traversal at the same geometry and
+// parameters (DESIGN.md §2.6). The cold compute() wrapper runs the
+// evaluating walk with the plan off.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -28,6 +31,10 @@
 #include "octgb/surface/surface.hpp"
 #include "octgb/trace/metrics.hpp"
 #include "octgb/util/rng.hpp"
+
+// The oracle descents share the leaf arithmetic (not the traversal) with
+// the library, so they can be compared bit for bit.
+#include "../src/core/near_field.hpp"
 
 using namespace octgb;
 using core::EvalScratch;
@@ -93,24 +100,120 @@ surface::Surface shift_leaves(const surface::Surface& surf,
   return out;
 }
 
-/// First T_Q leaf index of walk segment `s` (the documented segmentation:
-/// segment s of S covers leaves [s·n/S, (s+1)·n/S)).
-std::size_t segment_first_leaf(const core::InteractionPlan& plan,
-                               const core::QPointsTree& tq, std::size_t s) {
-  const std::size_t n_seg = plan.segment_near_offsets().size() - 1;
-  return s * tq.tree.leaf_ids().size() / n_seg;
+/// Test oracle: the paper's serial Born descents, literally. fig2()
+/// descends T_A once per T_Q leaf, Q-major (APPROX-INTEGRALS, Fig. 2);
+/// fig1() is the simultaneous dual-tree descent (Fig. 1). Every term goes
+/// straight into its slot, in visiting order.
+struct SerialDescent {
+  const core::AtomsTree& ta;
+  const core::QPointsTree& tq;
+  double k;  ///< born_threshold
+  core::detail::NearField nf;
+  std::vector<double> node_s, atom_s;
+  perf::WorkCounters work;
+
+  SerialDescent(const GBEngine& engine, double eps_born, bool strict,
+                core::KernelKind kernel, const simd::VectorParams& vector,
+                bool approx_math)
+      : ta(engine.atoms_tree()),
+        tq(engine.qpoints_tree()),
+        k(core::born_threshold(eps_born, strict)),
+        nf(core::detail::select_near_field(kernel, vector, approx_math)),
+        node_s(engine.num_ta_nodes(), 0.0),
+        atom_s(engine.num_atoms(), 0.0) {}
+
+  /// Far or exact at (A, Q); false: refine.
+  bool settle(std::uint32_t a_id, std::uint32_t q_id) {
+    ++work.born_visits;
+    const auto& a = ta.tree.node(a_id);
+    const auto& q = tq.tree.node(q_id);
+    if (core::born_far_enough(std::sqrt(geom::dist2(a.centroid, q.centroid)),
+                              a.radius, q.radius, k)) {
+      ++work.born_approx;
+      node_s[a_id] += core::born_far_term(a.centroid, q.centroid,
+                                          tq.node_wnormal[q_id], nf.fast);
+      return true;
+    }
+    if (!a.is_leaf() || !q.is_leaf()) return false;
+    work.born_exact += std::uint64_t{a.size()} * q.size();
+    core::detail::born_near(nf, ta, a, tq, q, [this](std::uint32_t ai,
+                                                     double v) {
+      atom_s[ai] += v;
+    });
+    return true;
+  }
+
+  void fig2(std::uint32_t a_id, std::uint32_t q_leaf) {
+    if (settle(a_id, q_leaf)) return;
+    const auto& a = ta.tree.node(a_id);
+    for (std::uint8_t c = 0; c < a.child_count; ++c)
+      fig2(a.first_child + c, q_leaf);
+  }
+
+  void fig1(std::uint32_t a_id, std::uint32_t q_id) {
+    if (settle(a_id, q_id)) return;
+    const auto& a = ta.tree.node(a_id);
+    const auto& q = tq.tree.node(q_id);
+    if (!a.is_leaf() && (q.is_leaf() || a.radius >= q.radius)) {
+      for (std::uint8_t c = 0; c < a.child_count; ++c)
+        fig1(a.first_child + c, q_id);
+    } else {
+      for (std::uint8_t c = 0; c < q.child_count; ++c)
+        fig1(a_id, q.first_child + c);
+    }
+  }
+
+  void run(PlanFlavor flavor) {
+    if (flavor == PlanFlavor::Dual) {
+      fig1(0, 0);
+      return;
+    }
+    for (const std::uint32_t q_leaf : tq.tree.leaf_ids()) fig2(0, q_leaf);
+  }
+};
+
+/// A plan's decisions per owner A-node: (near Q ids, far Q ids), each in
+/// accumulation order — independent of how the plan numbers its groups.
+using OwnerLists =
+    std::map<std::uint32_t,
+             std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>;
+
+OwnerLists owner_lists(const core::InteractionPlan& plan) {
+  OwnerLists out;
+  for (std::uint32_t g = 0; g < plan.groups(); ++g) {
+    const auto near = plan.near_list(g);
+    const auto far = plan.far_list(g);
+    out[plan.owner(g)] = {{near.begin(), near.end()}, {far.begin(), far.end()}};
+  }
+  return out;
 }
 
-/// The serial oracle: `key`'s plan recorded by the instrumented traversal
-/// of `engine`'s trees (over `leaves`, single flavor), with the phase
-/// buffers and Born-phase counters that traversal produced.
+/// `lists` without any entry whose Q id is in `drop`.
+OwnerLists without(OwnerLists lists, const std::vector<std::uint32_t>& drop) {
+  const auto gone = [&](std::uint32_t q) {
+    return std::ranges::find(drop, q) != drop.end();
+  };
+  for (auto it = lists.begin(); it != lists.end();) {
+    std::erase_if(it->second.first, gone);
+    std::erase_if(it->second.second, gone);
+    if (it->second.first.empty() && it->second.second.empty())
+      it = lists.erase(it);
+    else
+      ++it;
+  }
+  return lists;
+}
+
+/// `key`'s plan recorded by the recorder-instrumented (serial) walk of
+/// `engine`'s trees (over `leaves`, single flavor), with the phase
+/// buffers and Born-phase counters that walk produced.
 struct Recorded {
   core::InteractionPlan plan;
   std::vector<double> node_s, atom_s;
   perf::WorkCounters work;
 };
 
-Recorded record_oracle(const GBEngine& engine, const core::PlanKey& key,
+Recorded record_plan(const GBEngine& engine, const core::PlanKey& key,
                        std::span<const std::uint32_t> leaves,
                        const simd::VectorParams& vector = {},
                        bool approx_math = false) {
@@ -324,7 +427,7 @@ TEST(Plan, DualFlavorReplayMatchesTraversalAfterRefit) {
   EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 0u);
 }
 
-// ---- parallel capture vs the serial recorder oracle ------------------------
+// ---- the owner-major walk vs the serial descents --------------------------
 
 struct CaptureParams {
   PlanFlavor flavor;
@@ -333,8 +436,18 @@ struct CaptureParams {
   simd::Precision precision;
 };
 
-/// Parallel capture + replay through the engine against the serial
-/// recorder traversal, bit for bit, at 1, 2 and 4 workers.
+void expect_same_born_counters(const perf::WorkCounters& got,
+                               const perf::WorkCounters& want,
+                               const std::string& what) {
+  EXPECT_EQ(got.born_exact, want.born_exact) << what;
+  EXPECT_EQ(got.born_approx, want.born_approx) << what;
+  EXPECT_EQ(got.born_visits, want.born_visits) << what;
+}
+
+/// Every face of the owner-major walk against the literal serial descent
+/// (SerialDescent), bit for bit, at 1, 2 and 4 workers: the evaluating
+/// walk, the serial recorder capture, the parallel capture + replay
+/// through the engine, and the parallel validate of the recorded plan.
 void expect_capture_matches_recorder(const CaptureParams& c,
                                      core::KernelKind kernel,
                                      bool approx_math) {
@@ -350,51 +463,75 @@ void expect_capture_matches_recorder(const CaptureParams& c,
   const auto& approx = config.approx;
 
   for (int workers : {1, 2, 4}) {
+    const std::string at = std::to_string(workers) + " workers";
     GBEngine engine(p.molecule, p.surf, config);
     const core::AtomsTree& ta = engine.atoms_tree();
     const core::QPointsTree& tq = engine.qpoints_tree();
     const std::size_t n_atoms = engine.num_atoms();
+    ws::Scheduler sched(workers);
 
-    // Oracle: the recorder-instrumented serial traversal, then the push.
-    const core::PlanKey key{1, 0, approx.eps_born, strict,
-                            approx.kernel, flavor, approx.locality};
-    auto [oracle, node_s, atom_s, want] =
-        record_oracle(engine, key, engine.q_leaves(), rvec, approx_math);
+    SerialDescent ref(engine, approx.eps_born, strict, kernel, rvec,
+                      approx_math);
+    ref.run(flavor);
+    perf::WorkCounters want = ref.work;
     std::vector<double> born_ref(n_atoms, 0.0);
-    core::push_integrals_to_atoms(ta, node_s, atom_s, 0,
+    core::push_integrals_to_atoms(ta, ref.node_s, ref.atom_s, 0,
                                   static_cast<std::uint32_t>(n_atoms),
                                   approx.approx_math, born_ref, want);
 
+    // The evaluating walk under the scheduler.
+    std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+    std::vector<double> atom_s(n_atoms, 0.0);
+    perf::WorkCounters walked;
+    sched.run([&] {
+      if (flavor == PlanFlavor::Single)
+        core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
+                               approx_math, node_s, atom_s, walked, strict,
+                               kernel, rvec);
+      else
+        core::approx_integrals_dual(ta, tq, approx.eps_born, approx_math,
+                                    node_s, atom_s, walked, strict, kernel,
+                                    rvec);
+    });
+    EXPECT_EQ(node_s, ref.node_s) << "evaluate, " << at;
+    EXPECT_EQ(atom_s, ref.atom_s) << "evaluate, " << at;
+    expect_same_born_counters(walked, ref.work, "evaluate, " + at);
+
+    // The serial recorder capture evaluates too.
+    const core::PlanKey key{1, 0, approx.eps_born, strict,
+                            approx.kernel, flavor, approx.locality};
+    auto [recorded, rec_node_s, rec_atom_s, rec_work] =
+        record_plan(engine, key, engine.q_leaves(), rvec, approx_math);
+    EXPECT_EQ(rec_node_s, ref.node_s) << "record";
+    EXPECT_EQ(rec_atom_s, ref.atom_s) << "record";
+    expect_same_born_counters(rec_work, ref.work, "record");
+
     // Parallel capture + replay through the engine.
     EvalScratch scratch;
-    ws::Scheduler sched(workers);
     const auto got = flavor == PlanFlavor::Single
                          ? engine.compute(scratch, &sched)
                          : engine.compute_dual(scratch, &sched);
     const core::InteractionPlan& plan = scratch.plan_cache.plan;
     const perf::PlanCounters& stats = scratch.plan_cache.stats;
-    EXPECT_EQ(stats.builds, 1u) << workers;
-    EXPECT_EQ(stats.key_misses, 1u) << workers;
-    EXPECT_EQ(stats.replays, 0u) << workers;
-    EXPECT_EQ(stats.validations, 0u) << workers;
+    EXPECT_EQ(stats.builds, 1u) << at;
+    EXPECT_EQ(stats.key_misses, 1u) << at;
+    EXPECT_EQ(stats.replays, 0u) << at;
+    EXPECT_EQ(stats.validations, 0u) << at;
 
-    EXPECT_EQ(plan.near_pairs(), oracle.near_pairs()) << workers;
-    EXPECT_EQ(plan.far_pairs(), oracle.far_pairs()) << workers;
-    EXPECT_TRUE(std::ranges::equal(plan.segment_near_offsets(),
-                                   oracle.segment_near_offsets()));
-    EXPECT_TRUE(std::ranges::equal(plan.segment_far_offsets(),
-                                   oracle.segment_far_offsets()));
-    EXPECT_EQ(scratch.node_s, node_s) << workers << " workers";
-    EXPECT_EQ(scratch.atom_s, atom_s) << workers << " workers";
-    EXPECT_EQ(scratch.born_tree, born_ref) << workers << " workers";
-    EXPECT_EQ(got.work.born_exact, want.born_exact);
-    EXPECT_EQ(got.work.born_approx, want.born_approx);
-    EXPECT_EQ(got.work.born_visits, want.born_visits);
+    EXPECT_EQ(owner_lists(plan), owner_lists(recorded)) << at;
+    EXPECT_EQ(plan.near_pairs(), recorded.near_pairs()) << at;
+    EXPECT_EQ(plan.far_pairs(), recorded.far_pairs()) << at;
+    EXPECT_EQ(scratch.node_s, ref.node_s) << "replay, " << at;
+    EXPECT_EQ(scratch.atom_s, ref.atom_s) << "replay, " << at;
+    EXPECT_EQ(scratch.born_tree, born_ref) << "replay, " << at;
+    expect_same_born_counters(got.work, want, "replay, " + at);
     EXPECT_EQ(got.work.push_atoms, want.push_atoms);
     EXPECT_EQ(got.work.push_visits, want.push_visits);
-    // Element-wise list identity: the parallel walk's compare sink accepts
-    // the recorder's lists at the parallel capture's offsets.
-    EXPECT_TRUE(oracle.validate(ta, tq, 1)) << workers << " workers";
+    // Element-wise list identity: the parallel compare walk accepts the
+    // recorder's lists.
+    bool same = false;
+    sched.run([&] { same = recorded.validate(ta, tq, 1); });
+    EXPECT_TRUE(same) << at;
   }
 }
 
@@ -491,7 +628,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCaptureSelector,
 
 TEST(Plan, CaptureForksUnderScheduler) {
   // The capture is a parallel walk: under a 4-worker scheduler it spawns
-  // tasks, and the lists it emits are still the serial oracle's.
+  // tasks, and the owner lists it emits are still the serial recorder's.
   const Problem p(800);
   GBEngine engine(p.molecule, p.surf);
   const core::AtomsTree& ta = engine.atoms_tree();
@@ -503,21 +640,35 @@ TEST(Plan, CaptureForksUnderScheduler) {
   sched.reset_stats();
   sched.run([&] { (void)plan.capture(ta, tq, key, 0); });
   EXPECT_GT(sched.stats().spawns, 0u);
-  ASSERT_GT(plan.segment_near_offsets().size(), 2u);  // >1 segment
+  ASSERT_GT(plan.groups(), 1u);
 
-  core::InteractionPlan oracle =
-      record_oracle(engine, key, engine.q_leaves()).plan;
-  EXPECT_EQ(plan.near_pairs(), oracle.near_pairs());
-  EXPECT_EQ(plan.far_pairs(), oracle.far_pairs());
-  EXPECT_TRUE(oracle.validate(ta, tq, 1));
+  core::InteractionPlan recorded =
+      record_plan(engine, key, engine.q_leaves()).plan;
+  EXPECT_EQ(owner_lists(plan), owner_lists(recorded));
+  EXPECT_EQ(plan.near_pairs(), recorded.near_pairs());
+  EXPECT_EQ(plan.far_pairs(), recorded.far_pairs());
+  EXPECT_TRUE(recorded.validate(ta, tq, 1));
 }
 
 // ---- parallel validate: drift -----------------------------------------------
 
+/// Every entry of T_Q node `q_id` in `lists`, as (owner, is_far) pairs.
+std::vector<std::pair<std::uint32_t, bool>> entries_of(const OwnerLists& lists,
+                                                       std::uint32_t q_id) {
+  std::vector<std::pair<std::uint32_t, bool>> out;
+  for (const auto& [owner, nf] : lists) {
+    for (const std::uint32_t q : nf.first)
+      if (q == q_id) out.emplace_back(owner, false);
+    for (const std::uint32_t q : nf.second)
+      if (q == q_id) out.emplace_back(owner, true);
+  }
+  return out;
+}
+
 TEST(Plan, ValidateCatchesDriftInOneSegment) {
-  // Move every T_Q leaf of one middle walk segment far away: only that
-  // segment's decisions change (the single-flavor walk of a Q-leaf reads
-  // only that leaf), and the parallel validate must still report drift.
+  // Move one contiguous run of T_Q leaves far away: only their decisions
+  // change (the single-flavor walk of a Q-leaf reads only that leaf), and
+  // the parallel validate must still report drift.
   const Problem p(700);
   GBEngine warm(p.molecule, p.surf);
   GBEngine cold(p.molecule, p.surf);
@@ -525,43 +676,36 @@ TEST(Plan, ValidateCatchesDriftInOneSegment) {
   ws::Scheduler sched(4);
   (void)warm.compute(scratch, &sched);
   const core::InteractionPlan& plan = scratch.plan_cache.plan;
-  const std::vector<std::size_t> near_before(
-      plan.segment_near_offsets().begin(), plan.segment_near_offsets().end());
-  const std::size_t n_seg = near_before.size() - 1;
-  ASSERT_GE(n_seg, 4u);
-  const std::size_t s = n_seg / 2;
+  const OwnerLists before = owner_lists(plan);
   const core::QPointsTree& tq = warm.qpoints_tree();
+  const auto& leaves = tq.tree.leaf_ids();
+  ASSERT_GE(leaves.size(), 8u);
+  const std::size_t lo = leaves.size() / 2;
+  const std::size_t hi = lo + leaves.size() / 8;
+  const std::vector<std::uint32_t> run(leaves.begin() + lo,
+                                       leaves.begin() + hi);
   const auto moved =
-      shift_leaves(p.surf, tq, segment_first_leaf(plan, tq, s),
-                   segment_first_leaf(plan, tq, s + 1),
-                   geom::Vec3(500.0, 0.0, 0.0));
+      shift_leaves(p.surf, tq, lo, hi, geom::Vec3(500.0, 0.0, 0.0));
   warm.refit_qpoints(moved);
   cold.refit_qpoints(moved);
 
+  const std::size_t near_before = plan.near_pairs();
   expect_bitwise_equal(warm.compute(scratch, &sched), cold.compute());
   EXPECT_EQ(scratch.plan_cache.stats.validations, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.builds, 2u);
-  // The recapture differs from the old plan in segment s alone: offsets
-  // up to s are unchanged, every later one shifts by the same amount.
-  const auto near_after = plan.segment_near_offsets();
-  ASSERT_EQ(near_after.size(), near_before.size());
-  for (std::size_t k = 0; k <= s; ++k) EXPECT_EQ(near_after[k], near_before[k]);
-  const auto delta = static_cast<std::int64_t>(near_after[s + 1]) -
-                     static_cast<std::int64_t>(near_before[s + 1]);
-  EXPECT_NE(delta, 0);
-  for (std::size_t k = s + 1; k <= n_seg; ++k)
-    EXPECT_EQ(static_cast<std::int64_t>(near_after[k]) -
-                  static_cast<std::int64_t>(near_before[k]),
-              delta);
+  // The recapture differs from the old plan in the moved leaves alone:
+  // every owner keeps the other leaves' decisions, in order.
+  const OwnerLists after = owner_lists(plan);
+  EXPECT_EQ(without(after, run), without(before, run));
+  EXPECT_LT(plan.near_pairs(), near_before);
 }
 
 TEST(Plan, ValidateComparesDecisionsNotJustCounts) {
-  // Record the serial oracle with two T_Q leaves of one segment visited
-  // in swapped order: every segment keeps its list lengths, but the
-  // segment's decisions no longer come in walk order. The parallel
-  // validate must compare element-wise and report drift; the unswapped
-  // recording validates.
+  // Record the plan with two adjacent T_Q leaves visited in swapped
+  // order: every owner keeps its list lengths, but the owners both leaves
+  // reach see them in the wrong order. The parallel validate must compare
+  // element-wise and report drift; the unswapped recording validates.
   const Problem p(700);
   GBEngine engine(p.molecule, p.surf);
   const core::AtomsTree& ta = engine.atoms_tree();
@@ -569,23 +713,22 @@ TEST(Plan, ValidateComparesDecisionsNotJustCounts) {
   const core::PlanKey key{1, 0, 0.9, false, core::KernelKind::Batched,
                           PlanFlavor::Single, true};
   core::InteractionPlan in_order =
-      record_oracle(engine, key, engine.q_leaves()).plan;
-  const std::size_t n_seg = in_order.segment_near_offsets().size() - 1;
-  ASSERT_GE(n_seg, 4u);
-  // A middle segment with at least two leaves (their entries carry
-  // different Q ids, so the swap changes elements, not lengths).
+      record_plan(engine, key, engine.q_leaves()).plan;
   std::vector<std::uint32_t> leaves = engine.q_leaves();
-  const std::size_t s = n_seg / 2;
-  const std::size_t lo = segment_first_leaf(in_order, tq, s);
-  const std::size_t hi = segment_first_leaf(in_order, tq, s + 1);
-  ASSERT_GE(hi - lo, 2u);
+  ASSERT_GE(leaves.size(), 4u);
+  const std::size_t lo = leaves.size() / 2;
   std::swap(leaves[lo], leaves[lo + 1]);
-  core::InteractionPlan swapped = record_oracle(engine, key, leaves).plan;
+  core::InteractionPlan swapped = record_plan(engine, key, leaves).plan;
 
-  EXPECT_TRUE(std::ranges::equal(swapped.segment_near_offsets(),
-                                 in_order.segment_near_offsets()));
-  EXPECT_TRUE(std::ranges::equal(swapped.segment_far_offsets(),
-                                 in_order.segment_far_offsets()));
+  const OwnerLists a = owner_lists(in_order);
+  const OwnerLists b = owner_lists(swapped);
+  ASSERT_EQ(a.size(), b.size());
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    EXPECT_EQ(ia->first, ib->first);
+    EXPECT_EQ(ia->second.first.size(), ib->second.first.size());
+    EXPECT_EQ(ia->second.second.size(), ib->second.second.size());
+  }
+  EXPECT_NE(a, b);
   EXPECT_TRUE(in_order.validate(ta, tq, 1));
   EXPECT_FALSE(swapped.validate(ta, tq, 1));
 }
@@ -598,34 +741,28 @@ TEST(Plan, ValidateCatchesShiftedSegmentBoundary) {
   ws::Scheduler sched(4);
   (void)warm.compute(scratch, &sched);
   const core::InteractionPlan& plan = scratch.plan_cache.plan;
-  const std::vector<std::size_t> near_before(
-      plan.segment_near_offsets().begin(), plan.segment_near_offsets().end());
-  const std::vector<std::size_t> far_before(
-      plan.segment_far_offsets().begin(), plan.segment_far_offsets().end());
-  const std::size_t n_seg = near_before.size() - 1;
-  ASSERT_GE(n_seg, 4u);
+  const OwnerLists before = owner_lists(plan);
 
-  // Move only the *last* Q-leaf of segment s, out of the molecule's reach:
-  // its decisions collapse to one far term, so segment s's list slices
-  // end earlier and the boundary with segment s+1 moves in both lists.
-  const std::size_t s = n_seg / 3;
+  // Move one Q-leaf out of the molecule's reach: its decisions collapse
+  // to one far term of the T_A root; every other leaf's stay as they were.
   const core::QPointsTree& tq = warm.qpoints_tree();
-  const std::size_t last = segment_first_leaf(plan, tq, s + 1) - 1;
-  const auto moved = shift_leaves(p.surf, tq, last, last + 1,
-                                  geom::Vec3(0.0, 0.0, 800.0));
+  const std::size_t li = tq.tree.leaf_ids().size() / 3;
+  const std::uint32_t q = tq.tree.leaf_ids()[li];
+  ASSERT_GT(entries_of(before, q).size(), 1u);
+  const auto moved =
+      shift_leaves(p.surf, tq, li, li + 1, geom::Vec3(0.0, 0.0, 800.0));
   warm.refit_qpoints(moved);
   cold.refit_qpoints(moved);
   expect_bitwise_equal(warm.compute(scratch, &sched), cold.compute());
   EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 1u);
-  const auto near_after = plan.segment_near_offsets();
-  const auto far_after = plan.segment_far_offsets();
-  EXPECT_EQ(near_after[s], near_before[s]);
-  EXPECT_LT(near_after[s + 1], near_before[s + 1]);
-  EXPECT_NE(far_after[s + 1], far_before[s + 1]);
+  const OwnerLists after = owner_lists(plan);
+  EXPECT_EQ(without(after, {q}), without(before, {q}));
+  const auto now = entries_of(after, q);
+  ASSERT_EQ(now.size(), 1u);
+  EXPECT_EQ(now[0], std::make_pair(std::uint32_t{0}, true));
 
-  // A T_Q with another leaf count cuts the segments elsewhere: the stored
-  // offsets no longer describe it, which validate reports as drift
-  // (without reading past the stored lists).
+  // A T_Q with another leaf count makes other decisions: validate
+  // reports drift (without reading past the stored lists).
   core::EngineConfig fine;
   fine.qpoints_tree_params.max_leaf_size = 16;
   const GBEngine other(p.molecule, p.surf, fine);

@@ -93,9 +93,9 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     c3.qpoints_tree_params.max_leaf_size = 16;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
   }
-  {  // Morton build pipeline: grid resolution, strategy, and sort path all
-     // change node partitions (or are pinned defensively) — each must move
-     // the digest on either tree's params independently.
+  {  // Morton build pipeline: grid resolution and sort path change node
+     // partitions (or are pinned defensively) — each must move the digest
+     // on either tree's params independently.
     auto c2 = cfg;
     c2.atoms_tree_params.grid_bits = 12;
     digests.push_back(svc::digest_job_inputs(mol, sp, c2));
@@ -103,14 +103,8 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     c3.qpoints_tree_params.grid_bits = 12;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
     auto c4 = cfg;
-    c4.atoms_tree_params.strategy = octree::BuildStrategy::Legacy;
+    c4.atoms_tree_params.parallel = false;
     digests.push_back(svc::digest_job_inputs(mol, sp, c4));
-    auto c5 = cfg;
-    c5.qpoints_tree_params.strategy = octree::BuildStrategy::Legacy;
-    digests.push_back(svc::digest_job_inputs(mol, sp, c5));
-    auto c6 = cfg;
-    c6.atoms_tree_params.parallel = false;
-    digests.push_back(svc::digest_job_inputs(mol, sp, c6));
   }
   {  // partition ε and criterion
     auto c2 = cfg;
