@@ -9,6 +9,14 @@
 /// exposed surface. Weights are scaled so a complete isolated sphere
 /// integrates to exactly 4πr² (polyhedral-deficit correction), which makes
 /// the single-sphere Born radius exact — the calibration tests rely on it.
+///
+/// Sampling runs in parallel over fixed atom chunks — on the ambient
+/// ws::Scheduler inside Scheduler::run, else on a private pool for large
+/// inputs (ws::with_workers) — and the burial test checks each point
+/// against a pair-exact blocker list gathered from a sorted Morton cell
+/// list. The output is byte-identical at any worker count: points come in
+/// atom, triangle, rule-point order, in exact-size planes (DESIGN.md
+/// §2.13).
 
 #include <cstddef>
 #include <span>
@@ -25,7 +33,7 @@ struct SurfaceParams {
   int quad_degree = 1;   ///< Dunavant rule degree (1..8) per triangle
   /// Shrink factor for the burial test: a point is buried if it lies
   /// inside another atom's sphere scaled by this factor. Slightly < 1
-  /// keeps quadrature points of tangent spheres alive.
+  /// keeps quadrature points of tangent spheres alive. Finite, ≥ 0.
   double burial_scale = 0.99;
 };
 
@@ -43,7 +51,9 @@ struct Surface {
   std::size_t footprint_bytes() const;
 };
 
-/// Sample the molecular surface of `mol`.
+/// Sample the molecular surface of `mol`. Throws util::CheckError, naming
+/// the atom and field, on a non-finite coordinate or radius or a negative
+/// radius.
 Surface build_surface(const mol::Molecule& mol,
                       const SurfaceParams& params = {});
 

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -95,7 +96,8 @@ class Scheduler {
   int num_workers() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Execute `root` to completion with this scheduler active. The calling
-  /// thread participates as worker 0. Not reentrant.
+  /// thread participates as worker 0. Not reentrant. An exception escaping
+  /// `root` propagates after the scheduler is deactivated.
   void run(const std::function<void()>& root);
 
   /// Statistics accumulated since construction (or reset_stats()).
@@ -188,5 +190,20 @@ class Scheduler {
 
   friend struct detail::Task;
 };
+
+/// Run `body(parallel)` on the workers a self-parallel library call may
+/// use, without the caller passing a scheduler:
+///   - inside Scheduler::run, on that ambient scheduler — `parallel` is
+///     true when it has more than one worker, and a 1-worker ambient
+///     scheduler runs the body inline and serial (svc cold builds rely on
+///     this to stay inside their core lease);
+///   - otherwise, when `work >= private_threshold` and the host has more
+///     than one hardware thread, on a private pool as wide as the host,
+///     with `parallel` true;
+///   - otherwise inline with no scheduler, `parallel` false.
+/// The Morton tree build and surface sampling share this policy; both
+/// produce bit-identical output on every branch.
+void with_workers(std::size_t work, std::size_t private_threshold,
+                  const std::function<void(bool parallel)>& body);
 
 }  // namespace octgb::ws

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <thread>
 
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
@@ -269,19 +268,14 @@ struct MortonBuilder {
     t.stats_.points_sorted += input.size();
 
     std::vector<KeyId> pairs;
-    ws::Scheduler* ambient = ws::Scheduler::current();
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool parallel =
-        params.parallel &&
-        (ambient ? ambient->num_workers() > 1
-                 : (hw > 1 && input.size() >= 8192));
-    if (parallel && !ambient) {
-      // No scheduler on this thread: spin one up for the whole pipeline
-      // (sort + scatter + leaf geometry all parallelize).
-      ws::Scheduler sched(static_cast<int>(hw));
-      sched.run([&] { pipeline(t, input, pairs, params, true); });
+    if (params.parallel) {
+      // Sort + scatter + leaf geometry all parallelize; below 8192 points
+      // a private pool costs more than it saves.
+      ws::with_workers(input.size(), 8192, [&](bool parallel) {
+        pipeline(t, input, pairs, params, parallel);
+      });
     } else {
-      pipeline(t, input, pairs, params, parallel);
+      pipeline(t, input, pairs, params, false);
     }
 
     t.finish_derived();

@@ -2,6 +2,7 @@
 
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 namespace octgb::svc {
 
@@ -57,7 +58,16 @@ ArtifactPtr ArtifactCache::acquire(const Digest& d,
   std::unique_ptr<core::ScoringSession> session;
   try {
     OCTGB_SPAN("svc.preprocess");
-    session = build();
+    // A cold build runs before its job leases cores. Under a 1-worker
+    // ambient scheduler the self-parallel library calls inside it
+    // (surface sampling, the Morton sort) run inline instead of starting
+    // a host-wide private pool beside the leased jobs.
+    if (ws::Scheduler::current() != nullptr) {
+      session = build();
+    } else {
+      ws::Scheduler inline_sched(1);
+      inline_sched.run([&] { session = build(); });
+    }
     OCTGB_CHECK_MSG(session != nullptr, "svc: artifact builder returned null");
   } catch (...) {
     lk.lock();

@@ -125,17 +125,26 @@ void Scheduler::run(const std::function<void()>& root) {
   tls_worker = &w0;
   active_.store(true);
   cv_.notify_all();
-  root();
   // Drain: the root returned, but stolen grandchildren may still be live
   // only if the caller's fork-joins all completed — which they did, since
   // fork2/wait_for return only when their join counters hit zero. Safe to
-  // deactivate.
-  active_.store(false);
-  tls_scheduler = nullptr;
-  tls_worker = nullptr;
+  // deactivate, also when root() throws: a later run() on this thread
+  // must not see a stale ambient scheduler.
+  const auto deactivate = [&] {
+    active_.store(false);
+    tls_scheduler = nullptr;
+    tls_worker = nullptr;
 #ifdef __linux__
-  if (have_prev) (void)sched_setaffinity(0, sizeof(prev_mask), &prev_mask);
+    if (have_prev) (void)sched_setaffinity(0, sizeof(prev_mask), &prev_mask);
 #endif
+  };
+  try {
+    root();
+  } catch (...) {
+    deactivate();
+    throw;
+  }
+  deactivate();
 }
 
 void Scheduler::worker_loop(int id) {
@@ -352,6 +361,21 @@ void Scheduler::reset_stats() {
     w->remote_steals.store(0, std::memory_order_relaxed);
     w->offblock_steals.store(0, std::memory_order_relaxed);
   }
+}
+
+void with_workers(std::size_t work, std::size_t private_threshold,
+                  const std::function<void(bool parallel)>& body) {
+  if (const Scheduler* ambient = Scheduler::current()) {
+    body(ambient->num_workers() > 1);
+    return;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 1 && work >= private_threshold) {
+    Scheduler pool(static_cast<int>(hw));
+    pool.run([&] { body(true); });
+    return;
+  }
+  body(false);
 }
 
 }  // namespace octgb::ws

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "octgb/core/engine.hpp"
@@ -17,6 +18,7 @@
 #include "octgb/sim/cluster.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 using namespace octgb;
 
@@ -65,13 +67,27 @@ TEST(Determinism, VirusShellsAreBitStable) {
 }
 
 TEST(Determinism, SurfaceSamplingIsDeterministic) {
-  const auto m = mol::generate_protein({.target_atoms = 300, .seed = 3});
-  const auto s1 = surface::build_surface(m);
-  const auto s2 = surface::build_surface(m);
-  ASSERT_EQ(s1.size(), s2.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s1.positions[i], s2.positions[i]);
-    EXPECT_EQ(s1.weights[i], s2.weights[i]);
+  // Large enough that a call outside any scheduler samples on a private
+  // pool; every worker count must give the same bytes in all four planes.
+  const auto m = mol::generate_protein({.target_atoms = 1500, .seed = 3});
+  const auto ref = surface::build_surface(m);
+  const auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  for (int workers : {0, 1, 2, 3, 4}) {
+    surface::Surface s;
+    if (workers == 0) {
+      s = surface::build_surface(m);
+    } else {
+      ws::Scheduler sched(workers);
+      sched.run([&] { s = surface::build_surface(m); });
+    }
+    ASSERT_EQ(s.size(), ref.size()) << "workers=" << workers;
+    EXPECT_TRUE(same(s.positions, ref.positions)) << "workers=" << workers;
+    EXPECT_TRUE(same(s.normals, ref.normals)) << "workers=" << workers;
+    EXPECT_TRUE(same(s.weights, ref.weights)) << "workers=" << workers;
+    EXPECT_TRUE(same(s.owner_atom, ref.owner_atom)) << "workers=" << workers;
   }
 }
 

@@ -22,6 +22,7 @@
 #include "octgb/svc/placement.hpp"
 #include "octgb/svc/service.hpp"
 #include "octgb/trace/metrics.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 using namespace octgb;
 using svc::Digest;
@@ -274,6 +275,22 @@ TEST(SvcCache, FailedBuildPropagatesAndRetries) {
   EXPECT_FALSE(hit);
   ASSERT_NE(a, nullptr);
   EXPECT_TRUE(cache.contains(d));
+}
+
+TEST(SvcCache, ColdBuildRunsUnderOneInlineWorker) {
+  // The factory runs before its job leases cores, so self-parallel library
+  // calls inside it must see a 1-worker ambient scheduler, never start a
+  // private pool of their own.
+  svc::ArtifactCache cache(std::size_t{1} << 30);
+  const auto mol = small_protein(8, 120);
+  int ambient_workers = 0;
+  cache.acquire(svc::digest_molecule(mol), [&] {
+    const ws::Scheduler* s = ws::Scheduler::current();
+    ambient_workers = s ? s->num_workers() : 0;
+    return session_builder(mol)();
+  });
+  EXPECT_EQ(ambient_workers, 1);
+  EXPECT_EQ(ws::Scheduler::current(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

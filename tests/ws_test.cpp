@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -211,6 +212,75 @@ TEST(Scheduler, CurrentIsSetInsideRunOnly) {
   Scheduler sched(2);
   EXPECT_EQ(Scheduler::current(), nullptr);
   sched.run([&] { EXPECT_EQ(Scheduler::current(), &sched); });
+  EXPECT_EQ(Scheduler::current(), nullptr);
+}
+
+TEST(Scheduler, RunDeactivatesWhenRootThrows) {
+  Scheduler sched(2);
+  EXPECT_THROW(sched.run([] { throw std::runtime_error("root failed"); }),
+               std::runtime_error);
+  EXPECT_EQ(Scheduler::current(), nullptr);
+  long long result = 0;
+  sched.run([&] { result = psum(0, 1000); });  // reusable afterwards
+  EXPECT_EQ(result, 1000LL * 999 / 2);
+}
+
+// ---- with_workers: the ambient-or-private policy ------------------------------
+
+TEST(WithWorkers, AmbientOneWorkerRunsInlineAndSerial) {
+  Scheduler ambient(1);
+  ambient.run([&] {
+    bool ran = false;
+    octgb::ws::with_workers(std::size_t{1} << 30, 1, [&](bool parallel) {
+      ran = true;
+      EXPECT_FALSE(parallel);
+      EXPECT_EQ(Scheduler::current(), &ambient);
+    });
+    EXPECT_TRUE(ran);
+  });
+  EXPECT_EQ(ambient.stats().spawns, 0u);
+}
+
+TEST(WithWorkers, AmbientManyWorkersForksOnIt) {
+  Scheduler ambient(3);
+  ambient.reset_stats();
+  ambient.run([&] {
+    // Below any threshold: the ambient scheduler is used regardless.
+    octgb::ws::with_workers(0, 1, [&](bool parallel) {
+      EXPECT_TRUE(parallel);
+      EXPECT_EQ(Scheduler::current(), &ambient);
+      EXPECT_EQ(psum(0, 10000), 10000LL * 9999 / 2);
+    });
+  });
+  EXPECT_GT(ambient.stats().spawns, 0u);
+}
+
+TEST(WithWorkers, NoAmbientBelowThresholdRunsSerial) {
+  bool ran = false;
+  octgb::ws::with_workers(99, 100, [&](bool parallel) {
+    ran = true;
+    EXPECT_FALSE(parallel);
+    EXPECT_EQ(Scheduler::current(), nullptr);
+  });
+  EXPECT_TRUE(ran);
+}
+
+TEST(WithWorkers, NoAmbientAboveThresholdUsesPrivatePool) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  bool ran = false;
+  octgb::ws::with_workers(100, 100, [&](bool parallel) {
+    ran = true;
+    Scheduler* pool = Scheduler::current();
+    if (hw > 1) {
+      EXPECT_TRUE(parallel);
+      ASSERT_NE(pool, nullptr);
+      EXPECT_EQ(pool->num_workers(), static_cast<int>(hw));
+    } else {  // a one-thread host has nothing to fork onto
+      EXPECT_FALSE(parallel);
+      EXPECT_EQ(pool, nullptr);
+    }
+  });
+  EXPECT_TRUE(ran);
   EXPECT_EQ(Scheduler::current(), nullptr);
 }
 
