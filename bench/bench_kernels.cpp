@@ -82,13 +82,12 @@ BENCHMARK(BM_SurfaceBuild)->Arg(1000)->Arg(4000);
 
 // --- near-field kernels on real leaf distributions, per variant ---------
 //
-// One benchmark series per (kernel, width, precision) triple, so the CSV
-// never lumps distinct code paths under one undifferentiated "batched"
-// label. Variants:
-//   scalar                 — KernelKind::Scalar AoS reference
-//   batched/scalar/double  — autovectorized SoA batch kernels
-//   batched/<isa>/double   — explicit vector layer (simd/dispatch.hpp)
-//   batched/<isa>/mixed    — float-stream mixed precision
+// One benchmark series per (kernel, width) pair, so the CSV never lumps
+// distinct code paths under one undifferentiated "batched" label.
+// Variants:
+//   scalar          — KernelKind::Scalar AoS reference
+//   batched/scalar  — autovectorized SoA batch kernels
+//   batched/<isa>   — explicit vector layer (simd/dispatch.hpp)
 // Width variants are registered at startup for every compiled-and-
 // runnable ISA (see register_kernel_variants in main), so a narrower
 // host simply produces fewer series instead of error rows.
@@ -98,28 +97,21 @@ namespace {
 struct KernelVariant {
   core::KernelKind kind = core::KernelKind::Batched;
   simd::VectorParams vec;
-  std::string label;  ///< benchmark-name suffix, "kernel/width/precision"
+  std::string label;  ///< benchmark-name suffix, "kernel/width"
 };
 
 std::vector<KernelVariant> kernel_variants() {
   std::vector<KernelVariant> out;
-  out.push_back({core::KernelKind::Scalar,
-                 {simd::VectorIsa::Scalar, simd::Precision::Double},
-                 "scalar"});
+  out.push_back(
+      {core::KernelKind::Scalar, {simd::VectorIsa::Scalar}, "scalar"});
   out.push_back({core::KernelKind::Batched,
-                 {simd::VectorIsa::Scalar, simd::Precision::Double},
-                 "batched/scalar/double"});
-  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256,
-                              simd::VectorIsa::V512}) {
+                 {simd::VectorIsa::Scalar},
+                 "batched/scalar"});
+  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256}) {
     if (!simd::isa_available(isa)) continue;
-    for (simd::Precision prec :
-         {simd::Precision::Double, simd::Precision::Mixed}) {
-      out.push_back(
-          {core::KernelKind::Batched,
-           {isa, prec},
-           std::string("batched/") + simd::isa_name(isa) + "/" +
-               (prec == simd::Precision::Mixed ? "mixed" : "double")});
-    }
+    out.push_back({core::KernelKind::Batched,
+                   {isa},
+                   std::string("batched/") + simd::isa_name(isa)});
   }
   return out;
 }
@@ -179,8 +171,6 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
   const auto& tq = engine.qpoints_tree();
   const bool batched = variant.kind == core::KernelKind::Batched;
   const simd::KernelSet* ks = simd::kernels(variant.vec.isa);
-  const bool mixed =
-      ks != nullptr && variant.vec.precision == simd::Precision::Mixed;
   std::uint64_t pairs = 0;
   for (auto _ : state) {
     double acc = 0.0;
@@ -190,12 +180,7 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < a_leaves.size(); ++i) {
       const auto& a = ta.tree.node(a_leaves[i]);
       const auto& q = tq.tree.node(q_leaves[i % q_leaves.size()]);
-      if (mixed) {
-        const core::QPointBatchF qb = tq.node_batch_f(q);
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-          acc += ks->born_integral_mixed(ta.soa_x()[ai], ta.soa_y()[ai],
-                                         ta.soa_z()[ai], qb);
-      } else if (ks != nullptr) {
+      if (ks != nullptr) {
         const core::QPointBatch qb = tq.node_batch(q);
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
           acc += ks->born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
@@ -239,8 +224,6 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
     born_tree[pos] = result.born[idx[pos]];
   const bool batched = variant.kind == core::KernelKind::Batched;
   const simd::KernelSet* ks = simd::kernels(variant.vec.isa);
-  const bool mixed =
-      ks != nullptr && variant.vec.precision == simd::Precision::Mixed;
   std::uint64_t pairs = 0;
   for (auto _ : state) {
     double acc = 0.0;
@@ -248,13 +231,7 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const auto& v = ta.tree.node(leaves[i]);
       const auto& u = ta.tree.node(leaves[(i + 1) % leaves.size()]);
-      if (mixed) {
-        const core::AtomBatchF ub = ta.node_batch_f(u, born_tree);
-        for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
-          acc += ks->epol_sum_mixed(ta.soa_x()[vi], ta.soa_y()[vi],
-                                    ta.soa_z()[vi], ta.charge[vi],
-                                    born_tree[vi], ub);
-      } else if (ks != nullptr) {
+      if (ks != nullptr) {
         const core::AtomBatch ub = ta.node_batch(u, born_tree);
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
           acc += ks->epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],

@@ -1,6 +1,7 @@
 // Octree construction bench: cold build time vs atom count, legacy
 // recursive partitioner vs the Morton linear-octree pipeline (serial radix
-// and scheduler-parallel sort paths).
+// sort under a 1-worker scheduler, and the default build, which sorts in
+// parallel on a private pool above 8,192 points).
 //
 // The scaling table sweeps the ZDock size range; the gate section times
 // the largest benchmark complex (1BGX_l_b, 16,301 atoms — the paper's
@@ -103,17 +104,17 @@ int main(int argc, char** argv) {
     const auto pts =
         positions_of(mol::make_benchmark_molecule(e.name, e.atoms));
     const int reps = reps_for(pts.size(), smoke);
-    BuildParams params;
+    const BuildParams params;
     const double legacy_s = time_builds(
         reps, [&] { return Octree::build_legacy(pts, params); });
+    ws::Scheduler one_worker(1);
     const double serial_s = time_builds(reps, [&] {
-      params.parallel = false;
-      return Octree::build(pts, params);
+      Octree t;
+      one_worker.run([&] { t = Octree::build(pts, params); });
+      return t;
     });
-    const double parallel_s = time_builds(reps, [&] {
-      params.parallel = true;
-      return Octree::build(pts, params);
-    });
+    const double parallel_s = time_builds(
+        reps, [&] { return Octree::build(pts, params); });
     const double speedup = legacy_s / parallel_s;
     scaling.row({e.name, util::format("%zu", e.atoms),
                  bench::fmt_time(legacy_s), bench::fmt_time(serial_s),

@@ -422,7 +422,7 @@ int main(int argc, char** argv) {
     m.set("simd.replay.vector_seconds", vec_replay);
     m.set("simd.replay.speedup", simd_speedup);
     m.set("simd.replay.gate", simd_gate);
-    m.add_simd("", simd::isa_name(rvec.isa), lanes, false);
+    m.add_simd("", simd::isa_name(rvec.isa), lanes);
   }
   ts.finish();
   return 0;

@@ -33,29 +33,6 @@ struct AtomBatch {
   std::size_t size() const { return x.size(); }
 };
 
-/// Float-stream view of a q-point batch for the mixed-precision kernels
-/// (simd/dispatch.hpp): coordinates and weighted normals rounded once to
-/// `float` when the tree's derived planes are rebuilt. Only the streamed
-/// operands narrow — the pivot atom position and all accumulation stay
-/// `double` (see the precision contract in DESIGN.md §2.7).
-struct QPointBatchF {
-  std::span<const float> x, y, z;
-  std::span<const float> wnx, wny, wnz;
-  std::size_t size() const { return x.size(); }
-};
-
-/// Float-stream view of an atom batch for the mixed-precision GB pair
-/// kernel. Born radii deliberately stay `double`: they are computed per
-/// evaluation (not per geometry rebuild), feed the exp() argument where
-/// float rounding is amplified, and converting them lane-wise inside the
-/// kernel costs one instruction per vector.
-struct AtomBatchF {
-  std::span<const float> x, y, z;
-  std::span<const float> charge;
-  std::span<const double> born;
-  std::size_t size() const { return x.size(); }
-};
-
 /// Born surface integral of one atom at (ax, ay, az) against a q-point
 /// batch: Σ w·n · (r − a) / |r − a|⁶. Points closer than 1e-6 are skipped
 /// branchlessly (their term is multiplied by 0).

@@ -37,9 +37,8 @@ class PlanRecorder;  // core/plan.hpp
 /// near-field selector (DESIGN.md §2.3): KernelKind::Scalar runs the AoS
 /// loop whatever `vector` says; Batched runs the kernel table of the
 /// resolved ISA (`vector` is resolved internally, so callers may pass the
-/// raw config value), whose Mixed precision yields to approx_math and to
-/// the Scalar ISA. All compute the same sums up to floating-point
-/// reassociation (plus float rounding for Mixed). A non-null `recorder`
+/// raw config value). All compute the same sums up to floating-point
+/// reassociation. A non-null `recorder`
 /// captures every near/far decision into an InteractionPlan *and keeps
 /// the walk serial* (even under an active scheduler), so it sees the
 /// owners one at a time.

@@ -33,8 +33,7 @@ struct TraceOptions {
 /// tests) — it changes results only by floating-point reassociation.
 /// `approx.vector` additionally routes the Batched kernels through the
 /// explicit-SIMD layer (octgb/simd/) — runtime-dispatched width
-/// (VectorIsa) and optional mixed precision (float streams, double
-/// accumulation); like approx_math it changes arithmetic only, never the
+/// (VectorIsa); like approx_math it changes arithmetic only, never the
 /// traversal partition, so it participates in the Born-cache stamp but
 /// not in the PlanKey.
 /// `trace.enabled` opts the compute paths into span recording; tracing

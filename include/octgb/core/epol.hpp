@@ -78,9 +78,8 @@ struct EpolContext {
 /// far field through the one near-field selector (DESIGN.md §2.3):
 /// KernelKind::Scalar runs the AoS loop and the scalar far field whatever
 /// `vector` says; Batched runs the kernel table of the resolved ISA
-/// (`vector` is resolved internally, callers pass the raw config value),
-/// whose Mixed precision yields to approx_math and to the Scalar ISA. The
-/// same applies to the two entry points below.
+/// (`vector` is resolved internally, callers pass the raw config value).
+/// The same applies to the two entry points below.
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    std::span<const double> born_tree,
                    std::span<const std::uint32_t> v_leaf_ids, double eps_epol,

@@ -63,12 +63,10 @@ struct ApproxParams {
   /// the bin-pair far field (simd/dispatch.hpp). Arithmetic-only, like
   /// approx_math: it never changes which interactions are evaluated, so
   /// it is excluded from the PlanKey and stamped into the Born cache
-  /// instead. The default {Auto, Double} resolves to the widest ISA this
-  /// build + CPU support, with double streams (deterministic bits per
-  /// width). Ignored when `kernel == KernelKind::Scalar`; when
-  /// `approx_math` is set the fastmath vector kernels run, and a Mixed
-  /// precision request is overridden by approx_math (fastmath already
-  /// trades more accuracy than float streams would).
+  /// instead. The default Auto resolves to the widest ISA this build +
+  /// CPU support (deterministic bits per width). Ignored when
+  /// `kernel == KernelKind::Scalar`; when `approx_math` is set the
+  /// fastmath vector kernels run.
   simd::VectorParams vector;
   /// Locality-aware plan execution (DESIGN.md §2.11): carve replay chunks
   /// along Morton leaf-run boundaries (streaming access instead of

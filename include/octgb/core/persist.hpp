@@ -7,9 +7,10 @@
 /// self-describing, size-checked payload framing.
 ///
 /// The derived SoA planes and per-node aggregates are *not* serialized —
-/// they are recomputed via rebuild_derived() on load, which keeps the
-/// format minimal and guarantees the planes can never go stale relative to
-/// the authoritative payloads.
+/// the octree rebuilds its coordinate planes on load and
+/// QPointsTree::rebuild_derived() its weighted-normal planes, which keeps
+/// the format minimal and guarantees the planes can never go stale
+/// relative to the authoritative payloads.
 ///
 /// Intended use: preprocess once (surface sampling + tree builds), persist,
 /// then stream poses/parameters against the reloaded artifact in later

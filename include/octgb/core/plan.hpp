@@ -224,7 +224,7 @@ class InteractionPlan {
 
   /// Cached radii are exact for the asked-for evaluation: same geometry,
   /// same arithmetic flavor — approx_math AND the resolved vector params
-  /// (a width or precision switch changes the radii in the last bits, so
+  /// (a width switch changes the radii in the last bits, so
   /// it must repopulate the cache, not serve stale values).
   bool born_valid(std::uint64_t geometry_epoch, bool approx_math,
                   const simd::VectorParams& vector) const {

@@ -30,11 +30,6 @@ struct AtomsTree {
   octree::Octree tree;
   std::vector<double> charge;     ///< tree order
   std::vector<double> vdw_radius; ///< intrinsic radius, tree order
-  /// Float mirrors of the coordinate/charge planes for the mixed-precision
-  /// kernels (simd/dispatch.hpp), rounded once per rebuild_derived() —
-  /// the streamed operands of AtomBatchF. Born radii have no float plane
-  /// (see AtomBatchF).
-  std::vector<float> soa_xf, soa_yf, soa_zf, charge_f;
 
   /// Coordinate planes, tree order (owned and maintained by the octree
   /// across builds, refits and resorts).
@@ -52,11 +47,6 @@ struct AtomsTree {
   /// does not change). See octree::RefitMonitor for the rebuild policy.
   void refit(std::span<const geom::Vec3> positions);
 
-  /// Recompute the derived SoA planes from the tree's (possibly refitted
-  /// or deserialized) point array. build()/refit() call this; persist.hpp
-  /// calls it after loading the authoritative payloads.
-  void rebuild_derived();
-
   std::size_t num_atoms() const { return charge.size(); }
   std::size_t footprint_bytes() const;
 
@@ -72,20 +62,6 @@ struct AtomsTree {
         soa_y().subspan(n.begin, n.size()),
         soa_z().subspan(n.begin, n.size()),
         std::span<const double>(charge).subspan(n.begin, n.size()),
-        born_tree.subspan(n.begin, n.size())};
-  }
-
-  /// Float-stream view of one node's atoms for the mixed-precision GB
-  /// pair kernel. Coordinates/charges come from the float mirror planes;
-  /// the Born plane stays the caller's double span (narrowed lane-wise
-  /// inside the kernel).
-  AtomBatchF node_batch_f(const octree::Octree::Node& n,
-                          std::span<const double> born_tree) const {
-    return AtomBatchF{
-        std::span<const float>(soa_xf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_yf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_zf).subspan(n.begin, n.size()),
-        std::span<const float>(charge_f).subspan(n.begin, n.size()),
         born_tree.subspan(n.begin, n.size())};
   }
 };
@@ -105,10 +81,6 @@ struct QPointsTree {
   /// are cheap and used by tests.
   std::vector<geom::Vec3> node_wnormal;
   std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w·n, tree order
-  /// Float mirrors for the mixed-precision Born kernel (QPointBatchF),
-  /// rounded once per rebuild_derived().
-  std::vector<float> soa_xf, soa_yf, soa_zf;
-  std::vector<float> soa_wnxf, soa_wnyf, soa_wnzf;
 
   /// Coordinate planes, tree order (owned by the octree; see AtomsTree).
   std::span<const double> soa_x() const { return tree.soa_x(); }
@@ -125,8 +97,8 @@ struct QPointsTree {
   /// leaf contiguity preserved.
   void refit(const surface::Surface& surf);
 
-  /// Recompute node_wnormal and all SoA planes from the tree points and
-  /// the wnormal payload (after refit or deserialization).
+  /// Recompute node_wnormal and the weighted-normal SoA planes from the
+  /// wnormal payload (after refit or deserialization).
   void rebuild_derived();
 
   std::size_t num_points() const { return weight.size(); }
@@ -141,18 +113,6 @@ struct QPointsTree {
         std::span<const double>(soa_wnx).subspan(n.begin, n.size()),
         std::span<const double>(soa_wny).subspan(n.begin, n.size()),
         std::span<const double>(soa_wnz).subspan(n.begin, n.size())};
-  }
-
-  /// Float-stream view of one node's quadrature points for the
-  /// mixed-precision Born kernel.
-  QPointBatchF node_batch_f(const octree::Octree::Node& n) const {
-    return QPointBatchF{
-        std::span<const float>(soa_xf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_yf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_zf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_wnxf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_wnyf).subspan(n.begin, n.size()),
-        std::span<const float>(soa_wnzf).subspan(n.begin, n.size())};
   }
 
  private:

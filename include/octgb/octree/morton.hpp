@@ -119,13 +119,14 @@ struct MortonGrid {
   /// reciprocal rather than dividing: `1.0 / cell` is loop-invariant, so
   /// the batch key-generation loops hoist it and pay one multiply per
   /// coordinate instead of a ~20-cycle divide (keygen was the single
-  /// hottest phase of the Morton build before this change).
+  /// hottest phase of the Morton build before this change). Clamps before
+  /// the integer conversion, so NaN (→ 0) and ±inf stay defined; the
+  /// builders reject such points after their key pass.
   std::uint32_t quantize(double v, double o) const {
     const double t = (v - o) * (1.0 / cell);
-    if (t <= 0.0) return 0;
-    const auto q = static_cast<std::uint64_t>(t);
-    const std::uint64_t max = side() - 1;
-    return static_cast<std::uint32_t>(q > max ? max : q);
+    if (!(t > 0.0)) return 0;
+    const std::uint32_t max = side() - 1;
+    return t >= static_cast<double>(max) ? max : static_cast<std::uint32_t>(t);
   }
 
   /// Morton key of a point (coordinates quantized with clamping).

@@ -37,10 +37,6 @@ struct BuildParams {
   /// Morton quantization bits per axis (clamped to 1..21). Coarser grids
   /// merge near-coincident points into shared keys earlier.
   std::uint8_t grid_bits = 21;
-  /// Allow the Morton sort to use a ws::Scheduler: the ambient one when
-  /// the build runs inside Scheduler::run, else a private one when the
-  /// host has multiple cores and the input is large enough to split.
-  bool parallel = true;
 };
 
 /// Flat, immutable octree.
@@ -68,7 +64,11 @@ class Octree {
 
   /// Build from a point set (sort-based Morton pipeline). The original
   /// points are not stored; the tree keeps a permuted copy plus the
-  /// permutation back to input indices.
+  /// permutation back to input indices. The sort runs on the workers
+  /// ws::with_workers picks; the tree is bitwise identical at any worker
+  /// count. Every build, refit and resort entry point throws
+  /// util::CheckError naming the first point with a NaN or infinite
+  /// coordinate.
   static Octree build(std::span<const geom::Vec3> points,
                       const BuildParams& params = {});
 

@@ -12,8 +12,7 @@
 //   · a vector body over the largest multiple of the lane count,
 //   · one deterministic pairwise reduction (pack.hpp hsum),
 //   · a scalar remainder tail that replicates the reference kernel's
-//     per-term code bit for bit (core/batch_kernels.cpp resp. the
-//     scalar float ops of the mixed mode).
+//     per-term code bit for bit (core/batch_kernels.cpp).
 // Because the reduction completes before the tail accumulates, a span
 // shorter than one vector runs the pure scalar loop — simd_diff_test
 // leans on this for its bitwise remainder/splice properties.
@@ -22,43 +21,6 @@
 #define OCTGB_SIMD_KERNELS_IMPL_INCLUDED
 
 #include "octgb/simd/pack.hpp"
-
-/// Squared float-stream guard band (DESIGN.md §2.7): the double kernels
-/// skip q-points with r² ≤ 1e-12 (|r| ≤ 1e-6 Å); float arithmetic cannot
-/// resolve that threshold, so the mixed Born kernel widens the skip to
-/// r² ≤ 1e-6 (|r| ≤ 1e-3 Å) — still far below any physical atom–surface
-/// distance, and applied only to per-term arithmetic, never to near/far
-/// classification (which stays double in the traversal and the plan).
-constexpr float kMixedGuard2F = 1e-6f;
-
-/// Scalar replica of pack.hpp exp_ps, used by the mixed kernels' scalar
-/// remainder tails. Identical operation sequence (the TUs are compiled
-/// with -ffp-contract=off), so a tail term equals the corresponding
-/// vector lane bit for bit.
-inline float exp_ps_scalar(float x) {
-  if (x != x) return x;
-  float xc = x;
-  xc = xc > 88.3762626647949f ? 88.3762626647949f : xc;
-  xc = xc < -88.3762626647949f ? -88.3762626647949f : xc;
-  const float magic = 12582912.0f;  // 1.5 * 2^23
-  const float t = xc * 1.44269504088896341f;
-  const float n = (t + magic) - magic;
-  float px = xc - n * 0.693359375f;
-  px -= n * -2.12194440e-4f;
-  float y = 1.9875691500e-4f;
-  y = y * px + 1.3981999507e-3f;
-  y = y * px + 8.3334519073e-3f;
-  y = y * px + 4.1665795894e-2f;
-  y = y * px + 1.6666665459e-1f;
-  y = y * px + 5.0000001201e-1f;
-  y = y * (px * px) + px + 1.0f;
-  const std::int32_t bits = (static_cast<std::int32_t>(n) + 127) << 23;
-  float scale;
-  __builtin_memcpy(&scale, &bits, sizeof(scale));
-  float r = y * scale;
-  if (x < -87.0f) r = 0.0f;
-  return r;
-}
 
 /// r⁻⁶ Born surface integral of one atom against a q-point batch.
 /// Double-lane body + scalar tail; the tail is bitwise the per-term code
@@ -118,65 +80,6 @@ double born_integral_w(double ax, double ay, double az,
   return sum;
 }
 
-/// Mixed-precision Born integral: float streams at 2N lanes, double
-/// accumulation. Each float term is widened to double *before* it joins
-/// an accumulator, so the tail (scalar float ops, then a double add)
-/// contributes exactly the value a vector lane would have.
-template <int N>
-double born_integral_mixed_w(double ax, double ay, double az,
-                             const core::QPointBatchF& q) {
-  using vd = typename lanes_of<N>::vd;
-  using vf = typename lanes_of<N>::vf;
-  using vfh = typename lanes_of<N>::vfh;
-  constexpr int NF = lanes_of<N>::nf;
-  const std::size_t n = q.size();
-  const float* __restrict qx = q.x.data();
-  const float* __restrict qy = q.y.data();
-  const float* __restrict qz = q.z.data();
-  const float* __restrict wnx = q.wnx.data();
-  const float* __restrict wny = q.wny.data();
-  const float* __restrict wnz = q.wnz.data();
-  const float axf = static_cast<float>(ax);
-  const float ayf = static_cast<float>(ay);
-  const float azf = static_cast<float>(az);
-  const vf vax = bc<vf>(axf), vay = bc<vf>(ayf), vaz = bc<vf>(azf);
-  const vf onef = bc<vf>(1.0f), zerof = bc<vf>(0.0f);
-  const vf thr = bc<vf>(kMixedGuard2F);
-  const vd zerod = bc<vd>(0.0);
-  vd acc_lo = zerod, acc_hi = zerod;
-  std::size_t k = 0;
-  for (; k + NF <= n; k += NF) {
-    const vf dx = loadu<vf>(qx + k) - vax;
-    const vf dy = loadu<vf>(qy + k) - vay;
-    const vf dz = loadu<vf>(qz + k) - vaz;
-    const vf r2 = dx * dx + dy * dy + dz * dz;
-    const vf mask = r2 > thr ? onef : zerof;
-    const vf safe_r2 = r2 + (onef - mask);
-    const vf inv_r6 = onef / (safe_r2 * safe_r2 * safe_r2);
-    const vf wdot = loadu<vf>(wnx + k) * dx + loadu<vf>(wny + k) * dy +
-                    loadu<vf>(wnz + k) * dz;
-    const vf term = mask * wdot * inv_r6;
-    vfh lo, hi;
-    split_f<N>(term, lo, hi);
-    acc_lo += widen_f<N>(lo);
-    acc_hi += widen_f<N>(hi);
-  }
-  double sum = hsum(acc_lo + acc_hi);
-  for (; k < n; ++k) {
-    const float dx = qx[k] - axf;
-    const float dy = qy[k] - ayf;
-    const float dz = qz[k] - azf;
-    const float r2 = dx * dx + dy * dy + dz * dz;
-    const float mask = r2 > kMixedGuard2F ? 1.0f : 0.0f;
-    const float safe_r2 = r2 + (1.0f - mask);
-    const float inv_r6 = 1.0f / (safe_r2 * safe_r2 * safe_r2);
-    const float term =
-        mask * (wnx[k] * dx + wny[k] * dy + wnz[k] * dz) * inv_r6;
-    sum += static_cast<double>(term);
-  }
-  return sum;
-}
-
 /// Exact / fastmath GB pair sum of one pivot atom against an atom batch.
 /// The exact body uses pack.hpp exp_pd (≈1 ulp vs libm); the exact tail
 /// keeps std::exp so it stays bitwise the batch kernel's per-term code.
@@ -227,64 +130,6 @@ double epol_sum_w(double vx, double vy, double vz, double qv, double rv,
       const double f2 = r2 + d * std::exp(-r2 / (4.0 * d));
       sum += qu[k] / std::sqrt(f2);
     }
-  }
-  return qv * sum;
-}
-
-/// Mixed-precision GB pair sum: float streams at 2N lanes, Born radii
-/// narrowed from their double plane lane-wise inside the kernel, double
-/// accumulation. No coincidence guard is needed: f² ≥ d·e > 0 whenever
-/// radii are positive, which the Born finalization guarantees.
-template <int N>
-double epol_sum_mixed_w(double vx, double vy, double vz, double qv, double rv,
-                        const core::AtomBatchF& atoms) {
-  using vd = typename lanes_of<N>::vd;
-  using vf = typename lanes_of<N>::vf;
-  using vfh = typename lanes_of<N>::vfh;
-  constexpr int NF = lanes_of<N>::nf;
-  const std::size_t n = atoms.size();
-  const float* __restrict ux = atoms.x.data();
-  const float* __restrict uy = atoms.y.data();
-  const float* __restrict uz = atoms.z.data();
-  const float* __restrict qu = atoms.charge.data();
-  const double* __restrict ru = atoms.born.data();
-  const float vxf = static_cast<float>(vx);
-  const float vyf = static_cast<float>(vy);
-  const float vzf = static_cast<float>(vz);
-  const float rvf = static_cast<float>(rv);
-  const vf vvx = bc<vf>(vxf), vvy = bc<vf>(vyf), vvz = bc<vf>(vzf);
-  const vf vrv = bc<vf>(rvf), fourf = bc<vf>(4.0f), zerof = bc<vf>(0.0f);
-  const vd zerod = bc<vd>(0.0);
-  vd acc_lo = zerod, acc_hi = zerod;
-  std::size_t k = 0;
-  for (; k + NF <= n; k += NF) {
-    const vf dx = loadu<vf>(ux + k) - vvx;
-    const vf dy = loadu<vf>(uy + k) - vvy;
-    const vf dz = loadu<vf>(uz + k) - vvz;
-    const vf r2 = dx * dx + dy * dy + dz * dz;
-    const vd b_lo = loadu<vd>(ru + k);
-    const vd b_hi = loadu<vd>(ru + k + N);
-    const vf ruf = join_f<N>(narrow_d<N>(b_lo), narrow_d<N>(b_hi));
-    const vf d = ruf * vrv;
-    const vf e = exp_ps<N>((zerof - r2) / (fourf * d));
-    const vf f2 = r2 + d * e;
-    const vf term = loadu<vf>(qu + k) / vsqrt_ps(f2);
-    vfh lo, hi;
-    split_f<N>(term, lo, hi);
-    acc_lo += widen_f<N>(lo);
-    acc_hi += widen_f<N>(hi);
-  }
-  double sum = hsum(acc_lo + acc_hi);
-  for (; k < n; ++k) {
-    const float dx = ux[k] - vxf;
-    const float dy = uy[k] - vyf;
-    const float dz = uz[k] - vzf;
-    const float r2 = dx * dx + dy * dy + dz * dz;
-    const float d = static_cast<float>(ru[k]) * rvf;
-    const float e = exp_ps_scalar(-r2 / (4.0f * d));
-    const float f2 = r2 + d * e;
-    const float term = qu[k] / __builtin_sqrtf(f2);
-    sum += static_cast<double>(term);
   }
   return qv * sum;
 }
@@ -350,14 +195,11 @@ KernelSet make_kernel_set(const char* name) {
   KernelSet ks;
   ks.born_integral = &born_integral_w<N, false>;
   ks.born_integral_fast = &born_integral_w<N, true>;
-  ks.born_integral_mixed = &born_integral_mixed_w<N>;
   ks.epol_sum = &epol_sum_w<N, false>;
   ks.epol_sum_fast = &epol_sum_w<N, true>;
-  ks.epol_sum_mixed = &epol_sum_mixed_w<N>;
   ks.epol_far_bins = &epol_far_bins_w<N, false>;
   ks.epol_far_bins_fast = &epol_far_bins_w<N, true>;
   ks.lanes = N;
-  ks.float_lanes = 2 * N;
   ks.name = name;
   return ks;
 }

@@ -8,44 +8,31 @@
 // private copy per TU — the only safe arrangement when the same
 // templates are compiled under different -m ISA flags (a vague-linkage
 // instantiation shared across TUs could bind every TU to, say, the
-// AVX-512 copy and SIGILL on narrower CPUs).
+// AVX2 copy and SIGILL on narrower CPUs).
 //
 // Consequently this file must not include anything itself; the enclosing
 // TU provides <cmath>, <cstdint>, <cstddef> and the octgb headers at
 // global scope before entering the namespace.
 //
 // The lane model: GCC/Clang generic vector extensions with fixed widths —
-// N ∈ {2, 4, 8} double lanes per vector, 2N float lanes in mixed mode.
-// The compiler maps them onto whatever the TU's ISA flags allow (SSE2 or
-// NEON for N=2, AVX2 for N=4, AVX-512F for N=8). All TUs are compiled
-// with -ffp-contract=off so every multiply/add rounds individually; this
-// makes each vector lane bit-identical to the corresponding scalar
-// expression, which the remainder-tail and splice properties in
-// simd_diff_test rely on.
+// N ∈ {2, 4} double lanes per vector. The compiler maps them onto
+// whatever the TU's ISA flags allow (SSE2 or NEON for N=2, AVX2 for N=4).
+// All TUs are compiled with -ffp-contract=off so every multiply/add
+// rounds individually; this makes each vector lane bit-identical to the
+// corresponding scalar expression, which the remainder-tail and splice
+// properties in simd_diff_test rely on.
 
 #ifndef OCTGB_SIMD_PACK_INCLUDED
 #define OCTGB_SIMD_PACK_INCLUDED
 
 typedef double vd2 __attribute__((vector_size(16)));
 typedef double vd4 __attribute__((vector_size(32)));
-typedef double vd8 __attribute__((vector_size(64)));
 typedef std::uint64_t vu2 __attribute__((vector_size(16)));
 typedef std::uint64_t vu4 __attribute__((vector_size(32)));
-typedef std::uint64_t vu8 __attribute__((vector_size(64)));
 typedef std::int64_t vq2 __attribute__((vector_size(16)));
 typedef std::int64_t vq4 __attribute__((vector_size(32)));
-typedef std::int64_t vq8 __attribute__((vector_size(64)));
-typedef float vf2 __attribute__((vector_size(8)));
-typedef float vf4 __attribute__((vector_size(16)));
-typedef float vf8 __attribute__((vector_size(32)));
-typedef float vf16 __attribute__((vector_size(64)));
-typedef std::int32_t vi4 __attribute__((vector_size(16)));
-typedef std::int32_t vi8 __attribute__((vector_size(32)));
-typedef std::int32_t vi16 __attribute__((vector_size(64)));
 
-/// Lane-type bundle for a width of N double lanes. `vf` carries the mixed
-/// mode's 2N float lanes; `vfh` is the N-lane half used when converting
-/// float streams to/from the N-lane double accumulators.
+/// Lane-type bundle for a width of N double lanes.
 template <int N>
 struct lanes_of;
 template <>
@@ -53,30 +40,12 @@ struct lanes_of<2> {
   using vd = vd2;
   using vu = vu2;
   using vq = vq2;
-  using vf = vf4;
-  using vfh = vf2;
-  using vi = vi4;
-  static constexpr int nf = 4;
 };
 template <>
 struct lanes_of<4> {
   using vd = vd4;
   using vu = vu4;
   using vq = vq4;
-  using vf = vf8;
-  using vfh = vf4;
-  using vi = vi8;
-  static constexpr int nf = 8;
-};
-template <>
-struct lanes_of<8> {
-  using vd = vd8;
-  using vu = vu8;
-  using vq = vq8;
-  using vf = vf16;
-  using vfh = vf8;
-  using vi = vi16;
-  static constexpr int nf = 16;
 };
 
 /// Broadcast a scalar into every lane.
@@ -105,11 +74,6 @@ inline double hsum(vd4 v) {
   const vd2 hi = __builtin_shufflevector(v, v, 2, 3);
   return hsum(lo + hi);
 }
-inline double hsum(vd8 v) {
-  const vd4 lo = __builtin_shufflevector(v, v, 0, 1, 2, 3);
-  const vd4 hi = __builtin_shufflevector(v, v, 4, 5, 6, 7);
-  return hsum(lo + hi);
-}
 
 /// Lane-wise IEEE sqrt. The per-element __builtin_sqrt collapses to the
 /// vector sqrt instruction under -fno-math-errno; each lane is correctly
@@ -121,54 +85,6 @@ inline V vsqrt_pd(V x) {
   for (int i = 0; i < n; ++i) r[i] = __builtin_sqrt(x[i]);
   return r;
 }
-template <class V>
-inline V vsqrt_ps(V x) {
-  V r = x;
-  constexpr int n = static_cast<int>(sizeof(V) / sizeof(float));
-  for (int i = 0; i < n; ++i) r[i] = __builtin_sqrtf(x[i]);
-  return r;
-}
-
-/// Split a 2N-lane float vector into its N-lane halves and back.
-template <int N>
-inline void split_f(typename lanes_of<N>::vf v, typename lanes_of<N>::vfh& lo,
-                    typename lanes_of<N>::vfh& hi) {
-  if constexpr (N == 2) {
-    lo = __builtin_shufflevector(v, v, 0, 1);
-    hi = __builtin_shufflevector(v, v, 2, 3);
-  } else if constexpr (N == 4) {
-    lo = __builtin_shufflevector(v, v, 0, 1, 2, 3);
-    hi = __builtin_shufflevector(v, v, 4, 5, 6, 7);
-  } else {
-    lo = __builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7);
-    hi = __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15);
-  }
-}
-template <int N>
-inline typename lanes_of<N>::vf join_f(typename lanes_of<N>::vfh lo,
-                                       typename lanes_of<N>::vfh hi) {
-  if constexpr (N == 2) {
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
-  } else if constexpr (N == 4) {
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
-  } else {
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                   11, 12, 13, 14, 15);
-  }
-}
-
-/// float half → double vector, and double vector → float half. The
-/// conversions are exact (widening) and correctly rounded (narrowing),
-/// identical per lane to the scalar static_casts in the remainder tails.
-template <int N>
-inline typename lanes_of<N>::vd widen_f(typename lanes_of<N>::vfh h) {
-  return __builtin_convertvector(h, typename lanes_of<N>::vd);
-}
-template <int N>
-inline typename lanes_of<N>::vfh narrow_d(typename lanes_of<N>::vd d) {
-  return __builtin_convertvector(d, typename lanes_of<N>::vfh);
-}
-
 /// Vector replica of core::fast_rsqrt, op for op: same bit-level seed,
 /// same two Newton steps. With -ffp-contract=off every lane is bitwise
 /// identical to the scalar function (which the baseline build cannot
@@ -243,39 +159,6 @@ inline typename lanes_of<N>::vd exp_pd(typename lanes_of<N>::vd x) {
   vd r = e * (vd)bits;
   r = x < bc<vd>(-708.0) ? bc<vd>(0.0) : r;
   r = x > bc<vd>(708.0) ? bc<vd>(__builtin_inf()) : r;
-  r = is_nan ? x : r;
-  return r;
-}
-
-/// Single-precision exp for the mixed-precision f_GB kernel (Cephes expf
-/// reduction + degree-5 polynomial, ~1 ulp in float). Inputs below −87
-/// flush to 0 — in f² = r² + d·e the lost denormal tail is ≤ 1e-38·d,
-/// invisible next to r² ≥ 87·4d. The scalar remainder tail uses
-/// exp_ps_scalar (kernels_impl.hpp), which replicates these exact ops.
-template <int N>
-inline typename lanes_of<N>::vf exp_ps(typename lanes_of<N>::vf x) {
-  using vf = typename lanes_of<N>::vf;
-  using vi = typename lanes_of<N>::vi;
-  const auto is_nan = x != x;
-  vf xc = is_nan ? bc<vf>(0.0f) : x;
-  xc = xc > bc<vf>(88.3762626647949f) ? bc<vf>(88.3762626647949f) : xc;
-  xc = xc < bc<vf>(-88.3762626647949f) ? bc<vf>(-88.3762626647949f) : xc;
-  const vf magic = bc<vf>(12582912.0f);  // 1.5 * 2^23
-  const vf t = xc * bc<vf>(1.44269504088896341f);
-  const vf n = (t + magic) - magic;
-  vf px = xc - n * bc<vf>(0.693359375f);
-  px -= n * bc<vf>(-2.12194440e-4f);
-  vf y = bc<vf>(1.9875691500e-4f);
-  y = y * px + bc<vf>(1.3981999507e-3f);
-  y = y * px + bc<vf>(8.3334519073e-3f);
-  y = y * px + bc<vf>(4.1665795894e-2f);
-  y = y * px + bc<vf>(1.6666665459e-1f);
-  y = y * px + bc<vf>(5.0000001201e-1f);
-  y = y * (px * px) + px + bc<vf>(1.0f);
-  const vi ni = __builtin_convertvector(n, vi);
-  const vi bits = (ni + 127) << 23;
-  vf r = y * (vf)bits;
-  r = x < bc<vf>(-87.0f) ? bc<vf>(0.0f) : r;
   r = is_nan ? x : r;
   return r;
 }

@@ -16,7 +16,7 @@ namespace octgb::simd {
 /// `Auto` resolves to the widest ISA this binary was built with *and* the
 /// running CPU supports (see simd::resolve); an explicit width that is not
 /// available clamps down to the widest one that is, so a config recorded
-/// on an AVX-512 host still runs — narrower — everywhere else. `Scalar`
+/// on an AVX2 host still runs — narrower — everywhere else. `Scalar`
 /// turns the explicit vector layer off entirely and keeps the pre-existing
 /// autovectorized SoA loops (the PR 5 behavior, and the reference the
 /// differential tests compare against).
@@ -25,33 +25,17 @@ enum class VectorIsa : std::uint8_t {
   Scalar,  ///< no explicit SIMD: legacy batched/scalar kernels
   V128,    ///< 2 double lanes — portable GCC vector code (SSE2 / NEON)
   V256,    ///< 4 double lanes — AVX2+FMA translation unit
-  V512,    ///< 8 double lanes — AVX-512F translation unit
-};
-
-/// Arithmetic precision of the streamed operands.
-///
-/// `Double` is the default and keeps every kernel bit-compatible with the
-/// repository's determinism contracts (same width → same bits, run to
-/// run). `Mixed` streams coordinates, charges and weighted normals as
-/// `float` at twice the lane count while all accumulation stays `double`;
-/// admissibility classification (near/far criteria, plan capture and
-/// validation) is *never* done in float, so the interaction structure
-/// cannot flip — only the per-term arithmetic carries float rounding
-/// (paper_claims_test pins the energy envelope).
-enum class Precision : std::uint8_t {
-  Double,  ///< double streams, double accumulation (bit-stable default)
-  Mixed,   ///< float streams at 2× lanes, double accumulation
 };
 
 /// The `EngineConfig::approx.vector` knob: which explicit-SIMD kernels the
-/// batched near-field and far-field paths dispatch to. Numerically this
-/// changes results only within the documented ε envelopes (reassociation
-/// for Double, float rounding for Mixed); it never changes operation
-/// counts or the captured interaction-plan structure, which is why it is
-/// part of the Born-cache stamp but *not* of the PlanKey (plan.hpp).
+/// batched near-field and far-field paths dispatch to. Every width streams
+/// and accumulates in double, so numerically this changes results only by
+/// reassociation within the documented ε envelopes; it never changes
+/// operation counts or the captured interaction-plan structure, which is
+/// why it is part of the Born-cache stamp but *not* of the PlanKey
+/// (plan.hpp).
 struct VectorParams {
   VectorIsa isa = VectorIsa::Auto;
-  Precision precision = Precision::Double;
 
   friend bool operator==(const VectorParams&, const VectorParams&) = default;
 };

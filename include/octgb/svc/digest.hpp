@@ -16,8 +16,8 @@
 ///   - the octree build parameters for both trees (they shape topology);
 ///   - the partition/arithmetic knobs of ApproxParams: eps_born, the
 ///     strict-criterion switch, the kernel kind, approx_math, and the
-///     requested VectorParams (width and precision change result bits, so
-///     they must separate artifacts — see DESIGN.md §2.8).
+///     requested VectorParams (the width changes result bits, so it must
+///     separate artifacts — see DESIGN.md §2.8).
 ///
 /// Deliberately *excluded* are the evaluation-time-only knobs that a warm
 /// session re-dials per job without touching trees or plan: eps_epol and

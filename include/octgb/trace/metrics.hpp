@@ -58,12 +58,10 @@ class MetricsRegistry {
   /// ("plan.builds" … per the OBSERVABILITY.md schema).
   void add_plan(const std::string& prefix, const perf::PlanCounters& p);
   /// Record the resolved explicit-SIMD kernel configuration under
-  /// `prefix`: sets "kernel.simd.lanes" / "kernel.simd.mixed" to the
-  /// resolved width and precision mode, and bumps the per-width
-  /// "kernel.simd.evals.<isa>" counter once per call (one call per
-  /// evaluation by convention; see OBSERVABILITY.md).
-  void add_simd(const std::string& prefix, const char* isa_name, int lanes,
-                bool mixed);
+  /// `prefix`: sets "kernel.simd.lanes" to the resolved width, and bumps
+  /// the per-width "kernel.simd.evals.<isa>" counter once per call (one
+  /// call per evaluation by convention; see OBSERVABILITY.md).
+  void add_simd(const std::string& prefix, const char* isa_name, int lanes);
   /// Accumulate scoring-service counters under `prefix` ("svc.submitted"
   /// … per the OBSERVABILITY.md `svc.*` schema).
   void add_svc(const std::string& prefix, const perf::ServiceCounters& s);

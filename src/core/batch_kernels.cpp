@@ -133,10 +133,8 @@ double far_bins(const double* ub, int ulo, int uhi, const double* rep_u,
 constexpr simd::KernelSet kScalarKernels{
     .born_integral = batch_born_integral,
     .born_integral_fast = batch_born_integral_fast,
-    .born_integral_mixed = nullptr,
     .epol_sum = batch_epol_sum,
     .epol_sum_fast = batch_epol_sum_fast,
-    .epol_sum_mixed = nullptr,
     .epol_far_bins = far_bins<false>,
     .epol_far_bins_fast = far_bins<true>,
 };

@@ -8,8 +8,8 @@
 /// (traversal, dual traversal, plan replay) and the GB pair sum and
 /// bin-pair far field of APPROX-EPOL — is computed through a NearField
 /// resolved once per call from (KernelKind, VectorParams, approx_math).
-/// born_near() and epol_near() hold the only copy of the AoS / double /
-/// mixed / fastmath branches; call sites never branch on the arithmetic.
+/// born_near() and epol_near() hold the only copy of the AoS / vector /
+/// fastmath branches; call sites never branch on the arithmetic.
 
 #include <cstdint>
 #include <span>
@@ -23,32 +23,27 @@
 namespace octgb::core::detail {
 
 /// Kernel table of the Scalar ISA: the autovectorized batch_* kernels of
-/// batch_kernels.cpp and the skip-zeros bin-pair far-field loop. Its
-/// `*_mixed` entries are null — float streams need an explicit width.
+/// batch_kernels.cpp and the skip-zeros bin-pair far-field loop.
 const simd::KernelSet& scalar_kernels();
 
 /// Resolved near-field arithmetic of one evaluation.
 struct NearField {
   const simd::KernelSet* set;  ///< never null
-  bool aos;    ///< KernelKind::Scalar: AoS loops for the exact leaf pairs
-  bool mixed;  ///< float-stream kernels (set's *_mixed entries)
-  bool fast;   ///< approx_math: the *_fast entries and fast AoS math
+  bool aos;   ///< KernelKind::Scalar: AoS loops for the exact leaf pairs
+  bool fast;  ///< approx_math: the *_fast entries and fast AoS math
 };
 
 /// Resolve once per call. Precedence: KernelKind::Scalar runs the AoS
-/// loops and the scalar table's far field whatever the ISA; approx_math
-/// overrides a Mixed request; the Scalar ISA (requested or clamped to)
-/// has no mixed kernels, so it ignores Mixed.
+/// loops and the scalar table's far field whatever the ISA; otherwise the
+/// resolved ISA's table runs (the scalar table for the Scalar ISA), with
+/// approx_math selecting its *_fast entries.
 inline NearField select_near_field(KernelKind kernel,
                                    const simd::VectorParams& vector,
                                    bool approx_math) {
-  const simd::VectorParams rvec = simd::resolve(vector);
   const bool aos = kernel == KernelKind::Scalar;
-  const simd::KernelSet* set = aos ? nullptr : simd::kernels(rvec.isa);
+  const simd::KernelSet* set = aos ? nullptr : simd::kernels(vector.isa);
   if (set == nullptr) set = &scalar_kernels();
-  const bool mixed = set->born_integral_mixed != nullptr && !approx_math &&
-                     rvec.precision == simd::Precision::Mixed;
-  return {set, aos, mixed, approx_math};
+  return {set, aos, approx_math};
 }
 
 /// 1/f_GB with optional approximate math (the AoS Epol term).
@@ -75,12 +70,6 @@ void born_near(const NearField& nf, const AtomsTree& ta,
   const double* __restrict ax = ta.soa_x().data();
   const double* __restrict ay = ta.soa_y().data();
   const double* __restrict az = ta.soa_z().data();
-  if (nf.mixed) {
-    const QPointBatchF qb = tq.node_batch_f(q);
-    for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-      add(ai, nf.set->born_integral_mixed(ax[ai], ay[ai], az[ai], qb));
-    return;
-  }
   const QPointBatch qb = tq.node_batch(q);
   const auto fn = nf.fast ? nf.set->born_integral_fast : nf.set->born_integral;
   for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
@@ -112,13 +101,6 @@ inline double epol_near(const NearField& nf, const AtomsTree& tu,
   const double* __restrict vx = tv.soa_x().data();
   const double* __restrict vy = tv.soa_y().data();
   const double* __restrict vz = tv.soa_z().data();
-  if (nf.mixed) {
-    const AtomBatchF ub = tu.node_batch_f(u, born_u);
-    for (std::uint32_t vi = v_begin; vi < v_end; ++vi)
-      sum += nf.set->epol_sum_mixed(vx[vi], vy[vi], vz[vi], tv.charge[vi],
-                                    born_v[vi], ub);
-    return sum;
-  }
   const AtomBatch ub = tu.node_batch(u, born_u);
   const auto fn = nf.fast ? nf.set->epol_sum_fast : nf.set->epol_sum;
   for (std::uint32_t vi = v_begin; vi < v_end; ++vi)

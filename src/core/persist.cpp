@@ -21,7 +21,6 @@ AtomsTree read_atoms_tree(std::istream& in) {
   OCTGB_CHECK_MSG(t.charge.size() == t.tree.num_points() &&
                       t.vdw_radius.size() == t.tree.num_points(),
                   "atoms-tree payload sections disagree with the octree");
-  t.rebuild_derived();
   return t;
 }
 

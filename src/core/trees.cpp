@@ -5,17 +5,6 @@
 
 namespace octgb::core {
 
-namespace {
-
-/// Round a double plane into its float mirror (mixed-precision streams).
-void narrow_plane(std::span<const double> src, std::vector<float>& dst) {
-  dst.resize(src.size());
-  for (std::size_t i = 0; i < src.size(); ++i)
-    dst[i] = static_cast<float>(src[i]);
-}
-
-}  // namespace
-
 AtomsTree AtomsTree::build(const mol::Molecule& mol,
                            const octree::BuildParams& params) {
   OCTGB_SPAN("tree.build.atoms");
@@ -31,32 +20,17 @@ AtomsTree AtomsTree::build(const mol::Molecule& mol,
     t.charge[pos] = atoms[idx[pos]].charge;
     t.vdw_radius[pos] = atoms[idx[pos]].radius;
   }
-  t.rebuild_derived();
   return t;
 }
 
 void AtomsTree::refit(std::span<const geom::Vec3> positions) {
   OCTGB_SPAN("tree.refit.atoms");
   tree.refit(positions);
-  rebuild_derived();
-}
-
-void AtomsTree::rebuild_derived() {
-  // The double coordinate planes live in the octree (written during the
-  // build's sort scatter and refreshed by refit/resort) — no gather here;
-  // only the float mirrors are derived.
-  narrow_plane(tree.soa_x(), soa_xf);
-  narrow_plane(tree.soa_y(), soa_yf);
-  narrow_plane(tree.soa_z(), soa_zf);
-  narrow_plane(charge, charge_f);
 }
 
 std::size_t AtomsTree::footprint_bytes() const {
   return tree.footprint_bytes() + charge.capacity() * sizeof(double) +
-         vdw_radius.capacity() * sizeof(double) +
-         (soa_xf.capacity() + soa_yf.capacity() + soa_zf.capacity() +
-          charge_f.capacity()) *
-             sizeof(float);
+         vdw_radius.capacity() * sizeof(double);
 }
 
 QPointsTree QPointsTree::build(const surface::Surface& surf,
@@ -111,12 +85,6 @@ void QPointsTree::rebuild_derived() {
   soa_wny.resize(wnormal.size());
   soa_wnz.resize(wnormal.size());
   split_soa(wnormal, soa_wnx, soa_wny, soa_wnz);
-  narrow_plane(tree.soa_x(), soa_xf);
-  narrow_plane(tree.soa_y(), soa_yf);
-  narrow_plane(tree.soa_z(), soa_zf);
-  narrow_plane(soa_wnx, soa_wnxf);
-  narrow_plane(soa_wny, soa_wnyf);
-  narrow_plane(soa_wnz, soa_wnzf);
 }
 
 std::size_t QPointsTree::footprint_bytes() const {
@@ -124,10 +92,7 @@ std::size_t QPointsTree::footprint_bytes() const {
          weight.capacity() * sizeof(double) +
          node_wnormal.capacity() * sizeof(geom::Vec3) +
          (soa_wnx.capacity() + soa_wny.capacity() + soa_wnz.capacity()) *
-             sizeof(double) +
-         (soa_xf.capacity() + soa_yf.capacity() + soa_zf.capacity() +
-          soa_wnxf.capacity() + soa_wnyf.capacity() + soa_wnzf.capacity()) *
-             sizeof(float);
+             sizeof(double);
 }
 
 Preprocessed Preprocessed::build(const mol::Molecule& mol,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 
 #include "octgb/trace/trace.hpp"
@@ -12,6 +13,24 @@
 namespace octgb::octree {
 
 namespace {
+
+bool finite(const geom::Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+
+/// A NaN or infinite coordinate has no Morton cell and poisons every
+/// centroid and radius above its leaf, so every entry point rejects it.
+void check_point(std::span<const geom::Vec3> pts, std::size_t i,
+                 const char* op) {
+  OCTGB_CHECK_MSG(finite(pts[i]), op << ": point " << i
+                                     << " has a non-finite coordinate "
+                                     << pts[i]);
+}
+
+/// Throws CheckError naming the first non-finite point of `pts`.
+void check_finite(std::span<const geom::Vec3> pts, const char* op) {
+  for (std::size_t i = 0; i < pts.size(); ++i) check_point(pts, i, op);
+}
 
 // ---------------------------------------------------------------------------
 // Shared geometry passes (build + refit + resort use these; deduplicated
@@ -236,13 +255,20 @@ struct MortonBuilder {
       OCTGB_SPAN("tree.build.sort");
       pairs.resize(n);
       const MortonGrid grid = t.grid_;
+      // The key pass reads every point, so it also flags non-finite ones
+      // (quantize() keeps their keys defined); the serial rescan that
+      // names the first one runs only on that error path.
+      std::atomic<bool> non_finite{false};
       ws::Scheduler::parallel_for(
           0, static_cast<std::int64_t>(n), 0,
           [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t i = lo; i < hi; ++i)
+            for (std::int64_t i = lo; i < hi; ++i) {
+              if (!finite(input[i])) non_finite = true;
               pairs[i] = {grid.key(input[i]),
                           static_cast<std::uint32_t>(i)};
+            }
           });
+      if (non_finite) check_finite(input, "Octree::build");
       if (comparison_sort)
         ws::parallel_sort(std::span<KeyId>(pairs), key_id_less);
       else
@@ -268,15 +294,11 @@ struct MortonBuilder {
     t.stats_.points_sorted += input.size();
 
     std::vector<KeyId> pairs;
-    if (params.parallel) {
-      // Sort + scatter + leaf geometry all parallelize; below 8192 points
-      // a private pool costs more than it saves.
-      ws::with_workers(input.size(), 8192, [&](bool parallel) {
-        pipeline(t, input, pairs, params, parallel);
-      });
-    } else {
-      pipeline(t, input, pairs, params, false);
-    }
+    // Sort + scatter + leaf geometry all parallelize; below 8192 points a
+    // private pool costs more than it saves.
+    ws::with_workers(input.size(), 8192, [&](bool parallel) {
+      pipeline(t, input, pairs, params, parallel);
+    });
 
     t.finish_derived();
     t.stats_.nodes_emitted += t.nodes_.size();
@@ -426,8 +448,12 @@ bool Octree::resort(std::span<const geom::Vec3> positions,
   const std::size_t n = positions.size();
   // A point outside the build grid's cube would silently clamp to a
   // boundary cell; signal the caller to rebuild on a fresh grid instead.
-  for (const geom::Vec3& p : positions)
-    if (!grid_.contains(p)) return false;
+  bool inside = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    check_point(positions, i, "Octree::resort");
+    inside = inside && grid_.contains(positions[i]);
+  }
+  if (!inside) return false;
 
   // Split the tree-order pairs into the stayed subsequence (new key equals
   // the stored build-time key — already (key, id)-sorted) and the moved
@@ -490,6 +516,9 @@ Octree Octree::from_parts(std::vector<Node> nodes,
 void Octree::refit(std::span<const geom::Vec3> positions) {
   OCTGB_CHECK_MSG(positions.size() == points_.size(),
                   "refit needs the original point count");
+  // Checked before the first write, so a rejected refit leaves the tree
+  // as it was.
+  check_finite(positions, "Octree::refit");
   for (std::size_t pos = 0; pos < point_index_.size(); ++pos) {
     const geom::Vec3 p = positions[point_index_[pos]];
     points_[pos] = p;

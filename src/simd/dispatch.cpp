@@ -17,8 +17,6 @@ int rank(VectorIsa isa) {
       return 1;
     case VectorIsa::V256:
       return 2;
-    case VectorIsa::V512:
-      return 3;
     case VectorIsa::Auto:
       break;
   }
@@ -28,7 +26,6 @@ int rank(VectorIsa isa) {
 VectorIsa detect_cpu_widest() {
 #if defined(__x86_64__) || defined(_M_X64)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return VectorIsa::V512;
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return VectorIsa::V256;
   return VectorIsa::V128;  // SSE2 is the x86-64 baseline
@@ -48,24 +45,10 @@ VectorIsa widest_available() {
   return widest;
 }
 
-/// What Auto resolves to. Deliberately stops at 256 bits even when
-/// AVX-512 is runnable: 512-bit execution is frequency-throttled or
-/// emulated on many parts (client cores, some hypervisors), and the
-/// division-bound Born kernel rarely recovers the clock loss from the
-/// extra lanes — measured replay throughput regresses v512 vs v256 on
-/// such hosts. An explicit isa = V512 opts in after measuring;
-/// bench_kernels emits one series per width for exactly that decision.
-VectorIsa auto_isa() {
-  const VectorIsa widest = widest_available();
-  return rank(widest) > rank(VectorIsa::V256) ? VectorIsa::V256 : widest;
-}
-
 }  // namespace
 
 VectorIsa max_built_isa() {
-#if defined(OCTGB_SIMD_HAS_V512)
-  return VectorIsa::V512;
-#elif defined(OCTGB_SIMD_HAS_V256)
+#if defined(OCTGB_SIMD_HAS_V256)
   return VectorIsa::V256;
 #else
   return VectorIsa::V128;
@@ -81,7 +64,7 @@ bool isa_available(VectorIsa isa) {
 VectorIsa resolve_isa(VectorIsa requested) {
   if (requested == VectorIsa::Scalar) return VectorIsa::Scalar;
   const VectorIsa widest = widest_available();
-  if (requested == VectorIsa::Auto) return auto_isa();
+  if (requested == VectorIsa::Auto) return widest;
   return rank(requested) <= rank(widest) ? requested : widest;
 }
 
@@ -98,10 +81,6 @@ const KernelSet* kernels(VectorIsa isa) {
     case VectorIsa::V256:
       return detail::make_kernels_v256();
 #endif
-#if defined(OCTGB_SIMD_HAS_V512)
-    case VectorIsa::V512:
-      return detail::make_kernels_v512();
-#endif
     default:
       return nullptr;  // Scalar: use the legacy batch kernels
   }
@@ -117,8 +96,6 @@ const char* isa_name(VectorIsa isa) {
       return "v128";
     case VectorIsa::V256:
       return "v256";
-    case VectorIsa::V512:
-      return "v512";
   }
   return "?";
 }

@@ -1,9 +1,9 @@
-// 128-bit (2 double lanes / 4 float lanes) kernels — the portable width.
+// 128-bit (2 double lanes) kernels — the portable width.
 // Compiled with the build's baseline flags only (SSE2 on x86-64, NEON on
 // aarch64, plain scalar expansion elsewhere), plus -fno-math-errno and
 // -ffp-contract=off (see src/simd/CMakeLists.txt). Everything from
 // kernels_impl.hpp lands in an anonymous namespace so these
-// instantiations can never be merged with the AVX2/AVX-512 TUs'.
+// instantiations can never be merged with the AVX2 TU's.
 
 #include <cmath>
 #include <cstddef>

@@ -1,4 +1,4 @@
-// 256-bit (4 double lanes / 8 float lanes) kernels, compiled with
+// 256-bit (4 double lanes) kernels, compiled with
 // -mavx2 -mfma (plus -fno-math-errno -ffp-contract=off; contraction is
 // disabled so each lane stays bit-identical to the scalar reference ops —
 // see pack.hpp). Only compiled when the compiler supports the flags and

@@ -67,19 +67,15 @@ Digest digest_job_inputs(const mol::Molecule& mol,
   b.pod(surface.subdivision);
   b.pod(surface.quad_degree);
   b.pod(surface.burial_scale);
-  // Tree topology knobs. The Morton fields must separate artifacts too:
+  // Tree topology knobs. The Morton field must separate artifacts too:
   // grid_bits changes node partitions (and therefore plan capture order
-  // and result bits), and `parallel` is pinned for safety so
-  // a sort-path bug could never alias two artifacts (the sorts are
-  // deterministic by construction, but the digest should not rely on it).
+  // and result bits).
   b.pod(config.atoms_tree_params.max_leaf_size);
   b.pod(config.atoms_tree_params.max_depth);
   b.pod(config.atoms_tree_params.grid_bits);
-  b.pod(config.atoms_tree_params.parallel);
   b.pod(config.qpoints_tree_params.max_leaf_size);
   b.pod(config.qpoints_tree_params.max_depth);
   b.pod(config.qpoints_tree_params.grid_bits);
-  b.pod(config.qpoints_tree_params.parallel);
   // Partition + arithmetic knobs (everything the plan key or the Born
   // cache stamp depends on). eps_epol and GBParams are deliberately
   // absent — they are warm re-dials on a shared artifact.
@@ -88,7 +84,6 @@ Digest digest_job_inputs(const mol::Molecule& mol,
   b.pod(config.approx.kernel);
   b.pod(config.approx.approx_math);
   b.pod(config.approx.vector.isa);
-  b.pod(config.approx.vector.precision);
   return b.finish();
 }
 

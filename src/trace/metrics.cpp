@@ -131,11 +131,9 @@ void MetricsRegistry::add_tree_build(const std::string& prefix,
 }
 
 void MetricsRegistry::add_simd(const std::string& prefix,
-                               const char* isa_name, int lanes, bool mixed) {
+                               const char* isa_name, int lanes) {
   set(scoped("kernel.simd.lanes", prefix),
       static_cast<std::uint64_t>(lanes));
-  set(scoped("kernel.simd.mixed", prefix),
-      static_cast<std::uint64_t>(mixed ? 1 : 0));
   add(scoped(std::string("kernel.simd.evals.") + isa_name, prefix),
       std::uint64_t{1});
 }

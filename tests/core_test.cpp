@@ -403,13 +403,9 @@ TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
       {"single leaf", small, 64},
       {"one atom", one_atom, 32},
   };
-  std::vector<simd::VectorParams> vectors = {{simd::VectorIsa::Scalar, {}}};
-  for (auto isa : {simd::VectorIsa::V128, simd::VectorIsa::V256,
-                   simd::VectorIsa::V512}) {
-    if (!simd::isa_available(isa)) continue;
-    vectors.push_back({isa, simd::Precision::Double});
-    vectors.push_back({isa, simd::Precision::Mixed});
-  }
+  std::vector<simd::VectorParams> vectors = {{simd::VectorIsa::Scalar}};
+  for (auto isa : {simd::VectorIsa::V128, simd::VectorIsa::V256})
+    if (simd::isa_available(isa)) vectors.push_back({isa});
   const GBParams gb;
   for (const auto& in : inputs) {
     const auto ta = core::AtomsTree::build(
@@ -433,19 +429,12 @@ TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
                                   approx_math, gb, wm, kernel, vec);
             const double oracle = core::approx_epol_atom_based(
                 ta, ctx, born, 0, n, eps, approx_math, gb, wo, kernel, vec);
-            // Mixed streams round each term in float from either side, so
-            // the two orientations differ at float, not double, level.
-            const bool float_terms = kernel == core::KernelKind::Batched &&
-                                     vec.precision == simd::Precision::Mixed &&
-                                     !approx_math;
-            const double tol = float_terms ? 1e-7 : 1e-12;
             const std::string where =
                 std::string(in.name) + " eps=" + std::to_string(eps) +
                 " kernel=" + std::to_string(int(kernel)) +
                 " isa=" + std::to_string(int(vec.isa)) +
-                " prec=" + std::to_string(int(vec.precision)) +
                 " approx_math=" + std::to_string(approx_math);
-            EXPECT_NEAR(mirrored, oracle, tol * std::abs(oracle)) << where;
+            EXPECT_NEAR(mirrored, oracle, 1e-12 * std::abs(oracle)) << where;
             EXPECT_EQ(wm.epol_exact, wo.epol_exact) << where;
             EXPECT_EQ(wm.epol_bins, wo.epol_bins) << where;
             EXPECT_EQ(wm.epol_visits, wo.epol_visits) << where;

@@ -369,8 +369,6 @@ TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   const std::vector<double> x(17, 0.0), y(17, 0.0), z(17, 0.0);
   const std::vector<double> wnx(17, 1.0), wny(17, 0.0), wnz(17, 0.0);
   const QPointBatch q{x, y, z, wnx, wny, wnz};
-  const std::vector<float> xf(17, 0.0f), wnxf(17, 1.0f), zf(17, 0.0f);
-  const core::QPointBatchF qf{xf, xf, xf, wnxf, zf, zf};
 
   for (bool fast : {false, true}) {
     EXPECT_EQ(core::scalar_born_pair(pa, tq, 0, 1, fast), 0.0) << fast;
@@ -378,13 +376,11 @@ TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
                           : core::batch_born_integral(pa.x, 0.0, 0.0, q);
     EXPECT_EQ(b, 0.0) << fast;
   }
-  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256,
-                              simd::VectorIsa::V512}) {
+  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256}) {
     if (!simd::isa_available(isa)) continue;
     const simd::KernelSet* k = simd::kernels(isa);
     EXPECT_EQ(k->born_integral(pa.x, 0.0, 0.0, q), 0.0) << k->name;
     EXPECT_EQ(k->born_integral_fast(pa.x, 0.0, 0.0, q), 0.0) << k->name;
-    EXPECT_EQ(k->born_integral_mixed(pa.x, 0.0, 0.0, qf), 0.0) << k->name;
   }
 }
 

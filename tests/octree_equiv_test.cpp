@@ -176,13 +176,13 @@ TEST(BuildEquivalenceProtein, PinnedGridBuildMatchesAutoGrid) {
 // ---- scheduler determinism ---------------------------------------------------
 
 TEST(SchedulerSortDeterminism, SerialAndParallelBuildsAreBitIdentical) {
+  // A 1-worker scheduler runs the build serially on the radix sort; a
+  // 4-worker one runs the parallel comparison sort.
   const auto pts = protein_points(9000, 79);
-  BuildParams serial_params;
-  serial_params.parallel = false;
-  const Octree serial = Octree::build(pts, serial_params);
-  BuildParams parallel_params;
-  parallel_params.parallel = true;
-  const Octree parallel = Octree::build(pts, parallel_params);
+  ws::Scheduler one_worker(1), four_workers(4);
+  Octree serial, parallel;
+  one_worker.run([&] { serial = Octree::build(pts); });
+  four_workers.run([&] { parallel = Octree::build(pts); });
   expect_bit_identical(serial, parallel);
   // The radix path reports its (deterministic) permute-pass count; the
   // comparison sort reports none.
@@ -195,8 +195,7 @@ TEST(SchedulerSortDeterminism, TreeIsIdenticalAcrossWorkerCounts) {
   // every energy computed over it) cannot depend on the machine. Also the
   // TSan target for the sort path.
   const auto pts = protein_points(9000, 80);
-  BuildParams params;
-  params.parallel = true;
+  const BuildParams params;
   const Octree reference = Octree::build(pts, params);
   for (const int workers : {1, 2, 4}) {
     ws::Scheduler sched(workers);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "octgb/mol/generate.hpp"
 #include "octgb/octree/nblist.hpp"
@@ -373,6 +375,19 @@ TEST(MortonGridT, QuantizeClampsOutOfCubeCoordinates) {
   EXPECT_LE(g.quantize(g.origin.x + side_len, g.origin.x), g.side() - 1);
 }
 
+TEST(MortonGridT, QuantizeIsDefinedForNonFiniteCoordinates) {
+  // The key pass quantizes every point before the builder rejects the
+  // non-finite ones, so quantize() must clamp them without an undefined
+  // float-to-integer conversion.
+  const std::vector<geom::Vec3> pts = {{0, 0, 0}, {10, 10, 10}};
+  const octree::MortonGrid g = octree::MortonGrid::of(pts, 8);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(g.quantize(std::numeric_limits<double>::quiet_NaN(), g.origin.x),
+            0u);
+  EXPECT_EQ(g.quantize(inf, g.origin.x), g.side() - 1);
+  EXPECT_EQ(g.quantize(-inf, g.origin.x), 0u);
+}
+
 TEST(Morton, CoincidentPointsShareOneKeyAndOneLeaf) {
   // Equal keys can never be separated by more digits: the Morton builder
   // makes the run a leaf immediately (no depth-capped degenerate chains).
@@ -457,4 +472,118 @@ TEST(OctreeSerialize, FileRoundTrip) {
   EXPECT_EQ(loaded.num_points(), t.num_points());
   std::remove(path.c_str());
   EXPECT_THROW(octree::read_octree_file(path), octgb::util::CheckError);
+}
+
+// ---- non-finite input --------------------------------------------------------
+
+#include "octgb/ws/scheduler.hpp"
+
+namespace {
+
+/// One non-finite coordinate: NaN, +inf or −inf on one axis.
+struct NonFinite {
+  double value;
+  int axis;
+};
+
+std::vector<NonFinite> non_finite_cases() {
+  std::vector<NonFinite> out;
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()})
+    for (int axis = 0; axis < 3; ++axis) out.push_back({v, axis});
+  return out;
+}
+
+std::string label(const NonFinite& c) {
+  return std::to_string(c.value) + " on axis " + "xyz"[c.axis];
+}
+
+/// `pts` with one coordinate of point `i` replaced.
+std::vector<geom::Vec3> poisoned(std::vector<geom::Vec3> pts, std::size_t i,
+                                 const NonFinite& c) {
+  double* coord[] = {&pts[i].x, &pts[i].y, &pts[i].z};
+  *coord[c.axis] = c.value;
+  return pts;
+}
+
+/// `call` must throw a CheckError naming entry point `op` and point `i`.
+template <class Call>
+void expect_rejects(const Call& call, const char* op, std::size_t i) {
+  try {
+    call();
+    ADD_FAILURE() << op << " accepted a non-finite point";
+  } catch (const octgb::util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(op), std::string::npos) << what;
+    EXPECT_NE(what.find("point " + std::to_string(i) + " "),
+              std::string::npos)
+        << what;
+  }
+}
+
+constexpr std::size_t kBad = 137;
+
+}  // namespace
+
+TEST(OctreeNonFinite, BuildRejectsNanAndInfOnEveryAxis) {
+  const auto pts = random_points(200, 41);
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    const auto bad = poisoned(pts, kBad, c);
+    expect_rejects([&] { (void)Octree::build(bad); }, "Octree::build", kBad);
+  }
+  // Above the private-pool threshold, and under a 4-worker scheduler, the
+  // flag is raised inside the parallel key pass.
+  const auto big = random_points(10000, 42);
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    const auto bad = poisoned(big, 9001, c);
+    expect_rejects([&] { (void)Octree::build(bad); }, "Octree::build", 9001);
+    ws::Scheduler sched(4);
+    expect_rejects([&] { sched.run([&] { (void)Octree::build(bad); }); },
+                   "Octree::build", 9001);
+  }
+}
+
+TEST(OctreeNonFinite, BuildWithGridRejectsNanAndInfOnEveryAxis) {
+  const auto pts = random_points(200, 43);
+  const octree::MortonGrid grid = octree::MortonGrid::of(pts, 21);
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    const auto bad = poisoned(pts, kBad, c);
+    expect_rejects([&] { (void)Octree::build_with_grid(bad, grid); },
+                   "Octree::build", kBad);
+  }
+}
+
+TEST(OctreeNonFinite, RefitRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
+  const auto pts = random_points(200, 44);
+  Octree t = Octree::build(pts);
+  const Octree::Node root = t.root();
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    const auto bad = poisoned(pts, kBad, c);
+    expect_rejects([&] { t.refit(bad); }, "Octree::refit", kBad);
+    // Rejected before the first write: points and geometry untouched.
+    EXPECT_TRUE(std::ranges::equal(t.points(), Octree::build(pts).points()));
+    EXPECT_EQ(t.root().centroid, root.centroid);
+    EXPECT_EQ(t.root().radius, root.radius);
+  }
+}
+
+TEST(OctreeNonFinite, ResortRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
+  const auto pts = random_points(200, 45);
+  const BuildParams params;
+  Octree t = Octree::build(pts, params);
+  const Octree::Node root = t.root();
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    const auto bad = poisoned(pts, kBad, c);
+    expect_rejects([&] { (void)t.resort(bad, params); }, "Octree::resort",
+                   kBad);
+    EXPECT_EQ(t.root().centroid, root.centroid);
+    EXPECT_EQ(t.root().radius, root.radius);
+    EXPECT_TRUE(t.validate());
+  }
 }

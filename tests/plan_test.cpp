@@ -433,7 +433,7 @@ struct CaptureParams {
   PlanFlavor flavor;
   bool strict;
   simd::VectorIsa isa;
-  simd::Precision precision;
+  bool approx_math;
 };
 
 void expect_same_born_counters(const perf::WorkCounters& got,
@@ -449,14 +449,13 @@ void expect_same_born_counters(const perf::WorkCounters& got,
 /// walk, the serial recorder capture, the parallel capture + replay
 /// through the engine, and the parallel validate of the recorded plan.
 void expect_capture_matches_recorder(const CaptureParams& c,
-                                     core::KernelKind kernel,
-                                     bool approx_math) {
-  const auto [flavor, strict, isa, precision] = c;
+                                     core::KernelKind kernel) {
+  const auto [flavor, strict, isa, approx_math] = c;
   if (!simd::isa_available(isa)) GTEST_SKIP() << "width not runnable here";
   const Problem p(700);
   core::EngineConfig config;
   config.approx.strict_born_criterion = strict;
-  config.approx.vector = {isa, precision};
+  config.approx.vector = {isa};
   config.approx.kernel = kernel;
   config.approx.approx_math = approx_math;
   const simd::VectorParams rvec = simd::resolve(config.approx.vector);
@@ -538,29 +537,27 @@ void expect_capture_matches_recorder(const CaptureParams& c,
 class ParallelCapture : public ::testing::TestWithParam<CaptureParams> {};
 
 TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
-  expect_capture_matches_recorder(GetParam(), core::KernelKind::Batched,
-                                  false);
+  expect_capture_matches_recorder(GetParam(), core::KernelKind::Batched);
 }
 
 std::vector<CaptureParams> capture_matrix() {
   std::vector<CaptureParams> out;
   for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
     for (bool strict : {false, true})
-      for (simd::VectorIsa isa :
-           {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
-            simd::VectorIsa::V256, simd::VectorIsa::V512})
-        for (simd::Precision precision :
-             {simd::Precision::Double, simd::Precision::Mixed})
-          out.push_back({flavor, strict, isa, precision});
+      for (simd::VectorIsa isa : {simd::VectorIsa::Scalar,
+                                  simd::VectorIsa::V128,
+                                  simd::VectorIsa::V256})
+        out.push_back({flavor, strict, isa, false});
   return out;
 }
 
+/// The "Double" suffix names the double arithmetic every row runs; it
+/// keeps the case names the suite has always printed.
 std::string capture_label(const CaptureParams& c) {
-  static constexpr const char* kIsa[] = {"Auto", "Scalar", "V128", "V256",
-                                         "V512"};
+  static constexpr const char* kIsa[] = {"Auto", "Scalar", "V128", "V256"};
   return std::string(c.flavor == PlanFlavor::Single ? "Single" : "Dual") +
          (c.strict ? "Strict" : "Loose") + kIsa[static_cast<int>(c.isa)] +
-         (c.precision == simd::Precision::Double ? "Double" : "Mixed");
+         "Double";
 }
 
 std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
@@ -571,45 +568,35 @@ INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCapture,
                          ::testing::ValuesIn(capture_matrix()), capture_name);
 
 // The near-field selector rows beyond ParallelCapture's default kernel
-// (Batched, exact math). A separate parameter struct keeps the 32 cases
+// (Batched, exact math). A separate parameter struct keeps the cases
 // above under their names: gtest prints an unprintable parameter's raw
 // bytes into the test name.
 struct SelectorParams {
   CaptureParams capture;
   core::KernelKind kernel;
-  bool approx_math;
 };
 
 class ParallelCaptureSelector
     : public ::testing::TestWithParam<SelectorParams> {};
 
 TEST_P(ParallelCaptureSelector, MatchesSerialRecorderBitForBit) {
-  const auto& [capture, kernel, approx_math] = GetParam();
-  expect_capture_matches_recorder(capture, kernel, approx_math);
+  expect_capture_matches_recorder(GetParam().capture, GetParam().kernel);
 }
 
-/// Loose criterion only, to bound the runtime: approx_math at every width
-/// and precision (fastmath overrides Mixed), and the AoS kernel with and
-/// without approx_math at the Scalar ISA and at V128 Mixed (which AoS
-/// ignores).
+/// Loose criterion only, to bound the runtime: approx_math at every
+/// width, and the AoS kernel with and without approx_math at the Scalar
+/// ISA and at V128 (which AoS ignores).
 std::vector<SelectorParams> selector_matrix() {
-  using simd::Precision;
   using simd::VectorIsa;
   std::vector<SelectorParams> out;
   for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
     for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128,
-                          VectorIsa::V256, VectorIsa::V512})
-      for (Precision precision : {Precision::Double, Precision::Mixed})
-        out.push_back({{flavor, false, isa, precision},
-                       core::KernelKind::Batched,
-                       true});
-    for (const auto& [isa, precision] :
-         {std::pair{VectorIsa::Scalar, Precision::Double},
-          std::pair{VectorIsa::V128, Precision::Mixed}})
+                          VectorIsa::V256})
+      out.push_back({{flavor, false, isa, true}, core::KernelKind::Batched});
+    for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128})
       for (bool approx_math : {false, true})
-        out.push_back({{flavor, false, isa, precision},
-                       core::KernelKind::Scalar,
-                       approx_math});
+        out.push_back(
+            {{flavor, false, isa, approx_math}, core::KernelKind::Scalar});
   }
   return out;
 }
@@ -619,7 +606,7 @@ std::string selector_name(
   const SelectorParams& s = p.param;
   return capture_label(s.capture) +
          (s.kernel == core::KernelKind::Scalar ? "Aos" : "") +
-         (s.approx_math ? "Fast" : "");
+         (s.capture.approx_math ? "Fast" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCaptureSelector,

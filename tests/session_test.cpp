@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "octgb/core/engine.hpp"
@@ -180,6 +181,31 @@ TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
   }
 }
 
+TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
+  // Exact accounting, built or reloaded: each octree plus its tree-order
+  // payload planes and nothing else. T_A carries charge and vdW radius;
+  // T_Q carries w·n and w per point, three w·n SoA planes, and one w·n
+  // aggregate per node.
+  const Problem p(400);
+  const auto expect_exact = [](const core::Preprocessed& pre) {
+    const core::AtomsTree& ta = pre.atoms;
+    const core::QPointsTree& tq = pre.qpoints;
+    EXPECT_EQ(ta.footprint_bytes(),
+              ta.tree.footprint_bytes() + ta.num_atoms() * 2 * sizeof(double));
+    EXPECT_EQ(tq.footprint_bytes(),
+              tq.tree.footprint_bytes() +
+                  tq.num_points() * (sizeof(geom::Vec3) + 4 * sizeof(double)) +
+                  tq.tree.nodes().size() * sizeof(geom::Vec3));
+    EXPECT_EQ(pre.footprint_bytes(),
+              ta.footprint_bytes() + tq.footprint_bytes());
+  };
+  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
+  expect_exact(pre);
+  std::stringstream ss;
+  core::write_preprocessed(pre, ss);
+  expect_exact(core::read_preprocessed(ss));
+}
+
 // ---- ScoringSession: parameter re-evaluation --------------------------------
 
 TEST(Session, SecondEpsilonMatchesColdEngineBitForBit) {
@@ -259,6 +285,38 @@ TEST(Session, LargeMoveTriggersRebuild) {
   const bool rebuilt = session.update(scattered, scattered_surf);
   EXPECT_TRUE(rebuilt);
   EXPECT_GE(session.move_stats().rebuilds, 1u);
+}
+
+TEST(Session, NonFiniteCoordinatesAreRejectedBeforeTheTreesMove) {
+  // The octree rejects NaN and ±inf, so every core path that feeds it
+  // throws instead of building a tree with a NaN centroid or an infinite
+  // radius — and a rejected refit leaves the engine's trees untouched.
+  const Problem base(300);
+  std::vector<geom::Vec3> moved(base.molecule.size());
+  for (std::size_t i = 0; i < moved.size(); ++i)
+    moved[i] = base.molecule.atom(i).pos;
+  moved[42].y = std::numeric_limits<double>::quiet_NaN();
+
+  GBEngine engine(base.molecule, base.surf);
+  const double e0 = engine.compute().epol;
+  const std::uint64_t epoch = engine.geometry_epoch();
+  EXPECT_THROW(engine.refit_atoms(moved), util::CheckError);
+  EXPECT_EQ(engine.geometry_epoch(), epoch);
+  EXPECT_EQ(engine.compute().epol, e0);
+
+  surface::Surface bad_surf = base.surf;
+  bad_surf.positions[7].z = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.refit_qpoints(bad_surf), util::CheckError);
+  EXPECT_THROW(core::QPointsTree::build(bad_surf), util::CheckError);
+  EXPECT_EQ(engine.compute().epol, e0);
+
+  ScoringSession session(base.molecule, base.surf);
+  EXPECT_THROW(session.update(moved, base.surf), util::CheckError);
+  ScoringSession posed(base.molecule, base.surf);
+  const auto nan_shift = geom::RigidTransform::translate(
+      {-std::numeric_limits<double>::infinity(), 0.0, 0.0});
+  EXPECT_THROW(posed.apply_pose(nan_shift, base.molecule.size() / 2),
+               util::CheckError);
 }
 
 // ---- ScoringSession: pose streams -------------------------------------------

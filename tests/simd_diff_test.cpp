@@ -1,7 +1,7 @@
-// Width × precision differential test matrix for the explicit vector
-// layer (octgb/simd/, DESIGN.md §2.7). Every compiled-and-runnable width
-// is driven over generator-built spans of every remainder shape
-// (lengths 1 .. 4·maxlanes+3, several base-pointer offsets) and checked
+// Width differential test matrix for the explicit vector layer
+// (octgb/simd/, DESIGN.md §2.7). Every compiled-and-runnable width is
+// driven over generator-built spans of every remainder shape (lengths
+// 1 .. 8·maxlanes+3, several base-pointer offsets) and checked
 // against the scalar reference kernels in core/batch_kernels:
 //
 //   · double kernels agree up to reassociation (ε-bounds) and are
@@ -12,16 +12,14 @@
 //     -ffp-contract=off to match);
 //   · the splice property: vec(span) == vec(aligned prefix) followed by
 //     per-element reference accumulation of the tail, bit for bit;
-//   · mixed precision stays inside the float-rounding envelope of the
-//     double kernel and never flips a near/far classification (the engine
-//     work counters are width- and precision-invariant);
 //   · the bin-pair far-field kernel reproduces the scalar skip-zeros loop
 //     including its exact binpair count;
 //   · denormal, huge, coincident, and zero-weight inputs stay finite
 //     (this test runs under ASan/UBSan in the CI simd-matrix job);
-//   · engine-level: every width agrees with the Scalar vector path, warm
-//     plan replay stays bitwise, and a width/precision switch repopulates
-//     the Born cache instead of serving stale radii.
+//   · engine-level: every width agrees with the Scalar vector path and
+//     never flips a near/far classification (the engine work counters
+//     are width-invariant), warm plan replay stays bitwise, and a width
+//     switch repopulates the Born cache instead of serving stale radii.
 
 #include <gtest/gtest.h>
 
@@ -44,32 +42,27 @@
 
 using namespace octgb;
 using core::AtomBatch;
-using core::AtomBatchF;
 using core::EvalScratch;
 using core::GBEngine;
 using core::QPointBatch;
-using core::QPointBatchF;
 using simd::KernelSet;
-using simd::Precision;
 using simd::VectorIsa;
 using simd::VectorParams;
 
 namespace {
 
-/// Longest span shape the matrix covers: 4 full vectors of the widest
-/// possible build (8 double lanes) plus a 3-element remainder.
-constexpr std::size_t kMaxSpan = 4 * 8 + 3;
+/// Longest span shape the matrix covers: 8 full vectors of the widest
+/// build (4 double lanes) plus a 3-element remainder.
+constexpr std::size_t kMaxSpan = 8 * 4 + 3;
 /// Base offsets into the backing arrays: exercise every distinct
-/// (unaligned) load alignment an 8-lane vector can see.
+/// (unaligned) load alignment a 4-lane vector can see.
 constexpr std::size_t kOffsets[] = {0, 1, 3, 5};
 
-const VectorIsa kWidths[] = {VectorIsa::V128, VectorIsa::V256,
-                             VectorIsa::V512};
+const VectorIsa kWidths[] = {VectorIsa::V128, VectorIsa::V256};
 
 /// Deterministic random SoA planes backing every span in the matrix.
 struct SpanData {
   std::vector<double> x, y, z, wnx, wny, wnz, charge, born;
-  std::vector<float> xf, yf, zf, wnxf, wnyf, wnzf, chargef;
 
   explicit SpanData(std::uint64_t seed, std::size_t n = kMaxSpan + 8) {
     util::Xoshiro256 rng(seed);
@@ -85,19 +78,6 @@ struct SpanData {
     fill(wnz, -0.5, 0.5);
     fill(charge, -1.0, 1.0);
     fill(born, 1.0, 3.0);
-    const auto narrow = [n](const std::vector<double>& src,
-                            std::vector<float>& dst) {
-      dst.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<float>(src[i]);
-    };
-    narrow(x, xf);
-    narrow(y, yf);
-    narrow(z, zf);
-    narrow(wnx, wnxf);
-    narrow(wny, wnyf);
-    narrow(wnz, wnzf);
-    narrow(charge, chargef);
   }
 
   QPointBatch qspan(std::size_t off, std::size_t len) const {
@@ -107,54 +87,13 @@ struct SpanData {
             std::span(wny).subspan(off, len),
             std::span(wnz).subspan(off, len)};
   }
-  QPointBatchF qspan_f(std::size_t off, std::size_t len) const {
-    return {std::span(xf).subspan(off, len), std::span(yf).subspan(off, len),
-            std::span(zf).subspan(off, len),
-            std::span(wnxf).subspan(off, len),
-            std::span(wnyf).subspan(off, len),
-            std::span(wnzf).subspan(off, len)};
-  }
   AtomBatch aspan(std::size_t off, std::size_t len) const {
     return {std::span(x).subspan(off, len), std::span(y).subspan(off, len),
             std::span(z).subspan(off, len),
             std::span(charge).subspan(off, len),
             std::span(born).subspan(off, len)};
   }
-  AtomBatchF aspan_f(std::size_t off, std::size_t len) const {
-    return {std::span(xf).subspan(off, len), std::span(yf).subspan(off, len),
-            std::span(zf).subspan(off, len),
-            std::span(chargef).subspan(off, len),
-            std::span(born).subspan(off, len)};
-  }
 };
-
-/// Σ|term| of the exact Born integral — the natural scale for mixed-mode
-/// absolute error bounds (the signed sum can cancel to ~0).
-double born_term_scale(double ax, double ay, double az,
-                       const QPointBatch& q) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < q.size(); ++k) {
-    const double dx = q.x[k] - ax, dy = q.y[k] - ay, dz = q.z[k] - az;
-    const double r2 = dx * dx + dy * dy + dz * dz;
-    if (r2 < 1e-12) continue;
-    s += std::abs(q.wnx[k] * dx + q.wny[k] * dy + q.wnz[k] * dz) /
-         (r2 * r2 * r2);
-  }
-  return s;
-}
-
-double epol_term_scale(double vx, double vy, double vz, double rv,
-                       const AtomBatch& atoms) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < atoms.size(); ++k) {
-    const double dx = atoms.x[k] - vx, dy = atoms.y[k] - vy,
-                 dz = atoms.z[k] - vz;
-    const double r2 = dx * dx + dy * dy + dz * dz;
-    s += std::abs(atoms.charge[k]) /
-         core::f_gb(r2, atoms.born[k] * rv);
-  }
-  return s;
-}
 
 /// Reference for the far-bins kernel: the scalar skip-zeros double loop
 /// of EpolPass::far_field's node path (epol.cpp).
@@ -221,38 +160,43 @@ TEST(SimdDispatch, ResolutionIsIdempotentAndConcrete) {
   // Scalar is always available and always resolves to itself.
   EXPECT_EQ(simd::resolve_isa(VectorIsa::Scalar), VectorIsa::Scalar);
   EXPECT_FALSE(simd::isa_available(VectorIsa::Auto));
-  // resolve() passes precision through untouched.
-  const VectorParams m =
-      simd::resolve({VectorIsa::Auto, Precision::Mixed});
-  EXPECT_EQ(m.precision, Precision::Mixed);
+  const VectorParams m = simd::resolve({VectorIsa::Auto});
   EXPECT_EQ(m.isa, r);
+}
+
+TEST(SimdDispatch, AutoIsTheWidestAvailableWidth) {
+  // No width is held back: Auto takes the widest width this build
+  // compiled and this CPU runs, the same one an explicit request for the
+  // widest compiled width clamps to.
+  VectorIsa widest = VectorIsa::Scalar;
+  for (VectorIsa isa : kWidths)
+    if (simd::isa_available(isa)) widest = isa;
+  EXPECT_EQ(simd::resolve_isa(VectorIsa::Auto), widest);
+  EXPECT_EQ(simd::resolve_isa(simd::max_built_isa()), widest);
 }
 
 TEST(SimdDispatch, ScalarHasNoTableAndWidthsAreConsistent) {
   EXPECT_EQ(simd::kernels(VectorIsa::Scalar), nullptr);
   EXPECT_EQ(simd::lanes(VectorIsa::Scalar), 0);
-  const int want_lanes[] = {2, 4, 8};
-  for (std::size_t i = 0; i < 3; ++i) {
+  const int want_lanes[] = {2, 4};
+  for (std::size_t i = 0; i < 2; ++i) {
     if (!simd::isa_available(kWidths[i])) continue;
     const KernelSet* ks = simd::kernels(kWidths[i]);
     ASSERT_NE(ks, nullptr);
     EXPECT_EQ(ks->lanes, want_lanes[i]);
-    EXPECT_EQ(ks->float_lanes, 2 * want_lanes[i]);
     EXPECT_EQ(simd::lanes(kWidths[i]), want_lanes[i]);
     EXPECT_STREQ(simd::isa_name(kWidths[i]), ks->name);
     // Every table entry must be populated.
     EXPECT_NE(ks->born_integral, nullptr);
     EXPECT_NE(ks->born_integral_fast, nullptr);
-    EXPECT_NE(ks->born_integral_mixed, nullptr);
     EXPECT_NE(ks->epol_sum, nullptr);
     EXPECT_NE(ks->epol_sum_fast, nullptr);
-    EXPECT_NE(ks->epol_sum_mixed, nullptr);
     EXPECT_NE(ks->epol_far_bins, nullptr);
     EXPECT_NE(ks->epol_far_bins_fast, nullptr);
   }
 }
 
-// ---- the width × precision × shape matrix ---------------------------------
+// ---- the width × shape matrix ----------------------------------------------
 
 TEST(SimdMatrix, BornKernelsMatchReferenceAcrossEveryShape) {
   const SpanData data(101);
@@ -277,13 +221,6 @@ TEST(SimdMatrix, BornKernelsMatchReferenceAcrossEveryShape) {
         EXPECT_NEAR(got_fast, ref_fast, 1e-9 * (1.0 + std::abs(ref_fast)))
             << ks->name << " off " << off << " len " << len;
         EXPECT_EQ(got_fast, ks->born_integral_fast(ax, ay, az, q));
-
-        const QPointBatchF qf = data.qspan_f(off, len);
-        const double scale = born_term_scale(ax, ay, az, q);
-        const double got_mixed = ks->born_integral_mixed(ax, ay, az, qf);
-        EXPECT_NEAR(got_mixed, ref, 1e-5 * scale + 1e-12)
-            << ks->name << " off " << off << " len " << len;
-        EXPECT_EQ(got_mixed, ks->born_integral_mixed(ax, ay, az, qf));
       }
     }
   }
@@ -312,16 +249,6 @@ TEST(SimdMatrix, EpolKernelsMatchReferenceAcrossEveryShape) {
                     1e-9 * (1.0 + std::abs(ref_fast)))
             << ks->name << " off " << off << " len " << len;
         EXPECT_EQ(got_fast, ks->epol_sum_fast(vx, vy, vz, qv, rv, a));
-
-        const AtomBatchF af = data.aspan_f(off, len);
-        const double scale =
-            std::abs(qv) * epol_term_scale(vx, vy, vz, rv, a);
-        const double got_mixed =
-            ks->epol_sum_mixed(vx, vy, vz, qv, rv, af);
-        // exp_ps carries a few-ulp float error on top of stream rounding.
-        EXPECT_NEAR(got_mixed, ref, 1e-4 * scale + 1e-12)
-            << ks->name << " off " << off << " len " << len;
-        EXPECT_EQ(got_mixed, ks->epol_sum_mixed(vx, vy, vz, qv, rv, af));
       }
     }
   }
@@ -471,18 +398,6 @@ TEST(SimdEdge, CoincidentDenormalAndHugeInputsStayFinite) {
     EXPECT_NEAR(got, ref, 1e-9 * (1.0 + std::abs(ref))) << ks->name;
     EXPECT_TRUE(std::isfinite(ks->born_integral_fast(ax, ay, az, q)))
         << ks->name;
-    // Mixed mode flushes the float streams through the widened guard
-    // band; everything must still be finite.
-    std::vector<float> xf(9), yf(9), zf(9), wf(9), w0(9, 0.0f);
-    for (int i = 0; i < 9; ++i) {
-      xf[i] = static_cast<float>(x[i]);
-      yf[i] = static_cast<float>(y[i]);
-      zf[i] = static_cast<float>(z[i]);
-      wf[i] = static_cast<float>(wnx[i]);
-    }
-    const QPointBatchF qf{xf, yf, zf, wf, w0, w0};
-    EXPECT_TRUE(std::isfinite(ks->born_integral_mixed(ax, ay, az, qf)))
-        << ks->name;
   }
 }
 
@@ -506,17 +421,6 @@ TEST(SimdEdge, EpolSelfTermAndExtremeRadiiStayFinite) {
     EXPECT_NEAR(got, ref, 1e-9 * (1.0 + std::abs(ref))) << ks->name;
     EXPECT_TRUE(std::isfinite(ks->epol_sum_fast(vx, vy, vz, 0.8, 1.7, a)))
         << ks->name;
-    std::vector<float> xf(5), yf(5), zf(5), cf(5);
-    for (int i = 0; i < 5; ++i) {
-      xf[i] = static_cast<float>(x[i]);
-      yf[i] = static_cast<float>(y[i]);
-      zf[i] = static_cast<float>(z[i]);
-      cf[i] = static_cast<float>(charge[i]);
-    }
-    const AtomBatchF af{xf, yf, zf, cf, born};
-    EXPECT_TRUE(
-        std::isfinite(ks->epol_sum_mixed(vx, vy, vz, 0.8, 1.7, af)))
-        << ks->name;
   }
 }
 
@@ -528,128 +432,118 @@ TEST(SimdEngine, EveryWidthAgreesWithScalarVectorPath) {
   base.approx.vector.isa = VectorIsa::Scalar;
   const auto ref = GBEngine(p.molecule, p.surf, base).compute();
   for (VectorIsa isa : available_widths()) {
-    for (Precision prec : {Precision::Double, Precision::Mixed}) {
-      core::EngineConfig cfg;
-      cfg.approx.vector = {isa, prec};
-      const auto r = GBEngine(p.molecule, p.surf, cfg).compute();
-      const bool mixed = prec == Precision::Mixed;
-      const double born_tol = mixed ? 1e-4 : 1e-9;
-      for (std::size_t i = 0; i < ref.born.size(); ++i)
-        EXPECT_LT(rel_diff(r.born[i], ref.born[i]), born_tol)
-            << simd::isa_name(isa) << (mixed ? " mixed" : "") << " atom "
-            << i;
-      EXPECT_LT(rel_diff(r.epol, ref.epol), mixed ? 5e-3 : 1e-6)
-          << simd::isa_name(isa) << (mixed ? " mixed" : "");
-      // Near/far classification is arithmetic-independent: identical
-      // admissibility counters at every width and precision (this is the
-      // guard-band invariant for mixed mode).
-      EXPECT_EQ(r.work.born_exact, ref.work.born_exact);
-      EXPECT_EQ(r.work.born_approx, ref.work.born_approx);
-      EXPECT_EQ(r.work.epol_exact, ref.work.epol_exact);
-      EXPECT_EQ(r.work.epol_bins, ref.work.epol_bins);
-    }
+    core::EngineConfig cfg;
+    cfg.approx.vector = {isa};
+    const auto r = GBEngine(p.molecule, p.surf, cfg).compute();
+    for (std::size_t i = 0; i < ref.born.size(); ++i)
+      EXPECT_LT(rel_diff(r.born[i], ref.born[i]), 1e-9)
+          << simd::isa_name(isa) << " atom " << i;
+    EXPECT_LT(rel_diff(r.epol, ref.epol), 1e-6) << simd::isa_name(isa);
+    // Near/far classification is arithmetic-independent: identical
+    // admissibility counters at every width.
+    EXPECT_EQ(r.work.born_exact, ref.work.born_exact);
+    EXPECT_EQ(r.work.born_approx, ref.work.born_approx);
+    EXPECT_EQ(r.work.epol_exact, ref.work.epol_exact);
+    EXPECT_EQ(r.work.epol_bins, ref.work.epol_bins);
   }
 }
 
 TEST(SimdEngine, WarmPlanReplayIsBitwiseAtEveryWidth) {
   const Problem p(350);
   for (VectorIsa isa : available_widths()) {
-    for (Precision prec : {Precision::Double, Precision::Mixed}) {
-      core::EngineConfig cfg;
-      cfg.approx.vector = {isa, prec};
-      GBEngine warm(p.molecule, p.surf, cfg);
-      GBEngine cold(p.molecule, p.surf, cfg);
-      EvalScratch scratch;
-      const auto first = warm.compute(scratch);   // capture
-      const auto reuse = warm.compute(scratch);   // born reuse
-      EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);
-      EXPECT_EQ(first.epol, reuse.epol) << simd::isa_name(isa);
-      // A null refit (same positions) bumps the geometry epoch, forcing
-      // validate + replay; the flat lists must reproduce the traversal
-      // bit for bit through the same dispatched kernels.
-      std::vector<geom::Vec3> same;
-      same.reserve(p.molecule.size());
-      for (const auto& atom : p.molecule.atoms()) same.push_back(atom.pos);
-      warm.refit_atoms(same);
-      const auto replay = warm.compute(scratch);
-      EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
-      const auto ref = cold.compute();  // plan-off traversal
-      EXPECT_EQ(replay.epol, ref.epol)
-          << simd::isa_name(isa)
-          << (prec == Precision::Mixed ? " mixed" : "");
-      ASSERT_EQ(replay.born.size(), ref.born.size());
-      for (std::size_t i = 0; i < replay.born.size(); ++i)
-        ASSERT_EQ(replay.born[i], ref.born[i])
-            << simd::isa_name(isa) << " atom " << i;
-    }
+    core::EngineConfig cfg;
+    cfg.approx.vector = {isa};
+    GBEngine warm(p.molecule, p.surf, cfg);
+    GBEngine cold(p.molecule, p.surf, cfg);
+    EvalScratch scratch;
+    const auto first = warm.compute(scratch);   // capture
+    const auto reuse = warm.compute(scratch);   // born reuse
+    EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);
+    EXPECT_EQ(first.epol, reuse.epol) << simd::isa_name(isa);
+    // A null refit (same positions) bumps the geometry epoch, forcing
+    // validate + replay; the flat lists must reproduce the traversal bit
+    // for bit through the same dispatched kernels.
+    std::vector<geom::Vec3> same;
+    same.reserve(p.molecule.size());
+    for (const auto& atom : p.molecule.atoms()) same.push_back(atom.pos);
+    warm.refit_atoms(same);
+    const auto replay = warm.compute(scratch);
+    EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
+    const auto ref = cold.compute();  // plan-off traversal
+    EXPECT_EQ(replay.epol, ref.epol) << simd::isa_name(isa);
+    ASSERT_EQ(replay.born.size(), ref.born.size());
+    for (std::size_t i = 0; i < replay.born.size(); ++i)
+      ASSERT_EQ(replay.born[i], ref.born[i])
+          << simd::isa_name(isa) << " atom " << i;
   }
 }
 
-TEST(SimdEngine, LocalityCarvingIsBitwiseAtEveryWidthAndPrecision) {
+TEST(SimdEngine, LocalityCarvingIsBitwiseAtEveryWidth) {
   // Locality-aware run coalescing regroups the replay chunks but must
-  // not move a single arithmetic operation: at every dispatched width
-  // and precision, a warm replay with locality on reproduces the
-  // locality-off replay bit for bit (serial execution, so Epol's
-  // completion-order fold is fixed and comparable too).
+  // not move a single arithmetic operation: at every dispatched width, a
+  // warm replay with locality on reproduces the locality-off replay bit
+  // for bit (serial execution, so Epol's completion-order fold is fixed
+  // and comparable too).
   const Problem p(350);
   for (VectorIsa isa : available_widths()) {
-    for (Precision prec : {Precision::Double, Precision::Mixed}) {
-      core::EngineConfig on_cfg, off_cfg;
-      on_cfg.approx.vector = {isa, prec};
-      on_cfg.approx.locality = true;
-      off_cfg.approx.vector = {isa, prec};
-      off_cfg.approx.locality = false;
-      GBEngine on(p.molecule, p.surf, on_cfg);
-      GBEngine off(p.molecule, p.surf, off_cfg);
-      EvalScratch s_on, s_off;
-      (void)on.compute(s_on);    // capture
-      (void)off.compute(s_off);  // capture
-      std::vector<geom::Vec3> same;
-      same.reserve(p.molecule.size());
-      for (const auto& atom : p.molecule.atoms()) same.push_back(atom.pos);
-      on.refit_atoms(same);   // epoch bump → validate + replay
-      off.refit_atoms(same);
-      const auto r_on = on.compute(s_on);
-      const auto r_off = off.compute(s_off);
-      EXPECT_EQ(s_on.plan_cache.stats.replays, 1u);
-      EXPECT_EQ(s_off.plan_cache.stats.replays, 1u);
-      EXPECT_EQ(r_on.epol, r_off.epol)
-          << simd::isa_name(isa)
-          << (prec == Precision::Mixed ? " mixed" : "");
-      ASSERT_EQ(r_on.born.size(), r_off.born.size());
-      for (std::size_t i = 0; i < r_on.born.size(); ++i)
-        ASSERT_EQ(r_on.born[i], r_off.born[i])
-            << simd::isa_name(isa) << " atom " << i;
-    }
+    core::EngineConfig on_cfg, off_cfg;
+    on_cfg.approx.vector = {isa};
+    on_cfg.approx.locality = true;
+    off_cfg.approx.vector = {isa};
+    off_cfg.approx.locality = false;
+    GBEngine on(p.molecule, p.surf, on_cfg);
+    GBEngine off(p.molecule, p.surf, off_cfg);
+    EvalScratch s_on, s_off;
+    (void)on.compute(s_on);    // capture
+    (void)off.compute(s_off);  // capture
+    std::vector<geom::Vec3> same;
+    same.reserve(p.molecule.size());
+    for (const auto& atom : p.molecule.atoms()) same.push_back(atom.pos);
+    on.refit_atoms(same);   // epoch bump → validate + replay
+    off.refit_atoms(same);
+    const auto r_on = on.compute(s_on);
+    const auto r_off = off.compute(s_off);
+    EXPECT_EQ(s_on.plan_cache.stats.replays, 1u);
+    EXPECT_EQ(s_off.plan_cache.stats.replays, 1u);
+    EXPECT_EQ(r_on.epol, r_off.epol) << simd::isa_name(isa);
+    ASSERT_EQ(r_on.born.size(), r_off.born.size());
+    for (std::size_t i = 0; i < r_on.born.size(); ++i)
+      ASSERT_EQ(r_on.born[i], r_off.born[i])
+          << simd::isa_name(isa) << " atom " << i;
   }
 }
 
 TEST(SimdEngine, VectorSwitchRepopulatesBornCache) {
   const Problem p(300);
   core::EngineConfig cfg;
-  cfg.approx.vector = {VectorIsa::Auto, Precision::Double};
+  cfg.approx.vector = {VectorIsa::Auto};
+  // The other width must resolve differently from Auto; on a build whose
+  // widest width is V128, the Scalar ISA takes its place.
+  const VectorIsa other = simd::resolve_isa(VectorIsa::Auto) ==
+                                  simd::resolve_isa(VectorIsa::V128)
+                              ? VectorIsa::Scalar
+                              : VectorIsa::V128;
   GBEngine engine(p.molecule, p.surf, cfg);
   EvalScratch scratch;
-  const auto dbl = engine.compute(scratch);  // capture + store
-  // Precision flip: the PlanKey is unchanged (partition is arithmetic-
+  const auto wide = engine.compute(scratch);  // capture + store
+  // Width switch: the PlanKey is unchanged (partition is arithmetic-
   // independent), so the plan itself is reused — but the Born stamp
   // differs, so the radii must be recomputed via replay, never served
-  // from the Double-mode cache.
-  engine.approx().vector.precision = Precision::Mixed;
-  const auto mixed = engine.compute(scratch);
+  // from the Auto-width cache.
+  engine.approx().vector.isa = other;
+  const auto narrow = engine.compute(scratch);
   EXPECT_EQ(scratch.plan_cache.stats.key_hits, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 0u);
   EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
-  // And back: still no stale reuse, and the Double result reproduces.
-  engine.approx().vector.precision = Precision::Double;
-  const auto dbl2 = engine.compute(scratch);
+  // And back: still no stale reuse, and the Auto result reproduces.
+  engine.approx().vector.isa = VectorIsa::Auto;
+  const auto wide2 = engine.compute(scratch);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 0u);
-  EXPECT_EQ(dbl2.epol, dbl.epol);
-  if (simd::resolve_isa(VectorIsa::Auto) != VectorIsa::Scalar) {
-    // With a real vector unit, mixed radii genuinely differ from double
-    // ones — serving the cache across the switch would have been wrong.
-    EXPECT_NE(mixed.epol, dbl.epol);
-  }
+  EXPECT_EQ(wide2.epol, wide.epol);
+  // The two widths reassociate differently, so their radii differ in the
+  // last bits — serving the cache across the switch would have been
+  // wrong.
+  EXPECT_NE(narrow.epol, wide.epol);
   // Unchanged params now: the cache finally serves.
   engine.compute(scratch);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);

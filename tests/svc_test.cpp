@@ -94,18 +94,14 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     c3.qpoints_tree_params.max_leaf_size = 16;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
   }
-  {  // Morton build pipeline: grid resolution and sort path change node
-     // partitions (or are pinned defensively) — each must move the digest
-     // on either tree's params independently.
+  {  // Morton build pipeline: grid resolution changes node partitions —
+     // it must move the digest on either tree's params independently.
     auto c2 = cfg;
     c2.atoms_tree_params.grid_bits = 12;
     digests.push_back(svc::digest_job_inputs(mol, sp, c2));
     auto c3 = cfg;
     c3.qpoints_tree_params.grid_bits = 12;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
-    auto c4 = cfg;
-    c4.atoms_tree_params.parallel = false;
-    digests.push_back(svc::digest_job_inputs(mol, sp, c4));
   }
   {  // partition ε and criterion
     auto c2 = cfg;
@@ -115,7 +111,7 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     c3.approx.strict_born_criterion = true;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
   }
-  {  // arithmetic: kernel / fastmath / vector ISA / precision
+  {  // arithmetic: kernel / fastmath / vector ISA
     auto c2 = cfg;
     c2.approx.kernel = core::KernelKind::Scalar;
     digests.push_back(svc::digest_job_inputs(mol, sp, c2));
@@ -125,9 +121,6 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     auto c4 = cfg;
     c4.approx.vector.isa = simd::VectorIsa::V128;
     digests.push_back(svc::digest_job_inputs(mol, sp, c4));
-    auto c5 = cfg;
-    c5.approx.vector.precision = simd::Precision::Mixed;
-    digests.push_back(svc::digest_job_inputs(mol, sp, c5));
   }
 
   std::set<Digest> unique(digests.begin(), digests.end());

@@ -367,17 +367,18 @@ TEST_F(TraceMetrics, AddTreeBuildCoversEveryCounterField) {
 
 TEST_F(TraceMetrics, AddSimdFollowsTheKernelSchema) {
   trace::MetricsRegistry m;
-  // One call per evaluation: lanes/mixed reflect the latest resolution
-  // (set, not accumulated), the per-width eval counter accumulates.
-  m.add_simd("", "v256", 4, false);
+  // One call per evaluation: lanes reflect the latest resolution (set,
+  // not accumulated), the per-width eval counter accumulates.
+  m.add_simd("", "v256", 4);
   EXPECT_EQ(m.get_int("kernel.simd.lanes"), 4u);
-  EXPECT_EQ(m.get_int("kernel.simd.mixed"), 0u);
   EXPECT_EQ(m.get_int("kernel.simd.evals.v256"), 1u);
-  m.add_simd("", "v256", 8, true);  // re-dial within one registry
-  EXPECT_EQ(m.get_int("kernel.simd.lanes"), 8u);
-  EXPECT_EQ(m.get_int("kernel.simd.mixed"), 1u);
+  m.add_simd("", "v256", 4);
   EXPECT_EQ(m.get_int("kernel.simd.evals.v256"), 2u);
-  m.add_simd("rank0", "scalar", 0, false);
+  m.add_simd("", "v128", 2);  // re-dial within one registry
+  EXPECT_EQ(m.get_int("kernel.simd.lanes"), 2u);
+  EXPECT_EQ(m.get_int("kernel.simd.evals.v128"), 1u);
+  EXPECT_EQ(m.get_int("kernel.simd.evals.v256"), 2u);
+  m.add_simd("rank0", "scalar", 0);
   EXPECT_EQ(m.get_int("kernel.simd.lanes.rank0"), 0u);
   EXPECT_EQ(m.get_int("kernel.simd.evals.scalar.rank0"), 1u);
   // Scoped names never bleed into the run totals.
