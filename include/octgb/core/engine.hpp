@@ -74,7 +74,7 @@ struct EvalScratch {
   std::vector<double> atom_s;      ///< per-atom near-field integrals
   std::vector<double> born_tree;   ///< Born radii, tree order (phase B)
   std::vector<double> born_input;  ///< Born radii, input order (remap)
-  EpolContext epol_ctx;            ///< charge-by-bin tables (energy phase)
+  EpolContext epol_ctx;            ///< moment-by-bin tables (energy phase)
   /// Cached interaction plan + Born results for the engine/params most
   /// recently evaluated through this scratch (PlanMode::Auto), plus the
   /// plan statistics. Plan buffers obey the same capacity-reuse contract

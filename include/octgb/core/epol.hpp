@@ -6,6 +6,9 @@
 /// whose Born radius falls in the geometric bin
 /// [Rmin(1+ε)^k, Rmin(1+ε)^(k+1)), and a far (U,V) pair contributes one
 /// f_GB evaluation per non-empty bin pair instead of one per atom pair.
+/// Each bin also carries its Born-radius moment Σq·R and its charge
+/// dipole about the node centroid, which make the bin-pair term first
+/// order in both the atom positions and the radii (DESIGN.md §2.1).
 ///
 /// approx_epol mirrors the near field: an exact leaf pair (U, V) that both
 /// leaves' descents reach is evaluated once, from one side, weighted ×2
@@ -21,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "octgb/core/batch_kernels.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/trees.hpp"
 #include "octgb/perf/counters.hpp"
@@ -28,22 +32,35 @@
 
 namespace octgb::core {
 
-/// Per-node charge-by-Born-radius-bin table, built once per energy
-/// evaluation (Born radii must already be known).
+/// Per-node moments-by-Born-radius-bin table, built once per energy
+/// evaluation (Born radii must already be known). The moment planes are
+/// compact: node `id` stores only its bins [bin_lo, bin_hi], at
+/// [bin_off[id], bin_off[id] + bin_hi − bin_lo] of every plane. Most
+/// nodes are leaves whose atoms span a few of the M bins, so this is
+/// about a quarter of a dense [node][bin] layout.
 struct EpolContext {
   double rmin = 1.0;          ///< minimum Born radius over all atoms
   double log1pe = 1.0;        ///< log(1+ε)
   int nbins = 1;              ///< M = ⌈log_{1+ε}(Rmax/Rmin)⌉
-  /// Flattened [node][bin] charge sums.
+  /// Charge sums Q = Σq.
   std::vector<double> bins;
-  /// Inclusive nonzero-bin range per node (skip empty bins in the M² loop).
+  /// Born-radius moments S = Σq·R.
+  std::vector<double> born_moment;
+  /// Charge dipoles P = Σq·(x − c) about the node centroid c, per axis.
+  std::vector<double> dipole_x, dipole_y, dipole_z;
+  /// Inclusive bin range per node: the bins its atoms' radii fall in.
   std::vector<std::int16_t> bin_lo, bin_hi;
+  /// Start of each node's range in the moment planes.
+  std::vector<std::size_t> bin_off;
   /// Representative radius per bin: the geometric mid-bin Rmin(1+ε)^(k+½)
   /// (the paper's Fig. 3 uses the lower edge Rmin(1+ε)^k).
   std::vector<double> rep;
 
   /// Bin index of a Born radius.
   int bin_of(double born) const;
+
+  /// Node `id`'s moment planes, as the far-field kernels read them.
+  BinMoments moments(std::size_t id) const;
 
   std::size_t footprint_bytes() const;
 
@@ -55,8 +72,9 @@ struct EpolContext {
   /// path of GBEngine::compute(EvalScratch&)). Returns true when any
   /// buffer's capacity had to grow — i.e. an allocation happened; repeated
   /// rebuilds for the same tree shape return false. Throws
-  /// util::CheckError when the bin count would exceed INT16_MAX (ε too
-  /// small for the Born-radius range).
+  /// util::CheckError when a Born radius is not finite and positive
+  /// (naming its tree index and value), or when the bin count would
+  /// exceed INT16_MAX (ε too small for the Born-radius range).
   bool rebuild(const AtomsTree& ta, std::span<const double> born_tree,
                double eps_epol);
 };
@@ -110,9 +128,13 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
 /// convention counting every unordered A–B pair twice; there is no
 /// diagonal because the sets are disjoint.
 ///
-/// This is the per-pose kernel of ScoringSession's CrossScreen mode: both
-/// bin tables depend only on topology + radii (not positions), so they
-/// survive rigid refits of either tree unchanged.
+/// This is the per-pose kernel of ScoringSession's CrossScreen mode, where
+/// `tb` is refit to each pose while `ctx_b` stays as built at the base
+/// coordinates. The bin layout and the charge and Born-radius moments
+/// depend only on topology and radii, but the dipoles turn with the body,
+/// so each V leaf's moments are recomputed from `tb`'s current points:
+/// exactly what `ctx_b` would hold if rebuilt on `tb` as it is now.
+/// `ctx_a` is read as it is and must match `ta`'s current geometry.
 double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
                          std::span<const double> born_a, const AtomsTree& tb,
                          const EpolContext& ctx_b,

@@ -35,14 +35,19 @@ struct KernelSet {
                             const core::QPointBatch& q);
   using EpolFn = double (*)(double vx, double vy, double vz, double qv,
                             double rv, const core::AtomBatch& atoms);
-  /// Bin-pair far field over one (u-node, v-node) charge-by-bin table
-  /// pair: Σ ub[i]·vb[j] / f_GB(d², rep_u[i]·rep_v[j]) over the nonzero
-  /// inclusive bin ranges, replicating EpolPass::far_field's node path.
-  /// `binpairs` is incremented by exactly the count the scalar loop would
-  /// report (pairs of nonzero bins), keeping epol.bins width-invariant.
-  using FarBinsFn = double (*)(const double* ub, int ulo, int uhi,
-                               const double* rep_u, const double* vb, int vlo,
-                               int vhi, const double* rep_v, double d2,
+  /// First-order bin-pair far field between two nodes U and V whose
+  /// centroids are D = c_U − c_V = (dx, dy, dz) apart, d2 = |D|². Over
+  /// every pair (i, j) of occupied bins (any moment nonzero), with
+  /// rr = rep_i·rep_j, x = d2/(4rr), e = exp(−x), f² = d2 + rr·e:
+  ///   Q_i Q_j / f − (1 − e/4)·f⁻³·(D·P_i Q_j − Q_i D·P_j)
+  ///               − ½·e·(1 + x)·f⁻³·(S_i S_j − rr·Q_i Q_j),
+  /// the monopole plus its gradient in the charge positions and in the
+  /// product of Born radii (DESIGN.md §2.1). `binpairs` is incremented by
+  /// exactly the scalar table's count (pairs of occupied bins), keeping
+  /// epol.bins width-invariant.
+  using FarBinsFn = double (*)(const core::BinMoments& u,
+                               const core::BinMoments& v, double dx,
+                               double dy, double dz, double d2,
                                std::uint64_t& binpairs);
 
   BornFn born_integral = nullptr;        ///< exact r⁻⁶ surface integral

@@ -134,54 +134,66 @@ double epol_sum_w(double vx, double vy, double vz, double qv, double rv,
   return qv * sum;
 }
 
-/// Bin-pair far field over one (u-node, v-node) charge-by-bin table pair:
-/// for every nonzero u-bin, a vector sweep over the v-bin range. Zero
-/// v-bins contribute exactly 0 (rep[] > 0 ⇒ f_GB finite ⇒ 0·finite), so
-/// no masking is needed for the sum; the pair counter is reconstructed as
-/// nnz_u·nnz_v, exactly what the scalar skip-loop reports.
+/// First-order bin-pair far field (KernelSet::FarBinsFn): for every
+/// occupied v-bin, a vector sweep over the u-bin range, then the scalar
+/// tail, which calls the scalar table's per-term code
+/// (core::detail::far_term). The sweep runs over U, the far
+/// node, whose range is usually the wider one: V is a leaf or one atom.
+/// Skipped u-bins (Q = S = P = 0) contribute exactly 0 (rep[] > 0 ⇒ f⁻³
+/// finite), so the sweep needs no mask; the pair counter is
+/// reconstructed as nnz_u·nnz_v, exactly what the scalar skip-loop
+/// reports. One exp, one sqrt and one division per bin pair (fastmath:
+/// fast_exp and fast_rsqrt, no division).
 template <int N, bool Fast>
-double epol_far_bins_w(const double* ub, int ulo, int uhi,
-                       const double* rep_u, const double* vb, int vlo,
-                       int vhi, const double* rep_v, double d2,
+double epol_far_bins_w(const core::BinMoments& u, const core::BinMoments& v,
+                       double dx, double dy, double dz, double d2,
                        std::uint64_t& binpairs) {
   using vd = typename lanes_of<N>::vd;
-  if (ulo > uhi || vlo > vhi) return 0.0;
-  std::uint64_t nnz_v = 0;
-  for (int j = vlo; j <= vhi; ++j) nnz_v += vb[j] != 0.0 ? 1u : 0u;
-  const vd vdd2 = bc<vd>(d2), four = bc<vd>(4.0), zero = bc<vd>(0.0);
-  double total = 0.0;
+  if (u.n <= 0 || v.n <= 0) return 0.0;
   std::uint64_t nnz_u = 0;
-  for (int i = ulo; i <= uhi; ++i) {
-    if (ub[i] == 0.0) continue;
-    ++nnz_u;
-    const double r = rep_u[i];
-    const vd vr = bc<vd>(r);
+  for (int i = 0; i < u.n; ++i) nnz_u += u.occupied(i) ? 1u : 0u;
+  const vd vdd2 = bc<vd>(d2), vdx = bc<vd>(dx), vdy = bc<vd>(dy),
+           vdz = bc<vd>(dz);
+  const vd one = bc<vd>(1.0), four = bc<vd>(4.0), quarter = bc<vd>(0.25),
+           half = bc<vd>(0.5), zero = bc<vd>(0.0);
+  double total = 0.0;
+  std::uint64_t nnz_v = 0;
+  for (int j = 0; j < v.n; ++j) {
+    if (!v.occupied(j)) continue;
+    ++nnz_v;
+    const double r = v.rep[j], qj = v.q[j], sj = v.s[j];
+    const double aj = dx * v.px[j] + dy * v.py[j] + dz * v.pz[j];
+    const vd vr = bc<vd>(r), vqj = bc<vd>(qj), vsj = bc<vd>(sj),
+             vaj = bc<vd>(aj);
     vd acc = zero;
-    int j = vlo;
-    for (; j + N <= vhi + 1; j += N) {
-      const vd w = loadu<vd>(vb + j);
-      const vd rr = vr * loadu<vd>(rep_v + j);
-      const vd arg = (zero - vdd2) / (four * rr);
+    int i = 0;
+    for (; i + N <= u.n; i += N) {
+      const vd qi = loadu<vd>(u.q + i);
+      const vd bi = vdx * loadu<vd>(u.px + i) + vdy * loadu<vd>(u.py + i) +
+                    vdz * loadu<vd>(u.pz + i);
+      const vd qq = qi * vqj;
+      const vd rr = loadu<vd>(u.rep + i) * vr;
+      const vd x = vdd2 / (four * rr);
+      vd e, inv_f, t;
       if constexpr (Fast) {
-        const vd f2 = vdd2 + rr * fast_exp_pd<N>(arg);
-        acc += w * fast_rsqrt_pd<N>(f2);
+        e = fast_exp_pd<N>(zero - x);
+        inv_f = fast_rsqrt_pd<N>(vdd2 + rr * e);
+        t = inv_f * inv_f * inv_f;
       } else {
-        const vd f2 = vdd2 + rr * exp_pd<N>(arg);
-        acc += w / vsqrt_pd(f2);
+        e = exp_pd<N>(zero - x);
+        const vd f2 = vdd2 + rr * e;
+        t = one / (f2 * vsqrt_pd(f2));
+        inv_f = f2 * t;
       }
+      acc += qq * inv_f -
+             t * ((one - quarter * e) * (bi * vqj - qi * vaj) +
+                  half * e * (one + x) * (loadu<vd>(u.s + i) * vsj - rr * qq));
     }
     double row = hsum(acc);
-    for (; j <= vhi; ++j) {
-      const double rr = r * rep_v[j];
-      if constexpr (Fast) {
-        const double f2 = d2 + rr * core::fast_exp(-d2 / (4.0 * rr));
-        row += vb[j] * core::fast_rsqrt(f2);
-      } else {
-        const double f2 = d2 + rr * std::exp(-d2 / (4.0 * rr));
-        row += vb[j] / std::sqrt(f2);
-      }
-    }
-    total += ub[i] * row;
+    for (; i < u.n; ++i)
+      row += core::detail::far_term<Fast>(u, i, r, qj, sj, aj, dx, dy, dz,
+                                          d2);
+    total += row;
   }
   binpairs += nnz_u * nnz_v;
   return total;

@@ -112,20 +112,26 @@ double batch_epol_sum_fast(double vx, double vy, double vz, double qv,
 
 namespace {
 
-/// Bin-pair far field of the Scalar ISA: the skip-zeros loop over the
-/// nonzero bins of both tables (KernelSet::FarBinsFn contract).
+/// First-order bin-pair far field of the Scalar ISA (KernelSet::FarBinsFn
+/// contract): the skip-empty loop over both bin ranges, V bins outer,
+/// one detail::far_term per occupied pair summed into a per-row
+/// accumulator — the order the vector kernels' remainder tails keep
+/// (simd/kernels_impl.hpp).
 template <bool Fast>
-double far_bins(const double* ub, int ulo, int uhi, const double* rep_u,
-                const double* vb, int vlo, int vhi, const double* rep_v,
-                double d2, std::uint64_t& binpairs) {
+double far_bins(const BinMoments& u, const BinMoments& v, double dx,
+                double dy, double dz, double d2, std::uint64_t& binpairs) {
   double sum = 0.0;
-  for (int i = ulo; i <= uhi; ++i) {
-    if (ub[i] == 0.0) continue;
-    for (int j = vlo; j <= vhi; ++j) {
-      if (vb[j] == 0.0) continue;
-      sum += ub[i] * vb[j] * detail::inv_f_gb(d2, rep_u[i] * rep_v[j], Fast);
+  for (int j = 0; j < v.n; ++j) {
+    if (!v.occupied(j)) continue;
+    const double aj = dx * v.px[j] + dy * v.py[j] + dz * v.pz[j];
+    double row = 0.0;
+    for (int i = 0; i < u.n; ++i) {
+      if (!u.occupied(i)) continue;
+      row += detail::far_term<Fast>(u, i, v.rep[j], v.q[j], v.s[j], aj, dx,
+                                    dy, dz, d2);
       ++binpairs;
     }
+    sum += row;
   }
   return sum;
 }

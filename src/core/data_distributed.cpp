@@ -29,7 +29,7 @@ void near_ta_descend(const Octree& ta_tree, const Octree::Node& q,
 }
 
 void near_epol_descend(const Octree& tree, const Octree::Node& v,
-                       double eps, std::uint32_t u_id,
+                       double threshold, std::uint32_t u_id,
                        std::vector<bool>& touched) {
   const Octree::Node& u = tree.node(u_id);
   if (u.is_leaf()) {
@@ -37,9 +37,9 @@ void near_epol_descend(const Octree& tree, const Octree::Node& v,
     return;
   }
   const double d = geom::dist(u.centroid, v.centroid);
-  if (epol_far_enough(d, u.radius, v.radius, eps)) return;
+  if (epol_far_enough(d, u.radius, v.radius, threshold)) return;
   for (std::uint8_t c = 0; c < u.child_count; ++c)
-    near_epol_descend(tree, v, eps, u.first_child + c, touched);
+    near_epol_descend(tree, v, threshold, u.first_child + c, touched);
 }
 
 std::vector<std::uint32_t> touched_to_ids(const std::vector<bool>& touched) {
@@ -80,9 +80,10 @@ std::vector<std::uint32_t> collect_near_ta_leaves(
 std::vector<std::uint32_t> collect_near_epol_leaves(
     const AtomsTree& ta, std::span<const std::uint32_t> v_leaf_ids,
     double eps_epol) {
+  const double threshold = epol_threshold(eps_epol);
   std::vector<bool> touched(ta.tree.nodes().size(), false);
   for (std::uint32_t v_id : v_leaf_ids)
-    near_epol_descend(ta.tree, ta.tree.node(v_id), eps_epol, 0, touched);
+    near_epol_descend(ta.tree, ta.tree.node(v_id), threshold, 0, touched);
   return touched_to_ids(touched);
 }
 

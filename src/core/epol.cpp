@@ -19,6 +19,31 @@ using geom::Vec3;
 using octree::Octree;
 using detail::atomic_add;
 
+/// Adds the moments of leaf `n` of `t`, binned by `ctx`, to five planes
+/// that start at bin `lo`: per atom, q to Q, q·R to S and q·(x − c) to P,
+/// with x the tree's current point and c the leaf centroid. The one loop
+/// EpolContext::rebuild and the moving side of approx_epol_cross share,
+/// so a leaf's moments recomputed after a refit are bitwise what a
+/// rebuild on the refit tree stores.
+void add_leaf_moments(const EpolContext& ctx, const AtomsTree& t,
+                      std::span<const double> born, const Octree::Node& n,
+                      int lo, int hi, double* q_plane, double* s_plane,
+                      double* px, double* py, double* pz) {
+  const auto pts = t.tree.points();
+  for (std::uint32_t ai = n.begin; ai < n.end; ++ai) {
+    // bin_of is monotone, so the clamp only guards the range invariant
+    // the cell index relies on.
+    const int k = std::clamp(ctx.bin_of(born[ai]), lo, hi) - lo;
+    const double q = t.charge[ai];
+    const Vec3 r = pts[ai] - n.centroid;
+    q_plane[k] += q;
+    s_plane[k] += q * born[ai];
+    px[k] += q * r.x;
+    py[k] += q * r.y;
+    pz[k] += q * r.z;
+  }
+}
+
 }  // namespace
 
 int EpolContext::bin_of(double born) const {
@@ -27,11 +52,20 @@ int EpolContext::bin_of(double born) const {
   return std::clamp(k, 0, nbins - 1);
 }
 
+BinMoments EpolContext::moments(std::size_t id) const {
+  const std::size_t off = bin_off[id];
+  return {bins.data() + off,     born_moment.data() + off,
+          dipole_x.data() + off, dipole_y.data() + off,
+          dipole_z.data() + off, rep.data() + bin_lo[id],
+          bin_hi[id] - bin_lo[id] + 1};
+}
+
 std::size_t EpolContext::footprint_bytes() const {
-  return bins.capacity() * sizeof(double) +
-         bin_lo.capacity() * sizeof(std::int16_t) +
-         bin_hi.capacity() * sizeof(std::int16_t) +
-         rep.capacity() * sizeof(double);
+  return (bins.capacity() + born_moment.capacity() + dipole_x.capacity() +
+          dipole_y.capacity() + dipole_z.capacity() + rep.capacity()) *
+             sizeof(double) +
+         (bin_lo.capacity() + bin_hi.capacity()) * sizeof(std::int16_t) +
+         bin_off.capacity() * sizeof(std::size_t);
 }
 
 EpolContext EpolContext::build(const AtomsTree& ta,
@@ -47,10 +81,7 @@ bool EpolContext::rebuild(const AtomsTree& ta,
                           double eps_epol) {
   OCTGB_CHECK_MSG(eps_epol > 0.0, "eps_epol must be positive");
   OCTGB_CHECK(born_tree.size() == ta.num_atoms());
-  const std::size_t cap_bins = bins.capacity();
-  const std::size_t cap_lo = bin_lo.capacity();
-  const std::size_t cap_hi = bin_hi.capacity();
-  const std::size_t cap_rep = rep.capacity();
+  const std::size_t cap = footprint_bytes();
 
   const auto nodes = ta.tree.nodes();
   if (nodes.empty()) {
@@ -58,6 +89,14 @@ bool EpolContext::rebuild(const AtomsTree& ta,
     return false;
   }
 
+  // A NaN radius would slip through the min/max scan below (and poison it
+  // when it comes first); zero, negative or infinite ones would surface as
+  // a misleading bin-count failure. Name the offender instead.
+  for (std::size_t i = 0; i < born_tree.size(); ++i)
+    OCTGB_CHECK_MSG(born_tree[i] > 0.0 && std::isfinite(born_tree[i]),
+                    "Born radius at tree index "
+                        << i << " is " << born_tree[i]
+                        << "; radii must be finite and positive");
   double born_min = born_tree[0], born_max = born_tree[0];
   for (double r : born_tree) {
     born_min = std::min(born_min, r);
@@ -86,37 +125,64 @@ bool EpolContext::rebuild(const AtomsTree& ta,
   for (int k = 0; k < nbins; ++k)
     rep[k] = born_min * std::exp(log1pe * (k + 0.5));
 
-  bins.assign(nodes.size() * static_cast<std::size_t>(nbins), 0.0);
-  bin_lo.assign(nodes.size(), static_cast<std::int16_t>(nbins));
-  bin_hi.assign(nodes.size(), -1);
-
-  // Bottom-up: leaves bin their atoms; parents sum children (children have
-  // larger ids than parents in the flat layout).
+  // Bin ranges bottom-up (children have larger ids than parents in the
+  // flat layout): a leaf spans the bins of its smallest and largest
+  // radius, a parent the union of its children.
+  bin_lo.resize(nodes.size());
+  bin_hi.resize(nodes.size());
   for (std::size_t id = nodes.size(); id-- > 0;) {
     const auto& n = nodes[id];
-    double* mine = bins.data() + id * static_cast<std::size_t>(nbins);
     if (n.is_leaf()) {
-      for (std::uint32_t ai = n.begin; ai < n.end; ++ai) {
-        const int k = bin_of(born_tree[ai]);
-        mine[k] += ta.charge[ai];
-        bin_lo[id] = std::min<std::int16_t>(bin_lo[id],
-                                            static_cast<std::int16_t>(k));
-        bin_hi[id] = std::max<std::int16_t>(bin_hi[id],
-                                            static_cast<std::int16_t>(k));
-      }
-    } else {
-      for (std::uint8_t c = 0; c < n.child_count; ++c) {
-        const std::size_t cid = n.first_child + c;
-        const double* theirs =
-            bins.data() + cid * static_cast<std::size_t>(nbins);
-        for (int k = 0; k < nbins; ++k) mine[k] += theirs[k];
-        bin_lo[id] = std::min(bin_lo[id], bin_lo[cid]);
-        bin_hi[id] = std::max(bin_hi[id], bin_hi[cid]);
+      const auto [lo, hi] = std::minmax_element(born_tree.begin() + n.begin,
+                                                born_tree.begin() + n.end);
+      bin_lo[id] = static_cast<std::int16_t>(bin_of(*lo));
+      bin_hi[id] = static_cast<std::int16_t>(bin_of(*hi));
+      continue;
+    }
+    bin_lo[id] = bin_lo[n.first_child];
+    bin_hi[id] = bin_hi[n.first_child];
+    for (std::uint8_t c = 1; c < n.child_count; ++c) {
+      bin_lo[id] = std::min(bin_lo[id], bin_lo[n.first_child + c]);
+      bin_hi[id] = std::max(bin_hi[id], bin_hi[n.first_child + c]);
+    }
+  }
+  bin_off.resize(nodes.size());
+  std::size_t cells = 0;
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    bin_off[id] = cells;
+    cells += static_cast<std::size_t>(bin_hi[id] - bin_lo[id] + 1);
+  }
+  for (auto* plane : {&bins, &born_moment, &dipole_x, &dipole_y, &dipole_z})
+    plane->assign(cells, 0.0);
+
+  // Moments bottom-up: leaves bin their atoms; parents sum children,
+  // moving each child's dipole to the parent centroid:
+  // P_p += P_c + Q_c·(c_c − c_p).
+  for (std::size_t id = nodes.size(); id-- > 0;) {
+    const auto& n = nodes[id];
+    const std::size_t off = bin_off[id];
+    if (n.is_leaf()) {
+      add_leaf_moments(*this, ta, born_tree, n, bin_lo[id], bin_hi[id],
+                       &bins[off], &born_moment[off], &dipole_x[off],
+                       &dipole_y[off], &dipole_z[off]);
+      continue;
+    }
+    const std::size_t base = off - bin_lo[id];  // + bin k ≥ bin_lo
+    for (std::uint8_t c = 0; c < n.child_count; ++c) {
+      const std::size_t cid = n.first_child + c;
+      const std::size_t cbase = bin_off[cid] - bin_lo[cid];
+      const Vec3 shift = nodes[cid].centroid - n.centroid;
+      for (int k = bin_lo[cid]; k <= bin_hi[cid]; ++k) {
+        const double q = bins[cbase + k];
+        bins[base + k] += q;
+        born_moment[base + k] += born_moment[cbase + k];
+        dipole_x[base + k] += dipole_x[cbase + k] + q * shift.x;
+        dipole_y[base + k] += dipole_y[cbase + k] + q * shift.y;
+        dipole_z[base + k] += dipole_z[cbase + k] + q * shift.z;
       }
     }
   }
-  return bins.capacity() > cap_bins || bin_lo.capacity() > cap_lo ||
-         bin_hi.capacity() > cap_hi || rep.capacity() > cap_rep;
+  return footprint_bytes() > cap;
 }
 
 namespace {
@@ -139,9 +205,8 @@ struct EpolPass {
   std::span<const double> born;  // tree order
   // V side: the tree owning v_node / v_atom.
   const AtomsTree& tv;
-  const EpolContext& ctx_v;
   std::span<const double> born_v;  // tv tree order
-  double eps;
+  double threshold;                // epol_threshold(ε)
   detail::NearField nf;
 
   // V side: either a leaf node (node-based division)…
@@ -178,8 +243,8 @@ struct EpolPass {
       lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
       return 2.0 * exact_leaf(u, lc);
     }
-    if (epol_far_enough(d, u.radius, vr, eps)) {
-      return far_field(u_id, d2, lc);
+    if (epol_far_enough(d, u.radius, vr, threshold)) {
+      return far_field(u.centroid - vc, d2, u_id, lc);
     }
     double sum = 0.0;
     for (std::uint8_t c = 0; c < u.child_count; ++c)
@@ -193,7 +258,7 @@ struct EpolPass {
     for (const std::uint32_t b_id : v_ancestors) {
       const Octree::Node& b = ta.tree.node(b_id);
       if (epol_far_enough(std::sqrt(geom::dist2(b.centroid, u.centroid)),
-                          b.radius, u.radius, eps))
+                          b.radius, u.radius, threshold))
         return false;
     }
     return true;
@@ -209,31 +274,28 @@ struct EpolPass {
     return detail::epol_near(nf, ta, u, born, tv, vb, ve, born_v);
   }
 
-  double far_field(std::uint32_t u_id, double d2, EpolCounts& lc) const {
-    const int nb = ctx.nbins;
-    const double* ub = ctx.bins.data() + static_cast<std::size_t>(u_id) * nb;
-    if (v_node) {
-      const std::size_t v_id = v_node_id;
-      const double* vb =
-          ctx_v.bins.data() + v_id * static_cast<std::size_t>(ctx_v.nbins);
-      const auto fn =
-          nf.fast ? nf.set->epol_far_bins_fast : nf.set->epol_far_bins;
-      return fn(ub, ctx.bin_lo[u_id], ctx.bin_hi[u_id], ctx.rep.data(), vb,
-                ctx_v.bin_lo[v_id], ctx_v.bin_hi[v_id], ctx_v.rep.data(), d2,
-                lc.binpairs);
-    }
+  /// First-order bin-pair far field of node U against the V side, with
+  /// D = c_U − c_V and d2 = |D|² as the descent computed it.
+  double far_field(const Vec3& delta, double d2, std::uint32_t u_id,
+                   EpolCounts& lc) const {
+    const auto fn =
+        nf.fast ? nf.set->epol_far_bins_fast : nf.set->epol_far_bins;
+    const BinMoments um = ctx.moments(u_id);
+    if (v_node)
+      return fn(um, v_moments, delta.x, delta.y, delta.z, d2, lc.binpairs);
+    // A single V atom is one bin of its own: Q = q, S = q·R, P = 0 and
+    // rep = R.
     const double qv = tv.charge[v_atom];
-    const double rv = born_v[v_atom];
-    double sum = 0.0;
-    for (int i = ctx.bin_lo[u_id]; i <= ctx.bin_hi[u_id]; ++i) {
-      if (ub[i] == 0.0) continue;
-      sum += ub[i] * qv * detail::inv_f_gb(d2, ctx.rep[i] * rv, nf.fast);
-      ++lc.binpairs;
-    }
-    return sum;
+    const double sv = qv * born_v[v_atom];
+    const double zero = 0.0;
+    const BinMoments vm{&qv, &sv, &zero, &zero, &zero, &born_v[v_atom], 1};
+    return fn(um, vm, delta.x, delta.y, delta.z, d2, lc.binpairs);
   }
 
   std::size_t v_node_id = 0;
+  /// Moments of v_node: its bin table entry on the same-tree paths, the
+  /// ones recomputed from tv's current points on the cross path.
+  BinMoments v_moments{};
   /// Strict ancestors of v_node, root first. Non-empty only on the
   /// mirrored same-tree path of approx_epol, which evaluates each mutual
   /// leaf pair from one side; empty means the plain descent.
@@ -300,6 +362,7 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
   if (ta.tree.empty() || v_leaf_ids.empty()) return 0.0;
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
+  const double threshold = epol_threshold(eps_epol);
   const double total = ordered_sum(
       v_leaf_ids.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
@@ -308,9 +371,11 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
         std::array<std::uint32_t, 256> path{};
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          EpolPass pass{ta,       ctx, born_tree, ta, ctx, born_tree,
-                        eps_epol, nf,  &ta.tree.node(v_leaf_ids[li])};
+          EpolPass pass{ta,        ctx, born_tree, ta,
+                        born_tree, threshold, nf,
+                        &ta.tree.node(v_leaf_ids[li])};
           pass.v_node_id = v_leaf_ids[li];
+          pass.v_moments = ctx.moments(v_leaf_ids[li]);
           pass.v_ancestors = ancestors_of(ta.tree, v_leaf_ids[li], path);
           mine += pass.descend(0, lc);
         }
@@ -331,6 +396,7 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
   if (ta.tree.empty() || atom_begin >= atom_end) return 0.0;
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
+  const double threshold = epol_threshold(eps_epol);
 
   // Atom-based division works on the leaves *clipped to the atom range*:
   // a segment boundary that falls inside a leaf splits it, and the split
@@ -361,20 +427,18 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             r2max = std::max(r2max, geom::dist2(v.centroid, pts[i]));
           v.radius = std::sqrt(r2max);
 
-          EpolPass pass{ta,       ctx, born_tree, ta, ctx, born_tree,
-                        eps_epol, nf,  &v};
+          EpolPass pass{ta, ctx, born_tree, ta, born_tree, threshold, nf, &v};
           // The clipped leaf is not a persistent node; bin lookups on the
-          // V side must use its own charge-by-bin table, so fall back to
+          // V side must use its own moment-by-bin table, so fall back to
           // the per-atom path when the clip is partial.
           if (b == leaf.begin && e == leaf.end) {
             pass.v_node_id = leaves[li];
+            pass.v_moments = ctx.moments(leaves[li]);
             mine += pass.descend(0, lc);
           } else {
             for (std::uint32_t ai = b; ai < e; ++ai) {
-              EpolPass atom_pass{ta,        ctx,      born_tree,
-                                 ta,        ctx,      born_tree,
-                                 eps_epol,  nf,       nullptr,
-                                 ai};
+              EpolPass atom_pass{ta,        ctx, born_tree, ta,
+                                 born_tree, threshold, nf, nullptr, ai};
               mine += atom_pass.descend(0, lc);
             }
           }
@@ -394,18 +458,32 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
   OCTGB_CHECK(born_a.size() == ta.num_atoms());
   OCTGB_CHECK(born_b.size() == tb.num_atoms());
   if (ta.tree.empty() || tb.tree.empty()) return 0.0;
+  OCTGB_CHECK_MSG(ctx_b.bin_lo.size() == tb.tree.nodes().size(),
+                  "ctx_b was built on a different tree shape than tb");
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
+  const double threshold = epol_threshold(eps_epol);
   const auto& v_leaves = tb.tree.leaf_ids();
   const double total = ordered_sum(
       v_leaves.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.cross");
+        std::vector<double> planes;  // the V leaf's moments, 5 planes
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          EpolPass pass{ta,       ctx_a, born_a, tb, ctx_b, born_b,
-                        eps_epol, nf,    &tb.tree.node(v_leaves[li])};
-          pass.v_node_id = v_leaves[li];
+          const std::uint32_t v_id = v_leaves[li];
+          const Octree::Node& v = tb.tree.node(v_id);
+          const int blo = ctx_b.bin_lo[v_id], bhi = ctx_b.bin_hi[v_id];
+          const int n = bhi - blo + 1;
+          planes.assign(5 * static_cast<std::size_t>(n), 0.0);
+          double* p = planes.data();
+          add_leaf_moments(ctx_b, tb, born_b, v, blo, bhi, p, p + n,
+                           p + 2 * n, p + 3 * n, p + 4 * n);
+          EpolPass pass{ta, ctx_a, born_a, tb, born_b, threshold, nf, &v};
+          pass.v_node_id = v_id;
+          pass.v_moments = {p,         p + n,     p + 2 * n,
+                            p + 3 * n, p + 4 * n, &ctx_b.rep[blo],
+                            n};
           mine += pass.descend(0, lc);
         }
         return mine;

@@ -59,7 +59,7 @@ struct ForcePass {
   const AtomsTree& ta;
   const EpolContext& ctx;
   std::span<const double> born_tree;
-  double eps;
+  double threshold;  ///< epol_threshold(ε)
   double tau;
   const Octree::Node* v;  ///< the V leaf
 
@@ -76,7 +76,7 @@ struct ForcePass {
       exact_leaf(u);
       return;
     }
-    if (epol_far_enough(d, u.radius, v->radius, eps)) {
+    if (epol_far_enough(d, u.radius, v->radius, threshold)) {
       far_field(u_id);
       return;
     }
@@ -104,10 +104,16 @@ struct ForcePass {
   }
 
   void far_field(std::uint32_t u_id) {
-    // Far node U acts on each atom of V as charge-per-bin point masses at
-    // U's centroid — the force analogue of the binned f_GB sum.
-    const int nb = ctx.nbins;
-    const double* ub = ctx.bins.data() + static_cast<std::size_t>(u_id) * nb;
+    // Far node U acts on each V atom through the first-order bin-pair
+    // potential of the energy's far field (DESIGN.md §2.1); the V atom is
+    // one bin of its own (P = 0, S = q·R), so per U bin i
+    //   E_i = q_v [Q_i h + g1·(D·P_i) + g2·R_v·(S_i − rep_i Q_i)],
+    // D = c_U − x_v, h = 1/f, g1 = 2∂h/∂d², g2 = ∂h/∂(rr). With
+    // δ = x_v − c_U = −D, g = (1 − e/4)/f³ (= −g1) and ' = ∂/∂d²,
+    //   ∇_v E_i = q_v (δ·[−Q_i g + 2g1'·(D·P_i) + 2g2'·R_v(S_i − rep_i Q_i)]
+    //                  + g·P_i),
+    // with dg1 = 2g1' and dg2 = 2g2' below.
+    const BinMoments m = ctx.moments(u_id);
     const Octree::Node& u = ta.tree.node(u_id);
     const auto pts = ta.tree.points();
     for (std::uint32_t vi = v->begin; vi < v->end; ++vi) {
@@ -116,13 +122,27 @@ struct ForcePass {
       const double rv = born_tree[vi];
       const Vec3 delta = pv - u.centroid;
       const double r2 = delta.norm2();
-      double gsum = 0.0;
-      for (int i = ctx.bin_lo[u_id]; i <= ctx.bin_hi[u_id]; ++i) {
-        if (ub[i] == 0.0) continue;
-        gsum += ub[i] * epol_force_kernel(r2, ctx.rep[i] * rv);
+      double coef = 0.0;
+      Vec3 dip;
+      for (int i = 0; i < m.n; ++i) {
+        if (!m.occupied(i)) continue;
+        const Vec3 p{m.px[i], m.py[i], m.pz[i]};
+        const double rr = m.rep[i] * rv;
+        const double x = r2 / (4.0 * rr);
+        const double e = std::exp(-x);
+        const double f2 = r2 + rr * e;
+        const double t = 1.0 / (f2 * std::sqrt(f2));  // f⁻³
+        const double fp = 1.0 - 0.25 * e;              // ∂f²/∂d²
+        const double g = fp * t;
+        const double dg1 = 3.0 * fp * fp * t / f2 - e * t / (8.0 * rr);
+        const double dg2 =
+            e * t * (x / (4.0 * rr) + 1.5 * (1.0 + x) * fp / f2);
+        coef += -m.q[i] * g - dg1 * delta.dot(p) +
+                dg2 * rv * (m.s[i] - m.rep[i] * m.q[i]);
+        dip += p * g;
         ++bins;
       }
-      (*v_forces)[vi - v->begin] += delta * (-tau * qv * gsum);
+      (*v_forces)[vi - v->begin] += (delta * coef + dip) * (tau * qv);
     }
   }
 };
@@ -139,7 +159,7 @@ std::vector<geom::Vec3> approx_epol_forces(
   for (std::size_t pos = 0; pos < idx.size(); ++pos)
     born_tree[pos] = born_input_order[idx[pos]];
   const EpolContext ctx = engine.build_epol_context(born_tree);
-  const double eps = engine.config().approx.eps_epol;
+  const double threshold = epol_threshold(engine.config().approx.eps_epol);
   const double tau = engine.config().gb.tau();
 
   std::vector<Vec3> forces_tree(engine.num_atoms());
@@ -150,8 +170,8 @@ std::vector<geom::Vec3> approx_epol_forces(
         for (std::int64_t li = lo; li < hi; ++li) {
           const Octree::Node& v = ta.tree.node(leaves[li]);
           std::vector<Vec3> local(v.size());
-          ForcePass pass{ta,  ctx, born_tree, eps, tau, &v, &local, 0, 0,
-                         0};
+          ForcePass pass{ta,  ctx,    born_tree, threshold, tau,
+                         &v,  &local, 0,         0,         0};
           pass.descend(0);
           // V leaves are disjoint, so this write is race-free.
           for (std::uint32_t i = 0; i < v.size(); ++i)

@@ -35,9 +35,10 @@ mol::Molecule body_molecule(const mol::Molecule& mol,
 }  // namespace
 
 /// Frozen-monomer caches for CrossScreen: each body's isolated engine,
-/// Born radii, and Epol bin table at the base coordinates. Bin tables
-/// depend only on topology + radii, and rigid motion preserves intra-body
-/// distances, so everything here survives per-pose ligand refits intact.
+/// Born radii, and Epol bin table at the base coordinates. Rigid motion
+/// preserves intra-body distances, so the radii and the bin layout survive
+/// per-pose ligand refits intact. The ligand table's dipoles turn with the
+/// pose; approx_epol_cross recomputes them from the refit tree.
 struct ScoringSession::ScreenState {
   std::size_t ligand_begin = 0;
   ApproxParams approx_at_build;
@@ -225,7 +226,7 @@ ScoringSession::ScreenState& ScoringSession::ensure_screen_state(
   st->approx_at_build = approx;
 
   // Isolated-body evaluations at base coordinates; the Born radii and bin
-  // tables are frozen for the rest of the pose stream.
+  // layouts are frozen for the rest of the pose stream.
   const EvalResult rec = st->rec_engine.compute(scratch_);
   st->e_rec = rec.epol;
   st->rec_born_tree.assign(scratch_.born_tree.begin(),
@@ -284,7 +285,7 @@ PoseScore ScoringSession::score_pose_screen(const geom::RigidTransform& pose,
     ++stats_.rebuilds;
     score.rebuilt = true;
     // The rebuild re-permutes the tree: remap the frozen input-order
-    // radii and rebuild the (radius-only) bin table.
+    // radii and rebuild the bin table on the new leaves.
     const auto idx = st.lig_engine.atoms_tree().tree.point_index();
     for (std::size_t p = 0; p < idx.size(); ++p)
       st.lig_born_tree[p] = st.lig_born_input[idx[p]];

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <sstream>
+#include <string>
 
 #include "octgb/core/born.hpp"
 #include "octgb/core/engine.hpp"
 #include "octgb/core/epol.hpp"
 #include "octgb/core/fastmath.hpp"
+#include "octgb/core/forces.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/core/workdiv.hpp"
@@ -19,6 +23,10 @@
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
+#include "octgb/util/rng.hpp"
+
+// The far-field order tests call the scalar kernel table directly.
+#include "../src/core/near_field.hpp"
 
 using namespace octgb;
 using core::EngineConfig;
@@ -95,10 +103,14 @@ TEST(GBParams, BornFarFieldCriterion) {
 }
 
 TEST(GBParams, EpolFarFieldCriterion) {
-  EXPECT_FALSE(core::epol_far_enough(3.0, 1.0, 1.0, 0.9));
-  const double dstar = 2.0 * (1.0 + 2.0 / 0.9);
-  EXPECT_FALSE(core::epol_far_enough(dstar * 0.999, 1.0, 1.0, 0.9));
-  EXPECT_TRUE(core::epol_far_enough(dstar * 1.001, 1.0, 1.0, 0.9));
+  // Opening factor (1 + 2/ε)^¾: 2.41 at ε = 0.9.
+  const double k = core::epol_threshold(0.9);
+  EXPECT_EQ(k, std::pow(1.0 + 2.0 / 0.9, 0.75));
+  EXPECT_NEAR(k, 2.41, 0.005);
+  EXPECT_FALSE(core::epol_far_enough(3.0, 1.0, 1.0, k));
+  const double dstar = 2.0 * std::pow(1.0 + 2.0 / 0.9, 0.75);
+  EXPECT_FALSE(core::epol_far_enough(dstar * 0.999, 1.0, 1.0, k));
+  EXPECT_TRUE(core::epol_far_enough(dstar * 1.001, 1.0, 1.0, k));
 }
 
 // ---- naive references ---------------------------------------------------------
@@ -383,6 +395,242 @@ std::vector<double> synthetic_born(const core::AtomsTree& t) {
 }
 
 }  // namespace
+
+TEST(EpolContext, RejectsNonFiniteOrNonPositiveRadii) {
+  // A NaN radius used to return epol = nan with no error, and 0, −1 or
+  // +inf threw a misleading "eps_epol too small". Every entry point that
+  // builds a context names the tree index and the value instead. Tree
+  // position 0 is probed on its own: the min/max scan seeds from it, so a
+  // NaN there poisons the scan differently from a NaN further in.
+  const Problem p(600);
+  const GBEngine engine(p.molecule, p.surf);
+  const auto born = engine.compute().born;
+  const auto idx = engine.atoms_tree().tree.point_index();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t pos : {std::size_t{0}, idx.size() / 2}) {
+    for (const double bad : {nan, 0.0, -1.0, inf}) {
+      std::vector<double> radii = born;
+      radii[idx[pos]] = bad;
+      std::ostringstream want;
+      want << "Born radius at tree index " << pos << " is " << bad;
+      const auto expect_named = [&](const auto& call, const char* what) {
+        try {
+          call();
+          ADD_FAILURE() << what << " accepted " << bad << " at " << pos;
+        } catch (const util::CheckError& e) {
+          EXPECT_NE(std::string(e.what()).find(want.str()),
+                    std::string::npos)
+              << what << ": " << e.what();
+        }
+      };
+      perf::WorkCounters wc;
+      expect_named([&] { engine.epol_with_radii(radii, wc); },
+                   "epol_with_radii");
+      expect_named([&] { core::approx_epol_forces(engine, radii, wc); },
+                   "approx_epol_forces");
+    }
+  }
+}
+
+TEST(EpolContext, MomentsMatchDirectSums) {
+  // The bottom-up pass adds children and moves each child dipole to the
+  // parent centroid; every node's planes must equal the direct per-bin
+  // sums over its own atoms.
+  const Problem p(350);
+  const auto ta = core::AtomsTree::build(p.molecule);
+  std::vector<double> born(ta.num_atoms());
+  for (std::size_t i = 0; i < born.size(); ++i)
+    born[i] = 1.2 + 0.37 * static_cast<double>(i % 11);
+  const auto ctx = core::EpolContext::build(ta, born, 0.5);
+  const auto pts = ta.tree.points();
+  const auto nodes = ta.tree.nodes();
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const auto& n = nodes[id];
+    const std::size_t nb = static_cast<std::size_t>(ctx.nbins);
+    std::vector<double> q(nb), s(nb), px(nb), py(nb), pz(nb);
+    for (std::uint32_t a = n.begin; a < n.end; ++a) {
+      const int k = ctx.bin_of(born[a]);
+      const geom::Vec3 r = pts[a] - n.centroid;
+      q[k] += ta.charge[a];
+      s[k] += ta.charge[a] * born[a];
+      px[k] += ta.charge[a] * r.x;
+      py[k] += ta.charge[a] * r.y;
+      pz[k] += ta.charge[a] * r.z;
+    }
+    // The stored range is exactly the bins the node's atoms fall in.
+    const int lo = ctx.bin_lo[id], hi = ctx.bin_hi[id];
+    int want_lo = ctx.nbins, want_hi = -1;
+    for (std::uint32_t a = n.begin; a < n.end; ++a) {
+      want_lo = std::min(want_lo, ctx.bin_of(born[a]));
+      want_hi = std::max(want_hi, ctx.bin_of(born[a]));
+    }
+    EXPECT_EQ(lo, want_lo) << "node " << id;
+    EXPECT_EQ(hi, want_hi) << "node " << id;
+    const core::BinMoments m = ctx.moments(id);
+    ASSERT_EQ(m.n, hi - lo + 1);
+    EXPECT_EQ(m.rep, ctx.rep.data() + lo);
+    for (int i = 0; i < m.n; ++i) {
+      const std::size_t k = static_cast<std::size_t>(lo + i);
+      EXPECT_NEAR(m.q[i], q[k], 1e-9) << "node " << id << " bin " << k;
+      EXPECT_NEAR(m.s[i], s[k], 1e-9) << "node " << id << " bin " << k;
+      EXPECT_NEAR(m.px[i], px[k], 1e-8) << "node " << id << " bin " << k;
+      EXPECT_NEAR(m.py[i], py[k], 1e-8) << "node " << id << " bin " << k;
+      EXPECT_NEAR(m.pz[i], pz[k], 1e-8) << "node " << id << " bin " << k;
+    }
+  }
+}
+
+TEST(EpolContext, FootprintCountsEveryMomentPlane) {
+  // Exact accounting: five compact moment planes (Q, S, P_x, P_y, P_z)
+  // with one cell per bin of each node's range, the per-bin
+  // representative radii, the two int16 range planes and the offsets.
+  const Problem p(400);
+  const auto ta = core::AtomsTree::build(p.molecule);
+  std::vector<double> born(ta.num_atoms());
+  for (std::size_t i = 0; i < born.size(); ++i)
+    born[i] = 1.3 + 0.21 * static_cast<double>(i % 13);
+  const auto ctx = core::EpolContext::build(ta, born, 0.7);
+  const std::size_t nodes = ta.tree.nodes().size();
+  const std::size_t nbins = static_cast<std::size_t>(ctx.nbins);
+  ASSERT_GT(nbins, 2u);
+  std::size_t cells = 0;
+  for (std::size_t id = 0; id < nodes; ++id)
+    cells += static_cast<std::size_t>(ctx.bin_hi[id] - ctx.bin_lo[id] + 1);
+  EXPECT_LT(cells, nodes * nbins);  // compact: leaves span a few bins
+  EXPECT_EQ(ctx.footprint_bytes(),
+            (5 * cells + nbins) * sizeof(double) +
+                nodes * (2 * sizeof(std::int16_t) + sizeof(std::size_t)));
+  EXPECT_EQ(core::EpolContext{}.footprint_bytes(), 0u);
+}
+
+namespace {
+
+/// A synthetic cluster of `n` atoms of size `size` about `center`: mixed
+/// charges, and radii spread over four geometric bins rep_k = 1.5·1.5^k,
+/// each within ±15 %·size of its bin's representative, so the spread of
+/// positions and of radii both scale with `size`.
+struct Cluster {
+  std::vector<geom::Vec3> x;
+  std::vector<double> q, r;
+  std::vector<int> bin;
+  geom::Vec3 centroid;
+};
+
+constexpr int kClusterBins = 4;
+
+double cluster_rep(int k) { return 1.5 * std::pow(1.5, k); }
+
+Cluster make_cluster(std::uint64_t seed, geom::Vec3 center, double size) {
+  util::Xoshiro256 rng(seed);
+  Cluster c;
+  for (int a = 0; a < 24; ++a) {
+    const geom::Vec3 xi{rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
+                        rng.uniform(-1.5, 1.5)};
+    const int k = a % kClusterBins;
+    c.x.push_back(center + xi * size);
+    c.q.push_back(rng.uniform(-1.0, 1.0));
+    c.r.push_back(cluster_rep(k) * (1.0 + size * rng.uniform(-0.15, 0.15)));
+    c.bin.push_back(k);
+    c.centroid += c.x.back();
+  }
+  c.centroid = c.centroid / static_cast<double>(c.x.size());
+  return c;
+}
+
+/// Per-bin moment planes of a cluster; `monopole` keeps only Q (P = 0,
+/// S = rep·Q), which is the far field before the first-order terms.
+struct ClusterMoments {
+  std::vector<double> q, s, px, py, pz, rep;
+  ClusterMoments(const Cluster& c, bool monopole)
+      : q(kClusterBins), s(kClusterBins), px(kClusterBins),
+        py(kClusterBins), pz(kClusterBins), rep(kClusterBins) {
+    for (int k = 0; k < kClusterBins; ++k) rep[k] = cluster_rep(k);
+    for (std::size_t a = 0; a < c.x.size(); ++a) {
+      const int k = c.bin[a];
+      const geom::Vec3 d = c.x[a] - c.centroid;
+      q[k] += c.q[a];
+      s[k] += c.q[a] * (monopole ? rep[k] : c.r[a]);
+      if (monopole) continue;
+      px[k] += c.q[a] * d.x;
+      py[k] += c.q[a] * d.y;
+      pz[k] += c.q[a] * d.z;
+    }
+  }
+  core::BinMoments view() const {
+    return {q.data(),  s.data(),   px.data(), py.data(),
+            pz.data(), rep.data(), kClusterBins};
+  }
+};
+
+/// {monopole error, first-order error} of the far field between clusters
+/// of size `size` against their exact pair sum.
+std::pair<double, double> far_field_errors(double size) {
+  const geom::Vec3 ca{0.0, 0.0, 0.0}, cb{7.5, 3.0, -2.5};
+  const Cluster a = make_cluster(11, ca, size), b = make_cluster(12, cb, size);
+  double exact = 0.0;
+  for (std::size_t i = 0; i < a.x.size(); ++i)
+    for (std::size_t j = 0; j < b.x.size(); ++j)
+      exact += a.q[i] * b.q[j] /
+               core::f_gb(geom::dist2(a.x[i], b.x[j]), a.r[i] * b.r[j]);
+  const geom::Vec3 d = a.centroid - b.centroid;
+  const auto far = [&](bool monopole) {
+    const ClusterMoments ma(a, monopole), mb(b, monopole);
+    std::uint64_t pairs = 0;
+    return core::detail::scalar_kernels().epol_far_bins(
+        ma.view(), mb.view(), d.x, d.y, d.z, d.norm2(), pairs);
+  };
+  return {std::abs(far(true) - exact), std::abs(far(false) - exact)};
+}
+
+}  // namespace
+
+TEST(EpolFarField, CorrectionIsSecondOrderInClusterSize) {
+  // Centers 8.4 Å apart with radii up to 5 Å: exp(−d²/4RR) is far from
+  // negligible, so the Born-radius term matters as much as the dipole.
+  // Halving the size of both clusters (positions and radius spread) must
+  // halve the monopole error (first order) and cut the first-order far
+  // field's error by at least 3× (second order: ~4×).
+  for (const double size : {0.4, 0.2}) {
+    const auto [mono, corr] = far_field_errors(size);
+    const auto [mono_half, corr_half] = far_field_errors(size / 2);
+    EXPECT_GT(mono / mono_half, 1.6) << "size " << size;
+    EXPECT_LT(mono / mono_half, 2.5) << "size " << size;
+    EXPECT_GT(corr / corr_half, 3.0) << "size " << size;
+    EXPECT_LT(corr, 0.25 * mono) << "size " << size;
+  }
+}
+
+TEST(EpolFarField, ZeroChargeBodyGivesExactlyZero) {
+  // Every moment of a zero-charge body vanishes, so each far bin pair is
+  // skipped and each exact pair is 0·finite: the cross energy is exactly 0
+  // with the neutral body on either side, at every kernel and width.
+  const auto ma = mol::generate_protein({.target_atoms = 300, .seed = 5});
+  auto mb = mol::generate_protein({.target_atoms = 150, .seed = 6});
+  for (auto& atom : mb.atoms()) atom.charge = 0.0;
+  mb.transform(geom::RigidTransform::translate({14.0, 2.0, -1.0}));
+  const auto ta = core::AtomsTree::build(ma);
+  const auto tb = core::AtomsTree::build(mb);
+  const auto born_a = synthetic_born(ta), born_b = synthetic_born(tb);
+  const auto ctx_a = core::EpolContext::build(ta, born_a, 0.9);
+  const auto ctx_b = core::EpolContext::build(tb, born_b, 0.9);
+  std::vector<simd::VectorIsa> isas{simd::VectorIsa::Scalar};
+  for (auto isa : {simd::VectorIsa::V128, simd::VectorIsa::V256})
+    if (simd::isa_available(isa)) isas.push_back(isa);
+  for (const auto kernel :
+       {core::KernelKind::Scalar, core::KernelKind::Batched})
+    for (const auto isa : isas)
+      for (const bool fast : {false, true}) {
+        perf::WorkCounters wc;
+        EXPECT_EQ(core::approx_epol_cross(ta, ctx_a, born_a, tb, ctx_b, born_b,
+                                          0.9, fast, {}, wc, kernel, {isa}),
+                  0.0);
+        EXPECT_EQ(core::approx_epol_cross(tb, ctx_b, born_b, ta, ctx_a, born_a,
+                                          0.9, fast, {}, wc, kernel, {isa}),
+                  0.0);
+        EXPECT_GT(wc.epol_exact, 0u);
+      }
+}
 
 TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
   // approx_epol evaluates each mutual exact leaf pair once, weighted ×2;

@@ -386,6 +386,53 @@ TEST(Session, CrossScreenPosesAreDeterministic) {
   EXPECT_EQ(a[0].delta, b[0].delta);
 }
 
+TEST(Session, CrossScreenRotatedPoseMatchesABinTableBuiltInThePose) {
+  // The ligand's charge dipoles turn with it, while the session keeps the
+  // ligand bin table it built at the base coordinates. Reference: the same
+  // frozen bodies, the ligand tree refit to the pose, and a bin table
+  // built from scratch on the refit tree.
+  const Complex c(400, 100, 14.0);
+  const surface::SurfaceParams sp{.subdivision = 1};
+  const auto surf = surface::build_surface(c.combined, sp);
+  ScoringSession session(c.combined, surf, {}, sp);
+  const geom::Vec3 axis = geom::Vec3{1.0, -2.0, 0.5} / std::sqrt(5.25);
+  const auto pose =
+      geom::RigidTransform::translate({2.0, 1.5, -1.0}) *
+      geom::RigidTransform::rotate(geom::Mat3::axis_angle(axis, 1.5));
+  const auto screen = session.score_poses({&pose, 1}, c.ligand_begin,
+                                          core::PoseMode::CrossScreen);
+  ASSERT_EQ(session.move_stats().rebuilds, 0u);
+
+  mol::Molecule rec("receptor"), lig("ligand");
+  for (std::size_t i = 0; i < c.combined.size(); ++i)
+    (i < c.ligand_begin ? rec : lig).add_atom(c.combined.atom(i));
+  const GBEngine rec_engine(rec, surface::build_surface(rec, sp), {});
+  GBEngine lig_engine(lig, surface::build_surface(lig, sp), {});
+  EvalScratch scratch;
+  rec_engine.compute(scratch);
+  const std::vector<double> rec_born(scratch.born_tree.begin(),
+                                     scratch.born_tree.end());
+  const core::EpolContext rec_ctx = scratch.epol_ctx;
+  lig_engine.compute(scratch);
+  const std::vector<double> lig_born(scratch.born_tree.begin(),
+                                     scratch.born_tree.end());
+  std::vector<geom::Vec3> posed(lig.size());
+  for (std::size_t i = 0; i < lig.size(); ++i)
+    posed[i] = pose.apply(lig.atom(i).pos);
+  lig_engine.refit_atoms(posed);
+
+  const core::ApproxParams& ap = lig_engine.config().approx;
+  const auto lig_ctx =
+      core::EpolContext::build(lig_engine.atoms_tree(), lig_born, ap.eps_epol);
+  perf::WorkCounters wc;
+  const double cross = core::approx_epol_cross(
+      rec_engine.atoms_tree(), rec_ctx, rec_born, lig_engine.atoms_tree(),
+      lig_ctx, lig_born, ap.eps_epol, ap.approx_math, lig_engine.config().gb,
+      wc, ap.kernel, ap.vector);
+  // Both sides run the same kernel on the same leaf moments: bitwise.
+  EXPECT_EQ(screen[0].delta, cross);
+}
+
 // ---- cross-tree Epol kernel -------------------------------------------------
 
 TEST(CrossEpol, MatchesDirectDoubleLoopAtTinyEps) {
@@ -440,6 +487,21 @@ TEST(CrossEpol, EmptyTreesGiveZero) {
             0.0);
 }
 
+TEST(CrossEpol, RejectsABinTableOfAnotherTreeShape) {
+  mol::Molecule a = mol::generate_protein({.target_atoms = 200, .seed = 5});
+  mol::Molecule b = mol::generate_protein({.target_atoms = 120, .seed = 6});
+  b.transform(geom::RigidTransform::translate({30.0, 0, 0}));
+  const auto ta = core::AtomsTree::build(a, {});
+  const auto tb = core::AtomsTree::build(b, {});
+  const std::vector<double> born_a(ta.num_atoms(), 1.5);
+  const std::vector<double> born_b(tb.num_atoms(), 1.5);
+  const auto ctx_a = core::EpolContext::build(ta, born_a, 0.9);
+  perf::WorkCounters wc;
+  EXPECT_THROW(core::approx_epol_cross(ta, ctx_a, born_a, tb, ctx_a, born_b,
+                                       0.9, false, {}, wc),
+               util::CheckError);
+}
+
 // ---- EpolContext in-place rebuild -------------------------------------------
 
 TEST(EpolContext, RebuildMatchesBuildAndReportsGrowth) {
@@ -451,12 +513,22 @@ TEST(EpolContext, RebuildMatchesBuildAndReportsGrowth) {
 
   const auto built = core::EpolContext::build(ta, born, 0.9);
   core::EpolContext ctx;
+  const auto expect_same = [&] {
+    EXPECT_EQ(ctx.bins, built.bins);
+    EXPECT_EQ(ctx.born_moment, built.born_moment);
+    EXPECT_EQ(ctx.dipole_x, built.dipole_x);
+    EXPECT_EQ(ctx.dipole_y, built.dipole_y);
+    EXPECT_EQ(ctx.dipole_z, built.dipole_z);
+    EXPECT_EQ(ctx.bin_lo, built.bin_lo);
+    EXPECT_EQ(ctx.bin_hi, built.bin_hi);
+    EXPECT_EQ(ctx.bin_off, built.bin_off);
+    EXPECT_EQ(ctx.rep, built.rep);
+    EXPECT_EQ(ctx.nbins, built.nbins);
+  };
   EXPECT_TRUE(ctx.rebuild(ta, born, 0.9));  // cold: must grow
-  EXPECT_EQ(ctx.bins, built.bins);
-  EXPECT_EQ(ctx.rep, built.rep);
-  EXPECT_EQ(ctx.nbins, built.nbins);
+  expect_same();
   EXPECT_FALSE(ctx.rebuild(ta, born, 0.9));  // warm: capacity reused
-  EXPECT_EQ(ctx.bins, built.bins);
+  expect_same();
   // Coarser ε → fewer bins → still no growth.
   EXPECT_FALSE(ctx.rebuild(ta, born, 2.5));
 }

@@ -40,6 +40,9 @@
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
 
+// The scalar kernel table is the reference the vector tails replicate.
+#include "../src/core/near_field.hpp"
+
 using namespace octgb;
 using core::AtomBatch;
 using core::EvalScratch;
@@ -95,23 +98,59 @@ struct SpanData {
   }
 };
 
-/// Reference for the far-bins kernel: the scalar skip-zeros double loop
-/// of EpolPass::far_field's node path (epol.cpp).
-double far_bins_ref(const double* ub, int ulo, int uhi, const double* rep_u,
-                    const double* vb, int vlo, int vhi, const double* rep_v,
-                    double d2, bool fast, std::uint64_t& binpairs) {
+/// One node's per-bin moment planes, owned (the test-side EpolContext).
+struct BinTable {
+  std::vector<double> q, s, px, py, pz, rep;
+  int lo = 0, hi = -1;
+  core::BinMoments view() const {
+    return {q.data() + lo,  s.data() + lo,  px.data() + lo, py.data() + lo,
+            pz.data() + lo, rep.data() + lo, hi - lo + 1};
+  }
+};
+
+/// Random table over `nbins` geometric bins, ~40 % of them empty (every
+/// moment zero), mirroring sparse per-node tables.
+BinTable random_table(util::Xoshiro256& rng, int nbins) {
+  BinTable t;
+  for (auto* plane : {&t.q, &t.s, &t.px, &t.py, &t.pz, &t.rep})
+    plane->assign(nbins, 0.0);
+  for (int k = 0; k < nbins; ++k) {
+    t.rep[k] = 1.0 * std::exp(0.05 * (k + 0.5));
+    if (rng.uniform(0.0, 1.0) <= 0.4) continue;
+    t.q[k] = rng.uniform(-2.0, 2.0);
+    t.s[k] = t.q[k] * t.rep[k] * rng.uniform(0.97, 1.03);
+    t.px[k] = rng.uniform(-3.0, 3.0);
+    t.py[k] = rng.uniform(-3.0, 3.0);
+    t.pz[k] = rng.uniform(-3.0, 3.0);
+  }
+  t.hi = nbins - 1;
+  return t;
+}
+
+/// Reference for the far-bins kernel, written from the FarBinsFn formula
+/// term by term: Σ over occupied bin pairs of
+/// Q_i Q_j/f − (1 − e/4) f⁻³ (D·P_i Q_j − Q_i D·P_j)
+///           − ½ e (1 + x) f⁻³ (S_i S_j − rr Q_i Q_j).
+double far_bins_ref(const core::BinMoments& u, const core::BinMoments& v,
+                    const double* dv, bool fast, std::uint64_t& binpairs) {
+  const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
   double sum = 0.0;
-  for (int i = ulo; i <= uhi; ++i) {
-    if (ub[i] == 0.0) continue;
-    for (int j = vlo; j <= vhi; ++j) {
-      if (vb[j] == 0.0) continue;
-      const double rr = rep_u[i] * rep_v[j];
-      if (fast) {
-        const double f2 = d2 + rr * core::fast_exp(-d2 / (4.0 * rr));
-        sum += ub[i] * vb[j] * core::fast_rsqrt(f2);
-      } else {
-        sum += ub[i] * vb[j] / core::f_gb(d2, rr);
-      }
+  for (int i = 0; i < u.n; ++i) {
+    if (!u.occupied(i)) continue;
+    for (int j = 0; j < v.n; ++j) {
+      if (!v.occupied(j)) continue;
+      const double rr = u.rep[i] * v.rep[j];
+      const double x = d2 / (4.0 * rr);
+      const double e = fast ? core::fast_exp(-x) : std::exp(-x);
+      const double f2 = d2 + rr * e;
+      const double inv_f = fast ? core::fast_rsqrt(f2) : 1.0 / std::sqrt(f2);
+      const double inv_f3 = inv_f * inv_f * inv_f;
+      const double dpi = dv[0] * u.px[i] + dv[1] * u.py[i] + dv[2] * u.pz[i];
+      const double dpj = dv[0] * v.px[j] + dv[1] * v.py[j] + dv[2] * v.pz[j];
+      sum += u.q[i] * v.q[j] * inv_f -
+             (1.0 - e / 4.0) * inv_f3 * (dpi * v.q[j] - u.q[i] * dpj) -
+             0.5 * e * (1.0 + x) * inv_f3 *
+                 (u.s[i] * v.s[j] - rr * u.q[i] * v.q[j]);
       ++binpairs;
     }
   }
@@ -330,46 +369,106 @@ TEST(SimdRemainder, SpliceVectorPrefixPlusScalarTailIsBitwise) {
 
 TEST(SimdFarBins, MatchesScalarLoopAndCountsExactly) {
   util::Xoshiro256 rng(505);
-  for (VectorIsa isa : available_widths()) {
-    const KernelSet* ks = simd::kernels(isa);
+  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
+  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
+  for (const KernelSet* ks : sets) {
     for (int trial = 0; trial < 24; ++trial) {
       const int nbins = 1 + static_cast<int>(rng.uniform(0.0, 40.0));
-      std::vector<double> ub(nbins, 0.0), vb(nbins, 0.0);
-      std::vector<double> rep(nbins);
-      for (int k = 0; k < nbins; ++k) {
-        rep[k] = 1.0 * std::exp(0.05 * (k + 0.5));
-        // ~40 % zero bins on each side, mirroring sparse charge tables.
-        if (rng.uniform(0.0, 1.0) > 0.4) ub[k] = rng.uniform(-2.0, 2.0);
-        if (rng.uniform(0.0, 1.0) > 0.4) vb[k] = rng.uniform(-2.0, 2.0);
-      }
-      const int ulo = trial % nbins, uhi = nbins - 1;
-      const int vlo = 0, vhi = nbins - 1 - (trial % 3);
-      const double d2 = rng.uniform(50.0, 5000.0);
+      BinTable ut = random_table(rng, nbins), vt = random_table(rng, nbins);
+      ut.lo = trial % nbins;
+      vt.hi = std::max(0, nbins - 1 - (trial % 3));
+      const double dv[3] = {rng.uniform(5.0, 40.0), rng.uniform(-40.0, 40.0),
+                            rng.uniform(-40.0, 40.0)};
+      const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
+      const core::BinMoments u = ut.view(), v = vt.view();
       for (bool fast : {false, true}) {
         std::uint64_t pairs_ref = 0, pairs_got = 0;
-        const double ref =
-            far_bins_ref(ub.data(), ulo, uhi, rep.data(), vb.data(), vlo,
-                         vhi, rep.data(), d2, fast, pairs_ref);
+        const double ref = far_bins_ref(u, v, dv, fast, pairs_ref);
         const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
-        const double got = fn(ub.data(), ulo, uhi, rep.data(), vb.data(),
-                              vlo, vhi, rep.data(), d2, pairs_got);
+        const double got = fn(u, v, dv[0], dv[1], dv[2], d2, pairs_got);
         EXPECT_NEAR(got, ref, 1e-10 * (1.0 + std::abs(ref)))
             << ks->name << " trial " << trial << " fast " << fast;
         // The work accounting must be width-invariant to the bit.
         EXPECT_EQ(pairs_got, pairs_ref)
             << ks->name << " trial " << trial << " fast " << fast;
         std::uint64_t again = 0;
-        EXPECT_EQ(got, fn(ub.data(), ulo, uhi, rep.data(), vb.data(), vlo,
-                          vhi, rep.data(), d2, again));
+        EXPECT_EQ(got, fn(u, v, dv[0], dv[1], dv[2], d2, again));
       }
     }
     // Empty ranges: no sum, no pairs.
     std::uint64_t pairs = 0;
     const double one = 1.0;
-    EXPECT_EQ(ks->epol_far_bins(&one, 1, 0, &one, &one, 0, 0, &one, 100.0,
-                                pairs),
+    const core::BinMoments empty{&one, &one, &one, &one, &one, &one, 0};
+    const core::BinMoments single{&one, &one, &one, &one, &one, &one, 1};
+    EXPECT_EQ(ks->epol_far_bins(empty, single, 10.0, 0.0, 0.0, 100.0, pairs),
+              0.0);
+    EXPECT_EQ(ks->epol_far_bins(single, empty, 10.0, 0.0, 0.0, 100.0, pairs),
               0.0);
     EXPECT_EQ(pairs, 0u);
+  }
+}
+
+TEST(SimdFarBins, RemainderTailIsBitwiseTheScalarTable) {
+  // A u-bin range shorter than one vector runs only the scalar tail, which
+  // calls the scalar table's per-term code and keeps its row accumulator:
+  // the result must match it to the bit, for any v range, exact and fast.
+  util::Xoshiro256 rng(506);
+  const KernelSet& scalar = core::detail::scalar_kernels();
+  for (VectorIsa isa : available_widths()) {
+    const KernelSet* ks = simd::kernels(isa);
+    for (int trial = 0; trial < 48; ++trial) {
+      const int nbins = 12;
+      BinTable ut = random_table(rng, nbins), vt = random_table(rng, nbins);
+      vt.lo = trial % 4;
+      ut.lo = trial % nbins;
+      ut.hi = std::min(nbins - 1, ut.lo + trial % (ks->lanes - 1));
+      const double dv[3] = {rng.uniform(5.0, 40.0), rng.uniform(-40.0, 40.0),
+                            rng.uniform(-40.0, 40.0)};
+      const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
+      for (bool fast : {false, true}) {
+        const auto want_fn =
+            fast ? scalar.epol_far_bins_fast : scalar.epol_far_bins;
+        const auto got_fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
+        std::uint64_t want_pairs = 0, got_pairs = 0;
+        const double want =
+            want_fn(ut.view(), vt.view(), dv[0], dv[1], dv[2], d2, want_pairs);
+        const double got =
+            got_fn(ut.view(), vt.view(), dv[0], dv[1], dv[2], d2, got_pairs);
+        EXPECT_EQ(got, want) << ks->name << " trial " << trial << " fast "
+                             << fast;
+        EXPECT_EQ(got_pairs, want_pairs) << ks->name << " trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(SimdFarBins, ZeroChargeBodyGivesExactlyZero) {
+  // A body whose atoms all carry zero charge has every moment zero: each
+  // of its bins is skipped, so the far field is exactly 0 with no pairs
+  // counted, at every width, whichever side the body is on.
+  util::Xoshiro256 rng(507);
+  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
+  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
+  const int nbins = 11;
+  const BinTable charged = random_table(rng, nbins);
+  BinTable neutral = random_table(rng, nbins);
+  for (auto* plane : {&neutral.q, &neutral.s, &neutral.px, &neutral.py,
+                      &neutral.pz})
+    std::fill(plane->begin(), plane->end(), 0.0);
+  for (const KernelSet* ks : sets) {
+    for (bool fast : {false, true}) {
+      const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
+      std::uint64_t pairs = 0;
+      EXPECT_EQ(fn(charged.view(), neutral.view(), 12.0, -3.0, 4.0, 169.0,
+                   pairs),
+                0.0)
+          << ks->name;
+      EXPECT_EQ(fn(neutral.view(), charged.view(), 12.0, -3.0, 4.0, 169.0,
+                   pairs),
+                0.0)
+          << ks->name;
+      EXPECT_EQ(pairs, 0u) << ks->name;
+    }
   }
 }
 
