@@ -10,15 +10,18 @@
 /// dipole about the node centroid, which make the bin-pair term first
 /// order in both the atom positions and the radii (DESIGN.md §2.1).
 ///
-/// approx_epol mirrors the near field: an exact leaf pair (U, V) that both
-/// leaves' descents reach is evaluated once, from one side, weighted ×2
-/// (DESIGN.md §2.12). The atom-based variant keeps the paper's plain
-/// descent and doubles as the unmirrored reference.
+/// All three entry points, the force pass and the near-set collector run
+/// one descent (DESIGN.md §2.14). approx_epol mirrors the near field: an
+/// exact leaf pair (U, V) that both leaves' descents reach is evaluated
+/// once, from one side, weighted ×2 (DESIGN.md §2.12). The atom-based
+/// variant keeps the paper's plain descent and doubles as the unmirrored
+/// reference.
 ///
-/// Also provides the atom-based work division variant (§IV): dividing
-/// *atoms* instead of leaves makes the admissibility decisions depend on
-/// the segment boundaries, so the error drifts with P — the effect the
-/// paper reports and bench_workdiv reproduces.
+/// Also provides the atom-based work division variant (§IV): a leaf that
+/// a segment boundary splits descends atom by atom, each atom a V side
+/// of radius 0 at its own position. Its admissibility decisions then
+/// depend on the segment boundaries, so the error drifts with P — the
+/// effect the paper reports and bench_workdiv reproduces.
 
 #include <cstdint>
 #include <span>
@@ -107,9 +110,11 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    const simd::VectorParams& vector = {});
 
 /// Atom-based division: energy from the interaction of atoms in tree
-/// positions [atom_begin, atom_end) with the entire tree. Plain descent,
-/// no mirroring: over [0, n) it evaluates approx_epol's interaction set
-/// from both sides, which makes it the unmirrored test reference.
+/// positions [atom_begin, atom_end) with the entire tree. A leaf wholly
+/// inside the range descends as a leaf; the atoms of a leaf the range
+/// splits descend one by one. Plain descent, no mirroring: over [0, n) it
+/// evaluates approx_epol's interaction set from both sides, which makes
+/// it the unmirrored test reference.
 double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
                               std::span<const double> born_tree,
                               std::uint32_t atom_begin, std::uint32_t atom_end,

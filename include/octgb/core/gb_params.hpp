@@ -105,9 +105,9 @@ inline bool born_far_enough(double d, double ra, double rq,
 /// Opening factor k used by epol_far_enough: (1 + 2/ε)^¾ (2.41 at ε = 0.9).
 /// The paper prints sqrt(1 + 2/ε); the first-order bin-pair far field
 /// (charge dipole plus Born-radius moment, DESIGN.md §2.1) holds the 1 %
-/// budget down to exponent ≈ 0.7, and ¾ keeps a margin. Every descent,
-/// mirror test, force pass and near-set collector evaluates this one
-/// expression, so their decisions agree bit for bit.
+/// budget down to exponent ≈ 0.7, and ¾ keeps a margin. The one Epol
+/// walk (energy, forces, near-set collection) and the mirror test
+/// evaluate this one expression, so their decisions agree bit for bit.
 inline double epol_threshold(double eps_epol) {
   return std::pow(1.0 + 2.0 / eps_epol, 0.75);
 }

@@ -25,7 +25,9 @@
 /// node the walk makes one `Sink::Owner o = sink.open(a_id)`, hands it
 /// `o.far(q_id)` / `o.near(q_id)` in order, and ends with `o.close()`;
 /// a false close() aborts the walk (validate's mismatch). The sinks are
-/// evaluate (born.cpp) and count / emit / compare (plan.cpp).
+/// evaluate (born.cpp), count / emit / compare (plan.cpp) and the
+/// near-set collect of the data-distribution model (data_distributed.cpp),
+/// whose near() marks its owner's leaf.
 
 #include <atomic>
 #include <cmath>

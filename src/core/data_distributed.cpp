@@ -1,8 +1,10 @@
 #include "octgb/core/data_distributed.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 
+#include "born_walk.hpp"
+#include "epol_walk.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/util/check.hpp"
 
@@ -12,37 +14,34 @@ namespace {
 
 using octree::Octree;
 
-/// Replay the APPROX-INTEGRALS admissibility decisions for one T_Q leaf,
-/// recording the T_A leaves reached exactly.
-void near_ta_descend(const Octree& ta_tree, const Octree::Node& q,
-                     double threshold, std::uint32_t a_id,
-                     std::vector<bool>& touched) {
-  const Octree::Node& a = ta_tree.node(a_id);
-  const double d = geom::dist(a.centroid, q.centroid);
-  if (born_far_enough(d, a.radius, q.radius, threshold)) return;
-  if (a.is_leaf()) {
-    touched[a_id] = true;
-    return;
-  }
-  for (std::uint8_t c = 0; c < a.child_count; ++c)
-    near_ta_descend(ta_tree, q, threshold, a.first_child + c, touched);
-}
+/// Collect sink of both walks: marks T_A leaves in a byte plane. In the
+/// Born walk, near() marks its owner A; each T_A node is opened by one
+/// task, so every mark has one writer even when the walk forks. In the
+/// Epol walk, near() marks the leaf U the walk reached.
+struct CollectSink {
+  std::uint8_t* touched;
 
-void near_epol_descend(const Octree& tree, const Octree::Node& v,
-                       double threshold, std::uint32_t u_id,
-                       std::vector<bool>& touched) {
-  const Octree::Node& u = tree.node(u_id);
-  if (u.is_leaf()) {
-    touched[u_id] = true;
-    return;
-  }
-  const double d = geom::dist(u.centroid, v.centroid);
-  if (epol_far_enough(d, u.radius, v.radius, threshold)) return;
-  for (std::uint8_t c = 0; c < u.child_count; ++c)
-    near_epol_descend(tree, v, threshold, u.first_child + c, touched);
-}
+  struct Owner {
+    std::uint8_t* mark;
+    void far(std::uint32_t) {}
+    void near(std::uint32_t) { *mark = 1; }
+    bool close() const { return true; }
+  };
+  Owner open(std::uint32_t a_id) const { return {touched + a_id}; }
 
-std::vector<std::uint32_t> touched_to_ids(const std::vector<bool>& touched) {
+  double near(std::uint32_t u_id, const Octree::Node&,
+              detail::EpolCounts&) const {
+    touched[u_id] = 1;
+    return 0.0;
+  }
+  double far(std::uint32_t, const geom::Vec3&, double,
+             detail::EpolCounts&) const {
+    return 0.0;
+  }
+};
+
+std::vector<std::uint32_t> touched_to_ids(
+    const std::vector<std::uint8_t>& touched) {
   std::vector<std::uint32_t> ids;
   for (std::uint32_t id = 0; id < touched.size(); ++id)
     if (touched[id]) ids.push_back(id);
@@ -70,20 +69,27 @@ std::vector<std::uint32_t> collect_near_ta_leaves(
     const AtomsTree& ta, const QPointsTree& tq,
     std::span<const std::uint32_t> q_leaf_ids, double eps_born,
     bool strict_criterion) {
-  const double threshold = born_threshold(eps_born, strict_criterion);
-  std::vector<bool> touched(ta.tree.nodes().size(), false);
-  for (std::uint32_t q_id : q_leaf_ids)
-    near_ta_descend(ta.tree, tq.tree.node(q_id), threshold, 0, touched);
+  std::vector<std::uint8_t> touched(ta.tree.nodes().size(), 0);
+  CollectSink sink{touched.data()};
+  perf::WorkCounters work;
+  detail::BornWalk<CollectSink>(ta, tq,
+                                born_threshold(eps_born, strict_criterion),
+                                sink, true)
+      .run(q_leaf_ids, work);
   return touched_to_ids(touched);
 }
 
 std::vector<std::uint32_t> collect_near_epol_leaves(
     const AtomsTree& ta, std::span<const std::uint32_t> v_leaf_ids,
     double eps_epol) {
-  const double threshold = epol_threshold(eps_epol);
-  std::vector<bool> touched(ta.tree.nodes().size(), false);
-  for (std::uint32_t v_id : v_leaf_ids)
-    near_epol_descend(ta.tree, ta.tree.node(v_id), threshold, 0, touched);
+  const double k = epol_threshold(eps_epol);
+  std::vector<std::uint8_t> touched(ta.tree.nodes().size(), 0);
+  const CollectSink sink{touched.data()};
+  detail::EpolCounts counts;
+  for (std::uint32_t v_id : v_leaf_ids) {
+    const Octree::Node& v = ta.tree.node(v_id);
+    detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k, sink, counts);
+  }
   return touched_to_ids(touched);
 }
 

@@ -5,11 +5,10 @@
 #include <cmath>
 #include <cstdint>
 
-#include "atomic_add.hpp"
+#include "epol_walk.hpp"
 #include "near_field.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
-#include "octgb/ws/scheduler.hpp"
 
 namespace octgb::core {
 
@@ -17,7 +16,6 @@ namespace {
 
 using geom::Vec3;
 using octree::Octree;
-using detail::atomic_add;
 
 /// Adds the moments of leaf `n` of `t`, binned by `ctx`, to five planes
 /// that start at bin `lo`: per atom, q to Q, q·R to S and q·(x − c) to P,
@@ -187,78 +185,61 @@ bool EpolContext::rebuild(const AtomsTree& ta,
 
 namespace {
 
-struct EpolCounts {
-  std::uint64_t exact = 0, binpairs = 0, visits = 0;
-};
+using detail::EpolCounts;
 
-/// Leaf-V-versus-tree descent (Fig. 3). Accumulates the *unscaled* sum
-/// Σ q_u q_v / f_GB; the caller applies −τ/2 (same tree) or −τ (cross).
-/// The U side is the tree being descended; the V side usually aliases it
-/// (approx_epol / approx_epol_atom_based pass the same tree, context, and
-/// Born plane for both) but may be a different body entirely — the
+/// Energy sink of the Epol walk: the *unscaled* sum Σ q_u q_v / f_GB of
+/// the V side against the walked tree `ta`; the caller applies −τ/2 (same
+/// tree) or −τ (cross). The V side is the atoms [vb, ve) of `tv` with
+/// moments `vm`: a leaf, or one atom as a one-bin table. `tv` usually
+/// aliases `ta` (approx_epol / approx_epol_atom_based pass the same tree
+/// and Born plane for both) but may be a different body entirely — the
 /// cross-tree kernel of approx_epol_cross. With v_ancestors set (the
-/// approx_epol path) the near field is mirrored: see descend().
-struct EpolPass {
-  // U side: the descended tree.
+/// approx_epol path) the near field is mirrored: see near().
+struct EnergySink {
   const AtomsTree& ta;
   const EpolContext& ctx;
-  std::span<const double> born;  // tree order
-  // V side: the tree owning v_node / v_atom.
+  std::span<const double> born;  // ta tree order
   const AtomsTree& tv;
   std::span<const double> born_v;  // tv tree order
-  double threshold;                // epol_threshold(ε)
   detail::NearField nf;
+  std::uint32_t vb, ve;
+  BinMoments vm;
+  /// Mirrored path only: V's leaf id, its strict ancestors root first,
+  /// and the opening factor. Empty v_ancestors means the plain descent.
+  std::uint32_t v_id = 0;
+  std::span<const std::uint32_t> v_ancestors{};
+  double k = 0.0;
 
-  // V side: either a leaf node (node-based division)…
-  const Octree::Node* v_node = nullptr;
-  // …or a single atom (atom-based division).
-  std::uint32_t v_atom = 0;
-
-  double v_centroid_radius(Vec3& c) const {
-    if (v_node) {
-      c = v_node->centroid;
-      return v_node->radius;
-    }
-    c = tv.tree.points()[v_atom];
-    return 0.0;
+  double near(std::uint32_t u_id, const Octree::Node& u,
+              EpolCounts& lc) const {
+    if (v_ancestors.empty() || u_id == v_id || !u_reaches_v(u))
+      return exact(u, lc);
+    // Mutual pair: U's own descent reaches V and computes the same sum,
+    // so one side evaluates it for both. The parity rule gives each leaf
+    // about half of its neighbours on either side of its id.
+    const bool owner = ((u_id + v_id) & 1u) ? v_id < u_id : v_id > u_id;
+    if (!owner) return 0.0;
+    lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);
+    return 2.0 * exact(u, lc);
   }
 
-  double descend(std::uint32_t u_id, EpolCounts& lc) const {
-    ++lc.visits;
-    const Octree::Node& u = ta.tree.node(u_id);
-    Vec3 vc;
-    const double vr = v_centroid_radius(vc);
-    const double d2 = geom::dist2(u.centroid, vc);
-    const double d = std::sqrt(d2);
-
-    if (u.is_leaf()) {
-      if (v_ancestors.empty() || u_id == v_node_id || !u_reaches_v(u))
-        return exact_leaf(u, lc);
-      // Mutual pair: U's own descent reaches V and computes the same sum,
-      // so one side evaluates it for both. The parity rule gives each leaf
-      // about half of its neighbours on either side of its id.
-      const bool owner = ((u_id + v_node_id) & 1u) ? v_node_id < u_id
-                                                    : v_node_id > u_id;
-      if (!owner) return 0.0;
-      lc.exact += static_cast<std::uint64_t>(u.size()) * v_node->size();
-      return 2.0 * exact_leaf(u, lc);
-    }
-    if (epol_far_enough(d, u.radius, vr, threshold)) {
-      return far_field(u.centroid - vc, d2, u_id, lc);
-    }
-    double sum = 0.0;
-    for (std::uint8_t c = 0; c < u.child_count; ++c)
-      sum += descend(u.first_child + c, lc);
-    return sum;
+  /// First-order bin-pair far field of node U against the V side, with
+  /// D = c_U − c_V and d2 = |D|² as the walk computed it.
+  double far(std::uint32_t u_id, const Vec3& delta, double d2,
+             EpolCounts& lc) const {
+    const auto fn =
+        nf.fast ? nf.set->epol_far_bins_fast : nf.set->epol_far_bins;
+    return fn(ctx.moments(u_id), vm, delta.x, delta.y, delta.z, d2,
+              lc.binpairs);
   }
 
   /// Whether leaf U's descent would reach leaf V: no strict ancestor B of
-  /// V is far from U, tested with the exact operands U's descend() uses.
+  /// V is far from U, tested with the exact operands U's walk uses.
   bool u_reaches_v(const Octree::Node& u) const {
     for (const std::uint32_t b_id : v_ancestors) {
       const Octree::Node& b = ta.tree.node(b_id);
       if (epol_far_enough(std::sqrt(geom::dist2(b.centroid, u.centroid)),
-                          b.radius, u.radius, threshold))
+                          b.radius, u.radius, k))
         return false;
     }
     return true;
@@ -267,39 +248,10 @@ struct EpolPass {
   /// Exact U×V sum. The self term (r ≈ 0) is included by the kernels'
   /// contract (cross-tree calls never hit r ≈ 0 — the sets are disjoint
   /// bodies).
-  double exact_leaf(const Octree::Node& u, EpolCounts& lc) const {
-    const std::uint32_t vb = v_node ? v_node->begin : v_atom;
-    const std::uint32_t ve = v_node ? v_node->end : v_atom + 1;
+  double exact(const Octree::Node& u, EpolCounts& lc) const {
     lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);
     return detail::epol_near(nf, ta, u, born, tv, vb, ve, born_v);
   }
-
-  /// First-order bin-pair far field of node U against the V side, with
-  /// D = c_U − c_V and d2 = |D|² as the descent computed it.
-  double far_field(const Vec3& delta, double d2, std::uint32_t u_id,
-                   EpolCounts& lc) const {
-    const auto fn =
-        nf.fast ? nf.set->epol_far_bins_fast : nf.set->epol_far_bins;
-    const BinMoments um = ctx.moments(u_id);
-    if (v_node)
-      return fn(um, v_moments, delta.x, delta.y, delta.z, d2, lc.binpairs);
-    // A single V atom is one bin of its own: Q = q, S = q·R, P = 0 and
-    // rep = R.
-    const double qv = tv.charge[v_atom];
-    const double sv = qv * born_v[v_atom];
-    const double zero = 0.0;
-    const BinMoments vm{&qv, &sv, &zero, &zero, &zero, &born_v[v_atom], 1};
-    return fn(um, vm, delta.x, delta.y, delta.z, d2, lc.binpairs);
-  }
-
-  std::size_t v_node_id = 0;
-  /// Moments of v_node: its bin table entry on the same-tree paths, the
-  /// ones recomputed from tv's current points on the cross path.
-  BinMoments v_moments{};
-  /// Strict ancestors of v_node, root first. Non-empty only on the
-  /// mirrored same-tree path of approx_epol, which evaluates each mutual
-  /// leaf pair from one side; empty means the plain descent.
-  std::span<const std::uint32_t> v_ancestors{};
 };
 
 /// Strict ancestors of leaf `v_id`, root first, found by walking down by
@@ -320,36 +272,6 @@ std::span<const std::uint32_t> ancestors_of(
   return {path.data(), depth};
 }
 
-/// Deterministic parallel sum of the Epol phase. The items [0, n) are cut
-/// into at most kSumBlocks fixed contiguous blocks; one task sums a
-/// block's items in order (`block(lo, hi, counts)` returns that sum), and
-/// the block sums are folded in block order. The association depends only
-/// on n, so the energy is bitwise identical at every worker count, with
-/// or without a scheduler; up to kSumBlocks items it is the plain serial
-/// left-to-right sum. Counter tallies are exact integer sums.
-constexpr std::size_t kSumBlocks = 256;
-
-template <class Block>
-double ordered_sum(std::size_t n, perf::WorkCounters& counters,
-                   const Block& block) {
-  std::array<double, kSumBlocks> partial{};
-  const std::size_t blocks = std::min(n, kSumBlocks);
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(blocks), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t b = lo; b < hi; ++b) {
-          EpolCounts lc;
-          partial[b] = block(b * n / blocks, (b + 1) * n / blocks, lc);
-          atomic_add(counters.epol_exact, lc.exact);
-          atomic_add(counters.epol_bins, lc.binpairs);
-          atomic_add(counters.epol_visits, lc.visits);
-        }
-      });
-  double total = 0.0;
-  for (std::size_t b = 0; b < blocks; ++b) total += partial[b];
-  return total;
-}
-
 }  // namespace
 
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
@@ -362,8 +284,8 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
   if (ta.tree.empty() || v_leaf_ids.empty()) return 0.0;
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
-  const double threshold = epol_threshold(eps_epol);
-  const double total = ordered_sum(
+  const double k = epol_threshold(eps_epol);
+  const double total = detail::ordered_sum(
       v_leaf_ids.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         // Per-block Epol activity under the "epol.traversal" phase span.
@@ -371,13 +293,13 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
         std::array<std::uint32_t, 256> path{};
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          EpolPass pass{ta,        ctx, born_tree, ta,
-                        born_tree, threshold, nf,
-                        &ta.tree.node(v_leaf_ids[li])};
-          pass.v_node_id = v_leaf_ids[li];
-          pass.v_moments = ctx.moments(v_leaf_ids[li]);
-          pass.v_ancestors = ancestors_of(ta.tree, v_leaf_ids[li], path);
-          mine += pass.descend(0, lc);
+          const std::uint32_t v_id = v_leaf_ids[li];
+          const Octree::Node& v = ta.tree.node(v_id);
+          const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
+                                v.begin, v.end, ctx.moments(v_id), v_id,
+                                ancestors_of(ta.tree, v_id, path), k};
+          mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
+                                    sink, lc);
         }
         return mine;
       });
@@ -396,51 +318,43 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
   if (ta.tree.empty() || atom_begin >= atom_end) return 0.0;
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
-  const double threshold = epol_threshold(eps_epol);
+  const double k = epol_threshold(eps_epol);
 
-  // Atom-based division works on the leaves *clipped to the atom range*:
-  // a segment boundary that falls inside a leaf splits it, and the split
-  // piece has a different centroid/radius — hence different far-field
-  // decisions. This is why the paper observes the error of atom-based
-  // division changing with P while node-based division's stays constant.
+  // A leaf inside [atom_begin, atom_end) walks the tree as one V side. A
+  // segment boundary that falls inside a leaf splits it, and each atom of
+  // the split piece walks the tree on its own, as a V side of radius 0 at
+  // its own position — different far-field decisions from the leaf's.
+  // This is why the paper observes the error of atom-based division
+  // changing with P while node-based division's stays constant.
   const auto& leaves = ta.tree.leaf_ids();
   const auto pts = ta.tree.points();
-  const double total = ordered_sum(
+  const double total = detail::ordered_sum(
       leaves.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.atoms");
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
-          const Octree::Node& leaf = ta.tree.node(leaves[li]);
-          const std::uint32_t b = std::max(leaf.begin, atom_begin);
-          const std::uint32_t e = std::min(leaf.end, atom_end);
+          const Octree::Node& v = ta.tree.node(leaves[li]);
+          const std::uint32_t b = std::max(v.begin, atom_begin);
+          const std::uint32_t e = std::min(v.end, atom_end);
           if (b >= e) continue;
-          // Clipped pseudo-leaf over [b, e).
-          Octree::Node v = leaf;
-          v.begin = b;
-          v.end = e;
-          geom::Vec3 c;
-          for (std::uint32_t i = b; i < e; ++i) c += pts[i];
-          v.centroid = c / static_cast<double>(e - b);
-          double r2max = 0.0;
-          for (std::uint32_t i = b; i < e; ++i)
-            r2max = std::max(r2max, geom::dist2(v.centroid, pts[i]));
-          v.radius = std::sqrt(r2max);
-
-          EpolPass pass{ta, ctx, born_tree, ta, born_tree, threshold, nf, &v};
-          // The clipped leaf is not a persistent node; bin lookups on the
-          // V side must use its own moment-by-bin table, so fall back to
-          // the per-atom path when the clip is partial.
-          if (b == leaf.begin && e == leaf.end) {
-            pass.v_node_id = leaves[li];
-            pass.v_moments = ctx.moments(leaves[li]);
-            mine += pass.descend(0, lc);
-          } else {
-            for (std::uint32_t ai = b; ai < e; ++ai) {
-              EpolPass atom_pass{ta,        ctx, born_tree, ta,
-                                 born_tree, threshold, nf, nullptr, ai};
-              mine += atom_pass.descend(0, lc);
-            }
+          if (b == v.begin && e == v.end) {
+            const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
+                                  b, e, ctx.moments(leaves[li])};
+            mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
+                                      sink, lc);
+            continue;
+          }
+          for (std::uint32_t ai = b; ai < e; ++ai) {
+            // A single V atom is one bin of its own: Q = q, S = q·R,
+            // P = 0 and rep = R.
+            const double qv = ta.charge[ai];
+            const double sv = qv * born_tree[ai];
+            const double zero = 0.0;
+            const EnergySink sink{
+                ta, ctx, born_tree, ta, born_tree, nf, ai, ai + 1,
+                {&qv, &sv, &zero, &zero, &zero, &born_tree[ai], 1}};
+            mine += detail::epol_walk(ta.tree, 0, pts[ai], 0.0, k, sink, lc);
           }
         }
         return mine;
@@ -462,9 +376,9 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
                   "ctx_b was built on a different tree shape than tb");
   const detail::NearField nf =
       detail::select_near_field(kernel, vector, approx_math);
-  const double threshold = epol_threshold(eps_epol);
+  const double k = epol_threshold(eps_epol);
   const auto& v_leaves = tb.tree.leaf_ids();
-  const double total = ordered_sum(
+  const double total = detail::ordered_sum(
       v_leaves.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.cross");
@@ -479,12 +393,11 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
           double* p = planes.data();
           add_leaf_moments(ctx_b, tb, born_b, v, blo, bhi, p, p + n,
                            p + 2 * n, p + 3 * n, p + 4 * n);
-          EpolPass pass{ta, ctx_a, born_a, tb, born_b, threshold, nf, &v};
-          pass.v_node_id = v_id;
-          pass.v_moments = {p,         p + n,     p + 2 * n,
-                            p + 3 * n, p + 4 * n, &ctx_b.rep[blo],
-                            n};
-          mine += pass.descend(0, lc);
+          const EnergySink sink{
+              ta, ctx_a, born_a, tb, born_b, nf, v.begin, v.end,
+              {p, p + n, p + 2 * n, p + 3 * n, p + 4 * n, &ctx_b.rep[blo], n}};
+          mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
+                                    sink, lc);
         }
         return mine;
       });

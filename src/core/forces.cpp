@@ -2,18 +2,17 @@
 
 #include <cmath>
 
-#include "atomic_add.hpp"
+#include "epol_walk.hpp"
 #include "octgb/core/epol.hpp"
 #include "octgb/util/check.hpp"
-#include "octgb/ws/scheduler.hpp"
 
 namespace octgb::core {
 
 namespace {
 
+using detail::EpolCounts;
 using geom::Vec3;
 using octree::Octree;
-using detail::atomic_add;
 
 }  // namespace
 
@@ -53,40 +52,21 @@ std::vector<geom::Vec3> naive_epol_forces(const mol::Molecule& mol,
 
 namespace {
 
-/// Leaf-versus-tree force pass: accumulates the force on every atom of a
-/// V leaf from the whole tree, reusing the Epol admissibility and bins.
-struct ForcePass {
+/// Force sink of the Epol walk: the force on every atom of the V leaf `v`
+/// from the whole tree, reusing the Epol admissibility and bins. It adds
+/// straight into v's own range of `forces` (tree order); V leaves are
+/// disjoint, so every slot has one writer.
+struct ForceSink {
   const AtomsTree& ta;
   const EpolContext& ctx;
   std::span<const double> born_tree;
-  double threshold;  ///< epol_threshold(ε)
   double tau;
-  const Octree::Node* v;  ///< the V leaf
+  const Octree::Node& v;
+  Vec3* forces;
 
-  // Accumulators for the V leaf's atoms (tree order, offset by v->begin).
-  std::vector<Vec3>* v_forces;
-
-  std::uint64_t exact = 0, bins = 0, visits = 0;
-
-  void descend(std::uint32_t u_id) {
-    ++visits;
-    const Octree::Node& u = ta.tree.node(u_id);
-    const double d = geom::dist(u.centroid, v->centroid);
-    if (u.is_leaf()) {
-      exact_leaf(u);
-      return;
-    }
-    if (epol_far_enough(d, u.radius, v->radius, threshold)) {
-      far_field(u_id);
-      return;
-    }
-    for (std::uint8_t c = 0; c < u.child_count; ++c)
-      descend(u.first_child + c);
-  }
-
-  void exact_leaf(const Octree::Node& u) {
+  double near(std::uint32_t, const Octree::Node& u, EpolCounts& lc) const {
     const auto pts = ta.tree.points();
-    for (std::uint32_t vi = v->begin; vi < v->end; ++vi) {
+    for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
       const Vec3 pv = pts[vi];
       const double qv = ta.charge[vi];
       const double rv = born_tree[vi];
@@ -98,12 +78,13 @@ struct ForcePass {
             epol_force_kernel(delta.norm2(), born_tree[ui] * rv);
         f += delta * (ta.charge[ui] * g);
       }
-      (*v_forces)[vi - v->begin] += f * (-tau * qv);
+      forces[vi] += f * (-tau * qv);
     }
-    exact += static_cast<std::uint64_t>(u.size()) * v->size();
+    lc.exact += static_cast<std::uint64_t>(u.size()) * v.size();
+    return 0.0;
   }
 
-  void far_field(std::uint32_t u_id) {
+  double far(std::uint32_t u_id, const Vec3&, double, EpolCounts& lc) const {
     // Far node U acts on each V atom through the first-order bin-pair
     // potential of the energy's far field (DESIGN.md §2.1); the V atom is
     // one bin of its own (P = 0, S = q·R), so per U bin i
@@ -116,7 +97,7 @@ struct ForcePass {
     const BinMoments m = ctx.moments(u_id);
     const Octree::Node& u = ta.tree.node(u_id);
     const auto pts = ta.tree.points();
-    for (std::uint32_t vi = v->begin; vi < v->end; ++vi) {
+    for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
       const Vec3 pv = pts[vi];
       const double qv = ta.charge[vi];
       const double rv = born_tree[vi];
@@ -140,10 +121,11 @@ struct ForcePass {
         coef += -m.q[i] * g - dg1 * delta.dot(p) +
                 dg2 * rv * (m.s[i] - m.rep[i] * m.q[i]);
         dip += p * g;
-        ++bins;
+        ++lc.binpairs;
       }
-      (*v_forces)[vi - v->begin] += (delta * coef + dip) * (tau * qv);
+      forces[vi] += (delta * coef + dip) * (tau * qv);
     }
+    return 0.0;
   }
 };
 
@@ -159,27 +141,20 @@ std::vector<geom::Vec3> approx_epol_forces(
   for (std::size_t pos = 0; pos < idx.size(); ++pos)
     born_tree[pos] = born_input_order[idx[pos]];
   const EpolContext ctx = engine.build_epol_context(born_tree);
-  const double threshold = epol_threshold(engine.config().approx.eps_epol);
+  const double k = epol_threshold(engine.config().approx.eps_epol);
   const double tau = engine.config().gb.tau();
 
   std::vector<Vec3> forces_tree(engine.num_atoms());
   const auto& leaves = ta.tree.leaf_ids();
-  ws::Scheduler::parallel_for(
-      0, static_cast<std::int64_t>(leaves.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t li = lo; li < hi; ++li) {
+  detail::ordered_sum(
+      leaves.size(), counters,
+      [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
+        for (std::size_t li = lo; li < hi; ++li) {
           const Octree::Node& v = ta.tree.node(leaves[li]);
-          std::vector<Vec3> local(v.size());
-          ForcePass pass{ta,  ctx,    born_tree, threshold, tau,
-                         &v,  &local, 0,         0,         0};
-          pass.descend(0);
-          // V leaves are disjoint, so this write is race-free.
-          for (std::uint32_t i = 0; i < v.size(); ++i)
-            forces_tree[v.begin + i] = local[i];
-          atomic_add(counters.epol_exact, pass.exact);
-          atomic_add(counters.epol_bins, pass.bins);
-          atomic_add(counters.epol_visits, pass.visits);
+          const ForceSink sink{ta, ctx, born_tree, tau, v, forces_tree.data()};
+          detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k, sink, lc);
         }
+        return 0.0;
       });
 
   // Back to input order.

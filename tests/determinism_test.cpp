@@ -10,6 +10,7 @@
 
 #include "octgb/core/engine.hpp"
 #include "octgb/core/epol.hpp"
+#include "octgb/core/forces.hpp"
 #include "octgb/core/hybrid.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
@@ -168,6 +169,36 @@ TEST(Determinism, EpolIsBitwiseAtEveryWorkerCount) {
     EXPECT_EQ(par.work.epol_exact, serial.work.epol_exact);
     EXPECT_EQ(par.work.epol_bins, serial.work.epol_bins);
     EXPECT_EQ(par.work.epol_visits, serial.work.epol_visits);
+  }
+}
+
+TEST(Determinism, EpolForcesAreBitwiseAtEveryWorkerCount) {
+  // approx_epol_forces walks the V leaves in the fixed Epol blocks and
+  // adds each leaf's forces straight into its own atoms' slots, in walk
+  // order: the forces and the Epol counters cannot depend on the
+  // schedule. Leaves outnumber the blocks, so a block walks several.
+  const auto m = mol::generate_protein({.target_atoms = 3000, .seed = 8});
+  const auto surf = surface::build_surface(m);
+  core::EngineConfig cfg;
+  cfg.atoms_tree_params.max_leaf_size = 8;
+  core::GBEngine engine(m, surf, cfg);
+  ASSERT_GT(engine.a_leaves().size(), 256u);
+  const auto born = engine.compute().born;
+  perf::WorkCounters serial_work;
+  const auto serial = core::approx_epol_forces(engine, born, serial_work);
+  for (int workers : {1, 2, 4}) {
+    ws::Scheduler sched(workers);
+    perf::WorkCounters work;
+    std::vector<geom::Vec3> par;
+    sched.run([&] { par = core::approx_epol_forces(engine, born, work); });
+    ASSERT_EQ(par.size(), serial.size());
+    EXPECT_EQ(std::memcmp(par.data(), serial.data(),
+                          serial.size() * sizeof(geom::Vec3)),
+              0)
+        << workers << " workers";
+    EXPECT_EQ(work.epol_exact, serial_work.epol_exact) << workers;
+    EXPECT_EQ(work.epol_bins, serial_work.epol_bins) << workers;
+    EXPECT_EQ(work.epol_visits, serial_work.epol_visits) << workers;
   }
 }
 

@@ -10,12 +10,14 @@
 #include "octgb/core/data_distributed.hpp"
 #include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/engine.hpp"
+#include "octgb/core/epol.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
 #include "octgb/octree/dynamic.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 using namespace octgb;
 using core::GBEngine;
@@ -158,10 +160,8 @@ TEST(DataDistributed, NearLeavesCoverNonFarRegions) {
       core::collect_near_ta_leaves(ta, tq, q_leaves, eps, false);
   std::vector<bool> in_near(ta.tree.nodes().size(), false);
   for (auto id : near) in_near[id] = true;
-  const double threshold = 1.0 + eps;
+  const double threshold = core::born_threshold(eps, false);
   for (std::uint32_t q_id : q_leaves) {
-    const auto& q = ta.tree.node(0);  // placate unused warnings
-    (void)q;
     const auto& qn = tq.tree.node(q_id);
     for (std::uint32_t a_id : ta.tree.leaf_ids()) {
       const auto& an = ta.tree.node(a_id);
@@ -173,6 +173,64 @@ TEST(DataDistributed, NearLeavesCoverNonFarRegions) {
       }
     }
   }
+
+  // Exact: summed over single-Q-leaf calls, the collected leaves carry
+  // exactly the pairs the Born walk evaluates exactly.
+  std::uint64_t pairs = 0;
+  for (std::uint32_t q_id : q_leaves) {
+    for (std::uint32_t a_id :
+         core::collect_near_ta_leaves(ta, tq, {&q_id, 1}, eps, false))
+      pairs += std::uint64_t{ta.tree.node(a_id).size()} *
+               tq.tree.node(q_id).size();
+  }
+  std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+  std::vector<double> atom_s(engine.num_atoms(), 0.0);
+  perf::WorkCounters work;
+  core::approx_integrals(ta, tq, q_leaves, eps, false, node_s, atom_s, work);
+  EXPECT_EQ(pairs, work.born_exact);
+
+  // The collector runs the forking Born walk: same list under a scheduler.
+  ws::Scheduler sched(4);
+  std::vector<std::uint32_t> par;
+  sched.run([&] {
+    par = core::collect_near_ta_leaves(ta, tq, q_leaves, eps, false);
+  });
+  EXPECT_EQ(par, near);
+}
+
+TEST(DataDistributed, NearEpolLeavesMatchTheEpolWalk) {
+  // Summed over single-V-leaf calls, the collected leaves carry exactly
+  // the pairs the plain Epol descent evaluates exactly.
+  const Problem p(400);
+  GBEngine engine(p.molecule, p.surf);
+  const auto& ta = engine.atoms_tree();
+  const double eps = engine.config().approx.eps_epol;
+  const auto born = engine.compute().born;
+  const auto idx = ta.tree.point_index();
+  std::vector<double> born_tree(born.size());
+  for (std::size_t pos = 0; pos < idx.size(); ++pos)
+    born_tree[pos] = born[idx[pos]];
+  const auto ctx = engine.build_epol_context(born_tree);
+
+  std::uint64_t pairs = 0;
+  for (std::uint32_t v_id : engine.a_leaves()) {
+    for (std::uint32_t u_id :
+         core::collect_near_epol_leaves(ta, {&v_id, 1}, eps))
+      pairs += std::uint64_t{ta.tree.node(u_id).size()} *
+               ta.tree.node(v_id).size();
+  }
+  perf::WorkCounters work;
+  core::approx_epol_atom_based(
+      ta, ctx, born_tree, 0, static_cast<std::uint32_t>(engine.num_atoms()),
+      eps, false, engine.config().gb, work);
+  EXPECT_EQ(pairs, work.epol_exact);
+
+  const auto near = core::collect_near_epol_leaves(ta, engine.a_leaves(), eps);
+  ws::Scheduler sched(4);
+  std::vector<std::uint32_t> par;
+  sched.run(
+      [&] { par = core::collect_near_epol_leaves(ta, engine.a_leaves(), eps); });
+  EXPECT_EQ(par, near);
 }
 
 // ---- dynamic octree -------------------------------------------------------------
