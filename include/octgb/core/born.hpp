@@ -11,8 +11,9 @@
 /// each node carrying the T_Q leaves that reached it, and the walk forks
 /// over T_A children under the work-stealing scheduler when one is
 /// active. Every s-array slot is written by the one task owning its T_A
-/// node, in serial Q-major order — no atomics, and the results are
-/// bitwise at every worker count.
+/// node, in serial Q-major order, and the far terms' A-side gradients
+/// reach the atoms through one top-down pass after the walk — no
+/// atomics, and the results are bitwise at every worker count.
 
 #include <cstdint>
 #include <span>
@@ -31,7 +32,10 @@ class PlanRecorder;  // core/plan.hpp
 /// order). Both spans must be pre-sized and are added to, not overwritten —
 /// ranks each process disjoint leaf sets and then Allreduce the arrays.
 /// Each term is added to its slot in the serial Q-major order of Fig. 2,
-/// whatever the schedule. Concurrent calls must not share the output
+/// whatever the schedule. After the walk (every near pair added), one
+/// top-down gradient pass adds each far term's A-side correction into
+/// the atom_s slots below its node, so node_s keeps one slot per node.
+/// Concurrent calls must not share the output
 /// spans. Counter updates are batched per task. `kernel`, `vector`
 /// and `approx_math` pick the exact leaf×leaf arithmetic through the one
 /// near-field selector (DESIGN.md §2.3): KernelKind::Scalar runs the AoS
@@ -69,18 +73,26 @@ void push_integrals_to_atoms(const AtomsTree& ta,
 /// 1/r⁶ from r² (shared by the Born kernels and the naive engine tests).
 double inv_r6(double r2, bool approx_math);
 
-/// One far-field pseudo-particle term: the contribution of a Q-aggregate
-/// (weighted normal `wn` concentrated at centroid `qc`) to the T_A node
-/// centered at `ac`. Coincident centroids (r² ≤ 1e-12, the same guard as
-/// the near kernels) contribute 0 instead of a division-by-zero infinity —
-/// unreachable through the admissibility criterion (far ⇒ d > 0) but
-/// reachable through direct calls and degenerate geometry. Never inlined:
-/// the Born walk and the plan replay executor (core/plan.hpp) must
-/// evaluate the *same machine code*, or per-call-site FMA contraction
-/// could make replay differ from the traversal in the last bit.
+/// One first-order far-field term: the contribution of a Q-aggregate
+/// (weighted normal sum `wn` and symmetric normal moment `wm`, both about
+/// its centroid `qc`) to the T_A node centered at `ac`. With δ = qc − ac
+/// and r = |δ| it returns N·δ/r⁶ + tr S/r⁶ − 6 δᵀSδ/r⁸ (the Q side to
+/// first order) and adds the A-side gradient −(N/r⁶ − 6(N·δ)δ/r⁸) of the
+/// monopole into `grad`, which the gradient pass later spreads over the
+/// node's atoms as grad·(x − ac) (DESIGN.md §2.6). Coincident centroids
+/// (r² ≤ 1e-12, the same guard as the near kernels) contribute 0 and
+/// leave `grad` untouched instead of producing a division-by-zero
+/// infinity — unreachable through the admissibility criterion (far ⇒
+/// d > 0) but reachable through direct calls and degenerate geometry.
+/// Never inlined: the Born walk and the plan replay executor
+/// (core/plan.hpp) must evaluate the *same machine code*, or
+/// per-call-site FMA contraction could make replay differ from the
+/// traversal in the last bit.
 [[gnu::noinline]] double born_far_term(const geom::Vec3& ac,
                                        const geom::Vec3& qc,
-                                       const geom::Vec3& wn, bool approx_math);
+                                       const geom::Vec3& wn,
+                                       const NormalMoment& wm,
+                                       bool approx_math, geom::Vec3& grad);
 
 /// Exact scalar (AoS) Born integral of the atom at `pa` against the
 /// q-points [q_begin, q_end) of `tq` — the KernelKind::Scalar near-field

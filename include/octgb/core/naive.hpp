@@ -19,7 +19,9 @@ namespace octgb::core {
 /// one entry per atom in input order. `kernel` selects the inner loop:
 /// Batched (default) gathers the surface into SoA scratch once and sweeps
 /// it with batch_born_integral; Scalar is the original AoS loop. The two
-/// differ only by floating-point reassociation.
+/// differ only by floating-point reassociation. Under an active
+/// ws::Scheduler the atoms are split across its workers; every radius is
+/// its own sum, so the result is bitwise the serial one.
 std::vector<double> naive_born_radii(const mol::Molecule& mol,
                                      const surface::Surface& surf,
                                      perf::WorkCounters* counters = nullptr,

@@ -30,7 +30,8 @@
 /// schedule, and — because each owner's list is in the serial
 /// accumulation order and the arithmetic goes through the same
 /// out-of-line kernels (born_far_term / scalar_born_pair / the near-field
-/// kernel table) — reproduces the traversal's results bit for bit.
+/// kernel table) and the walk's own far-gradient pass — reproduces the
+/// traversal's results bit for bit.
 ///
 /// Lifecycle (driven by GBEngine::compute on the EvalScratch path, see
 /// DESIGN.md §2.6):
@@ -204,7 +205,8 @@ class InteractionPlan {
   /// (approx_math, vector) arithmetic flavor*: the near loop dispatches
   /// through the identical out-of-line kernels (simd/dispatch.hpp) the
   /// traversal used; the far loop always runs the scalar born_far_term in
-  /// capture order. Like approx_math, `vector` changes arithmetic, never
+  /// capture order, and the far-gradient pass runs after every chunk, as
+  /// after the walk. Like approx_math, `vector` changes arithmetic, never
   /// the partition — it is absent from PlanKey and stamped into the Born
   /// cache instead.
   void replay(const AtomsTree& ta, const QPointsTree& tq, bool approx_math,

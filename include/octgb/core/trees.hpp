@@ -66,6 +66,14 @@ struct AtomsTree {
   }
 };
 
+/// Symmetric part of a T_Q node's weighted normal moment about its
+/// centroid c, S = sym Σ w (r − c) ⊗ n, as its six independent entries.
+/// The Born far term reads only tr S and δᵀSδ, which the antisymmetric
+/// part does not change (DESIGN.md §2.6).
+struct NormalMoment {
+  double xx = 0.0, yy = 0.0, zz = 0.0, xy = 0.0, xz = 0.0, yz = 0.0;
+};
+
 /// Quadrature-points octree T_Q with payloads in tree order.
 ///
 /// Caches SoA planes of the point coordinates and weighted normals
@@ -76,10 +84,12 @@ struct QPointsTree {
   octree::Octree tree;
   std::vector<geom::Vec3> wnormal;  ///< w_q · n_q per point, tree order
   std::vector<double> weight;       ///< w_q per point, tree order
-  /// Σ (w·n) over the points of each *node* (indexed by node id). Only
-  /// leaf entries are read by APPROX-INTEGRALS, but internal aggregates
-  /// are cheap and used by tests.
+  /// Σ (w·n) over the points of each *node* (indexed by node id): the
+  /// monopole of the Born far term.
   std::vector<geom::Vec3> node_wnormal;
+  /// Symmetric normal moment of each node about its centroid c (indexed
+  /// by node id): the first-order correction of the Born far term.
+  std::vector<NormalMoment> node_wmoment;
   std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w·n, tree order
 
   /// Coordinate planes, tree order (owned by the octree; see AtomsTree).
@@ -97,8 +107,8 @@ struct QPointsTree {
   /// leaf contiguity preserved.
   void refit(const surface::Surface& surf);
 
-  /// Recompute node_wnormal and the weighted-normal SoA planes from the
-  /// wnormal payload (after refit or deserialization).
+  /// Recompute node_wnormal, node_wmoment and the weighted-normal SoA
+  /// planes from the wnormal payload (after refit or deserialization).
   void rebuild_derived();
 
   std::size_t num_points() const { return weight.size(); }

@@ -29,8 +29,6 @@ typedef double vd2 __attribute__((vector_size(16)));
 typedef double vd4 __attribute__((vector_size(32)));
 typedef std::uint64_t vu2 __attribute__((vector_size(16)));
 typedef std::uint64_t vu4 __attribute__((vector_size(32)));
-typedef std::int64_t vq2 __attribute__((vector_size(16)));
-typedef std::int64_t vq4 __attribute__((vector_size(32)));
 
 /// Lane-type bundle for a width of N double lanes.
 template <int N>
@@ -39,13 +37,11 @@ template <>
 struct lanes_of<2> {
   using vd = vd2;
   using vu = vu2;
-  using vq = vq2;
 };
 template <>
 struct lanes_of<4> {
   using vd = vd4;
   using vu = vu4;
-  using vq = vq4;
 };
 
 /// Broadcast a scalar into every lane.
@@ -134,14 +130,15 @@ inline typename lanes_of<N>::vd fast_exp_pd(typename lanes_of<N>::vd x) {
 template <int N>
 inline typename lanes_of<N>::vd exp_pd(typename lanes_of<N>::vd x) {
   using vd = typename lanes_of<N>::vd;
-  using vq = typename lanes_of<N>::vq;
+  using vu = typename lanes_of<N>::vu;
   const auto is_nan = x != x;
   vd xc = is_nan ? bc<vd>(0.0) : x;
   xc = xc > bc<vd>(709.0) ? bc<vd>(709.0) : xc;
   xc = xc < bc<vd>(-709.0) ? bc<vd>(-709.0) : xc;
   const vd magic = bc<vd>(6755399441055744.0);  // 1.5 * 2^52
   const vd t = xc * bc<vd>(1.4426950408889634074);
-  const vd n = (t + magic) - magic;  // round-to-nearest-even(t)
+  const vd tm = t + magic;
+  const vd n = tm - magic;  // round-to-nearest-even(t)
   vd px = xc - n * bc<vd>(6.93145751953125e-1);
   px -= n * bc<vd>(1.42860682030941723212e-6);
   const vd xx = px * px;
@@ -154,8 +151,11 @@ inline typename lanes_of<N>::vd exp_pd(typename lanes_of<N>::vd x) {
   q = q * xx + bc<vd>(2.27265548208155028766e-1);
   q = q * xx + bc<vd>(2.0);
   const vd e = bc<vd>(1.0) + bc<vd>(2.0) * p / (q - p);
-  const vq ni = __builtin_convertvector(n, vq);
-  const vq bits = (ni + 1023) << 52;
+  // 2^n from the bits of tm = 1.5·2^52 + n: its low mantissa bits hold n
+  // in two's complement, and the shift keeps exactly the 11 exponent bits
+  // of n + 1023 — the bits a double → int64 conversion of n would give,
+  // without that conversion (four scalar instructions on AVX2).
+  const vu bits = ((vu)tm + std::uint64_t{1023}) << 52;
   vd r = e * (vd)bits;
   r = x < bc<vd>(-708.0) ? bc<vd>(0.0) : r;
   r = x > bc<vd>(708.0) ? bc<vd>(__builtin_inf()) : r;

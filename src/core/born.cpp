@@ -34,6 +34,7 @@ struct EvalSink {
   detail::NearField nf;
   double* node_s;
   double* atom_s;
+  Vec3* grad;              ///< per-T_A-node A-side far gradient
   PlanRecorder* recorder;  ///< non-null: the walk runs serially
 
   struct Owner {
@@ -42,9 +43,9 @@ struct EvalSink {
     const Octree::Node& a;
     void far(std::uint32_t q_id) {
       if (s.recorder) s.recorder->far(a_id, q_id);
-      s.node_s[a_id] +=
-          born_far_term(a.centroid, s.tq.tree.node(q_id).centroid,
-                        s.tq.node_wnormal[q_id], s.nf.fast);
+      s.node_s[a_id] += born_far_term(
+          a.centroid, s.tq.tree.node(q_id).centroid, s.tq.node_wnormal[q_id],
+          s.tq.node_wmoment[q_id], s.nf.fast, s.grad[a_id]);
     }
     void near(std::uint32_t q_id) {
       if (s.recorder) s.recorder->near(a_id, q_id);
@@ -71,15 +72,31 @@ double inv_r6(double r2, bool approx_math) {
 }
 
 double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
-                     bool approx_math) {
-  const Vec3 delta = qc - ac;
+                     const NormalMoment& wm, bool approx_math, Vec3& grad) {
+  const Vec3 d = qc - ac;
   const double r2 = geom::dist2(ac, qc);
   // Same coincidence guard as the near kernels (r ≤ 1e-6): the criterion
   // never admits d = 0, but direct calls and degenerate single-point
   // geometry can — return 0 instead of an infinity that would poison the
   // node partial. !(r2 > …) also catches NaN centroids.
   if (!(r2 > 1e-12)) return 0.0;
-  return wn.dot(delta) * inv_r6(r2, approx_math);
+  // One 1/r² (fast_rsqrt² under approx_math); 1/r⁶ and 1/r⁸ by products.
+  double u;
+  if (approx_math) {
+    const double t = fast_rsqrt(r2);
+    u = t * t;
+  } else {
+    u = 1.0 / r2;
+  }
+  const double i6 = u * u * u;
+  const double i8 = i6 * u;
+  const double nd = wn.dot(d);
+  const double dsd = wm.xx * d.x * d.x + wm.yy * d.y * d.y +
+                     wm.zz * d.z * d.z +
+                     2.0 * (wm.xy * d.x * d.y + wm.xz * d.x * d.z +
+                            wm.yz * d.y * d.z);
+  grad -= wn * i6 - d * (6.0 * nd * i8);
+  return (nd + wm.xx + wm.yy + wm.zz) * i6 - 6.0 * dsd * i8;
 }
 
 double scalar_born_pair(const Vec3& pa, const QPointsTree& tq,
@@ -106,11 +123,13 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
   OCTGB_CHECK_MSG(eps_born > 0.0, "eps_born must be positive");
   OCTGB_CHECK(node_s.size() == ta.tree.nodes().size());
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
+  std::vector<Vec3> grad(node_s.size());
   EvalSink sink{ta,
                 tq,
                 detail::select_near_field(kernel, vector, approx_math),
                 node_s.data(),
                 atom_s.data(),
+                grad.data(),
                 recorder};
   // One "born.leaves" span per walk task: the per-worker Born activity
   // the trace shows under the phase-level "born.traversal" span.
@@ -118,6 +137,7 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                              born_threshold(eps_born, strict_criterion), sink,
                              recorder == nullptr, "born.leaves")
       .run(q_leaf_ids, counters);
+  detail::add_far_gradients(ta, grad, atom_s);
 }
 
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
@@ -132,6 +152,57 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
   approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
                    counters, strict_criterion, kernel, vector, recorder);
 }
+
+namespace {
+
+/// The far-gradient pass: every node carries the sum G of the gradients
+/// on its root path and that path's linear correction K evaluated at its
+/// own centroid, so each atom x of a leaf L receives K_L + G_L·(x − c_L).
+struct GradientPass {
+  const AtomsTree& ta;
+  const Vec3* grad;
+  double* atom_s;
+
+  void descend(std::uint32_t a_id, Vec3 g, double k) const {
+    const Octree::Node& a = ta.tree.node(a_id);
+    g += grad[a_id];
+    if (a.is_leaf()) {
+      const double* const px = ta.soa_x().data();
+      const double* const py = ta.soa_y().data();
+      const double* const pz = ta.soa_z().data();
+      const Vec3 c = a.centroid;
+      for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
+        atom_s[ai] += k + g.dot({px[ai] - c.x, py[ai] - c.y, pz[ai] - c.z});
+      return;
+    }
+    const bool fork = a.size() > 4096 && ws::Scheduler::current() != nullptr;
+    std::vector<std::function<void()>> forks;
+    for (std::uint8_t c = 0; c < a.child_count; ++c) {
+      const std::uint32_t child = a.first_child + c;
+      const double kc = k + g.dot(ta.tree.node(child).centroid - a.centroid);
+      if (fork)
+        forks.emplace_back([this, child, g, kc] { descend(child, g, kc); });
+      else
+        descend(child, g, kc);
+    }
+    if (fork) ws::Scheduler::fork_all(forks);
+  }
+};
+
+}  // namespace
+
+namespace detail {
+
+void add_far_gradients(const AtomsTree& ta, std::span<const Vec3> grad,
+                       std::span<double> atom_s) {
+  OCTGB_CHECK(grad.size() == ta.tree.nodes().size());
+  OCTGB_CHECK(atom_s.size() == ta.num_atoms());
+  if (ta.tree.empty()) return;
+  OCTGB_SPAN("born.gradient");
+  GradientPass{ta, grad.data(), atom_s.data()}.descend(0, Vec3{}, 0.0);
+}
+
+}  // namespace detail
 
 namespace {
 

@@ -45,6 +45,16 @@
 
 namespace octgb::core::detail {
 
+/// The far-gradient pass (DESIGN.md §2.6): add Σ grad[A]·(x − c_A) over
+/// the T_A nodes A containing each atom x into its atom_s slot (tree
+/// order). `grad` holds one A-side far gradient per T_A node, summed in
+/// decision order by the node's owner. Runs after every near pair of the
+/// walk or replay has been added; each atom's slot has one writer, and
+/// the pass forks over large subtrees like the push, so the result is
+/// bitwise at every worker count.
+void add_far_gradients(const AtomsTree& ta, std::span<const geom::Vec3> grad,
+                       std::span<double> atom_s);
+
 /// Fork over A's children while |A| × |pass-down list| exceeds this — an
 /// estimate of the decisions and leaf pairs below A. Smaller subtrees
 /// recurse serially: a steal would cost more than the work it moves.

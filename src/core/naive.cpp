@@ -6,8 +6,26 @@
 #include "octgb/core/batch_kernels.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/util/check.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 namespace octgb::core {
+
+namespace {
+
+/// Run `f(i)` for every atom i in [0, n): a parallel_for over atom blocks
+/// under an active scheduler, serial otherwise. Each atom's radius is
+/// its own sum, so the bits do not depend on the schedule.
+template <class F>
+void for_each_atom(std::size_t n, const F& f) {
+  ws::Scheduler::parallel_for(
+      0, static_cast<std::int64_t>(n), 16,
+      [&f](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i)
+          f(static_cast<std::size_t>(i));
+      });
+}
+
+}  // namespace
 
 double finalize_born_radius(double integral, double vdw_radius,
                             bool approx_math) {
@@ -36,13 +54,13 @@ std::vector<double> naive_born_radii(const mol::Molecule& mol,
       wnz[k] = surf.weights[k] * surf.normals[k].z;
     }
     const QPointBatch qb{qx, qy, qz, wnx, wny, wnz};
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
+    for_each_atom(atoms.size(), [&](std::size_t i) {
       const geom::Vec3 x = atoms[i].pos;
       born[i] = finalize_born_radius(batch_born_integral(x.x, x.y, x.z, qb),
                                      atoms[i].radius);
-    }
+    });
   } else {
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
+    for_each_atom(atoms.size(), [&](std::size_t i) {
       const geom::Vec3 x = atoms[i].pos;
       double s = 0.0;
       for (std::size_t k = 0; k < surf.size(); ++k) {
@@ -53,7 +71,7 @@ std::vector<double> naive_born_radii(const mol::Molecule& mol,
         s += surf.weights[k] * d.dot(surf.normals[k]) / r6;
       }
       born[i] = finalize_born_radius(s, atoms[i].radius);
-    }
+    });
   }
   if (counters) {
     counters->born_exact +=

@@ -63,21 +63,54 @@ void QPointsTree::assign_surface(const surface::Surface& surf) {
   }
 }
 
+namespace {
+
+/// m += sym(u ⊗ n).
+void add_sym(NormalMoment& m, const geom::Vec3& u, const geom::Vec3& n) {
+  m.xx += u.x * n.x;
+  m.yy += u.y * n.y;
+  m.zz += u.z * n.z;
+  m.xy += 0.5 * (u.x * n.y + u.y * n.x);
+  m.xz += 0.5 * (u.x * n.z + u.z * n.x);
+  m.yz += 0.5 * (u.y * n.z + u.z * n.y);
+}
+
+}  // namespace
+
 void QPointsTree::rebuild_derived() {
   const auto nodes = tree.nodes();
+  const auto pts = tree.points();
   node_wnormal.resize(nodes.size());
+  node_wmoment.resize(nodes.size());
   // Children come after parents in the flat array, so a reverse sweep can
-  // aggregate bottom-up; leaves sum their own points.
+  // aggregate bottom-up; leaves sum their own points, parents shift each
+  // child's moment to their own centroid (parallel axis: the child's
+  // Σ w·n sitting at c_child − c_parent).
   for (std::size_t id = nodes.size(); id-- > 0;) {
     const auto& n = nodes[id];
     geom::Vec3 s;
+    NormalMoment m;
     if (n.is_leaf()) {
-      for (std::uint32_t i = n.begin; i < n.end; ++i) s += wnormal[i];
+      for (std::uint32_t i = n.begin; i < n.end; ++i) {
+        s += wnormal[i];
+        add_sym(m, pts[i] - n.centroid, wnormal[i]);
+      }
     } else {
-      for (std::uint8_t c = 0; c < n.child_count; ++c)
-        s += node_wnormal[n.first_child + c];
+      for (std::uint8_t c = 0; c < n.child_count; ++c) {
+        const std::uint32_t child = n.first_child + c;
+        const NormalMoment& mc = node_wmoment[child];
+        s += node_wnormal[child];
+        m.xx += mc.xx;
+        m.yy += mc.yy;
+        m.zz += mc.zz;
+        m.xy += mc.xy;
+        m.xz += mc.xz;
+        m.yz += mc.yz;
+        add_sym(m, nodes[child].centroid - n.centroid, node_wnormal[child]);
+      }
     }
     node_wnormal[id] = s;
+    node_wmoment[id] = m;
   }
   // Coordinate planes come straight from the octree (see AtomsTree); the
   // weighted-normal payload still splits into its own SoA planes here.
@@ -91,6 +124,7 @@ std::size_t QPointsTree::footprint_bytes() const {
   return tree.footprint_bytes() + wnormal.capacity() * sizeof(geom::Vec3) +
          weight.capacity() * sizeof(double) +
          node_wnormal.capacity() * sizeof(geom::Vec3) +
+         node_wmoment.capacity() * sizeof(NormalMoment) +
          (soa_wnx.capacity() + soa_wny.capacity() + soa_wnz.capacity()) *
              sizeof(double);
 }

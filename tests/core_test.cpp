@@ -102,6 +102,19 @@ TEST(GBParams, BornFarFieldCriterion) {
   EXPECT_TRUE(core::born_far_enough(dstar * 1.001, 1.0, 1.0, pow6));
 }
 
+TEST(GBParams, BornThresholdOpensAtFirstOrderFactor) {
+  // Non-strict: nodes open at d/s = (1 + 2/ε)^0.9 (2.87 at ε = 0.9),
+  // i.e. k = (f+1)/(f−1) ≈ 2.07. Strict: the paper's (1+ε)^(1/6).
+  const double f = std::pow(1.0 + 2.0 / 0.9, 0.9);
+  const double k = core::born_threshold(0.9, false);
+  EXPECT_EQ(k, (f + 1.0) / (f - 1.0));
+  EXPECT_NEAR(k, 2.0715, 5e-4);
+  EXPECT_EQ(core::born_threshold(0.9, true), std::pow(1.9, 1.0 / 6.0));
+  // The factor is the far boundary for s = ra + rq = 2.
+  EXPECT_FALSE(core::born_far_enough(2.0 * f * 0.999, 1.0, 1.0, k));
+  EXPECT_TRUE(core::born_far_enough(2.0 * f * 1.001, 1.0, 1.0, k));
+}
+
 TEST(GBParams, EpolFarFieldCriterion) {
   // Opening factor (1 + 2/ε)^¾: 2.41 at ε = 0.9.
   const double k = core::epol_threshold(0.9);

@@ -21,6 +21,9 @@
 #include "octgb/util/rng.hpp"
 #include "octgb/ws/scheduler.hpp"
 
+// The far-gradient pass is internal to octgb_core.
+#include "../src/core/born_walk.hpp"
+
 using namespace octgb;
 
 namespace {
@@ -269,6 +272,48 @@ TEST(Determinism, OneShotBornIsBitwiseAtEveryWorkerCount) {
       expect_same_born_counters(d.work, dual.work, "dual, " + at);
     }
   }
+}
+
+TEST(BornGradientPass, ForkedPassIsBitwiseAndSumsEveryAncestor) {
+  // The far-gradient pass adds Σ g_A·(x − c_A) over the T_A nodes A
+  // holding each atom. Big enough that it forks below the root: the
+  // result must not depend on the worker count, and must equal the
+  // per-atom sum over ancestors up to rounding.
+  const auto m = mol::generate_protein({.target_atoms = 9000, .seed = 33});
+  const auto ta = core::AtomsTree::build(m);
+  const std::size_t n_nodes = ta.tree.nodes().size();
+  const std::size_t n_atoms = ta.num_atoms();
+  util::Xoshiro256 rng(71);
+  std::vector<geom::Vec3> grad(n_nodes);
+  for (auto& g : grad)
+    g = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+         rng.uniform(-1.0, 1.0)};
+  std::vector<double> base(n_atoms);
+  for (double& v : base) v = rng.uniform(-1.0, 1.0);
+
+  std::vector<double> serial = base;
+  core::detail::add_far_gradients(ta, grad, serial);
+  for (int workers : {2, 4}) {
+    ws::Scheduler sched(workers);
+    std::vector<double> par = base;
+    sched.run([&] { core::detail::add_far_gradients(ta, grad, par); });
+    EXPECT_EQ(std::memcmp(par.data(), serial.data(),
+                          n_atoms * sizeof(double)),
+              0)
+        << workers << " workers";
+  }
+
+  const auto pts = ta.tree.points();
+  std::vector<double> want = base, scale(n_atoms, 1.0);
+  for (std::uint32_t id = 0; id < n_nodes; ++id) {
+    const auto& a = ta.tree.node(id);
+    for (std::uint32_t i = a.begin; i < a.end; ++i) {
+      want[i] += grad[id].dot(pts[i] - a.centroid);
+      scale[i] += grad[id].norm() * (pts[i] - a.centroid).norm();
+    }
+  }
+  for (std::size_t i = 0; i < n_atoms; ++i)
+    ASSERT_NEAR(serial[i], want[i], 1e-12 * scale[i]) << "atom " << i;
 }
 
 TEST(Determinism, HybridIsBitwiseAcrossThreadsPerRank) {

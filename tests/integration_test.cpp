@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
+#include <vector>
 
 #include "octgb/octgb.hpp"
 
@@ -137,6 +139,79 @@ TEST(Integration, ZdockSweepSmallMoleculesUnderErrorBudget) {
     const double e = engine.compute().epol;
     EXPECT_LT(std::abs(e - naive_e) / std::abs(naive_e), 0.01)
         << entry.name;
+  }
+}
+
+TEST(ZdockAccuracy, QuickSelectionAgainstNaiveReference) {
+  // The ZDock quick selection (every 4th registry entry plus the
+  // largest: 12 molecules, 436 to 16,301 atoms), each in its generated
+  // orientation with the default surface, evaluated one-shot against the
+  // naive Born radii and Epol. Every molecule must stay under the 1 %
+  // Epol budget. On the two largest, the counts of radii more than 1 %
+  // off and of radii clamped to kMaxBornRadius where the naive radius is
+  // not must not exceed what the monopole far term at opening factor
+  // 1 + 2/ε left (1108 / 5 and 738 / 5).
+  struct Limit {
+    const char* name;
+    std::size_t off, clamped;
+  };
+  const Limit limits[] = {{"1MAH_r_b", 1108, 5}, {"1BGX_l_b", 738, 5}};
+  const auto all = mol::zdock_set();
+  std::vector<mol::BenchmarkEntry> set;
+  for (std::size_t i = 0; i < all.size(); i += 4) set.push_back(all[i]);
+  set.push_back(all.back());
+  ASSERT_EQ(set.size(), 12u);
+
+  // The naive radii (the O(M·N) part) split atoms across the workers;
+  // the naive energies (O(M²), serial each) run one molecule per worker.
+  struct Case {
+    mol::Molecule molecule;
+    std::vector<double> naive_born, born;
+    double naive_e = 0.0, epol = 0.0;
+  };
+  std::vector<Case> cases;
+  ws::Scheduler sched(4);
+  for (const auto& entry : set) {
+    Case c{mol::make_benchmark_molecule(entry.name), {}, {}};
+    surface::Surface surf;
+    sched.run([&] {
+      surf = surface::build_surface(c.molecule);
+      c.naive_born = core::naive_born_radii(c.molecule, surf);
+    });
+    core::GBEngine engine(c.molecule, surf);
+    auto r = engine.compute(&sched);
+    c.born = std::move(r.born);
+    c.epol = r.epol;
+    cases.push_back(std::move(c));
+  }
+  sched.run([&] {
+    ws::Scheduler::parallel_for(
+        0, static_cast<std::int64_t>(cases.size()), 1,
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t k = lo; k < hi; ++k)
+            cases[k].naive_e =
+                core::naive_epol(cases[k].molecule, cases[k].naive_born);
+        });
+  });
+
+  for (std::size_t k = 0; k < set.size(); ++k) {
+    const Case& c = cases[k];
+    const char* name = set[k].name;
+    EXPECT_LT(std::abs(c.epol - c.naive_e) / std::abs(c.naive_e), 0.01)
+        << name;
+    std::size_t off = 0, clamped = 0;
+    for (std::size_t i = 0; i < c.naive_born.size(); ++i) {
+      if (std::abs(c.born[i] - c.naive_born[i]) > 0.01 * c.naive_born[i])
+        ++off;
+      if (c.born[i] == core::kMaxBornRadius &&
+          c.naive_born[i] != core::kMaxBornRadius)
+        ++clamped;
+    }
+    for (const Limit& l : limits) {
+      if (std::string_view(name) != l.name) continue;
+      EXPECT_LE(off, l.off) << name;
+      EXPECT_LE(clamped, l.clamped) << name;
+    }
   }
 }
 

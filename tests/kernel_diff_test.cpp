@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "octgb/core/batch_kernels.hpp"
@@ -21,6 +23,7 @@
 #include "octgb/mol/generate.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
+#include "octgb/util/rng.hpp"
 
 using namespace octgb;
 using core::AtomBatch;
@@ -302,23 +305,35 @@ TEST(BatchKernelEdge, EpolSelfTermIsIncludedByContract) {
 TEST(BatchKernelEdge, BornFarTermCoincidentCentroidsContributeZero) {
   // The admissibility criterion never admits d = 0, but direct calls and
   // degenerate single-point geometry can produce coincident (or NaN)
-  // centroids; the far term must yield 0, not ±inf or NaN.
+  // centroids; the far term must yield 0, not ±inf or NaN, and leave the
+  // A-side gradient untouched.
   const geom::Vec3 c{1.0, -2.0, 3.0};
   const geom::Vec3 wn{5.0, 7.0, -1.0};
-  EXPECT_EQ(core::born_far_term(c, c, wn, /*approx_math=*/false), 0.0);
-  EXPECT_EQ(core::born_far_term(c, c, wn, /*approx_math=*/true), 0.0);
+  const core::NormalMoment wm{0.3, -0.2, 0.5, 0.1, -0.4, 0.25};
+  const geom::Vec3 g0{0.5, -1.5, 2.5};
+  const auto expect_zero = [&](const geom::Vec3& qc, bool approx_math) {
+    geom::Vec3 g = g0;
+    EXPECT_EQ(core::born_far_term(c, qc, wn, wm, approx_math, g), 0.0);
+    EXPECT_EQ(g, g0);
+  };
+  expect_zero(c, /*approx_math=*/false);
+  expect_zero(c, /*approx_math=*/true);
   // Inside the r² ≤ 1e-12 coincidence band: still zero.
-  const geom::Vec3 near_c{1.0 + 1e-7, -2.0, 3.0};
-  EXPECT_EQ(core::born_far_term(c, near_c, wn, false), 0.0);
+  expect_zero({1.0 + 1e-7, -2.0, 3.0}, false);
   // NaN centroid (poisoned upstream geometry) must not leak NaN into the
-  // node partial.
+  // node partial or its gradient.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(core::born_far_term(c, {nan, 0.0, 0.0}, wn, false), 0.0);
-  // Just outside the band: a genuine (huge but finite) contribution.
+  expect_zero({nan, 0.0, 0.0}, false);
+  expect_zero({nan, 0.0, 0.0}, true);
+  // Just outside the band: a genuine (huge but finite) contribution and
+  // gradient.
   const geom::Vec3 out_c{1.0 + 2e-6, -2.0, 3.0};
-  const double t = core::born_far_term(c, out_c, wn, false);
+  geom::Vec3 g = g0;
+  const double t = core::born_far_term(c, out_c, wn, {}, false, g);
   EXPECT_TRUE(std::isfinite(t));
   EXPECT_GT(t, 0.0);
+  EXPECT_TRUE(std::isfinite(g.x) && std::isfinite(g.y) && std::isfinite(g.z));
+  EXPECT_NE(g, g0);
 }
 
 TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
@@ -433,5 +448,121 @@ TEST(BatchKernelEdge, SplitSoaRoundTrips) {
     EXPECT_EQ(x[i], pts[i].x);
     EXPECT_EQ(y[i], pts[i].y);
     EXPECT_EQ(z[i], pts[i].z);
+  }
+}
+
+// ---- first-order Born far term ---------------------------------------------
+
+namespace {
+
+/// `n` quadrature points in the unit ball about the origin with weights
+/// in [0.5, 1.5] and unit normals tilted at random about `dir`, so the
+/// cluster's Σ w·n stays large.
+surface::Surface normal_cluster(const geom::Vec3& dir, std::size_t n,
+                                std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  surface::Surface s;
+  while (s.size() < n) {
+    const geom::Vec3 u{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                       rng.uniform(-1.0, 1.0)};
+    if (u.norm2() > 1.0) continue;
+    const geom::Vec3 tilt{rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
+                          rng.uniform(-0.6, 0.6)};
+    s.positions.push_back(u);
+    s.normals.push_back((dir + tilt).normalized());
+    s.weights.push_back(rng.uniform(0.5, 1.5));
+    s.owner_atom.push_back(0);
+  }
+  return s;
+}
+
+}  // namespace
+
+TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
+  // rebuild_derived builds internal moments from the children's by the
+  // parallel-axis shift; every node must equal the direct point sum
+  // S = sym Σ w (r − c) ⊗ n about its own centroid.
+  const auto surf = normal_cluster({0.0, 0.0, 1.0}, 400, 5);
+  const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
+  ASSERT_GT(tq.tree.nodes().size(), 9u);
+  const auto pts = tq.tree.points();
+  for (std::uint32_t id = 0; id < tq.tree.nodes().size(); ++id) {
+    const auto& n = tq.tree.node(id);
+    core::NormalMoment want;
+    double scale = 0.0;
+    for (std::uint32_t i = n.begin; i < n.end; ++i) {
+      const geom::Vec3 u = pts[i] - n.centroid;
+      const geom::Vec3 w = tq.wnormal[i];
+      want.xx += u.x * w.x;
+      want.yy += u.y * w.y;
+      want.zz += u.z * w.z;
+      want.xy += 0.5 * (u.x * w.y + u.y * w.x);
+      want.xz += 0.5 * (u.x * w.z + u.z * w.x);
+      want.yz += 0.5 * (u.y * w.z + u.z * w.y);
+      scale += u.norm() * w.norm();
+    }
+    const core::NormalMoment& got = tq.node_wmoment[id];
+    const double tol = 1e-12 * scale;
+    EXPECT_NEAR(got.xx, want.xx, tol) << "node " << id;
+    EXPECT_NEAR(got.yy, want.yy, tol) << "node " << id;
+    EXPECT_NEAR(got.zz, want.zz, tol) << "node " << id;
+    EXPECT_NEAR(got.xy, want.xy, tol) << "node " << id;
+    EXPECT_NEAR(got.xz, want.xz, tol) << "node " << id;
+    EXPECT_NEAR(got.yz, want.yz, tol) << "node " << id;
+  }
+}
+
+TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
+  // One far term of a unit-radius T_Q cluster against atoms in a unit
+  // ball at distance d, each atom x taking term + grad·(x − c_A) as the
+  // gradient pass hands it out. Against the exact point sum, the
+  // relative error falls as (s/d)² with the first-order correction and as
+  // s/d for the bare monopole N·δ/r⁶: doubling d divides it by 4 and 2.
+  const geom::Vec3 dir = geom::Vec3{1.0, 2.0, -2.0}.normalized();
+  const auto surf = normal_cluster(dir, 300, 11);
+  const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
+  const geom::Vec3 cq = tq.tree.node(0).centroid;
+  const geom::Vec3 wn = tq.node_wnormal[0];
+  const core::NormalMoment& wm = tq.node_wmoment[0];
+  const auto n_pts = static_cast<std::uint32_t>(tq.num_points());
+
+  util::Xoshiro256 rng(23);
+  std::vector<geom::Vec3> offsets;
+  while (offsets.size() < 64) {
+    const geom::Vec3 u{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                       rng.uniform(-1.0, 1.0)};
+    if (u.norm2() <= 1.0) offsets.push_back(u);
+  }
+
+  std::vector<double> err_first, err_mono;
+  for (const double d : {16.0, 32.0, 64.0, 128.0}) {
+    std::vector<geom::Vec3> atoms;
+    geom::Vec3 ca;
+    for (const auto& u : offsets) {
+      atoms.push_back(cq - dir * d + u);
+      ca += atoms.back();
+    }
+    ca = ca / static_cast<double>(atoms.size());
+    geom::Vec3 grad;
+    const double term = core::born_far_term(ca, cq, wn, wm, false, grad);
+    const geom::Vec3 delta = cq - ca;
+    const double r2 = delta.norm2();
+    const double mono = wn.dot(delta) / (r2 * r2 * r2);
+    double worst_first = 0.0, worst_mono = 0.0, biggest = 0.0;
+    for (const auto& x : atoms) {
+      const double exact = core::scalar_born_pair(x, tq, 0, n_pts, false);
+      worst_first = std::max(worst_first,
+                             std::abs(term + grad.dot(x - ca) - exact));
+      worst_mono = std::max(worst_mono, std::abs(mono - exact));
+      biggest = std::max(biggest, std::abs(exact));
+    }
+    err_first.push_back(worst_first / biggest);
+    err_mono.push_back(worst_mono / biggest);
+  }
+  for (std::size_t k = 0; k + 1 < err_first.size(); ++k) {
+    const std::string at = "step " + std::to_string(k);
+    EXPECT_LT(err_first[k], err_mono[k]) << at;
+    EXPECT_NEAR(err_first[k] / err_first[k + 1], 4.0, 0.5) << at;
+    EXPECT_NEAR(err_mono[k] / err_mono[k + 1], 2.0, 0.25) << at;
   }
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -151,6 +152,32 @@ TEST(Persist, PreprocessedRoundTripsBitForBit) {
   EXPECT_EQ(fresh.compute().epol, adopted.compute().epol);
 }
 
+TEST(Persist, ReloadedNormalMomentsAndBornRadiiAreBitwise) {
+  // The T_Q normal moments are derived (rebuild_derived on load), not
+  // serialized: a reloaded tree must reproduce them, and the Born radii
+  // their far terms feed, bit for bit.
+  const Problem p(400);
+  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
+  std::stringstream ss;
+  core::write_qpoints_tree(pre.qpoints, ss);
+  const core::QPointsTree loaded = core::read_qpoints_tree(ss);
+  const auto& want = pre.qpoints.node_wmoment;
+  ASSERT_EQ(loaded.node_wmoment.size(), want.size());
+  EXPECT_EQ(std::memcmp(loaded.node_wmoment.data(), want.data(),
+                        want.size() * sizeof(core::NormalMoment)),
+            0);
+  EXPECT_EQ(loaded.node_wnormal, pre.qpoints.node_wnormal);
+
+  std::stringstream whole;
+  core::write_preprocessed(pre, whole);
+  GBEngine fresh(p.molecule, p.surf);
+  GBEngine adopted(core::read_preprocessed(whole));
+  const auto a = fresh.compute();
+  const auto b = adopted.compute();
+  EXPECT_EQ(a.born, b.born);
+  EXPECT_EQ(a.epol, b.epol);
+}
+
 TEST(Persist, RejectsMismatchedSectionTag) {
   const Problem p(200);
   const auto pre = core::Preprocessed::build(p.molecule, p.surf);
@@ -184,8 +211,8 @@ TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
 TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
   // Exact accounting, built or reloaded: each octree plus its tree-order
   // payload planes and nothing else. T_A carries charge and vdW radius;
-  // T_Q carries w·n and w per point, three w·n SoA planes, and one w·n
-  // aggregate per node.
+  // T_Q carries w·n and w per point, three w·n SoA planes, and per node
+  // one w·n aggregate and one six-entry normal moment.
   const Problem p(400);
   const auto expect_exact = [](const core::Preprocessed& pre) {
     const core::AtomsTree& ta = pre.atoms;
@@ -195,7 +222,8 @@ TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
     EXPECT_EQ(tq.footprint_bytes(),
               tq.tree.footprint_bytes() +
                   tq.num_points() * (sizeof(geom::Vec3) + 4 * sizeof(double)) +
-                  tq.tree.nodes().size() * sizeof(geom::Vec3));
+                  tq.tree.nodes().size() *
+                      (sizeof(geom::Vec3) + 6 * sizeof(double)));
     EXPECT_EQ(pre.footprint_bytes(),
               ta.footprint_bytes() + tq.footprint_bytes());
   };

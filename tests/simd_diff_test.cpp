@@ -21,12 +21,19 @@
 //     are width-invariant), warm plan replay stays bitwise, and a width
 //     switch repopulates the Born cache instead of serving stale radii.
 
+// GCC emits -Wpsabi after the function bodies, so only a file-level
+// pragma reaches it; see the exp_pd section at the end.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "octgb/core/batch_kernels.hpp"
@@ -646,4 +653,94 @@ TEST(SimdEngine, VectorSwitchRepopulatesBornCache) {
   // Unchanged params now: the cache finally serves.
   engine.compute(scratch);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);
+}
+
+// ---- exp_pd: exponent bits without a double → int64 conversion -----------
+
+// pack.hpp is meant to be included inside an anonymous namespace of the
+// TU that uses it (see its header note); the test does the same. This TU
+// has no AVX flags, so 4-lane vectors pass in memory: internal linkage
+// makes GCC's ABI note moot (silenced at the top of the file, the only
+// place GCC honours it).
+namespace {
+namespace pk {
+#include "octgb/simd/pack.hpp"
+}  // namespace pk
+
+typedef std::int64_t oracle_q2 __attribute__((vector_size(16)));
+typedef std::int64_t oracle_q4 __attribute__((vector_size(32)));
+template <int N>
+using oracle_q = std::conditional_t<N == 2, oracle_q2, oracle_q4>;
+
+/// The former exp_pd, kept as the oracle: identical arithmetic, but the
+/// exponent n is converted to an integer vector before biasing.
+template <int N>
+typename pk::lanes_of<N>::vd exp_pd_by_conversion(
+    typename pk::lanes_of<N>::vd x) {
+  using vd = typename pk::lanes_of<N>::vd;
+  using vq = oracle_q<N>;
+  using pk::bc;
+  const auto is_nan = x != x;
+  vd xc = is_nan ? bc<vd>(0.0) : x;
+  xc = xc > bc<vd>(709.0) ? bc<vd>(709.0) : xc;
+  xc = xc < bc<vd>(-709.0) ? bc<vd>(-709.0) : xc;
+  const vd magic = bc<vd>(6755399441055744.0);  // 1.5 * 2^52
+  const vd t = xc * bc<vd>(1.4426950408889634074);
+  const vd n = (t + magic) - magic;
+  vd px = xc - n * bc<vd>(6.93145751953125e-1);
+  px -= n * bc<vd>(1.42860682030941723212e-6);
+  const vd xx = px * px;
+  vd p = bc<vd>(1.26177193074810590878e-4);
+  p = p * xx + bc<vd>(3.02994407707441961300e-2);
+  p = p * xx + bc<vd>(9.99999999999999999910e-1);
+  p = p * px;
+  vd q = bc<vd>(3.00198505138664455042e-6);
+  q = q * xx + bc<vd>(2.52448340349684104192e-3);
+  q = q * xx + bc<vd>(2.27265548208155028766e-1);
+  q = q * xx + bc<vd>(2.0);
+  const vd e = bc<vd>(1.0) + bc<vd>(2.0) * p / (q - p);
+  const vq ni = __builtin_convertvector(n, vq);
+  const vq bits = (ni + 1023) << 52;
+  vd r = e * (vd)bits;
+  r = x < bc<vd>(-708.0) ? bc<vd>(0.0) : r;
+  r = x > bc<vd>(708.0) ? bc<vd>(__builtin_inf()) : r;
+  r = is_nan ? x : r;
+  return r;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// Every input of `xs` through both formulations at width N, bitwise.
+template <int N>
+void expect_exp_pd_bitwise(const std::vector<double>& xs) {
+  using vd = typename pk::lanes_of<N>::vd;
+  for (std::size_t i = 0; i < xs.size(); i += N) {
+    vd x{};
+    for (int l = 0; l < N; ++l) x[l] = xs[std::min(i + l, xs.size() - 1)];
+    const vd got = pk::exp_pd<N>(x);
+    const vd want = exp_pd_by_conversion<N>(x);
+    for (int l = 0; l < N; ++l)
+      ASSERT_EQ(bits_of(got[l]), bits_of(want[l]))
+          << "x = " << x[l] << " (" << N << " lanes)";
+  }
+}
+
+}  // namespace
+
+TEST(ExpPd, ExponentFromBitsMatchesConversionBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs{-709.5, -709.0, -708.5, -708.0, -745.0, -1e-300,
+                         -0.0,   0.0,    1e-300, 708.5,  709.5,
+                         std::numeric_limits<double>::quiet_NaN(), inf,
+                         -inf};
+  // Dense sweep of the kernels' domain: every exponent n the range
+  // reduction produces, and both sides of every rounding tie.
+  constexpr int kSteps = 1 << 20;
+  for (int k = 0; k <= kSteps; ++k) xs.push_back(-708.0 * k / kSteps);
+  expect_exp_pd_bitwise<2>(xs);
+  expect_exp_pd_bitwise<4>(xs);
 }
