@@ -6,9 +6,11 @@
 /// whose Born radius falls in the geometric bin
 /// [Rmin(1+ε)^k, Rmin(1+ε)^(k+1)), and a far (U,V) pair contributes one
 /// f_GB evaluation per non-empty bin pair instead of one per atom pair.
-/// Each bin also carries its Born-radius moment Σq·R and its charge
-/// dipole about the node centroid, which make the bin-pair term first
-/// order in both the atom positions and the radii (DESIGN.md §2.1).
+/// Each bin also carries moments of its charges' offsets from the node
+/// centroid and of their Born radii up to second order (the dipole and
+/// quadrupole, Σq·R, Σq·R² and Σq·R·(x − c)), which make the bin-pair
+/// term second order in both the atom positions and the radii
+/// (DESIGN.md §2.1).
 ///
 /// All three entry points, the force pass and the near-set collector run
 /// one descent (DESIGN.md §2.14). approx_epol mirrors the near field: an
@@ -36,24 +38,24 @@
 namespace octgb::core {
 
 /// Per-node moments-by-Born-radius-bin table, built once per energy
-/// evaluation (Born radii must already be known). The moment planes are
-/// compact: node `id` stores only its bins [bin_lo, bin_hi], at
-/// [bin_off[id], bin_off[id] + bin_hi − bin_lo] of every plane. Most
-/// nodes are leaves whose atoms span a few of the M bins, so this is
-/// about a quarter of a dense [node][bin] layout.
+/// evaluation (Born radii must already be known). The table is compact:
+/// node `id` stores only its n = bin_hi − bin_lo + 1 bins [bin_lo,
+/// bin_hi], as one block of BinMoments::kPlanes planes of n cells each
+/// (BinMoments in core/batch_kernels.hpp names them). Most nodes are
+/// leaves whose atoms span a few of the M bins, so this is about a
+/// quarter of a dense [node][bin] layout.
 struct EpolContext {
   double rmin = 1.0;          ///< minimum Born radius over all atoms
   double log1pe = 1.0;        ///< log(1+ε)
   int nbins = 1;              ///< M = ⌈log_{1+ε}(Rmax/Rmin)⌉
-  /// Charge sums Q = Σq.
+  /// Every node's moment block, node `id`'s at kPlanes·bin_off[id], plane
+  /// p of its bin lo + i at kPlanes·bin_off[id] + p·n + i. Plane 0 is the
+  /// charge sum Q, so the root's first nbins cells are its charge by bin.
   std::vector<double> bins;
-  /// Born-radius moments S = Σq·R.
-  std::vector<double> born_moment;
-  /// Charge dipoles P = Σq·(x − c) about the node centroid c, per axis.
-  std::vector<double> dipole_x, dipole_y, dipole_z;
   /// Inclusive bin range per node: the bins its atoms' radii fall in.
   std::vector<std::int16_t> bin_lo, bin_hi;
-  /// Start of each node's range in the moment planes.
+  /// Cells before each node's range: the sum of the range lengths of the
+  /// nodes with smaller ids.
   std::vector<std::size_t> bin_off;
   /// Representative radius per bin: the geometric mid-bin Rmin(1+ε)^(k+½)
   /// (the paper's Fig. 3 uses the lower edge Rmin(1+ε)^k).
@@ -62,7 +64,7 @@ struct EpolContext {
   /// Bin index of a Born radius.
   int bin_of(double born) const;
 
-  /// Node `id`'s moment planes, as the far-field kernels read them.
+  /// Node `id`'s moment block, as the far-field kernels read it.
   BinMoments moments(std::size_t id) const;
 
   std::size_t footprint_bytes() const;
@@ -135,9 +137,10 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
 ///
 /// This is the per-pose kernel of ScoringSession's CrossScreen mode, where
 /// `tb` is refit to each pose while `ctx_b` stays as built at the base
-/// coordinates. The bin layout and the charge and Born-radius moments
-/// depend only on topology and radii, but the dipoles turn with the body,
-/// so each V leaf's moments are recomputed from `tb`'s current points:
+/// coordinates. The bin layout and the charge and Born-radius sums depend
+/// only on topology and radii, but the moments about the leaf centroid
+/// (P, U, Θ) turn with the body, so each V leaf's moments are recomputed
+/// from `tb`'s current points:
 /// exactly what `ctx_b` would hold if rebuilt on `tb` as it is now.
 /// `ctx_a` is read as it is and must match `ta`'s current geometry.
 double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,

@@ -31,7 +31,9 @@ std::vector<double> naive_born_radii(const mol::Molecule& mol,
 /// including the i = j self terms. `born` is in input order. The batched
 /// kernel evaluates the full ordered-pair sum row by row (diagonal
 /// included); the scalar path sums diagonal + 2 × unordered off-diagonal
-/// pairs — identical up to reassociation.
+/// pairs — identical up to reassociation. Under an active ws::Scheduler
+/// the batched rows are computed in parallel and added in row order, so
+/// the result is bitwise the serial one; the scalar path stays serial.
 double naive_epol(const mol::Molecule& mol, std::span<const double> born,
                   const GBParams& gb = {},
                   perf::WorkCounters* counters = nullptr,

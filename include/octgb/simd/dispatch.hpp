@@ -35,16 +35,15 @@ struct KernelSet {
                             const core::QPointBatch& q);
   using EpolFn = double (*)(double vx, double vy, double vz, double qv,
                             double rv, const core::AtomBatch& atoms);
-  /// First-order bin-pair far field between two nodes U and V whose
-  /// centroids are D = c_U − c_V = (dx, dy, dz) apart, d2 = |D|². Over
-  /// every pair (i, j) of occupied bins (any moment nonzero), with
-  /// rr = rep_i·rep_j, x = d2/(4rr), e = exp(−x), f² = d2 + rr·e:
-  ///   Q_i Q_j / f − (1 − e/4)·f⁻³·(D·P_i Q_j − Q_i D·P_j)
-  ///               − ½·e·(1 + x)·f⁻³·(S_i S_j − rr·Q_i Q_j),
-  /// the monopole plus its gradient in the charge positions and in the
-  /// product of Born radii (DESIGN.md §2.1). `binpairs` is incremented by
-  /// exactly the scalar table's count (pairs of occupied bins), keeping
-  /// epol.bins width-invariant.
+  /// Second-order bin-pair far field between two nodes U and V whose
+  /// centroids are D = c_U − c_V = (dx, dy, dz) apart, d2 = |D|²: over
+  /// every pair (i, j) of occupied bins (any moment nonzero), the GB pair
+  /// term 1/f_GB at the bin pair's centroids and representative radii
+  /// plus its Taylor terms to second order in the atom offsets and the
+  /// product of Born radii, closed over the bins' moments Q, S, T, P, U
+  /// and Θ (core::detail::far_term, DESIGN.md §2.1). `binpairs` is
+  /// incremented by exactly the scalar table's count (pairs of occupied
+  /// bins), keeping epol.bins width-invariant.
   using FarBinsFn = double (*)(const core::BinMoments& u,
                                const core::BinMoments& v, double dx,
                                double dy, double dz, double d2,

@@ -134,65 +134,105 @@ double epol_sum_w(double vx, double vy, double vz, double qv, double rv,
   return qv * sum;
 }
 
-/// First-order bin-pair far field (KernelSet::FarBinsFn): for every
+/// Second-order bin-pair far field (KernelSet::FarBinsFn): for every
 /// occupied v-bin, a vector sweep over the u-bin range, then the scalar
 /// tail, which calls the scalar table's per-term code
-/// (core::detail::far_term). The sweep runs over U, the far
-/// node, whose range is usually the wider one: V is a leaf or one atom.
-/// Skipped u-bins (Q = S = P = 0) contribute exactly 0 (rep[] > 0 ⇒ f⁻³
-/// finite), so the sweep needs no mask; the pair counter is
-/// reconstructed as nnz_u·nnz_v, exactly what the scalar skip-loop
-/// reports. One exp, one sqrt and one division per bin pair (fastmath:
-/// fast_exp and fast_rsqrt, no division).
+/// (core::detail::far_term, whose comment derives the expression). The
+/// sweep runs over U, the far node, whose range is usually the wider
+/// one: V is a leaf or one atom. Skipped u-bins (every moment zero)
+/// contribute exactly 0 (rep[] > 0 ⇒ f⁻³ finite), so the sweep needs no
+/// mask; the pair counter is reconstructed as nnz_u·nnz_v, exactly what
+/// the scalar skip-loop reports. One exp, one sqrt and two divisions per
+/// bin pair (fastmath: fast_exp, fast_rsqrt and one division).
 template <int N, bool Fast>
 double epol_far_bins_w(const core::BinMoments& u, const core::BinMoments& v,
                        double dx, double dy, double dz, double d2,
                        std::uint64_t& binpairs) {
   using vd = typename lanes_of<N>::vd;
+  using M = core::BinMoments;
   if (u.n <= 0 || v.n <= 0) return 0.0;
   std::uint64_t nnz_u = 0;
   for (int i = 0; i < u.n; ++i) nnz_u += u.occupied(i) ? 1u : 0u;
   const vd vdd2 = bc<vd>(d2), vdx = bc<vd>(dx), vdy = bc<vd>(dy),
            vdz = bc<vd>(dz);
-  const vd one = bc<vd>(1.0), four = bc<vd>(4.0), quarter = bc<vd>(0.25),
-           half = bc<vd>(0.5), zero = bc<vd>(0.0);
+  const vd one = bc<vd>(1.0), two = bc<vd>(2.0), four = bc<vd>(4.0),
+           quarter = bc<vd>(0.25), half = bc<vd>(0.5),
+           three_q = bc<vd>(0.75), zero = bc<vd>(0.0);
+  const double* uq = u.plane(M::Q);
+  const double* us = u.plane(M::S);
+  const double* ut = u.plane(M::T);
+  const double* upx = u.plane(M::Px);
+  const double* upy = u.plane(M::Py);
+  const double* upz = u.plane(M::Pz);
+  const double* uux = u.plane(M::Ux);
+  const double* uuy = u.plane(M::Uy);
+  const double* uuz = u.plane(M::Uz);
+  const double* uxx = u.plane(M::Txx);
+  const double* uyy = u.plane(M::Tyy);
+  const double* uzz = u.plane(M::Tzz);
+  const double* uxy = u.plane(M::Txy);
+  const double* uxz = u.plane(M::Txz);
+  const double* uyz = u.plane(M::Tyz);
   double total = 0.0;
   std::uint64_t nnz_v = 0;
   for (int j = 0; j < v.n; ++j) {
     if (!v.occupied(j)) continue;
     ++nnz_v;
-    const double r = v.rep[j], qj = v.q[j], sj = v.s[j];
-    const double aj = dx * v.px[j] + dy * v.py[j] + dz * v.pz[j];
-    const vd vr = bc<vd>(r), vqj = bc<vd>(qj), vsj = bc<vd>(sj),
-             vaj = bc<vd>(aj);
+    const core::detail::FarBinV vj =
+        core::detail::far_bin_v(v, j, dx, dy, dz);
+    const vd vr = bc<vd>(vj.r), vqj = bc<vd>(vj.q), vsj = bc<vd>(vj.s),
+             vtj = bc<vd>(vj.t), vaj = bc<vd>(vj.a), vbj = bc<vd>(vj.b),
+             vcj = bc<vd>(vj.c), vtrj = bc<vd>(vj.tr), vpx = bc<vd>(vj.px),
+             vpy = bc<vd>(vj.py), vpz = bc<vd>(vj.pz);
     vd acc = zero;
     int i = 0;
     for (; i + N <= u.n; i += N) {
-      const vd qi = loadu<vd>(u.q + i);
-      const vd bi = vdx * loadu<vd>(u.px + i) + vdy * loadu<vd>(u.py + i) +
-                    vdz * loadu<vd>(u.pz + i);
+      const vd qi = loadu<vd>(uq + i), si = loadu<vd>(us + i);
+      const vd pxi = loadu<vd>(upx + i), pyi = loadu<vd>(upy + i),
+               pzi = loadu<vd>(upz + i);
+      const vd xx = loadu<vd>(uxx + i), yy = loadu<vd>(uyy + i),
+               zz = loadu<vd>(uzz + i);
+      const vd ai = vdx * pxi + vdy * pyi + vdz * pzi;
+      const vd bi = vdx * loadu<vd>(uux + i) + vdy * loadu<vd>(uuy + i) +
+                    vdz * loadu<vd>(uuz + i);
+      const vd ci = vdx * (vdx * xx + two * (vdy * loadu<vd>(uxy + i) +
+                                             vdz * loadu<vd>(uxz + i))) +
+                    vdy * (vdy * yy + two * vdz * loadu<vd>(uyz + i)) +
+                    vdz * vdz * zz;
+      const vd pp = pxi * vpx + pyi * vpy + pzi * vpz;
       const vd qq = qi * vqj;
+      const vd ss = si * vsj;
       const vd rr = loadu<vd>(u.rep + i) * vr;
-      const vd x = vdd2 / (four * rr);
-      vd e, inv_f, t;
+      const vd rq = rr * qq;
+      const vd b1 = two * (ai * vqj - qi * vaj) + vqj * (xx + yy + zz) +
+                    qi * vtrj - two * pp;
+      const vd b2 = vqj * ci + qi * vcj - two * ai * vaj;
+      const vd b3 = ss - rq;
+      const vd b4 = bi * vsj - si * vbj + rr * (qi * vaj - ai * vqj);
+      const vd b5 = loadu<vd>(ut + i) * vtj - two * rr * ss + rr * rq;
+      const vd a4 = one / (four * rr);
+      const vd x = vdd2 * a4;
+      vd e, h, t;
       if constexpr (Fast) {
         e = fast_exp_pd<N>(zero - x);
-        inv_f = fast_rsqrt_pd<N>(vdd2 + rr * e);
-        t = inv_f * inv_f * inv_f;
+        h = fast_rsqrt_pd<N>(vdd2 + rr * e);
+        t = h * h * h;
       } else {
         e = exp_pd<N>(zero - x);
         const vd f2 = vdd2 + rr * e;
         t = one / (f2 * vsqrt_pd(f2));
-        inv_f = f2 * t;
+        h = f2 * t;
       }
-      acc += qq * inv_f -
-             t * ((one - quarter * e) * (bi * vqj - qi * vaj) +
-                  half * e * (one + x) * (loadu<vd>(u.s + i) * vsj - rr * qq));
+      const vd fd = one - quarter * e, fr = e * (one + x);
+      acc += qq * h +
+             t * (three_q * h * h *
+                      (two * fd * (fd * b2 + fr * b4) + half * fr * fr * b5) -
+                  half * (fd * b1 + fr * b3) +
+                  e * a4 * (x * (b4 - x * b5) - quarter * b2));
     }
     double row = hsum(acc);
     for (; i < u.n; ++i)
-      row += core::detail::far_term<Fast>(u, i, r, qj, sj, aj, dx, dy, dz,
-                                          d2);
+      row += core::detail::far_term<Fast>(u, i, vj, dx, dy, dz, d2);
     total += row;
   }
   binpairs += nnz_u * nnz_v;

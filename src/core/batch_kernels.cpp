@@ -112,23 +112,22 @@ double batch_epol_sum_fast(double vx, double vy, double vz, double qv,
 
 namespace {
 
-/// First-order bin-pair far field of the Scalar ISA (KernelSet::FarBinsFn
-/// contract): the skip-empty loop over both bin ranges, V bins outer,
-/// one detail::far_term per occupied pair summed into a per-row
-/// accumulator — the order the vector kernels' remainder tails keep
-/// (simd/kernels_impl.hpp).
+/// Second-order bin-pair far field of the Scalar ISA
+/// (KernelSet::FarBinsFn contract): the skip-empty loop over both bin
+/// ranges, V bins outer, one detail::far_term per occupied pair summed
+/// into a per-row accumulator — the order the vector kernels' remainder
+/// tails keep (simd/kernels_impl.hpp).
 template <bool Fast>
 double far_bins(const BinMoments& u, const BinMoments& v, double dx,
                 double dy, double dz, double d2, std::uint64_t& binpairs) {
   double sum = 0.0;
   for (int j = 0; j < v.n; ++j) {
     if (!v.occupied(j)) continue;
-    const double aj = dx * v.px[j] + dy * v.py[j] + dz * v.pz[j];
+    const detail::FarBinV vj = detail::far_bin_v(v, j, dx, dy, dz);
     double row = 0.0;
     for (int i = 0; i < u.n; ++i) {
       if (!u.occupied(i)) continue;
-      row += detail::far_term<Fast>(u, i, v.rep[j], v.q[j], v.s[j], aj, dx,
-                                    dy, dz, d2);
+      row += detail::far_term<Fast>(u, i, vj, dx, dy, dz, d2);
       ++binpairs;
     }
     sum += row;

@@ -17,29 +17,55 @@ namespace {
 using geom::Vec3;
 using octree::Octree;
 
-/// Adds the moments of leaf `n` of `t`, binned by `ctx`, to five planes
-/// that start at bin `lo`: per atom, q to Q, q·R to S and q·(x − c) to P,
-/// with x the tree's current point and c the leaf centroid. The one loop
-/// EpolContext::rebuild and the moving side of approx_epol_cross share,
-/// so a leaf's moments recomputed after a refit are bitwise what a
-/// rebuild on the refit tree stores.
+using M = BinMoments;
+
+/// Adds the moments of leaf `n` of `t`, binned by `ctx`, to the block
+/// `m` of bins [lo, hi], its planes hi − lo + 1 cells apart:
+/// per atom, with x the tree's current point, c the leaf centroid and
+/// r = x − c, q to Q, q·R to S, q·R² to T, q·r to P, q·R·r to U and
+/// q·r·rᵀ to Θ. The one loop EpolContext::rebuild and the moving side of
+/// approx_epol_cross share, so a leaf's moments recomputed after a refit
+/// are bitwise what a rebuild on the refit tree stores.
 void add_leaf_moments(const EpolContext& ctx, const AtomsTree& t,
                       std::span<const double> born, const Octree::Node& n,
-                      int lo, int hi, double* q_plane, double* s_plane,
-                      double* px, double* py, double* pz) {
+                      int lo, int hi, double* m) {
   const auto pts = t.tree.points();
+  const std::size_t stride = static_cast<std::size_t>(hi - lo + 1);
   for (std::uint32_t ai = n.begin; ai < n.end; ++ai) {
     // bin_of is monotone, so the clamp only guards the range invariant
     // the cell index relies on.
-    const int k = std::clamp(ctx.bin_of(born[ai]), lo, hi) - lo;
+    double* c = m + (std::clamp(ctx.bin_of(born[ai]), lo, hi) - lo);
+    const auto cell = [c, stride](int p) -> double& { return c[p * stride]; };
     const double q = t.charge[ai];
+    const double qr = q * born[ai];
     const Vec3 r = pts[ai] - n.centroid;
-    q_plane[k] += q;
-    s_plane[k] += q * born[ai];
-    px[k] += q * r.x;
-    py[k] += q * r.y;
-    pz[k] += q * r.z;
+    const Vec3 p = r * q;
+    cell(M::Q) += q;
+    cell(M::S) += qr;
+    cell(M::T) += qr * born[ai];
+    cell(M::Px) += p.x;
+    cell(M::Py) += p.y;
+    cell(M::Pz) += p.z;
+    cell(M::Ux) += qr * r.x;
+    cell(M::Uy) += qr * r.y;
+    cell(M::Uz) += qr * r.z;
+    cell(M::Txx) += p.x * r.x;
+    cell(M::Tyy) += p.y * r.y;
+    cell(M::Tzz) += p.z * r.z;
+    cell(M::Txy) += p.x * r.y;
+    cell(M::Txz) += p.x * r.z;
+    cell(M::Tyz) += p.y * r.z;
   }
+}
+
+/// The moments of one atom as a one-bin table about its own position:
+/// Q = q, S = q·R, T = q·R², P = U = Θ = 0.
+std::array<double, M::kPlanes> atom_moments(double q, double born) {
+  std::array<double, M::kPlanes> m{};
+  m[M::Q] = q;
+  m[M::S] = q * born;
+  m[M::T] = m[M::S] * born;
+  return m;
 }
 
 }  // namespace
@@ -51,17 +77,13 @@ int EpolContext::bin_of(double born) const {
 }
 
 BinMoments EpolContext::moments(std::size_t id) const {
-  const std::size_t off = bin_off[id];
-  return {bins.data() + off,     born_moment.data() + off,
-          dipole_x.data() + off, dipole_y.data() + off,
-          dipole_z.data() + off, rep.data() + bin_lo[id],
-          bin_hi[id] - bin_lo[id] + 1};
+  const int n = bin_hi[id] - bin_lo[id] + 1;
+  return {bins.data() + M::kPlanes * bin_off[id], static_cast<std::size_t>(n),
+          rep.data() + bin_lo[id], n};
 }
 
 std::size_t EpolContext::footprint_bytes() const {
-  return (bins.capacity() + born_moment.capacity() + dipole_x.capacity() +
-          dipole_y.capacity() + dipole_z.capacity() + rep.capacity()) *
-             sizeof(double) +
+  return (bins.capacity() + rep.capacity()) * sizeof(double) +
          (bin_lo.capacity() + bin_hi.capacity()) * sizeof(std::int16_t) +
          bin_off.capacity() * sizeof(std::size_t);
 }
@@ -150,33 +172,52 @@ bool EpolContext::rebuild(const AtomsTree& ta,
     bin_off[id] = cells;
     cells += static_cast<std::size_t>(bin_hi[id] - bin_lo[id] + 1);
   }
-  for (auto* plane : {&bins, &born_moment, &dipole_x, &dipole_y, &dipole_z})
-    plane->assign(cells, 0.0);
+  bins.assign(M::kPlanes * cells, 0.0);
 
   // Moments bottom-up: leaves bin their atoms; parents sum children,
-  // moving each child's dipole to the parent centroid:
-  // P_p += P_c + Q_c·(c_c − c_p).
+  // moving each child's moments from its centroid to the parent's by the
+  // parallel-axis rules, with s = c_child − c_parent:
+  //   P += P_c + Q_c·s,  U += U_c + S_c·s,
+  //   Θ += Θ_c + P_c·sᵀ + s·P_cᵀ + Q_c·s·sᵀ.
   for (std::size_t id = nodes.size(); id-- > 0;) {
     const auto& n = nodes[id];
-    const std::size_t off = bin_off[id];
+    double* m = bins.data() + M::kPlanes * bin_off[id];
     if (n.is_leaf()) {
-      add_leaf_moments(*this, ta, born_tree, n, bin_lo[id], bin_hi[id],
-                       &bins[off], &born_moment[off], &dipole_x[off],
-                       &dipole_y[off], &dipole_z[off]);
+      add_leaf_moments(*this, ta, born_tree, n, bin_lo[id], bin_hi[id], m);
       continue;
     }
-    const std::size_t base = off - bin_lo[id];  // + bin k ≥ bin_lo
+    const std::size_t stride =
+        static_cast<std::size_t>(bin_hi[id] - bin_lo[id] + 1);
     for (std::uint8_t c = 0; c < n.child_count; ++c) {
       const std::size_t cid = n.first_child + c;
-      const std::size_t cbase = bin_off[cid] - bin_lo[cid];
-      const Vec3 shift = nodes[cid].centroid - n.centroid;
-      for (int k = bin_lo[cid]; k <= bin_hi[cid]; ++k) {
-        const double q = bins[cbase + k];
-        bins[base + k] += q;
-        born_moment[base + k] += born_moment[cbase + k];
-        dipole_x[base + k] += dipole_x[cbase + k] + q * shift.x;
-        dipole_y[base + k] += dipole_y[cbase + k] + q * shift.y;
-        dipole_z[base + k] += dipole_z[cbase + k] + q * shift.z;
+      const BinMoments cm = moments(cid);
+      const Vec3 s = nodes[cid].centroid - n.centroid;
+      double* pm = m + (bin_lo[cid] - bin_lo[id]);
+      const auto cell = [pm, stride](int p, int k) -> double& {
+        return pm[p * stride + k];
+      };
+      for (int k = 0; k < cm.n; ++k) {
+        const double q = cm.at(M::Q, k), sr = cm.at(M::S, k);
+        const Vec3 p{cm.at(M::Px, k), cm.at(M::Py, k), cm.at(M::Pz, k)};
+        cell(M::Q, k) += q;
+        cell(M::S, k) += sr;
+        cell(M::T, k) += cm.at(M::T, k);
+        cell(M::Px, k) += p.x + q * s.x;
+        cell(M::Py, k) += p.y + q * s.y;
+        cell(M::Pz, k) += p.z + q * s.z;
+        cell(M::Ux, k) += cm.at(M::Ux, k) + sr * s.x;
+        cell(M::Uy, k) += cm.at(M::Uy, k) + sr * s.y;
+        cell(M::Uz, k) += cm.at(M::Uz, k) + sr * s.z;
+        const Vec3 qs = s * q;
+        cell(M::Txx, k) += cm.at(M::Txx, k) + 2.0 * p.x * s.x + qs.x * s.x;
+        cell(M::Tyy, k) += cm.at(M::Tyy, k) + 2.0 * p.y * s.y + qs.y * s.y;
+        cell(M::Tzz, k) += cm.at(M::Tzz, k) + 2.0 * p.z * s.z + qs.z * s.z;
+        cell(M::Txy, k) +=
+            cm.at(M::Txy, k) + p.x * s.y + s.x * p.y + qs.x * s.y;
+        cell(M::Txz, k) +=
+            cm.at(M::Txz, k) + p.x * s.z + s.x * p.z + qs.x * s.z;
+        cell(M::Tyz, k) +=
+            cm.at(M::Tyz, k) + p.y * s.z + s.y * p.z + qs.y * s.z;
       }
     }
   }
@@ -223,7 +264,7 @@ struct EnergySink {
     return 2.0 * exact(u, lc);
   }
 
-  /// First-order bin-pair far field of node U against the V side, with
+  /// Second-order bin-pair far field of node U against the V side, with
   /// D = c_U − c_V and d2 = |D|² as the walk computed it.
   double far(std::uint32_t u_id, const Vec3& delta, double d2,
              EpolCounts& lc) const {
@@ -346,14 +387,12 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             continue;
           }
           for (std::uint32_t ai = b; ai < e; ++ai) {
-            // A single V atom is one bin of its own: Q = q, S = q·R,
-            // P = 0 and rep = R.
-            const double qv = ta.charge[ai];
-            const double sv = qv * born_tree[ai];
-            const double zero = 0.0;
-            const EnergySink sink{
-                ta, ctx, born_tree, ta, born_tree, nf, ai, ai + 1,
-                {&qv, &sv, &zero, &zero, &zero, &born_tree[ai], 1}};
+            // A single V atom is one bin of its own, with rep = R.
+            const std::array<double, M::kPlanes> vm =
+                atom_moments(ta.charge[ai], born_tree[ai]);
+            const BinMoments one{vm.data(), 1, &born_tree[ai], 1};
+            const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
+                                  ai, ai + 1, one};
             mine += detail::epol_walk(ta.tree, 0, pts[ai], 0.0, k, sink, lc);
           }
         }
@@ -382,20 +421,19 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
       v_leaves.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
         OCTGB_SPAN("epol.cross");
-        std::vector<double> planes;  // the V leaf's moments, 5 planes
+        std::vector<double> block;  // the V leaf's moments
         double mine = 0.0;
         for (std::size_t li = lo; li < hi; ++li) {
           const std::uint32_t v_id = v_leaves[li];
           const Octree::Node& v = tb.tree.node(v_id);
           const int blo = ctx_b.bin_lo[v_id], bhi = ctx_b.bin_hi[v_id];
           const int n = bhi - blo + 1;
-          planes.assign(5 * static_cast<std::size_t>(n), 0.0);
-          double* p = planes.data();
-          add_leaf_moments(ctx_b, tb, born_b, v, blo, bhi, p, p + n,
-                           p + 2 * n, p + 3 * n, p + 4 * n);
-          const EnergySink sink{
-              ta, ctx_a, born_a, tb, born_b, nf, v.begin, v.end,
-              {p, p + n, p + 2 * n, p + 3 * n, p + 4 * n, &ctx_b.rep[blo], n}};
+          block.assign(M::kPlanes * static_cast<std::size_t>(n), 0.0);
+          add_leaf_moments(ctx_b, tb, born_b, v, blo, bhi, block.data());
+          const BinMoments vm{block.data(), static_cast<std::size_t>(n),
+                              &ctx_b.rep[blo], n};
+          const EnergySink sink{ta, ctx_a, born_a, tb, born_b, nf,
+                                v.begin, v.end, vm};
           mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
                                     sink, lc);
         }

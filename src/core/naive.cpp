@@ -101,8 +101,13 @@ double naive_epol(const mol::Molecule& mol, std::span<const double> born,
       q[i] = atoms[i].charge;
     }
     const AtomBatch all{x, y, z, q, born};
-    for (std::size_t i = 0; i < n; ++i)
-      e += batch_epol_sum(x[i], y[i], z[i], q[i], born[i], all);
+    // Rows in parallel, each into its own slot; added in row order, so
+    // the sum is the serial row loop's at any worker count.
+    std::vector<double> row(n);
+    for_each_atom(n, [&](std::size_t i) {
+      row[i] = batch_epol_sum(x[i], y[i], z[i], q[i], born[i], all);
+    });
+    for (const double r : row) e += r;
   } else {
     // Ordered-pair sum = diagonal + 2 × (unordered off-diagonal pairs).
     for (std::size_t i = 0; i < atoms.size(); ++i) {

@@ -46,6 +46,15 @@ inline NearField select_near_field(KernelKind kernel,
   return {set, aos, approx_math};
 }
 
+/// Gradient in the position x_v of the second-order far field (the
+/// FarBinsFn term) of node moments `u`, centroid c_U, acting on one atom
+/// of unit charge and Born radius `rv` at x_v = c_U + `delta`: the atom
+/// is one bin of its own (Q = 1, S = rv, T = rv², P = U = Θ = 0,
+/// rep = rv). Exact math; counts one bin pair per occupied u-bin. The
+/// force pass (forces.cpp) scales it by τ·q_v.
+geom::Vec3 far_atom_gradient(const BinMoments& u, const geom::Vec3& delta,
+                             double rv, std::uint64_t& binpairs);
+
 /// 1/f_GB with optional approximate math (the AoS Epol term).
 inline double inv_f_gb(double r2, double ri_rj, bool approx) {
   if (approx) {

@@ -37,8 +37,9 @@ mol::Molecule body_molecule(const mol::Molecule& mol,
 /// Frozen-monomer caches for CrossScreen: each body's isolated engine,
 /// Born radii, and Epol bin table at the base coordinates. Rigid motion
 /// preserves intra-body distances, so the radii and the bin layout survive
-/// per-pose ligand refits intact. The ligand table's dipoles turn with the
-/// pose; approx_epol_cross recomputes them from the refit tree.
+/// per-pose ligand refits intact. The ligand table's moments about its
+/// leaf centroids (P, U, Θ) turn with the pose; approx_epol_cross
+/// recomputes them from the refit tree.
 struct ScoringSession::ScreenState {
   std::size_t ligand_begin = 0;
   ApproxParams approx_at_build;

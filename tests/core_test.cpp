@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -116,12 +117,12 @@ TEST(GBParams, BornThresholdOpensAtFirstOrderFactor) {
 }
 
 TEST(GBParams, EpolFarFieldCriterion) {
-  // Opening factor (1 + 2/ε)^¾: 2.41 at ε = 0.9.
+  // Opening factor sqrt(1 + 2/ε), the paper's: 1.80 at ε = 0.9.
   const double k = core::epol_threshold(0.9);
-  EXPECT_EQ(k, std::pow(1.0 + 2.0 / 0.9, 0.75));
-  EXPECT_NEAR(k, 2.41, 0.005);
+  EXPECT_EQ(k, std::sqrt(1.0 + 2.0 / 0.9));
+  EXPECT_NEAR(k, 1.795, 0.001);
   EXPECT_FALSE(core::epol_far_enough(3.0, 1.0, 1.0, k));
-  const double dstar = 2.0 * std::pow(1.0 + 2.0 / 0.9, 0.75);
+  const double dstar = 2.0 * std::sqrt(1.0 + 2.0 / 0.9);
   EXPECT_FALSE(core::epol_far_enough(dstar * 0.999, 1.0, 1.0, k));
   EXPECT_TRUE(core::epol_far_enough(dstar * 1.001, 1.0, 1.0, k));
 }
@@ -183,6 +184,24 @@ TEST(NaiveEpol, IsNegativeForRealMolecules) {
   const Problem p(300);
   const auto born = core::naive_born_radii(p.molecule, p.surf);
   EXPECT_LT(core::naive_epol(p.molecule, born), 0.0);
+}
+
+TEST(NaiveEpol, BitwiseIdenticalAtAnyWorkerCount) {
+  // The batched rows run in parallel under a scheduler, each into its own
+  // slot, and are added in row order: the bits never depend on the
+  // schedule.
+  const Problem p(300);
+  const auto born = core::naive_born_radii(p.molecule, p.surf);
+  perf::WorkCounters serial_wc;
+  const double serial = core::naive_epol(p.molecule, born, {}, &serial_wc);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    ws::Scheduler sched(workers);
+    perf::WorkCounters wc;
+    double parallel = 0.0;
+    sched.run([&] { parallel = core::naive_epol(p.molecule, born, {}, &wc); });
+    EXPECT_EQ(parallel, serial) << workers << " workers";
+    EXPECT_EQ(wc.epol_exact, serial_wc.epol_exact);
+  }
 }
 
 TEST(FinalizeBornRadius, ClampsAndInverts) {
@@ -447,9 +466,10 @@ TEST(EpolContext, RejectsNonFiniteOrNonPositiveRadii) {
 }
 
 TEST(EpolContext, MomentsMatchDirectSums) {
-  // The bottom-up pass adds children and moves each child dipole to the
-  // parent centroid; every node's planes must equal the direct per-bin
-  // sums over its own atoms.
+  // The bottom-up pass adds children and moves each child's P, U and Θ
+  // to the parent centroid; every node's planes must equal the direct
+  // per-bin sums over its own atoms.
+  using M = core::BinMoments;
   const Problem p(350);
   const auto ta = core::AtomsTree::build(p.molecule);
   std::vector<double> born(ta.num_atoms());
@@ -461,15 +481,23 @@ TEST(EpolContext, MomentsMatchDirectSums) {
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const auto& n = nodes[id];
     const std::size_t nb = static_cast<std::size_t>(ctx.nbins);
-    std::vector<double> q(nb), s(nb), px(nb), py(nb), pz(nb);
+    std::vector<std::array<double, M::kPlanes>> want(nb);
     for (std::uint32_t a = n.begin; a < n.end; ++a) {
-      const int k = ctx.bin_of(born[a]);
-      const geom::Vec3 r = pts[a] - n.centroid;
-      q[k] += ta.charge[a];
-      s[k] += ta.charge[a] * born[a];
-      px[k] += ta.charge[a] * r.x;
-      py[k] += ta.charge[a] * r.y;
-      pz[k] += ta.charge[a] * r.z;
+      auto& w = want[static_cast<std::size_t>(ctx.bin_of(born[a]))];
+      const double q = ta.charge[a], r = born[a];
+      const geom::Vec3 d = pts[a] - n.centroid;
+      w[M::Q] += q;
+      w[M::S] += q * r;
+      w[M::T] += q * r * r;
+      const double dc[3] = {d.x, d.y, d.z};
+      for (int c = 0; c < 3; ++c) {
+        w[M::Px + c] += q * dc[c];
+        w[M::Ux + c] += q * r * dc[c];
+        w[M::Txx + c] += q * dc[c] * dc[c];
+      }
+      w[M::Txy] += q * d.x * d.y;
+      w[M::Txz] += q * d.x * d.z;
+      w[M::Tyz] += q * d.y * d.z;
     }
     // The stored range is exactly the bins the node's atoms fall in.
     const int lo = ctx.bin_lo[id], hi = ctx.bin_hi[id];
@@ -482,22 +510,27 @@ TEST(EpolContext, MomentsMatchDirectSums) {
     EXPECT_EQ(hi, want_hi) << "node " << id;
     const core::BinMoments m = ctx.moments(id);
     ASSERT_EQ(m.n, hi - lo + 1);
+    ASSERT_EQ(m.stride, static_cast<std::size_t>(m.n));
+    EXPECT_EQ(m.m, ctx.bins.data() + M::kPlanes * ctx.bin_off[id]);
     EXPECT_EQ(m.rep, ctx.rep.data() + lo);
     for (int i = 0; i < m.n; ++i) {
       const std::size_t k = static_cast<std::size_t>(lo + i);
-      EXPECT_NEAR(m.q[i], q[k], 1e-9) << "node " << id << " bin " << k;
-      EXPECT_NEAR(m.s[i], s[k], 1e-9) << "node " << id << " bin " << k;
-      EXPECT_NEAR(m.px[i], px[k], 1e-8) << "node " << id << " bin " << k;
-      EXPECT_NEAR(m.py[i], py[k], 1e-8) << "node " << id << " bin " << k;
-      EXPECT_NEAR(m.pz[i], pz[k], 1e-8) << "node " << id << " bin " << k;
+      for (int pl = 0; pl < M::kPlanes; ++pl) {
+        // Q and S are plain sums; P, U and Θ carry the rounding of the
+        // parallel-axis shifts, and T an extra factor of R.
+        const double tol = (pl == M::Q || pl == M::S) ? 1e-9 : 1e-8;
+        EXPECT_NEAR(m.at(pl, i), want[k][pl], tol)
+            << "node " << id << " bin " << k << " plane " << pl;
+      }
     }
   }
 }
 
 TEST(EpolContext, FootprintCountsEveryMomentPlane) {
-  // Exact accounting: five compact moment planes (Q, S, P_x, P_y, P_z)
-  // with one cell per bin of each node's range, the per-bin
-  // representative radii, the two int16 range planes and the offsets.
+  // Exact accounting: fifteen compact moment planes (Q, S, T, P, U and
+  // the six entries of Θ) with one cell per bin of each node's range,
+  // the per-bin representative radii, the two int16 range planes and the
+  // offsets.
   const Problem p(400);
   const auto ta = core::AtomsTree::build(p.molecule);
   std::vector<double> born(ta.num_atoms());
@@ -511,8 +544,9 @@ TEST(EpolContext, FootprintCountsEveryMomentPlane) {
   for (std::size_t id = 0; id < nodes; ++id)
     cells += static_cast<std::size_t>(ctx.bin_hi[id] - ctx.bin_lo[id] + 1);
   EXPECT_LT(cells, nodes * nbins);  // compact: leaves span a few bins
+  EXPECT_EQ(core::BinMoments::kPlanes, 15);
   EXPECT_EQ(ctx.footprint_bytes(),
-            (5 * cells + nbins) * sizeof(double) +
+            (15 * cells + nbins) * sizeof(double) +
                 nodes * (2 * sizeof(std::int16_t) + sizeof(std::size_t)));
   EXPECT_EQ(core::EpolContext{}.footprint_bytes(), 0u);
 }
@@ -551,32 +585,43 @@ Cluster make_cluster(std::uint64_t seed, geom::Vec3 center, double size) {
   return c;
 }
 
-/// Per-bin moment planes of a cluster; `monopole` keeps only Q (P = 0,
-/// S = rep·Q), which is the far field before the first-order terms.
+/// Per-bin moment planes of a cluster; `monopole` keeps only Q (S =
+/// rep·Q, T = rep²·Q, P = U = Θ = 0), which is the far field before the
+/// Taylor terms.
 struct ClusterMoments {
-  std::vector<double> q, s, px, py, pz, rep;
+  using M = core::BinMoments;
+  std::vector<double> m, rep;
   ClusterMoments(const Cluster& c, bool monopole)
-      : q(kClusterBins), s(kClusterBins), px(kClusterBins),
-        py(kClusterBins), pz(kClusterBins), rep(kClusterBins) {
+      : m(M::kPlanes * kClusterBins), rep(kClusterBins) {
     for (int k = 0; k < kClusterBins; ++k) rep[k] = cluster_rep(k);
+    const auto cell = [&](int p, int k) -> double& {
+      return m[static_cast<std::size_t>(p * kClusterBins + k)];
+    };
     for (std::size_t a = 0; a < c.x.size(); ++a) {
       const int k = c.bin[a];
-      const geom::Vec3 d = c.x[a] - c.centroid;
-      q[k] += c.q[a];
-      s[k] += c.q[a] * (monopole ? rep[k] : c.r[a]);
+      const double q = c.q[a], r = monopole ? rep[k] : c.r[a];
+      cell(M::Q, k) += q;
+      cell(M::S, k) += q * r;
+      cell(M::T, k) += q * r * r;
       if (monopole) continue;
-      px[k] += c.q[a] * d.x;
-      py[k] += c.q[a] * d.y;
-      pz[k] += c.q[a] * d.z;
+      const geom::Vec3 d = c.x[a] - c.centroid;
+      const double dc[3] = {d.x, d.y, d.z};
+      for (int i = 0; i < 3; ++i) {
+        cell(M::Px + i, k) += q * dc[i];
+        cell(M::Ux + i, k) += q * r * dc[i];
+        cell(M::Txx + i, k) += q * dc[i] * dc[i];
+      }
+      cell(M::Txy, k) += q * d.x * d.y;
+      cell(M::Txz, k) += q * d.x * d.z;
+      cell(M::Tyz, k) += q * d.y * d.z;
     }
   }
   core::BinMoments view() const {
-    return {q.data(),  s.data(),   px.data(), py.data(),
-            pz.data(), rep.data(), kClusterBins};
+    return {m.data(), kClusterBins, rep.data(), kClusterBins};
   }
 };
 
-/// {monopole error, first-order error} of the far field between clusters
+/// {monopole error, far-field error} of the far field between clusters
 /// of size `size` against their exact pair sum.
 std::pair<double, double> far_field_errors(double size) {
   const geom::Vec3 ca{0.0, 0.0, 0.0}, cb{7.5, 3.0, -2.5};
@@ -600,10 +645,10 @@ std::pair<double, double> far_field_errors(double size) {
 
 TEST(EpolFarField, CorrectionIsSecondOrderInClusterSize) {
   // Centers 8.4 Å apart with radii up to 5 Å: exp(−d²/4RR) is far from
-  // negligible, so the Born-radius term matters as much as the dipole.
+  // negligible, so the Born-radius terms matter as much as the dipole.
   // Halving the size of both clusters (positions and radius spread) must
-  // halve the monopole error (first order) and cut the first-order far
-  // field's error by at least 3× (second order: ~4×).
+  // halve the monopole error (first order) and cut the far field's error
+  // by at least 3× (at least second order).
   for (const double size : {0.4, 0.2}) {
     const auto [mono, corr] = far_field_errors(size);
     const auto [mono_half, corr_half] = far_field_errors(size / 2);
@@ -611,6 +656,60 @@ TEST(EpolFarField, CorrectionIsSecondOrderInClusterSize) {
     EXPECT_LT(mono / mono_half, 2.5) << "size " << size;
     EXPECT_GT(corr / corr_half, 3.0) << "size " << size;
     EXPECT_LT(corr, 0.25 * mono) << "size " << size;
+  }
+}
+
+TEST(EpolFarField, SecondOrderErrorFallsAsCubeOfClusterSize) {
+  // The far field keeps every Taylor term through second order in the
+  // atom offsets and the Born-radius products, so its error is third
+  // order: halving both clusters cuts it ~8× (a first-order field would
+  // give ~4×), and it stays far below the monopole's.
+  for (const double size : {0.4, 0.2, 0.1}) {
+    const auto [mono, corr] = far_field_errors(size);
+    const auto [mono_half, corr_half] = far_field_errors(size / 2);
+    EXPECT_GT(corr / corr_half, 6.0) << "size " << size;
+    EXPECT_LT(corr / corr_half, 10.0) << "size " << size;
+    EXPECT_LT(corr, 0.05 * mono) << "size " << size;
+  }
+}
+
+TEST(EpolFarField, ForceFarTermIsTheEnergyFarTermsGradient) {
+  // The force pass's far term for one V atom is the gradient in the
+  // atom's position of the energy's far term, the atom a one-bin table
+  // (Q = 1, S = R, T = R², rep = R): central differences of
+  // epol_far_bins agree with detail::far_atom_gradient.
+  using M = core::BinMoments;
+  const Cluster u = make_cluster(21, {0.0, 0.0, 0.0}, 0.4);
+  const ClusterMoments mu(u, false);
+  const double rv = 2.3;
+  std::array<double, M::kPlanes> atom{};
+  atom[M::Q] = 1.0;
+  atom[M::S] = rv;
+  atom[M::T] = rv * rv;
+  const core::BinMoments mv{atom.data(), 1, &rv, 1};
+  const auto energy = [&](const geom::Vec3& xv) {
+    const geom::Vec3 d = u.centroid - xv;
+    std::uint64_t pairs = 0;
+    return core::detail::scalar_kernels().epol_far_bins(
+        mu.view(), mv, d.x, d.y, d.z, d.norm2(), pairs);
+  };
+  for (const geom::Vec3 xv : {geom::Vec3{7.5, 3.0, -2.5},
+                              geom::Vec3{-4.0, 6.0, 1.0},
+                              geom::Vec3{12.0, -1.0, 5.0}}) {
+    std::uint64_t pairs = 0;
+    const geom::Vec3 g =
+        core::detail::far_atom_gradient(mu.view(), xv - u.centroid, rv, pairs);
+    EXPECT_EQ(pairs, static_cast<std::uint64_t>(kClusterBins));
+    const double h = 1e-4;
+    const geom::Vec3 ex{1, 0, 0}, ey{0, 1, 0}, ez{0, 0, 1};
+    const double fd[3] = {
+        (energy(xv + ex * h) - energy(xv - ex * h)) / (2 * h),
+        (energy(xv + ey * h) - energy(xv - ey * h)) / (2 * h),
+        (energy(xv + ez * h) - energy(xv - ez * h)) / (2 * h)};
+    const double scale = std::abs(fd[0]) + std::abs(fd[1]) + std::abs(fd[2]);
+    EXPECT_NEAR(g.x, fd[0], 1e-6 * scale);
+    EXPECT_NEAR(g.y, fd[1], 1e-6 * scale);
+    EXPECT_NEAR(g.z, fd[2], 1e-6 * scale);
   }
 }
 

@@ -413,7 +413,7 @@ TEST(BatchKernelEdge, CriterionBoundaryPairsClassifyConsistently) {
   // epol_far_enough is strict (>): equality is near.
   const double eps = 0.5;
   const double k = core::epol_threshold(eps);
-  const double bound = (1.0 + 2.0) * std::pow(1.0 + 2.0 / eps, 0.75);
+  const double bound = (1.0 + 2.0) * std::sqrt(1.0 + 2.0 / eps);
   EXPECT_FALSE(core::epol_far_enough(bound, 1.0, 2.0, k));  // ru+rv = 3
   EXPECT_TRUE(
       core::epol_far_enough(std::nextafter(bound, 1e300), 1.0, 2.0, k));

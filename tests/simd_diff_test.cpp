@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -105,13 +106,19 @@ struct SpanData {
   }
 };
 
-/// One node's per-bin moment planes, owned (the test-side EpolContext).
+using M = core::BinMoments;
+
+/// One node's per-bin moment planes, owned (the test-side EpolContext):
+/// plane p of bin k at m[p·nbins + k].
 struct BinTable {
-  std::vector<double> q, s, px, py, pz, rep;
-  int lo = 0, hi = -1;
+  std::vector<double> m, rep;
+  int nbins = 0, lo = 0, hi = -1;
+  double& at(int p, int k) {
+    return m[static_cast<std::size_t>(p * nbins + k)];
+  }
   core::BinMoments view() const {
-    return {q.data() + lo,  s.data() + lo,  px.data() + lo, py.data() + lo,
-            pz.data() + lo, rep.data() + lo, hi - lo + 1};
+    return {m.data() + lo, static_cast<std::size_t>(nbins), rep.data() + lo,
+            hi - lo + 1};
   }
 };
 
@@ -119,28 +126,51 @@ struct BinTable {
 /// moment zero), mirroring sparse per-node tables.
 BinTable random_table(util::Xoshiro256& rng, int nbins) {
   BinTable t;
-  for (auto* plane : {&t.q, &t.s, &t.px, &t.py, &t.pz, &t.rep})
-    plane->assign(nbins, 0.0);
+  t.nbins = nbins;
+  t.m.assign(static_cast<std::size_t>(M::kPlanes * nbins), 0.0);
+  t.rep.assign(nbins, 0.0);
   for (int k = 0; k < nbins; ++k) {
     t.rep[k] = 1.0 * std::exp(0.05 * (k + 0.5));
     if (rng.uniform(0.0, 1.0) <= 0.4) continue;
-    t.q[k] = rng.uniform(-2.0, 2.0);
-    t.s[k] = t.q[k] * t.rep[k] * rng.uniform(0.97, 1.03);
-    t.px[k] = rng.uniform(-3.0, 3.0);
-    t.py[k] = rng.uniform(-3.0, 3.0);
-    t.pz[k] = rng.uniform(-3.0, 3.0);
+    const double q = rng.uniform(-2.0, 2.0);
+    t.at(M::Q, k) = q;
+    t.at(M::S, k) = q * t.rep[k] * rng.uniform(0.97, 1.03);
+    t.at(M::T, k) = q * t.rep[k] * t.rep[k] * rng.uniform(0.94, 1.06);
+    for (int p = M::Px; p <= M::Uz; ++p) t.at(p, k) = rng.uniform(-3.0, 3.0);
+    for (int p = M::Txx; p <= M::Tyz; ++p)
+      t.at(p, k) = rng.uniform(p <= M::Tzz ? 0.0 : -4.0, 4.0);
   }
   t.hi = nbins - 1;
   return t;
 }
 
-/// Reference for the far-bins kernel, written from the FarBinsFn formula
-/// term by term: Σ over occupied bin pairs of
-/// Q_i Q_j/f − (1 − e/4) f⁻³ (D·P_i Q_j − Q_i D·P_j)
-///           − ½ e (1 + x) f⁻³ (S_i S_j − rr Q_i Q_j).
+/// Reference for the far-bins kernel, written from the Taylor expansion
+/// term by term rather than from the kernel's factored form: Σ over
+/// occupied bin pairs of
+///   Q_iQ_j h + h_d(Σ 2D·δ + Σ|δ|²) + h_r Σρ + 2h_dd Σ(D·δ)²
+///     + 2h_dr Σ(D·δ)ρ + ½h_rr Σρ²,
+/// h = F^(−½), F = d² + rr·e, its derivatives from those of φ = F^(−½)
+/// and of F, and each Σ over atom pairs from the bin moments.
 double far_bins_ref(const core::BinMoments& u, const core::BinMoments& v,
                     const double* dv, bool fast, std::uint64_t& binpairs) {
   const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
+  const auto dot = [&](const core::BinMoments& b, int p, int i) {
+    return dv[0] * b.at(p, i) + dv[1] * b.at(p + 1, i) +
+           dv[2] * b.at(p + 2, i);
+  };
+  const auto quad = [&](const core::BinMoments& b, int i) {
+    const double th[3][3] = {
+        {b.at(M::Txx, i), b.at(M::Txy, i), b.at(M::Txz, i)},
+        {b.at(M::Txy, i), b.at(M::Tyy, i), b.at(M::Tyz, i)},
+        {b.at(M::Txz, i), b.at(M::Tyz, i), b.at(M::Tzz, i)}};
+    double sum = 0.0;
+    for (int r = 0; r < 3; ++r)
+      for (int c = 0; c < 3; ++c) sum += dv[r] * th[r][c] * dv[c];
+    return sum;
+  };
+  const auto trace = [](const core::BinMoments& b, int i) {
+    return b.at(M::Txx, i) + b.at(M::Tyy, i) + b.at(M::Tzz, i);
+  };
   double sum = 0.0;
   for (int i = 0; i < u.n; ++i) {
     if (!u.occupied(i)) continue;
@@ -151,13 +181,31 @@ double far_bins_ref(const core::BinMoments& u, const core::BinMoments& v,
       const double e = fast ? core::fast_exp(-x) : std::exp(-x);
       const double f2 = d2 + rr * e;
       const double inv_f = fast ? core::fast_rsqrt(f2) : 1.0 / std::sqrt(f2);
-      const double inv_f3 = inv_f * inv_f * inv_f;
-      const double dpi = dv[0] * u.px[i] + dv[1] * u.py[i] + dv[2] * u.pz[i];
-      const double dpj = dv[0] * v.px[j] + dv[1] * v.py[j] + dv[2] * v.pz[j];
-      sum += u.q[i] * v.q[j] * inv_f -
-             (1.0 - e / 4.0) * inv_f3 * (dpi * v.q[j] - u.q[i] * dpj) -
-             0.5 * e * (1.0 + x) * inv_f3 *
-                 (u.s[i] * v.s[j] - rr * u.q[i] * v.q[j]);
+      const double phi1 = -0.5 * std::pow(inv_f, 3);
+      const double phi2 = 0.75 * std::pow(inv_f, 5);
+      const double fd = 1.0 - e / 4.0, fr = e * (1.0 + x);
+      const double fdd = e / (16.0 * rr), fdr = -e * x / (4.0 * rr),
+                   frr = e * x * x / rr;
+      const double hd = phi1 * fd, hr = phi1 * fr;
+      const double hdd = phi2 * fd * fd + phi1 * fdd;
+      const double hdr = phi2 * fd * fr + phi1 * fdr;
+      const double hrr = phi2 * fr * fr + phi1 * frr;
+      const double qi = u.at(M::Q, i), qj = v.at(M::Q, j);
+      const double si = u.at(M::S, i), sj = v.at(M::S, j);
+      const double dpi = dot(u, M::Px, i), dpj = dot(v, M::Px, j);
+      const double dui = dot(u, M::Ux, i), duj = dot(v, M::Ux, j);
+      const double pp = u.at(M::Px, i) * v.at(M::Px, j) +
+                        u.at(M::Py, i) * v.at(M::Py, j) +
+                        u.at(M::Pz, i) * v.at(M::Pz, j);
+      const double lin = 2.0 * (dpi * qj - qi * dpj);
+      const double sq = qj * trace(u, i) + qi * trace(v, j) - 2.0 * pp;
+      const double dd = qj * quad(u, i) + qi * quad(v, j) - 2.0 * dpi * dpj;
+      const double rho = si * sj - rr * qi * qj;
+      const double drho = dui * sj - si * duj + rr * (qi * dpj - dpi * qj);
+      const double rho2 = u.at(M::T, i) * v.at(M::T, j) - 2.0 * rr * si * sj +
+                          rr * rr * qi * qj;
+      sum += qi * qj * inv_f + hd * (lin + sq) + hr * rho + 2.0 * hdd * dd +
+             2.0 * hdr * drho + 0.5 * hrr * rho2;
       ++binpairs;
     }
   }
@@ -405,8 +453,10 @@ TEST(SimdFarBins, MatchesScalarLoopAndCountsExactly) {
     // Empty ranges: no sum, no pairs.
     std::uint64_t pairs = 0;
     const double one = 1.0;
-    const core::BinMoments empty{&one, &one, &one, &one, &one, &one, 0};
-    const core::BinMoments single{&one, &one, &one, &one, &one, &one, 1};
+    std::array<double, M::kPlanes> ones;
+    ones.fill(1.0);
+    const core::BinMoments empty{ones.data(), 1, &one, 0};
+    const core::BinMoments single{ones.data(), 1, &one, 1};
     EXPECT_EQ(ks->epol_far_bins(empty, single, 10.0, 0.0, 0.0, 100.0, pairs),
               0.0);
     EXPECT_EQ(ks->epol_far_bins(single, empty, 10.0, 0.0, 0.0, 100.0, pairs),
@@ -459,9 +509,7 @@ TEST(SimdFarBins, ZeroChargeBodyGivesExactlyZero) {
   const int nbins = 11;
   const BinTable charged = random_table(rng, nbins);
   BinTable neutral = random_table(rng, nbins);
-  for (auto* plane : {&neutral.q, &neutral.s, &neutral.px, &neutral.py,
-                      &neutral.pz})
-    std::fill(plane->begin(), plane->end(), 0.0);
+  std::fill(neutral.m.begin(), neutral.m.end(), 0.0);
   for (const KernelSet* ks : sets) {
     for (bool fast : {false, true}) {
       const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
@@ -475,6 +523,45 @@ TEST(SimdFarBins, ZeroChargeBodyGivesExactlyZero) {
                 0.0)
           << ks->name;
       EXPECT_EQ(pairs, 0u) << ks->name;
+    }
+  }
+}
+
+TEST(SimdFarBins, QuadrupoleOnlyBinContributes) {
+  // A bin whose charges cancel in Q, S and P (a ±q pair about the node
+  // centroid) still carries a quadrupole, which the second-order term
+  // sees: the bin counts as occupied and its far field matches the
+  // reference, at every width, on either side.
+  util::Xoshiro256 rng(508);
+  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
+  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
+  const BinTable charged = random_table(rng, 7);
+  BinTable quad = random_table(rng, 7);
+  std::fill(quad.m.begin(), quad.m.end(), 0.0);
+  quad.at(M::Txx, 3) = 1.5;
+  quad.at(M::Tyy, 3) = -0.5;
+  quad.at(M::Txz, 3) = 0.75;
+  ASSERT_TRUE(quad.view().occupied(3));
+  const double dv[3] = {9.0, -4.0, 2.5};
+  const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
+  std::uint64_t nnz = 0;
+  for (int k = 0; k < 7; ++k) nnz += charged.view().occupied(k) ? 1u : 0u;
+  ASSERT_GT(nnz, 0u);
+  for (const KernelSet* ks : sets) {
+    for (bool fast : {false, true}) {
+      const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
+      for (const bool quad_is_u : {true, false}) {
+        const core::BinMoments u = quad_is_u ? quad.view() : charged.view();
+        const core::BinMoments v = quad_is_u ? charged.view() : quad.view();
+        std::uint64_t pairs = 0, pairs_ref = 0;
+        const double got = fn(u, v, dv[0], dv[1], dv[2], d2, pairs);
+        const double ref = far_bins_ref(u, v, dv, fast, pairs_ref);
+        EXPECT_NE(got, 0.0) << ks->name << " fast " << fast;
+        EXPECT_NEAR(got, ref, 1e-12 * (1.0 + std::abs(ref)))
+            << ks->name << " fast " << fast;
+        EXPECT_EQ(pairs, nnz) << ks->name;
+        EXPECT_EQ(pairs_ref, nnz);
+      }
     }
   }
 }
@@ -632,12 +719,16 @@ TEST(SimdEngine, VectorSwitchRepopulatesBornCache) {
   GBEngine engine(p.molecule, p.surf, cfg);
   EvalScratch scratch;
   const auto wide = engine.compute(scratch);  // capture + store
+  // The radii view the scratch, which the next compute overwrites.
+  const std::vector<double> wide_born(wide.born.begin(), wide.born.end());
   // Width switch: the PlanKey is unchanged (partition is arithmetic-
   // independent), so the plan itself is reused — but the Born stamp
   // differs, so the radii must be recomputed via replay, never served
   // from the Auto-width cache.
   engine.approx().vector.isa = other;
   const auto narrow = engine.compute(scratch);
+  const std::vector<double> narrow_born(narrow.born.begin(),
+                                        narrow.born.end());
   EXPECT_EQ(scratch.plan_cache.stats.key_hits, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 0u);
   EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
@@ -648,8 +739,9 @@ TEST(SimdEngine, VectorSwitchRepopulatesBornCache) {
   EXPECT_EQ(wide2.epol, wide.epol);
   // The two widths reassociate differently, so their radii differ in the
   // last bits — serving the cache across the switch would have been
-  // wrong.
-  EXPECT_NE(narrow.epol, wide.epol);
+  // wrong. (The energies are a sum of many terms and may round to the
+  // same bits.)
+  EXPECT_NE(narrow_born, wide_born);
   // Unchanged params now: the cache finally serves.
   engine.compute(scratch);
   EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);
