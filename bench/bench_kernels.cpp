@@ -191,16 +191,14 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
           acc += core::batch_born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
                                            ta.soa_z()[ai], qb);
       } else {
-        const auto atom_pts = ta.tree.points();
-        const auto q_pts = tq.tree.points();
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-          const geom::Vec3 pa = atom_pts[ai];
+          const geom::Vec3 pa = ta.tree.point(ai);
           double s = 0.0;
           for (std::uint32_t qi = q.begin; qi < q.end; ++qi) {
-            const geom::Vec3 delta = q_pts[qi] - pa;
+            const geom::Vec3 delta = tq.tree.point(qi) - pa;
             const double r2 = delta.norm2();
             if (r2 < 1e-12) continue;
-            s += tq.wnormal[qi].dot(delta) * core::inv_r6(r2, false);
+            s += tq.wnormal(qi).dot(delta) * core::inv_r6(r2, false);
           }
           acc += s;
         }
@@ -243,13 +241,12 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
                                       ta.soa_z()[vi], ta.charge[vi],
                                       born_tree[vi], ub);
       } else {
-        const auto pts = ta.tree.points();
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
-          const geom::Vec3 pv = pts[vi];
+          const geom::Vec3 pv = ta.tree.point(vi);
           const double qv = ta.charge[vi];
           const double rv = born_tree[vi];
           for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
-            const double r2 = geom::dist2(pts[ui], pv);
+            const double r2 = geom::dist2(ta.tree.point(ui), pv);
             acc += ta.charge[ui] * qv /
                    core::f_gb(r2, born_tree[ui] * rv);
           }

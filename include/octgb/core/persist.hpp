@@ -6,11 +6,12 @@
 /// the octree layer stays ignorant of core's payload types while core gets
 /// self-describing, size-checked payload framing.
 ///
-/// The derived SoA planes and per-node aggregates are *not* serialized —
-/// the octree rebuilds its coordinate planes on load and
-/// QPointsTree::rebuild_derived() its weighted-normal planes, which keeps
-/// the format minimal and guarantees the planes can never go stale
-/// relative to the authoritative payloads.
+/// T_A is its octree, "chg" and "vdw"; T_Q is its octree and "wnrm" (w·n
+/// as AoS Vec3s, split back into planes on load). Per-node aggregates are
+/// *not* serialized — QPointsTree::rebuild_derived() recomputes them, so
+/// they never go stale. Readers throw util::CheckError naming the section
+/// and element of a NaN or infinite payload value. Older streams end with
+/// a "wgt" (quadrature weight) section; it is left unread in the stream.
 ///
 /// Intended use: preprocess once (surface sampling + tree builds), persist,
 /// then stream poses/parameters against the reloaded artifact in later

@@ -76,21 +76,18 @@ struct NormalMoment {
 
 /// Quadrature-points octree T_Q with payloads in tree order.
 ///
-/// Caches SoA planes of the point coordinates and weighted normals
-/// ({x, y, z, wnx, wny, wnz}, tree order, built once at construction) so
-/// each leaf's batch for batch_born_integral is a set of contiguous
-/// subspans.
+/// Coordinates (the octree's planes) and weighted normals are SoA planes in
+/// tree order, the only copy of each, so each leaf's batch for
+/// batch_born_integral is a set of contiguous subspans.
 struct QPointsTree {
   octree::Octree tree;
-  std::vector<geom::Vec3> wnormal;  ///< w_q · n_q per point, tree order
-  std::vector<double> weight;       ///< w_q per point, tree order
+  std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w_q · n_q, tree order
   /// Σ (w·n) over the points of each *node* (indexed by node id): the
   /// monopole of the Born far term.
   std::vector<geom::Vec3> node_wnormal;
   /// Symmetric normal moment of each node about its centroid c (indexed
   /// by node id): the first-order correction of the Born far term.
   std::vector<NormalMoment> node_wmoment;
-  std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w·n, tree order
 
   /// Coordinate planes, tree order (owned by the octree; see AtomsTree).
   std::span<const double> soa_x() const { return tree.soa_x(); }
@@ -102,16 +99,21 @@ struct QPointsTree {
 
   /// Refit in place to a moved surface with the same point count and input
   /// order (e.g. rigidly transformed quadrature points): recompute node
-  /// centroids/radii, refresh the weighted-normal payloads from `surf`,
-  /// and rebuild the SoA planes and per-node aggregates — topology and
-  /// leaf contiguity preserved.
+  /// centroids/radii, refresh the weighted-normal planes from `surf`, and
+  /// rebuild the per-node aggregates — topology and leaf contiguity
+  /// preserved.
   void refit(const surface::Surface& surf);
 
-  /// Recompute node_wnormal, node_wmoment and the weighted-normal SoA
-  /// planes from the wnormal payload (after refit or deserialization).
+  /// Recompute node_wnormal and node_wmoment from the weighted-normal
+  /// planes (after refit or deserialization).
   void rebuild_derived();
 
-  std::size_t num_points() const { return weight.size(); }
+  /// Weighted normal w_q · n_q at tree position `pos`.
+  geom::Vec3 wnormal(std::uint32_t pos) const {
+    return {soa_wnx[pos], soa_wny[pos], soa_wnz[pos]};
+  }
+
+  std::size_t num_points() const { return tree.num_points(); }
   std::size_t footprint_bytes() const;
 
   /// SoA view of one node's quadrature points for batch_born_integral.
@@ -126,8 +128,8 @@ struct QPointsTree {
   }
 
  private:
-  /// Fill wnormal/weight from `surf` through the tree's permutation
-  /// (shared by build and refit; sizes must already match).
+  /// Fill the weighted-normal planes from `surf` through the tree's
+  /// permutation (shared by build and refit).
   void assign_surface(const surface::Surface& surf);
 };
 

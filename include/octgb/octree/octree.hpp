@@ -10,13 +10,14 @@
 /// prefix runs of the sorted keys, and emit them in the same
 /// parents-before-children order the legacy recursive partitioner used.
 /// The sorted point order doubles as the SoA leaf-plane order: the tree
-/// owns its coordinate planes (soa_x/y/z), so core/trees.hpp no longer
-/// gathers them. The legacy builder survives as build_legacy(), the test
-/// reference the build-equivalence differential compares against.
+/// owns its coordinate planes (soa_x/y/z), and they are the only copy of
+/// the coordinates it keeps — point() assembles one point from them. The
+/// legacy builder survives as build_legacy(), the test reference the
+/// build-equivalence differential compares against.
 ///
 /// The same structure stores both the atoms octree T_A and the
 /// quadrature-points octree T_Q; per-point payloads (charges, Born radii,
-/// weighted normals) live in external arrays indexed through point_index().
+/// weighted normals) live in external tree-order arrays (core/trees.hpp).
 
 #include <cstdint>
 #include <span>
@@ -63,8 +64,8 @@ class Octree {
   };
 
   /// Build from a point set (sort-based Morton pipeline). The original
-  /// points are not stored; the tree keeps a permuted copy plus the
-  /// permutation back to input indices. The sort runs on the workers
+  /// points are not stored; the tree keeps permuted coordinate planes plus
+  /// the permutation back to input indices. The sort runs on the workers
   /// ws::with_workers picks; the tree is bitwise identical at any worker
   /// count. Every build, refit and resort entry point throws
   /// util::CheckError naming the first point with a NaN or infinite
@@ -85,22 +86,25 @@ class Octree {
                                 const BuildParams& params = {});
 
   bool empty() const { return nodes_.empty(); }
-  std::size_t num_points() const { return points_.size(); }
+  std::size_t num_points() const { return point_index_.size(); }
   std::span<const Node> nodes() const { return nodes_; }
   const Node& node(std::uint32_t id) const { return nodes_[id]; }
   const Node& root() const { return nodes_.front(); }
 
-  /// Points in tree order (each node's points are contiguous).
-  std::span<const geom::Vec3> points() const { return points_; }
   /// point_index()[tree_pos] = index into the original input array.
   std::span<const std::uint32_t> point_index() const { return point_index_; }
 
-  /// SoA coordinate planes in tree order, maintained by every build, refit
-  /// and resort path. A node's atoms occupy the contiguous subrange
-  /// [begin, end) of each plane, so leaf batches are plain subspans.
+  /// SoA coordinate planes in tree order, written by every build, refit
+  /// and resort path — the tree's only copy of its points. A node's atoms
+  /// occupy the contiguous subrange [begin, end) of each plane, so leaf
+  /// batches are plain subspans.
   std::span<const double> soa_x() const { return soa_x_; }
   std::span<const double> soa_y() const { return soa_y_; }
   std::span<const double> soa_z() const { return soa_z_; }
+  /// The point at tree position `pos`, assembled from the planes.
+  geom::Vec3 point(std::uint32_t pos) const {
+    return {soa_x_[pos], soa_y_[pos], soa_z_[pos]};
+  }
 
   /// True when the tree carries Morton state (grid + sorted keys): built
   /// by build() / build_with_grid() or loaded from a serialize-v2 stream that had
@@ -150,31 +154,32 @@ class Octree {
   /// service builds never race on a shared counter).
   const perf::TreeBuildCounters& build_stats() const { return stats_; }
 
-  /// Reassemble a tree from its parts (used by serialize.hpp for v1
-  /// streams and legacy trees). Derives leaf ids, the depth, and the SoA
-  /// planes from the nodes/points; callers should validate().
+  /// Reassemble a tree from its parts (used by serialize.hpp). `points`
+  /// are in tree order; they fill the SoA planes, and leaf ids and the
+  /// depth are derived from the nodes. `keys` may be empty (a legacy tree
+  /// or a v1 stream), in which case `grid` must be empty too and the
+  /// result has has_morton()==false. Throws util::CheckError naming the
+  /// first point with a NaN or infinite coordinate; callers should
+  /// validate() the rest.
   static Octree from_parts(std::vector<Node> nodes,
-                           std::vector<geom::Vec3> points,
-                           std::vector<std::uint32_t> point_index);
-
-  /// Reassemble including the Morton state of a serialize-v2 stream.
-  /// `keys` may be empty (legacy tree round-tripped through v2), in which
-  /// case `grid` must be empty too and the result has has_morton()==false.
-  static Octree from_parts(std::vector<Node> nodes,
-                           std::vector<geom::Vec3> points,
+                           std::span<const geom::Vec3> points,
                            std::vector<std::uint32_t> point_index,
-                           std::vector<std::uint64_t> keys,
-                           const MortonGrid& grid);
+                           std::vector<std::uint64_t> keys = {},
+                           const MortonGrid& grid = {});
 
  private:
-  void rebuild_soa_planes();
+  void set_point(std::size_t pos, const geom::Vec3& p) {
+    soa_x_[pos] = p.x;
+    soa_y_[pos] = p.y;
+    soa_z_[pos] = p.z;
+  }
+  void assign_planes(std::span<const geom::Vec3> pts);  ///< resize + fill
   void finish_derived();  ///< max_depth_ + leaf_ids_ from nodes_
 
   std::vector<Node> nodes_;
-  std::vector<geom::Vec3> points_;        // permuted
   std::vector<std::uint32_t> point_index_;  // permuted → original
   std::vector<std::uint32_t> leaf_ids_;
-  std::vector<double> soa_x_, soa_y_, soa_z_;  // coordinate planes
+  std::vector<double> soa_x_, soa_y_, soa_z_;  // coordinate planes, permuted
   std::vector<std::uint64_t> keys_;  // sorted build-time Morton keys
   MortonGrid grid_;                  // bits==0 ⇒ no Morton state
   perf::TreeBuildCounters stats_;

@@ -102,13 +102,12 @@ double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
 double scalar_born_pair(const Vec3& pa, const QPointsTree& tq,
                         std::uint32_t q_begin, std::uint32_t q_end,
                         bool approx_math) {
-  const auto q_pts = tq.tree.points();
   double s = 0.0;
   for (std::uint32_t qi = q_begin; qi < q_end; ++qi) {
-    const Vec3 delta = q_pts[qi] - pa;
+    const Vec3 delta = tq.tree.point(qi) - pa;
     const double r2 = delta.norm2();
     if (r2 <= 1e-12) continue;
-    s += tq.wnormal[qi].dot(delta) * inv_r6(r2, approx_math);
+    s += tq.wnormal(qi).dot(delta) * inv_r6(r2, approx_math);
   }
   return s;
 }

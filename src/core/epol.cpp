@@ -29,7 +29,6 @@ using M = BinMoments;
 void add_leaf_moments(const EpolContext& ctx, const AtomsTree& t,
                       std::span<const double> born, const Octree::Node& n,
                       int lo, int hi, double* m) {
-  const auto pts = t.tree.points();
   const std::size_t stride = static_cast<std::size_t>(hi - lo + 1);
   for (std::uint32_t ai = n.begin; ai < n.end; ++ai) {
     // bin_of is monotone, so the clamp only guards the range invariant
@@ -38,7 +37,7 @@ void add_leaf_moments(const EpolContext& ctx, const AtomsTree& t,
     const auto cell = [c, stride](int p) -> double& { return c[p * stride]; };
     const double q = t.charge[ai];
     const double qr = q * born[ai];
-    const Vec3 r = pts[ai] - n.centroid;
+    const Vec3 r = t.tree.point(ai) - n.centroid;
     const Vec3 p = r * q;
     cell(M::Q) += q;
     cell(M::S) += qr;
@@ -368,7 +367,6 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
   // This is why the paper observes the error of atom-based division
   // changing with P while node-based division's stays constant.
   const auto& leaves = ta.tree.leaf_ids();
-  const auto pts = ta.tree.points();
   const double total = detail::ordered_sum(
       leaves.size(), counters,
       [&](std::size_t lo, std::size_t hi, EpolCounts& lc) {
@@ -393,7 +391,8 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             const BinMoments one{vm.data(), 1, &born_tree[ai], 1};
             const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
                                   ai, ai + 1, one};
-            mine += detail::epol_walk(ta.tree, 0, pts[ai], 0.0, k, sink, lc);
+            mine += detail::epol_walk(ta.tree, 0, ta.tree.point(ai), 0.0, k,
+                                      sink, lc);
           }
         }
         return mine;

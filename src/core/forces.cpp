@@ -136,15 +136,14 @@ struct ForceSink {
   Vec3* forces;
 
   double near(std::uint32_t, const Octree::Node& u, EpolCounts& lc) const {
-    const auto pts = ta.tree.points();
     for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
-      const Vec3 pv = pts[vi];
+      const Vec3 pv = ta.tree.point(vi);
       const double qv = ta.charge[vi];
       const double rv = born_tree[vi];
       Vec3 f;
       for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
         if (ui == vi) continue;  // self term has zero gradient
-        const Vec3 delta = pv - pts[ui];
+        const Vec3 delta = pv - ta.tree.point(ui);
         const double g =
             epol_force_kernel(delta.norm2(), born_tree[ui] * rv);
         f += delta * (ta.charge[ui] * g);
@@ -160,10 +159,9 @@ struct ForceSink {
     // bin-pair far field (DESIGN.md §2.1), the atom one bin of its own.
     const BinMoments m = ctx.moments(u_id);
     const Vec3 c = ta.tree.node(u_id).centroid;
-    const auto pts = ta.tree.points();
     for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
-      forces[vi] += detail::far_atom_gradient(m, pts[vi] - c, born_tree[vi],
-                                              lc.binpairs) *
+      forces[vi] += detail::far_atom_gradient(m, ta.tree.point(vi) - c,
+                                              born_tree[vi], lc.binpairs) *
                     (tau * ta.charge[vi]);
     return 0.0;
   }

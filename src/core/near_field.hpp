@@ -71,9 +71,9 @@ void born_near(const NearField& nf, const AtomsTree& ta,
                const octree::Octree::Node& a, const QPointsTree& tq,
                const octree::Octree::Node& q, Add&& add) {
   if (nf.aos) {
-    const auto atom_pts = ta.tree.points();
     for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-      add(ai, scalar_born_pair(atom_pts[ai], tq, q.begin, q.end, nf.fast));
+      add(ai,
+          scalar_born_pair(ta.tree.point(ai), tq, q.begin, q.end, nf.fast));
     return;
   }
   const double* __restrict ax = ta.soa_x().data();
@@ -94,14 +94,12 @@ inline double epol_near(const NearField& nf, const AtomsTree& tu,
                         std::span<const double> born_v) {
   double sum = 0.0;
   if (nf.aos) {
-    const auto pts = tu.tree.points();
-    const auto pts_v = tv.tree.points();
     for (std::uint32_t vi = v_begin; vi < v_end; ++vi) {
-      const geom::Vec3 pv = pts_v[vi];
+      const geom::Vec3 pv = tv.tree.point(vi);
       const double qv = tv.charge[vi];
       const double rv = born_v[vi];
       for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
-        const double r2 = geom::dist2(pts[ui], pv);
+        const double r2 = geom::dist2(tu.tree.point(ui), pv);
         sum += tu.charge[ui] * qv * inv_f_gb(r2, born_u[ui] * rv, nf.fast);
       }
     }

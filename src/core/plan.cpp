@@ -366,7 +366,7 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
     // Monotone atom_s partition aligned to chunks: stream order makes the
     // first owner's range start per chunk non-decreasing, so the clamped
     // starts form a valid boundary array for domain-aware first touch.
-    const std::size_t n_atoms = ta.tree.points().size();
+    const std::size_t n_atoms = ta.tree.num_points();
     chunk_atom_begin_.assign(chunks() + 1, 0);
     for (std::size_t c = 1; c < chunks(); ++c) {
       const auto& first = ta.tree.node(owner_[owner_order_[chunk_begin_[c]]]);

@@ -38,8 +38,6 @@ QPointsTree QPointsTree::build(const surface::Surface& surf,
   OCTGB_SPAN("tree.build.qpoints");
   QPointsTree t;
   t.tree = octree::Octree::build(surf.positions, params);
-  t.wnormal.resize(surf.size());
-  t.weight.resize(surf.size());
   t.assign_surface(surf);
   t.rebuild_derived();
   return t;
@@ -56,10 +54,15 @@ void QPointsTree::refit(const surface::Surface& surf) {
 
 void QPointsTree::assign_surface(const surface::Surface& surf) {
   const auto idx = tree.point_index();
+  soa_wnx.resize(idx.size());
+  soa_wny.resize(idx.size());
+  soa_wnz.resize(idx.size());
   for (std::size_t pos = 0; pos < idx.size(); ++pos) {
     const auto i = idx[pos];
-    wnormal[pos] = surf.normals[i] * surf.weights[i];
-    weight[pos] = surf.weights[i];
+    const geom::Vec3 wn = surf.normals[i] * surf.weights[i];
+    soa_wnx[pos] = wn.x;
+    soa_wny[pos] = wn.y;
+    soa_wnz[pos] = wn.z;
   }
 }
 
@@ -79,7 +82,6 @@ void add_sym(NormalMoment& m, const geom::Vec3& u, const geom::Vec3& n) {
 
 void QPointsTree::rebuild_derived() {
   const auto nodes = tree.nodes();
-  const auto pts = tree.points();
   node_wnormal.resize(nodes.size());
   node_wmoment.resize(nodes.size());
   // Children come after parents in the flat array, so a reverse sweep can
@@ -92,8 +94,9 @@ void QPointsTree::rebuild_derived() {
     NormalMoment m;
     if (n.is_leaf()) {
       for (std::uint32_t i = n.begin; i < n.end; ++i) {
-        s += wnormal[i];
-        add_sym(m, pts[i] - n.centroid, wnormal[i]);
+        const geom::Vec3 wn = wnormal(i);
+        s += wn;
+        add_sym(m, tree.point(i) - n.centroid, wn);
       }
     } else {
       for (std::uint8_t c = 0; c < n.child_count; ++c) {
@@ -112,17 +115,10 @@ void QPointsTree::rebuild_derived() {
     node_wnormal[id] = s;
     node_wmoment[id] = m;
   }
-  // Coordinate planes come straight from the octree (see AtomsTree); the
-  // weighted-normal payload still splits into its own SoA planes here.
-  soa_wnx.resize(wnormal.size());
-  soa_wny.resize(wnormal.size());
-  soa_wnz.resize(wnormal.size());
-  split_soa(wnormal, soa_wnx, soa_wny, soa_wnz);
 }
 
 std::size_t QPointsTree::footprint_bytes() const {
-  return tree.footprint_bytes() + wnormal.capacity() * sizeof(geom::Vec3) +
-         weight.capacity() * sizeof(double) +
+  return tree.footprint_bytes() +
          node_wnormal.capacity() * sizeof(geom::Vec3) +
          node_wmoment.capacity() * sizeof(NormalMoment) +
          (soa_wnx.capacity() + soa_wny.capacity() + soa_wnz.capacity()) *

@@ -44,33 +44,30 @@ void check_finite(std::span<const geom::Vec3> pts, const char* op) {
 /// bounds in O(#nodes); the conservative enclosure shifted traversal
 /// admissibility enough to push deep-tree energies out of their accuracy
 /// budgets, so every node gets the exact pass.)
-void node_geometry(Octree::Node& nd, std::span<const geom::Vec3> pts) {
+void node_geometry(Octree::Node& nd, const Octree& t) {
   geom::Vec3 c;
-  for (std::uint32_t i = nd.begin; i < nd.end; ++i) c += pts[i];
+  for (std::uint32_t i = nd.begin; i < nd.end; ++i) c += t.point(i);
   nd.centroid = c / static_cast<double>(nd.size());
   double r2 = 0.0;
   for (std::uint32_t i = nd.begin; i < nd.end; ++i)
-    r2 = std::max(r2, geom::dist2(nd.centroid, pts[i]));
+    r2 = std::max(r2, geom::dist2(nd.centroid, t.point(i)));
   nd.radius = std::sqrt(r2);
 }
 
-/// Serial geometry sweep (legacy build + refit; deduplicated from the
-/// former copies in build and refit). O(Σ node sizes) = O(N · depth).
-void exact_geometry(std::span<Octree::Node> nodes,
-                    std::span<const geom::Vec3> pts) {
-  for (Octree::Node& nd : nodes) node_geometry(nd, pts);
+/// Serial geometry sweep over `nodes` (the node array of `t`; legacy
+/// build + refit). O(Σ node sizes) = O(N · depth).
+void exact_geometry(std::span<Octree::Node> nodes, const Octree& t) {
+  for (Octree::Node& nd : nodes) node_geometry(nd, t);
 }
 
 /// Morton-build geometry: the same exact per-node pass, parallelized
 /// across nodes (node ranges overlap ancestor ranges but each node only
-/// writes itself, and reads of `pts` race with nothing).
-void morton_geometry(std::span<Octree::Node> nodes,
-                     std::span<const geom::Vec3> pts) {
+/// writes itself, and reads of the coordinate planes race with nothing).
+void morton_geometry(std::span<Octree::Node> nodes, const Octree& t) {
   ws::Scheduler::parallel_for(
       0, static_cast<std::int64_t>(nodes.size()), 0,
       [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t id = lo; id < hi; ++id)
-          node_geometry(nodes[id], pts);
+        for (std::int64_t id = lo; id < hi; ++id) node_geometry(nodes[id], t);
       });
 }
 
@@ -149,13 +146,12 @@ void radix_sort_pairs(std::vector<KeyId>& pairs,
 
 /// Morton build/resort implementation over an Octree's private state.
 struct MortonBuilder {
-  /// Scatter sorted (key, id) pairs into the tree arrays: permuted points,
-  /// permutation, sorted keys, and the SoA coordinate planes — one pass,
-  /// parallel across disjoint subranges.
+  /// Scatter sorted (key, id) pairs into the tree arrays: permutation,
+  /// sorted keys and the SoA coordinate planes — one pass, parallel across
+  /// disjoint subranges.
   static void scatter(Octree& t, std::span<const KeyId> pairs,
                       std::span<const geom::Vec3> input) {
     const std::size_t n = pairs.size();
-    t.points_.resize(n);
     t.point_index_.resize(n);
     t.keys_.resize(n);
     t.soa_x_.resize(n);
@@ -166,13 +162,9 @@ struct MortonBuilder {
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t i = lo; i < hi; ++i) {
             const KeyId kv = pairs[i];
-            const geom::Vec3 p = input[kv.id];
             t.keys_[i] = kv.key;
             t.point_index_[i] = kv.id;
-            t.points_[i] = p;
-            t.soa_x_[i] = p.x;
-            t.soa_y_[i] = p.y;
-            t.soa_z_[i] = p.z;
+            t.set_point(i, input[kv.id]);
           }
         });
   }
@@ -281,7 +273,7 @@ struct MortonBuilder {
     }
     {
       OCTGB_SPAN("tree.build.geometry");
-      morton_geometry(t.nodes_, t.points_);
+      morton_geometry(t.nodes_, t);
     }
   }
 
@@ -329,7 +321,8 @@ Octree Octree::build_legacy(std::span<const geom::Vec3> input,
   if (input.empty()) return t;
   ++t.stats_.legacy_builds;
 
-  t.points_.assign(input.begin(), input.end());
+  // Partition a local copy; the planes are filled once at the end.
+  std::vector<geom::Vec3> pts(input.begin(), input.end());
   t.point_index_.resize(input.size());
   for (std::uint32_t i = 0; i < input.size(); ++i) t.point_index_[i] = i;
 
@@ -365,7 +358,7 @@ Octree Octree::build_legacy(std::span<const geom::Vec3> input,
       // contiguous buckets (counting sort over 8 keys).
       std::array<std::uint32_t, 8> count{};
       for (std::uint32_t i = node.begin; i < node.end; ++i)
-        ++count[octant_of(t.points_[i], item.cell.center)];
+        ++count[octant_of(pts[i], item.cell.center)];
 
       bucket_start[0] = node.begin;
       for (int o = 0; o < 8; ++o)
@@ -378,13 +371,12 @@ Octree Octree::build_legacy(std::span<const geom::Vec3> input,
         std::array<std::uint32_t, 8> cursor{};
         for (int o = 0; o < 8; ++o) cursor[o] = bucket_start[o] - node.begin;
         for (std::uint32_t i = node.begin; i < node.end; ++i) {
-          const int o = octant_of(t.points_[i], item.cell.center);
-          tmp_pts[cursor[o]] = t.points_[i];
+          const int o = octant_of(pts[i], item.cell.center);
+          tmp_pts[cursor[o]] = pts[i];
           tmp_idx[cursor[o]] = t.point_index_[i];
           ++cursor[o];
         }
-        std::copy(tmp_pts.begin(), tmp_pts.end(),
-                  t.points_.begin() + node.begin);
+        std::copy(tmp_pts.begin(), tmp_pts.end(), pts.begin() + node.begin);
         std::copy(tmp_idx.begin(), tmp_idx.end(),
                   t.point_index_.begin() + node.begin);
       }
@@ -430,8 +422,8 @@ Octree Octree::build_legacy(std::span<const geom::Vec3> input,
     t.nodes_[item.node_id] = node;
   }
 
-  exact_geometry(t.nodes_, t.points_);
-  t.rebuild_soa_planes();
+  t.assign_planes(pts);
+  exact_geometry(t.nodes_, t);
   t.finish_derived();
   t.stats_.nodes_emitted += t.nodes_.size();
   t.stats_.leaves_emitted += t.leaf_ids_.size();
@@ -440,7 +432,7 @@ Octree Octree::build_legacy(std::span<const geom::Vec3> input,
 
 bool Octree::resort(std::span<const geom::Vec3> positions,
                     const BuildParams& params) {
-  OCTGB_CHECK_MSG(positions.size() == points_.size(),
+  OCTGB_CHECK_MSG(positions.size() == num_points(),
                   "resort needs the original point count");
   OCTGB_CHECK_MSG(has_morton(),
                   "resort needs a Morton-built tree (has_morton())");
@@ -483,7 +475,7 @@ bool Octree::resort(std::span<const geom::Vec3> positions,
   max_depth_ = 0;
   MortonBuilder::scatter(*this, pairs, positions);
   MortonBuilder::derive_nodes(*this, params);
-  morton_geometry(nodes_, points_);
+  morton_geometry(nodes_, *this);
   finish_derived();
   stats_.nodes_emitted += nodes_.size();
   stats_.leaves_emitted += leaf_ids_.size();
@@ -491,60 +483,43 @@ bool Octree::resort(std::span<const geom::Vec3> positions,
 }
 
 Octree Octree::from_parts(std::vector<Node> nodes,
-                          std::vector<geom::Vec3> points,
-                          std::vector<std::uint32_t> point_index) {
-  return from_parts(std::move(nodes), std::move(points),
-                    std::move(point_index), {}, MortonGrid{});
-}
-
-Octree Octree::from_parts(std::vector<Node> nodes,
-                          std::vector<geom::Vec3> points,
+                          std::span<const geom::Vec3> points,
                           std::vector<std::uint32_t> point_index,
                           std::vector<std::uint64_t> keys,
                           const MortonGrid& grid) {
+  check_finite(points, "Octree::from_parts");
   Octree t;
   t.nodes_ = std::move(nodes);
-  t.points_ = std::move(points);
+  t.assign_planes(points);
   t.point_index_ = std::move(point_index);
   t.keys_ = std::move(keys);
   t.grid_ = grid;
-  t.rebuild_soa_planes();
   t.finish_derived();
   return t;
 }
 
 void Octree::refit(std::span<const geom::Vec3> positions) {
-  OCTGB_CHECK_MSG(positions.size() == points_.size(),
+  OCTGB_CHECK_MSG(positions.size() == num_points(),
                   "refit needs the original point count");
   // Checked before the first write, so a rejected refit leaves the tree
   // as it was.
   check_finite(positions, "Octree::refit");
-  for (std::size_t pos = 0; pos < point_index_.size(); ++pos) {
-    const geom::Vec3 p = positions[point_index_[pos]];
-    points_[pos] = p;
-    soa_x_[pos] = p.x;
-    soa_y_[pos] = p.y;
-    soa_z_[pos] = p.z;
-  }
+  for (std::size_t pos = 0; pos < point_index_.size(); ++pos)
+    set_point(pos, positions[point_index_[pos]]);
   // keys_ intentionally stays at its build-time state: resort() uses it to
   // detect which points have drifted out of their cells since the build.
   //
   // Both builders store the exact per-node geometry, so this sweep is a
   // bitwise no-op on unchanged positions — an identity refit never
   // perturbs traversal partitions or captured plans.
-  exact_geometry(nodes_, points_);
+  exact_geometry(nodes_, *this);
 }
 
-void Octree::rebuild_soa_planes() {
-  const std::size_t n = points_.size();
-  soa_x_.resize(n);
-  soa_y_.resize(n);
-  soa_z_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    soa_x_[i] = points_[i].x;
-    soa_y_[i] = points_[i].y;
-    soa_z_[i] = points_[i].z;
-  }
+void Octree::assign_planes(std::span<const geom::Vec3> pts) {
+  soa_x_.resize(pts.size());
+  soa_y_.resize(pts.size());
+  soa_z_.resize(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) set_point(i, pts[i]);
 }
 
 void Octree::finish_derived() {
@@ -562,7 +537,6 @@ void Octree::finish_derived() {
 
 std::size_t Octree::footprint_bytes() const {
   return nodes_.capacity() * sizeof(Node) +
-         points_.capacity() * sizeof(geom::Vec3) +
          point_index_.capacity() * sizeof(std::uint32_t) +
          leaf_ids_.capacity() * sizeof(std::uint32_t) +
          (soa_x_.capacity() + soa_y_.capacity() + soa_z_.capacity()) *
@@ -571,26 +545,27 @@ std::size_t Octree::footprint_bytes() const {
 }
 
 bool Octree::validate() const {
-  if (nodes_.empty()) return points_.empty();
-  if (soa_x_.size() != points_.size() || soa_y_.size() != points_.size() ||
-      soa_z_.size() != points_.size())
+  const std::size_t n_pts = num_points();
+  if (nodes_.empty()) return n_pts == 0;
+  if (soa_x_.size() != n_pts || soa_y_.size() != n_pts ||
+      soa_z_.size() != n_pts)
     return false;
   if (has_morton()) {
     // The sorted-key array must mirror the point order exactly.
-    if (keys_.size() != points_.size()) return false;
+    if (keys_.size() != n_pts) return false;
     if (!std::is_sorted(keys_.begin(), keys_.end())) return false;
   } else if (!keys_.empty()) {
     return false;  // keys without a grid cannot be interpreted
   }
-  std::vector<bool> seen(points_.size(), false);
+  std::vector<bool> seen(n_pts, false);
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];
-    if (n.begin > n.end || n.end > points_.size()) return false;
+    if (n.begin > n.end || n.end > n_pts) return false;
     if (n.size() == 0) return false;
     if (n.is_leaf()) {
       for (std::uint32_t i = n.begin; i < n.end; ++i) {
         const std::uint32_t orig = point_index_[i];
-        if (orig >= points_.size() || seen[orig]) return false;
+        if (orig >= n_pts || seen[orig]) return false;
         seen[orig] = true;
       }
     } else {
@@ -605,15 +580,10 @@ bool Octree::validate() const {
       }
       if (cursor != n.end) return false;
     }
-    // Radius must enclose all points under the node.
+    // Radius must enclose all points under the node (written so that a
+    // NaN centroid or radius fails too).
     for (std::uint32_t i = n.begin; i < n.end; ++i) {
-      if (geom::dist(n.centroid, points_[i]) > n.radius + 1e-9) return false;
-    }
-    // The SoA planes must mirror the permuted points.
-    for (std::uint32_t i = n.begin; i < n.end; ++i) {
-      if (soa_x_[i] != points_[i].x || soa_y_[i] != points_[i].y ||
-          soa_z_[i] != points_[i].z)
-        return false;
+      if (!(geom::dist(n.centroid, point(i)) <= n.radius + 1e-9)) return false;
     }
   }
   for (bool s : seen)

@@ -66,9 +66,10 @@ void write_octree(const Octree& tree, std::ostream& out) {
   out.write(reinterpret_cast<const char*>(tree.nodes().data()),
             static_cast<std::streamsize>(tree.nodes().size() *
                                          sizeof(Octree::Node)));
-  out.write(reinterpret_cast<const char*>(tree.points().data()),
-            static_cast<std::streamsize>(tree.points().size() *
-                                         sizeof(geom::Vec3)));
+  // The v1 body stores points as AoS Vec3s; gather them from the planes.
+  std::vector<geom::Vec3> points(tree.num_points());
+  for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = tree.point(i);
+  write_vec(out, points);
   out.write(reinterpret_cast<const char*>(tree.point_index().data()),
             static_cast<std::streamsize>(tree.point_index().size() *
                                          sizeof(std::uint32_t)));
@@ -124,8 +125,8 @@ Octree read_octree(std::istream& in) {
                       "octree key section disagrees with the point count");
     }
   }
-  Octree t = Octree::from_parts(std::move(nodes), std::move(points),
-                                std::move(index), std::move(keys), grid);
+  Octree t = Octree::from_parts(std::move(nodes), points, std::move(index),
+                                std::move(keys), grid);
   OCTGB_CHECK_MSG(t.validate(), "corrupt octree stream");
   return t;
 }

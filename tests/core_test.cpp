@@ -476,7 +476,6 @@ TEST(EpolContext, MomentsMatchDirectSums) {
   for (std::size_t i = 0; i < born.size(); ++i)
     born[i] = 1.2 + 0.37 * static_cast<double>(i % 11);
   const auto ctx = core::EpolContext::build(ta, born, 0.5);
-  const auto pts = ta.tree.points();
   const auto nodes = ta.tree.nodes();
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const auto& n = nodes[id];
@@ -485,7 +484,7 @@ TEST(EpolContext, MomentsMatchDirectSums) {
     for (std::uint32_t a = n.begin; a < n.end; ++a) {
       auto& w = want[static_cast<std::size_t>(ctx.bin_of(born[a]))];
       const double q = ta.charge[a], r = born[a];
-      const geom::Vec3 d = pts[a] - n.centroid;
+      const geom::Vec3 d = ta.tree.point(a) - n.centroid;
       w[M::Q] += q;
       w[M::S] += q * r;
       w[M::T] += q * r * r;

@@ -303,13 +303,13 @@ TEST(BornGradientPass, ForkedPassIsBitwiseAndSumsEveryAncestor) {
         << workers << " workers";
   }
 
-  const auto pts = ta.tree.points();
   std::vector<double> want = base, scale(n_atoms, 1.0);
   for (std::uint32_t id = 0; id < n_nodes; ++id) {
     const auto& a = ta.tree.node(id);
     for (std::uint32_t i = a.begin; i < a.end; ++i) {
-      want[i] += grad[id].dot(pts[i] - a.centroid);
-      scale[i] += grad[id].norm() * (pts[i] - a.centroid).norm();
+      const geom::Vec3 r = ta.tree.point(i) - a.centroid;
+      want[i] += grad[id].dot(r);
+      scale[i] += grad[id].norm() * r.norm();
     }
   }
   for (std::size_t i = 0; i < n_atoms; ++i)

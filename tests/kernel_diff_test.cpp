@@ -346,13 +346,14 @@ TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
   core::EngineConfig cfg;
   GBEngine engine(m, s, cfg);
   const auto& tq = engine.qpoints_tree();
-  const auto q_pts = tq.tree.points();
   // Query placed exactly on the first q-point of the full range.
   const double v = core::scalar_born_pair(
-      q_pts[0], tq, 0, static_cast<std::uint32_t>(tq.num_points()), false);
+      tq.tree.point(0), tq, 0, static_cast<std::uint32_t>(tq.num_points()),
+      false);
   EXPECT_TRUE(std::isfinite(v));
   const double vf = core::scalar_born_pair(
-      q_pts[0], tq, 0, static_cast<std::uint32_t>(tq.num_points()), true);
+      tq.tree.point(0), tq, 0, static_cast<std::uint32_t>(tq.num_points()),
+      true);
   EXPECT_TRUE(std::isfinite(vf));
 }
 
@@ -378,7 +379,7 @@ TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   s.owner_atom = {0};
   const core::QPointsTree tq = core::QPointsTree::build(s);
   const geom::Vec3 pa{-h, 0.0, 0.0};
-  ASSERT_EQ((tq.tree.points()[0] - pa).norm2(), 1e-12);
+  ASSERT_EQ((tq.tree.point(0) - pa).norm2(), 1e-12);
 
   // 17 copies: a vector body at every width plus a scalar tail.
   const std::vector<double> x(17, 0.0), y(17, 0.0), z(17, 0.0);
@@ -485,14 +486,13 @@ TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
   const auto surf = normal_cluster({0.0, 0.0, 1.0}, 400, 5);
   const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
   ASSERT_GT(tq.tree.nodes().size(), 9u);
-  const auto pts = tq.tree.points();
   for (std::uint32_t id = 0; id < tq.tree.nodes().size(); ++id) {
     const auto& n = tq.tree.node(id);
     core::NormalMoment want;
     double scale = 0.0;
     for (std::uint32_t i = n.begin; i < n.end; ++i) {
-      const geom::Vec3 u = pts[i] - n.centroid;
-      const geom::Vec3 w = tq.wnormal[i];
+      const geom::Vec3 u = tq.tree.point(i) - n.centroid;
+      const geom::Vec3 w = tq.wnormal(i);
       want.xx += u.x * w.x;
       want.yy += u.y * w.y;
       want.zz += u.z * w.z;

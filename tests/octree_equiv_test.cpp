@@ -98,7 +98,6 @@ void expect_bit_identical(const Octree& a, const Octree& b) {
     EXPECT_EQ(na.depth, nb.depth) << "node " << i;
   }
   EXPECT_TRUE(std::ranges::equal(a.point_index(), b.point_index()));
-  EXPECT_TRUE(std::ranges::equal(a.points(), b.points()));
   EXPECT_TRUE(std::ranges::equal(a.keys(), b.keys()));
   EXPECT_TRUE(std::ranges::equal(a.soa_x(), b.soa_x()));
   EXPECT_TRUE(std::ranges::equal(a.soa_y(), b.soa_y()));

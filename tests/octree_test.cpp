@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -84,7 +85,7 @@ TEST(Octree, PermutationIsABijection) {
   EXPECT_EQ(seen.size(), pts.size());
   // Permuted points match originals through the index.
   for (std::size_t pos = 0; pos < pts.size(); ++pos)
-    EXPECT_EQ(t.points()[pos], pts[t.point_index()[pos]]);
+    EXPECT_EQ(t.point(pos), pts[t.point_index()[pos]]);
 }
 
 TEST(Octree, CoincidentPointsTerminates) {
@@ -103,7 +104,7 @@ TEST(Octree, RadiusEnclosesSubtreePoints) {
   const Octree t = Octree::build(pts);
   for (const auto& n : t.nodes()) {
     for (std::uint32_t i = n.begin; i < n.end; ++i)
-      EXPECT_LE(geom::dist(n.centroid, t.points()[i]), n.radius + 1e-9);
+      EXPECT_LE(geom::dist(n.centroid, t.point(i)), n.radius + 1e-9);
   }
 }
 
@@ -234,8 +235,9 @@ TEST(OctreeSerialize, RoundTripPreservesEverything) {
   }
   EXPECT_EQ(loaded.leaf_ids(), original.leaf_ids());
   EXPECT_EQ(loaded.max_depth(), original.max_depth());
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    EXPECT_EQ(loaded.points()[i], original.points()[i]);
+  EXPECT_TRUE(std::ranges::equal(loaded.soa_x(), original.soa_x()));
+  EXPECT_TRUE(std::ranges::equal(loaded.soa_y(), original.soa_y()));
+  EXPECT_TRUE(std::ranges::equal(loaded.soa_z(), original.soa_z()));
 }
 
 TEST(OctreeSerialize, RejectsGarbageAndTruncation) {
@@ -413,7 +415,7 @@ TEST(OctreeSerialize, V2RoundTripsMortonStateBitExact) {
   ASSERT_EQ(loaded.keys().size(), original.keys().size());
   EXPECT_TRUE(std::equal(loaded.keys().begin(), loaded.keys().end(),
                          original.keys().begin()));
-  // The SoA planes are derived state but must come back identical too.
+  // The SoA planes are the tree's only copy of its points.
   EXPECT_TRUE(std::equal(loaded.soa_x().begin(), loaded.soa_x().end(),
                          original.soa_x().begin()));
   // A loaded tree keeps its re-sort capability (grid + keys intact).
@@ -560,15 +562,40 @@ TEST(OctreeNonFinite, BuildWithGridRejectsNanAndInfOnEveryAxis) {
 TEST(OctreeNonFinite, RefitRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
   const auto pts = random_points(200, 44);
   Octree t = Octree::build(pts);
+  const Octree fresh = Octree::build(pts);
   const Octree::Node root = t.root();
   for (const NonFinite& c : non_finite_cases()) {
     SCOPED_TRACE(label(c));
     const auto bad = poisoned(pts, kBad, c);
     expect_rejects([&] { t.refit(bad); }, "Octree::refit", kBad);
     // Rejected before the first write: points and geometry untouched.
-    EXPECT_TRUE(std::ranges::equal(t.points(), Octree::build(pts).points()));
+    EXPECT_TRUE(std::ranges::equal(t.soa_x(), fresh.soa_x()));
+    EXPECT_TRUE(std::ranges::equal(t.soa_y(), fresh.soa_y()));
+    EXPECT_TRUE(std::ranges::equal(t.soa_z(), fresh.soa_z()));
     EXPECT_EQ(t.root().centroid, root.centroid);
     EXPECT_EQ(t.root().radius, root.radius);
+  }
+}
+
+TEST(OctreeNonFinite, ReadRejectsNanAndInfOnEveryAxis) {
+  // A stream whose point bytes are poisoned fails on load with an error
+  // that names the tree position, not as a generic corrupt stream.
+  const Octree t = Octree::build(random_points(200, 46));
+  std::stringstream buf;
+  octree::write_octree(t, buf);
+  const std::string bytes = buf.str();
+  // Header: magic u64, version u32, reserved u32, node and point counts
+  // (u64 each); then the node array, then the points as AoS Vec3s.
+  const std::size_t points_at = 32 + t.nodes().size() * sizeof(Octree::Node);
+  for (const NonFinite& c : non_finite_cases()) {
+    SCOPED_TRACE(label(c));
+    std::string bad = bytes;
+    std::memcpy(&bad[points_at + kBad * sizeof(geom::Vec3) +
+                     c.axis * sizeof(double)],
+                &c.value, sizeof(double));
+    std::stringstream in(bad);
+    expect_rejects([&] { (void)octree::read_octree(in); },
+                   "Octree::from_parts", kBad);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "octgb/core/persist.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/octree/serialize.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/util/rng.hpp"
@@ -140,11 +141,11 @@ TEST(Persist, PreprocessedRoundTripsBitForBit) {
   EXPECT_EQ(loaded.atoms.tree.nodes().size(), pre.atoms.tree.nodes().size());
   EXPECT_EQ(loaded.qpoints.num_points(), pre.qpoints.num_points());
   EXPECT_EQ(loaded.atoms.charge, pre.atoms.charge);
-  EXPECT_EQ(loaded.qpoints.weight, pre.qpoints.weight);
-  // Derived planes are recomputed, not serialized — they must still match.
-  // (Coordinate planes live inside the octree now; compare the spans.)
+  // The planes go out as AoS sections and come back as planes.
   EXPECT_TRUE(std::ranges::equal(loaded.atoms.soa_x(), pre.atoms.soa_x()));
   EXPECT_EQ(loaded.qpoints.soa_wnx, pre.qpoints.soa_wnx);
+  EXPECT_EQ(loaded.qpoints.soa_wny, pre.qpoints.soa_wny);
+  EXPECT_EQ(loaded.qpoints.soa_wnz, pre.qpoints.soa_wnz);
 
   // An engine adopting the loaded artifact evaluates identically.
   GBEngine fresh(p.molecule, p.surf);
@@ -186,6 +187,72 @@ TEST(Persist, RejectsMismatchedSectionTag) {
   EXPECT_THROW(core::read_atoms_tree(ss), util::CheckError);
 }
 
+TEST(Persist, RejectsNonFinitePayloadSections) {
+  // A NaN or infinite charge, radius or weighted normal fails the load
+  // with an error naming the section and the element.
+  const Problem p(200);
+  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
+  std::stringstream ss;
+  core::write_preprocessed(pre, ss);
+  const std::string bytes = ss.str();
+  struct Poison {
+    const char* tag;
+    std::uint32_t elem_size;
+    std::size_t offset;  // of the poisoned double within the element
+  };
+  constexpr std::size_t kElem = 5;
+  for (const Poison& site : {Poison{"chg", 8, 0}, Poison{"vdw", 8, 0},
+                             Poison{"wnrm", 24, 0}, Poison{"wnrm", 24, 8},
+                             Poison{"wnrm", 24, 16}}) {
+    // A section header is an 8-byte tag, the u32 element size, a reserved
+    // u32 and the u64 count; the elements follow it.
+    std::string head(16, '\0');
+    std::memcpy(head.data(), site.tag, std::strlen(site.tag));
+    std::memcpy(head.data() + 8, &site.elem_size, sizeof site.elem_size);
+    const std::size_t at = bytes.find(head);
+    ASSERT_NE(at, std::string::npos) << site.tag;
+    ASSERT_EQ(bytes.find(head, at + 1), std::string::npos) << site.tag;
+    const std::size_t data = at + 24;
+    for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(std::string(site.tag) + " " + std::to_string(v));
+      std::string bad = bytes;
+      std::memcpy(&bad[data + kElem * site.elem_size + site.offset], &v,
+                  sizeof v);
+      std::stringstream in(bad);
+      try {
+        (void)core::read_preprocessed(in);
+        ADD_FAILURE() << "accepted a non-finite payload";
+      } catch (const util::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("'") + site.tag + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("element " + std::to_string(kElem) + " "),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(Persist, TrailingWeightSectionOfOlderStreamsIsLeftUnread) {
+  // Streams written while T_Q still stored its quadrature weights end
+  // with a "wgt" section after "wnrm". They load unchanged: the reader
+  // stops after "wnrm" and leaves the weights unread in the stream.
+  const Problem p(200);
+  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
+  std::stringstream ss;
+  core::write_preprocessed(pre, ss);
+  const std::vector<double> weights(pre.qpoints.num_points(), 0.25);
+  octree::write_f64_section(ss, "wgt", weights);
+  GBEngine fresh(p.molecule, p.surf);
+  GBEngine adopted(core::read_preprocessed(ss));
+  EXPECT_EQ(fresh.compute().epol, adopted.compute().epol);
+  EXPECT_EQ(octree::read_f64_section(ss, "wgt"), weights);
+}
+
 TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
   // Loading a stream cut at any point must throw a CheckError (short
   // read / bad magic / implausible length), never crash or return a
@@ -211,8 +278,8 @@ TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
 TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
   // Exact accounting, built or reloaded: each octree plus its tree-order
   // payload planes and nothing else. T_A carries charge and vdW radius;
-  // T_Q carries w·n and w per point, three w·n SoA planes, and per node
-  // one w·n aggregate and one six-entry normal moment.
+  // T_Q carries the three w·n SoA planes, and per node one w·n aggregate
+  // and one six-entry normal moment.
   const Problem p(400);
   const auto expect_exact = [](const core::Preprocessed& pre) {
     const core::AtomsTree& ta = pre.atoms;
@@ -221,7 +288,7 @@ TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
               ta.tree.footprint_bytes() + ta.num_atoms() * 2 * sizeof(double));
     EXPECT_EQ(tq.footprint_bytes(),
               tq.tree.footprint_bytes() +
-                  tq.num_points() * (sizeof(geom::Vec3) + 4 * sizeof(double)) +
+                  tq.num_points() * 3 * sizeof(double) +
                   tq.tree.nodes().size() *
                       (sizeof(geom::Vec3) + 6 * sizeof(double)));
     EXPECT_EQ(pre.footprint_bytes(),
@@ -491,11 +558,11 @@ TEST(CrossEpol, MatchesDirectDoubleLoopAtTinyEps) {
       ta, ctx_a, born_a, tb, ctx_b, born_b, eps, false, gb, wc);
 
   double ref = 0.0;
-  const auto pa = ta.tree.points(), pb = tb.tree.points();
-  for (std::size_t i = 0; i < ta.num_atoms(); ++i)
-    for (std::size_t j = 0; j < tb.num_atoms(); ++j)
+  for (std::uint32_t i = 0; i < ta.num_atoms(); ++i)
+    for (std::uint32_t j = 0; j < tb.num_atoms(); ++j)
       ref += ta.charge[i] * tb.charge[j] /
-             core::f_gb(geom::dist2(pa[i], pb[j]), born_a[i] * born_b[j]);
+             core::f_gb(geom::dist2(ta.tree.point(i), tb.tree.point(j)),
+                        born_a[i] * born_b[j]);
   ref *= -gb.tau();
 
   EXPECT_NEAR(cross, ref, 0.01 * std::abs(ref));
