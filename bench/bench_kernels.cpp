@@ -181,12 +181,12 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
       const auto& a = ta.tree.node(a_leaves[i]);
       const auto& q = tq.tree.node(q_leaves[i % q_leaves.size()]);
       if (ks != nullptr) {
-        const core::QPointBatch qb = tq.node_batch(q);
+        const core::QPointBatch qb = tq.batch(q.begin, q.end);
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
           acc += ks->born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
                                    ta.soa_z()[ai], qb);
       } else if (batched) {
-        const core::QPointBatch qb = tq.node_batch(q);
+        const core::QPointBatch qb = tq.batch(q.begin, q.end);
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
           acc += core::batch_born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
                                            ta.soa_z()[ai], qb);
@@ -230,12 +230,12 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
       const auto& v = ta.tree.node(leaves[i]);
       const auto& u = ta.tree.node(leaves[(i + 1) % leaves.size()]);
       if (ks != nullptr) {
-        const core::AtomBatch ub = ta.node_batch(u, born_tree);
+        const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
           acc += ks->epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
                               ta.charge[vi], born_tree[vi], ub);
       } else if (batched) {
-        const core::AtomBatch ub = ta.node_batch(u, born_tree);
+        const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
           acc += core::batch_epol_sum(ta.soa_x()[vi], ta.soa_y()[vi],
                                       ta.soa_z()[vi], ta.charge[vi],

@@ -33,7 +33,8 @@ std::vector<geom::Vec3> naive_epol_forces(const mol::Molecule& mol,
                                               nullptr);
 
 /// Octree-accelerated forces over a prebuilt engine. `born_input_order`
-/// must match the engine's molecule. Returns forces in input order.
+/// must match the engine's molecule. Returns forces in input order. The
+/// walk is the energy's, opened at epol_force_threshold(ε).
 std::vector<geom::Vec3> approx_epol_forces(
     const GBEngine& engine, std::span<const double> born_input_order,
     perf::WorkCounters& counters);

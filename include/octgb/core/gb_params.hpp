@@ -113,11 +113,19 @@ inline bool born_far_enough(double d, double ra, double rq,
 /// ε = 0.9), the paper's own criterion. The second-order bin-pair far
 /// field (quadrupole, P×S cross term and Σq·R², DESIGN.md §2.1) holds
 /// every benchmark's error at or below the first-order field's at
-/// (1 + 2/ε)^¾; an exponent sweep kept ½ (EXPERIMENTS.md). The one Epol
-/// walk (energy, forces, near-set collection) and the mirror test
-/// evaluate this one expression, so their decisions agree bit for bit.
+/// (1 + 2/ε)^¾; an exponent sweep kept ½ (EXPERIMENTS.md). The energy
+/// and near-set collection walks and the mirror test evaluate this one
+/// expression, so their decisions agree bit for bit.
 inline double epol_threshold(double eps_epol) {
   return std::sqrt(1.0 + 2.0 / eps_epol);
+}
+
+/// Opening factor of the force pass (approx_epol_forces): (1 + 2/ε)^¾
+/// (2.41 at ε = 0.9). Forces are taken at fixed Born radii, so no Born
+/// error offsets the far field's, and at the energy's sqrt(1 + 2/ε) the
+/// worst force error on a 600-atom protein doubled (Forces.*).
+inline double epol_force_threshold(double eps_epol) {
+  return std::pow(1.0 + 2.0 / eps_epol, 0.75);
 }
 
 /// Far-field admissibility for the energy phase (Fig. 3): far iff

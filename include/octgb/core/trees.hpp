@@ -50,19 +50,19 @@ struct AtomsTree {
   std::size_t num_atoms() const { return charge.size(); }
   std::size_t footprint_bytes() const;
 
-  /// SoA view of one node's atoms for batch_epol_sum. The Born plane is
-  /// supplied by the caller as a tree-order span: Born radii are produced
-  /// per evaluation by PUSH-INTEGRALS-TO-ATOMS (each simulated rank holds
-  /// its own `born_tree`), so passing that array *is* the refreshed Born
+  /// SoA view of the atoms [begin, end) (tree order: one node, or a run
+  /// of abutting leaves) for batch_epol_sum. The Born plane is supplied by
+  /// the caller as a tree-order span: Born radii are produced per
+  /// evaluation by PUSH-INTEGRALS-TO-ATOMS (each simulated rank holds its
+  /// own `born_tree`), so passing that array *is* the refreshed Born
   /// plane — caching it in the shared tree would race across ranks.
-  AtomBatch node_batch(const octree::Octree::Node& n,
-                       std::span<const double> born_tree) const {
-    return AtomBatch{
-        soa_x().subspan(n.begin, n.size()),
-        soa_y().subspan(n.begin, n.size()),
-        soa_z().subspan(n.begin, n.size()),
-        std::span<const double>(charge).subspan(n.begin, n.size()),
-        born_tree.subspan(n.begin, n.size())};
+  AtomBatch batch(std::uint32_t begin, std::uint32_t end,
+                  std::span<const double> born_tree) const {
+    const std::size_t n = end - begin;
+    return AtomBatch{soa_x().subspan(begin, n), soa_y().subspan(begin, n),
+                     soa_z().subspan(begin, n),
+                     std::span<const double>(charge).subspan(begin, n),
+                     born_tree.subspan(begin, n)};
   }
 };
 
@@ -116,15 +116,16 @@ struct QPointsTree {
   std::size_t num_points() const { return tree.num_points(); }
   std::size_t footprint_bytes() const;
 
-  /// SoA view of one node's quadrature points for batch_born_integral.
-  QPointBatch node_batch(const octree::Octree::Node& n) const {
-    return QPointBatch{
-        soa_x().subspan(n.begin, n.size()),
-        soa_y().subspan(n.begin, n.size()),
-        soa_z().subspan(n.begin, n.size()),
-        std::span<const double>(soa_wnx).subspan(n.begin, n.size()),
-        std::span<const double>(soa_wny).subspan(n.begin, n.size()),
-        std::span<const double>(soa_wnz).subspan(n.begin, n.size())};
+  /// SoA view of the quadrature points [begin, end) (tree order: one
+  /// node, or a run of abutting leaves) for batch_born_integral.
+  QPointBatch batch(std::uint32_t begin, std::uint32_t end) const {
+    const std::size_t n = end - begin;
+    return QPointBatch{soa_x().subspan(begin, n),
+                       soa_y().subspan(begin, n),
+                       soa_z().subspan(begin, n),
+                       std::span<const double>(soa_wnx).subspan(begin, n),
+                       std::span<const double>(soa_wny).subspan(begin, n),
+                       std::span<const double>(soa_wnz).subspan(begin, n)};
   }
 
  private:

@@ -27,7 +27,8 @@ struct LocalCounts {
 };
 
 /// Evaluate sink of the Born walk: far terms into node_s[A], exact leaf
-/// pairs into A's atom_s range, each decision optionally recorded.
+/// pairs into A's atom_s range one run of abutting Q leaves at a time
+/// (flushed at close()), each decision optionally recorded.
 struct EvalSink {
   const AtomsTree& ta;
   const QPointsTree& tq;
@@ -41,6 +42,7 @@ struct EvalSink {
     const EvalSink& s;
     std::uint32_t a_id;
     const Octree::Node& a;
+    detail::BornNearRuns runs;
     void far(std::uint32_t q_id) {
       if (s.recorder) s.recorder->far(a_id, q_id);
       s.node_s[a_id] += born_far_term(
@@ -49,14 +51,16 @@ struct EvalSink {
     }
     void near(std::uint32_t q_id) {
       if (s.recorder) s.recorder->near(a_id, q_id);
-      double* const ps = s.atom_s;
-      detail::born_near(s.nf, s.ta, a, s.tq, s.tq.tree.node(q_id),
-                        [ps](std::uint32_t ai, double v) { ps[ai] += v; });
+      runs.add(s.tq.tree.node(q_id));
     }
-    bool close() const { return true; }
+    bool close() {
+      runs.flush();
+      return true;
+    }
   };
   Owner open(std::uint32_t a_id) const {
-    return {*this, a_id, ta.tree.node(a_id)};
+    const Octree::Node& a = ta.tree.node(a_id);
+    return {*this, a_id, a, {nf, ta, a, tq, atom_s}};
   }
 };
 

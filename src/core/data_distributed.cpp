@@ -29,7 +29,7 @@ struct CollectSink {
   };
   Owner open(std::uint32_t a_id) const { return {touched + a_id}; }
 
-  double near(std::uint32_t u_id, const Octree::Node&,
+  double near(std::uint32_t u_id, std::uint32_t, const Octree::Node&,
               detail::EpolCounts&) const {
     touched[u_id] = 1;
     return 0.0;
@@ -88,7 +88,7 @@ std::vector<std::uint32_t> collect_near_epol_leaves(
   detail::EpolCounts counts;
   for (std::uint32_t v_id : v_leaf_ids) {
     const Octree::Node& v = ta.tree.node(v_id);
-    detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k, sink, counts);
+    detail::epol_walk(ta.tree, v.centroid, v.radius, k, sink, counts);
   }
   return touched_to_ids(touched);
 }

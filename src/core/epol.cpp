@@ -234,7 +234,10 @@ using detail::EpolCounts;
 /// aliases `ta` (approx_epol / approx_epol_atom_based pass the same tree
 /// and Born plane for both) but may be a different body entirely — the
 /// cross-tree kernel of approx_epol_cross. With v_ancestors set (the
-/// approx_epol path) the near field is mirrored: see near().
+/// approx_epol path) the near field is mirrored: see near(). One sink
+/// serves one V side: walk() runs the descent, whose near leaves join
+/// runs of abutting U ranges (DESIGN.md §2.3), and adds the run sums
+/// after the far terms.
 struct EnergySink {
   const AtomsTree& ta;
   const EpolContext& ctx;
@@ -242,25 +245,41 @@ struct EnergySink {
   const AtomsTree& tv;
   std::span<const double> born_v;  // tv tree order
   detail::NearField nf;
+  double k;  ///< opening factor, epol_threshold(ε)
   std::uint32_t vb, ve;
   BinMoments vm;
-  /// Mirrored path only: V's leaf id, its strict ancestors root first,
-  /// and the opening factor. Empty v_ancestors means the plain descent.
+  /// Mirrored path only: V's leaf id and its strict ancestors, root
+  /// first. Empty v_ancestors means the plain descent.
   std::uint32_t v_id = 0;
   std::span<const std::uint32_t> v_ancestors{};
-  double k = 0.0;
+  detail::NearRun run{};
+  double near_sum = 0.0;
 
-  double near(std::uint32_t u_id, const Octree::Node& u,
-              EpolCounts& lc) const {
-    if (v_ancestors.empty() || u_id == v_id || !u_reaches_v(u))
-      return exact(u, lc);
-    // Mutual pair: U's own descent reaches V and computes the same sum,
-    // so one side evaluates it for both. The parity rule gives each leaf
-    // about half of its neighbours on either side of its id.
-    const bool owner = ((u_id + v_id) & 1u) ? v_id < u_id : v_id > u_id;
-    if (!owner) return 0.0;
+  /// The V side's whole walk from its centroid `vc` and radius `vr`.
+  double walk(const Vec3& vc, double vr, EpolCounts& lc) {
+    const double far = detail::epol_walk(ta.tree, vc, vr, k, *this, lc);
+    run.flush(*this);
+    return far + near_sum;
+  }
+
+  /// Leaf U (child of `u_parent`) joins the pending run with weight 1,
+  /// or 2 where V evaluates a mutual pair for both sides; the kernel runs
+  /// at the run's flush, so near() returns 0.
+  double near(std::uint32_t u_id, std::uint32_t u_parent,
+              const Octree::Node& u, EpolCounts& lc) {
+    double weight = 1.0;
+    if (!v_ancestors.empty() && u_id != v_id && u_reaches_v(u)) {
+      // Mutual pair: U's own descent reaches V and computes the same
+      // sum, so one side evaluates it for both.
+      if (!detail::owns_mutual_pair(v_id, v_ancestors.back(), u_id,
+                                    u_parent))
+        return 0.0;
+      lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);  // U's
+      weight = 2.0;
+    }
     lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);
-    return 2.0 * exact(u, lc);
+    run.add(u.begin, u.end, weight, *this);
+    return 0.0;
   }
 
   /// Second-order bin-pair far field of node U against the V side, with
@@ -285,12 +304,13 @@ struct EnergySink {
     return true;
   }
 
-  /// Exact U×V sum. The self term (r ≈ 0) is included by the kernels'
-  /// contract (cross-tree calls never hit r ≈ 0 — the sets are disjoint
-  /// bodies).
-  double exact(const Octree::Node& u, EpolCounts& lc) const {
-    lc.exact += static_cast<std::uint64_t>(u.size()) * (ve - vb);
-    return detail::epol_near(nf, ta, u, born, tv, vb, ve, born_v);
+  /// The sweep of one run: the exact sum of the U atoms [ub, ue) against
+  /// the V side, times the run's weight. The self term (r ≈ 0) is
+  /// included by the kernels' contract (cross-tree calls never hit
+  /// r ≈ 0 — the sets are disjoint bodies).
+  void operator()(std::uint32_t ub, std::uint32_t ue, double weight) {
+    near_sum += weight * detail::epol_near(nf, ta, ub, ue, born, tv, vb, ve,
+                                           born_v);
   }
 };
 
@@ -335,11 +355,10 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
         for (std::size_t li = lo; li < hi; ++li) {
           const std::uint32_t v_id = v_leaf_ids[li];
           const Octree::Node& v = ta.tree.node(v_id);
-          const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
-                                v.begin, v.end, ctx.moments(v_id), v_id,
-                                ancestors_of(ta.tree, v_id, path), k};
-          mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
-                                    sink, lc);
+          EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf, k,
+                          v.begin, v.end, ctx.moments(v_id), v_id,
+                          ancestors_of(ta.tree, v_id, path)};
+          mine += sink.walk(v.centroid, v.radius, lc);
         }
         return mine;
       });
@@ -378,10 +397,9 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
           const std::uint32_t e = std::min(v.end, atom_end);
           if (b >= e) continue;
           if (b == v.begin && e == v.end) {
-            const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
-                                  b, e, ctx.moments(leaves[li])};
-            mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
-                                      sink, lc);
+            EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf, k,
+                            b, e, ctx.moments(leaves[li])};
+            mine += sink.walk(v.centroid, v.radius, lc);
             continue;
           }
           for (std::uint32_t ai = b; ai < e; ++ai) {
@@ -389,10 +407,9 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
             const std::array<double, M::kPlanes> vm =
                 atom_moments(ta.charge[ai], born_tree[ai]);
             const BinMoments one{vm.data(), 1, &born_tree[ai], 1};
-            const EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf,
-                                  ai, ai + 1, one};
-            mine += detail::epol_walk(ta.tree, 0, ta.tree.point(ai), 0.0, k,
-                                      sink, lc);
+            EnergySink sink{ta, ctx, born_tree, ta, born_tree, nf, k,
+                            ai, ai + 1, one};
+            mine += sink.walk(ta.tree.point(ai), 0.0, lc);
           }
         }
         return mine;
@@ -431,10 +448,9 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
           add_leaf_moments(ctx_b, tb, born_b, v, blo, bhi, block.data());
           const BinMoments vm{block.data(), static_cast<std::size_t>(n),
                               &ctx_b.rep[blo], n};
-          const EnergySink sink{ta, ctx_a, born_a, tb, born_b, nf,
-                                v.begin, v.end, vm};
-          mine += detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k,
-                                    sink, lc);
+          EnergySink sink{ta, ctx_a, born_a, tb, born_b, nf, k,
+                          v.begin, v.end, vm};
+          mine += sink.walk(v.centroid, v.radius, lc);
         }
         return mine;
       });

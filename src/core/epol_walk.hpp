@@ -8,7 +8,7 @@
 /// cross path), or a single atom as a leaf of radius 0 — walks the tree
 /// from a node U and resolves every node it meets:
 ///
-///   U leaf                 → sink.near(u_id, u, counts);
+///   U leaf                 → sink.near(u_id, parent of U, u, counts);
 ///   epol_far_enough(d, …)  → sink.far(u_id, c_U − c_V, d², counts);
 ///   otherwise              → sum = 0; sum += walk(child)…
 ///
@@ -16,7 +16,9 @@
 /// (epol.cpp: plain, mirrored, atom-based and cross), force (forces.cpp)
 /// and near-set collect (data_distributed.cpp). Every caller evaluates
 /// the admissibility test here, with the same operands, so their
-/// decisions agree bit for bit.
+/// decisions agree bit for bit. Near leaves arrive in tree order, so
+/// consecutive ones often abut: the energy sink coalesces them into runs
+/// (near_field.hpp NearRun) and flushes after the walk.
 
 #include <algorithm>
 #include <array>
@@ -36,23 +38,40 @@ struct EpolCounts {
   std::uint64_t exact = 0, binpairs = 0, visits = 0;
 };
 
-/// Walk the subtree of `u_id` against the V side at centroid `vc`, radius
-/// `vr`, with opening factor `k` = epol_threshold(ε). Counts one visit
-/// per node.
+/// Walk the subtree of `u_id` (whose parent is `parent`; the root is its
+/// own) against the V side at centroid `vc`, radius `vr`, with opening
+/// factor `k` = epol_threshold(ε). Counts one visit per node.
 template <class Sink>
 double epol_walk(const octree::Octree& tree, std::uint32_t u_id,
-                 const geom::Vec3& vc, double vr, double k, Sink& sink,
-                 EpolCounts& counts) {
+                 std::uint32_t parent, const geom::Vec3& vc, double vr,
+                 double k, Sink& sink, EpolCounts& counts) {
   ++counts.visits;
   const octree::Octree::Node& u = tree.node(u_id);
   const double d2 = geom::dist2(u.centroid, vc);
-  if (u.is_leaf()) return sink.near(u_id, u, counts);
+  if (u.is_leaf()) return sink.near(u_id, parent, u, counts);
   if (epol_far_enough(std::sqrt(d2), u.radius, vr, k))
     return sink.far(u_id, u.centroid - vc, d2, counts);
   double sum = 0.0;
   for (std::uint8_t c = 0; c < u.child_count; ++c)
-    sum += epol_walk(tree, u.first_child + c, vc, vr, k, sink, counts);
+    sum += epol_walk(tree, u.first_child + c, u_id, vc, vr, k, sink, counts);
   return sum;
+}
+
+/// The whole walk, from the root.
+template <class Sink>
+double epol_walk(const octree::Octree& tree, const geom::Vec3& vc, double vr,
+                 double k, Sink& sink, EpolCounts& counts) {
+  return epol_walk(tree, 0, 0, vc, vr, k, sink, counts);
+}
+
+/// Owner of a mutual exact leaf pair of the mirrored near field
+/// (DESIGN.md §2.12): whether V's descent evaluates the pair (U, V),
+/// U ≠ V, for both sides, given both leaves' parents. Exactly one of
+/// (V, U) and (U, V) owns a pair, and for a parent other than V's, all
+/// its children fall on one side, so runs of sibling leaves stay whole.
+inline bool owns_mutual_pair(std::uint32_t v_id, std::uint32_t v_parent,
+                             std::uint32_t u_id, std::uint32_t u_parent) {
+  return ((u_parent + v_parent) & 1u) ? v_id < u_id : v_id > u_id;
 }
 
 /// Deterministic parallel sum of an Epol pass. The items [0, n) are cut

@@ -135,7 +135,8 @@ struct ForceSink {
   const Octree::Node& v;
   Vec3* forces;
 
-  double near(std::uint32_t, const Octree::Node& u, EpolCounts& lc) const {
+  double near(std::uint32_t, std::uint32_t, const Octree::Node& u,
+              EpolCounts& lc) const {
     for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
       const Vec3 pv = ta.tree.point(vi);
       const double qv = ta.charge[vi];
@@ -179,7 +180,7 @@ std::vector<geom::Vec3> approx_epol_forces(
   for (std::size_t pos = 0; pos < idx.size(); ++pos)
     born_tree[pos] = born_input_order[idx[pos]];
   const EpolContext ctx = engine.build_epol_context(born_tree);
-  const double k = epol_threshold(engine.config().approx.eps_epol);
+  const double k = epol_force_threshold(engine.config().approx.eps_epol);
   const double tau = engine.config().gb.tau();
 
   std::vector<Vec3> forces_tree(engine.num_atoms());
@@ -190,7 +191,7 @@ std::vector<geom::Vec3> approx_epol_forces(
         for (std::size_t li = lo; li < hi; ++li) {
           const Octree::Node& v = ta.tree.node(leaves[li]);
           const ForceSink sink{ta, ctx, born_tree, tau, v, forces_tree.data()};
-          detail::epol_walk(ta.tree, 0, v.centroid, v.radius, k, sink, lc);
+          detail::epol_walk(ta.tree, v.centroid, v.radius, k, sink, lc);
         }
         return 0.0;
       });

@@ -9,7 +9,8 @@
 /// bin-pair far field of APPROX-EPOL — is computed through a NearField
 /// resolved once per call from (KernelKind, VectorParams, approx_math).
 /// born_near() and epol_near() hold the only copy of the AoS / vector /
-/// fastmath branches; call sites never branch on the arithmetic.
+/// fastmath branches; call sites never branch on the arithmetic. NearRun
+/// coalesces abutting near leaves into one sweep per run.
 
 #include <cstdint>
 #include <span>
@@ -64,31 +65,33 @@ inline double inv_f_gb(double r2, double ri_rj, bool approx) {
   return 1.0 / f_gb(r2, ri_rj);
 }
 
-/// Exact Born integrals of T_A leaf `a` against T_Q leaf `q`: calls
-/// `add(ai, value)` once per atom of `a`, in atom order.
-template <class Add>
-void born_near(const NearField& nf, const AtomsTree& ta,
-               const octree::Octree::Node& a, const QPointsTree& tq,
-               const octree::Octree::Node& q, Add&& add) {
+/// Exact Born integrals of the T_A atoms [a_begin, a_end) against the
+/// T_Q points [q_begin, q_end): one sum per atom, in atom order, added
+/// into its atom_s slot.
+inline void born_near(const NearField& nf, const AtomsTree& ta,
+                      std::uint32_t a_begin, std::uint32_t a_end,
+                      const QPointsTree& tq, std::uint32_t q_begin,
+                      std::uint32_t q_end, double* atom_s) {
   if (nf.aos) {
-    for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-      add(ai,
-          scalar_born_pair(ta.tree.point(ai), tq, q.begin, q.end, nf.fast));
+    for (std::uint32_t ai = a_begin; ai < a_end; ++ai)
+      atom_s[ai] +=
+          scalar_born_pair(ta.tree.point(ai), tq, q_begin, q_end, nf.fast);
     return;
   }
   const double* __restrict ax = ta.soa_x().data();
   const double* __restrict ay = ta.soa_y().data();
   const double* __restrict az = ta.soa_z().data();
-  const QPointBatch qb = tq.node_batch(q);
+  const QPointBatch qb = tq.batch(q_begin, q_end);
   const auto fn = nf.fast ? nf.set->born_integral_fast : nf.set->born_integral;
-  for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-    add(ai, fn(ax[ai], ay[ai], az[ai], qb));
+  for (std::uint32_t ai = a_begin; ai < a_end; ++ai)
+    atom_s[ai] += fn(ax[ai], ay[ai], az[ai], qb);
 }
 
-/// Unscaled exact sum Σ q_u q_v / f_GB of leaf `u` of `tu` against the
-/// atoms [v_begin, v_end) of `tv` (one V atom is the range [v, v+1)).
+/// Unscaled exact sum Σ q_u q_v / f_GB of the atoms [u_begin, u_end) of
+/// `tu` against the atoms [v_begin, v_end) of `tv` (one V atom is the
+/// range [v, v+1)).
 inline double epol_near(const NearField& nf, const AtomsTree& tu,
-                        const octree::Octree::Node& u,
+                        std::uint32_t u_begin, std::uint32_t u_end,
                         std::span<const double> born_u, const AtomsTree& tv,
                         std::uint32_t v_begin, std::uint32_t v_end,
                         std::span<const double> born_v) {
@@ -98,7 +101,7 @@ inline double epol_near(const NearField& nf, const AtomsTree& tu,
       const geom::Vec3 pv = tv.tree.point(vi);
       const double qv = tv.charge[vi];
       const double rv = born_v[vi];
-      for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
+      for (std::uint32_t ui = u_begin; ui < u_end; ++ui) {
         const double r2 = geom::dist2(tu.tree.point(ui), pv);
         sum += tu.charge[ui] * qv * inv_f_gb(r2, born_u[ui] * rv, nf.fast);
       }
@@ -108,11 +111,76 @@ inline double epol_near(const NearField& nf, const AtomsTree& tu,
   const double* __restrict vx = tv.soa_x().data();
   const double* __restrict vy = tv.soa_y().data();
   const double* __restrict vz = tv.soa_z().data();
-  const AtomBatch ub = tu.node_batch(u, born_u);
+  const AtomBatch ub = tu.batch(u_begin, u_end, born_u);
   const auto fn = nf.fast ? nf.set->epol_sum_fast : nf.set->epol_sum;
   for (std::uint32_t vi = v_begin; vi < v_end; ++vi)
     sum += fn(vx[vi], vy[vi], vz[vi], tv.charge[vi], born_v[vi], ub);
   return sum;
 }
+
+/// The run rule of the exact near field (DESIGN.md §2.3): consecutive
+/// near leaves of one owner usually abut in tree order, and one kernel
+/// sweep over their union pays the call, the horizontal sum and the
+/// scalar remainder once per atom instead of once per leaf. A NearRun
+/// holds the pending run [begin, end) and its weight. add() extends it
+/// when [b, e) starts where it ends with the same weight; otherwise (a
+/// gap, a new weight) it hands the pending run to `sweep(begin, end,
+/// weight)` first. flush() hands over what is pending. Every exact sum's
+/// association is thus a function of the decision sequence alone: paths
+/// that issue the same near decisions in the same order through a
+/// NearRun sum bitwise alike.
+struct NearRun {
+  std::uint32_t begin = 0, end = 0;  ///< pending run; empty: none
+  double weight = 0.0;
+
+  template <class Sweep>
+  void add(std::uint32_t b, std::uint32_t e, double w, Sweep&& sweep) {
+    if (b != end || w != weight) {
+      flush(sweep);
+      begin = b;
+      weight = w;
+    }
+    end = e;
+  }
+
+  template <class Sweep>
+  void flush(Sweep&& sweep) {
+    if (begin != end) sweep(begin, end, weight);
+    begin = end;
+  }
+};
+
+/// The exact Born near field of one owner: T_A leaf `a` against its near
+/// T_Q leaves in decision order, one born_near sweep per run. The walk's
+/// evaluate sink, plan replay and plan_test's serial oracle all go
+/// through it, so their atom_s sums are bitwise equal.
+class BornNearRuns {
+ public:
+  BornNearRuns(const NearField& nf, const AtomsTree& ta,
+               const octree::Octree::Node& a, const QPointsTree& tq,
+               double* atom_s)
+      : nf_(nf), ta_(ta), tq_(tq), a_begin_(a.begin), a_end_(a.end),
+        atom_s_(atom_s) {}
+
+  /// One near decision: T_Q leaf `q`.
+  void add(const octree::Octree::Node& q) {
+    run_.add(q.begin, q.end, 1.0, *this);
+  }
+  /// The owner's decisions are over.
+  void flush() { run_.flush(*this); }
+
+  /// The sweep of one run.
+  void operator()(std::uint32_t q_begin, std::uint32_t q_end, double) const {
+    born_near(nf_, ta_, a_begin_, a_end_, tq_, q_begin, q_end, atom_s_);
+  }
+
+ private:
+  const NearField& nf_;
+  const AtomsTree& ta_;
+  const QPointsTree& tq_;
+  std::uint32_t a_begin_, a_end_;
+  double* atom_s_;
+  NearRun run_;
+};
 
 }  // namespace octgb::core::detail

@@ -475,15 +475,13 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
             }
             // Near pairs: the owner is an A-leaf, and its atom range
             // [a.begin, a.end) of atom_s is exclusive to this task. The
-            // q-outer / atom-inner loop hands every atom its additions in
-            // the walk's order.
+            // walk's run helper over the list in the walk's order hands
+            // every atom the walk's run sums in the walk's order.
+            detail::BornNearRuns runs(nf, ta, a, tq, ps);
             for (std::uint32_t k = near_begin_[g]; k < near_begin_[g + 1];
-                 ++k) {
-              const Octree::Node& q = tq.tree.node(near_q_[k]);
-              detail::born_near(
-                  nf, ta, a, tq, q,
-                  [ps](std::uint32_t ai, double v) { ps[ai] += v; });
-            }
+                 ++k)
+              runs.add(tq.tree.node(near_q_[k]));
+            runs.flush();
           }
         }
       });

@@ -1,10 +1,13 @@
 #include "octgb/octree/serialize.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "octgb/util/check.hpp"
 #include "octgb/util/io.hpp"
@@ -56,6 +59,27 @@ void read_vec(std::istream& in, std::vector<T>& v, std::size_t n) {
                       << " bytes");
 }
 
+/// The node array in its in-memory layout (the stream format) with the
+/// tail padding zeroed: equal trees give equal bytes.
+void write_nodes(std::ostream& out, std::span<const Octree::Node> nodes) {
+  using Node = Octree::Node;
+  // The fields fill the first kFields bytes without a gap (the sum of
+  // their sizes ends at `depth`); only the tail is padding.
+  static_assert(std::is_standard_layout_v<Node>);
+  constexpr std::size_t kFields = offsetof(Node, depth) + sizeof(Node::depth);
+  static_assert(kFields == sizeof(geom::Vec3) + sizeof(double) +
+                               3 * sizeof(std::uint32_t) +
+                               2 * sizeof(std::uint8_t));
+  std::vector<char> bytes(nodes.size() * sizeof(Node), 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    std::memcpy(bytes.data() + i * sizeof(Node), &nodes[i], kFields);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+bool finite(const geom::Vec3& v) {
+  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
 }  // namespace
 
 void write_octree(const Octree& tree, std::ostream& out) {
@@ -63,9 +87,7 @@ void write_octree(const Octree& tree, std::ostream& out) {
   h.num_nodes = tree.nodes().size();
   h.num_points = tree.num_points();
   write_pod(out, h);
-  out.write(reinterpret_cast<const char*>(tree.nodes().data()),
-            static_cast<std::streamsize>(tree.nodes().size() *
-                                         sizeof(Octree::Node)));
+  write_nodes(out, tree.nodes());
   // The v1 body stores points as AoS Vec3s; gather them from the planes.
   std::vector<geom::Vec3> points(tree.num_points());
   for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = tree.point(i);
@@ -101,6 +123,15 @@ Octree read_octree(std::istream& in) {
   std::vector<geom::Vec3> points;
   std::vector<std::uint32_t> index;
   read_vec(in, nodes, h.num_nodes);
+  // validate() checks every point against its node's ball, which an
+  // infinite radius (and with it any centroid) passes: reject non-finite
+  // node geometry by name first.
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    OCTGB_CHECK_MSG(finite(nodes[id].centroid),
+                    "octree node " << id << " has a non-finite centroid");
+    OCTGB_CHECK_MSG(std::isfinite(nodes[id].radius),
+                    "octree node " << id << " has a non-finite radius");
+  }
   read_vec(in, points, h.num_points);
   read_vec(in, index, h.num_points);
   std::vector<std::uint64_t> keys;
@@ -116,9 +147,16 @@ Octree read_octree(std::istream& in) {
     if (!gv.empty()) {
       grid.origin = {gv[0], gv[1], gv[2]};
       grid.cell = gv[3];
+      OCTGB_CHECK_MSG(finite(grid.origin),
+                      "octree Morton grid origin is non-finite");
+      OCTGB_CHECK_MSG(std::isfinite(grid.cell),
+                      "octree Morton grid cell is non-finite");
+      // Range before the cast: a NaN or out-of-range double has no
+      // uint8_t value.
+      OCTGB_CHECK_MSG(gv[4] >= 1.0 && gv[4] <= kMortonMaxBits,
+                      "octree stream has a malformed Morton grid");
       grid.bits = static_cast<std::uint8_t>(gv[4]);
-      OCTGB_CHECK_MSG(grid.bits >= 1 && grid.bits <= kMortonMaxBits &&
-                          grid.cell > 0.0 &&
+      OCTGB_CHECK_MSG(grid.cell > 0.0 &&
                           gv[4] == static_cast<double>(grid.bits),
                       "octree stream has a malformed Morton grid");
       OCTGB_CHECK_MSG(keys.size() == h.num_points,

@@ -85,7 +85,8 @@ TEST(KernelDiff, RawBornKernelMatchesScalarOnRealLeaves) {
     const auto& ta = engine.atoms_tree();
     const auto& tq = engine.qpoints_tree();
     for (std::uint32_t q_id : tq.tree.leaf_ids()) {
-      const QPointBatch qb = tq.node_batch(tq.tree.node(q_id));
+      const auto& q = tq.tree.node(q_id);
+      const QPointBatch qb = tq.batch(q.begin, q.end);
       for (std::size_t ai = 0; ai < std::min<std::size_t>(ta.num_atoms(), 64);
            ++ai) {
         const double batched = core::batch_born_integral(
@@ -113,7 +114,7 @@ TEST(KernelDiff, RawEpolKernelMatchesScalarOnRealLeaves) {
     const auto& leaves = ta.tree.leaf_ids();
     for (std::size_t li = 0; li < leaves.size(); ++li) {
       const auto& u = ta.tree.node(leaves[li]);
-      const AtomBatch ub = ta.node_batch(u, born_tree);
+      const AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
       const std::uint32_t vi = ta.tree.node(leaves[(li + 1) % leaves.size()])
                                    .begin;
       const double batched =

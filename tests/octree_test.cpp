@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -252,6 +253,37 @@ TEST(OctreeSerialize, RejectsGarbageAndTruncation) {
   bytes.resize(bytes.size() / 2);  // truncate
   std::stringstream truncated(bytes);
   EXPECT_THROW(octree::read_octree(truncated), octgb::util::CheckError);
+}
+
+TEST(OctreeSerialize, WriteIsByteDeterministic) {
+  // Node's fields leave padding bytes; the stream must not carry them. One
+  // tree written twice, a rebuilt equal tree, and the same nodes in records
+  // whose padding holds garbage all give the same bytes.
+  const auto pts = random_points(700, 47);
+  const Octree t = Octree::build(pts);
+  const auto bytes_of = [](const Octree& tree) {
+    std::stringstream buf;
+    octree::write_octree(tree, buf);
+    return buf.str();
+  };
+  const std::string once = bytes_of(t);
+  EXPECT_EQ(bytes_of(t), once);
+  EXPECT_EQ(bytes_of(Octree::build(pts)), once);
+
+  using Node = Octree::Node;
+  constexpr std::size_t pad_at = offsetof(Node, depth) + sizeof(Node::depth);
+  static_assert(pad_at < sizeof(Node), "Node has no tail padding to poison");
+  std::vector<Node> nodes(t.nodes().begin(), t.nodes().end());
+  for (Node& n : nodes)
+    std::memset(reinterpret_cast<unsigned char*>(&n) + pad_at, 0xA5,
+                sizeof(Node) - pad_at);
+  std::vector<geom::Vec3> points(t.num_points());
+  for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = t.point(i);
+  const Octree poisoned = Octree::from_parts(
+      std::move(nodes), points,
+      {t.point_index().begin(), t.point_index().end()},
+      {t.keys().begin(), t.keys().end()}, t.grid());
+  EXPECT_EQ(bytes_of(poisoned), once);
 }
 
 // ---- Morton location codes ---------------------------------------------------
@@ -596,6 +628,68 @@ TEST(OctreeNonFinite, ReadRejectsNanAndInfOnEveryAxis) {
     std::stringstream in(bad);
     expect_rejects([&] { (void)octree::read_octree(in); },
                    "Octree::from_parts", kBad);
+  }
+}
+
+TEST(OctreeNonFinite, ReadRejectsNonFiniteNodeGeometry) {
+  // validate() checks each point against its node's ball, which an
+  // infinite radius passes, and with it any centroid: the reader names the
+  // node (or the grid field) instead of loading the tree.
+  const Octree t = Octree::build(random_points(200, 48));
+  ASSERT_TRUE(t.has_morton());
+  std::stringstream buf;
+  octree::write_octree(t, buf);
+  const std::string bytes = buf.str();
+  const auto expect_named = [](const std::string& stream,
+                               const std::string& name) {
+    std::stringstream in(stream);
+    try {
+      (void)octree::read_octree(in);
+      ADD_FAILURE() << "accepted: " << name;
+    } catch (const octgb::util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  using Node = Octree::Node;
+  constexpr std::size_t kNodesAt = 32;  // after the 32-byte header
+  const std::uint32_t id = t.root().first_child + 1;
+  ASSERT_LT(id, t.nodes().size());
+  const std::size_t node_at = kNodesAt + id * sizeof(Node);
+  const auto poison = [&](std::size_t at, double value) {
+    std::string bad = bytes;
+    std::memcpy(&bad[at], &value, sizeof(double));
+    return bad;
+  };
+  const std::string node = "octree node " + std::to_string(id) + " ";
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(std::to_string(v));
+    expect_named(poison(node_at + offsetof(Node, radius), v),
+                 node + "has a non-finite radius");
+    for (int axis = 0; axis < 3; ++axis)
+      expect_named(
+          poison(node_at + offsetof(Node, centroid) + axis * sizeof(double),
+                 v),
+          node + "has a non-finite centroid");
+  }
+  // Infinite radius and centroid together pass the ball test.
+  std::string both = poison(node_at + offsetof(Node, radius),
+                            std::numeric_limits<double>::infinity());
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(&both[node_at + offsetof(Node, centroid)], &inf, sizeof inf);
+  expect_named(both, node);
+
+  // The grid's five doubles close the stream: origin x, y, z, cell, bits.
+  const std::size_t grid_at = bytes.size() - 5 * sizeof(double);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    SCOPED_TRACE(std::to_string(v));
+    for (int axis = 0; axis < 3; ++axis)
+      expect_named(poison(grid_at + axis * sizeof(double), v),
+                   "Morton grid origin is non-finite");
+    expect_named(poison(grid_at + 3 * sizeof(double), v),
+                 "Morton grid cell is non-finite");
   }
 }
 

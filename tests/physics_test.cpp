@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "octgb/baselines/pb.hpp"
 #include "octgb/core/forces.hpp"
@@ -81,10 +82,22 @@ TEST(Forces, OctreeForcesMatchNaive) {
   ASSERT_EQ(octree_f.size(), naive.size());
   double fscale = 0.0;
   for (const auto& f : naive) fscale = std::max(fscale, f.norm());
+  // The force pass opens nodes at (1 + 2/ε)^¾ (epol_force_threshold); at
+  // the energy's sqrt(1 + 2/ε) its worst error here was 0.0222.
+  double worst = 0.0;
+  std::size_t worst_atom = 0;
   for (std::size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_NEAR((octree_f[i] - naive[i]).norm(), 0.0, 0.03 * fscale)
-        << "atom " << i;
+    const double err = (octree_f[i] - naive[i]).norm();
+    if (err > worst) {
+      worst = err;
+      worst_atom = i;
+    }
   }
+  RecordProperty("worst_error_of_largest_force",
+                 std::to_string(worst / fscale));
+  EXPECT_LE(worst, 0.0105 * fscale)
+      << "atom " << worst_atom << ": " << worst / fscale
+      << " of the largest force";
 }
 
 TEST(Forces, DescentStepLowersEnergy) {

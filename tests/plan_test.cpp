@@ -2,6 +2,7 @@
 // Born-reuse equivalence against the evaluating walk, the owner-major
 // walk (evaluate, parallel capture, serial PlanRecorder capture, validate)
 // against literal serial Fig. 2 / Fig. 1 descents kept here as test code,
+// the run rule of the exact near field and the mirrored-Epol owner rule,
 // key-based invalidation (params, topology), refit validation and drift
 // recapture, and the allocation-free steady state of the warm path and of
 // recapture.
@@ -19,6 +20,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "octgb/core/engine.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/mol/zdock.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/trace/metrics.hpp"
@@ -36,6 +39,7 @@
 // far-gradient pass (not the traversal) with the library, so they can be
 // compared bit for bit.
 #include "../src/core/born_walk.hpp"
+#include "../src/core/epol_walk.hpp"
 #include "../src/core/near_field.hpp"
 
 using namespace octgb;
@@ -104,10 +108,13 @@ surface::Surface shift_leaves(const surface::Surface& surf,
 
 /// Test oracle: the paper's serial Born descents, literally. fig2()
 /// descends T_A once per T_Q leaf, Q-major (APPROX-INTEGRALS, Fig. 2);
-/// fig1() is the simultaneous dual-tree descent (Fig. 1). Every term goes
-/// straight into its slot, in visiting order; each far term's A-side
-/// gradient into its node's `grad` slot, which run() hands to the
-/// library's gradient pass once every near pair is in.
+/// fig1() is the simultaneous dual-tree descent (Fig. 1). Every far term
+/// goes straight into its slot, in visiting order, and its A-side
+/// gradient into its node's `grad` slot. Every exact pair goes on its A
+/// leaf's near list in visiting order; run() then hands each list to the
+/// library's run helper (one kernel sweep per run of abutting Q leaves,
+/// the association every Born path shares) and, once every near pair is
+/// in, the gradients to the library's gradient pass.
 struct SerialDescent {
   const core::AtomsTree& ta;
   const core::QPointsTree& tq;
@@ -115,6 +122,7 @@ struct SerialDescent {
   core::detail::NearField nf;
   std::vector<double> node_s, atom_s;
   std::vector<geom::Vec3> grad;
+  std::vector<std::vector<std::uint32_t>> near_q;  ///< per T_A node
   perf::WorkCounters work;
 
   SerialDescent(const GBEngine& engine, double eps_born, bool strict,
@@ -126,7 +134,8 @@ struct SerialDescent {
         nf(core::detail::select_near_field(kernel, vector, approx_math)),
         node_s(engine.num_ta_nodes(), 0.0),
         atom_s(engine.num_atoms(), 0.0),
-        grad(engine.num_ta_nodes()) {}
+        grad(engine.num_ta_nodes()),
+        near_q(engine.num_ta_nodes()) {}
 
   /// Far or exact at (A, Q); false: refine.
   bool settle(std::uint32_t a_id, std::uint32_t q_id) {
@@ -144,10 +153,7 @@ struct SerialDescent {
     }
     if (!a.is_leaf() || !q.is_leaf()) return false;
     work.born_exact += std::uint64_t{a.size()} * q.size();
-    core::detail::born_near(nf, ta, a, tq, q, [this](std::uint32_t ai,
-                                                     double v) {
-      atom_s[ai] += v;
-    });
+    near_q[a_id].push_back(q_id);
     return true;
   }
 
@@ -176,6 +182,13 @@ struct SerialDescent {
       fig1(0, 0);
     } else {
       for (const std::uint32_t q_leaf : tq.tree.leaf_ids()) fig2(0, q_leaf);
+    }
+    for (std::uint32_t a_id = 0; a_id < near_q.size(); ++a_id) {
+      core::detail::BornNearRuns runs(nf, ta, ta.tree.node(a_id), tq,
+                                      atom_s.data());
+      for (const std::uint32_t q_id : near_q[a_id])
+        runs.add(tq.tree.node(q_id));
+      runs.flush();
     }
     core::detail::add_far_gradients(ta, grad, atom_s);
   }
@@ -644,6 +657,197 @@ TEST(Plan, CaptureForksUnderScheduler) {
   EXPECT_EQ(plan.near_pairs(), recorded.near_pairs());
   EXPECT_EQ(plan.far_pairs(), recorded.far_pairs());
   EXPECT_TRUE(recorded.validate(ta, tq, 1));
+}
+
+// ---- the run rule (DESIGN.md §2.3) -----------------------------------------
+
+TEST(NearRuns, HelperMergesAbuttingRangesAndSplitsOnGapWeightAndFlush) {
+  using Sweep = std::tuple<std::uint32_t, std::uint32_t, double>;
+  std::vector<Sweep> got;
+  const auto sweep = [&](std::uint32_t b, std::uint32_t e, double w) {
+    got.emplace_back(b, e, w);
+  };
+  core::detail::NearRun run;
+  run.flush(sweep);  // nothing pending
+  run.add(0, 4, 1.0, sweep);
+  run.add(4, 9, 1.0, sweep);  // abuts: merged
+  run.add(9, 12, 1.0, sweep);
+  EXPECT_TRUE(got.empty());
+  run.add(13, 15, 1.0, sweep);  // gap
+  run.add(15, 20, 2.0, sweep);  // weight change
+  run.add(20, 22, 2.0, sweep);
+  run.flush(sweep);
+  run.add(22, 30, 2.0, sweep);  // abuts the flushed run: a new one
+  run.flush(sweep);
+  run.flush(sweep);  // nothing pending
+  const std::vector<Sweep> want{
+      {0, 12, 1.0}, {13, 15, 1.0}, {15, 22, 2.0}, {22, 30, 2.0}};
+  EXPECT_EQ(got, want);
+}
+
+namespace {
+
+/// Runs of abutting Q leaves over the near lists of `plan`.
+std::size_t near_runs(const core::InteractionPlan& plan,
+                      const core::QPointsTree& tq) {
+  std::size_t runs = 0;
+  for (std::uint32_t g = 0; g < plan.groups(); ++g) {
+    const auto near = plan.near_list(g);
+    for (std::size_t k = 0; k < near.size(); ++k)
+      if (k == 0 ||
+          tq.tree.node(near[k]).begin != tq.tree.node(near[k - 1]).end)
+        ++runs;
+  }
+  return runs;
+}
+
+}  // namespace
+
+TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
+  // Every Born path coalesces the same runs: the evaluating walk, the
+  // serial recorder capture and the parallel capture + replay give the
+  // same node_s and atom_s bits at 1, 2 and 4 workers, in both flavors,
+  // on a fixture where runs really merge leaves.
+  const Problem p(700);
+  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
+    const bool single = flavor == PlanFlavor::Single;
+    SCOPED_TRACE(single ? "Fig. 2" : "Fig. 1");
+    std::vector<double> want_node_s, want_atom_s;
+    for (int workers : {1, 2, 4}) {
+      const std::string at = std::to_string(workers) + " workers";
+      GBEngine engine(p.molecule, p.surf);
+      const core::AtomsTree& ta = engine.atoms_tree();
+      const core::QPointsTree& tq = engine.qpoints_tree();
+      const auto& approx = engine.config().approx;
+      const simd::VectorParams rvec = simd::resolve(approx.vector);
+      ws::Scheduler sched(workers);
+
+      std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+      std::vector<double> atom_s(engine.num_atoms(), 0.0);
+      perf::WorkCounters walked;
+      sched.run([&] {
+        if (single)
+          core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
+                                 approx.approx_math, node_s, atom_s, walked,
+                                 approx.strict_born_criterion, approx.kernel,
+                                 rvec);
+        else
+          core::approx_integrals_dual(
+              ta, tq, approx.eps_born, approx.approx_math, node_s, atom_s,
+              walked, approx.strict_born_criterion, approx.kernel, rvec);
+      });
+      if (workers == 1) {
+        want_node_s = node_s;
+        want_atom_s = atom_s;
+      }
+      EXPECT_EQ(node_s, want_node_s) << "walk, " << at;
+      EXPECT_EQ(atom_s, want_atom_s) << "walk, " << at;
+
+      const core::PlanKey key{1,      0, approx.eps_born,
+                              approx.strict_born_criterion,
+                              approx.kernel, flavor, approx.locality};
+      const Recorded rec = record_plan(engine, key, engine.q_leaves(), rvec,
+                                       approx.approx_math);
+      EXPECT_EQ(rec.node_s, want_node_s) << "record, " << at;
+      EXPECT_EQ(rec.atom_s, want_atom_s) << "record, " << at;
+      const std::size_t runs = near_runs(rec.plan, tq);
+      EXPECT_GT(runs, 0u);
+      EXPECT_LT(runs, rec.plan.near_pairs()) << "no two near leaves merged";
+
+      EvalScratch scratch;
+      (void)(single ? engine.compute(scratch, &sched)
+                    : engine.compute_dual(scratch, &sched));
+      EXPECT_EQ(scratch.plan_cache.stats.builds, 1u) << at;
+      EXPECT_EQ(scratch.node_s, want_node_s) << "capture + replay, " << at;
+      EXPECT_EQ(scratch.atom_s, want_atom_s) << "capture + replay, " << at;
+    }
+  }
+}
+
+namespace {
+
+/// Collect sink of the Epol walk: every near leaf U with the parent the
+/// walk passes for it.
+struct NearLeaves {
+  std::map<std::uint32_t, std::uint32_t> parent_of;
+  double near(std::uint32_t u_id, std::uint32_t parent,
+              const octree::Octree::Node&, core::detail::EpolCounts&) {
+    parent_of[u_id] = parent;
+    return 0.0;
+  }
+  double far(std::uint32_t, const geom::Vec3&, double,
+             core::detail::EpolCounts&) {
+    return 0.0;
+  }
+};
+
+}  // namespace
+
+TEST(NearRuns, ParentParityOwnerSplitsMutualPairsOnceAndKeepsSiblingsTogether) {
+  // Mirrored Epol: a mutual pair (U, V) — each leaf's descent reaches the
+  // other — is evaluated by exactly one side. The owner rule reads the
+  // parents' parity, so for a parent other than V's, all of its children
+  // are owned from one side, and the lower-id leaf owns about half of all
+  // mutual pairs (the balance of contiguous leaf segments).
+  struct Input {
+    const char* name;
+    mol::Molecule molecule;
+    std::uint32_t max_leaf_size;
+  };
+  const Input inputs[] = {
+      {"zdock 1PPE_l_b", mol::make_benchmark_molecule("1PPE_l_b"), 16},
+      {"cmv shell", mol::make_cmv(0.003), 32},
+  };
+  for (const auto& in : inputs) {
+    const auto ta = core::AtomsTree::build(
+        in.molecule, {.max_leaf_size = in.max_leaf_size});
+    const auto& tree = ta.tree;
+    std::vector<std::uint32_t> parent(tree.nodes().size(), 0);
+    for (std::uint32_t id = 0; id < tree.nodes().size(); ++id)
+      for (std::uint8_t c = 0; c < tree.node(id).child_count; ++c)
+        parent[tree.node(id).first_child + c] = id;
+    for (double eps : {0.5, 0.9}) {
+      SCOPED_TRACE(std::string(in.name) + " eps=" + std::to_string(eps));
+      const double k = core::epol_threshold(eps);
+      std::map<std::uint32_t, NearLeaves> reached;
+      for (const std::uint32_t v_id : tree.leaf_ids()) {
+        const auto& v = tree.node(v_id);
+        core::detail::EpolCounts counts;
+        core::detail::epol_walk(tree, v.centroid, v.radius, k, reached[v_id],
+                                counts);
+        for (const auto& [u_id, p] : reached[v_id].parent_of)
+          ASSERT_EQ(p, parent[u_id]) << "the walk's parent of " << u_id;
+      }
+      std::size_t mutual = 0, lower_owns = 0;
+      // (V, parent of U) → the side that owns V's pairs with its children.
+      std::map<std::pair<std::uint32_t, std::uint32_t>, bool> side;
+      for (const auto& [v_id, near] : reached) {
+        for (const auto& [u_id, pu] : near.parent_of) {
+          if (u_id == v_id || !reached[u_id].parent_of.contains(v_id))
+            continue;
+          const std::uint32_t pv = parent[v_id];
+          const bool from_v =
+              core::detail::owns_mutual_pair(v_id, pv, u_id, pu);
+          const bool from_u =
+              core::detail::owns_mutual_pair(u_id, pu, v_id, pv);
+          EXPECT_NE(from_v, from_u) << "pair " << v_id << ", " << u_id;
+          if (pu != pv) {
+            const auto [it, fresh] = side.try_emplace({v_id, pu}, from_v);
+            EXPECT_EQ(it->second, from_v)
+                << "children of " << pu << " split, seen from " << v_id;
+          }
+          if (v_id < u_id) {
+            ++mutual;
+            lower_owns += from_v;
+          }
+        }
+      }
+      ASSERT_GT(mutual, 100u);
+      const double share = static_cast<double>(lower_owns) / mutual;
+      EXPECT_GE(share, 0.35) << lower_owns << " of " << mutual;
+      EXPECT_LE(share, 0.65) << lower_owns << " of " << mutual;
+    }
+  }
 }
 
 // ---- parallel validate: drift -----------------------------------------------
