@@ -12,10 +12,10 @@
 /// bit for bit (the property faults_test and the CI chaos job enforce).
 ///
 /// The wire format is defensive: decode_checkpoint() returns an error (it
-/// never yields partial state or UB) on bad magic, short reads, or counts
-/// that would overflow the buffer — the same hardening contract as
-/// core/persist.hpp, since a checkpoint read happens exactly when the
-/// system is already degraded.
+/// never yields partial state or UB) on bad magic, short reads, counts
+/// that would overflow the buffer, or non-finite payload values — the
+/// same hardening contract as core/persist.hpp, since a checkpoint read
+/// happens exactly when the system is already degraded.
 
 #include <cstdint>
 #include <mutex>
@@ -44,7 +44,8 @@ struct SuperstepCheckpoint {
 std::string encode_checkpoint(const SuperstepCheckpoint& c);
 
 /// Parse a checkpoint; returns a descriptive error on bad magic, bad
-/// version, truncation at any boundary, or an implausible payload count.
+/// version, truncation at any boundary, an implausible payload count, or a
+/// NaN or infinite payload value (named by its index).
 util::Expected<SuperstepCheckpoint, std::string> decode_checkpoint(
     std::string_view bytes);
 

@@ -81,8 +81,8 @@ struct EvalScratch {
   /// as the phase buffers.
   PlanCache plan_cache;
   /// Count of prepare()/context-rebuild steps that had to grow a buffer's
-  /// capacity. Steady-state warm computes leave it unchanged; tests and
-  /// bench_session assert on exactly that.
+  /// capacity. Steady-state warm computes leave it unchanged; the session
+  /// and plan tests assert on exactly that.
   std::size_t allocation_events = 0;
 
   /// Size-and-zero every phase buffer for an engine with the given tree

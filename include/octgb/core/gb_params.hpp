@@ -71,9 +71,8 @@ struct ApproxParams {
   simd::VectorParams vector;
   /// Locality-aware plan execution (DESIGN.md §2.11): carve replay chunks
   /// along Morton leaf-run boundaries (streaming access instead of
-  /// cost-sorted jumps), software-prefetch the next owner's planes, and
-  /// first-touch the scratch accumulators from the workers that will write
-  /// them. Numerically inert — only the iteration *grouping* changes, never
+  /// cost-sorted jumps) and software-prefetch the next owner's planes.
+  /// Numerically inert — only the iteration *grouping* changes, never
   /// the per-slot accumulation order — so it is excluded from the svc
   /// artifact digest like PlanMode; it does sit in the PlanKey, since
   /// flipping it changes the carving and must recapture.

@@ -162,8 +162,8 @@ class InteractionPlan {
   // --- locality introspection (DESIGN.md §2.11) --------------------------
 
   /// Locality counters of the *last* finalize: runs / run_owners / chunks /
-  /// baseline_chunks are set; prefetch_batches and numa_touch_passes stay
-  /// zero (they are per-replay events the engine accumulates itself).
+  /// baseline_chunks are set; prefetch_batches stays zero (a per-replay
+  /// event the engine accumulates itself).
   const perf::LocalityCounters& locality_stats() const { return locality_; }
   /// Prefetch issues one replay performs (0 when the plan was carved with
   /// locality off).
@@ -178,13 +178,6 @@ class InteractionPlan {
   std::span<const std::uint32_t> owner_order() const { return owner_order_; }
   /// Modeled cost of owner group `g` (point-pair equivalents).
   std::uint64_t group_cost(std::uint32_t g) const { return cost_[g]; }
-  /// Monotone atom_s partition aligned to chunk bounds (size chunks()+1,
-  /// locality carving only): chunk c's near-field writes land mostly in
-  /// [begin[c], begin[c+1]). Feed to perf::touch_zero_by_domain together
-  /// with a chunk→socket map to first-touch the accumulators NUMA-locally.
-  std::span<const std::size_t> chunk_atom_begin() const {
-    return chunk_atom_begin_;
-  }
 
   // --- replay path ------------------------------------------------------
 
@@ -259,7 +252,6 @@ class InteractionPlan {
   std::vector<std::uint32_t> owner_order_;  ///< group execution order
   std::vector<std::uint32_t> chunk_begin_;  ///< owner_order_ chunk bounds
   std::vector<std::uint32_t> run_begin_;    ///< owner_order_ run bounds
-  std::vector<std::size_t> chunk_atom_begin_;  ///< atom_s split per chunk
   perf::LocalityCounters locality_{};
   std::uint64_t prefetches_per_replay_ = 0;
 

@@ -37,6 +37,9 @@ struct AtomsTree {
   std::span<const double> soa_y() const { return tree.soa_y(); }
   std::span<const double> soa_z() const { return tree.soa_z(); }
 
+  /// Throws util::CheckError naming the input index of the first atom
+  /// with a NaN or infinite charge, or a NaN, infinite or negative vdW
+  /// radius (a zero radius is legal).
   static AtomsTree build(const mol::Molecule& mol,
                          const octree::BuildParams& params = {});
 

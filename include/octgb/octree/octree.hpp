@@ -12,8 +12,9 @@
 /// The sorted point order doubles as the SoA leaf-plane order: the tree
 /// owns its coordinate planes (soa_x/y/z), and they are the only copy of
 /// the coordinates it keeps — point() assembles one point from them. The
-/// legacy builder survives as build_legacy(), the test reference the
-/// build-equivalence differential compares against.
+/// legacy recursive partitioner survives only in the tests
+/// (tests/support/legacy_octree.hpp), assembled through from_parts(), as
+/// the reference the build-equivalence differential compares against.
 ///
 /// The same structure stores both the atoms octree T_A and the
 /// quadrature-points octree T_Q; per-point payloads (charges, Born radii,
@@ -52,7 +53,7 @@ class Octree {
     geom::Vec3 centroid;        ///< geometric center of the points under it
     double radius = 0.0;        ///< exact radius of the smallest centroid-
                                 ///< centered ball enclosing all points under
-                                ///< it (both builders; see DESIGN.md §2.9)
+                                ///< it (see DESIGN.md §2.9)
     std::uint32_t begin = 0;    ///< first point (tree order)
     std::uint32_t end = 0;      ///< one past last point (tree order)
     std::uint32_t first_child = kNoChild;
@@ -72,12 +73,6 @@ class Octree {
   /// coordinate.
   static Octree build(std::span<const geom::Vec3> points,
                       const BuildParams& params = {});
-
-  /// The pre-Morton recursive partitioner, kept as the reference the
-  /// build-equivalence differential test (octree_equiv_test) compares
-  /// against and as the serial baseline bench_octree_build times.
-  static Octree build_legacy(std::span<const geom::Vec3> points,
-                             const BuildParams& params = {});
 
   /// Morton build over a caller-pinned grid instead of the points' own
   /// bounding cube. resort() is defined as bit-identical to this.

@@ -135,8 +135,8 @@ static_assert(sizeof(PlanCounters) ==
               "PlanCounters field added: update kFieldCount, operator+=, "
               "and trace::MetricsRegistry::add_plan");
 
-/// Locality-aware plan-execution statistics (core/plan.hpp run coalescing
-/// + the NUMA first-touch pass, DESIGN.md §2.11). Counts what the
+/// Locality-aware plan-execution statistics (core/plan.hpp run coalescing,
+/// DESIGN.md §2.11). Counts what the
 /// locality-aware finalize carved and what the replay loops did with it;
 /// exported under the `plan.locality.*` metric names by
 /// trace::MetricsRegistry::add_locality (schema in OBSERVABILITY.md).
@@ -146,10 +146,9 @@ struct LocalityCounters {
   std::uint64_t chunks = 0;        ///< chunks carved along run boundaries
   std::uint64_t baseline_chunks = 0;  ///< chunks the cost-only carving yields
   std::uint64_t prefetch_batches = 0; ///< next-run prefetch batches issued
-  std::uint64_t numa_touch_passes = 0;  ///< domain-partitioned touch passes
 
   /// Field count guard, mirroring WorkCounters.
-  static constexpr std::size_t kFieldCount = 6;
+  static constexpr std::size_t kFieldCount = 5;
 
   /// Field-wise accumulation (per-plan counters into run totals).
   LocalityCounters& operator+=(const LocalityCounters& o) {
@@ -158,7 +157,6 @@ struct LocalityCounters {
     chunks += o.chunks;
     baseline_chunks += o.baseline_chunks;
     prefetch_batches += o.prefetch_batches;
-    numa_touch_passes += o.numa_touch_passes;
     return *this;
   }
 
@@ -229,12 +227,12 @@ static_assert(sizeof(ServiceCounters) ==
 /// its own instance (Octree::build_stats()) so concurrent service builds
 /// never share a counter; benches accumulate them into run totals. All
 /// counts are deterministic functions of the input and the BuildParams —
-/// bench_octree_build's CI gate asserts they stay flat across repeats.
+/// octree_equiv_test asserts a cold build's counts on either side of the
+/// parallel-sort threshold.
 /// Exported under the `tree.build.*` metric names by
 /// trace::MetricsRegistry::add_tree_build (schema in OBSERVABILITY.md).
 struct TreeBuildCounters {
   std::uint64_t morton_builds = 0;  ///< sort-based linear-octree builds
-  std::uint64_t legacy_builds = 0;  ///< recursive reference builds
   std::uint64_t points_sorted = 0;  ///< (key, id) pairs sorted
   std::uint64_t sort_passes = 0;    ///< radix permute passes (serial path)
   std::uint64_t nodes_emitted = 0;  ///< nodes written (all builds/resorts)
@@ -243,12 +241,11 @@ struct TreeBuildCounters {
   std::uint64_t resort_moved = 0;   ///< points whose Morton key changed
 
   /// Field count guard, mirroring WorkCounters.
-  static constexpr std::size_t kFieldCount = 8;
+  static constexpr std::size_t kFieldCount = 7;
 
   /// Field-wise accumulation (per-tree counters into run totals).
   TreeBuildCounters& operator+=(const TreeBuildCounters& o) {
     morton_builds += o.morton_builds;
-    legacy_builds += o.legacy_builds;
     points_sorted += o.points_sorted;
     sort_passes += o.sort_passes;
     nodes_emitted += o.nodes_emitted;

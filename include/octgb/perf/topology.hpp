@@ -10,8 +10,6 @@
 /// (DESIGN.md §2.11) can act on it:
 ///   - ws::Scheduler derives hierarchical steal-victim tiers (same L3 →
 ///     same socket → remote) from the per-cpu domain ids;
-///   - InteractionPlan's NUMA first-touch pass partitions the SoA planes
-///     across socket domains;
 ///   - MachineModel::from_topology folds the discovered shape into the
 ///     modeled cache-pressure terms.
 ///
@@ -22,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -85,20 +82,5 @@ CpuTopology flat_topology(int n);
 /// The host's topology, discovered once from /sys/devices/system/cpu on
 /// first use and cached for the process lifetime. Thread-safe.
 const CpuTopology& topology();
-
-/// First-touch pass: zero `data` with one thread per socket domain, each
-/// pinned to a cpu of its socket, so the backing pages of freshly grown
-/// buffers are faulted in on the NUMA node whose workers will stream them.
-/// `boundary` (size K+1, monotone, boundary.back() == data.size()) carves
-/// `data` into K segments and `domain[k]` names the socket that touches
-/// segment k. Returns false (and touches nothing) when the topology has a
-/// single socket, the pass would be pointless (`data` empty), or the
-/// inputs are malformed — the caller's ordinary zero-fill then stands.
-/// Touching already-resident pages is a redundant (but harmless) zero
-/// sweep: first-touch placement only binds pages on their first write.
-bool touch_zero_by_domain(std::span<double> data,
-                          std::span<const std::size_t> boundary,
-                          std::span<const int> domain,
-                          const CpuTopology& topo);
 
 }  // namespace octgb::perf

@@ -104,12 +104,9 @@ class Scheduler {
   SchedulerStats stats() const;
   void reset_stats();
 
-  /// The cpu id worker `i` is mapped to (pinned or not). Consumers use
-  /// this to first-touch data from the socket that will read it.
+  /// The cpu id worker `i` is mapped to (pinned or not); its victim
+  /// tiers are built from this cpu's topology domains.
   int worker_cpu(int i) const;
-
-  /// The topology victim tiers were built against.
-  const perf::CpuTopology& topo() const { return *topo_; }
 
   /// The scheduler the current thread is executing under, or nullptr.
   static Scheduler* current();

@@ -1,6 +1,7 @@
 #include "octgb/core/checkpoint.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -117,6 +118,10 @@ util::Expected<SuperstepCheckpoint, std::string> decode_checkpoint(
   c.data.resize(count);
   if (count != 0 && !cur.take(c.data.data(), need, "payload"))
     return Result::failure(std::move(cur.error));
+  for (std::size_t i = 0; i < c.data.size(); ++i)
+    if (!std::isfinite(c.data[i]))
+      return Result::failure(util::format(
+          "checkpoint payload value %zu is non-finite (%g)", i, c.data[i]));
   if (cur.pos != cur.bytes.size())
     return Result::failure(util::format(
         "checkpoint has %zu trailing bytes", cur.bytes.size() - cur.pos));

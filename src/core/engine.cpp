@@ -232,32 +232,6 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
     }
     if (act == Action::BornReuse) ++pc.stats.born_reuses;
 
-    // NUMA-conscious placement: re-zero the near-field accumulator socket
-    // by socket from the cores that will write it, mapping chunk → worker
-    // the same way parallel_for's recursive halving does on average (chunk
-    // c → worker ⌊c·W/C⌋). The pass only places pages the kernel has not
-    // backed yet (freshly grown scratch); for warm buffers it is a cheap
-    // redundant zero of memory prepare() already zeroed. Skipped
-    // structurally on single-socket hosts (touch_zero_by_domain returns
-    // false).
-    if (act == Action::Replay && approx.locality && sched != nullptr &&
-        !pc.plan.chunk_atom_begin().empty()) {
-      const auto boundary = pc.plan.chunk_atom_begin();
-      const std::size_t n_chunks = boundary.size() - 1;
-      const auto& topo = sched->topo();
-      if (topo.sockets > 1 && n_chunks > 0) {
-        std::vector<int> domain(n_chunks);
-        const std::size_t w = static_cast<std::size_t>(sched->num_workers());
-        for (std::size_t c = 0; c < n_chunks; ++c) {
-          const int worker = static_cast<int>(c * w / n_chunks);
-          domain[c] = topo.cpu(sched->worker_cpu(worker)).socket;
-        }
-        if (perf::touch_zero_by_domain(scratch.atom_s, boundary, domain,
-                                       topo))
-          ++pc.locality.numa_touch_passes;
-      }
-    }
-
     switch (act) {
       case Action::BornReuse: {
         OCTGB_SPAN("plan.born_reuse");

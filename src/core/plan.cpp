@@ -151,7 +151,7 @@ std::size_t InteractionPlan::capacity() const {
   return owner_.capacity() + near_begin_.capacity() + far_begin_.capacity() +
          near_q_.capacity() + far_q_.capacity() + group_of_node_.capacity() +
          owner_order_.capacity() + chunk_begin_.capacity() +
-         run_begin_.capacity() + chunk_atom_begin_.capacity() +
+         run_begin_.capacity() +
          node_near_.capacity() + node_far_.capacity() + cost_.capacity() +
          sorted_cost_.capacity();
 }
@@ -277,7 +277,6 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
   };
 
   run_begin_.clear();
-  chunk_atom_begin_.clear();
   locality_ = perf::LocalityCounters{};
   prefetches_per_replay_ = 0;
   if (!key_.locality) {
@@ -363,20 +362,6 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
     prefetches_per_replay_ =
         static_cast<std::uint64_t>(groups) -
         std::min<std::uint64_t>(groups, chunks());
-    // Monotone atom_s partition aligned to chunks: stream order makes the
-    // first owner's range start per chunk non-decreasing, so the clamped
-    // starts form a valid boundary array for domain-aware first touch.
-    const std::size_t n_atoms = ta.tree.num_points();
-    chunk_atom_begin_.assign(chunks() + 1, 0);
-    for (std::size_t c = 1; c < chunks(); ++c) {
-      const auto& first = ta.tree.node(owner_[owner_order_[chunk_begin_[c]]]);
-      chunk_atom_begin_[c] =
-          std::max<std::size_t>(chunk_atom_begin_[c - 1], first.begin);
-    }
-    chunk_atom_begin_.back() = n_atoms;
-    for (std::size_t c = chunks(); c-- > 1;)
-      chunk_atom_begin_[c] =
-          std::min(chunk_atom_begin_[c], chunk_atom_begin_[c + 1]);
   }
 
   base_work_ = captured_work;
@@ -392,7 +377,6 @@ std::size_t InteractionPlan::footprint_bytes() const {
           chunk_begin_.capacity() + run_begin_.capacity() +
           node_near_.capacity() + node_far_.capacity()) *
              sizeof(std::uint32_t) +
-         chunk_atom_begin_.capacity() * sizeof(std::size_t) +
          (cost_.capacity() + sorted_cost_.capacity()) * sizeof(std::uint64_t) +
          born_tree_.capacity() * sizeof(double);
 }

@@ -1,5 +1,7 @@
 #include "octgb/core/trees.hpp"
 
+#include <cmath>
+
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 
@@ -10,6 +12,16 @@ AtomsTree AtomsTree::build(const mol::Molecule& mol,
   OCTGB_SPAN("tree.build.atoms");
   AtomsTree t;
   const auto atoms = mol.atoms();
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    OCTGB_CHECK_MSG(std::isfinite(atoms[i].charge),
+                    "AtomsTree::build: atom " << i
+                                              << " has a non-finite charge "
+                                              << atoms[i].charge);
+    OCTGB_CHECK_MSG(std::isfinite(atoms[i].radius) && atoms[i].radius >= 0.0,
+                    "AtomsTree::build: atom "
+                        << i << " has a non-finite or negative vdw radius "
+                        << atoms[i].radius);
+  }
   std::vector<geom::Vec3> centers(atoms.size());
   for (std::size_t i = 0; i < atoms.size(); ++i) centers[i] = atoms[i].pos;
   t.tree = octree::Octree::build(centers, params);

@@ -39,7 +39,8 @@ void check_finite(std::span<const geom::Vec3> pts, const char* op) {
 /// Exact centroid and exact enclosing radius of one node: a flat pass over
 /// its own contiguous range. The result depends only on the node's range,
 /// never on other nodes, so serial and parallel sweeps agree bitwise —
-/// and so do the legacy and Morton builders when their partitions match.
+/// and so does the tests' legacy partitioner, whose geometry is a refit,
+/// when its partition matches.
 /// (An earlier draft aggregated internal radii hierarchically from child
 /// bounds in O(#nodes); the conservative enclosure shifted traversal
 /// admissibility enough to push deep-tree energies out of their accuracy
@@ -54,8 +55,8 @@ void node_geometry(Octree::Node& nd, const Octree& t) {
   nd.radius = std::sqrt(r2);
 }
 
-/// Serial geometry sweep over `nodes` (the node array of `t`; legacy
-/// build + refit). O(Σ node sizes) = O(N · depth).
+/// Serial geometry sweep over `nodes` (the node array of `t`; refit).
+/// O(Σ node sizes) = O(N · depth).
 void exact_geometry(std::span<Octree::Node> nodes, const Octree& t) {
   for (Octree::Node& nd : nodes) node_geometry(nd, t);
 }
@@ -69,18 +70,6 @@ void morton_geometry(std::span<Octree::Node> nodes, const Octree& t) {
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t id = lo; id < hi; ++id) node_geometry(nodes[id], t);
       });
-}
-
-// ---------------------------------------------------------------------------
-// Legacy recursive partitioner (reference implementation).
-
-struct BuildCell {
-  geom::Vec3 center;
-  double half;
-};
-
-int octant_of(const geom::Vec3& p, const geom::Vec3& c) {
-  return (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0) | (p.z >= c.z ? 4 : 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +161,8 @@ struct MortonBuilder {
   /// Derive the node array from the sorted keys: at each node, the eight
   /// child runs are found by binary search on the key digit of the node's
   /// level (a longest-common-prefix split of the sorted sequence). Nodes
-  /// are emitted in the exact order of the legacy builder — children
+  /// are emitted in the exact order of the legacy recursive partitioner
+  /// (kept as a test reference in tests/support) — children
   /// allocated contiguously when their parent is processed, work stacked
   /// in ascending-digit order — so identical partitions yield identical
   /// node arrays. A range becomes a leaf when it is small enough, the
@@ -314,122 +304,6 @@ Octree Octree::build_with_grid(std::span<const geom::Vec3> input,
   return MortonBuilder::build(input, grid, params);
 }
 
-Octree Octree::build_legacy(std::span<const geom::Vec3> input,
-                            const BuildParams& params) {
-  OCTGB_SPAN("tree.build.legacy");
-  Octree t;
-  if (input.empty()) return t;
-  ++t.stats_.legacy_builds;
-
-  // Partition a local copy; the planes are filled once at the end.
-  std::vector<geom::Vec3> pts(input.begin(), input.end());
-  t.point_index_.resize(input.size());
-  for (std::uint32_t i = 0; i < input.size(); ++i) t.point_index_[i] = i;
-
-  const geom::Aabb box = geom::Aabb::of(input).cubified();
-  const BuildCell root_cell{box.center(),
-                            std::max(box.max_extent() * 0.5, 1e-9)};
-
-  // Work item: node id already allocated; subdivide or finalize as a leaf.
-  struct WorkItem {
-    std::uint32_t node_id;
-    BuildCell cell;
-  };
-  std::vector<WorkItem> stack;
-
-  t.nodes_.push_back(Node{});
-  t.nodes_[0].begin = 0;
-  t.nodes_[0].end = static_cast<std::uint32_t>(input.size());
-  t.nodes_[0].depth = 0;
-  stack.push_back({0, root_cell});
-
-  std::array<std::uint32_t, 9> bucket_start;
-  while (!stack.empty()) {
-    const WorkItem item = stack.back();
-    stack.pop_back();
-    Node node = t.nodes_[item.node_id];  // copy; vector may reallocate below
-    const std::uint32_t n = node.size();
-    t.max_depth_ = std::max(t.max_depth_, static_cast<int>(node.depth));
-
-    const bool make_leaf =
-        n <= params.max_leaf_size || node.depth >= params.max_depth;
-    if (!make_leaf) {
-      // Count points per octant, then partition the range stably into
-      // contiguous buckets (counting sort over 8 keys).
-      std::array<std::uint32_t, 8> count{};
-      for (std::uint32_t i = node.begin; i < node.end; ++i)
-        ++count[octant_of(pts[i], item.cell.center)];
-
-      bucket_start[0] = node.begin;
-      for (int o = 0; o < 8; ++o)
-        bucket_start[o + 1] = bucket_start[o] + count[o];
-
-      // Permute points (and the index map) into octant order.
-      {
-        std::vector<geom::Vec3> tmp_pts(n);
-        std::vector<std::uint32_t> tmp_idx(n);
-        std::array<std::uint32_t, 8> cursor{};
-        for (int o = 0; o < 8; ++o) cursor[o] = bucket_start[o] - node.begin;
-        for (std::uint32_t i = node.begin; i < node.end; ++i) {
-          const int o = octant_of(pts[i], item.cell.center);
-          tmp_pts[cursor[o]] = pts[i];
-          tmp_idx[cursor[o]] = t.point_index_[i];
-          ++cursor[o];
-        }
-        std::copy(tmp_pts.begin(), tmp_pts.end(), pts.begin() + node.begin);
-        std::copy(tmp_idx.begin(), tmp_idx.end(),
-                  t.point_index_.begin() + node.begin);
-      }
-
-      // Allocate the non-empty children contiguously.
-      const auto first_child = static_cast<std::uint32_t>(t.nodes_.size());
-      std::uint8_t created = 0;
-      for (int o = 0; o < 8; ++o) {
-        if (count[o] == 0) continue;
-        Node child;
-        child.begin = bucket_start[o];
-        child.end = bucket_start[o] + count[o];
-        child.depth = static_cast<std::uint8_t>(node.depth + 1);
-        t.nodes_.push_back(child);
-        ++created;
-      }
-      // Degenerate split (all coincident points land in one octant at the
-      // same positions): fall back to a leaf to guarantee progress when
-      // the cell can no longer separate them.
-      if (created == 1 && t.nodes_.back().size() == n &&
-          item.cell.half < 1e-7) {
-        t.nodes_.pop_back();
-        node.first_child = kNoChild;
-        node.child_count = 0;
-      } else {
-        node.first_child = first_child;
-        node.child_count = created;
-        // Push children with their sub-cells.
-        std::uint32_t cid = first_child;
-        for (int o = 0; o < 8; ++o) {
-          if (count[o] == 0) continue;
-          BuildCell cc;
-          cc.half = item.cell.half * 0.5;
-          cc.center = item.cell.center +
-                      geom::Vec3{(o & 1) ? cc.half : -cc.half,
-                                 (o & 2) ? cc.half : -cc.half,
-                                 (o & 4) ? cc.half : -cc.half};
-          stack.push_back({cid, cc});
-          ++cid;
-        }
-      }
-    }
-    t.nodes_[item.node_id] = node;
-  }
-
-  t.assign_planes(pts);
-  exact_geometry(t.nodes_, t);
-  t.finish_derived();
-  t.stats_.nodes_emitted += t.nodes_.size();
-  t.stats_.leaves_emitted += t.leaf_ids_.size();
-  return t;
-}
-
 bool Octree::resort(std::span<const geom::Vec3> positions,
                     const BuildParams& params) {
   OCTGB_CHECK_MSG(positions.size() == num_points(),
@@ -509,7 +383,7 @@ void Octree::refit(std::span<const geom::Vec3> positions) {
   // keys_ intentionally stays at its build-time state: resort() uses it to
   // detect which points have drifted out of their cells since the build.
   //
-  // Both builders store the exact per-node geometry, so this sweep is a
+  // Every build stores the exact per-node geometry, so this sweep is a
   // bitwise no-op on unchanged positions — an identity refit never
   // perturbs traversal partitions or captured plans.
   exact_geometry(nodes_, *this);

@@ -6,10 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 namespace octgb::perf {
 
 namespace {
@@ -155,48 +151,6 @@ const CpuTopology& topology() {
 #endif
   }();
   return host;
-}
-
-bool touch_zero_by_domain(std::span<double> data,
-                          std::span<const std::size_t> boundary,
-                          std::span<const int> domain,
-                          const CpuTopology& topo) {
-  if (topo.sockets <= 1 || data.empty()) return false;
-  if (boundary.size() < 2 || domain.size() + 1 != boundary.size())
-    return false;
-  if (boundary.front() != 0 || boundary.back() != data.size()) return false;
-  for (std::size_t k = 1; k < boundary.size(); ++k)
-    if (boundary[k] < boundary[k - 1]) return false;
-
-  // One representative cpu per socket for pinning the touch threads.
-  std::vector<int> socket_cpu(static_cast<std::size_t>(topo.sockets), -1);
-  for (const auto& c : topo.cpus)
-    if (socket_cpu[static_cast<std::size_t>(c.socket)] < 0)
-      socket_cpu[static_cast<std::size_t>(c.socket)] = c.id;
-
-  std::vector<std::thread> touchers;
-  touchers.reserve(static_cast<std::size_t>(topo.sockets));
-  for (int s = 0; s < topo.sockets; ++s) {
-    touchers.emplace_back([&, s] {
-#ifdef __linux__
-      // Best effort: an affinity failure (restricted mask, offline cpu)
-      // just leaves this thread's pages wherever the kernel puts them.
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<unsigned>(socket_cpu[static_cast<std::size_t>(s)]),
-              &set);
-      (void)sched_setaffinity(0, sizeof(set), &set);
-#endif
-      for (std::size_t k = 0; k + 1 < boundary.size(); ++k) {
-        if (domain[k] % topo.sockets != s) continue;
-        std::fill(data.begin() + static_cast<std::ptrdiff_t>(boundary[k]),
-                  data.begin() + static_cast<std::ptrdiff_t>(boundary[k + 1]),
-                  0.0);
-      }
-    });
-  }
-  for (auto& th : touchers) th.join();
-  return true;
 }
 
 }  // namespace octgb::perf

@@ -121,7 +121,6 @@ void MetricsRegistry::add_svc(const std::string& prefix,
 void MetricsRegistry::add_tree_build(const std::string& prefix,
                                      const perf::TreeBuildCounters& t) {
   add(scoped("tree.build.morton", prefix), t.morton_builds);
-  add(scoped("tree.build.legacy", prefix), t.legacy_builds);
   add(scoped("tree.build.points_sorted", prefix), t.points_sorted);
   add(scoped("tree.build.sort_passes", prefix), t.sort_passes);
   add(scoped("tree.build.nodes", prefix), t.nodes_emitted);
@@ -167,8 +166,6 @@ void MetricsRegistry::add_locality(const std::string& prefix,
   add(scoped("plan.locality.chunks", prefix), l.chunks);
   add(scoped("plan.locality.baseline_chunks", prefix), l.baseline_chunks);
   add(scoped("plan.locality.prefetch_batches", prefix), l.prefetch_batches);
-  add(scoped("plan.locality.numa_touch_passes", prefix),
-      l.numa_touch_passes);
   set(scoped("plan.locality.mean_run_length", prefix), l.mean_run_length());
 }
 

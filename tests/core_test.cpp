@@ -979,6 +979,46 @@ TEST(Engine, BornToInputOrderInvertsPermutation) {
     EXPECT_DOUBLE_EQ(input_order[i], static_cast<double>(i));
 }
 
+TEST(Engine, NonFiniteChargeOrBadRadiusIsRejectedAtIngress) {
+  // A NaN charge would otherwise flow through to a NaN energy. Both entry
+  // points that take a Molecule name the input index and the field.
+  const Problem p(200);
+  constexpr std::size_t kBad = 17;
+  struct Case {
+    bool charge;  // poison the charge (else the vdw radius)
+    double value;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Case c : {Case{true, nan}, Case{true, inf}, Case{true, -inf},
+                       Case{false, nan}, Case{false, inf}, Case{false, -inf},
+                       Case{false, -1.0}}) {
+    const std::string field = c.charge ? "charge" : "vdw radius";
+    SCOPED_TRACE(field + " " + std::to_string(c.value));
+    mol::Molecule bad = p.molecule;
+    mol::Atom& atom = bad.atoms()[kBad];
+    (c.charge ? atom.charge : atom.radius) = c.value;
+    const auto expect_named = [&](const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << "accepted a bad " << field;
+      } catch (const util::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("atom " + std::to_string(kBad) + " "),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+      }
+    };
+    expect_named([&] { (void)core::AtomsTree::build(bad); });
+    expect_named([&] { GBEngine engine(bad, p.surf); });
+  }
+  // A zero radius stays legal.
+  mol::Molecule zero = p.molecule;
+  zero.atoms()[kBad].radius = 0.0;
+  EXPECT_NO_THROW((void)core::AtomsTree::build(zero));
+}
+
 // ---- structural invariance ------------------------------------------------
 
 /// The energy must be (approximation-band) independent of the octree

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -324,6 +325,35 @@ TEST(Checkpoint, TruncationAtEveryByteIsACleanError) {
     ASSERT_FALSE(r.error().empty());
   }
   EXPECT_TRUE(core::decode_checkpoint(bytes).has_value());
+}
+
+TEST(Checkpoint, NonFinitePayloadIsANamedErrorAndReadsAsMissing) {
+  // A checkpoint holds finite partial integrals, radii and energies; a NaN
+  // or infinite value can only come from a corrupted store entry, so the
+  // reader names its index and the store treats the entry as missing.
+  core::SuperstepCheckpoint c;
+  c.phase = "born";
+  c.task = 2;
+  c.data = {3.5, 4.5, 5.5, 6.5};
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t i = 0; i < c.data.size(); ++i) {
+      SCOPED_TRACE(std::to_string(v) + " at " + std::to_string(i));
+      core::SuperstepCheckpoint bad = c;
+      bad.data[i] = v;
+      const auto r = core::decode_checkpoint(core::encode_checkpoint(bad));
+      ASSERT_FALSE(r.has_value());
+      EXPECT_NE(r.error().find("payload value " + std::to_string(i) +
+                               " is non-finite"),
+                std::string::npos)
+          << r.error();
+      core::CheckpointStore store;
+      store.put_checkpoint(bad);
+      EXPECT_FALSE(store.get_checkpoint("born", 2).has_value());
+    }
+  }
+  EXPECT_TRUE(core::decode_checkpoint(core::encode_checkpoint(c)).has_value());
 }
 
 TEST(Checkpoint, OctreeV2StreamTruncationSweepErrorsCleanly) {

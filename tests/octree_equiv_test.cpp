@@ -18,6 +18,7 @@
 #include "octgb/util/check.hpp"
 #include "octgb/util/rng.hpp"
 #include "octgb/ws/scheduler.hpp"
+#include "support/legacy_octree.hpp"
 
 using namespace octgb;
 using octree::BuildParams;
@@ -120,14 +121,13 @@ TEST_P(BuildEquivalence, MortonMatchesLegacyOnRandomClouds) {
   params.max_leaf_size = static_cast<std::uint32_t>(leaf);
   const auto pts = random_points(n, 9000 + n + leaf);
   const Octree morton = Octree::build(pts, params);
-  const Octree legacy = Octree::build_legacy(pts, params);
+  const Octree legacy = test_support::build_legacy(pts, params);
   EXPECT_TRUE(morton.validate());
   EXPECT_TRUE(legacy.validate());
   ASSERT_TRUE(morton.has_morton());
   ASSERT_FALSE(legacy.has_morton());
   expect_same_tree(morton, legacy);
   EXPECT_EQ(morton.build_stats().morton_builds, 1u);
-  EXPECT_EQ(legacy.build_stats().legacy_builds, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,7 +140,7 @@ TEST(BuildEquivalenceProtein, MortonMatchesLegacyOnProteinCloud) {
   // cloud — exercises deep subtrees and uneven octant occupancy.
   const auto pts = protein_points(4000, 77);
   const Octree morton = Octree::build(pts);
-  const Octree legacy = Octree::build_legacy(pts);
+  const Octree legacy = test_support::build_legacy(pts);
   expect_same_tree(morton, legacy);
 }
 
@@ -153,7 +153,7 @@ TEST(BuildEquivalenceProtein, CoincidentPointsDivergeByDesign) {
   BuildParams params;
   params.max_leaf_size = 8;
   const Octree morton = Octree::build(pts, params);
-  const Octree legacy = Octree::build_legacy(pts, params);
+  const Octree legacy = test_support::build_legacy(pts, params);
   EXPECT_TRUE(morton.validate());
   EXPECT_TRUE(legacy.validate());
   EXPECT_EQ(morton.nodes().size(), 1u);
@@ -170,6 +170,24 @@ TEST(BuildEquivalenceProtein, PinnedGridBuildMatchesAutoGrid) {
   const Octree pinned = Octree::build_with_grid(
       pts, octree::MortonGrid::of(pts, params.grid_bits), params);
   expect_bit_identical(auto_grid, pinned);
+}
+
+TEST(BuildEquivalenceProtein, ColdBuildCountersAreFlat) {
+  // One cold build on either side of the 8,192-point threshold at which
+  // the default build sorts in parallel on a private pool: exactly one
+  // build, every point sorted once, emission counts equal to the tree's,
+  // and no resort work.
+  for (const std::size_t n : {std::size_t{3000}, std::size_t{12000}}) {
+    const auto pts = random_points(n, 87);
+    const Octree t = Octree::build(pts);
+    const perf::TreeBuildCounters& stats = t.build_stats();
+    EXPECT_EQ(stats.morton_builds, 1u) << n;
+    EXPECT_EQ(stats.points_sorted, n) << n;
+    EXPECT_EQ(stats.nodes_emitted, t.nodes().size()) << n;
+    EXPECT_EQ(stats.leaves_emitted, t.leaf_ids().size()) << n;
+    EXPECT_EQ(stats.resorts, 0u) << n;
+    EXPECT_EQ(stats.resort_moved, 0u) << n;
+  }
 }
 
 // ---- scheduler determinism ---------------------------------------------------
@@ -269,7 +287,7 @@ TEST(Resort, LegacyTreeRefusesToResort) {
   // Calling resort on a tree without Morton state is a programming error,
   // not a drift outcome — it trips a check instead of returning false.
   const auto pts = random_points(300, 85);
-  Octree t = Octree::build_legacy(pts);
+  Octree t = test_support::build_legacy(pts);
   EXPECT_THROW(t.resort(pts, {}), util::CheckError);
 }
 

@@ -13,6 +13,7 @@
 #include "octgb/octree/nblist.hpp"
 #include "octgb/octree/octree.hpp"
 #include "octgb/util/rng.hpp"
+#include "support/legacy_octree.hpp"
 
 using namespace octgb;
 using octree::BuildParams;
@@ -460,7 +461,7 @@ TEST(OctreeSerialize, V2RoundTripsMortonStateBitExact) {
 
 TEST(OctreeSerialize, LegacyTreeRoundTripsThroughV2WithoutMortonState) {
   const auto pts = random_points(400, 37);
-  const Octree legacy = Octree::build_legacy(pts);
+  const Octree legacy = test_support::build_legacy(pts);
   ASSERT_FALSE(legacy.has_morton());
   std::stringstream buf;
   octree::write_octree(legacy, buf);
@@ -477,7 +478,7 @@ TEST(OctreeSerialize, V1StreamStillLoads) {
   // stripping them and patching the version field back to 1 reproduces the
   // old format byte for byte.
   const auto pts = random_points(350, 38);
-  const Octree legacy = Octree::build_legacy(pts);
+  const Octree legacy = test_support::build_legacy(pts);
   std::stringstream buf;
   octree::write_octree(legacy, buf);
   std::string bytes = buf.str();

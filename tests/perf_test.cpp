@@ -112,12 +112,12 @@ TEST(WorkCounters, SumCoversEveryField) {
 
 // Same guard for the octree-construction counters.
 TEST(TreeBuildCounters, SumCoversEveryField) {
-  static_assert(TreeBuildCounters::kFieldCount == 8,
+  static_assert(TreeBuildCounters::kFieldCount == 7,
                 "new TreeBuildCounters field: extend this test's field list");
   TreeBuildCounters a;
   std::uint64_t* const fields[TreeBuildCounters::kFieldCount] = {
-      &a.morton_builds, &a.legacy_builds,  &a.points_sorted, &a.sort_passes,
-      &a.nodes_emitted, &a.leaves_emitted, &a.resorts,       &a.resort_moved};
+      &a.morton_builds,  &a.points_sorted, &a.sort_passes, &a.nodes_emitted,
+      &a.leaves_emitted, &a.resorts,       &a.resort_moved};
   for (std::size_t i = 0; i < TreeBuildCounters::kFieldCount; ++i)
     *fields[i] = (i + 1) * 1000 + i;  // all distinct, all nonzero
   TreeBuildCounters b = a;
@@ -235,12 +235,12 @@ TEST(MachineModel, CommCountersAccumulate) {
 
 // Same operator+= coverage guard as WorkCounters / TreeBuildCounters.
 TEST(LocalityCounters, SumCoversEveryField) {
-  static_assert(LocalityCounters::kFieldCount == 6,
+  static_assert(LocalityCounters::kFieldCount == 5,
                 "new LocalityCounters field: extend this test's field list");
   LocalityCounters a;
   std::uint64_t* const fields[LocalityCounters::kFieldCount] = {
-      &a.runs,          &a.run_owners,       &a.chunks,
-      &a.baseline_chunks, &a.prefetch_batches, &a.numa_touch_passes};
+      &a.runs, &a.run_owners, &a.chunks, &a.baseline_chunks,
+      &a.prefetch_batches};
   for (std::size_t i = 0; i < LocalityCounters::kFieldCount; ++i)
     *fields[i] = (i + 1) * 1000 + i;  // all distinct, all nonzero
   LocalityCounters b = a;
@@ -377,29 +377,3 @@ TEST(CpuTopology, HostDiscoveryYieldsSaneSingleton) {
   EXPECT_EQ(&topology(), &t);  // one singleton
 }
 
-TEST(CpuTopology, DomainTouchZeroesExactlyOnMultiSocket) {
-  const CpuTopology two = [] {
-    CpuTopology t = flat_topology(4);
-    t.flat_fallback = false;
-    t.sockets = 2;
-    t.l3_domains = 2;
-    for (int i = 0; i < 4; ++i) t.cpus[static_cast<std::size_t>(i)] =
-        CpuTopology::Cpu{i, i < 2 ? 0 : 1, i < 2 ? 0 : 1, i};
-    return t;
-  }();
-  std::vector<double> data(100, 1.0);
-  const std::size_t boundary[] = {0, 30, 60, 100};
-  const int domain[] = {0, 1, 0};
-  EXPECT_TRUE(octgb::perf::touch_zero_by_domain(data, boundary, domain, two));
-  for (double v : data) EXPECT_EQ(v, 0.0);
-  // Single-socket topologies skip the pass entirely.
-  std::vector<double> one(10, 1.0);
-  const std::size_t b1[] = {0, 10};
-  const int d1[] = {0};
-  EXPECT_FALSE(
-      octgb::perf::touch_zero_by_domain(one, b1, d1, flat_topology(2)));
-  EXPECT_EQ(one[0], 1.0);
-  // Malformed boundaries are rejected, not trusted.
-  const std::size_t bad[] = {5, 10};
-  EXPECT_FALSE(octgb::perf::touch_zero_by_domain(one, bad, d1, two));
-}

@@ -1149,23 +1149,16 @@ TEST(Plan, LocalityCarvingCoalescesRunsAndChunks) {
   EXPECT_GT(l.run_owners, 0u);
   EXPECT_LT(l.runs, l.run_owners);
   EXPECT_GT(l.mean_run_length(), 1.0);
-  // …and the carving must produce at most half the cost-only chunk count
-  // (the bench gate, asserted here on a protein input).
+  // …and the carving must produce at most half the cost-only chunk count.
   EXPECT_GT(l.baseline_chunks, 0u);
   EXPECT_LE(2 * l.chunks, l.baseline_chunks);
   EXPECT_EQ(l.chunks, plan.chunks());
-  // Introspection shape: chunk bounds tile owner_order, runs tile it too,
-  // and the atom partition is monotone from 0 to the atom count.
+  // Introspection shape: chunk bounds tile owner_order, runs tile it too.
   ASSERT_FALSE(plan.chunk_offsets().empty());
   EXPECT_EQ(plan.chunk_offsets().front(), 0u);
   EXPECT_EQ(plan.chunk_offsets().back(), plan.owner_order().size());
   ASSERT_FALSE(plan.run_offsets().empty());
   EXPECT_EQ(plan.run_offsets().back(), plan.owner_order().size());
-  const auto ab = plan.chunk_atom_begin();
-  ASSERT_EQ(ab.size(), plan.chunks() + 1);
-  EXPECT_EQ(ab.front(), 0u);
-  EXPECT_EQ(ab.back(), p.molecule.size());
-  for (std::size_t c = 1; c < ab.size(); ++c) EXPECT_LE(ab[c - 1], ab[c]);
 }
 
 TEST(Plan, LocalityOffKeepsCostSortedCarving) {
@@ -1179,7 +1172,6 @@ TEST(Plan, LocalityOffKeepsCostSortedCarving) {
   const perf::LocalityCounters& l = plan.locality_stats();
   EXPECT_EQ(l.runs, 0u);             // no run detection off-path
   EXPECT_TRUE(plan.run_offsets().empty());
-  EXPECT_TRUE(plan.chunk_atom_begin().empty());
   EXPECT_EQ(l.chunks, l.baseline_chunks);  // its own carving IS the baseline
   EXPECT_EQ(plan.prefetches_per_replay(), 0u);
 }
@@ -1209,7 +1201,6 @@ TEST(Plan, MetricsRegistryExportsLocalityCounters) {
   l.chunks = 10;
   l.baseline_chunks = 25;
   l.prefetch_batches = 7;
-  l.numa_touch_passes = 1;
   trace::MetricsRegistry reg;
   reg.add_locality("", l);
   EXPECT_EQ(reg.get_int("plan.locality.runs"), 4u);
@@ -1217,7 +1208,6 @@ TEST(Plan, MetricsRegistryExportsLocalityCounters) {
   EXPECT_EQ(reg.get_int("plan.locality.chunks"), 10u);
   EXPECT_EQ(reg.get_int("plan.locality.baseline_chunks"), 25u);
   EXPECT_EQ(reg.get_int("plan.locality.prefetch_batches"), 7u);
-  EXPECT_EQ(reg.get_int("plan.locality.numa_touch_passes"), 1u);
   EXPECT_DOUBLE_EQ(reg.get_real("plan.locality.mean_run_length"), 3.0);
   trace::MetricsRegistry tiers;
   tiers.add_steal_tiers("", 5, 3, 2, 0);

@@ -528,6 +528,55 @@ TEST(Session, CrossScreenRotatedPoseMatchesABinTableBuiltInThePose) {
   EXPECT_EQ(screen[0].delta, cross);
 }
 
+TEST(Session, WarmPoseStreamIsAllocationFreeAndRepeatable) {
+  // A docking-style stream: small rigid wiggles of the ligand about its
+  // own centre (rotation about z plus a radial breathing step), scored in
+  // Full mode, then in CrossScreen mode, then in Full mode again. Once the
+  // first pass has sized the scratch, neither later pass may grow it, and
+  // the second Full pass must reproduce the first bit for bit.
+  const Complex c(600, 150, 18.0);
+  const surface::SurfaceParams sp{.subdivision = 1};
+  const auto surf = surface::build_surface(c.combined, sp);
+  ScoringSession session(c.combined, surf, {}, sp);
+  (void)session.evaluate();
+
+  geom::Vec3 lig_center;
+  for (std::size_t i = c.ligand_begin; i < c.combined.size(); ++i)
+    lig_center += c.combined.atom(i).pos;
+  lig_center = lig_center /
+               static_cast<double>(c.combined.size() - c.ligand_begin);
+  std::vector<geom::RigidTransform> poses;
+  for (int p = 0; p < 8; ++p) {
+    const geom::RigidTransform about_center =
+        geom::RigidTransform::translate(lig_center) *
+        geom::RigidTransform::rotate(
+            geom::Mat3::axis_angle({0, 0, 1}, 0.05 * p)) *
+        geom::RigidTransform::translate(-lig_center);
+    poses.push_back(geom::RigidTransform::translate({0.4 * (p % 5), 0, 0}) *
+                    about_center);
+  }
+
+  const auto full = session.score_poses(poses, c.ligand_begin,
+                                        core::PoseMode::Full);
+  const std::size_t events = session.scratch().allocation_events;
+  session.reset_to_base();
+  const auto screen = session.score_poses(poses, c.ligand_begin,
+                                          core::PoseMode::CrossScreen);
+  EXPECT_EQ(session.scratch().allocation_events, events);
+  const auto again = session.score_poses(poses, c.ligand_begin,
+                                         core::PoseMode::Full);
+  EXPECT_EQ(session.scratch().allocation_events, events);
+
+  ASSERT_EQ(full.size(), poses.size());
+  ASSERT_EQ(screen.size(), poses.size());
+  ASSERT_EQ(again.size(), poses.size());
+  for (std::size_t p = 0; p < poses.size(); ++p) {
+    EXPECT_EQ(again[p].epol, full[p].epol) << "pose " << p;
+    EXPECT_EQ(again[p].delta, full[p].delta) << "pose " << p;
+    EXPECT_EQ(again[p].rebuilt, full[p].rebuilt) << "pose " << p;
+  }
+}
+
 // ---- cross-tree Epol kernel -------------------------------------------------
 
 TEST(CrossEpol, MatchesDirectDoubleLoopAtTinyEps) {

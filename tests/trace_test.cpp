@@ -346,7 +346,6 @@ TEST_F(TraceMetrics, AddWorkCoversEveryCounterField) {
 TEST_F(TraceMetrics, AddTreeBuildCoversEveryCounterField) {
   perf::TreeBuildCounters t;
   t.morton_builds = 1;
-  t.legacy_builds = 2;
   t.points_sorted = 3;
   t.sort_passes = 4;
   t.nodes_emitted = 5;
