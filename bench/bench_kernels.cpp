@@ -86,8 +86,8 @@ BENCHMARK(BM_SurfaceBuild)->Arg(1000)->Arg(4000);
 // distinct code paths under one undifferentiated "batched" label.
 // Variants:
 //   scalar          — KernelKind::Scalar AoS reference
-//   batched/scalar  — autovectorized SoA batch kernels
-//   batched/<isa>   — explicit vector layer (simd/dispatch.hpp)
+//   batched/scalar  — the SoA kernels at width 1 (the Scalar ISA)
+//   batched/<isa>   — the SoA kernels at a vector width
 // Width variants are registered at startup for every compiled-and-
 // runnable ISA (see register_kernel_variants in main), so a narrower
 // host simply produces fewer series instead of error rows.
@@ -180,16 +180,11 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < a_leaves.size(); ++i) {
       const auto& a = ta.tree.node(a_leaves[i]);
       const auto& q = tq.tree.node(q_leaves[i % q_leaves.size()]);
-      if (ks != nullptr) {
+      if (batched) {
         const core::QPointBatch qb = tq.batch(q.begin, q.end);
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
           acc += ks->born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
                                    ta.soa_z()[ai], qb);
-      } else if (batched) {
-        const core::QPointBatch qb = tq.batch(q.begin, q.end);
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-          acc += core::batch_born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
-                                           ta.soa_z()[ai], qb);
       } else {
         for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
           const geom::Vec3 pa = ta.tree.point(ai);
@@ -229,17 +224,11 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const auto& v = ta.tree.node(leaves[i]);
       const auto& u = ta.tree.node(leaves[(i + 1) % leaves.size()]);
-      if (ks != nullptr) {
+      if (batched) {
         const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
           acc += ks->epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
                               ta.charge[vi], born_tree[vi], ub);
-      } else if (batched) {
-        const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
-        for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
-          acc += core::batch_epol_sum(ta.soa_x()[vi], ta.soa_y()[vi],
-                                      ta.soa_z()[vi], ta.charge[vi],
-                                      born_tree[vi], ub);
       } else {
         for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
           const geom::Vec3 pv = ta.tree.point(vi);

@@ -1,15 +1,15 @@
 #pragma once
 /// \file batch_kernels.hpp
-/// Batched structure-of-arrays inner kernels.
+/// The structure-of-arrays views the near- and far-field kernels read.
 ///
 /// The paper's related work notes Amber's *vectorized* shared-memory GB
 /// ([32], Sosa et al.) and reports its own numbers with "no vectorization
-/// used". These kernels are the vectorization-friendly formulation of the
-/// two hot loops — the exact leaf×leaf Born integral and the exact
-/// leaf×leaf GB energy — written over SoA buffers with no data-dependent
-/// branches in the inner loop, so the compiler can auto-vectorize them.
-/// They compute exactly the same sums as the scalar kernels up to
-/// floating-point reassociation; bench_kernels compares their throughput.
+/// used". The two hot loops — the exact leaf×leaf Born integral and the
+/// exact leaf×leaf GB energy — and the bin-pair far field run over the
+/// SoA batches below through the width-templated kernels of
+/// simd/kernels_impl.hpp (simd::kernels; the Scalar ISA is their width-1
+/// instantiation). This header holds the batch views, the far field's
+/// per-term code those kernels share, and split_soa.
 
 #include <cmath>
 #include <cstddef>
@@ -123,8 +123,9 @@ static inline FarBinV far_bin_v(const BinMoments& v, int j, double dx,
 ///   h_rr = f⁻³(¾F_r²/F − 2e·x²·a4).
 /// One exp, one sqrt and two divisions (a4 and f⁻³) per term; fastmath
 /// replaces the sqrt and the second division by one fast_rsqrt. The
-/// scalar table's far_bins and the vector kernels' remainder tails both
-/// call it, so the tails are bitwise the scalar code by construction.
+/// kernels' scalar loop calls it at every width (the whole range at width
+/// 1, the remainder past the vector sweep otherwise), so the remainders
+/// are bitwise the width-1 kernel by construction.
 /// `static`: every translation unit keeps its own copy, compiled under
 /// its own ISA flags (see the ODR note in simd/pack.hpp).
 template <bool Fast>
@@ -173,31 +174,6 @@ static inline double far_term(const BinMoments& u, int i, const FarBinV& v,
 }
 
 }  // namespace detail
-
-/// Born surface integral of one atom at (ax, ay, az) against a q-point
-/// batch: Σ w·n · (r − a) / |r − a|⁶. Points closer than 1e-6 are skipped
-/// branchlessly (their term is multiplied by 0).
-double batch_born_integral(double ax, double ay, double az,
-                           const QPointBatch& q);
-
-/// Exact GB pair sum of one atom (position, charge qv, radius rv) against
-/// an atom batch: Σ q_u qv / f_GB(r², R_u rv). The diagonal (r ≈ 0 with
-/// the same atom) is NOT excluded — callers slice batches accordingly
-/// (the octree kernels include the self term by design).
-double batch_epol_sum(double vx, double vy, double vz, double qv, double rv,
-                      const AtomBatch& atoms);
-
-/// Approximate-math variant of batch_born_integral (§V-C): per-term math
-/// matches the scalar path's inv_r6(r², approx_math = true), i.e. 1/r⁶
-/// via fast_rsqrt, so the batched fastmath mode differs from the scalar
-/// fastmath mode only by reassociation.
-double batch_born_integral_fast(double ax, double ay, double az,
-                                const QPointBatch& q);
-
-/// Approximate-math variant of batch_epol_sum: 1/f_GB via fast_rsqrt and
-/// fast_exp, matching the scalar path's approximate inv_f_gb term by term.
-double batch_epol_sum_fast(double vx, double vy, double vz, double qv,
-                           double rv, const AtomBatch& atoms);
 
 /// Convert AoS Vec3 positions to three SoA arrays (helper for adapters
 /// and tests).

@@ -45,7 +45,8 @@ struct DataDistResult {
   std::vector<DataDistRank> ranks;
   /// Modeled extra communication for the ghost exchange (critical path).
   double ghost_exchange_seconds = 0.0;
-  /// bytes/rank of the replicated baseline, for comparison.
+  /// bytes/rank of the replicated baseline (one worker per rank), for
+  /// comparison (replicated_rank_bytes).
   std::size_t replicated_bytes_per_rank = 0;
 
   std::size_t max_rank_bytes() const;

@@ -32,16 +32,13 @@
 
 namespace octgb::core {
 
-class PlanRecorder;  // core/plan.hpp
-
 /// Dual-tree APPROX-INTEGRALS: accumulates node partials into `node_s`
 /// (one slot per T_A node) and exact leaf sums into `atom_s` (tree
 /// order), exactly like approx_integrals() — the PUSH phase is shared.
 /// Bitwise at every worker count; the walk forks under an active
-/// scheduler. A non-null `recorder` captures every near/far decision into
-/// an InteractionPlan and keeps the walk serial, as in approx_integrals().
-/// `kernel`, `vector` and `approx_math` pick the exact leaf×leaf
-/// arithmetic through the same near-field selector as approx_integrals().
+/// scheduler. `kernel`, `vector` and `approx_math` pick the exact
+/// leaf×leaf arithmetic through the same near-field selector as
+/// approx_integrals().
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s,
@@ -49,7 +46,6 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            perf::WorkCounters& counters,
                            bool strict_criterion = false,
                            KernelKind kernel = KernelKind::Batched,
-                           const simd::VectorParams& vector = {},
-                           PlanRecorder* recorder = nullptr);
+                           const simd::VectorParams& vector = {});
 
 }  // namespace octgb::core

@@ -31,11 +31,10 @@ struct TraceOptions {
 /// implementation (KernelKind::Batched SoA by default; KernelKind::Scalar
 /// keeps the original AoS loops for A/B benchmarking and the differential
 /// tests) — it changes results only by floating-point reassociation.
-/// `approx.vector` additionally routes the Batched kernels through the
-/// explicit-SIMD layer (octgb/simd/) — runtime-dispatched width
-/// (VectorIsa); like approx_math it changes arithmetic only, never the
-/// traversal partition, so it participates in the Born-cache stamp but
-/// not in the PlanKey.
+/// `approx.vector` picks the width the Batched kernels run at
+/// (octgb/simd/, runtime-dispatched; VectorIsa::Scalar is width 1); like
+/// approx_math it changes arithmetic only, never the traversal partition,
+/// so it participates in the Born-cache stamp but not in the PlanKey.
 /// `trace.enabled` opts the compute paths into span recording; tracing
 /// never changes results or operation counts.
 ///
@@ -203,12 +202,10 @@ class GBEngine {
 
   /// Full computation using the legacy dual-tree Born traversal of
   /// Chowdhury & Bajaj [6] (see dual_traversal.hpp) instead of the
-  /// paper's one-tree APPROX-INTEGRALS; the Epol phase is shared.
+  /// paper's one-tree APPROX-INTEGRALS; the Epol phase is shared. One-shot
+  /// like compute(sched): a cold scratch, no plan (the Fig. 1 ablation of
+  /// bench_dual_traversal).
   EnergyResult compute_dual(ws::Scheduler* sched = nullptr) const;
-
-  /// Dual-tree Born variant of compute(EvalScratch&).
-  EvalResult compute_dual(EvalScratch& scratch,
-                          ws::Scheduler* sched = nullptr) const;
 
   /// Energy only, with externally supplied Born radii (input order) — the
   /// octree Epol kernel runs unchanged on HCT/OBC/Still radii, mirroring

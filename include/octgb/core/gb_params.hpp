@@ -23,9 +23,9 @@ struct GBParams {
 
 /// Inner-kernel selection for the exact near-field loops (leaf×leaf Born
 /// integral and leaf×leaf GB energy). `Batched` routes them through the
-/// SoA kernels of batch_kernels.hpp (vectorization-friendly, identical
-/// sums up to floating-point reassociation); `Scalar` keeps the original
-/// AoS loops for A/B comparison and differential testing.
+/// SoA kernel table of the resolved `vector` width (simd/dispatch.hpp;
+/// identical sums up to floating-point reassociation); `Scalar` keeps the
+/// original AoS loops for A/B comparison and differential testing.
 enum class KernelKind { Scalar, Batched };
 
 /// Interaction-plan policy for the EvalScratch compute path (core/plan.hpp).

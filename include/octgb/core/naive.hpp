@@ -16,28 +16,24 @@
 namespace octgb::core {
 
 /// Exact surface-based r⁶ Born radii (Eq. 4 + the intrinsic-radius clamp),
-/// one entry per atom in input order. `kernel` selects the inner loop:
-/// Batched (default) gathers the surface into SoA scratch once and sweeps
-/// it with batch_born_integral; Scalar is the original AoS loop. The two
-/// differ only by floating-point reassociation. Under an active
-/// ws::Scheduler the atoms are split across its workers; every radius is
-/// its own sum, so the result is bitwise the serial one.
+/// one entry per atom in input order: the surface is gathered into SoA
+/// scratch once and swept per atom by the Scalar ISA's Born kernel
+/// (simd::kernels(VectorIsa::Scalar), one sequential sum per atom). Under
+/// an active ws::Scheduler the atoms are split across its workers; every
+/// radius is its own sum, so the result is bitwise the serial one.
 std::vector<double> naive_born_radii(const mol::Molecule& mol,
                                      const surface::Surface& surf,
-                                     perf::WorkCounters* counters = nullptr,
-                                     KernelKind kernel = KernelKind::Batched);
+                                     perf::WorkCounters* counters = nullptr);
 
 /// Exact GB polarization energy (Eq. 2) over all ordered atom pairs,
-/// including the i = j self terms. `born` is in input order. The batched
-/// kernel evaluates the full ordered-pair sum row by row (diagonal
-/// included); the scalar path sums diagonal + 2 × unordered off-diagonal
-/// pairs — identical up to reassociation. Under an active ws::Scheduler
-/// the batched rows are computed in parallel and added in row order, so
-/// the result is bitwise the serial one; the scalar path stays serial.
+/// including the i = j self terms. `born` is in input order. The full
+/// ordered-pair sum runs row by row through the Scalar ISA's GB pair
+/// kernel (diagonal included). Under an active ws::Scheduler the rows
+/// are computed in parallel and added in row order, so the result is
+/// bitwise the serial one.
 double naive_epol(const mol::Molecule& mol, std::span<const double> born,
                   const GBParams& gb = {},
-                  perf::WorkCounters* counters = nullptr,
-                  KernelKind kernel = KernelKind::Batched);
+                  perf::WorkCounters* counters = nullptr);
 
 /// Finalize one Born radius from its accumulated surface integral S
 /// (Fig. 2, PUSH-INTEGRALS-TO-ATOMS line 1): R = max(r_vdw, (S/4π)^(−1/3)).

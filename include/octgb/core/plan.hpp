@@ -3,8 +3,8 @@
 /// Interaction-plan capture & replay: compile the Born-phase octree
 /// traversal into flat SoA execution lists.
 ///
-/// The admissibility structure of APPROX-INTEGRALS (and of the dual-tree
-/// variant) depends only on the tree geometry and on (eps_born,
+/// The admissibility structure of APPROX-INTEGRALS depends only on the
+/// tree geometry and on (eps_born,
 /// strict_criterion) — not on the evaluation-time knobs a ScoringSession
 /// re-dials between calls. An InteractionPlan holds every decision the
 /// serial recursive traversal makes:
@@ -58,8 +58,10 @@
 
 namespace octgb::core {
 
-/// Which starting list the Born walk captures (and re-validates) the
-/// plan's partition from.
+/// Which Born traversal a key describes. The plan captures and
+/// re-validates the Fig. 2 partition only: every key it holds is Single.
+/// Dual names the one-shot Fig. 1 walk (GBEngine::compute_dual), which
+/// never goes through a plan.
 enum class PlanFlavor : std::uint8_t {
   Single,  ///< approx_integrals: every T_Q leaf (Fig. 2)
   Dual,    ///< approx_integrals_dual: the T_Q root (Fig. 1)
@@ -110,8 +112,8 @@ class InteractionPlan {
 
   /// Start a recorder capture for `key` (see PlanRecorder). Invalidates
   /// the previous plan and Born cache; list capacity is kept. Run the
-  /// recorder-instrumented approx_integrals over *every* T_Q leaf (or
-  /// approx_integrals_dual), then finalize().
+  /// recorder-instrumented approx_integrals over *every* T_Q leaf, then
+  /// finalize().
   PlanRecorder begin_capture(const PlanKey& key);
 
   /// Freeze the captured lists: compute per-owner costs, order the owners
@@ -271,9 +273,8 @@ class InteractionPlan {
   perf::WorkCounters born_work_;  ///< full phase A + push counters
 };
 
-/// Append-only sink the instrumented approx_integrals /
-/// approx_integrals_dual write their decisions to (an optional argument
-/// that forces the walk serial). The serial walk visits owners one at a
+/// Append-only sink the instrumented approx_integrals writes its
+/// decisions to (an optional argument that forces the walk serial). The serial walk visits owners one at a
 /// time, so the recorder builds the owner-grouped lists as it goes: a
 /// decision for a new owner opens its group. Perfbench's traced mirror
 /// captures this way; the engine never records.

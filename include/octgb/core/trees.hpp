@@ -54,11 +54,12 @@ struct AtomsTree {
   std::size_t footprint_bytes() const;
 
   /// SoA view of the atoms [begin, end) (tree order: one node, or a run
-  /// of abutting leaves) for batch_epol_sum. The Born plane is supplied by
-  /// the caller as a tree-order span: Born radii are produced per
-  /// evaluation by PUSH-INTEGRALS-TO-ATOMS (each simulated rank holds its
-  /// own `born_tree`), so passing that array *is* the refreshed Born
-  /// plane — caching it in the shared tree would race across ranks.
+  /// of abutting leaves) for the GB pair kernel (KernelSet::epol_sum).
+  /// The Born plane is supplied by the caller as a tree-order span: Born
+  /// radii are produced per evaluation by PUSH-INTEGRALS-TO-ATOMS (each
+  /// simulated rank holds its own `born_tree`), so passing that array
+  /// *is* the refreshed Born plane — caching it in the shared tree would
+  /// race across ranks.
   AtomBatch batch(std::uint32_t begin, std::uint32_t end,
                   std::span<const double> born_tree) const {
     const std::size_t n = end - begin;
@@ -81,7 +82,8 @@ struct NormalMoment {
 ///
 /// Coordinates (the octree's planes) and weighted normals are SoA planes in
 /// tree order, the only copy of each, so each leaf's batch for
-/// batch_born_integral is a set of contiguous subspans.
+/// the Born kernel (KernelSet::born_integral) is a set of contiguous
+/// subspans.
 struct QPointsTree {
   octree::Octree tree;
   std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w_q · n_q, tree order
@@ -120,7 +122,7 @@ struct QPointsTree {
   std::size_t footprint_bytes() const;
 
   /// SoA view of the quadrature points [begin, end) (tree order: one
-  /// node, or a run of abutting leaves) for batch_born_integral.
+  /// node, or a run of abutting leaves) for KernelSet::born_integral.
   QPointBatch batch(std::uint32_t begin, std::uint32_t end) const {
     const std::size_t n = end - begin;
     return QPointBatch{soa_x().subspan(begin, n),

@@ -5,7 +5,9 @@
 ///
 /// The paper divides *leaf nodes evenly by count*; we also provide a
 /// weighted split (balancing the number of points under the leaves), used
-/// by the load-balancing ablation.
+/// by the load-balancing ablation. make_division() assembles the Fig. 4
+/// division every distributed driver runs (run_hybrid, the elastic
+/// driver, sim::simulate_cluster, run_data_distributed).
 
 #include <cstdint>
 #include <span>
@@ -14,6 +16,8 @@
 #include "octgb/octree/octree.hpp"
 
 namespace octgb::core {
+
+class GBEngine;  // core/engine.hpp
 
 /// Contiguous index range [begin, end).
 struct Segment {
@@ -31,5 +35,27 @@ Segment even_segment(std::size_t n, int parts, int index);
 std::vector<Segment> weighted_leaf_segments(const octree::Octree& tree,
                                             std::span<const std::uint32_t> leaves,
                                             int parts);
+
+/// The static Fig. 4 work division of `ranks` processes, identical on
+/// every rank (the paper's replicated-data processes each compute it
+/// locally, and so does every rank process under the out-of-process
+/// transport): segment i of each list is rank i's share.
+struct Division {
+  std::vector<Segment> q_segments;       ///< of q_leaves(): Born integrals
+  std::vector<Segment> a_leaf_segments;  ///< of a_leaves(): node-based Epol
+  std::vector<Segment> atom_segments;    ///< of the atoms: push, atom Epol
+};
+
+/// `engine`'s division over `ranks`: the leaf lists split evenly by count,
+/// or by points under the leaves when `weighted`; the atoms always evenly.
+Division make_division(const GBEngine& engine, int ranks, bool weighted);
+
+/// Bytes one replicated-data process holds: the molecule data (trees +
+/// payloads, GBEngine::footprint_bytes), its private working arrays
+/// (node_s, atom_s and the Born radii) and the work-stealing runtime's
+/// per-worker overhead (deques, reserved stacks) for `threads` workers —
+/// why the paper's measured node-memory ratio is 5.86 rather than
+/// exactly 6.
+std::size_t replicated_rank_bytes(const GBEngine& engine, int threads);
 
 }  // namespace octgb::core

@@ -2,21 +2,22 @@
 /// \file dispatch.hpp
 /// Runtime dispatch table of the explicit vector layer (DESIGN.md §2.7).
 ///
-/// Each supported width is compiled in its own translation unit with the
-/// matching ISA flags (src/simd/kernels_v128.cpp / _v256.cpp) and exposes
-/// exactly one symbol: a factory returning a KernelSet of plain function
-/// pointers. The kernel templates themselves live in an anonymous
-/// namespace inside each TU, so no vague-linkage instantiation compiled
-/// with, say, AVX2 flags can leak into a binary path that runs on a
-/// narrower CPU (the classic multi-ISA ODR trap).
+/// Every width, the Scalar ISA's width 1 included, is one instantiation
+/// of the kernel templates in kernels_impl.hpp, compiled in a translation
+/// unit with the matching ISA flags (width 1 and v128 in
+/// src/simd/kernels_v128.cpp, v256 in _v256.cpp) and exposed through a
+/// factory returning a KernelSet of plain function pointers. The
+/// templates live in an anonymous namespace inside each TU, so no
+/// vague-linkage instantiation compiled with, say, AVX2 flags can leak
+/// into a binary path that runs on a narrower CPU (the classic multi-ISA
+/// ODR trap).
 ///
-/// Callers never branch on width. In the core, the one caller is the
-/// near-field selector (src/core/near_field.hpp): it resolves an
+/// Callers never branch on width. In the core, the callers are the
+/// near-field selector (src/core/near_field.hpp), which resolves an
 /// EngineConfig's VectorParams once per call (simd::resolve), fetches the
-/// KernelSet for the resolved ISA, and streams the SoA leaf planes
-/// through it. `kernels(VectorIsa::Scalar)` is nullptr by design — the
-/// autovectorized batch kernels remain the reference implementation, and
-/// the selector substitutes the core's scalar table built from them.
+/// KernelSet for the resolved ISA and streams the SoA leaf planes through
+/// it, and the naive reference (core/naive.hpp), which runs the Scalar
+/// table.
 
 #include <cstdint>
 
@@ -25,11 +26,11 @@
 
 namespace octgb::simd {
 
-/// Function-pointer table of one compiled width. All kernels compute the
-/// same mathematical sums as their scalar references in core/batch_kernels
-/// and core/epol, differing only by reassociation (vector body + pairwise
-/// lane reduction + scalar remainder tail). Every entry is deterministic:
-/// same inputs → same bits, run to run.
+/// Function-pointer table of one compiled width. Every width computes the
+/// same mathematical sums; the widths differ only by reassociation
+/// (vector body + pairwise lane reduction + scalar remainder loop) and,
+/// in the exact Epol terms, by exp_pd's ≈1 ulp against libm. Every entry
+/// is deterministic: same inputs → same bits, run to run.
 struct KernelSet {
   using BornFn = double (*)(double ax, double ay, double az,
                             const core::QPointBatch& q);
@@ -42,8 +43,8 @@ struct KernelSet {
   /// plus its Taylor terms to second order in the atom offsets and the
   /// product of Born radii, closed over the bins' moments Q, S, T, P, U
   /// and Θ (core::detail::far_term, DESIGN.md §2.1). `binpairs` is
-  /// incremented by exactly the scalar table's count (pairs of occupied
-  /// bins), keeping epol.bins width-invariant.
+  /// incremented by the number of pairs of occupied bins at every width,
+  /// keeping epol.bins width-invariant.
   using FarBinsFn = double (*)(const core::BinMoments& u,
                                const core::BinMoments& v, double dx,
                                double dy, double dz, double d2,
@@ -57,7 +58,7 @@ struct KernelSet {
   FarBinsFn epol_far_bins_fast = nullptr;  ///< approx_math variant
 
   int lanes = 0;                ///< double lanes per vector iteration
-  const char* name = "scalar";  ///< "v128" / "v256"
+  const char* name = "scalar";  ///< "scalar" / "v128" / "v256"
 };
 
 /// Widest ISA whose translation unit was compiled into this binary
@@ -82,23 +83,24 @@ VectorIsa resolve_isa(VectorIsa requested);
 /// spelled.
 VectorParams resolve(VectorParams requested);
 
-/// Kernel table for a *concrete* resolved ISA; nullptr for Scalar (use
-/// the legacy batch kernels). Auto or an unavailable width is resolved
-/// first, so this never returns a table the CPU cannot execute.
+/// Kernel table of `isa` after resolution; never null (Scalar is the
+/// width-1 table). Auto or an unavailable width is resolved first, so
+/// this never returns a table the CPU cannot execute.
 const KernelSet* kernels(VectorIsa isa);
 
 /// Human-readable name ("auto", "scalar", "v128", ...), for labels,
 /// metrics and test output.
 const char* isa_name(VectorIsa isa);
 
-/// Double lanes of a resolved ISA (0 for Scalar — no explicit vector
-/// body). Convenience over kernels(isa)->lanes for metrics code.
+/// Double lanes of a resolved ISA (1 for Scalar). Convenience over
+/// kernels(isa)->lanes for metrics code.
 int lanes(VectorIsa isa);
 
 namespace detail {
-/// Per-TU factories. Defined in kernels_v*.cpp; only the ones selected by
-/// OCTGB_SIMD_MAX_ISA exist. Do not call directly — dispatch.cpp owns the
-/// availability logic.
+/// Per-TU factories. Defined in kernels_v*.cpp; the scalar and v128 ones
+/// always exist, v256 only where OCTGB_SIMD_MAX_ISA selects it. Do not
+/// call directly — dispatch.cpp owns the availability logic.
+const KernelSet* make_kernels_scalar();
 const KernelSet* make_kernels_v128();
 const KernelSet* make_kernels_v256();
 }  // namespace detail

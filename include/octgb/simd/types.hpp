@@ -16,13 +16,13 @@ namespace octgb::simd {
 /// `Auto` resolves to the widest ISA this binary was built with *and* the
 /// running CPU supports (see simd::resolve); an explicit width that is not
 /// available clamps down to the widest one that is, so a config recorded
-/// on an AVX2 host still runs — narrower — everywhere else. `Scalar`
-/// turns the explicit vector layer off entirely and keeps the pre-existing
-/// autovectorized SoA loops (the PR 5 behavior, and the reference the
-/// differential tests compare against).
+/// on an AVX2 host still runs — narrower — everywhere else. `Scalar` is
+/// the width-1 instantiation of the same kernels: no vector body, every
+/// span runs the sequential scalar loop (the arithmetic the naive
+/// reference runs too).
 enum class VectorIsa : std::uint8_t {
   Auto,    ///< widest built + supported width (the default)
-  Scalar,  ///< no explicit SIMD: legacy batched/scalar kernels
+  Scalar,  ///< 1 lane: the kernels' scalar loop over the whole span
   V128,    ///< 2 double lanes — portable GCC vector code (SSE2 / NEON)
   V256,    ///< 4 double lanes — AVX2+FMA translation unit
 };

@@ -148,12 +148,11 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            std::span<double> node_s, std::span<double> atom_s,
                            perf::WorkCounters& counters,
                            bool strict_criterion, KernelKind kernel,
-                           const simd::VectorParams& vector,
-                           PlanRecorder* recorder) {
+                           const simd::VectorParams& vector) {
   // Fig. 1 is the same walk started from the T_Q root (DESIGN.md §2.6).
   const std::uint32_t root = 0;
   approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
-                   counters, strict_criterion, kernel, vector, recorder);
+                   counters, strict_criterion, kernel, vector);
 }
 
 namespace {

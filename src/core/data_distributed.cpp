@@ -101,6 +101,7 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
   const auto& q_leaves = engine.q_leaves();
   const auto& a_leaves = engine.a_leaves();
   const auto n_atoms = engine.num_atoms();
+  const Division div = make_division(engine, ranks, /*weighted=*/false);
 
   DataDistResult result;
   result.ranks.resize(ranks);
@@ -113,15 +114,13 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
   std::vector<double> born_tree(n_atoms, 0.0);
   perf::WorkCounters work;
   for (int r = 0; r < ranks; ++r)
-    engine.phase_integrals(even_segment(q_leaves.size(), ranks, r), node_s,
-                           atom_s, work);
+    engine.phase_integrals(div.q_segments[r], node_s, atom_s, work);
   engine.phase_push({0, static_cast<std::uint32_t>(n_atoms)}, node_s, atom_s,
                     born_tree, work);
   const EpolContext ctx = engine.build_epol_context(born_tree);
   double epol = 0.0;
   for (int r = 0; r < ranks; ++r)
-    epol += engine.phase_epol(ctx, born_tree,
-                              even_segment(a_leaves.size(), ranks, r), work);
+    epol += engine.phase_epol(ctx, born_tree, div.a_leaf_segments[r], work);
   result.epol = epol;
 
   // Accounting: owned payloads + measured ghost sets per rank.
@@ -130,9 +129,9 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
   double worst_ghost_bytes = 0.0;
   for (int r = 0; r < ranks; ++r) {
     DataDistRank& rank = result.ranks[r];
-    const Segment qs = even_segment(q_leaves.size(), ranks, r);
-    const Segment as = even_segment(a_leaves.size(), ranks, r);
-    const Segment atoms = even_segment(n_atoms, ranks, r);
+    const Segment qs = div.q_segments[r];
+    const Segment as = div.a_leaf_segments[r];
+    const Segment atoms = div.atom_segments[r];
 
     rank.owned_atoms = atoms.size();
     for (std::uint32_t li = qs.begin; li < qs.end; ++li)
@@ -181,9 +180,7 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
       worst_ghost_bytes * machine.net_tw +
       static_cast<double>(std::max(0, ranks - 1)) * machine.net_ts;
 
-  result.replicated_bytes_per_rank =
-      engine.footprint_bytes() +
-      (engine.num_ta_nodes() + 2 * n_atoms) * sizeof(double);
+  result.replicated_bytes_per_rank = replicated_rank_bytes(engine, 1);
   return result;
 }
 

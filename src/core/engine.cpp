@@ -183,12 +183,13 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
     trace::counter("kernel.simd.lanes",
                    static_cast<double>(simd::lanes(rvec.isa)));
   }
+  // Only the Fig. 2 walk goes through the plan (compute_dual is one-shot).
   const PlanKey key{engine_id_,
                     topology_epoch_,
                     approx.eps_born,
                     approx.strict_born_criterion,
                     approx.kernel,
-                    flavor,
+                    PlanFlavor::Single,
                     approx.locality};
   enum class Action { Traverse, Capture, Replay, BornReuse };
   Action act = Action::Traverse;
@@ -314,11 +315,6 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
 
 EvalResult GBEngine::compute(EvalScratch& scratch, ws::Scheduler* sched) const {
   return compute_eval(scratch, sched, PlanFlavor::Single, /*allow_plan=*/true);
-}
-
-EvalResult GBEngine::compute_dual(EvalScratch& scratch,
-                                  ws::Scheduler* sched) const {
-  return compute_eval(scratch, sched, PlanFlavor::Dual, /*allow_plan=*/true);
 }
 
 EnergyResult GBEngine::compute(ws::Scheduler* sched) const {

@@ -11,45 +11,6 @@
 
 namespace octgb::core {
 
-namespace {
-
-/// The static Fig. 4 work division: identical on every rank (the paper's
-/// replicated-data processes each compute it locally, and so does every
-/// rank process under the out-of-process transport).
-struct Division {
-  std::vector<Segment> q_segments;
-  std::vector<Segment> a_leaf_segments;
-  std::vector<Segment> atom_segments;
-};
-
-Division make_division(const GBEngine& engine, const HybridConfig& config) {
-  const int P = config.ranks;
-  const auto& q_leaves = engine.q_leaves();
-  const auto& a_leaves = engine.a_leaves();
-  Division d;
-  d.q_segments.resize(P);
-  d.a_leaf_segments.resize(P);
-  d.atom_segments.resize(P);
-  if (config.weighted_division) {
-    auto wq = weighted_leaf_segments(engine.qpoints_tree().tree, q_leaves, P);
-    auto wa = weighted_leaf_segments(engine.atoms_tree().tree, a_leaves, P);
-    for (int i = 0; i < P; ++i) {
-      d.q_segments[i] = wq[i];
-      d.a_leaf_segments[i] = wa[i];
-    }
-  } else {
-    for (int i = 0; i < P; ++i) {
-      d.q_segments[i] = even_segment(q_leaves.size(), P, i);
-      d.a_leaf_segments[i] = even_segment(a_leaves.size(), P, i);
-    }
-  }
-  for (int i = 0; i < P; ++i)
-    d.atom_segments[i] = even_segment(engine.num_atoms(), P, i);
-  return d;
-}
-
-}  // namespace
-
 RankOutcome run_hybrid_rank(const GBEngine& engine,
                             const HybridConfig& config, mpp::Comm& comm) {
   OCTGB_CHECK_MSG(comm.size() == config.ranks,
@@ -58,7 +19,8 @@ RankOutcome run_hybrid_rank(const GBEngine& engine,
   const int r = comm.rank();
   const auto n_nodes = engine.num_ta_nodes();
   const auto n_atoms = engine.num_atoms();
-  const Division div = make_division(engine, config);
+  const Division div =
+      make_division(engine, config.ranks, config.weighted_division);
 
   RankOutcome out;
   perf::WorkCounters& work = out.work;
@@ -185,14 +147,8 @@ HybridResult run_hybrid(const GBEngine& engine, const HybridConfig& config) {
   result.born = engine.born_to_input_order(final_born[0]);
   for (const auto& w : result.work_per_rank) result.work_total += w;
 
-  // Replicated-data accounting: each real process holds the molecule data
-  // (trees + payloads) plus its private working arrays.
-  const auto n_nodes = engine.num_ta_nodes();
-  const auto n_atoms = engine.num_atoms();
   result.bytes_per_rank =
-      engine.footprint_bytes() +
-      (n_nodes + 2 * n_atoms) * sizeof(double) /* node_s, atom_s, born */ +
-      std::size_t{65536} * (config.threads_per_rank - 1) /* ws workers */;
+      replicated_rank_bytes(engine, config.threads_per_rank);
   return result;
 }
 
@@ -228,7 +184,7 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   // run_hybrid's static division. Deaths never change task boundaries —
   // only who computes which task — which is what makes recovery
   // bit-identical.
-  const Division div = make_division(engine, hc);
+  const Division div = make_division(engine, P, hc.weighted_division);
 
   RankOutcome out;
   perf::WorkCounters& work = out.work;
@@ -285,12 +241,24 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
     return data;
   };
 
+  // Task t of `phase` as the store holds it: its payload when the entry
+  // decodes and has the task's size, nothing otherwise. An absent entry
+  // and a corrupt one are both missing, and the task is recomputed.
+  auto stored_task = [&](int phase,
+                         int t) -> std::optional<std::vector<double>> {
+    auto c = store.get_checkpoint(kPhaseNames[phase],
+                                  static_cast<std::uint64_t>(t));
+    const std::size_t size = phase == 0   ? n_nodes + n_atoms
+                             : phase == 1 ? div.atom_segments[t].size()
+                                          : 1;
+    if (!c || c->data.size() != size) return std::nullopt;
+    return std::move(c->data);
+  };
+
   auto missing_tasks = [&](int phase) {
     std::vector<int> missing;
     for (int t = 0; t < P; ++t)
-      if (!store.contains(CheckpointStore::key_of(
-              kPhaseNames[phase], static_cast<std::uint64_t>(t))))
-        missing.push_back(t);
+      if (!stored_task(phase, t)) missing.push_back(t);
     return missing;
   };
 
@@ -299,9 +267,10 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
     // gives scheduled stalls/kills a deterministic place to land even
     // when a phase completes without any control traffic.
     comm.poll();
-    if (store.contains(CheckpointStore::key_of(
-            kPhaseNames[phase], static_cast<std::uint64_t>(t))))
-      return;
+    if (stored_task(phase, t)) return;
+    // An entry that is present but unusable is lost work being redone.
+    const bool corrupt = store.contains(CheckpointStore::key_of(
+        kPhaseNames[phase], static_cast<std::uint64_t>(t)));
     SuperstepCheckpoint c;
     c.phase = kPhaseNames[phase];
     c.task = static_cast<std::uint64_t>(t);
@@ -310,7 +279,7 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
     ++out.tasks_computed;
     // Task t's original owner is rank t; doing someone else's task is
     // recovery (or duplicated) work.
-    if (t != me) ++out.tasks_recomputed;
+    if (t != me || corrupt) ++out.tasks_recomputed;
   };
 
   // Drive one phase to durability. Correctness rests on the store alone:
@@ -399,13 +368,11 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   node_s.assign(n_nodes, 0.0);
   atom_s.assign(n_atoms, 0.0);
   for (int t = 0; t < P; ++t) {
-    auto c = store.get_checkpoint(kPhaseNames[0],
-                                  static_cast<std::uint64_t>(t));
-    OCTGB_CHECK_MSG(c && c->data.size() == n_nodes + n_atoms,
-                    "integrals checkpoint " << t << " lost or corrupt");
-    for (std::size_t i = 0; i < n_nodes; ++i) node_s[i] += c->data[i];
+    const auto data = stored_task(0, t);
+    OCTGB_CHECK_MSG(data, "integrals checkpoint " << t << " lost or corrupt");
+    for (std::size_t i = 0; i < n_nodes; ++i) node_s[i] += (*data)[i];
     for (std::size_t i = 0; i < n_atoms; ++i)
-      atom_s[i] += c->data[n_nodes + i];
+      atom_s[i] += (*data)[n_nodes + i];
   }
 
   // Phase 2: Born radii over the fixed atom segments.
@@ -415,13 +382,10 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   }
   born_tree.assign(n_atoms, 0.0);
   for (int t = 0; t < P; ++t) {
-    auto c = store.get_checkpoint(kPhaseNames[1],
-                                  static_cast<std::uint64_t>(t));
-    const auto seg = div.atom_segments[t];
-    OCTGB_CHECK_MSG(c && c->data.size() == seg.size(),
-                    "born checkpoint " << t << " lost or corrupt");
-    std::copy(c->data.begin(), c->data.end(),
-              born_tree.begin() + seg.begin);
+    const auto data = stored_task(1, t);
+    OCTGB_CHECK_MSG(data, "born checkpoint " << t << " lost or corrupt");
+    std::copy(data->begin(), data->end(),
+              born_tree.begin() + div.atom_segments[t].begin);
   }
 
   // Phase 3: partial energies over the fixed leaf/atom segments.
@@ -432,11 +396,9 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   }
   double epol = 0.0;
   for (int t = 0; t < P; ++t) {
-    auto c = store.get_checkpoint(kPhaseNames[2],
-                                  static_cast<std::uint64_t>(t));
-    OCTGB_CHECK_MSG(c && c->data.size() == 1,
-                    "epol checkpoint " << t << " lost or corrupt");
-    epol += c->data[0];
+    const auto data = stored_task(2, t);
+    OCTGB_CHECK_MSG(data, "epol checkpoint " << t << " lost or corrupt");
+    epol += (*data)[0];
   }
 
   if (sched) {

@@ -23,10 +23,6 @@
 
 namespace octgb::core::detail {
 
-/// Kernel table of the Scalar ISA: the autovectorized batch_* kernels of
-/// batch_kernels.cpp and the skip-zeros bin-pair far-field loop.
-const simd::KernelSet& scalar_kernels();
-
 /// Resolved near-field arithmetic of one evaluation.
 struct NearField {
   const simd::KernelSet* set;  ///< never null
@@ -35,16 +31,15 @@ struct NearField {
 };
 
 /// Resolve once per call. Precedence: KernelKind::Scalar runs the AoS
-/// loops and the scalar table's far field whatever the ISA; otherwise the
-/// resolved ISA's table runs (the scalar table for the Scalar ISA), with
-/// approx_math selecting its *_fast entries.
+/// loops and the Scalar ISA's far field whatever the ISA; otherwise the
+/// resolved ISA's table runs, with approx_math selecting its *_fast
+/// entries.
 inline NearField select_near_field(KernelKind kernel,
                                    const simd::VectorParams& vector,
                                    bool approx_math) {
   const bool aos = kernel == KernelKind::Scalar;
-  const simd::KernelSet* set = aos ? nullptr : simd::kernels(vector.isa);
-  if (set == nullptr) set = &scalar_kernels();
-  return {set, aos, approx_math};
+  return {simd::kernels(aos ? simd::VectorIsa::Scalar : vector.isa), aos,
+          approx_math};
 }
 
 /// Gradient in the position x_v of the second-order far field (the

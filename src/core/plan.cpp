@@ -137,14 +137,6 @@ struct CompareSink {
   }
 };
 
-/// The walk's starting list for `flavor`: every T_Q leaf, or the root.
-std::span<const std::uint32_t> walk_start(PlanFlavor flavor,
-                                          const QPointsTree& tq) {
-  static constexpr std::uint32_t kRoot = 0;
-  if (flavor == PlanFlavor::Dual) return {&kRoot, 1};
-  return tq.tree.leaf_ids();
-}
-
 }  // namespace
 
 std::size_t InteractionPlan::capacity() const {
@@ -166,7 +158,7 @@ bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
   capture_cap_mark_ = capacity();
   const double threshold =
       born_threshold(key_.eps_born, key_.strict_criterion);
-  const auto start = walk_start(key_.flavor, tq);
+  const auto& start = tq.tree.leaf_ids();
 
   // Count pass: list lengths per T_A node and the Born work counters.
   // Nodes the walk never reaches keep their zero counts.
@@ -390,7 +382,7 @@ bool InteractionPlan::validate(const AtomsTree& ta, const QPointsTree& tq,
       detail::BornWalk<CompareSink>(
           ta, tq, born_threshold(key_.eps_born, key_.strict_criterion), sink,
           true)
-          .run(walk_start(key_.flavor, tq), work) &&
+          .run(tq.tree.leaf_ids(), work) &&
       sink.matched.load(std::memory_order_relaxed) == owner_.size();
   if (!ok) {
     valid_ = born_valid_ = false;

@@ -1,5 +1,6 @@
 #include "octgb/core/workdiv.hpp"
 
+#include "octgb/core/engine.hpp"
 #include "octgb/util/check.hpp"
 
 namespace octgb::core {
@@ -41,6 +42,32 @@ std::vector<Segment> weighted_leaf_segments(
   }
   out.back().end = static_cast<std::uint32_t>(leaves.size());
   return out;
+}
+
+Division make_division(const GBEngine& engine, int ranks, bool weighted) {
+  const auto& q_leaves = engine.q_leaves();
+  const auto& a_leaves = engine.a_leaves();
+  Division d;
+  if (weighted) {
+    d.q_segments =
+        weighted_leaf_segments(engine.qpoints_tree().tree, q_leaves, ranks);
+    d.a_leaf_segments =
+        weighted_leaf_segments(engine.atoms_tree().tree, a_leaves, ranks);
+  }
+  for (int i = 0; i < ranks; ++i) {
+    if (!weighted) {
+      d.q_segments.push_back(even_segment(q_leaves.size(), ranks, i));
+      d.a_leaf_segments.push_back(even_segment(a_leaves.size(), ranks, i));
+    }
+    d.atom_segments.push_back(even_segment(engine.num_atoms(), ranks, i));
+  }
+  return d;
+}
+
+std::size_t replicated_rank_bytes(const GBEngine& engine, int threads) {
+  return engine.footprint_bytes() +
+         (engine.num_ta_nodes() + 2 * engine.num_atoms()) * sizeof(double) +
+         std::size_t{65536} * static_cast<std::size_t>(threads - 1);
 }
 
 }  // namespace octgb::core

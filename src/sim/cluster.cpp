@@ -10,7 +10,6 @@
 namespace octgb::sim {
 
 using core::GBEngine;
-using core::Segment;
 
 double CollectiveCosts::tree_collective(double bytes) const {
   if (ranks <= 1) return 0.0;
@@ -60,32 +59,14 @@ SimResult simulate_cluster(const GBEngine& engine,
   const int p = config.threads_per_rank;
   const auto n_nodes = engine.num_ta_nodes();
   const auto n_atoms = engine.num_atoms();
-  const auto& q_leaves = engine.q_leaves();
-  const auto& a_leaves = engine.a_leaves();
 
   SimResult result;
   result.total_cores = P * p;
   result.work_per_rank.resize(P);
 
-  // Segments (identical to run_hybrid's division).
-  std::vector<Segment> q_segments(P), a_leaf_segments(P), atom_segments(P);
-  if (config.weighted_division) {
-    auto wq = core::weighted_leaf_segments(engine.qpoints_tree().tree,
-                                           q_leaves, P);
-    auto wa =
-        core::weighted_leaf_segments(engine.atoms_tree().tree, a_leaves, P);
-    for (int i = 0; i < P; ++i) {
-      q_segments[i] = wq[i];
-      a_leaf_segments[i] = wa[i];
-    }
-  } else {
-    for (int i = 0; i < P; ++i) {
-      q_segments[i] = core::even_segment(q_leaves.size(), P, i);
-      a_leaf_segments[i] = core::even_segment(a_leaves.size(), P, i);
-    }
-  }
-  for (int i = 0; i < P; ++i)
-    atom_segments[i] = core::even_segment(n_atoms, P, i);
+  // Segments: run_hybrid's division.
+  const core::Division div =
+      core::make_division(engine, P, config.weighted_division);
 
   // Ranks execute sequentially; sums into shared arrays are equivalent to
   // the Allreduce (addition is commutative; merge order is deterministic).
@@ -97,12 +78,12 @@ SimResult simulate_cluster(const GBEngine& engine,
   // (one OS thread plays every rank in turn — see trace.hpp).
   for (int r = 0; r < P; ++r) {
     trace::VirtualThreadScope rank_track(r, sim_rank_name(r));
-    engine.phase_integrals(q_segments[r], node_s, atom_s,
+    engine.phase_integrals(div.q_segments[r], node_s, atom_s,
                            result.work_per_rank[r]);
   }
   for (int r = 0; r < P; ++r) {
     trace::VirtualThreadScope rank_track(r, sim_rank_name(r));
-    engine.phase_push(atom_segments[r], node_s, atom_s, born_tree,
+    engine.phase_push(div.atom_segments[r], node_s, atom_s, born_tree,
                       result.work_per_rank[r]);
   }
   const core::EpolContext ctx = engine.build_epol_context(born_tree);
@@ -111,9 +92,9 @@ SimResult simulate_cluster(const GBEngine& engine,
     trace::VirtualThreadScope rank_track(r, sim_rank_name(r));
     epol += config.atom_based_epol
                 ? engine.phase_epol_atom_based(ctx, born_tree,
-                                               atom_segments[r],
+                                               div.atom_segments[r],
                                                result.work_per_rank[r])
-                : engine.phase_epol(ctx, born_tree, a_leaf_segments[r],
+                : engine.phase_epol(ctx, born_tree, div.a_leaf_segments[r],
                                     result.work_per_rank[r]);
   }
   result.epol = epol;
@@ -124,12 +105,7 @@ SimResult simulate_cluster(const GBEngine& engine,
   const perf::MachineModel& m = config.machine;
   const bool approx = engine.config().approx.approx_math;
 
-  // Replicated footprint of one real process, plus the work-stealing
-  // runtime's per-worker overhead (deques, reserved stacks) — this is why
-  // the paper's measured node-memory ratio is 5.86 rather than exactly 6.
-  result.bytes_per_rank = engine.footprint_bytes() +
-                          (n_nodes + 2 * n_atoms) * sizeof(double) +
-                          std::size_t{65536} * (p - 1);
+  result.bytes_per_rank = core::replicated_rank_bytes(engine, p);
 
   // Cache pressure: resident bytes per socket = processes on the socket ×
   // the slice of data a process actually streams (its working set). Each

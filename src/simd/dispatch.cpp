@@ -82,7 +82,7 @@ const KernelSet* kernels(VectorIsa isa) {
       return detail::make_kernels_v256();
 #endif
     default:
-      return nullptr;  // Scalar: use the legacy batch kernels
+      return detail::make_kernels_scalar();
   }
 }
 
@@ -100,9 +100,6 @@ const char* isa_name(VectorIsa isa) {
   return "?";
 }
 
-int lanes(VectorIsa isa) {
-  const KernelSet* ks = kernels(isa);
-  return ks ? ks->lanes : 0;
-}
+int lanes(VectorIsa isa) { return kernels(isa)->lanes; }
 
 }  // namespace octgb::simd

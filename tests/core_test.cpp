@@ -634,7 +634,7 @@ std::pair<double, double> far_field_errors(double size) {
   const auto far = [&](bool monopole) {
     const ClusterMoments ma(a, monopole), mb(b, monopole);
     std::uint64_t pairs = 0;
-    return core::detail::scalar_kernels().epol_far_bins(
+    return simd::kernels(simd::VectorIsa::Scalar)->epol_far_bins(
         ma.view(), mb.view(), d.x, d.y, d.z, d.norm2(), pairs);
   };
   return {std::abs(far(true) - exact), std::abs(far(false) - exact)};
@@ -689,7 +689,7 @@ TEST(EpolFarField, ForceFarTermIsTheEnergyFarTermsGradient) {
   const auto energy = [&](const geom::Vec3& xv) {
     const geom::Vec3 d = u.centroid - xv;
     std::uint64_t pairs = 0;
-    return core::detail::scalar_kernels().epol_far_bins(
+    return simd::kernels(simd::VectorIsa::Scalar)->epol_far_bins(
         mu.view(), mv, d.x, d.y, d.z, d.norm2(), pairs);
   };
   for (const geom::Vec3 xv : {geom::Vec3{7.5, 3.0, -2.5},
@@ -1068,7 +1068,7 @@ INSTANTIATE_TEST_SUITE_P(Resolutions, SurfaceResolution,
                          ::testing::Combine(::testing::Values(0, 1, 2),
                                             ::testing::Values(1, 2, 4)));
 
-// ---- batched SoA kernels -------------------------------------------------
+// ---- batched SoA kernels (the Scalar ISA's width-1 table) ----------------
 
 #include "octgb/core/batch_kernels.hpp"
 #include "octgb/core/born.hpp"
@@ -1100,7 +1100,7 @@ TEST(BatchKernels, BornIntegralMatchesScalarSum) {
     const geom::Vec3 d = pts[k] - a;
     scalar += w[k] * normals[k].dot(d) * core::inv_r6(d.norm2(), false);
   }
-  const double batched = core::batch_born_integral(
+  const double batched = simd::kernels(simd::VectorIsa::Scalar)->born_integral(
       a.x, a.y, a.z, {qx, qy, qz, wnx, wny, wnz});
   EXPECT_NEAR(batched, scalar, 1e-12 * (std::abs(scalar) + 1.0));
 }
@@ -1109,7 +1109,7 @@ TEST(BatchKernels, CoincidentPointContributesZero) {
   // A q-point exactly on the atom center must be skipped, not NaN.
   std::vector<double> qx = {0.0, 3.0}, qy = {0.0, 0.0}, qz = {0.0, 0.0};
   std::vector<double> wnx = {1.0, 1.0}, wny = {0.0, 0.0}, wnz = {0.0, 0.0};
-  const double v = core::batch_born_integral(
+  const double v = simd::kernels(simd::VectorIsa::Scalar)->born_integral(
       0.0, 0.0, 0.0, {qx, qy, qz, wnx, wny, wnz});
   EXPECT_TRUE(std::isfinite(v));
   // Only the second point contributes: wn·d/|d|⁶ = 3/729.
@@ -1135,8 +1135,8 @@ TEST(BatchKernels, EpolSumMatchesScalarFgb) {
                       (uz[k] - vz) * (uz[k] - vz);
     scalar += qu[k] * qv / core::f_gb(r2, ru[k] * rv);
   }
-  const double batched =
-      core::batch_epol_sum(vx, vy, vz, qv, rv, {ux, uy, uz, qu, ru});
+  const double batched = simd::kernels(simd::VectorIsa::Scalar)->epol_sum(
+      vx, vy, vz, qv, rv, {ux, uy, uz, qu, ru});
   EXPECT_NEAR(batched, scalar, 1e-12 * (std::abs(scalar) + 1.0));
 }
 

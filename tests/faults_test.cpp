@@ -590,6 +590,31 @@ TEST(Elastic, SingleRankSurvivesWithoutPeers) {
   EXPECT_EQ(r.ranks_completed, 1);
 }
 
+TEST(Elastic, CorruptStoredCheckpointsAreRecomputed) {
+  // A store entry that is present but unusable — a NaN payload that does
+  // not decode, or a payload of the wrong size — is a missing task: its
+  // owner recomputes it, and the run reproduces the fault-free result
+  // bit for bit.
+  const auto base = run_elastic(FaultPlan{}, /*ranks=*/2);
+  core::CheckpointStore store;
+  store.put_checkpoint(
+      {"born", 0, {1.5, std::numeric_limits<double>::quiet_NaN(), 2.5}});
+  store.put_checkpoint({"epol", 1, {-1.0, -2.0}});
+  ASSERT_FALSE(store.get_checkpoint("born", 0).has_value());
+  core::ElasticConfig cfg;
+  cfg.hybrid.ranks = 2;
+  cfg.hybrid.topology.ranks_per_node = 2;
+  cfg.store = &store;
+  const auto r = core::run_hybrid_elastic(elastic_fixture().engine, cfg);
+  EXPECT_EQ(r.epol, base.epol);
+  EXPECT_EQ(r.born, base.born);
+  EXPECT_EQ(r.ranks_completed, 2);
+  EXPECT_EQ(r.tasks_recomputed, 2u);  // born/0 and epol/1
+  EXPECT_EQ(r.tasks_computed, 6u);    // 3 phases × 2 tasks, each once
+  EXPECT_TRUE(store.get_checkpoint("born", 0).has_value());
+  EXPECT_EQ(store.get_checkpoint("epol", 1)->data.size(), 1u);
+}
+
 // ---- recovery model ---------------------------------------------------------
 
 TEST(RecoveryModel, OptimalIntervalFollowsYoungDaly) {

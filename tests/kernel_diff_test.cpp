@@ -1,11 +1,13 @@
 // Differential tests guarding the batched SoA near-field kernels: the
-// batched path must agree with the scalar path up to floating-point
+// batched path must agree with the AoS scalar path up to floating-point
 // reassociation at every level (raw kernel, octree engine, dual
-// traversal, naive reference), and the batched-by-default octree energy
-// must stay inside the paper's (1+ε) approximation bound against the
-// naive reference. Also pins down the kernels' edge-case contracts:
-// empty/single-point batches, the branchless |r−a| < 1e-6 skip, and the
-// self-term inclusion of batch_epol_sum.
+// traversal), and the batched-by-default octree energy must stay inside
+// the paper's (1+ε) approximation bound against the naive reference.
+// The raw kernels are the Scalar ISA's width-1 table
+// (simd::kernels(VectorIsa::Scalar)); this file's own loops are the
+// independent references. Also pins down the kernels' edge-case
+// contracts: empty/single-point batches, the branchless |r−a| < 1e-6
+// skip, and the self-term inclusion of the GB pair sum.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +49,12 @@ double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max(1e-300, std::abs(b));
 }
 
-/// Scalar reference for batch_born_integral (the born.cpp leaf loop).
+/// The Scalar ISA's width-1 table, the kernels under test here.
+const simd::KernelSet& scalar_table() {
+  return *simd::kernels(simd::VectorIsa::Scalar);
+}
+
+/// Independent reference for the Born kernel (the born.cpp leaf loop).
 double scalar_born_integral(double ax, double ay, double az,
                             const QPointBatch& q) {
   double s = 0.0;
@@ -61,7 +68,7 @@ double scalar_born_integral(double ax, double ay, double az,
   return s;
 }
 
-/// Scalar reference for batch_epol_sum (the epol.cpp leaf loop).
+/// Independent reference for the GB pair kernel (the epol.cpp leaf loop).
 double scalar_epol_sum(double vx, double vy, double vz, double qv, double rv,
                        const AtomBatch& atoms) {
   double s = 0.0;
@@ -89,7 +96,7 @@ TEST(KernelDiff, RawBornKernelMatchesScalarOnRealLeaves) {
       const QPointBatch qb = tq.batch(q.begin, q.end);
       for (std::size_t ai = 0; ai < std::min<std::size_t>(ta.num_atoms(), 64);
            ++ai) {
-        const double batched = core::batch_born_integral(
+        const double batched = scalar_table().born_integral(
             ta.soa_x()[ai], ta.soa_y()[ai], ta.soa_z()[ai], qb);
         const double scalar = scalar_born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
                                                    ta.soa_z()[ai], qb);
@@ -117,9 +124,9 @@ TEST(KernelDiff, RawEpolKernelMatchesScalarOnRealLeaves) {
       const AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
       const std::uint32_t vi = ta.tree.node(leaves[(li + 1) % leaves.size()])
                                    .begin;
-      const double batched =
-          core::batch_epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
-                               ta.charge[vi], born_tree[vi], ub);
+      const double batched = scalar_table().epol_sum(
+          ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi], ta.charge[vi],
+          born_tree[vi], ub);
       const double scalar =
           scalar_epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
                           ta.charge[vi], born_tree[vi], ub);
@@ -167,26 +174,6 @@ TEST(KernelDiff, DualTraversalBatchedMatchesScalar) {
   EXPECT_LT(rel_diff(rb.epol, rs.epol), 1e-6);
 }
 
-TEST(KernelDiff, NaiveBatchedMatchesScalar) {
-  for (std::uint64_t seed : {4, 19}) {
-    const Problem p(300, seed);
-    const auto born_s =
-        core::naive_born_radii(p.molecule, p.surf, nullptr,
-                               KernelKind::Scalar);
-    const auto born_b =
-        core::naive_born_radii(p.molecule, p.surf, nullptr,
-                               KernelKind::Batched);
-    ASSERT_EQ(born_s.size(), born_b.size());
-    for (std::size_t i = 0; i < born_s.size(); ++i)
-      EXPECT_LT(rel_diff(born_b[i], born_s[i]), 1e-9) << "atom " << i;
-    const double es = core::naive_epol(p.molecule, born_s, {}, nullptr,
-                                       KernelKind::Scalar);
-    const double eb = core::naive_epol(p.molecule, born_s, {}, nullptr,
-                                       KernelKind::Batched);
-    EXPECT_LT(rel_diff(eb, es), 1e-10) << "seed " << seed;
-  }
-}
-
 /// The §V-C approximate-math mode must vectorize too: the batched fastmath
 /// kernels use the same per-term fast_rsqrt/fast_exp as the scalar
 /// approximate path, so batched-fast vs scalar-fast is again pure
@@ -220,10 +207,8 @@ TEST_P(BatchedEpsilonBound, BatchedOctreeEpolWithinBoundOfNaive) {
   const double eps = GetParam();
   for (std::uint64_t seed : {6, 43}) {
     const Problem p(400, seed);
-    const auto naive_born = core::naive_born_radii(
-        p.molecule, p.surf, nullptr, KernelKind::Scalar);
-    const double naive_e = core::naive_epol(p.molecule, naive_born, {},
-                                            nullptr, KernelKind::Scalar);
+    const auto naive_born = core::naive_born_radii(p.molecule, p.surf);
+    const double naive_e = core::naive_epol(p.molecule, naive_born);
     EngineConfig cfg;  // batched kernel by default
     cfg.approx.eps_born = eps;
     cfg.approx.eps_epol = eps;
@@ -239,13 +224,13 @@ INSTANTIATE_TEST_SUITE_P(PaperEpsilons, BatchedEpsilonBound,
 // ---- edge-case contracts -------------------------------------------------
 
 TEST(BatchKernelEdge, EmptyBatchesReturnZero) {
+  const simd::KernelSet& k = scalar_table();
   const QPointBatch empty_q{};
-  EXPECT_EQ(core::batch_born_integral(1.0, 2.0, 3.0, empty_q), 0.0);
-  EXPECT_EQ(core::batch_born_integral_fast(1.0, 2.0, 3.0, empty_q), 0.0);
+  EXPECT_EQ(k.born_integral(1.0, 2.0, 3.0, empty_q), 0.0);
+  EXPECT_EQ(k.born_integral_fast(1.0, 2.0, 3.0, empty_q), 0.0);
   const AtomBatch empty_a{};
-  EXPECT_EQ(core::batch_epol_sum(1.0, 2.0, 3.0, 0.5, 1.5, empty_a), 0.0);
-  EXPECT_EQ(core::batch_epol_sum_fast(1.0, 2.0, 3.0, 0.5, 1.5, empty_a),
-            0.0);
+  EXPECT_EQ(k.epol_sum(1.0, 2.0, 3.0, 0.5, 1.5, empty_a), 0.0);
+  EXPECT_EQ(k.epol_sum_fast(1.0, 2.0, 3.0, 0.5, 1.5, empty_a), 0.0);
 }
 
 TEST(BatchKernelEdge, SinglePointBatchMatchesClosedForm) {
@@ -253,13 +238,13 @@ TEST(BatchKernelEdge, SinglePointBatchMatchesClosedForm) {
   const std::vector<double> wnx{0.25}, wny{0.0}, wnz{0.0};
   const QPointBatch q{x, y, z, wnx, wny, wnz};
   // Atom at origin: delta = (3,0,0), r² = 9, w·n·delta = 0.75.
-  EXPECT_NEAR(core::batch_born_integral(0.0, 0.0, 0.0, q), 0.75 / 729.0,
+  EXPECT_NEAR(scalar_table().born_integral(0.0, 0.0, 0.0, q), 0.75 / 729.0,
               1e-15);
 
   const std::vector<double> charge{-0.7}, born{2.0};
   const AtomBatch a{x, y, z, charge, born};
   const double expect = 0.4 * -0.7 / core::f_gb(9.0, 2.0 * 1.5);
-  EXPECT_NEAR(core::batch_epol_sum(0.0, 0.0, 0.0, 0.4, 1.5, a), expect,
+  EXPECT_NEAR(scalar_table().epol_sum(0.0, 0.0, 0.0, 0.4, 1.5, a), expect,
               1e-15);
 }
 
@@ -273,18 +258,18 @@ TEST(BatchKernelEdge, CoincidentPointsAreSkippedBranchlessly) {
   const std::vector<double> wnx{5.0, 5.0, 0.5}, wny{0.0, 0.0, 0.0},
       wnz{0.0, 0.0, 0.0};
   const QPointBatch q{x, y, z, wnx, wny, wnz};
-  const double sum = core::batch_born_integral(1.0, 2.0, 3.0, q);
+  const simd::KernelSet& k = scalar_table();
+  const double sum = k.born_integral(1.0, 2.0, 3.0, q);
   EXPECT_TRUE(std::isfinite(sum));
   EXPECT_NEAR(sum, 0.5 * 3.0 / std::pow(9.0, 3.0), 1e-15);
-  const double fast_sum = core::batch_born_integral_fast(1.0, 2.0, 3.0, q);
+  const double fast_sum = k.born_integral_fast(1.0, 2.0, 3.0, q);
   EXPECT_TRUE(std::isfinite(fast_sum));
   EXPECT_NEAR(fast_sum, sum, 1e-4 * sum);  // fast_rsqrt ≈ 5e-6, ^6 ≈ 3e-5
   // A point just *outside* the guard must contribute (the guard is a
   // coincidence skip, not a near-field cutoff).
   const std::vector<double> x2{1.0 + 2e-6}, y2{2.0}, z2{3.0};
   const std::vector<double> wnx2{1.0}, wny2{0.0}, wnz2{0.0};
-  EXPECT_GT(core::batch_born_integral(1.0, 2.0, 3.0,
-                                      {x2, y2, z2, wnx2, wny2, wnz2}),
+  EXPECT_GT(k.born_integral(1.0, 2.0, 3.0, {x2, y2, z2, wnx2, wny2, wnz2}),
             0.0);
 }
 
@@ -295,11 +280,11 @@ TEST(BatchKernelEdge, EpolSelfTermIsIncludedByContract) {
   const std::vector<double> x{1.0}, y{-2.0}, z{0.5};
   const std::vector<double> charge{0.8}, born{1.7};
   const AtomBatch self{x, y, z, charge, born};
-  EXPECT_NEAR(core::batch_epol_sum(1.0, -2.0, 0.5, 0.8, 1.7, self),
+  EXPECT_NEAR(scalar_table().epol_sum(1.0, -2.0, 0.5, 0.8, 1.7, self),
               0.8 * 0.8 / 1.7, 1e-14);
   // fast_exp(0) undershoots 1 by a few percent (Schraudolph), so the fast
   // self term carries that error through sqrt — allow the §V-C band.
-  EXPECT_NEAR(core::batch_epol_sum_fast(1.0, -2.0, 0.5, 0.8, 1.7, self),
+  EXPECT_NEAR(scalar_table().epol_sum_fast(1.0, -2.0, 0.5, 0.8, 1.7, self),
               0.8 * 0.8 / 1.7, 0.05 * 0.8 * 0.8 / 1.7);
 }
 
@@ -361,8 +346,8 @@ TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
 TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   // The coincidence guard skips r² ≤ 1e-12 on every path. A q-point at
   // the origin and an atom at (−h, 0, 0) give a computed r² of h·h; pick
-  // h so that this is exactly the double 1e-12. The AoS pair, the batch
-  // kernels and every runnable vector table must all skip the point.
+  // h so that this is exactly the double 1e-12. The AoS pair and every
+  // runnable kernel table (the Scalar ISA's included) must skip the point.
   double h = 0.0;
   double lo = 1e-6, hi = 1e-6;
   for (int i = 0; i < 64 && h == 0.0; ++i) {
@@ -387,13 +372,10 @@ TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   const std::vector<double> wnx(17, 1.0), wny(17, 0.0), wnz(17, 0.0);
   const QPointBatch q{x, y, z, wnx, wny, wnz};
 
-  for (bool fast : {false, true}) {
+  for (bool fast : {false, true})
     EXPECT_EQ(core::scalar_born_pair(pa, tq, 0, 1, fast), 0.0) << fast;
-    const double b = fast ? core::batch_born_integral_fast(pa.x, 0.0, 0.0, q)
-                          : core::batch_born_integral(pa.x, 0.0, 0.0, q);
-    EXPECT_EQ(b, 0.0) << fast;
-  }
-  for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256}) {
+  for (simd::VectorIsa isa : {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
+                              simd::VectorIsa::V256}) {
     if (!simd::isa_available(isa)) continue;
     const simd::KernelSet* k = simd::kernels(isa);
     EXPECT_EQ(k->born_integral(pa.x, 0.0, 0.0, q), 0.0) << k->name;

@@ -227,8 +227,9 @@ OwnerLists without(OwnerLists lists, const std::vector<std::uint32_t>& drop) {
 }
 
 /// `key`'s plan recorded by the recorder-instrumented (serial) walk of
-/// `engine`'s trees (over `leaves`, single flavor), with the phase
-/// buffers and Born-phase counters that walk produced.
+/// `engine`'s trees (over `leaves`; the plan holds the single flavor
+/// only), with the phase buffers and Born-phase counters that walk
+/// produced.
 struct Recorded {
   core::InteractionPlan plan;
   std::vector<double> node_s, atom_s;
@@ -245,15 +246,9 @@ Recorded record_plan(const GBEngine& engine, const core::PlanKey& key,
   r.node_s.assign(engine.num_ta_nodes(), 0.0);
   r.atom_s.assign(engine.num_atoms(), 0.0);
   core::PlanRecorder rec = r.plan.begin_capture(key);
-  if (key.flavor == PlanFlavor::Single) {
-    core::approx_integrals(ta, tq, leaves, key.eps_born, approx_math,
-                           r.node_s, r.atom_s, r.work, key.strict_criterion,
-                           key.kernel, vector, &rec);
-  } else {
-    core::approx_integrals_dual(ta, tq, key.eps_born, approx_math, r.node_s,
-                                r.atom_s, r.work, key.strict_criterion,
-                                key.kernel, vector, &rec);
-  }
+  core::approx_integrals(ta, tq, leaves, key.eps_born, approx_math, r.node_s,
+                         r.atom_s, r.work, key.strict_criterion, key.kernel,
+                         vector, &rec);
   (void)r.plan.finalize(ta, tq, 0, r.work);
   return r;
 }
@@ -414,41 +409,6 @@ TEST(Plan, PlanModeOffNeverCaches) {
   EXPECT_EQ(scratch.plan_cache.plan.near_pairs(), 0u);
 }
 
-// ---- dual flavor ------------------------------------------------------------
-
-TEST(Plan, DualFlavorCapturesAndReusesIndependently) {
-  const Problem p(500);
-  GBEngine warm(p.molecule, p.surf);
-  GBEngine cold(p.molecule, p.surf);
-  EvalScratch scratch;
-
-  const auto warm1 = warm.compute_dual(scratch);
-  const auto ref = cold.compute_dual();
-  expect_bitwise_equal(warm1, ref);
-  // Same flavor again: Born reuse.
-  expect_bitwise_equal(warm.compute_dual(scratch), ref);
-  EXPECT_EQ(scratch.plan_cache.stats.born_reuses, 1u);
-  // Flavor switch is a key miss (params-level invalidation).
-  (void)warm.compute(scratch);
-  EXPECT_EQ(scratch.plan_cache.stats.invalidated_params, 1u);
-  EXPECT_EQ(scratch.plan_cache.stats.builds, 2u);
-}
-
-TEST(Plan, DualFlavorReplayMatchesTraversalAfterRefit) {
-  const Problem p(500);
-  GBEngine warm(p.molecule, p.surf);
-  GBEngine cold(p.molecule, p.surf);
-  EvalScratch scratch;
-
-  (void)warm.compute_dual(scratch);
-  const auto moved = jittered_positions(p.molecule, 1e-4, 31);
-  warm.refit_atoms(moved);
-  cold.refit_atoms(moved);
-  expect_bitwise_equal(warm.compute_dual(scratch), cold.compute_dual());
-  EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
-  EXPECT_EQ(scratch.plan_cache.stats.invalidated_drift, 0u);
-}
-
 // ---- the owner-major walk vs the serial descents --------------------------
 
 struct CaptureParams {
@@ -470,6 +430,8 @@ void expect_same_born_counters(const perf::WorkCounters& got,
 /// (SerialDescent), bit for bit, at 1, 2 and 4 workers: the evaluating
 /// walk, the serial recorder capture, the parallel capture + replay
 /// through the engine, and the parallel validate of the recorded plan.
+/// The Fig. 1 (Dual) flavor never goes through a plan: its faces are the
+/// evaluating walk and the one-shot GBEngine::compute_dual.
 void expect_capture_matches_recorder(const CaptureParams& c,
                                      core::KernelKind kernel) {
   const auto [flavor, strict, isa, approx_math] = c;
@@ -518,6 +480,16 @@ void expect_capture_matches_recorder(const CaptureParams& c,
     EXPECT_EQ(atom_s, ref.atom_s) << "evaluate, " << at;
     expect_same_born_counters(walked, ref.work, "evaluate, " + at);
 
+    if (flavor == PlanFlavor::Dual) {
+      const auto got = engine.compute_dual(&sched);
+      EXPECT_EQ(got.born, engine.born_to_input_order(born_ref))
+          << "one-shot, " << at;
+      expect_same_born_counters(got.work, want, "one-shot, " + at);
+      EXPECT_EQ(got.work.push_atoms, want.push_atoms);
+      EXPECT_EQ(got.work.push_visits, want.push_visits);
+      continue;
+    }
+
     // The serial recorder capture evaluates too.
     const core::PlanKey key{1, 0, approx.eps_born, strict,
                             approx.kernel, flavor, approx.locality};
@@ -529,9 +501,7 @@ void expect_capture_matches_recorder(const CaptureParams& c,
 
     // Parallel capture + replay through the engine.
     EvalScratch scratch;
-    const auto got = flavor == PlanFlavor::Single
-                         ? engine.compute(scratch, &sched)
-                         : engine.compute_dual(scratch, &sched);
+    const auto got = engine.compute(scratch, &sched);
     const core::InteractionPlan& plan = scratch.plan_cache.plan;
     const perf::PlanCounters& stats = scratch.plan_cache.stats;
     EXPECT_EQ(stats.builds, 1u) << at;
@@ -706,8 +676,9 @@ std::size_t near_runs(const core::InteractionPlan& plan,
 TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
   // Every Born path coalesces the same runs: the evaluating walk, the
   // serial recorder capture and the parallel capture + replay give the
-  // same node_s and atom_s bits at 1, 2 and 4 workers, in both flavors,
-  // on a fixture where runs really merge leaves.
+  // same node_s and atom_s bits at 1, 2 and 4 workers, on a fixture where
+  // runs really merge leaves. The dual walk (Fig. 1, no plan) is bitwise
+  // across worker counts too.
   const Problem p(700);
   for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
     const bool single = flavor == PlanFlavor::Single;
@@ -742,6 +713,7 @@ TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
       }
       EXPECT_EQ(node_s, want_node_s) << "walk, " << at;
       EXPECT_EQ(atom_s, want_atom_s) << "walk, " << at;
+      if (!single) continue;
 
       const core::PlanKey key{1,      0, approx.eps_born,
                               approx.strict_born_criterion,
@@ -755,8 +727,7 @@ TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
       EXPECT_LT(runs, rec.plan.near_pairs()) << "no two near leaves merged";
 
       EvalScratch scratch;
-      (void)(single ? engine.compute(scratch, &sched)
-                    : engine.compute_dual(scratch, &sched));
+      (void)engine.compute(scratch, &sched);
       EXPECT_EQ(scratch.plan_cache.stats.builds, 1u) << at;
       EXPECT_EQ(scratch.node_s, want_node_s) << "capture + replay, " << at;
       EXPECT_EQ(scratch.atom_s, want_atom_s) << "capture + replay, " << at;

@@ -1,19 +1,18 @@
-// Width differential test matrix for the explicit vector layer
-// (octgb/simd/, DESIGN.md §2.7). Every compiled-and-runnable width is
-// driven over generator-built spans of every remainder shape (lengths
-// 1 .. 8·maxlanes+3, several base-pointer offsets) and checked
-// against the scalar reference kernels in core/batch_kernels:
+// Width differential test matrix for the kernel layer (octgb/simd/,
+// DESIGN.md §2.7). Every compiled-and-runnable width, the Scalar ISA's
+// width 1 included, is driven over generator-built spans of every
+// remainder shape (lengths 1 .. 8·maxlanes+3, several base-pointer
+// offsets) and checked against the width-1 table:
 //
 //   · double kernels agree up to reassociation (ε-bounds) and are
 //     bitwise-stable across repeated runs;
-//   · spans shorter than one vector run the pure scalar tail, which is
-//     bit-identical to the reference kernel (x86-64, where the core TU's
-//     baseline has no FMA to contract — the SIMD TUs are compiled with
-//     -ffp-contract=off to match);
+//   · spans shorter than one vector run the pure scalar loop, which is
+//     bit-identical to the width-1 kernel (x86-64; every kernel TU is
+//     compiled with -ffp-contract=off);
 //   · the splice property: vec(span) == vec(aligned prefix) followed by
-//     per-element reference accumulation of the tail, bit for bit;
-//   · the bin-pair far-field kernel reproduces the scalar skip-zeros loop
-//     including its exact binpair count;
+//     per-element width-1 accumulation of the tail, bit for bit;
+//   · the bin-pair far-field kernel matches a term-by-term Taylor
+//     reference, including its exact binpair count;
 //   · denormal, huge, coincident, and zero-weight inputs stay finite
 //     (this test runs under ASan/UBSan in the CI simd-matrix job);
 //   · engine-level: every width agrees with the Scalar vector path and
@@ -47,9 +46,6 @@
 #include "octgb/simd/types.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
-
-// The scalar kernel table is the reference the vector tails replicate.
-#include "../src/core/near_field.hpp"
 
 using namespace octgb;
 using core::AtomBatch;
@@ -225,7 +221,7 @@ double rel_diff(double a, double b) {
 }
 
 /// The available subset of kWidths; empty on exotic builds where only the
-/// Scalar path exists (every matrix test degrades to a no-op then, which
+/// Scalar path exists (every width test degrades to a no-op then, which
 /// is exactly the portable-fallback contract).
 std::vector<VectorIsa> available_widths() {
   std::vector<VectorIsa> out;
@@ -233,6 +229,18 @@ std::vector<VectorIsa> available_widths() {
     if (simd::isa_available(isa)) out.push_back(isa);
   return out;
 }
+
+/// The Scalar ISA followed by available_widths(): every table the
+/// dispatch can hand out.
+std::vector<VectorIsa> every_isa() {
+  std::vector<VectorIsa> out{VectorIsa::Scalar};
+  for (VectorIsa isa : available_widths()) out.push_back(isa);
+  return out;
+}
+
+/// The Scalar ISA's width-1 table: the reference whose per-term code every
+/// width's scalar loop runs.
+const KernelSet& scalar_table() { return *simd::kernels(VectorIsa::Scalar); }
 
 }  // namespace
 
@@ -269,17 +277,17 @@ TEST(SimdDispatch, AutoIsTheWidestAvailableWidth) {
   EXPECT_EQ(simd::resolve_isa(simd::max_built_isa()), widest);
 }
 
-TEST(SimdDispatch, ScalarHasNoTableAndWidthsAreConsistent) {
-  EXPECT_EQ(simd::kernels(VectorIsa::Scalar), nullptr);
-  EXPECT_EQ(simd::lanes(VectorIsa::Scalar), 0);
-  const int want_lanes[] = {2, 4};
-  for (std::size_t i = 0; i < 2; ++i) {
-    if (!simd::isa_available(kWidths[i])) continue;
-    const KernelSet* ks = simd::kernels(kWidths[i]);
+TEST(SimdDispatch, ScalarIsTheWidthOneTableAndWidthsAreConsistent) {
+  const VectorIsa isas[] = {VectorIsa::Scalar, VectorIsa::V128,
+                            VectorIsa::V256};
+  const int want_lanes[] = {1, 2, 4};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (!simd::isa_available(isas[i])) continue;
+    const KernelSet* ks = simd::kernels(isas[i]);
     ASSERT_NE(ks, nullptr);
     EXPECT_EQ(ks->lanes, want_lanes[i]);
-    EXPECT_EQ(simd::lanes(kWidths[i]), want_lanes[i]);
-    EXPECT_STREQ(simd::isa_name(kWidths[i]), ks->name);
+    EXPECT_EQ(simd::lanes(isas[i]), want_lanes[i]);
+    EXPECT_STREQ(simd::isa_name(isas[i]), ks->name);
     // Every table entry must be populated.
     EXPECT_NE(ks->born_integral, nullptr);
     EXPECT_NE(ks->born_integral_fast, nullptr);
@@ -295,13 +303,14 @@ TEST(SimdDispatch, ScalarHasNoTableAndWidthsAreConsistent) {
 TEST(SimdMatrix, BornKernelsMatchReferenceAcrossEveryShape) {
   const SpanData data(101);
   const double ax = 0.4, ay = -0.3, az = 0.2;
-  for (VectorIsa isa : available_widths()) {
+  const KernelSet& scalar = scalar_table();
+  for (VectorIsa isa : every_isa()) {
     const KernelSet* ks = simd::kernels(isa);
     ASSERT_NE(ks, nullptr);
     for (std::size_t off : kOffsets) {
       for (std::size_t len = 1; len <= kMaxSpan; ++len) {
         const QPointBatch q = data.qspan(off, len);
-        const double ref = core::batch_born_integral(ax, ay, az, q);
+        const double ref = scalar.born_integral(ax, ay, az, q);
         const double got = ks->born_integral(ax, ay, az, q);
         EXPECT_NEAR(got, ref, 1e-9 * (1.0 + std::abs(ref)))
             << ks->name << " off " << off << " len " << len;
@@ -309,8 +318,7 @@ TEST(SimdMatrix, BornKernelsMatchReferenceAcrossEveryShape) {
         EXPECT_EQ(got, ks->born_integral(ax, ay, az, q))
             << ks->name << " off " << off << " len " << len;
 
-        const double ref_fast =
-            core::batch_born_integral_fast(ax, ay, az, q);
+        const double ref_fast = scalar.born_integral_fast(ax, ay, az, q);
         const double got_fast = ks->born_integral_fast(ax, ay, az, q);
         EXPECT_NEAR(got_fast, ref_fast, 1e-9 * (1.0 + std::abs(ref_fast)))
             << ks->name << " off " << off << " len " << len;
@@ -323,12 +331,13 @@ TEST(SimdMatrix, BornKernelsMatchReferenceAcrossEveryShape) {
 TEST(SimdMatrix, EpolKernelsMatchReferenceAcrossEveryShape) {
   const SpanData data(202);
   const double vx = 0.7, vy = 0.1, vz = -0.6, qv = 0.8, rv = 1.9;
-  for (VectorIsa isa : available_widths()) {
+  const KernelSet& scalar = scalar_table();
+  for (VectorIsa isa : every_isa()) {
     const KernelSet* ks = simd::kernels(isa);
     for (std::size_t off : kOffsets) {
       for (std::size_t len = 1; len <= kMaxSpan; ++len) {
         const AtomBatch a = data.aspan(off, len);
-        const double ref = core::batch_epol_sum(vx, vy, vz, qv, rv, a);
+        const double ref = scalar.epol_sum(vx, vy, vz, qv, rv, a);
         const double got = ks->epol_sum(vx, vy, vz, qv, rv, a);
         // The vector body's exp_pd differs from libm by ≈1 ulp per term,
         // so this is an ε-bound, not reassociation-only.
@@ -336,8 +345,7 @@ TEST(SimdMatrix, EpolKernelsMatchReferenceAcrossEveryShape) {
             << ks->name << " off " << off << " len " << len;
         EXPECT_EQ(got, ks->epol_sum(vx, vy, vz, qv, rv, a));
 
-        const double ref_fast =
-            core::batch_epol_sum_fast(vx, vy, vz, qv, rv, a);
+        const double ref_fast = scalar.epol_sum_fast(vx, vy, vz, qv, rv, a);
         const double got_fast = ks->epol_sum_fast(vx, vy, vz, qv, rv, a);
         EXPECT_NEAR(got_fast, ref_fast,
                     1e-9 * (1.0 + std::abs(ref_fast)))
@@ -350,33 +358,34 @@ TEST(SimdMatrix, EpolKernelsMatchReferenceAcrossEveryShape) {
 
 // ---- remainder-lane properties (satellite: bitwise tails) -----------------
 
-// The tail claims below are exact only where the reference kernels compile
-// without FMA contraction — guaranteed on x86-64, where the core library's
-// baseline ISA has no FMA instruction (see DESIGN.md §2.7).
+// The tail claims below are exact only where no kernel TU contracts a
+// multiply-add — every kernel TU is compiled with -ffp-contract=off, and
+// the claims are checked on x86-64 (see DESIGN.md §2.7).
 #if defined(__x86_64__) || defined(_M_X64)
 
 TEST(SimdRemainder, SubVectorSpansAreBitwiseTheReferenceKernel) {
   const SpanData data(303);
   const double ax = -0.2, ay = 0.9, az = 0.5;
   const double vx = 0.3, vy = -0.8, vz = 0.1, qv = -0.6, rv = 2.2;
-  for (VectorIsa isa : available_widths()) {
+  const KernelSet& scalar = scalar_table();
+  for (VectorIsa isa : every_isa()) {
     const KernelSet* ks = simd::kernels(isa);
     const std::size_t lanes = static_cast<std::size_t>(ks->lanes);
     for (std::size_t off : kOffsets) {
       for (std::size_t len = 1; len < lanes; ++len) {
         const QPointBatch q = data.qspan(off, len);
         EXPECT_EQ(ks->born_integral(ax, ay, az, q),
-                  core::batch_born_integral(ax, ay, az, q))
+                  scalar.born_integral(ax, ay, az, q))
             << ks->name << " off " << off << " len " << len;
         EXPECT_EQ(ks->born_integral_fast(ax, ay, az, q),
-                  core::batch_born_integral_fast(ax, ay, az, q))
+                  scalar.born_integral_fast(ax, ay, az, q))
             << ks->name << " off " << off << " len " << len;
         const AtomBatch a = data.aspan(off, len);
         EXPECT_EQ(ks->epol_sum(vx, vy, vz, qv, rv, a),
-                  core::batch_epol_sum(vx, vy, vz, qv, rv, a))
+                  scalar.epol_sum(vx, vy, vz, qv, rv, a))
             << ks->name << " off " << off << " len " << len;
         EXPECT_EQ(ks->epol_sum_fast(vx, vy, vz, qv, rv, a),
-                  core::batch_epol_sum_fast(vx, vy, vz, qv, rv, a))
+                  scalar.epol_sum_fast(vx, vy, vz, qv, rv, a))
             << ks->name << " off " << off << " len " << len;
       }
     }
@@ -385,14 +394,15 @@ TEST(SimdRemainder, SubVectorSpansAreBitwiseTheReferenceKernel) {
 
 TEST(SimdRemainder, SpliceVectorPrefixPlusScalarTailIsBitwise) {
   // vec(span) must equal vec(aligned prefix) followed by sequential
-  // per-element reference accumulation of the tail — the reduction
+  // per-element width-1 accumulation of the tail — the reduction
   // completes before the tail runs, so the split is observable from
   // outside. Epol uses qv = 1 (qv scales the total, which would break
   // term-by-term splicing for qv ≠ 1).
   const SpanData data(404);
   const double ax = 0.1, ay = 0.2, az = -0.4;
   const double vx = -0.5, vy = 0.6, vz = 0.3, rv = 1.4;
-  for (VectorIsa isa : available_widths()) {
+  const KernelSet& scalar = scalar_table();
+  for (VectorIsa isa : every_isa()) {
     const KernelSet* ks = simd::kernels(isa);
     const std::size_t lanes = static_cast<std::size_t>(ks->lanes);
     for (std::size_t len = 1; len <= 4 * lanes + 3; ++len) {
@@ -400,7 +410,7 @@ TEST(SimdRemainder, SpliceVectorPrefixPlusScalarTailIsBitwise) {
       {
         double acc = ks->born_integral(ax, ay, az, data.qspan(0, prefix));
         for (std::size_t k = prefix; k < len; ++k)
-          acc += core::batch_born_integral(ax, ay, az, data.qspan(k, 1));
+          acc += scalar.born_integral(ax, ay, az, data.qspan(k, 1));
         EXPECT_EQ(ks->born_integral(ax, ay, az, data.qspan(0, len)), acc)
             << ks->name << " len " << len;
       }
@@ -408,8 +418,7 @@ TEST(SimdRemainder, SpliceVectorPrefixPlusScalarTailIsBitwise) {
         double acc =
             ks->epol_sum(vx, vy, vz, 1.0, rv, data.aspan(0, prefix));
         for (std::size_t k = prefix; k < len; ++k)
-          acc += core::batch_epol_sum(vx, vy, vz, 1.0, rv,
-                                      data.aspan(k, 1));
+          acc += scalar.epol_sum(vx, vy, vz, 1.0, rv, data.aspan(k, 1));
         EXPECT_EQ(ks->epol_sum(vx, vy, vz, 1.0, rv, data.aspan(0, len)),
                   acc)
             << ks->name << " len " << len;
@@ -424,9 +433,8 @@ TEST(SimdRemainder, SpliceVectorPrefixPlusScalarTailIsBitwise) {
 
 TEST(SimdFarBins, MatchesScalarLoopAndCountsExactly) {
   util::Xoshiro256 rng(505);
-  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
-  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
-  for (const KernelSet* ks : sets) {
+  for (VectorIsa isa : every_isa()) {
+    const KernelSet* ks = simd::kernels(isa);
     for (int trial = 0; trial < 24; ++trial) {
       const int nbins = 1 + static_cast<int>(rng.uniform(0.0, 40.0));
       BinTable ut = random_table(rng, nbins), vt = random_table(rng, nbins);
@@ -466,19 +474,20 @@ TEST(SimdFarBins, MatchesScalarLoopAndCountsExactly) {
 }
 
 TEST(SimdFarBins, RemainderTailIsBitwiseTheScalarTable) {
-  // A u-bin range shorter than one vector runs only the scalar tail, which
-  // calls the scalar table's per-term code and keeps its row accumulator:
-  // the result must match it to the bit, for any v range, exact and fast.
+  // A u-bin range shorter than one vector runs only the scalar loop, the
+  // width-1 kernel's per-term code and row accumulator: the result must
+  // match the width-1 table to the bit, for any v range, exact and fast.
   util::Xoshiro256 rng(506);
-  const KernelSet& scalar = core::detail::scalar_kernels();
-  for (VectorIsa isa : available_widths()) {
+  const KernelSet& scalar = scalar_table();
+  for (VectorIsa isa : every_isa()) {
     const KernelSet* ks = simd::kernels(isa);
     for (int trial = 0; trial < 48; ++trial) {
       const int nbins = 12;
       BinTable ut = random_table(rng, nbins), vt = random_table(rng, nbins);
       vt.lo = trial % 4;
       ut.lo = trial % nbins;
-      ut.hi = std::min(nbins - 1, ut.lo + trial % (ks->lanes - 1));
+      ut.hi = std::min(nbins - 1,
+                       ut.lo + trial % std::max(1, ks->lanes - 1));
       const double dv[3] = {rng.uniform(5.0, 40.0), rng.uniform(-40.0, 40.0),
                             rng.uniform(-40.0, 40.0)};
       const double d2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2];
@@ -504,13 +513,12 @@ TEST(SimdFarBins, ZeroChargeBodyGivesExactlyZero) {
   // of its bins is skipped, so the far field is exactly 0 with no pairs
   // counted, at every width, whichever side the body is on.
   util::Xoshiro256 rng(507);
-  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
-  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
   const int nbins = 11;
   const BinTable charged = random_table(rng, nbins);
   BinTable neutral = random_table(rng, nbins);
   std::fill(neutral.m.begin(), neutral.m.end(), 0.0);
-  for (const KernelSet* ks : sets) {
+  for (VectorIsa isa : every_isa()) {
+    const KernelSet* ks = simd::kernels(isa);
     for (bool fast : {false, true}) {
       const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
       std::uint64_t pairs = 0;
@@ -533,8 +541,6 @@ TEST(SimdFarBins, QuadrupoleOnlyBinContributes) {
   // sees: the bin counts as occupied and its far field matches the
   // reference, at every width, on either side.
   util::Xoshiro256 rng(508);
-  std::vector<const KernelSet*> sets{&core::detail::scalar_kernels()};
-  for (VectorIsa isa : available_widths()) sets.push_back(simd::kernels(isa));
   const BinTable charged = random_table(rng, 7);
   BinTable quad = random_table(rng, 7);
   std::fill(quad.m.begin(), quad.m.end(), 0.0);
@@ -547,7 +553,8 @@ TEST(SimdFarBins, QuadrupoleOnlyBinContributes) {
   std::uint64_t nnz = 0;
   for (int k = 0; k < 7; ++k) nnz += charged.view().occupied(k) ? 1u : 0u;
   ASSERT_GT(nnz, 0u);
-  for (const KernelSet* ks : sets) {
+  for (VectorIsa isa : every_isa()) {
+    const KernelSet* ks = simd::kernels(isa);
     for (bool fast : {false, true}) {
       const auto fn = fast ? ks->epol_far_bins_fast : ks->epol_far_bins;
       for (const bool quad_is_u : {true, false}) {
@@ -582,7 +589,7 @@ TEST(SimdEdge, CoincidentDenormalAndHugeInputsStayFinite) {
   std::vector<double> wnx{5.0, 5.0, 0.5, 0.1, denorm, 0.2, -0.3, 0.4, 0.1},
       wny(9, 0.0), wnz(9, 0.0);
   const QPointBatch q{x, y, z, wnx, wny, wnz};
-  const double ref = core::batch_born_integral(ax, ay, az, q);
+  const double ref = scalar_table().born_integral(ax, ay, az, q);
   ASSERT_TRUE(std::isfinite(ref));
   for (VectorIsa isa : available_widths()) {
     const KernelSet* ks = simd::kernels(isa);
@@ -605,7 +612,7 @@ TEST(SimdEdge, EpolSelfTermAndExtremeRadiiStayFinite) {
   std::vector<double> charge{0.8, -0.5, 1.0, 0.3, -1.0};
   std::vector<double> born{1.7, 0.05, 40.0, 1.0, 2.0};
   const AtomBatch a{x, y, z, charge, born};
-  const double ref = core::batch_epol_sum(vx, vy, vz, 0.8, 1.7, a);
+  const double ref = scalar_table().epol_sum(vx, vy, vz, 0.8, 1.7, a);
   ASSERT_TRUE(std::isfinite(ref));
   for (VectorIsa isa : available_widths()) {
     const KernelSet* ks = simd::kernels(isa);
