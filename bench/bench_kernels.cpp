@@ -82,10 +82,8 @@ BENCHMARK(BM_SurfaceBuild)->Arg(1000)->Arg(4000);
 
 // --- near-field kernels on real leaf distributions, per variant ---------
 //
-// One benchmark series per (kernel, width) pair, so the CSV never lumps
-// distinct code paths under one undifferentiated "batched" label.
-// Variants:
-//   scalar          — KernelKind::Scalar AoS reference
+// One benchmark series per vector width, so the CSV never lumps distinct
+// code paths under one label. Variants:
 //   batched/scalar  — the SoA kernels at width 1 (the Scalar ISA)
 //   batched/<isa>   — the SoA kernels at a vector width
 // Width variants are registered at startup for every compiled-and-
@@ -95,23 +93,16 @@ BENCHMARK(BM_SurfaceBuild)->Arg(1000)->Arg(4000);
 namespace {
 
 struct KernelVariant {
-  core::KernelKind kind = core::KernelKind::Batched;
   simd::VectorParams vec;
-  std::string label;  ///< benchmark-name suffix, "kernel/width"
+  std::string label;  ///< benchmark-name suffix, "batched/width"
 };
 
 std::vector<KernelVariant> kernel_variants() {
   std::vector<KernelVariant> out;
-  out.push_back(
-      {core::KernelKind::Scalar, {simd::VectorIsa::Scalar}, "scalar"});
-  out.push_back({core::KernelKind::Batched,
-                 {simd::VectorIsa::Scalar},
-                 "batched/scalar"});
+  out.push_back({{simd::VectorIsa::Scalar}, "batched/scalar"});
   for (simd::VectorIsa isa : {simd::VectorIsa::V128, simd::VectorIsa::V256}) {
     if (!simd::isa_available(isa)) continue;
-    out.push_back({core::KernelKind::Batched,
-                   {isa},
-                   std::string("batched/") + simd::isa_name(isa)});
+    out.push_back({{isa}, std::string("batched/") + simd::isa_name(isa)});
   }
   return out;
 }
@@ -119,7 +110,6 @@ std::vector<KernelVariant> kernel_variants() {
 void BM_BornPhaseKernel(benchmark::State& state, KernelVariant variant) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::EngineConfig cfg;
-  cfg.approx.kernel = variant.kind;
   cfg.approx.vector = variant.vec;
   core::GBEngine engine(test_molecule(n), test_surface(n), cfg);
   std::vector<double> node_s(engine.num_ta_nodes());
@@ -142,7 +132,6 @@ void BM_BornPhaseKernel(benchmark::State& state, KernelVariant variant) {
 void BM_EpolPhaseKernel(benchmark::State& state, KernelVariant variant) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::EngineConfig cfg;
-  cfg.approx.kernel = variant.kind;
   cfg.approx.vector = variant.vec;
   core::GBEngine engine(test_molecule(n), test_surface(n), cfg);
   const auto result = engine.compute();
@@ -169,7 +158,6 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
   core::GBEngine engine(test_molecule(n), test_surface(n));
   const auto& ta = engine.atoms_tree();
   const auto& tq = engine.qpoints_tree();
-  const bool batched = variant.kind == core::KernelKind::Batched;
   const simd::KernelSet* ks = simd::kernels(variant.vec.isa);
   std::uint64_t pairs = 0;
   for (auto _ : state) {
@@ -180,24 +168,10 @@ void BM_LeafBornKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < a_leaves.size(); ++i) {
       const auto& a = ta.tree.node(a_leaves[i]);
       const auto& q = tq.tree.node(q_leaves[i % q_leaves.size()]);
-      if (batched) {
-        const core::QPointBatch qb = tq.batch(q.begin, q.end);
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-          acc += ks->born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
-                                   ta.soa_z()[ai], qb);
-      } else {
-        for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
-          const geom::Vec3 pa = ta.tree.point(ai);
-          double s = 0.0;
-          for (std::uint32_t qi = q.begin; qi < q.end; ++qi) {
-            const geom::Vec3 delta = tq.tree.point(qi) - pa;
-            const double r2 = delta.norm2();
-            if (r2 < 1e-12) continue;
-            s += tq.wnormal(qi).dot(delta) * core::inv_r6(r2, false);
-          }
-          acc += s;
-        }
-      }
+      const core::QPointBatch qb = tq.batch(q.begin, q.end);
+      for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
+        acc += ks->born_integral(ta.soa_x()[ai], ta.soa_y()[ai],
+                                 ta.soa_z()[ai], qb);
       pairs += static_cast<std::uint64_t>(a.size()) * q.size();
     }
     benchmark::DoNotOptimize(acc);
@@ -215,7 +189,6 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
   const auto idx = ta.tree.point_index();
   for (std::size_t pos = 0; pos < idx.size(); ++pos)
     born_tree[pos] = result.born[idx[pos]];
-  const bool batched = variant.kind == core::KernelKind::Batched;
   const simd::KernelSet* ks = simd::kernels(variant.vec.isa);
   std::uint64_t pairs = 0;
   for (auto _ : state) {
@@ -224,23 +197,10 @@ void BM_LeafEpolKernel(benchmark::State& state, KernelVariant variant) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const auto& v = ta.tree.node(leaves[i]);
       const auto& u = ta.tree.node(leaves[(i + 1) % leaves.size()]);
-      if (batched) {
-        const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
-        for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
-          acc += ks->epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
-                              ta.charge[vi], born_tree[vi], ub);
-      } else {
-        for (std::uint32_t vi = v.begin; vi < v.end; ++vi) {
-          const geom::Vec3 pv = ta.tree.point(vi);
-          const double qv = ta.charge[vi];
-          const double rv = born_tree[vi];
-          for (std::uint32_t ui = u.begin; ui < u.end; ++ui) {
-            const double r2 = geom::dist2(ta.tree.point(ui), pv);
-            acc += ta.charge[ui] * qv /
-                   core::f_gb(r2, born_tree[ui] * rv);
-          }
-        }
-      }
+      const core::AtomBatch ub = ta.batch(u.begin, u.end, born_tree);
+      for (std::uint32_t vi = v.begin; vi < v.end; ++vi)
+        acc += ks->epol_sum(ta.soa_x()[vi], ta.soa_y()[vi], ta.soa_z()[vi],
+                            ta.charge[vi], born_tree[vi], ub);
       pairs += static_cast<std::uint64_t>(u.size()) * v.size();
     }
     benchmark::DoNotOptimize(acc);

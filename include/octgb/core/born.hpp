@@ -36,13 +36,12 @@ class PlanRecorder;  // core/plan.hpp
 /// top-down gradient pass adds each far term's A-side correction into
 /// the atom_s slots below its node, so node_s keeps one slot per node.
 /// Concurrent calls must not share the output
-/// spans. Counter updates are batched per task. `kernel`, `vector`
-/// and `approx_math` pick the exact leaf×leaf arithmetic through the one
-/// near-field selector (DESIGN.md §2.3): KernelKind::Scalar runs the AoS
-/// loop whatever `vector` says; Batched runs the kernel table of the
-/// resolved ISA (`vector` is resolved internally, so callers may pass the
-/// raw config value). All compute the same sums up to floating-point
-/// reassociation. A non-null `recorder`
+/// spans. Counter updates are batched per task. `vector` and
+/// `approx_math` pick the exact leaf×leaf arithmetic through the one
+/// near-field selector (DESIGN.md §2.3): the kernel table of the resolved
+/// ISA (`vector` is resolved internally, so callers may pass the raw
+/// config value). Every width computes the same sums up to
+/// floating-point reassociation. A non-null `recorder`
 /// captures every near/far decision into an InteractionPlan *and keeps
 /// the walk serial* (even under an active scheduler), so it sees the
 /// owners one at a time.
@@ -52,7 +51,8 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<double> node_s, std::span<double> atom_s,
                       perf::WorkCounters& counters,
                       bool strict_criterion = false,
-                      KernelKind kernel = KernelKind::Batched,
+                      // Unread (perfbench); ROADMAP item 1 deletes it.
+                      KernelKind = KernelKind::Batched,
                       const simd::VectorParams& vector = {},
                       PlanRecorder* recorder = nullptr);
 
@@ -68,10 +68,6 @@ void push_integrals_to_atoms(const AtomsTree& ta,
                              std::uint32_t atom_begin, std::uint32_t atom_end,
                              bool approx_math, std::span<double> born_tree,
                              perf::WorkCounters& counters);
-
-/// Reciprocal sixth power of the distance with optional approximate math:
-/// 1/r⁶ from r² (shared by the Born kernels and the naive engine tests).
-double inv_r6(double r2, bool approx_math);
 
 /// One first-order far-field term: the contribution of a Q-aggregate
 /// (weighted normal sum `wn` and symmetric normal moment `wm`, both about
@@ -93,16 +89,5 @@ double inv_r6(double r2, bool approx_math);
                                        const geom::Vec3& wn,
                                        const NormalMoment& wm,
                                        bool approx_math, geom::Vec3& grad);
-
-/// Exact scalar (AoS) Born integral of the atom at `pa` against the
-/// q-points [q_begin, q_end) of `tq` — the KernelKind::Scalar near-field
-/// body, shared between the Born walk and plan replay for the same
-/// bit-identity reason as born_far_term. Q-points with r² ≤ 1e-12 are
-/// skipped, the same guard as every other near kernel.
-[[gnu::noinline]] double scalar_born_pair(const geom::Vec3& pa,
-                                          const QPointsTree& tq,
-                                          std::uint32_t q_begin,
-                                          std::uint32_t q_end,
-                                          bool approx_math);
 
 }  // namespace octgb::core

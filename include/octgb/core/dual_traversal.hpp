@@ -36,16 +36,14 @@ namespace octgb::core {
 /// (one slot per T_A node) and exact leaf sums into `atom_s` (tree
 /// order), exactly like approx_integrals() — the PUSH phase is shared.
 /// Bitwise at every worker count; the walk forks under an active
-/// scheduler. `kernel`, `vector` and `approx_math` pick the exact
-/// leaf×leaf arithmetic through the same near-field selector as
-/// approx_integrals().
+/// scheduler. `vector` and `approx_math` pick the exact leaf×leaf
+/// arithmetic through the same near-field selector as approx_integrals().
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s,
                            std::span<double> atom_s,
                            perf::WorkCounters& counters,
                            bool strict_criterion = false,
-                           KernelKind kernel = KernelKind::Batched,
                            const simd::VectorParams& vector = {});
 
 }  // namespace octgb::core

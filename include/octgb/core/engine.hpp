@@ -27,14 +27,12 @@ struct TraceOptions {
 };
 
 /// Engine configuration: approximation parameters, GB constants, octree
-/// build knobs. `approx.kernel` selects the exact near-field kernel
-/// implementation (KernelKind::Batched SoA by default; KernelKind::Scalar
-/// keeps the original AoS loops for A/B benchmarking and the differential
-/// tests) — it changes results only by floating-point reassociation.
-/// `approx.vector` picks the width the Batched kernels run at
-/// (octgb/simd/, runtime-dispatched; VectorIsa::Scalar is width 1); like
-/// approx_math it changes arithmetic only, never the traversal partition,
-/// so it participates in the Born-cache stamp but not in the PlanKey.
+/// build knobs. `approx.vector` picks the width the exact near-field
+/// kernels run at (octgb/simd/, runtime-dispatched; VectorIsa::Scalar is
+/// width 1), the only near-field selector besides approx_math. Like
+/// approx_math it changes results only by floating-point reassociation,
+/// never the traversal partition, so it participates in the Born-cache
+/// stamp but not in the PlanKey.
 /// `trace.enabled` opts the compute paths into span recording; tracing
 /// never changes results or operation counts.
 ///

@@ -96,19 +96,19 @@ struct EpolContext {
 /// adds 2·|U|·|V|), so counter totals over a partition are unchanged.
 /// Thread-safe; parallelizes over fixed blocks of leaves and folds the
 /// block sums in block order, so the result is bitwise identical at any
-/// worker count (and serially). `kernel`, `vector` and `approx_math` pick
-/// the arithmetic of the exact leaf×leaf sum and the node-path bin-pair
-/// far field through the one near-field selector (DESIGN.md §2.3):
-/// KernelKind::Scalar runs the AoS loop and the scalar far field whatever
-/// `vector` says; Batched runs the kernel table of the resolved ISA
-/// (`vector` is resolved internally, callers pass the raw config value).
-/// The same applies to the two entry points below.
+/// worker count (and serially). `vector` and `approx_math` pick the
+/// arithmetic of the exact leaf×leaf sum and the node-path bin-pair far
+/// field through the one near-field selector (DESIGN.md §2.3): the kernel
+/// table of the resolved ISA (`vector` is resolved internally, callers
+/// pass the raw config value). The same applies to the two entry points
+/// below.
 double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    std::span<const double> born_tree,
                    std::span<const std::uint32_t> v_leaf_ids, double eps_epol,
                    bool approx_math, const GBParams& gb,
                    perf::WorkCounters& counters,
-                   KernelKind kernel = KernelKind::Batched,
+                   // Unread (perfbench); ROADMAP item 1 deletes it.
+                   KernelKind = KernelKind::Batched,
                    const simd::VectorParams& vector = {});
 
 /// Atom-based division: energy from the interaction of atoms in tree
@@ -123,7 +123,6 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
                               double eps_epol, bool approx_math,
                               const GBParams& gb,
                               perf::WorkCounters& counters,
-                              KernelKind kernel = KernelKind::Batched,
                               const simd::VectorParams& vector = {});
 
 /// Cross-tree energy between two *disjoint* atom sets, each with its own
@@ -149,7 +148,8 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
                          std::span<const double> born_b, double eps_epol,
                          bool approx_math, const GBParams& gb,
                          perf::WorkCounters& counters,
-                         KernelKind kernel = KernelKind::Batched,
+                         // Unread (perfbench); ROADMAP item 1 deletes it.
+                         KernelKind = KernelKind::Batched,
                          const simd::VectorParams& vector = {});
 
 }  // namespace octgb::core

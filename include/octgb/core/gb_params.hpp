@@ -21,12 +21,11 @@ struct GBParams {
   double tau() const { return kCoulomb * (1.0 / eps_in - 1.0 / eps_solv); }
 };
 
-/// Inner-kernel selection for the exact near-field loops (leaf×leaf Born
-/// integral and leaf×leaf GB energy). `Batched` routes them through the
-/// SoA kernel table of the resolved `vector` width (simd/dispatch.hpp;
-/// identical sums up to floating-point reassociation); `Scalar` keeps the
-/// original AoS loops for A/B comparison and differential testing.
-enum class KernelKind { Scalar, Batched };
+/// The exact near-field arithmetic has one implementation: the SoA kernel
+/// table of the resolved `vector` width (simd/dispatch.hpp). This
+/// single-valued enum is kept only because perfbench/traced.cpp spells
+/// it; ROADMAP item 1 deletes it.
+enum class KernelKind { Batched };
 
 /// Interaction-plan policy for the EvalScratch compute path (core/plan.hpp).
 /// `Auto` caches the Born-phase pair lists (and finished Born radii) in the
@@ -52,22 +51,19 @@ struct ApproxParams {
   /// energy error well under the paper's 1 % budget (see DESIGN.md §2
   /// and bench_criterion). Default: false.
   bool strict_born_criterion = false;
-  /// Exact near-field kernel implementation. Batched (the default) runs
-  /// the leaf×leaf loops over the trees' cached SoA leaf planes; Scalar
-  /// is the original AoS formulation, kept selectable for benchmarking
-  /// and the differential tests.
-  KernelKind kernel = KernelKind::Batched;
+  /// Not a knob: perfbench/traced.cpp reads it. Deleted with KernelKind.
+  static constexpr KernelKind kernel = KernelKind::Batched;
   /// Interaction-plan caching for the warm (EvalScratch) compute path;
   /// numerically inert — plan replay reproduces the traversal bit for bit.
   PlanMode plan = PlanMode::Auto;
-  /// Explicit-SIMD kernel selection for the Batched near-field loops and
-  /// the bin-pair far field (simd/dispatch.hpp). Arithmetic-only, like
+  /// Explicit-SIMD kernel selection for the exact near-field loops and
+  /// the bin-pair far field (simd/dispatch.hpp): the only arithmetic
+  /// selector besides approx_math. Arithmetic-only, like
   /// approx_math: it never changes which interactions are evaluated, so
   /// it is excluded from the PlanKey and stamped into the Born cache
   /// instead. The default Auto resolves to the widest ISA this build +
-  /// CPU support (deterministic bits per width). Ignored when
-  /// `kernel == KernelKind::Scalar`; when `approx_math` is set the
-  /// fastmath vector kernels run.
+  /// CPU support (deterministic bits per width); VectorIsa::Scalar is
+  /// width 1. When `approx_math` is set the fastmath kernels run.
   simd::VectorParams vector;
   /// Locality-aware plan execution (DESIGN.md §2.11): carve replay chunks
   /// along Morton leaf-run boundaries (streaming access instead of

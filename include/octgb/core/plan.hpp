@@ -29,8 +29,8 @@
 /// exactly one task, so replay needs no atomics, is race-free under any
 /// schedule, and — because each owner's list is in the serial
 /// accumulation order and the arithmetic goes through the same
-/// out-of-line kernels (born_far_term / scalar_born_pair / the near-field
-/// kernel table) and the walk's own far-gradient pass — reproduces the
+/// out-of-line kernels (born_far_term and the near-field kernel table)
+/// and the walk's own far-gradient pass — reproduces the
 /// traversal's results bit for bit.
 ///
 /// Lifecycle (driven by GBEngine::compute on the EvalScratch path, see
@@ -79,6 +79,7 @@ struct PlanKey {
   std::uint64_t topology_epoch = 0;  ///< bumped by tree rebuilds
   double eps_born = 0.0;
   bool strict_criterion = false;
+  /// Unread (perfbench); ROADMAP item 1 deletes it.
   KernelKind kernel = KernelKind::Batched;
   PlanFlavor flavor = PlanFlavor::Single;
   /// Locality-aware chunk carving (ApproxParams::locality). In the key

@@ -8,7 +8,7 @@
 /// Three workloads, in increasing order of reuse:
 ///
 ///  1. Parameter sweeps — evaluate()/evaluate_at() re-run the energy at
-///     different ε/kernel/GB settings against the *same* trees ("once an
+///     different ε/width/GB settings against the *same* trees ("once an
 ///     octree is built, it can be used for any approximation parameter").
 ///  2. Moved-atom re-scoring — update() refits the trees in place for new
 ///     coordinates (O(n), topology preserved) and rebuilds only when the

@@ -15,8 +15,8 @@
 ///   - the surface sampling parameters (they shape T_Q);
 ///   - the octree build parameters for both trees (they shape topology);
 ///   - the partition/arithmetic knobs of ApproxParams: eps_born, the
-///     strict-criterion switch, the kernel kind, approx_math, and the
-///     requested VectorParams (the width changes result bits, so it must
+///     strict-criterion switch, approx_math, and the requested
+///     VectorParams (the width changes result bits, so it must
 ///     separate artifacts — see DESIGN.md §2.8).
 ///
 /// Deliberately *excluded* are the evaluation-time-only knobs that a warm

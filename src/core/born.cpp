@@ -66,15 +66,6 @@ struct EvalSink {
 
 }  // namespace
 
-double inv_r6(double r2, bool approx_math) {
-  if (approx_math) {
-    const double t = fast_rsqrt(r2);
-    const double t2 = t * t;
-    return t2 * t2 * t2;
-  }
-  return 1.0 / (r2 * r2 * r2);
-}
-
 double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
                      const NormalMoment& wm, bool approx_math, Vec3& grad) {
   const Vec3 d = qc - ac;
@@ -103,25 +94,12 @@ double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
   return (nd + wm.xx + wm.yy + wm.zz) * i6 - 6.0 * dsd * i8;
 }
 
-double scalar_born_pair(const Vec3& pa, const QPointsTree& tq,
-                        std::uint32_t q_begin, std::uint32_t q_end,
-                        bool approx_math) {
-  double s = 0.0;
-  for (std::uint32_t qi = q_begin; qi < q_end; ++qi) {
-    const Vec3 delta = tq.tree.point(qi) - pa;
-    const double r2 = delta.norm2();
-    if (r2 <= 1e-12) continue;
-    s += tq.wnormal(qi).dot(delta) * inv_r6(r2, approx_math);
-  }
-  return s;
-}
-
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,
                       std::span<double> node_s, std::span<double> atom_s,
                       perf::WorkCounters& counters, bool strict_criterion,
-                      KernelKind kernel, const simd::VectorParams& vector,
+                      KernelKind, const simd::VectorParams& vector,
                       PlanRecorder* recorder) {
   OCTGB_CHECK_MSG(eps_born > 0.0, "eps_born must be positive");
   OCTGB_CHECK(node_s.size() == ta.tree.nodes().size());
@@ -129,7 +107,7 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
   std::vector<Vec3> grad(node_s.size());
   EvalSink sink{ta,
                 tq,
-                detail::select_near_field(kernel, vector, approx_math),
+                detail::select_near_field(vector, approx_math),
                 node_s.data(),
                 atom_s.data(),
                 grad.data(),
@@ -147,12 +125,12 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s, std::span<double> atom_s,
                            perf::WorkCounters& counters,
-                           bool strict_criterion, KernelKind kernel,
+                           bool strict_criterion,
                            const simd::VectorParams& vector) {
   // Fig. 1 is the same walk started from the T_Q root (DESIGN.md §2.6).
   const std::uint32_t root = 0;
   approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
-                   counters, strict_criterion, kernel, vector);
+                   counters, strict_criterion, KernelKind::Batched, vector);
 }
 
 namespace {

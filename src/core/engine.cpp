@@ -65,7 +65,7 @@ void GBEngine::phase_integrals(Segment q_leaf_segment,
       std::span<const std::uint32_t>(leaves).subspan(
           q_leaf_segment.begin, q_leaf_segment.size()),
       config_.approx.eps_born, config_.approx.approx_math, node_s, atom_s,
-      counters, config_.approx.strict_born_criterion, config_.approx.kernel,
+      counters, config_.approx.strict_born_criterion, KernelKind::Batched,
       config_.approx.vector);
 }
 
@@ -97,7 +97,7 @@ double GBEngine::phase_epol(const EpolContext& ctx,
                      std::span<const std::uint32_t>(leaves).subspan(
                          a_leaf_segment.begin, a_leaf_segment.size()),
                      config_.approx.eps_epol, config_.approx.approx_math,
-                     config_.gb, counters, config_.approx.kernel,
+                     config_.gb, counters, KernelKind::Batched,
                      config_.approx.vector);
 }
 
@@ -109,7 +109,7 @@ double GBEngine::phase_epol_atom_based(const EpolContext& ctx,
   return approx_epol_atom_based(
       ta_, ctx, born_tree, atom_segment.begin, atom_segment.end,
       config_.approx.eps_epol, config_.approx.approx_math, config_.gb,
-      counters, config_.approx.kernel, config_.approx.vector);
+      counters, config_.approx.vector);
 }
 
 std::vector<double> GBEngine::born_to_input_order(
@@ -188,7 +188,7 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
                     topology_epoch_,
                     approx.eps_born,
                     approx.strict_born_criterion,
-                    approx.kernel,
+                    KernelKind::Batched,
                     PlanFlavor::Single,
                     approx.locality};
   enum class Action { Traverse, Capture, Replay, BornReuse };
@@ -264,8 +264,7 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
         } else {
           approx_integrals_dual(ta_, tq_, approx.eps_born, approx.approx_math,
                                 scratch.node_s, scratch.atom_s, result.work,
-                                approx.strict_born_criterion, approx.kernel,
-                                rvec);
+                                approx.strict_born_criterion, rvec);
         }
         break;
       }

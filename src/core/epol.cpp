@@ -338,12 +338,11 @@ double approx_epol(const AtomsTree& ta, const EpolContext& ctx,
                    std::span<const double> born_tree,
                    std::span<const std::uint32_t> v_leaf_ids, double eps_epol,
                    bool approx_math, const GBParams& gb,
-                   perf::WorkCounters& counters, KernelKind kernel,
+                   perf::WorkCounters& counters, KernelKind,
                    const simd::VectorParams& vector) {
   OCTGB_CHECK(born_tree.size() == ta.num_atoms());
   if (ta.tree.empty() || v_leaf_ids.empty()) return 0.0;
-  const detail::NearField nf =
-      detail::select_near_field(kernel, vector, approx_math);
+  const detail::NearField nf = detail::select_near_field(vector, approx_math);
   const double k = epol_threshold(eps_epol);
   const double total = detail::ordered_sum(
       v_leaf_ids.size(), counters,
@@ -371,12 +370,10 @@ double approx_epol_atom_based(const AtomsTree& ta, const EpolContext& ctx,
                               double eps_epol, bool approx_math,
                               const GBParams& gb,
                               perf::WorkCounters& counters,
-                              KernelKind kernel,
                               const simd::VectorParams& vector) {
   OCTGB_CHECK(born_tree.size() == ta.num_atoms());
   if (ta.tree.empty() || atom_begin >= atom_end) return 0.0;
-  const detail::NearField nf =
-      detail::select_near_field(kernel, vector, approx_math);
+  const detail::NearField nf = detail::select_near_field(vector, approx_math);
   const double k = epol_threshold(eps_epol);
 
   // A leaf inside [atom_begin, atom_end) walks the tree as one V side. A
@@ -422,15 +419,14 @@ double approx_epol_cross(const AtomsTree& ta, const EpolContext& ctx_a,
                          const EpolContext& ctx_b,
                          std::span<const double> born_b, double eps_epol,
                          bool approx_math, const GBParams& gb,
-                         perf::WorkCounters& counters, KernelKind kernel,
+                         perf::WorkCounters& counters, KernelKind,
                          const simd::VectorParams& vector) {
   OCTGB_CHECK(born_a.size() == ta.num_atoms());
   OCTGB_CHECK(born_b.size() == tb.num_atoms());
   if (ta.tree.empty() || tb.tree.empty()) return 0.0;
   OCTGB_CHECK_MSG(ctx_b.bin_lo.size() == tb.tree.nodes().size(),
                   "ctx_b was built on a different tree shape than tb");
-  const detail::NearField nf =
-      detail::select_near_field(kernel, vector, approx_math);
+  const detail::NearField nf = detail::select_near_field(vector, approx_math);
   const double k = epol_threshold(eps_epol);
   const auto& v_leaves = tb.tree.leaf_ids();
   const double total = detail::ordered_sum(

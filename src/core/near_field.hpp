@@ -7,17 +7,15 @@
 /// Every exact leaf×leaf term — the Born integral of APPROX-INTEGRALS
 /// (traversal, dual traversal, plan replay) and the GB pair sum and
 /// bin-pair far field of APPROX-EPOL — is computed through a NearField
-/// resolved once per call from (KernelKind, VectorParams, approx_math).
-/// born_near() and epol_near() hold the only copy of the AoS / vector /
-/// fastmath branches; call sites never branch on the arithmetic. NearRun
+/// resolved once per call from (VectorParams, approx_math): the resolved
+/// ISA's kernel table, with approx_math picking its *_fast entries.
+/// born_near() and epol_near() hold the only copy of the fastmath
+/// branches; call sites never branch on the arithmetic. NearRun
 /// coalesces abutting near leaves into one sweep per run.
 
 #include <cstdint>
 #include <span>
 
-#include "octgb/core/born.hpp"
-#include "octgb/core/fastmath.hpp"
-#include "octgb/core/gb_params.hpp"
 #include "octgb/core/trees.hpp"
 #include "octgb/simd/dispatch.hpp"
 
@@ -26,20 +24,14 @@ namespace octgb::core::detail {
 /// Resolved near-field arithmetic of one evaluation.
 struct NearField {
   const simd::KernelSet* set;  ///< never null
-  bool aos;   ///< KernelKind::Scalar: AoS loops for the exact leaf pairs
-  bool fast;  ///< approx_math: the *_fast entries and fast AoS math
+  bool fast;  ///< approx_math: the *_fast entries
 };
 
-/// Resolve once per call. Precedence: KernelKind::Scalar runs the AoS
-/// loops and the Scalar ISA's far field whatever the ISA; otherwise the
-/// resolved ISA's table runs, with approx_math selecting its *_fast
-/// entries.
-inline NearField select_near_field(KernelKind kernel,
-                                   const simd::VectorParams& vector,
+/// Resolve once per call: the resolved ISA's table, with approx_math
+/// selecting its *_fast entries.
+inline NearField select_near_field(const simd::VectorParams& vector,
                                    bool approx_math) {
-  const bool aos = kernel == KernelKind::Scalar;
-  return {simd::kernels(aos ? simd::VectorIsa::Scalar : vector.isa), aos,
-          approx_math};
+  return {simd::kernels(vector.isa), approx_math};
 }
 
 /// Gradient in the position x_v of the second-order far field (the
@@ -51,15 +43,6 @@ inline NearField select_near_field(KernelKind kernel,
 geom::Vec3 far_atom_gradient(const BinMoments& u, const geom::Vec3& delta,
                              double rv, std::uint64_t& binpairs);
 
-/// 1/f_GB with optional approximate math (the AoS Epol term).
-inline double inv_f_gb(double r2, double ri_rj, bool approx) {
-  if (approx) {
-    const double e = fast_exp(-r2 / (4.0 * ri_rj));
-    return fast_rsqrt(r2 + ri_rj * e);
-  }
-  return 1.0 / f_gb(r2, ri_rj);
-}
-
 /// Exact Born integrals of the T_A atoms [a_begin, a_end) against the
 /// T_Q points [q_begin, q_end): one sum per atom, in atom order, added
 /// into its atom_s slot.
@@ -67,12 +50,6 @@ inline void born_near(const NearField& nf, const AtomsTree& ta,
                       std::uint32_t a_begin, std::uint32_t a_end,
                       const QPointsTree& tq, std::uint32_t q_begin,
                       std::uint32_t q_end, double* atom_s) {
-  if (nf.aos) {
-    for (std::uint32_t ai = a_begin; ai < a_end; ++ai)
-      atom_s[ai] +=
-          scalar_born_pair(ta.tree.point(ai), tq, q_begin, q_end, nf.fast);
-    return;
-  }
   const double* __restrict ax = ta.soa_x().data();
   const double* __restrict ay = ta.soa_y().data();
   const double* __restrict az = ta.soa_z().data();
@@ -91,18 +68,6 @@ inline double epol_near(const NearField& nf, const AtomsTree& tu,
                         std::uint32_t v_begin, std::uint32_t v_end,
                         std::span<const double> born_v) {
   double sum = 0.0;
-  if (nf.aos) {
-    for (std::uint32_t vi = v_begin; vi < v_end; ++vi) {
-      const geom::Vec3 pv = tv.tree.point(vi);
-      const double qv = tv.charge[vi];
-      const double rv = born_v[vi];
-      for (std::uint32_t ui = u_begin; ui < u_end; ++ui) {
-        const double r2 = geom::dist2(tu.tree.point(ui), pv);
-        sum += tu.charge[ui] * qv * inv_f_gb(r2, born_u[ui] * rv, nf.fast);
-      }
-    }
-    return sum;
-  }
   const double* __restrict vx = tv.soa_x().data();
   const double* __restrict vy = tv.soa_y().data();
   const double* __restrict vz = tv.soa_z().data();

@@ -401,8 +401,7 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
   OCTGB_CHECK_MSG(valid_, "replay() on an invalid plan");
   // Same arithmetic selection as the Born walk: identical out-of-line
   // kernel code per near pair keeps replay bit-identical to it.
-  const detail::NearField nf =
-      detail::select_near_field(key_.kernel, vector, approx_math);
+  const detail::NearField nf = detail::select_near_field(vector, approx_math);
   const std::int64_t nchunks = static_cast<std::int64_t>(chunks());
   // Stream-plane base pointers, hoisted for the next-run prefetch below
   // (cheap cached spans; the near-loop kernels re-derive their own).

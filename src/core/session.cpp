@@ -15,7 +15,7 @@ bool same_eval_params(const ApproxParams& a, const ApproxParams& b) {
   return a.eps_born == b.eps_born && a.eps_epol == b.eps_epol &&
          a.approx_math == b.approx_math &&
          a.strict_born_criterion == b.strict_born_criterion &&
-         a.kernel == b.kernel && a.vector == b.vector;
+         a.vector == b.vector;
 }
 
 mol::Molecule body_molecule(const mol::Molecule& mol,
@@ -300,7 +300,7 @@ PoseScore ScoringSession::score_pose_screen(const geom::RigidTransform& pose,
       st.rec_engine.atoms_tree(), st.rec_ctx, st.rec_born_tree,
       st.lig_engine.atoms_tree(), st.lig_ctx, st.lig_born_tree,
       approx.eps_epol, approx.approx_math, engine_.config().gb, counters,
-      approx.kernel, approx.vector);
+      KernelKind::Batched, approx.vector);
 
   score.epol = st.e_rec + st.e_lig + cross;
   score.delta = cross;

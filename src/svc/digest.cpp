@@ -81,7 +81,6 @@ Digest digest_job_inputs(const mol::Molecule& mol,
   // absent — they are warm re-dials on a shared artifact.
   b.pod(config.approx.eps_born);
   b.pod(config.approx.strict_born_criterion);
-  b.pod(config.approx.kernel);
   b.pod(config.approx.approx_math);
   b.pod(config.approx.vector.isa);
   return b.finish();

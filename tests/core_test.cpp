@@ -715,7 +715,7 @@ TEST(EpolFarField, ForceFarTermIsTheEnergyFarTermsGradient) {
 TEST(EpolFarField, ZeroChargeBodyGivesExactlyZero) {
   // Every moment of a zero-charge body vanishes, so each far bin pair is
   // skipped and each exact pair is 0·finite: the cross energy is exactly 0
-  // with the neutral body on either side, at every kernel and width.
+  // with the neutral body on either side, at every width.
   const auto ma = mol::generate_protein({.target_atoms = 300, .seed = 5});
   auto mb = mol::generate_protein({.target_atoms = 150, .seed = 6});
   for (auto& atom : mb.atoms()) atom.charge = 0.0;
@@ -728,19 +728,19 @@ TEST(EpolFarField, ZeroChargeBodyGivesExactlyZero) {
   std::vector<simd::VectorIsa> isas{simd::VectorIsa::Scalar};
   for (auto isa : {simd::VectorIsa::V128, simd::VectorIsa::V256})
     if (simd::isa_available(isa)) isas.push_back(isa);
-  for (const auto kernel :
-       {core::KernelKind::Scalar, core::KernelKind::Batched})
-    for (const auto isa : isas)
-      for (const bool fast : {false, true}) {
-        perf::WorkCounters wc;
-        EXPECT_EQ(core::approx_epol_cross(ta, ctx_a, born_a, tb, ctx_b, born_b,
-                                          0.9, fast, {}, wc, kernel, {isa}),
-                  0.0);
-        EXPECT_EQ(core::approx_epol_cross(tb, ctx_b, born_b, ta, ctx_a, born_a,
-                                          0.9, fast, {}, wc, kernel, {isa}),
-                  0.0);
-        EXPECT_GT(wc.epol_exact, 0u);
-      }
+  for (const auto isa : isas)
+    for (const bool fast : {false, true}) {
+      perf::WorkCounters wc;
+      EXPECT_EQ(core::approx_epol_cross(ta, ctx_a, born_a, tb, ctx_b, born_b,
+                                        0.9, fast, {}, wc,
+                                        core::KernelKind::Batched, {isa}),
+                0.0);
+      EXPECT_EQ(core::approx_epol_cross(tb, ctx_b, born_b, ta, ctx_a, born_a,
+                                        0.9, fast, {}, wc,
+                                        core::KernelKind::Batched, {isa}),
+                0.0);
+      EXPECT_GT(wc.epol_exact, 0u);
+    }
 }
 
 TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
@@ -776,28 +776,23 @@ TEST(MirroredEpol, MatchesUnmirroredOracleOverTheSameInteractionSet) {
     const auto n = static_cast<std::uint32_t>(ta.num_atoms());
     for (double eps : {0.1, 0.5, 0.9}) {
       const auto ctx = core::EpolContext::build(ta, born, eps);
-      for (auto kernel : {core::KernelKind::Scalar, core::KernelKind::Batched})
-        for (const auto& vec : vectors)
-          for (bool approx_math : {false, true}) {
-            if (kernel == core::KernelKind::Scalar &&
-                vec.isa != simd::VectorIsa::Scalar)
-              continue;  // the scalar kernel ignores the vector knob
-            perf::WorkCounters wm, wo;
-            const double mirrored =
-                core::approx_epol(ta, ctx, born, ta.tree.leaf_ids(), eps,
-                                  approx_math, gb, wm, kernel, vec);
-            const double oracle = core::approx_epol_atom_based(
-                ta, ctx, born, 0, n, eps, approx_math, gb, wo, kernel, vec);
-            const std::string where =
-                std::string(in.name) + " eps=" + std::to_string(eps) +
-                " kernel=" + std::to_string(int(kernel)) +
-                " isa=" + std::to_string(int(vec.isa)) +
-                " approx_math=" + std::to_string(approx_math);
-            EXPECT_NEAR(mirrored, oracle, 1e-12 * std::abs(oracle)) << where;
-            EXPECT_EQ(wm.epol_exact, wo.epol_exact) << where;
-            EXPECT_EQ(wm.epol_bins, wo.epol_bins) << where;
-            EXPECT_EQ(wm.epol_visits, wo.epol_visits) << where;
-          }
+      for (const auto& vec : vectors)
+        for (bool approx_math : {false, true}) {
+          perf::WorkCounters wm, wo;
+          const double mirrored = core::approx_epol(
+              ta, ctx, born, ta.tree.leaf_ids(), eps, approx_math, gb, wm,
+              core::KernelKind::Batched, vec);
+          const double oracle = core::approx_epol_atom_based(
+              ta, ctx, born, 0, n, eps, approx_math, gb, wo, vec);
+          const std::string where =
+              std::string(in.name) + " eps=" + std::to_string(eps) +
+              " isa=" + std::to_string(int(vec.isa)) +
+              " approx_math=" + std::to_string(approx_math);
+          EXPECT_NEAR(mirrored, oracle, 1e-12 * std::abs(oracle)) << where;
+          EXPECT_EQ(wm.epol_exact, wo.epol_exact) << where;
+          EXPECT_EQ(wm.epol_bins, wo.epol_bins) << where;
+          EXPECT_EQ(wm.epol_visits, wo.epol_visits) << where;
+        }
     }
   }
 }
@@ -1098,7 +1093,8 @@ TEST(BatchKernels, BornIntegralMatchesScalarSum) {
   double scalar = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const geom::Vec3 d = pts[k] - a;
-    scalar += w[k] * normals[k].dot(d) * core::inv_r6(d.norm2(), false);
+    const double r2 = d.norm2();
+    scalar += w[k] * normals[k].dot(d) / (r2 * r2 * r2);
   }
   const double batched = simd::kernels(simd::VectorIsa::Scalar)->born_integral(
       a.x, a.y, a.z, {qx, qy, qz, wnx, wny, wnz});

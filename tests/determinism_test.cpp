@@ -106,15 +106,14 @@ TEST(Determinism, SerialEngineIsBitDeterministic) {
 }
 
 TEST(Determinism, BatchedAndScalarEnginesAreBitDeterministic) {
-  // The SoA batched kernels (the default) must be exactly as reproducible
-  // as the scalar path they replaced: repeated serial runs are bitwise
-  // identical for both kernel kinds.
+  // The default (widest) vector width must be exactly as reproducible as
+  // width 1: repeated serial runs are bitwise identical at both.
   const auto m = mol::generate_protein({.target_atoms = 350, .seed = 5});
   const auto surf = surface::build_surface(m);
-  for (core::KernelKind kind :
-       {core::KernelKind::Scalar, core::KernelKind::Batched}) {
+  for (simd::VectorIsa isa :
+       {simd::VectorIsa::Scalar, simd::VectorIsa::Auto}) {
     core::EngineConfig cfg;
-    cfg.approx.kernel = kind;
+    cfg.approx.vector = {isa};
     core::GBEngine engine(m, surf, cfg);
     const auto r1 = engine.compute();
     const auto r2 = engine.compute();
@@ -214,9 +213,7 @@ TEST(Determinism, EpolForcesAreBitwiseAtEveryWorkerCount) {
 TEST(Determinism, BatchedHybridIsDeterministicAcrossRankShapes) {
   const auto m = mol::generate_protein({.target_atoms = 350, .seed = 5});
   const auto surf = surface::build_surface(m);
-  core::EngineConfig cfg;
-  cfg.approx.kernel = core::KernelKind::Batched;
-  core::GBEngine engine(m, surf, cfg);
+  core::GBEngine engine(m, surf);
   const auto serial = engine.compute();
 
   const std::pair<int, int> shapes[] = {{1, 1}, {2, 2}, {4, 1}};
@@ -366,15 +363,15 @@ TEST(Determinism, HybridIsBitwiseAcrossThreadsPerRank) {
 }
 
 TEST(Determinism, BatchedHybridWorkCountersMatchScalarHybrid) {
-  // Kernel choice changes arithmetic layout, never traversal decisions:
-  // the per-rank interaction counts must be identical scalar vs batched.
+  // The vector width changes arithmetic layout, never traversal
+  // decisions: the per-rank interaction counts must be identical at
+  // width 1 and at the default (widest) width.
   const auto m = mol::generate_protein({.target_atoms = 300, .seed = 9});
   const auto surf = surface::build_surface(m);
-  core::EngineConfig scalar_cfg, batched_cfg;
-  scalar_cfg.approx.kernel = core::KernelKind::Scalar;
-  batched_cfg.approx.kernel = core::KernelKind::Batched;
+  core::EngineConfig scalar_cfg;
+  scalar_cfg.approx.vector = {simd::VectorIsa::Scalar};
   core::GBEngine scalar_engine(m, surf, scalar_cfg);
-  core::GBEngine batched_engine(m, surf, batched_cfg);
+  core::GBEngine batched_engine(m, surf);
   core::HybridConfig hc;
   hc.ranks = 4;
   const auto rs = core::run_hybrid(scalar_engine, hc);

@@ -1,9 +1,9 @@
-// Differential tests guarding the batched SoA near-field kernels: the
-// batched path must agree with the AoS scalar path up to floating-point
-// reassociation at every level (raw kernel, octree engine, dual
-// traversal), and the batched-by-default octree energy must stay inside
-// the paper's (1+ε) approximation bound against the naive reference.
-// The raw kernels are the Scalar ISA's width-1 table
+// Differential tests guarding the SoA near-field kernels: the default
+// (widest) vector width must agree with the width-1 Scalar ISA up to
+// floating-point reassociation at every level (raw kernel, octree engine,
+// dual traversal, degenerate molecules), and the default octree energy
+// must stay inside the paper's (1+ε) approximation bound against the
+// naive reference. The raw kernels are the Scalar ISA's width-1 table
 // (simd::kernels(VectorIsa::Scalar)); this file's own loops are the
 // independent references. Also pins down the kernels' edge-case
 // contracts: empty/single-point batches, the branchless |r−a| < 1e-6
@@ -26,12 +26,13 @@
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
+#include "octgb/ws/scheduler.hpp"
 
 using namespace octgb;
 using core::AtomBatch;
+using core::EnergyResult;
 using core::EngineConfig;
 using core::GBEngine;
-using core::KernelKind;
 using core::QPointBatch;
 
 namespace {
@@ -68,6 +69,12 @@ double scalar_born_integral(double ax, double ay, double az,
   return s;
 }
 
+/// The width-1 arithmetic the default (widest) one is compared against.
+EngineConfig width_one(EngineConfig cfg = {}) {
+  cfg.approx.vector = {simd::VectorIsa::Scalar};
+  return cfg;
+}
+
 /// Independent reference for the GB pair kernel (the epol.cpp leaf loop).
 double scalar_epol_sum(double vx, double vy, double vz, double qv, double rv,
                        const AtomBatch& atoms) {
@@ -83,7 +90,7 @@ double scalar_epol_sum(double vx, double vy, double vz, double qv, double rv,
 
 }  // namespace
 
-// ---- randomized batched-vs-scalar agreement ------------------------------
+// ---- randomized widest-vs-width-1 agreement -------------------------------
 
 TEST(KernelDiff, RawBornKernelMatchesScalarOnRealLeaves) {
   for (std::uint64_t seed : {1, 7, 23}) {
@@ -136,17 +143,14 @@ TEST(KernelDiff, RawEpolKernelMatchesScalarOnRealLeaves) {
   }
 }
 
-/// Whole-engine differential sweep over many random molecules: identical
-/// traversal decisions, sums differing only by reassociation.
+/// Whole-engine differential sweep over many random molecules, the
+/// default (widest) width against width 1: identical traversal
+/// decisions, sums differing only by reassociation.
 TEST(KernelDiff, EngineBatchedMatchesScalarManySeeds) {
   for (std::uint64_t seed : {3, 5, 17, 29, 41, 53}) {
     const Problem p(250 + 40 * (seed % 5), seed);
-    EngineConfig scalar_cfg;
-    scalar_cfg.approx.kernel = KernelKind::Scalar;
-    EngineConfig batched_cfg;
-    batched_cfg.approx.kernel = KernelKind::Batched;
-    const auto rs = GBEngine(p.molecule, p.surf, scalar_cfg).compute();
-    const auto rb = GBEngine(p.molecule, p.surf, batched_cfg).compute();
+    const auto rs = GBEngine(p.molecule, p.surf, width_one()).compute();
+    const auto rb = GBEngine(p.molecule, p.surf).compute();
     ASSERT_EQ(rs.born.size(), rb.born.size());
     for (std::size_t i = 0; i < rs.born.size(); ++i)
       EXPECT_LT(rel_diff(rb.born[i], rs.born[i]), 1e-9)
@@ -163,31 +167,22 @@ TEST(KernelDiff, EngineBatchedMatchesScalarManySeeds) {
 
 TEST(KernelDiff, DualTraversalBatchedMatchesScalar) {
   const Problem p(400, 13);
-  EngineConfig scalar_cfg;
-  scalar_cfg.approx.kernel = KernelKind::Scalar;
-  EngineConfig batched_cfg;
-  batched_cfg.approx.kernel = KernelKind::Batched;
-  const auto rs = GBEngine(p.molecule, p.surf, scalar_cfg).compute_dual();
-  const auto rb = GBEngine(p.molecule, p.surf, batched_cfg).compute_dual();
+  const auto rs = GBEngine(p.molecule, p.surf, width_one()).compute_dual();
+  const auto rb = GBEngine(p.molecule, p.surf).compute_dual();
   for (std::size_t i = 0; i < rs.born.size(); ++i)
     EXPECT_LT(rel_diff(rb.born[i], rs.born[i]), 1e-9) << "atom " << i;
   EXPECT_LT(rel_diff(rb.epol, rs.epol), 1e-6);
 }
 
-/// The §V-C approximate-math mode must vectorize too: the batched fastmath
-/// kernels use the same per-term fast_rsqrt/fast_exp as the scalar
-/// approximate path, so batched-fast vs scalar-fast is again pure
-/// reassociation.
+/// The §V-C approximate-math mode must vectorize too: the vector fastmath
+/// kernels use the same per-term fast_rsqrt/fast_exp as the width-1
+/// table, so widest-fast vs width-1-fast is again pure reassociation.
 TEST(KernelDiff, FastmathBatchedMatchesFastmathScalar) {
   const Problem p(350, 37);
-  EngineConfig scalar_cfg;
-  scalar_cfg.approx.approx_math = true;
-  scalar_cfg.approx.kernel = KernelKind::Scalar;
-  EngineConfig batched_cfg;
-  batched_cfg.approx.approx_math = true;
-  batched_cfg.approx.kernel = KernelKind::Batched;
-  const auto rs = GBEngine(p.molecule, p.surf, scalar_cfg).compute();
-  const auto rb = GBEngine(p.molecule, p.surf, batched_cfg).compute();
+  EngineConfig fast_cfg;
+  fast_cfg.approx.approx_math = true;
+  const auto rs = GBEngine(p.molecule, p.surf, width_one(fast_cfg)).compute();
+  const auto rb = GBEngine(p.molecule, p.surf, fast_cfg).compute();
   for (std::size_t i = 0; i < rs.born.size(); ++i)
     EXPECT_LT(rel_diff(rb.born[i], rs.born[i]), 1e-9) << "atom " << i;
   EXPECT_LT(rel_diff(rb.epol, rs.epol), 1e-6);
@@ -323,31 +318,36 @@ TEST(BatchKernelEdge, BornFarTermCoincidentCentroidsContributeZero) {
 }
 
 TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
-  // A q-point exactly on the atom and one inside the guard band must be
-  // skipped; a zero-weight q-point outside the band contributes exactly 0
-  // without perturbing the sum.
+  // A query placed exactly on the first q-point of a real surface: every
+  // runnable kernel table skips that point and returns the finite sum
+  // the reference loop scalar_born_integral gives over the others.
   const mol::Molecule m = mol::generate_protein({.target_atoms = 40,
                                                  .seed = 9});
   const surface::Surface s = surface::build_surface(m, {.subdivision = 0});
-  core::EngineConfig cfg;
-  GBEngine engine(m, s, cfg);
+  GBEngine engine(m, s);
   const auto& tq = engine.qpoints_tree();
-  // Query placed exactly on the first q-point of the full range.
-  const double v = core::scalar_born_pair(
-      tq.tree.point(0), tq, 0, static_cast<std::uint32_t>(tq.num_points()),
-      false);
-  EXPECT_TRUE(std::isfinite(v));
-  const double vf = core::scalar_born_pair(
-      tq.tree.point(0), tq, 0, static_cast<std::uint32_t>(tq.num_points()),
-      true);
-  EXPECT_TRUE(std::isfinite(vf));
+  const auto n = static_cast<std::uint32_t>(tq.num_points());
+  const geom::Vec3 x = tq.tree.point(0);
+  const QPointBatch qb = tq.batch(0, n);
+  const double want = scalar_born_integral(x.x, x.y, x.z, qb);
+  ASSERT_TRUE(std::isfinite(want));
+  for (simd::VectorIsa isa : {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
+                              simd::VectorIsa::V256}) {
+    if (!simd::isa_available(isa)) continue;
+    const simd::KernelSet* k = simd::kernels(isa);
+    EXPECT_NEAR(k->born_integral(x.x, x.y, x.z, qb), want,
+                1e-9 * std::abs(want))
+        << k->name;
+    EXPECT_TRUE(std::isfinite(k->born_integral_fast(x.x, x.y, x.z, qb)))
+        << k->name;
+  }
 }
 
 TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   // The coincidence guard skips r² ≤ 1e-12 on every path. A q-point at
   // the origin and an atom at (−h, 0, 0) give a computed r² of h·h; pick
-  // h so that this is exactly the double 1e-12. The AoS pair and every
-  // runnable kernel table (the Scalar ISA's included) must skip the point.
+  // h so that this is exactly the double 1e-12. Every runnable kernel
+  // table (the Scalar ISA's included) must skip the point.
   double h = 0.0;
   double lo = 1e-6, hi = 1e-6;
   for (int i = 0; i < 64 && h == 0.0; ++i) {
@@ -358,28 +358,17 @@ TEST(BatchKernelEdge, GuardBoundaryIsSkippedByEveryBornKernel) {
   }
   ASSERT_NE(h, 0.0) << "no double h near 1e-6 with h*h == 1e-12";
 
-  surface::Surface s;
-  s.positions = {{0.0, 0.0, 0.0}};
-  s.normals = {{1.0, 0.0, 0.0}};
-  s.weights = {1.0};
-  s.owner_atom = {0};
-  const core::QPointsTree tq = core::QPointsTree::build(s);
-  const geom::Vec3 pa{-h, 0.0, 0.0};
-  ASSERT_EQ((tq.tree.point(0) - pa).norm2(), 1e-12);
-
   // 17 copies: a vector body at every width plus a scalar tail.
   const std::vector<double> x(17, 0.0), y(17, 0.0), z(17, 0.0);
   const std::vector<double> wnx(17, 1.0), wny(17, 0.0), wnz(17, 0.0);
   const QPointBatch q{x, y, z, wnx, wny, wnz};
 
-  for (bool fast : {false, true})
-    EXPECT_EQ(core::scalar_born_pair(pa, tq, 0, 1, fast), 0.0) << fast;
   for (simd::VectorIsa isa : {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
                               simd::VectorIsa::V256}) {
     if (!simd::isa_available(isa)) continue;
     const simd::KernelSet* k = simd::kernels(isa);
-    EXPECT_EQ(k->born_integral(pa.x, 0.0, 0.0, q), 0.0) << k->name;
-    EXPECT_EQ(k->born_integral_fast(pa.x, 0.0, 0.0, q), 0.0) << k->name;
+    EXPECT_EQ(k->born_integral(-h, 0.0, 0.0, q), 0.0) << k->name;
+    EXPECT_EQ(k->born_integral_fast(-h, 0.0, 0.0, q), 0.0) << k->name;
   }
 }
 
@@ -507,7 +496,8 @@ TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
   const geom::Vec3 cq = tq.tree.node(0).centroid;
   const geom::Vec3 wn = tq.node_wnormal[0];
   const core::NormalMoment& wm = tq.node_wmoment[0];
-  const auto n_pts = static_cast<std::uint32_t>(tq.num_points());
+  const QPointBatch qb =
+      tq.batch(0, static_cast<std::uint32_t>(tq.num_points()));
 
   util::Xoshiro256 rng(23);
   std::vector<geom::Vec3> offsets;
@@ -533,7 +523,7 @@ TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
     const double mono = wn.dot(delta) / (r2 * r2 * r2);
     double worst_first = 0.0, worst_mono = 0.0, biggest = 0.0;
     for (const auto& x : atoms) {
-      const double exact = core::scalar_born_pair(x, tq, 0, n_pts, false);
+      const double exact = scalar_born_integral(x.x, x.y, x.z, qb);
       worst_first = std::max(worst_first,
                              std::abs(term + grad.dot(x - ca) - exact));
       worst_mono = std::max(worst_mono, std::abs(mono - exact));
@@ -547,5 +537,113 @@ TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
     EXPECT_LT(err_first[k], err_mono[k]) << at;
     EXPECT_NEAR(err_first[k] / err_first[k + 1], 4.0, 0.5) << at;
     EXPECT_NEAR(err_mono[k] / err_mono[k + 1], 2.0, 0.25) << at;
+  }
+}
+
+// ---- degenerate molecules at every width -----------------------------------
+
+namespace {
+
+struct Shape {
+  std::string name;
+  mol::Molecule molecule;
+  bool neutral = false;  ///< every charge zero
+};
+
+/// One atom, two coincident atoms, a collinear chain, a planar sheet and
+/// a protein with every charge zero.
+std::vector<Shape> degenerate_shapes() {
+  std::vector<Shape> out;
+  mol::Molecule one("one atom");
+  one.add_atom({.pos = {1.0, -2.0, 0.5}, .radius = 1.7, .charge = -0.6});
+  out.push_back({"one atom", one});
+
+  mol::Molecule twin("coincident");
+  twin.add_atom({.pos = {0.3, 0.3, 0.3}, .radius = 1.6, .charge = 0.4});
+  twin.add_atom({.pos = {0.3, 0.3, 0.3}, .radius = 1.6, .charge = -0.9});
+  out.push_back({"coincident atoms", twin});
+
+  mol::Molecule chain("chain");
+  for (int i = 0; i < 600; ++i)
+    chain.add_atom({.pos = {1.4 * i, 0.0, 0.0},
+                    .radius = 1.5 + 0.1 * (i % 3),
+                    .charge = (i % 2 == 0 ? 0.5 : -0.35)});
+  out.push_back({"collinear chain", chain});
+
+  mol::Molecule sheet("sheet");
+  for (int i = 0; i < 32; ++i)
+    for (int j = 0; j < 32; ++j)
+      sheet.add_atom({.pos = {1.5 * i, 1.5 * j, 0.0},
+                      .radius = 1.6,
+                      .charge = 0.1 * ((i + 2 * j) % 5) - 0.2});
+  out.push_back({"planar sheet", sheet});
+
+  mol::Molecule neutral =
+      mol::generate_protein({.target_atoms = 400, .seed = 19});
+  for (auto& atom : neutral.atoms()) atom.charge = 0.0;
+  out.push_back({"zero-charge protein", neutral, true});
+  return out;
+}
+
+void expect_same_phase_counters(const perf::WorkCounters& got,
+                                const perf::WorkCounters& want,
+                                const std::string& where) {
+  EXPECT_EQ(got.born_exact, want.born_exact) << where;
+  EXPECT_EQ(got.born_approx, want.born_approx) << where;
+  EXPECT_EQ(got.born_visits, want.born_visits) << where;
+  EXPECT_EQ(got.push_visits, want.push_visits) << where;
+  EXPECT_EQ(got.push_atoms, want.push_atoms) << where;
+  EXPECT_EQ(got.epol_exact, want.epol_exact) << where;
+  EXPECT_EQ(got.epol_bins, want.epol_bins) << where;
+  EXPECT_EQ(got.epol_visits, want.epol_visits) << where;
+}
+
+}  // namespace
+
+/// Every degenerate shape at every runnable width: finite radii and
+/// energy, the width-1 run's work counters exactly, its radii to 1e-9 and
+/// its Epol to 1e-6 relative, Epol exactly 0 when every charge is zero,
+/// and the same bits at 1, 2 and 4 workers as serially.
+TEST(KernelDiff, DegenerateMoleculesAgreeAcrossWidths) {
+  for (const Shape& shape : degenerate_shapes()) {
+    const surface::Surface surf = surface::build_surface(shape.molecule);
+    ASSERT_GT(surf.size(), 0u) << shape.name;
+    EnergyResult width1;
+    for (simd::VectorIsa isa : {simd::VectorIsa::Scalar, simd::VectorIsa::V128,
+                                simd::VectorIsa::V256}) {
+      if (!simd::isa_available(isa)) continue;
+      const std::string where =
+          shape.name + " isa " + std::to_string(static_cast<int>(isa));
+      EngineConfig cfg;
+      cfg.approx.vector = {isa};
+      const GBEngine engine(shape.molecule, surf, cfg);
+      const EnergyResult r = engine.compute();
+      ASSERT_EQ(r.born.size(), shape.molecule.size()) << where;
+      EXPECT_TRUE(std::isfinite(r.epol)) << where;
+      for (std::size_t i = 0; i < r.born.size(); ++i)
+        EXPECT_TRUE(std::isfinite(r.born[i]) && r.born[i] > 0.0)
+            << where << " atom " << i;
+      if (shape.neutral) {
+        EXPECT_EQ(r.epol, 0.0) << where;
+      }
+      for (int workers : {1, 2, 4}) {
+        ws::Scheduler sched(workers);
+        const EnergyResult rw = engine.compute(&sched);
+        EXPECT_EQ(rw.epol, r.epol) << where << " workers " << workers;
+        EXPECT_EQ(rw.born, r.born) << where << " workers " << workers;
+        expect_same_phase_counters(rw.work, r.work,
+                                   where + " workers " +
+                                       std::to_string(workers));
+      }
+      if (isa == simd::VectorIsa::Scalar) {
+        width1 = r;
+        continue;
+      }
+      expect_same_phase_counters(r.work, width1.work, where);
+      for (std::size_t i = 0; i < r.born.size(); ++i)
+        EXPECT_LT(rel_diff(r.born[i], width1.born[i]), 1e-9)
+            << where << " atom " << i;
+      EXPECT_LT(rel_diff(r.epol, width1.epol), 1e-6) << where;
+    }
   }
 }

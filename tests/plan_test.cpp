@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -126,12 +128,11 @@ struct SerialDescent {
   perf::WorkCounters work;
 
   SerialDescent(const GBEngine& engine, double eps_born, bool strict,
-                core::KernelKind kernel, const simd::VectorParams& vector,
-                bool approx_math)
+                const simd::VectorParams& vector, bool approx_math)
       : ta(engine.atoms_tree()),
         tq(engine.qpoints_tree()),
         k(core::born_threshold(eps_born, strict)),
-        nf(core::detail::select_near_field(kernel, vector, approx_math)),
+        nf(core::detail::select_near_field(vector, approx_math)),
         node_s(engine.num_ta_nodes(), 0.0),
         atom_s(engine.num_atoms(), 0.0),
         grad(engine.num_ta_nodes()),
@@ -247,8 +248,8 @@ Recorded record_plan(const GBEngine& engine, const core::PlanKey& key,
   r.atom_s.assign(engine.num_atoms(), 0.0);
   core::PlanRecorder rec = r.plan.begin_capture(key);
   core::approx_integrals(ta, tq, leaves, key.eps_born, approx_math, r.node_s,
-                         r.atom_s, r.work, key.strict_criterion, key.kernel,
-                         vector, &rec);
+                         r.atom_s, r.work, key.strict_criterion,
+                         core::KernelKind::Batched, vector, &rec);
   (void)r.plan.finalize(ta, tq, 0, r.work);
   return r;
 }
@@ -298,6 +299,24 @@ TEST_P(PlanEquivalence, CaptureReplayAndReuseMatchTraversalBitForBit) {
   EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
 }
 
+/// "A500_Eps0p3", "A500_Eps0p9_Strict": the case name, and what gtest
+/// prints for the parameter. Its default prints the struct's raw bytes,
+/// padding included, which differ from build to build.
+std::string sweep_label(const SweepParams& p) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "A%zu_Eps%g%s", p.atoms, p.eps_born,
+                p.strict ? "_Strict" : "");
+  std::string name = buf;
+  std::replace(name.begin(), name.end(), '.', 'p');
+  return name;
+}
+
+void PrintTo(const SweepParams& p, std::ostream* os) { *os << sweep_label(p); }
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParams>& p) {
+  return sweep_label(p.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PlanEquivalence,
     ::testing::Values(SweepParams{200, 0.9, false},
@@ -305,7 +324,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParams{500, 0.3, false},
                       SweepParams{500, 2.0, false},
                       SweepParams{500, 0.9, true},
-                      SweepParams{1200, 0.9, false}));
+                      SweepParams{1200, 0.9, false}),
+    sweep_name);
 
 // ---- invalidation -----------------------------------------------------------
 
@@ -432,15 +452,13 @@ void expect_same_born_counters(const perf::WorkCounters& got,
 /// through the engine, and the parallel validate of the recorded plan.
 /// The Fig. 1 (Dual) flavor never goes through a plan: its faces are the
 /// evaluating walk and the one-shot GBEngine::compute_dual.
-void expect_capture_matches_recorder(const CaptureParams& c,
-                                     core::KernelKind kernel) {
+void expect_capture_matches_recorder(const CaptureParams& c) {
   const auto [flavor, strict, isa, approx_math] = c;
   if (!simd::isa_available(isa)) GTEST_SKIP() << "width not runnable here";
   const Problem p(700);
   core::EngineConfig config;
   config.approx.strict_born_criterion = strict;
   config.approx.vector = {isa};
-  config.approx.kernel = kernel;
   config.approx.approx_math = approx_math;
   const simd::VectorParams rvec = simd::resolve(config.approx.vector);
   const auto& approx = config.approx;
@@ -453,8 +471,7 @@ void expect_capture_matches_recorder(const CaptureParams& c,
     const std::size_t n_atoms = engine.num_atoms();
     ws::Scheduler sched(workers);
 
-    SerialDescent ref(engine, approx.eps_born, strict, kernel, rvec,
-                      approx_math);
+    SerialDescent ref(engine, approx.eps_born, strict, rvec, approx_math);
     ref.run(flavor);
     perf::WorkCounters want = ref.work;
     std::vector<double> born_ref(n_atoms, 0.0);
@@ -470,11 +487,10 @@ void expect_capture_matches_recorder(const CaptureParams& c,
       if (flavor == PlanFlavor::Single)
         core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
                                approx_math, node_s, atom_s, walked, strict,
-                               kernel, rvec);
+                               core::KernelKind::Batched, rvec);
       else
         core::approx_integrals_dual(ta, tq, approx.eps_born, approx_math,
-                                    node_s, atom_s, walked, strict, kernel,
-                                    rvec);
+                                    node_s, atom_s, walked, strict, rvec);
     });
     EXPECT_EQ(node_s, ref.node_s) << "evaluate, " << at;
     EXPECT_EQ(atom_s, ref.atom_s) << "evaluate, " << at;
@@ -492,7 +508,8 @@ void expect_capture_matches_recorder(const CaptureParams& c,
 
     // The serial recorder capture evaluates too.
     const core::PlanKey key{1, 0, approx.eps_born, strict,
-                            approx.kernel, flavor, approx.locality};
+                            core::KernelKind::Batched, flavor,
+                            approx.locality};
     auto [recorded, rec_node_s, rec_atom_s, rec_work] =
         record_plan(engine, key, engine.q_leaves(), rvec, approx_math);
     EXPECT_EQ(rec_node_s, ref.node_s) << "record";
@@ -529,7 +546,7 @@ void expect_capture_matches_recorder(const CaptureParams& c,
 class ParallelCapture : public ::testing::TestWithParam<CaptureParams> {};
 
 TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
-  expect_capture_matches_recorder(GetParam(), core::KernelKind::Batched);
+  expect_capture_matches_recorder(GetParam());
 }
 
 std::vector<CaptureParams> capture_matrix() {
@@ -559,46 +576,29 @@ std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCapture,
                          ::testing::ValuesIn(capture_matrix()), capture_name);
 
-// The near-field selector rows beyond ParallelCapture's default kernel
-// (Batched, exact math). A separate parameter struct keeps the cases
-// above under their names: gtest prints an unprintable parameter's raw
-// bytes into the test name.
-struct SelectorParams {
-  CaptureParams capture;
-  core::KernelKind kernel;
-};
-
+// The approx_math rows of the near-field selector, beyond
+// ParallelCapture's exact math.
 class ParallelCaptureSelector
-    : public ::testing::TestWithParam<SelectorParams> {};
+    : public ::testing::TestWithParam<CaptureParams> {};
 
 TEST_P(ParallelCaptureSelector, MatchesSerialRecorderBitForBit) {
-  expect_capture_matches_recorder(GetParam().capture, GetParam().kernel);
+  expect_capture_matches_recorder(GetParam());
 }
 
 /// Loose criterion only, to bound the runtime: approx_math at every
-/// width, and the AoS kernel with and without approx_math at the Scalar
-/// ISA and at V128 (which AoS ignores).
-std::vector<SelectorParams> selector_matrix() {
+/// width.
+std::vector<CaptureParams> selector_matrix() {
   using simd::VectorIsa;
-  std::vector<SelectorParams> out;
-  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
+  std::vector<CaptureParams> out;
+  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
     for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128,
                           VectorIsa::V256})
-      out.push_back({{flavor, false, isa, true}, core::KernelKind::Batched});
-    for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128})
-      for (bool approx_math : {false, true})
-        out.push_back(
-            {{flavor, false, isa, approx_math}, core::KernelKind::Scalar});
-  }
+      out.push_back({flavor, false, isa, true});
   return out;
 }
 
-std::string selector_name(
-    const ::testing::TestParamInfo<SelectorParams>& p) {
-  const SelectorParams& s = p.param;
-  return capture_label(s.capture) +
-         (s.kernel == core::KernelKind::Scalar ? "Aos" : "") +
-         (s.capture.approx_math ? "Fast" : "");
+std::string selector_name(const ::testing::TestParamInfo<CaptureParams>& p) {
+  return capture_label(p.param) + "Fast";
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelCaptureSelector,
@@ -700,12 +700,13 @@ TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
         if (single)
           core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
                                  approx.approx_math, node_s, atom_s, walked,
-                                 approx.strict_born_criterion, approx.kernel,
-                                 rvec);
+                                 approx.strict_born_criterion,
+                                 core::KernelKind::Batched, rvec);
         else
-          core::approx_integrals_dual(
-              ta, tq, approx.eps_born, approx.approx_math, node_s, atom_s,
-              walked, approx.strict_born_criterion, approx.kernel, rvec);
+          core::approx_integrals_dual(ta, tq, approx.eps_born,
+                                      approx.approx_math, node_s, atom_s,
+                                      walked, approx.strict_born_criterion,
+                                      rvec);
       });
       if (workers == 1) {
         want_node_s = node_s;
@@ -717,7 +718,8 @@ TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
 
       const core::PlanKey key{1,      0, approx.eps_born,
                               approx.strict_born_criterion,
-                              approx.kernel, flavor, approx.locality};
+                              core::KernelKind::Batched, flavor,
+                              approx.locality};
       const Recorded rec = record_plan(engine, key, engine.q_leaves(), rvec,
                                        approx.approx_math);
       EXPECT_EQ(rec.node_s, want_node_s) << "record, " << at;

@@ -523,7 +523,7 @@ TEST(Session, CrossScreenRotatedPoseMatchesABinTableBuiltInThePose) {
   const double cross = core::approx_epol_cross(
       rec_engine.atoms_tree(), rec_ctx, rec_born, lig_engine.atoms_tree(),
       lig_ctx, lig_born, ap.eps_epol, ap.approx_math, lig_engine.config().gb,
-      wc, ap.kernel, ap.vector);
+      wc, core::KernelKind::Batched, ap.vector);
   // Both sides run the same kernel on the same leaf moments: bitwise.
   EXPECT_EQ(screen[0].delta, cross);
 }

@@ -111,15 +111,15 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     c3.approx.strict_born_criterion = true;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
   }
-  {  // arithmetic: kernel / fastmath / vector ISA
+  {  // arithmetic: fastmath / vector ISA
     auto c2 = cfg;
-    c2.approx.kernel = core::KernelKind::Scalar;
+    c2.approx.approx_math = true;
     digests.push_back(svc::digest_job_inputs(mol, sp, c2));
     auto c3 = cfg;
-    c3.approx.approx_math = true;
+    c3.approx.vector.isa = simd::VectorIsa::V128;
     digests.push_back(svc::digest_job_inputs(mol, sp, c3));
     auto c4 = cfg;
-    c4.approx.vector.isa = simd::VectorIsa::V128;
+    c4.approx.vector.isa = simd::VectorIsa::Scalar;
     digests.push_back(svc::digest_job_inputs(mol, sp, c4));
   }
 
