@@ -3,7 +3,7 @@
 // ScoringSession. The session keeps the atoms and quadrature octrees alive
 // via O(n) refits — the RefitMonitor quality policy triggers a rebuild
 // when the structure drifts too far — and reuses its EvalScratch, so the
-// steady-state loop performs no heap allocation.
+// steady-state loop grows no scratch buffer.
 
 #include <cstdio>
 
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   std::printf("\nrefits: %zu, rebuilds: %zu — the atoms tree rides O(n) "
               "refits for thermal-scale motion; the quadrature tree rebuilds "
               "only when re-sampling changes the surface point count.\n"
-              "scratch allocation events: %zu (steady state allocates "
-              "nothing)\n",
+              "scratch allocation events: %zu (steady state grows no "
+              "scratch buffer)\n",
               session.move_stats().refits, session.move_stats().rebuilds,
               session.scratch().allocation_events);
   return 0;

@@ -62,8 +62,11 @@ struct EnergyResult {
 /// evaluation needs — phase-A accumulators, the tree-order Born plane,
 /// the input-order remap target, and the Epol bin tables. Buffers are
 /// *zeroed, not reallocated* between computes: after the first warm
-/// compute on a given engine shape, repeated evaluations perform no heap
-/// allocation (ISSUE acceptance — `allocation_events` is the witness).
+/// compute on a given engine shape, repeated evaluations grow no scratch
+/// buffer, and `allocation_events` (which counts exactly those growths)
+/// stays put. That is not "no heap allocation": approx_integrals and
+/// InteractionPlan::replay allocate their per-node gradient array on
+/// every call, and the tree walks allocate their fork lists.
 /// One scratch serves any number of engines/evaluations sequentially; it
 /// is not thread-safe across concurrent computes.
 struct EvalScratch {
@@ -190,7 +193,8 @@ class GBEngine {
 
   /// Stage-3 evaluation against caller-owned working memory: all phase
   /// buffers and the Epol context come from (and are left in) `scratch`,
-  /// so back-to-back computes on the same tree shape allocate nothing.
+  /// so back-to-back computes on the same tree shape grow no scratch
+  /// buffer (see EvalScratch for what still allocates).
   /// This is the hot path of ScoringSession. Under PlanMode::Auto (the
   /// default) the Born phase goes through the scratch's plan cache: a
   /// capture + replay on the first evaluation, replay or a full

@@ -164,9 +164,9 @@ class InteractionPlan {
 
   // --- locality introspection (DESIGN.md §2.11) --------------------------
 
-  /// Locality counters of the *last* finalize: runs / run_owners / chunks /
-  /// baseline_chunks are set; prefetch_batches stays zero (a per-replay
-  /// event the engine accumulates itself).
+  /// Locality counters of the *last* finalize: runs / run_owners / chunks
+  /// are set; prefetch_batches stays zero (a per-replay event the engine
+  /// accumulates itself).
   const perf::LocalityCounters& locality_stats() const { return locality_; }
   /// Prefetch issues one replay performs (0 when the plan was carved with
   /// locality off).
@@ -260,7 +260,7 @@ class InteractionPlan {
 
   // capture() / finalize() scratch (reused capacity).
   std::vector<std::uint32_t> node_near_, node_far_;  ///< counts per T_A node
-  std::vector<std::uint64_t> cost_, sorted_cost_;
+  std::vector<std::uint64_t> cost_;
   std::size_t capture_cap_mark_ = 0;  ///< capacity() at capture start
 
   perf::WorkCounters base_work_;  ///< capture's Born-walk counters

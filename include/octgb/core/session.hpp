@@ -100,7 +100,8 @@ class ScoringSession {
   std::size_t footprint_bytes() const;
 
   /// Evaluate at the engine's current settings, reusing the session
-  /// scratch — repeated calls on an unchanged shape allocate nothing.
+  /// scratch — repeated calls on an unchanged shape grow no scratch
+  /// buffer.
   EvalResult evaluate(ws::Scheduler* sched = nullptr);
 
   /// Evaluate at different evaluation-time knobs without rebuilding the

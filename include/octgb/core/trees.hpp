@@ -32,7 +32,7 @@ struct AtomsTree {
   std::vector<double> vdw_radius; ///< intrinsic radius, tree order
 
   /// Coordinate planes, tree order (owned and maintained by the octree
-  /// across builds, refits and resorts).
+  /// across builds and refits).
   std::span<const double> soa_x() const { return tree.soa_x(); }
   std::span<const double> soa_y() const { return tree.soa_y(); }
   std::span<const double> soa_z() const { return tree.soa_z(); }

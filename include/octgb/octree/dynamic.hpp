@@ -11,20 +11,19 @@
 /// radii bottom-up in O(n). The far-field admissibility tests stay
 /// correct because they only consult centroids and radii. When the
 /// accumulated drift inflates leaves past a quality threshold, the tree
-/// is rebuilt from scratch.
+/// is rebuilt from scratch. Refit and rebuild are the only two ways a
+/// tree moves.
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "octgb/octree/octree.hpp"
 
 namespace octgb::octree {
 
-/// The refit-vs-rebuild quality policy, factored out of DynamicOctree so
-/// engines that own their trees directly (core::ScoringSession refits the
-/// engine's AtomsTree/QPointsTree in place) share the same monitor instead
-/// of wrapping every tree in a DynamicOctree.
+/// The refit-vs-rebuild quality policy. Its owner refits the tree in
+/// place with Octree::refit() (core::ScoringSession does so for the
+/// engine's AtomsTree/QPointsTree), asks should_rebuild(), and after a
+/// rebuild calls rebase().
 ///
 /// The monitor snapshots each leaf's enclosing radius at (re)build time
 /// ("rebase"). After refits, a leaf whose radius has inflated past
@@ -65,59 +64,6 @@ class RefitMonitor {
  private:
   Policy policy_;
   std::vector<double> base_radius_;  ///< per-node radius at rebase time
-};
-
-/// Octree with cheap refits and quality-triggered rebuilds.
-class DynamicOctree {
- public:
-  struct Params {
-    BuildParams build;
-    /// Rebuild when any leaf's radius exceeds
-    /// rebuild_radius_factor × its radius at (re)build time +
-    /// rebuild_radius_slack.
-    double rebuild_radius_factor = 1.5;
-    double rebuild_radius_slack = 1.0;  ///< Å
-    /// Use Octree::resort() instead of refit() on Morton-built trees:
-    /// each update re-sorts only the points whose grid cell changed,
-    /// restoring build-fresh quality (bit-identical to a rebuild on the
-    /// pinned grid) without the inflation drift that refits accumulate. A
-    /// full rebuild still happens when a point escapes the build grid.
-    bool enable_resort = false;
-  };
-
-  /// Build from the initial positions (input order).
-  explicit DynamicOctree(std::span<const geom::Vec3> positions)
-      : DynamicOctree(positions, Params()) {}
-  DynamicOctree(std::span<const geom::Vec3> positions, Params params);
-
-  /// The current tree. Valid until the next update().
-  const Octree& tree() const { return tree_; }
-
-  /// Move the points to `positions` (same length and input order as the
-  /// constructor). Performs an O(n) refit (or, with enable_resort, a
-  /// moved-points re-sort), or a full rebuild when the quality threshold
-  /// trips or a point escapes the build grid. Returns true when a rebuild
-  /// happened.
-  bool update(std::span<const geom::Vec3> positions);
-
-  std::size_t refits() const { return refits_; }
-  std::size_t rebuilds() const { return rebuilds_; }
-  std::size_t resorts() const { return resorts_; }
-
-  /// Worst current leaf inflation: max over leaves of
-  /// radius_now / max(radius_at_build, slack).
-  double worst_leaf_inflation() const;
-
- private:
-  void rebuild(std::span<const geom::Vec3> positions);
-  void refit(std::span<const geom::Vec3> positions);
-
-  Params params_;
-  Octree tree_;
-  RefitMonitor monitor_;
-  std::size_t refits_ = 0;
-  std::size_t rebuilds_ = 0;
-  std::size_t resorts_ = 0;
 };
 
 }  // namespace octgb::octree

@@ -89,8 +89,8 @@ constexpr int morton_common_levels(std::uint64_t a, std::uint64_t b,
 /// The quantization grid a Morton tree was built over: a cubical box of
 /// 2^bits cells per axis anchored so its cell boundaries coincide with the
 /// legacy builder's recursive octant planes (origin = cube center − half,
-/// cell = side / 2^bits). Persisted with the tree (serialize v2) so a
-/// reloaded tree can re-quantize moved points for the re-sort refit path.
+/// cell = side / 2^bits). An octree uses it only while it builds; the
+/// tree keeps neither the grid nor the keys.
 struct MortonGrid {
   geom::Vec3 origin;          ///< cube corner (minimum coordinate)
   double cell = 0.0;          ///< cell side length; 0 means "no grid"
@@ -105,15 +105,6 @@ struct MortonGrid {
   /// cell) at `bits` bits per axis. Degenerate inputs get the same 1e-9
   /// minimum half-extent the legacy builder uses.
   static MortonGrid of(std::span<const geom::Vec3> pts, int bits);
-
-  /// True when `p` lies inside the grid cube (quantization without
-  /// clamping). Build inputs always do; re-sort refits check drift.
-  bool contains(const geom::Vec3& p) const {
-    const double side_len = cell * static_cast<double>(side());
-    return p.x >= origin.x && p.x <= origin.x + side_len && p.y >= origin.y &&
-           p.y <= origin.y + side_len && p.z >= origin.z &&
-           p.z <= origin.z + side_len;
-  }
 
   /// Quantize one coordinate (clamped to the grid). Scales by the
   /// reciprocal rather than dividing: `1.0 / cell` is loop-invariant, so

@@ -26,7 +26,6 @@
 
 #include "octgb/geom/aabb.hpp"
 #include "octgb/geom/vec3.hpp"
-#include "octgb/octree/morton.hpp"
 #include "octgb/perf/counters.hpp"
 
 namespace octgb::octree {
@@ -68,17 +67,10 @@ class Octree {
   /// points are not stored; the tree keeps permuted coordinate planes plus
   /// the permutation back to input indices. The sort runs on the workers
   /// ws::with_workers picks; the tree is bitwise identical at any worker
-  /// count. Every build, refit and resort entry point throws
-  /// util::CheckError naming the first point with a NaN or infinite
-  /// coordinate.
+  /// count. Every build and refit entry point throws util::CheckError
+  /// naming the first point with a NaN or infinite coordinate.
   static Octree build(std::span<const geom::Vec3> points,
                       const BuildParams& params = {});
-
-  /// Morton build over a caller-pinned grid instead of the points' own
-  /// bounding cube. resort() is defined as bit-identical to this.
-  static Octree build_with_grid(std::span<const geom::Vec3> points,
-                                const MortonGrid& grid,
-                                const BuildParams& params = {});
 
   bool empty() const { return nodes_.empty(); }
   std::size_t num_points() const { return point_index_.size(); }
@@ -89,10 +81,10 @@ class Octree {
   /// point_index()[tree_pos] = index into the original input array.
   std::span<const std::uint32_t> point_index() const { return point_index_; }
 
-  /// SoA coordinate planes in tree order, written by every build, refit
-  /// and resort path — the tree's only copy of its points. A node's atoms
-  /// occupy the contiguous subrange [begin, end) of each plane, so leaf
-  /// batches are plain subspans.
+  /// SoA coordinate planes in tree order, written by every build and
+  /// refit — the tree's only copy of its points. A node's atoms occupy the
+  /// contiguous subrange [begin, end) of each plane, so leaf batches are
+  /// plain subspans.
   std::span<const double> soa_x() const { return soa_x_; }
   std::span<const double> soa_y() const { return soa_y_; }
   std::span<const double> soa_z() const { return soa_z_; }
@@ -100,17 +92,6 @@ class Octree {
   geom::Vec3 point(std::uint32_t pos) const {
     return {soa_x_[pos], soa_y_[pos], soa_z_[pos]};
   }
-
-  /// True when the tree carries Morton state (grid + sorted keys): built
-  /// by build() / build_with_grid() or loaded from a serialize-v2 stream that had
-  /// it. Legacy-built and v1-loaded trees return false.
-  bool has_morton() const { return grid_.bits != 0; }
-  /// The quantization grid of the build (meaningful when has_morton()).
-  const MortonGrid& grid() const { return grid_; }
-  /// Sorted build-time Morton keys, tree order (empty unless has_morton()).
-  /// refit() deliberately leaves them stale: resort() diffs fresh keys
-  /// against these to find which points moved cells.
-  std::span<const std::uint64_t> keys() const { return keys_; }
 
   /// Node ids of all leaves, in tree (left-to-right) order. The paper's
   /// node-based work division segments exactly this sequence.
@@ -121,9 +102,8 @@ class Octree {
   /// Memory footprint (replication accounting).
   std::size_t footprint_bytes() const;
 
-  /// Internal consistency check (ranges, child links, radii, and — when
-  /// has_morton() — key-array shape and sortedness). Used by tests;
-  /// returns true when every invariant holds.
+  /// Internal consistency check (ranges, child links, radii). Used by
+  /// tests and the stream reader; returns true when every invariant holds.
   bool validate() const;
 
   /// Refit: move the points to `positions` (input order, same length as
@@ -131,19 +111,8 @@ class Octree {
   /// centroids and exact enclosing radii bottom-up in O(n). The
   /// admissibility tests stay sound because they only consult
   /// centroids/radii; see octree/dynamic.hpp for the quality-triggered
-  /// rebuild policy and the re-sort alternative.
+  /// rebuild policy.
   void refit(std::span<const geom::Vec3> positions);
-
-  /// Re-sort refit (Morton trees only): re-quantize `positions` on the
-  /// build grid, re-sort only the points whose key changed (stayed points
-  /// are an already-sorted subsequence; the two merge in O(n)), and
-  /// re-derive nodes — the result is bit-identical to
-  /// build_with_grid(positions, grid(), params). Unlike refit() this
-  /// restores tree quality, but the topology may change, so callers must
-  /// rebase any RefitMonitor. Returns false (tree untouched) when a point
-  /// escaped the build grid's cube — the caller should rebuild.
-  bool resort(std::span<const geom::Vec3> positions,
-              const BuildParams& params);
 
   /// Construction statistics for this tree (per-instance so concurrent
   /// service builds never race on a shared counter).
@@ -151,16 +120,12 @@ class Octree {
 
   /// Reassemble a tree from its parts (used by serialize.hpp). `points`
   /// are in tree order; they fill the SoA planes, and leaf ids and the
-  /// depth are derived from the nodes. `keys` may be empty (a legacy tree
-  /// or a v1 stream), in which case `grid` must be empty too and the
-  /// result has has_morton()==false. Throws util::CheckError naming the
+  /// depth are derived from the nodes. Throws util::CheckError naming the
   /// first point with a NaN or infinite coordinate; callers should
   /// validate() the rest.
   static Octree from_parts(std::vector<Node> nodes,
                            std::span<const geom::Vec3> points,
-                           std::vector<std::uint32_t> point_index,
-                           std::vector<std::uint64_t> keys = {},
-                           const MortonGrid& grid = {});
+                           std::vector<std::uint32_t> point_index);
 
  private:
   void set_point(std::size_t pos, const geom::Vec3& p) {
@@ -175,8 +140,6 @@ class Octree {
   std::vector<std::uint32_t> point_index_;  // permuted → original
   std::vector<std::uint32_t> leaf_ids_;
   std::vector<double> soa_x_, soa_y_, soa_z_;  // coordinate planes, permuted
-  std::vector<std::uint64_t> keys_;  // sorted build-time Morton keys
-  MortonGrid grid_;                  // bits==0 ⇒ no Morton state
   perf::TreeBuildCounters stats_;
   int max_depth_ = 0;
 

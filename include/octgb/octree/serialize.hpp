@@ -9,13 +9,14 @@
 /// version, counts) followed by the flat node array, permuted points and
 /// permutation — all little-endian PODs, validated on load.
 ///
-/// Version 2 (DESIGN.md §2.9) appends the Morton state as two tagged
-/// sections after the v1 body: "mkey" (the sorted build-time keys, raw
-/// u64 span — memcpy in, memcpy out) and "mgrd" (the quantization grid as
-/// five doubles: origin xyz, cell size, bits). Both sections are always
-/// present with count 0 for trees without Morton state, so the stream
-/// layout stays deterministic. Version-1 streams (which never carried
-/// these sections) still load; writers always emit v2.
+/// Version 2 (DESIGN.md §2.9) appends two tagged sections after the v1
+/// body: "mkey" (sorted Morton keys, u64) and "mgrd" (the quantization
+/// grid as five doubles: origin xyz, cell size, bits). Trees no longer
+/// keep that state, so the writer emits both sections with count 0. The
+/// reader still accepts non-empty ones from older writers: it checks
+/// their shape, finiteness, count and key order as before, then drops
+/// them. Version-1 streams (which never carried these sections) still
+/// load; writers always emit v2.
 
 #include <cstdint>
 #include <iosfwd>
@@ -66,7 +67,7 @@ void write_vec3_section(std::ostream& out, std::string_view tag,
 std::vector<geom::Vec3> read_vec3_section(std::istream& in,
                                           std::string_view tag);
 
-/// Write a tagged section of u64s (the v2 Morton-key span).
+/// Write a tagged section of u64s (the v2 "mkey" section).
 void write_u64_section(std::ostream& out, std::string_view tag,
                        std::span<const std::uint64_t> data);
 

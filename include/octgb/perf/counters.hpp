@@ -144,18 +144,16 @@ struct LocalityCounters {
   std::uint64_t runs = 0;          ///< streaming runs formed by finalize
   std::uint64_t run_owners = 0;    ///< owner groups covered by those runs
   std::uint64_t chunks = 0;        ///< chunks carved along run boundaries
-  std::uint64_t baseline_chunks = 0;  ///< chunks the cost-only carving yields
   std::uint64_t prefetch_batches = 0; ///< next-run prefetch batches issued
 
   /// Field count guard, mirroring WorkCounters.
-  static constexpr std::size_t kFieldCount = 5;
+  static constexpr std::size_t kFieldCount = 4;
 
   /// Field-wise accumulation (per-plan counters into run totals).
   LocalityCounters& operator+=(const LocalityCounters& o) {
     runs += o.runs;
     run_owners += o.run_owners;
     chunks += o.chunks;
-    baseline_chunks += o.baseline_chunks;
     prefetch_batches += o.prefetch_batches;
     return *this;
   }
@@ -235,13 +233,11 @@ struct TreeBuildCounters {
   std::uint64_t morton_builds = 0;  ///< sort-based linear-octree builds
   std::uint64_t points_sorted = 0;  ///< (key, id) pairs sorted
   std::uint64_t sort_passes = 0;    ///< radix permute passes (serial path)
-  std::uint64_t nodes_emitted = 0;  ///< nodes written (all builds/resorts)
+  std::uint64_t nodes_emitted = 0;  ///< nodes written (all builds)
   std::uint64_t leaves_emitted = 0; ///< leaves among nodes_emitted
-  std::uint64_t resorts = 0;        ///< re-sort refits performed
-  std::uint64_t resort_moved = 0;   ///< points whose Morton key changed
 
   /// Field count guard, mirroring WorkCounters.
-  static constexpr std::size_t kFieldCount = 7;
+  static constexpr std::size_t kFieldCount = 5;
 
   /// Field-wise accumulation (per-tree counters into run totals).
   TreeBuildCounters& operator+=(const TreeBuildCounters& o) {
@@ -250,8 +246,6 @@ struct TreeBuildCounters {
     sort_passes += o.sort_passes;
     nodes_emitted += o.nodes_emitted;
     leaves_emitted += o.leaves_emitted;
-    resorts += o.resorts;
-    resort_moved += o.resort_moved;
     return *this;
   }
 };

@@ -4,7 +4,7 @@
 ///
 /// The service multiplexes many concurrent GB evaluations over one
 /// machine, tying together every reuse mechanism the pipeline already
-/// has (reusable `Preprocessed` trees, zero-alloc `EvalScratch`, cached
+/// has (reusable `Preprocessed` trees, reused `EvalScratch` buffers, cached
 /// interaction plans, Born-result reuse) behind an async job queue:
 ///
 ///   submit(JobRequest) ──admission──▶ per-tenant bounded queue

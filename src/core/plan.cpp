@@ -144,8 +144,7 @@ std::size_t InteractionPlan::capacity() const {
          near_q_.capacity() + far_q_.capacity() + group_of_node_.capacity() +
          owner_order_.capacity() + chunk_begin_.capacity() +
          run_begin_.capacity() +
-         node_near_.capacity() + node_far_.capacity() + cost_.capacity() +
-         sorted_cost_.capacity();
+         node_near_.capacity() + node_far_.capacity() + cost_.capacity();
 }
 
 bool InteractionPlan::capture(const AtomsTree& ta, const QPointsTree& tq,
@@ -245,29 +244,6 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
   const std::uint64_t total =
       std::accumulate(cost_.begin(), cost_.end(), std::uint64_t{0});
 
-  // Both carvings are counted; the baseline count is what the cost-sorted
-  // carve below (the locality-off path) would produce, so the ≥2× chunk
-  // reduction gate can be checked against a single plan.
-  const auto carve_cost_sorted = [&](bool emit) -> std::uint64_t {
-    const std::uint64_t target =
-        std::max<std::uint64_t>(1, total / kTargetChunks);
-    std::uint64_t count = groups == 0 ? 0 : 1, acc = 0;
-    if (emit) {
-      chunk_begin_.clear();
-      chunk_begin_.push_back(0);
-    }
-    for (std::size_t i = 0; i < groups; ++i) {
-      acc += cost_[owner_order_[i]];
-      if (acc >= target && i + 1 < groups) {
-        if (emit) chunk_begin_.push_back(static_cast<std::uint32_t>(i + 1));
-        ++count;
-        acc = 0;
-      }
-    }
-    if (emit) chunk_begin_.push_back(static_cast<std::uint32_t>(groups));
-    return count;
-  };
-
   run_begin_.clear();
   locality_ = perf::LocalityCounters{};
   prefetches_per_replay_ = 0;
@@ -278,9 +254,20 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
                      [&](std::uint32_t x, std::uint32_t y) {
                        return cost_[x] > cost_[y];
                      });
-    carve_cost_sorted(/*emit=*/true);
+    const std::uint64_t target =
+        std::max<std::uint64_t>(1, total / kTargetChunks);
+    chunk_begin_.clear();
+    chunk_begin_.push_back(0);
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < groups; ++i) {
+      acc += cost_[owner_order_[i]];
+      if (acc >= target && i + 1 < groups) {
+        chunk_begin_.push_back(static_cast<std::uint32_t>(i + 1));
+        acc = 0;
+      }
+    }
+    chunk_begin_.push_back(static_cast<std::uint32_t>(groups));
     locality_.chunks = chunks();
-    locality_.baseline_chunks = chunks();
   } else {
     // Stream order: owners sorted by their A-node's atom range start. The
     // Morton octree stores leaves' [begin, end) contiguously in tree
@@ -296,25 +283,6 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
                        if (nx.begin != ny.begin) return nx.begin < ny.begin;
                        return owner_[x] < owner_[y];
                      });
-    // Baseline count: simulate the cost-sorted carve on a scratch order.
-    // (Counting only needs the multiset of costs, and greedy packing is
-    // order-dependent, so run it over the actual sorted costs.)
-    {
-      sorted_cost_.assign(cost_.begin(), cost_.end());
-      std::sort(sorted_cost_.begin(), sorted_cost_.end(),
-                std::greater<std::uint64_t>());
-      const std::uint64_t target =
-          std::max<std::uint64_t>(1, total / kTargetChunks);
-      std::uint64_t count = groups == 0 ? 0 : 1, acc = 0;
-      for (std::size_t i = 0; i < groups; ++i) {
-        acc += sorted_cost_[i];
-        if (acc >= target && i + 1 < groups) {
-          ++count;
-          acc = 0;
-        }
-      }
-      locality_.baseline_chunks = count;
-    }
     // Run detection: a run extends while the next owner's range starts
     // where the current one ends.
     run_begin_.push_back(0);
@@ -369,7 +337,7 @@ std::size_t InteractionPlan::footprint_bytes() const {
           chunk_begin_.capacity() + run_begin_.capacity() +
           node_near_.capacity() + node_far_.capacity()) *
              sizeof(std::uint32_t) +
-         (cost_.capacity() + sorted_cost_.capacity()) * sizeof(std::uint64_t) +
+         cost_.capacity() * sizeof(std::uint64_t) +
          born_tree_.capacity() * sizeof(double);
 }
 

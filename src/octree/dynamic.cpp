@@ -44,51 +44,4 @@ bool RefitMonitor::should_rebuild(const Octree& tree) const {
   return false;
 }
 
-DynamicOctree::DynamicOctree(std::span<const geom::Vec3> positions,
-                             Params params)
-    : params_(params) {
-  rebuild(positions);
-  rebuilds_ = 0;  // the initial build is not a rebuild
-}
-
-void DynamicOctree::rebuild(std::span<const geom::Vec3> positions) {
-  tree_ = Octree::build(positions, params_.build);
-  monitor_ = RefitMonitor(
-      tree_, {.rebuild_radius_factor = params_.rebuild_radius_factor,
-              .rebuild_radius_slack = params_.rebuild_radius_slack});
-  ++rebuilds_;
-}
-
-void DynamicOctree::refit(std::span<const geom::Vec3> positions) {
-  tree_.refit(positions);
-  ++refits_;
-}
-
-double DynamicOctree::worst_leaf_inflation() const {
-  return monitor_.worst_leaf_inflation(tree_);
-}
-
-bool DynamicOctree::update(std::span<const geom::Vec3> positions) {
-  OCTGB_CHECK_MSG(positions.size() == tree_.num_points(),
-                  "point count changed; build a new DynamicOctree");
-  if (params_.enable_resort && tree_.has_morton()) {
-    if (tree_.resort(positions, params_.build)) {
-      // Topology may have changed; the monitor's per-node baseline must
-      // follow. Quality is build-fresh, so no should_rebuild() check.
-      monitor_.rebase(tree_);
-      ++resorts_;
-      return false;
-    }
-    // A point escaped the build grid's cube: re-anchor with a full build.
-    rebuild(positions);
-    return true;
-  }
-  refit(positions);
-  if (monitor_.should_rebuild(tree_)) {
-    rebuild(positions);
-    return true;
-  }
-  return false;
-}
-
 }  // namespace octgb::octree

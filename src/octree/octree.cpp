@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "octgb/octree/morton.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
@@ -18,23 +19,18 @@ bool finite(const geom::Vec3& p) {
   return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
 }
 
-/// A NaN or infinite coordinate has no Morton cell and poisons every
-/// centroid and radius above its leaf, so every entry point rejects it.
-void check_point(std::span<const geom::Vec3> pts, std::size_t i,
-                 const char* op) {
-  OCTGB_CHECK_MSG(finite(pts[i]), op << ": point " << i
-                                     << " has a non-finite coordinate "
-                                     << pts[i]);
-}
-
-/// Throws CheckError naming the first non-finite point of `pts`.
+/// Throws CheckError naming the first non-finite point of `pts`. A NaN or
+/// infinite coordinate has no Morton cell and poisons every centroid and
+/// radius above its leaf, so every entry point rejects it.
 void check_finite(std::span<const geom::Vec3> pts, const char* op) {
-  for (std::size_t i = 0; i < pts.size(); ++i) check_point(pts, i, op);
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    OCTGB_CHECK_MSG(finite(pts[i]), op << ": point " << i
+                                       << " has a non-finite coordinate "
+                                       << pts[i]);
 }
 
 // ---------------------------------------------------------------------------
-// Shared geometry passes (build + refit + resort use these; deduplicated
-// from the former copies in build and refit).
+// Shared geometry passes (build + refit use these).
 
 /// Exact centroid and exact enclosing radius of one node: a flat pass over
 /// its own contiguous range. The result depends only on the node's range,
@@ -133,16 +129,15 @@ void radix_sort_pairs(std::vector<KeyId>& pairs,
 
 }  // namespace
 
-/// Morton build/resort implementation over an Octree's private state.
+/// Morton build implementation over an Octree's private state.
 struct MortonBuilder {
-  /// Scatter sorted (key, id) pairs into the tree arrays: permutation,
-  /// sorted keys and the SoA coordinate planes — one pass, parallel across
-  /// disjoint subranges.
+  /// Scatter sorted (key, id) pairs into the tree arrays: permutation and
+  /// the SoA coordinate planes — one pass, parallel across disjoint
+  /// subranges.
   static void scatter(Octree& t, std::span<const KeyId> pairs,
                       std::span<const geom::Vec3> input) {
     const std::size_t n = pairs.size();
     t.point_index_.resize(n);
-    t.keys_.resize(n);
     t.soa_x_.resize(n);
     t.soa_y_.resize(n);
     t.soa_z_.resize(n);
@@ -151,33 +146,32 @@ struct MortonBuilder {
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t i = lo; i < hi; ++i) {
             const KeyId kv = pairs[i];
-            t.keys_[i] = kv.key;
             t.point_index_[i] = kv.id;
             t.set_point(i, input[kv.id]);
           }
         });
   }
 
-  /// Derive the node array from the sorted keys: at each node, the eight
-  /// child runs are found by binary search on the key digit of the node's
-  /// level (a longest-common-prefix split of the sorted sequence). Nodes
-  /// are emitted in the exact order of the legacy recursive partitioner
-  /// (kept as a test reference in tests/support) — children
-  /// allocated contiguously when their parent is processed, work stacked
-  /// in ascending-digit order — so identical partitions yield identical
-  /// node arrays. A range becomes a leaf when it is small enough, the
-  /// depth cap is hit, or its keys are all equal (coincident cells cannot
-  /// be split by any deeper digit; the legacy builder instead chains to
-  /// its degenerate-cell guard — a documented divergence pinned by
-  /// octree_equiv_test).
-  static void derive_nodes(Octree& t, const BuildParams& params) {
-    const std::span<const std::uint64_t> keys = t.keys_;
-    const int bits = t.grid_.bits;
+  /// Derive the node array from the sorted (key, id) pairs of a grid with
+  /// `bits` levels: at each node, the eight child runs are found by binary
+  /// search on the key digit of the node's level (a longest-common-prefix
+  /// split of the sorted sequence). Nodes are emitted in the exact order of
+  /// the legacy recursive partitioner (kept as a test reference in
+  /// tests/support) — children allocated contiguously when their parent is
+  /// processed, work stacked in ascending-digit order — so identical
+  /// partitions yield identical node arrays. A range becomes a leaf when
+  /// it is small enough, the depth cap is hit, or its keys are all equal
+  /// (coincident cells cannot be split by any deeper digit; the legacy
+  /// builder instead chains to its degenerate-cell guard — a documented
+  /// divergence pinned by octree_equiv_test).
+  static void derive_nodes(Octree& t, std::span<const KeyId> pairs, int bits,
+                           const BuildParams& params) {
+    const auto key = [&](std::uint32_t i) { return pairs[i].key; };
     std::vector<std::uint32_t> stack;
 
     Octree::Node rootn;
     rootn.begin = 0;
-    rootn.end = static_cast<std::uint32_t>(keys.size());
+    rootn.end = static_cast<std::uint32_t>(pairs.size());
     rootn.depth = 0;
     t.nodes_.push_back(rootn);
     stack.push_back(0);
@@ -192,21 +186,22 @@ struct MortonBuilder {
       const bool make_leaf = node.size() <= params.max_leaf_size ||
                              node.depth >= params.max_depth ||
                              level >= bits ||
-                             keys[node.begin] == keys[node.end - 1];
+                             key(node.begin) == key(node.end - 1);
       if (!make_leaf) {
         // Digit block of this level sits at bit offset `shift`; everything
         // above it is the prefix shared by the whole range.
         const int shift = 3 * (bits - 1 - level);
         const std::uint64_t prefix =
-            keys[node.begin] & ~((std::uint64_t{1} << (shift + 3)) - 1);
+            key(node.begin) & ~((std::uint64_t{1} << (shift + 3)) - 1);
         std::array<std::uint32_t, 9> bs;
         bs[0] = node.begin;
         bs[8] = node.end;
         for (std::uint64_t d = 1; d < 8; ++d) {
           const auto it = std::lower_bound(
-              keys.begin() + node.begin, keys.begin() + node.end,
-              prefix | (d << shift));
-          bs[d] = static_cast<std::uint32_t>(it - keys.begin());
+              pairs.begin() + node.begin, pairs.begin() + node.end,
+              prefix | (d << shift),
+              [](const KeyId& p, std::uint64_t k) { return p.key < k; });
+          bs[d] = static_cast<std::uint32_t>(it - pairs.begin());
         }
         const auto first_child = static_cast<std::uint32_t>(t.nodes_.size());
         std::uint8_t created = 0;
@@ -230,13 +225,12 @@ struct MortonBuilder {
 
   /// The full pipeline body (runs inside a scheduler when one is active).
   static void pipeline(Octree& t, std::span<const geom::Vec3> input,
-                       std::vector<KeyId>& pairs, const BuildParams& params,
-                       bool comparison_sort) {
+                       std::vector<KeyId>& pairs, const MortonGrid& grid,
+                       const BuildParams& params, bool comparison_sort) {
     const std::size_t n = input.size();
     {
       OCTGB_SPAN("tree.build.sort");
       pairs.resize(n);
-      const MortonGrid grid = t.grid_;
       // The key pass reads every point, so it also flags non-finite ones
       // (quantize() keeps their keys defined); the serial rescan that
       // names the first one runs only on that error path.
@@ -259,7 +253,7 @@ struct MortonBuilder {
     scatter(t, pairs, input);
     {
       OCTGB_SPAN("tree.build.derive");
-      derive_nodes(t, params);
+      derive_nodes(t, pairs, grid.bits, params);
     }
     {
       OCTGB_SPAN("tree.build.geometry");
@@ -271,7 +265,6 @@ struct MortonBuilder {
                       const MortonGrid& grid, const BuildParams& params) {
     Octree t;
     if (input.empty()) return t;
-    t.grid_ = grid;
     ++t.stats_.morton_builds;
     t.stats_.points_sorted += input.size();
 
@@ -279,7 +272,7 @@ struct MortonBuilder {
     // Sort + scatter + leaf geometry all parallelize; below 8192 points a
     // private pool costs more than it saves.
     ws::with_workers(input.size(), 8192, [&](bool parallel) {
-      pipeline(t, input, pairs, params, parallel);
+      pipeline(t, input, pairs, grid, params, parallel);
     });
 
     t.finish_derived();
@@ -297,77 +290,14 @@ Octree Octree::build(std::span<const geom::Vec3> input,
   return MortonBuilder::build(input, MortonGrid::of(input, bits), params);
 }
 
-Octree Octree::build_with_grid(std::span<const geom::Vec3> input,
-                               const MortonGrid& grid,
-                               const BuildParams& params) {
-  OCTGB_SPAN("tree.build.morton");
-  return MortonBuilder::build(input, grid, params);
-}
-
-bool Octree::resort(std::span<const geom::Vec3> positions,
-                    const BuildParams& params) {
-  OCTGB_CHECK_MSG(positions.size() == num_points(),
-                  "resort needs the original point count");
-  OCTGB_CHECK_MSG(has_morton(),
-                  "resort needs a Morton-built tree (has_morton())");
-  OCTGB_SPAN("tree.resort");
-  const std::size_t n = positions.size();
-  // A point outside the build grid's cube would silently clamp to a
-  // boundary cell; signal the caller to rebuild on a fresh grid instead.
-  bool inside = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    check_point(positions, i, "Octree::resort");
-    inside = inside && grid_.contains(positions[i]);
-  }
-  if (!inside) return false;
-
-  // Split the tree-order pairs into the stayed subsequence (new key equals
-  // the stored build-time key — already (key, id)-sorted) and the moved
-  // set, which is sorted on its own and merged back. The merge of two
-  // sorted sequences under the strict total order is the full sorted
-  // order, so the result is bit-identical to build_with_grid().
-  std::vector<KeyId> stayed, moved;
-  stayed.reserve(n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::uint32_t id = point_index_[pos];
-    const std::uint64_t nk = grid_.key(positions[id]);
-    if (nk == keys_[pos])
-      stayed.push_back({nk, id});
-    else
-      moved.push_back({nk, id});
-  }
-  ++stats_.resorts;
-  stats_.resort_moved += moved.size();
-  stats_.points_sorted += moved.size();
-  std::sort(moved.begin(), moved.end(), key_id_less);
-  std::vector<KeyId> pairs(n);
-  std::merge(stayed.begin(), stayed.end(), moved.begin(), moved.end(),
-             pairs.begin(), key_id_less);
-
-  nodes_.clear();
-  leaf_ids_.clear();
-  max_depth_ = 0;
-  MortonBuilder::scatter(*this, pairs, positions);
-  MortonBuilder::derive_nodes(*this, params);
-  morton_geometry(nodes_, *this);
-  finish_derived();
-  stats_.nodes_emitted += nodes_.size();
-  stats_.leaves_emitted += leaf_ids_.size();
-  return true;
-}
-
 Octree Octree::from_parts(std::vector<Node> nodes,
                           std::span<const geom::Vec3> points,
-                          std::vector<std::uint32_t> point_index,
-                          std::vector<std::uint64_t> keys,
-                          const MortonGrid& grid) {
+                          std::vector<std::uint32_t> point_index) {
   check_finite(points, "Octree::from_parts");
   Octree t;
   t.nodes_ = std::move(nodes);
   t.assign_planes(points);
   t.point_index_ = std::move(point_index);
-  t.keys_ = std::move(keys);
-  t.grid_ = grid;
   t.finish_derived();
   return t;
 }
@@ -380,9 +310,6 @@ void Octree::refit(std::span<const geom::Vec3> positions) {
   check_finite(positions, "Octree::refit");
   for (std::size_t pos = 0; pos < point_index_.size(); ++pos)
     set_point(pos, positions[point_index_[pos]]);
-  // keys_ intentionally stays at its build-time state: resort() uses it to
-  // detect which points have drifted out of their cells since the build.
-  //
   // Every build stores the exact per-node geometry, so this sweep is a
   // bitwise no-op on unchanged positions — an identity refit never
   // perturbs traversal partitions or captured plans.
@@ -414,8 +341,7 @@ std::size_t Octree::footprint_bytes() const {
          point_index_.capacity() * sizeof(std::uint32_t) +
          leaf_ids_.capacity() * sizeof(std::uint32_t) +
          (soa_x_.capacity() + soa_y_.capacity() + soa_z_.capacity()) *
-             sizeof(double) +
-         keys_.capacity() * sizeof(std::uint64_t);
+             sizeof(double);
 }
 
 bool Octree::validate() const {
@@ -424,13 +350,6 @@ bool Octree::validate() const {
   if (soa_x_.size() != n_pts || soa_y_.size() != n_pts ||
       soa_z_.size() != n_pts)
     return false;
-  if (has_morton()) {
-    // The sorted-key array must mirror the point order exactly.
-    if (keys_.size() != n_pts) return false;
-    if (!std::is_sorted(keys_.begin(), keys_.end())) return false;
-  } else if (!keys_.empty()) {
-    return false;  // keys without a grid cannot be interpreted
-  }
   std::vector<bool> seen(n_pts, false);
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];

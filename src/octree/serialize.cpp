@@ -9,6 +9,7 @@
 #include <ostream>
 #include <type_traits>
 
+#include "octgb/octree/morton.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/util/io.hpp"
 
@@ -19,8 +20,10 @@ namespace {
 constexpr std::uint64_t kMagic = 0x6f637467622d6f74ULL;  // "octgb-ot"
 // v1: header + nodes + points + permutation.
 // v2: v1 body followed by the "mkey" (sorted Morton keys, u64) and "mgrd"
-//     (quantization grid, 5 doubles) tagged sections — count 0 when the
-//     tree has no Morton state. Readers accept both; writers emit v2.
+//     (quantization grid, 5 doubles) tagged sections. Trees do not keep
+//     that state, so writers emit both with count 0; the reader checks
+//     non-empty ones from older writers, then drops them. Readers accept
+//     v1 and v2; writers emit v2.
 constexpr std::uint32_t kVersion = 2;
 
 struct Header {
@@ -95,18 +98,9 @@ void write_octree(const Octree& tree, std::ostream& out) {
   out.write(reinterpret_cast<const char*>(tree.point_index().data()),
             static_cast<std::streamsize>(tree.point_index().size() *
                                          sizeof(std::uint32_t)));
-  // v2 Morton state. The keys go out as a raw span (memcpy-grade); the
-  // grid goes out as explicit doubles rather than a struct dump so no
-  // padding bytes ever reach the stream (round-trips stay bit-exact).
-  write_u64_section(out, "mkey", tree.keys());
-  if (tree.has_morton()) {
-    const MortonGrid& g = tree.grid();
-    const double gv[5] = {g.origin.x, g.origin.y, g.origin.z, g.cell,
-                          static_cast<double>(g.bits)};
-    write_f64_section(out, "mgrd", gv);
-  } else {
-    write_f64_section(out, "mgrd", {});
-  }
+  // The v2 Morton sections, always empty.
+  write_u64_section(out, "mkey", {});
+  write_f64_section(out, "mgrd", {});
   OCTGB_CHECK_MSG(static_cast<bool>(out), "octree write failed");
 }
 
@@ -134,8 +128,9 @@ Octree read_octree(std::istream& in) {
   }
   read_vec(in, points, h.num_points);
   read_vec(in, index, h.num_points);
+  // Morton state from older v2 writers: checked, then dropped (the tree
+  // does not keep it).
   std::vector<std::uint64_t> keys;
-  MortonGrid grid;
   if (h.version >= 2) {
     keys = read_u64_section(in, "mkey");
     const std::vector<double> gv = read_f64_section(in, "mgrd");
@@ -145,27 +140,24 @@ Octree read_octree(std::istream& in) {
     OCTGB_CHECK_MSG(keys.empty() == gv.empty(),
                     "octree stream pairs keys and grid inconsistently");
     if (!gv.empty()) {
-      grid.origin = {gv[0], gv[1], gv[2]};
-      grid.cell = gv[3];
-      OCTGB_CHECK_MSG(finite(grid.origin),
+      OCTGB_CHECK_MSG(finite({gv[0], gv[1], gv[2]}),
                       "octree Morton grid origin is non-finite");
-      OCTGB_CHECK_MSG(std::isfinite(grid.cell),
+      OCTGB_CHECK_MSG(std::isfinite(gv[3]),
                       "octree Morton grid cell is non-finite");
       // Range before the cast: a NaN or out-of-range double has no
       // uint8_t value.
       OCTGB_CHECK_MSG(gv[4] >= 1.0 && gv[4] <= kMortonMaxBits,
                       "octree stream has a malformed Morton grid");
-      grid.bits = static_cast<std::uint8_t>(gv[4]);
-      OCTGB_CHECK_MSG(grid.cell > 0.0 &&
-                          gv[4] == static_cast<double>(grid.bits),
+      const auto bits = static_cast<std::uint8_t>(gv[4]);
+      OCTGB_CHECK_MSG(gv[3] > 0.0 && gv[4] == static_cast<double>(bits),
                       "octree stream has a malformed Morton grid");
       OCTGB_CHECK_MSG(keys.size() == h.num_points,
                       "octree key section disagrees with the point count");
     }
   }
-  Octree t = Octree::from_parts(std::move(nodes), points, std::move(index),
-                                std::move(keys), grid);
-  OCTGB_CHECK_MSG(t.validate(), "corrupt octree stream");
+  Octree t = Octree::from_parts(std::move(nodes), points, std::move(index));
+  OCTGB_CHECK_MSG(t.validate() && std::is_sorted(keys.begin(), keys.end()),
+                  "corrupt octree stream");
   return t;
 }
 

@@ -125,8 +125,6 @@ void MetricsRegistry::add_tree_build(const std::string& prefix,
   add(scoped("tree.build.sort_passes", prefix), t.sort_passes);
   add(scoped("tree.build.nodes", prefix), t.nodes_emitted);
   add(scoped("tree.build.leaves", prefix), t.leaves_emitted);
-  add(scoped("tree.build.resorts", prefix), t.resorts);
-  add(scoped("tree.build.resort_moved", prefix), t.resort_moved);
 }
 
 void MetricsRegistry::add_simd(const std::string& prefix,
@@ -164,7 +162,6 @@ void MetricsRegistry::add_locality(const std::string& prefix,
   add(scoped("plan.locality.runs", prefix), l.runs);
   add(scoped("plan.locality.run_owners", prefix), l.run_owners);
   add(scoped("plan.locality.chunks", prefix), l.chunks);
-  add(scoped("plan.locality.baseline_chunks", prefix), l.baseline_chunks);
   add(scoped("plan.locality.prefetch_batches", prefix), l.prefetch_batches);
   set(scoped("plan.locality.mean_run_length", prefix), l.mean_run_length());
 }

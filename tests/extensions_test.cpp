@@ -234,22 +234,26 @@ TEST(DataDistributed, NearEpolLeavesMatchTheEpolWalk) {
 }
 
 // ---- dynamic octree -------------------------------------------------------------
+//
+// The session's tree-update pair: Octree::refit moves the points, and a
+// RefitMonitor decides when the drift warrants a rebuild.
 
 TEST(DynamicOctree, RefitTracksSmallDisplacements) {
   util::Xoshiro256 rng(71);
   std::vector<geom::Vec3> pts(600);
   for (auto& v : pts)
     v = {rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-20, 20)};
-  octree::DynamicOctree dyn(pts);
-  EXPECT_EQ(dyn.rebuilds(), 0u);
+  octree::Octree tree = octree::Octree::build(pts);
+  const octree::RefitMonitor monitor(tree);
 
   // Jiggle by 0.05 Å — typical MD step scale.
   for (auto& v : pts)
     v += geom::Vec3{rng.normal(), rng.normal(), rng.normal()} * 0.05;
-  const bool rebuilt = dyn.update(pts);
-  EXPECT_FALSE(rebuilt);
-  EXPECT_EQ(dyn.refits(), 1u);
-  EXPECT_TRUE(dyn.tree().validate());
+  tree.refit(pts);
+  EXPECT_FALSE(monitor.should_rebuild(tree));
+  EXPECT_TRUE(tree.validate());
+  for (std::size_t pos = 0; pos < tree.num_points(); ++pos)
+    EXPECT_EQ(tree.point(pos), pts[tree.point_index()[pos]]);
 }
 
 TEST(DynamicOctree, RefitRadiiStillEncloseAllPoints) {
@@ -257,12 +261,17 @@ TEST(DynamicOctree, RefitRadiiStillEncloseAllPoints) {
   std::vector<geom::Vec3> pts(500);
   for (auto& v : pts)
     v = {rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(-15, 15)};
-  octree::DynamicOctree dyn(pts);
+  octree::Octree tree = octree::Octree::build(pts);
+  octree::RefitMonitor monitor(tree);
   for (int step = 0; step < 5; ++step) {
     for (auto& v : pts)
       v += geom::Vec3{rng.normal(), rng.normal(), rng.normal()} * 0.1;
-    dyn.update(pts);
-    EXPECT_TRUE(dyn.tree().validate()) << "step " << step;
+    tree.refit(pts);
+    if (monitor.should_rebuild(tree)) {
+      tree = octree::Octree::build(pts);
+      monitor.rebase(tree);
+    }
+    EXPECT_TRUE(tree.validate()) << "step " << step;
   }
 }
 
@@ -271,14 +280,19 @@ TEST(DynamicOctree, LargeMotionTriggersRebuild) {
   std::vector<geom::Vec3> pts(400);
   for (auto& v : pts)
     v = {rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(-15, 15)};
-  octree::DynamicOctree dyn(pts);
+  octree::Octree tree = octree::Octree::build(pts);
+  octree::RefitMonitor monitor(tree);
   // Blow the molecule apart: every leaf inflates far past the threshold.
   for (auto& v : pts) v = v * 4.0 + geom::Vec3{rng.normal() * 10, 0, 0};
-  const bool rebuilt = dyn.update(pts);
-  EXPECT_TRUE(rebuilt);
-  EXPECT_EQ(dyn.rebuilds(), 1u);
-  EXPECT_TRUE(dyn.tree().validate());
-  EXPECT_LE(dyn.worst_leaf_inflation(), 1.0 + 1e-9);  // fresh build
+  tree.refit(pts);
+  EXPECT_GT(monitor.worst_leaf_inflation(tree),
+            monitor.policy().rebuild_radius_factor);
+  ASSERT_TRUE(monitor.should_rebuild(tree));
+  tree = octree::Octree::build(pts);
+  monitor.rebase(tree);
+  EXPECT_TRUE(tree.validate());
+  EXPECT_FALSE(monitor.should_rebuild(tree));
+  EXPECT_LE(monitor.worst_leaf_inflation(tree), 1.0 + 1e-9);  // fresh build
 }
 
 TEST(DynamicOctree, RefittedTreeGivesSameEnergyAsRebuilt) {

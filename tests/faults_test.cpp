@@ -21,6 +21,7 @@
 #include "octgb/sim/cluster.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
+#include "support/morton_stream.hpp"
 
 using namespace octgb;
 using mpp::Comm;
@@ -361,19 +362,19 @@ TEST(Checkpoint, OctreeV2StreamTruncationSweepErrorsCleanly) {
   // after the v1 body; the hardening contract extends to them — a stream
   // cut anywhere (header region, the v1 body, either new section's header
   // or payload) must throw a CheckError, never crash or hand back a
-  // half-loaded tree.
+  // half-loaded tree. The stream carries non-empty Morton sections, as
+  // older writers emitted them, so every check the reader makes on them
+  // is under the sweep.
   const auto m = mol::generate_protein({.target_atoms = 150, .seed = 55});
   std::vector<geom::Vec3> pts(m.size());
   for (std::size_t i = 0; i < m.size(); ++i) pts[i] = m.atom(i).pos;
   const octree::Octree tree = octree::Octree::build(pts);
-  ASSERT_TRUE(tree.has_morton());  // the v2 sections are non-empty
-  std::stringstream ss;
-  octree::write_octree(tree, ss);
-  const std::string bytes = ss.str();
+  const auto state = test_support::morton_state(tree);
+  const std::string bytes = test_support::v2_stream(tree, state);
   // The Morton tail: both section headers (24 bytes each), every key, and
   // the 5-double grid payload.
   const std::size_t tail =
-      2 * 24 + tree.keys().size() * sizeof(std::uint64_t) + 5 * sizeof(double);
+      2 * 24 + state.keys.size() * sizeof(std::uint64_t) + 5 * sizeof(double);
   ASSERT_GT(bytes.size(), tail);
   std::vector<std::size_t> cuts;
   for (std::size_t i = 0; i < std::min<std::size_t>(bytes.size(), 128); ++i)

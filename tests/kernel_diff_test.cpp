@@ -23,6 +23,7 @@
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/octree/morton.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
@@ -550,8 +551,8 @@ struct Shape {
   bool neutral = false;  ///< every charge zero
 };
 
-/// One atom, two coincident atoms, a collinear chain, a planar sheet and
-/// a protein with every charge zero.
+/// One atom, two coincident atoms, a collinear chain, a planar sheet, a
+/// protein with every charge zero, and a cloud on the Morton grid's edge.
 std::vector<Shape> degenerate_shapes() {
   std::vector<Shape> out;
   mol::Molecule one("one atom");
@@ -582,6 +583,43 @@ std::vector<Shape> degenerate_shapes() {
       mol::generate_protein({.target_atoms = 400, .seed = 19});
   for (auto& atom : neutral.atoms()) atom.charge = 0.0;
   out.push_back({"zero-charge protein", neutral, true});
+
+  // A cube whose corners, face centres and edge midpoints carry atoms, so
+  // the atoms tree's extreme points quantize to cells 0 and 2^21 − 1 on
+  // every axis (the quantizer's clamp), plus a second atom less than one
+  // cell (24 Å / 2^21 ≈ 1.1e-5 Å) from the top corner.
+  constexpr double kSide = 24.0;
+  mol::Molecule edge("grid edge");
+  int k = 0;
+  const auto charge = [&k] { return 0.15 * (k++ % 7) - 0.45; };
+  for (int x = 0; x <= 2; ++x)
+    for (int y = 0; y <= 2; ++y)
+      for (int z = 0; z <= 2; ++z) {
+        if (x == 1 && y == 1 && z == 1) continue;  // the centre
+        edge.add_atom(
+            {.pos = {0.5 * kSide * x, 0.5 * kSide * y, 0.5 * kSide * z},
+             .radius = 1.7,
+             .charge = charge()});
+      }
+  util::Xoshiro256 rng(23);
+  for (int i = 0; i < 150; ++i)
+    edge.add_atom({.pos = {rng.uniform(2.0, kSide - 2.0),
+                           rng.uniform(2.0, kSide - 2.0),
+                           rng.uniform(2.0, kSide - 2.0)},
+                   .radius = 1.5 + 0.1 * (i % 4),
+                   .charge = charge()});
+  const geom::Vec3 top_corner{kSide, kSide, kSide};
+  const geom::Vec3 near_corner{kSide - 4e-6, kSide, kSide};
+  edge.add_atom({.pos = near_corner, .radius = 1.6, .charge = charge()});
+  std::vector<geom::Vec3> centers;
+  for (const auto& atom : edge.atoms()) centers.push_back(atom.pos);
+  const auto grid =
+      octree::MortonGrid::of(centers, octree::kMortonMaxBits);
+  const std::uint32_t top = grid.side() - 1;
+  EXPECT_EQ(grid.key({0.0, 0.0, 0.0}), 0u);
+  EXPECT_EQ(grid.key(top_corner), octree::morton_encode(top, top, top));
+  EXPECT_EQ(grid.key(near_corner), grid.key(top_corner));
+  out.push_back({"Morton grid edge", edge});
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include "octgb/octree/octree.hpp"
 #include "octgb/util/rng.hpp"
 #include "support/legacy_octree.hpp"
+#include "support/morton_stream.hpp"
 
 using namespace octgb;
 using octree::BuildParams;
@@ -282,8 +283,7 @@ TEST(OctreeSerialize, WriteIsByteDeterministic) {
   for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = t.point(i);
   const Octree poisoned = Octree::from_parts(
       std::move(nodes), points,
-      {t.point_index().begin(), t.point_index().end()},
-      {t.keys().begin(), t.keys().end()}, t.grid());
+      {t.point_index().begin(), t.point_index().end()});
   EXPECT_EQ(bytes_of(poisoned), once);
 }
 
@@ -365,10 +365,12 @@ TEST(Morton, SortedKeyOrderIsDepthFirstOctantOrder) {
   // key order *is* depth-first traversal order.
   const auto pts = random_points(2500, 34);
   const Octree t = Octree::build(pts);
-  ASSERT_TRUE(t.has_morton());
-  const auto keys = t.keys();
+  const int bits = BuildParams{}.grid_bits;
+  const octree::MortonGrid grid = octree::MortonGrid::of(pts, bits);
+  std::vector<std::uint64_t> keys;
+  for (const std::uint32_t id : t.point_index())
+    keys.push_back(grid.key(pts[id]));
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-  const int bits = t.grid().bits;
   for (const auto& n : t.nodes()) {
     if (n.is_leaf()) continue;
     unsigned prev_digit = 0;
@@ -399,8 +401,6 @@ TEST(MortonGridT, KeyOfCellCenterRoundTrips) {
 TEST(MortonGridT, QuantizeClampsOutOfCubeCoordinates) {
   const std::vector<geom::Vec3> pts = {{0, 0, 0}, {10, 10, 10}};
   const octree::MortonGrid g = octree::MortonGrid::of(pts, 8);
-  EXPECT_TRUE(g.contains({5, 5, 5}));
-  EXPECT_FALSE(g.contains({11, 5, 5}));
   EXPECT_EQ(g.quantize(g.origin.x - 1.0, g.origin.x), 0u);
   const double side_len = g.cell * g.side();
   EXPECT_EQ(g.quantize(g.origin.x + side_len + 1.0, g.origin.x),
@@ -435,48 +435,101 @@ TEST(Morton, CoincidentPointsShareOneKeyAndOneLeaf) {
   EXPECT_EQ(t.root().size(), 100u);
 }
 
-TEST(OctreeSerialize, V2RoundTripsMortonStateBitExact) {
+namespace {
+
+std::string serialized(const Octree& t) {
+  std::stringstream buf;
+  octree::write_octree(t, buf);
+  return buf.str();
+}
+
+/// Reading `stream` must throw a CheckError whose message contains `what`.
+void expect_read_error(const std::string& stream, const std::string& what) {
+  std::stringstream in(stream);
+  try {
+    (void)octree::read_octree(in);
+    ADD_FAILURE() << "accepted a stream that should fail with: " << what;
+  } catch (const octgb::util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(OctreeSerialize, V2StreamWithMortonSectionsLoadsIntoTheSameTree) {
+  // Older writers filled the "mkey"/"mgrd" sections; the reader checks
+  // them and drops them, so the loaded tree writes back the current,
+  // empty-section stream of the tree it came from.
   const auto pts = random_points(900, 36);
   const Octree original = Octree::build(pts);
-  ASSERT_TRUE(original.has_morton());
-  std::stringstream buf;
-  octree::write_octree(original, buf);
-  const Octree loaded = octree::read_octree(buf);
+  const auto state = test_support::morton_state(original);
+  const std::string older = test_support::v2_stream(original, state);
+  const std::string current = serialized(original);
+  ASSERT_EQ(older.size(), current.size() + pts.size() * sizeof(std::uint64_t) +
+                              5 * sizeof(double));
+  std::stringstream in(older);
+  const Octree loaded = octree::read_octree(in);
   EXPECT_TRUE(loaded.validate());
-  ASSERT_TRUE(loaded.has_morton());
-  EXPECT_EQ(loaded.grid(), original.grid());
-  ASSERT_EQ(loaded.keys().size(), original.keys().size());
-  EXPECT_TRUE(std::equal(loaded.keys().begin(), loaded.keys().end(),
-                         original.keys().begin()));
-  // The SoA planes are the tree's only copy of its points.
-  EXPECT_TRUE(std::equal(loaded.soa_x().begin(), loaded.soa_x().end(),
-                         original.soa_x().begin()));
-  // A loaded tree keeps its re-sort capability (grid + keys intact).
-  std::vector<geom::Vec3> moved(pts.begin(), pts.end());
-  moved[7].x += 0.5;
-  Octree mutable_loaded = loaded;
-  EXPECT_TRUE(mutable_loaded.resort(moved, {}));
-  EXPECT_TRUE(mutable_loaded.validate());
+  EXPECT_EQ(serialized(loaded), current);
+}
+
+TEST(OctreeSerialize, MalformedMortonSectionsAreRejected) {
+  const Octree t = Octree::build(random_points(300, 39));
+  const auto good = test_support::morton_state(t);
+  const auto stream_with = [&](auto&& corrupt) {
+    test_support::MortonState s = good;
+    corrupt(s);
+    return test_support::v2_stream(t, s);
+  };
+  const std::string malformed = "malformed Morton grid";
+  expect_read_error(stream_with([](auto& s) { s.grid.pop_back(); }),
+                    "grid section has 4 values, expected 5");
+  expect_read_error(stream_with([](auto& s) { s.grid.clear(); }),
+                    "pairs keys and grid inconsistently");
+  expect_read_error(stream_with([](auto& s) { s.keys.clear(); }),
+                    "pairs keys and grid inconsistently");
+  for (const double bits : {0.0, 22.0, 2.5,
+                            std::numeric_limits<double>::quiet_NaN()})
+    expect_read_error(stream_with([&](auto& s) { s.grid[4] = bits; }),
+                      malformed);
+  for (const double cell : {0.0, -1.0})
+    expect_read_error(stream_with([&](auto& s) { s.grid[3] = cell; }),
+                      malformed);
+  expect_read_error(stream_with([](auto& s) { s.keys.pop_back(); }),
+                    "key section disagrees with the point count");
+  ASSERT_LT(good.keys.front(), good.keys.back());
+  expect_read_error(
+      stream_with([](auto& s) { std::swap(s.keys.front(), s.keys.back()); }),
+      "corrupt octree stream");
+  // Each section header must carry its own tag.
+  std::string retagged = test_support::v2_stream(t, good);
+  const std::size_t mkey_at =
+      retagged.size() - 2 * 24 - good.keys.size() * sizeof(std::uint64_t) -
+      5 * sizeof(double);
+  retagged[mkey_at + 1] = 'g';  // "mkey" → "mgey"
+  expect_read_error(retagged, "expected section 'mkey'");
+  // The intact stream loads.
+  std::stringstream in(test_support::v2_stream(t, good));
+  EXPECT_NO_THROW((void)octree::read_octree(in));
 }
 
 TEST(OctreeSerialize, LegacyTreeRoundTripsThroughV2WithoutMortonState) {
   const auto pts = random_points(400, 37);
   const Octree legacy = test_support::build_legacy(pts);
-  ASSERT_FALSE(legacy.has_morton());
   std::stringstream buf;
   octree::write_octree(legacy, buf);
   const Octree loaded = octree::read_octree(buf);
   EXPECT_TRUE(loaded.validate());
-  EXPECT_FALSE(loaded.has_morton());
-  EXPECT_TRUE(loaded.keys().empty());
   EXPECT_EQ(loaded.nodes().size(), legacy.nodes().size());
+  EXPECT_EQ(serialized(loaded), serialized(legacy));
 }
 
 TEST(OctreeSerialize, V1StreamStillLoads) {
-  // Synthesize a v1 stream from a v2 one: a Morton-less tree's v2 tail is
-  // exactly two empty tagged sections (24-byte headers, no payload), so
-  // stripping them and patching the version field back to 1 reproduces the
-  // old format byte for byte.
+  // Synthesize a v1 stream from a v2 one: the v2 tail is exactly two
+  // empty tagged sections (24-byte headers, no payload), so stripping them
+  // and patching the version field back to 1 reproduces the old format
+  // byte for byte.
   const auto pts = random_points(350, 38);
   const Octree legacy = test_support::build_legacy(pts);
   std::stringstream buf;
@@ -488,7 +541,6 @@ TEST(OctreeSerialize, V1StreamStillLoads) {
   std::stringstream v1(bytes);
   const Octree loaded = octree::read_octree(v1);
   EXPECT_TRUE(loaded.validate());
-  EXPECT_FALSE(loaded.has_morton());
   ASSERT_EQ(loaded.nodes().size(), legacy.nodes().size());
   for (std::size_t i = 0; i < legacy.nodes().size(); ++i) {
     EXPECT_EQ(loaded.node(i).centroid, legacy.node(i).centroid);
@@ -581,17 +633,6 @@ TEST(OctreeNonFinite, BuildRejectsNanAndInfOnEveryAxis) {
   }
 }
 
-TEST(OctreeNonFinite, BuildWithGridRejectsNanAndInfOnEveryAxis) {
-  const auto pts = random_points(200, 43);
-  const octree::MortonGrid grid = octree::MortonGrid::of(pts, 21);
-  for (const NonFinite& c : non_finite_cases()) {
-    SCOPED_TRACE(label(c));
-    const auto bad = poisoned(pts, kBad, c);
-    expect_rejects([&] { (void)Octree::build_with_grid(bad, grid); },
-                   "Octree::build", kBad);
-  }
-}
-
 TEST(OctreeNonFinite, RefitRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
   const auto pts = random_points(200, 44);
   Octree t = Octree::build(pts);
@@ -635,12 +676,11 @@ TEST(OctreeNonFinite, ReadRejectsNanAndInfOnEveryAxis) {
 TEST(OctreeNonFinite, ReadRejectsNonFiniteNodeGeometry) {
   // validate() checks each point against its node's ball, which an
   // infinite radius passes, and with it any centroid: the reader names the
-  // node (or the grid field) instead of loading the tree.
+  // node (or the grid field of an older writer's Morton section) instead
+  // of loading the tree.
   const Octree t = Octree::build(random_points(200, 48));
-  ASSERT_TRUE(t.has_morton());
-  std::stringstream buf;
-  octree::write_octree(t, buf);
-  const std::string bytes = buf.str();
+  const std::string bytes =
+      test_support::v2_stream(t, test_support::morton_state(t));
   const auto expect_named = [](const std::string& stream,
                                const std::string& name) {
     std::stringstream in(stream);
@@ -691,21 +731,5 @@ TEST(OctreeNonFinite, ReadRejectsNonFiniteNodeGeometry) {
                    "Morton grid origin is non-finite");
     expect_named(poison(grid_at + 3 * sizeof(double), v),
                  "Morton grid cell is non-finite");
-  }
-}
-
-TEST(OctreeNonFinite, ResortRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
-  const auto pts = random_points(200, 45);
-  const BuildParams params;
-  Octree t = Octree::build(pts, params);
-  const Octree::Node root = t.root();
-  for (const NonFinite& c : non_finite_cases()) {
-    SCOPED_TRACE(label(c));
-    const auto bad = poisoned(pts, kBad, c);
-    expect_rejects([&] { (void)t.resort(bad, params); }, "Octree::resort",
-                   kBad);
-    EXPECT_EQ(t.root().centroid, root.centroid);
-    EXPECT_EQ(t.root().radius, root.radius);
-    EXPECT_TRUE(t.validate());
   }
 }

@@ -112,12 +112,12 @@ TEST(WorkCounters, SumCoversEveryField) {
 
 // Same guard for the octree-construction counters.
 TEST(TreeBuildCounters, SumCoversEveryField) {
-  static_assert(TreeBuildCounters::kFieldCount == 7,
+  static_assert(TreeBuildCounters::kFieldCount == 5,
                 "new TreeBuildCounters field: extend this test's field list");
   TreeBuildCounters a;
   std::uint64_t* const fields[TreeBuildCounters::kFieldCount] = {
-      &a.morton_builds,  &a.points_sorted, &a.sort_passes, &a.nodes_emitted,
-      &a.leaves_emitted, &a.resorts,       &a.resort_moved};
+      &a.morton_builds, &a.points_sorted, &a.sort_passes, &a.nodes_emitted,
+      &a.leaves_emitted};
   for (std::size_t i = 0; i < TreeBuildCounters::kFieldCount; ++i)
     *fields[i] = (i + 1) * 1000 + i;  // all distinct, all nonzero
   TreeBuildCounters b = a;
@@ -235,12 +235,11 @@ TEST(MachineModel, CommCountersAccumulate) {
 
 // Same operator+= coverage guard as WorkCounters / TreeBuildCounters.
 TEST(LocalityCounters, SumCoversEveryField) {
-  static_assert(LocalityCounters::kFieldCount == 5,
+  static_assert(LocalityCounters::kFieldCount == 4,
                 "new LocalityCounters field: extend this test's field list");
   LocalityCounters a;
   std::uint64_t* const fields[LocalityCounters::kFieldCount] = {
-      &a.runs, &a.run_owners, &a.chunks, &a.baseline_chunks,
-      &a.prefetch_batches};
+      &a.runs, &a.run_owners, &a.chunks, &a.prefetch_batches};
   for (std::size_t i = 0; i < LocalityCounters::kFieldCount; ++i)
     *fields[i] = (i + 1) * 1000 + i;  // all distinct, all nonzero
   LocalityCounters b = a;

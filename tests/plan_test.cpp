@@ -1122,9 +1122,14 @@ TEST(Plan, LocalityCarvingCoalescesRunsAndChunks) {
   EXPECT_GT(l.run_owners, 0u);
   EXPECT_LT(l.runs, l.run_owners);
   EXPECT_GT(l.mean_run_length(), 1.0);
-  // …and the carving must produce at most half the cost-only chunk count.
-  EXPECT_GT(l.baseline_chunks, 0u);
-  EXPECT_LE(2 * l.chunks, l.baseline_chunks);
+  // …and the carving must produce at most half the chunks the cost-sorted
+  // carve of a locality-off plan on the same engine produces.
+  warm.approx().locality = false;
+  EvalScratch off_scratch;
+  (void)warm.compute(off_scratch);
+  const std::size_t cost_sorted_chunks = off_scratch.plan_cache.plan.chunks();
+  EXPECT_GT(cost_sorted_chunks, 0u);
+  EXPECT_LE(2 * l.chunks, cost_sorted_chunks);
   EXPECT_EQ(l.chunks, plan.chunks());
   // Introspection shape: chunk bounds tile owner_order, runs tile it too.
   ASSERT_FALSE(plan.chunk_offsets().empty());
@@ -1145,7 +1150,7 @@ TEST(Plan, LocalityOffKeepsCostSortedCarving) {
   const perf::LocalityCounters& l = plan.locality_stats();
   EXPECT_EQ(l.runs, 0u);             // no run detection off-path
   EXPECT_TRUE(plan.run_offsets().empty());
-  EXPECT_EQ(l.chunks, l.baseline_chunks);  // its own carving IS the baseline
+  EXPECT_EQ(l.chunks, plan.chunks());
   EXPECT_EQ(plan.prefetches_per_replay(), 0u);
 }
 
@@ -1172,14 +1177,12 @@ TEST(Plan, MetricsRegistryExportsLocalityCounters) {
   l.runs = 4;
   l.run_owners = 12;
   l.chunks = 10;
-  l.baseline_chunks = 25;
   l.prefetch_batches = 7;
   trace::MetricsRegistry reg;
   reg.add_locality("", l);
   EXPECT_EQ(reg.get_int("plan.locality.runs"), 4u);
   EXPECT_EQ(reg.get_int("plan.locality.run_owners"), 12u);
   EXPECT_EQ(reg.get_int("plan.locality.chunks"), 10u);
-  EXPECT_EQ(reg.get_int("plan.locality.baseline_chunks"), 25u);
   EXPECT_EQ(reg.get_int("plan.locality.prefetch_batches"), 7u);
   EXPECT_DOUBLE_EQ(reg.get_real("plan.locality.mean_run_length"), 3.0);
   trace::MetricsRegistry tiers;

@@ -2,8 +2,8 @@
 /// \file legacy_octree.hpp
 /// The pre-Morton recursive octree partitioner, kept as a test reference:
 /// octree_equiv_test checks that the Morton pipeline yields the same tree,
-/// and octree_test uses it for trees without Morton state (serialize v1/v2
-/// round trips, the resort precondition).
+/// and octree_test round-trips its trees through serialize v1/v2 as trees
+/// assembled through from_parts rather than built.
 
 #include <span>
 
@@ -16,7 +16,7 @@ namespace octgb::test_support {
 /// box, emitting nodes parents-before-children with each parent's
 /// children contiguous, in ascending octant order. The tree is assembled
 /// through Octree::from_parts, and a refit at the input positions sets
-/// every node's exact centroid and radius. The result has no Morton state.
+/// every node's exact centroid and radius.
 octree::Octree build_legacy(std::span<const geom::Vec3> points,
                             const octree::BuildParams& params = {});
 

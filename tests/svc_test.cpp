@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "octgb/mol/generate.hpp"
@@ -511,25 +514,53 @@ TEST(SvcService, WarmSubmissionSkipsPreprocessingAndIsBitIdentical) {
 
 // The cache-hit path must also be bit-identical to a *standalone* session
 // evaluated at the service's width — the cache changes where the warm
-// state lives, never what it computes.
+// state lives, never what it computes. Degenerate molecules (one atom,
+// two coincident atoms, every charge zero) take the same path.
 TEST(SvcService, CacheHitMatchesStandaloneSessionBits) {
-  auto req = make_request(37);
+  std::vector<std::pair<std::string, svc::JobRequest>> inputs;
+  inputs.emplace_back("protein", make_request(37));
+  {
+    svc::JobRequest one = make_request(37);
+    one.molecule = mol::Molecule("one atom");
+    one.molecule.add_atom(
+        {.pos = {1.0, -2.0, 0.5}, .radius = 1.7, .charge = -0.6});
+    inputs.emplace_back("one atom", std::move(one));
+  }
+  {
+    svc::JobRequest twin = make_request(37);
+    twin.molecule = mol::Molecule("coincident");
+    twin.molecule.add_atom(
+        {.pos = {0.3, 0.3, 0.3}, .radius = 1.6, .charge = 0.4});
+    twin.molecule.add_atom(
+        {.pos = {0.3, 0.3, 0.3}, .radius = 1.6, .charge = -0.9});
+    inputs.emplace_back("coincident atoms", std::move(twin));
+  }
+  {
+    svc::JobRequest neutral = make_request(38);
+    for (auto& atom : neutral.molecule.atoms()) atom.charge = 0.0;
+    inputs.emplace_back("zero-charge protein", std::move(neutral));
+  }
   const auto cfg = small_service_config();
 
-  double standalone = 0.0;
-  {
-    auto surf = surface::build_surface(req.molecule, req.surface);
-    core::ScoringSession session(req.molecule, surf, req.config, req.surface);
-    svc::ScoringService probe(cfg);  // width_for only; no jobs run
-    ws::Scheduler sched(probe.width_for(req.molecule.size()));
-    standalone = session.evaluate_at(req.config.approx, &sched).epol;
-  }
+  for (const auto& [name, req] : inputs) {
+    double standalone = 0.0;
+    {
+      auto surf = surface::build_surface(req.molecule, req.surface);
+      core::ScoringSession session(req.molecule, surf, req.config,
+                                   req.surface);
+      svc::ScoringService probe(cfg);  // width_for only; no jobs run
+      ws::Scheduler sched(probe.width_for(req.molecule.size()));
+      standalone = session.evaluate_at(req.config.approx, &sched).epol;
+    }
+    EXPECT_TRUE(std::isfinite(standalone)) << name;
 
-  svc::ScoringService service(cfg);
-  auto a = service.submit(make_request(37));
-  auto b = service.submit(make_request(37));
-  EXPECT_EQ(a.result().epol, standalone);
-  EXPECT_EQ(b.result().epol, standalone);
+    svc::ScoringService service(cfg);
+    auto a = service.submit(req);
+    auto b = service.submit(req);
+    EXPECT_EQ(a.result().epol, standalone) << name;
+    EXPECT_EQ(b.result().epol, standalone) << name;
+    EXPECT_TRUE(b.result().cache_hit) << name;
+  }
 }
 
 TEST(SvcService, EpsilonRedialSharesOneArtifact) {

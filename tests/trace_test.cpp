@@ -350,15 +350,13 @@ TEST_F(TraceMetrics, AddTreeBuildCoversEveryCounterField) {
   t.sort_passes = 4;
   t.nodes_emitted = 5;
   t.leaves_emitted = 6;
-  t.resorts = 7;
-  t.resort_moved = 8;
   trace::MetricsRegistry m;
   m.add_tree_build("atoms", t);
   // One metric per TreeBuildCounters field (kFieldCount guards the struct).
   EXPECT_EQ(m.size(), perf::TreeBuildCounters::kFieldCount);
   EXPECT_EQ(m.get_int("tree.build.morton.atoms"), 1u);
   EXPECT_EQ(m.get_int("tree.build.sort_passes.atoms"), 4u);
-  EXPECT_EQ(m.get_int("tree.build.resort_moved.atoms"), 8u);
+  EXPECT_EQ(m.get_int("tree.build.leaves.atoms"), 6u);
   m.add_tree_build("", t);
   m.add_tree_build("", t);
   EXPECT_EQ(m.get_int("tree.build.nodes"), 10u);
