@@ -11,7 +11,7 @@
 /// each node carrying the T_Q leaves that reached it, and the walk forks
 /// over T_A children under the work-stealing scheduler when one is
 /// active. Every s-array slot is written by the one task owning its T_A
-/// node, in serial Q-major order, and the far terms' A-side gradients
+/// node, in serial Q-major order, and the far terms' A-side expansions
 /// reach the atoms through one top-down pass after the walk — no
 /// atomics, and the results are bitwise at every worker count.
 
@@ -26,6 +26,17 @@
 namespace octgb::core {
 
 class PlanRecorder;  // core/plan.hpp
+
+/// The A-side part of a T_A node's far terms, as a Taylor expansion about
+/// the node's centroid c_A: gradient `g` and the six entries of the
+/// symmetric Hessian. Atom x receives g·a + ½ aᵀHa with a = x − c_A
+/// (the value at c_A itself goes into node_s). Per-evaluation scratch,
+/// one per T_A node, summed by the node's owner in decision order and
+/// handed down by the gradient pass (DESIGN.md §2.6).
+struct FarExpansion {
+  geom::Vec3 g;
+  double hxx = 0.0, hyy = 0.0, hzz = 0.0, hxy = 0.0, hxz = 0.0, hyz = 0.0;
+};
 
 /// Accumulate approximate integrals for the given T_Q leaves into
 /// `node_s` (one slot per T_A node) and `atom_s` (one slot per atom, tree
@@ -44,7 +55,9 @@ class PlanRecorder;  // core/plan.hpp
 /// floating-point reassociation. A non-null `recorder`
 /// captures every near/far decision into an InteractionPlan *and keeps
 /// the walk serial* (even under an active scheduler), so it sees the
-/// owners one at a time.
+/// owners one at a time. `far` is the far-expansion scratch, one entry
+/// per T_A node, overwritten (an EvalScratch's keeps warm evaluations
+/// from allocating); empty, the call allocates its own.
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,
@@ -54,7 +67,8 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       // Unread (perfbench); ROADMAP item 1 deletes it.
                       KernelKind = KernelKind::Batched,
                       const simd::VectorParams& vector = {},
-                      PlanRecorder* recorder = nullptr);
+                      PlanRecorder* recorder = nullptr,
+                      std::span<FarExpansion> far = {});
 
 /// Finalize Born radii for atoms whose *tree position* lies in
 /// [atom_begin, atom_end): descend T_A accumulating the ancestor prefix
@@ -69,15 +83,22 @@ void push_integrals_to_atoms(const AtomsTree& ta,
                              bool approx_math, std::span<double> born_tree,
                              perf::WorkCounters& counters);
 
-/// One first-order far-field term: the contribution of a Q-aggregate
-/// (weighted normal sum `wn` and symmetric normal moment `wm`, both about
-/// its centroid `qc`) to the T_A node centered at `ac`. With δ = qc − ac
-/// and r = |δ| it returns N·δ/r⁶ + tr S/r⁶ − 6 δᵀSδ/r⁸ (the Q side to
-/// first order) and adds the A-side gradient −(N/r⁶ − 6(N·δ)δ/r⁸) of the
-/// monopole into `grad`, which the gradient pass later spreads over the
-/// node's atoms as grad·(x − ac) (DESIGN.md §2.6). Coincident centroids
-/// (r² ≤ 1e-12, the same guard as the near kernels) contribute 0 and
-/// leave `grad` untouched instead of producing a division-by-zero
+/// One second-order far-field term: the contribution of a Q-aggregate
+/// (weighted normal sum `wn`, symmetric normal moment `wm` and fully
+/// symmetric second moment `wm2`, all about its centroid `qc`) to the
+/// T_A node centered at `ac`. The kernel w n·(r − x)/|r − x|⁶ is the
+/// gradient of φ = −¼|r − x|⁻⁴, so with δ = qc − ac, r = |δ| and the
+/// derivative tensors of φ at δ the term is the Taylor series of
+/// Σ w n·∇φ(δ + u − a) to second order in the Q offset u and the atom
+/// offset a together. It returns the value at ac,
+///   (N·δ + tr S)/r⁶ − 6 δᵀSδ/r⁸ − 9 t·δ/r⁸ + 24 O(δ,δ,δ)/r¹⁰
+/// (t the trace vector O_iik), and adds the A-side expansion into `far`:
+/// the monopole's gradient −(N/r⁶ − 6(N·δ)δ/r⁸) plus the S×a cross term
+/// 6(tr S δ + 2Sδ)/r⁸ − 48(δᵀSδ)δ/r¹⁰, and the monopole's Hessian
+/// −6(N⊗δ + δ⊗N + (N·δ)I)/r⁸ + 48(N·δ)δ⊗δ/r¹⁰. The gradient pass
+/// spreads them over the node's atoms (DESIGN.md §2.6). Coincident
+/// centroids (r² ≤ 1e-12, the same guard as the near kernels) contribute
+/// 0 and leave `far` untouched instead of producing a division-by-zero
 /// infinity — unreachable through the admissibility criterion (far ⇒
 /// d > 0) but reachable through direct calls and degenerate geometry.
 /// Never inlined: the Born walk and the plan replay executor
@@ -88,6 +109,7 @@ void push_integrals_to_atoms(const AtomsTree& ta,
                                        const geom::Vec3& qc,
                                        const geom::Vec3& wn,
                                        const NormalMoment& wm,
-                                       bool approx_math, geom::Vec3& grad);
+                                       const NormalMoment2& wm2,
+                                       bool approx_math, FarExpansion& far);
 
 }  // namespace octgb::core

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <span>
 
+#include "octgb/core/born.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/trees.hpp"
 #include "octgb/perf/counters.hpp"
@@ -37,13 +38,15 @@ namespace octgb::core {
 /// order), exactly like approx_integrals() — the PUSH phase is shared.
 /// Bitwise at every worker count; the walk forks under an active
 /// scheduler. `vector` and `approx_math` pick the exact leaf×leaf
-/// arithmetic through the same near-field selector as approx_integrals().
+/// arithmetic through the same near-field selector as approx_integrals(),
+/// and `far` is its far-expansion scratch.
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            double eps_born, bool approx_math,
                            std::span<double> node_s,
                            std::span<double> atom_s,
                            perf::WorkCounters& counters,
                            bool strict_criterion = false,
-                           const simd::VectorParams& vector = {});
+                           const simd::VectorParams& vector = {},
+                           std::span<FarExpansion> far = {});
 
 }  // namespace octgb::core

@@ -64,9 +64,8 @@ struct EnergyResult {
 /// *zeroed, not reallocated* between computes: after the first warm
 /// compute on a given engine shape, repeated evaluations grow no scratch
 /// buffer, and `allocation_events` (which counts exactly those growths)
-/// stays put. That is not "no heap allocation": approx_integrals and
-/// InteractionPlan::replay allocate their per-node gradient array on
-/// every call, and the tree walks allocate their fork lists.
+/// stays put. That is not "no heap allocation": the tree walks allocate
+/// their fork lists.
 /// One scratch serves any number of engines/evaluations sequentially; it
 /// is not thread-safe across concurrent computes.
 struct EvalScratch {
@@ -74,6 +73,9 @@ struct EvalScratch {
   std::vector<double> atom_s;      ///< per-atom near-field integrals
   std::vector<double> born_tree;   ///< Born radii, tree order (phase B)
   std::vector<double> born_input;  ///< Born radii, input order (remap)
+  /// Per-T_A-node far expansions of the Born phase (approx_integrals,
+  /// InteractionPlan::replay); they zero it themselves.
+  std::vector<FarExpansion> far;
   EpolContext epol_ctx;            ///< moment-by-bin tables (energy phase)
   /// Cached interaction plan + Born results for the engine/params most
   /// recently evaluated through this scratch (PlanMode::Auto), plus the
@@ -86,8 +88,8 @@ struct EvalScratch {
   std::size_t allocation_events = 0;
 
   /// Size-and-zero every phase buffer for an engine with the given tree
-  /// shape, reusing capacity; bumps allocation_events when any vector had
-  /// to grow.
+  /// shape (`far` is only sized), reusing capacity; bumps
+  /// allocation_events when any vector had to grow.
   void prepare(std::size_t n_nodes, std::size_t n_atoms);
 
   std::size_t footprint_bytes() const;
@@ -220,9 +222,11 @@ class GBEngine {
   /// Born phase A on a segment of q_leaves(); accumulates into
   /// node_s (size num_ta_nodes()) and atom_s (size num_atoms()), bitwise
   /// at any worker count. Concurrent calls must not share the spans.
+  /// `far` is the far-expansion scratch (approx_integrals).
   void phase_integrals(Segment q_leaf_segment, std::span<double> node_s,
                        std::span<double> atom_s,
-                       perf::WorkCounters& counters) const;
+                       perf::WorkCounters& counters,
+                       std::span<FarExpansion> far = {}) const;
 
   /// Born phase B for atoms in tree positions [segment.begin, segment.end).
   void phase_push(Segment atom_segment, std::span<const double> node_s,

@@ -46,8 +46,8 @@ struct ApproxParams {
   /// bounds the per-term 1/r⁶ ratio by (1+ε) but opens nodes only beyond
   /// ~19× the radius sum at ε = 0.9, which makes the Born phase
   /// effectively exact and cannot produce the paper's reported speedups;
-  /// the default (opening factor (1 + 2/ε)^0.9 ≈ 2.87 with the
-  /// first-order far term) reproduces the speedup shape with measured
+  /// the default (opening factor (1 + 2/ε)^0.72 ≈ 2.32 with the
+  /// second-order far term) reproduces the speedup shape with measured
   /// energy error well under the paper's 1 % budget (see DESIGN.md §2
   /// and bench_criterion). Default: false.
   bool strict_born_criterion = false;
@@ -77,15 +77,17 @@ struct ApproxParams {
 
 /// Threshold k used by born_far_enough: far iff (d+s) ≤ k·(d−s). The
 /// strict criterion is the paper's (1+ε)^(1/6). Otherwise nodes open at
-/// the distance factor f = d/s = (1 + 2/ε)^0.9, i.e. k = (f+1)/(f−1)
-/// (2.07 at ε = 0.9; the monopole far term needed f = 1 + 2/ε, k = 1+ε):
-/// the first-order far term (born_far_term, DESIGN.md §2.6) holds the
-/// error budget at the smaller factor. Every traversal, plan walk and
-/// near-leaf collector evaluates this one expression, so their decisions
-/// agree bit for bit.
+/// the distance factor f = d/s = (1 + 2/ε)^0.72, i.e. k = (f+1)/(f−1)
+/// (f = 2.32, k = 2.51 at ε = 0.9): the second-order far term
+/// (born_far_term, DESIGN.md §2.6) holds the error budget at that factor.
+/// The first-order term needed (1 + 2/ε)^0.9 = 2.87 and the monopole
+/// 1 + 2/ε = 3.22; an exponent sweep chose 0.72 (EXPERIMENTS.md, "Born
+/// opening-factor sweep"). Every traversal, plan walk and near-leaf
+/// collector evaluates this one expression, so their decisions agree bit
+/// for bit.
 inline double born_threshold(double eps_born, bool strict) {
   if (strict) return std::pow(1.0 + eps_born, 1.0 / 6.0);
-  const double f = std::pow(1.0 + 2.0 / eps_born, 0.9);
+  const double f = std::pow(1.0 + 2.0 / eps_born, 0.72);
   return (f + 1.0) / (f - 1.0);
 }
 

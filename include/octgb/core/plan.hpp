@@ -51,6 +51,7 @@
 #include <span>
 #include <vector>
 
+#include "octgb/core/born.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/trees.hpp"
 #include "octgb/perf/counters.hpp"
@@ -204,10 +205,12 @@ class InteractionPlan {
   /// capture order, and the far-gradient pass runs after every chunk, as
   /// after the walk. Like approx_math, `vector` changes arithmetic, never
   /// the partition — it is absent from PlanKey and stamped into the Born
-  /// cache instead.
+  /// cache instead. `far` is the far-expansion scratch, as in
+  /// approx_integrals (empty: replay allocates its own).
   void replay(const AtomsTree& ta, const QPointsTree& tq, bool approx_math,
               const simd::VectorParams& vector, std::span<double> node_s,
-              std::span<double> atom_s, perf::WorkCounters& work) const;
+              std::span<double> atom_s, perf::WorkCounters& work,
+              std::span<FarExpansion> far = {}) const;
 
   // --- Born-result cache (tier 1) ---------------------------------------
 

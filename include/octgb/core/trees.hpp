@@ -78,6 +78,16 @@ struct NormalMoment {
   double xx = 0.0, yy = 0.0, zz = 0.0, xy = 0.0, xz = 0.0, yz = 0.0;
 };
 
+/// Fully symmetric part of a T_Q node's second weighted normal moment
+/// about its centroid c, O = sym Σ w n ⊗ (r − c) ⊗ (r − c), as its ten
+/// independent entries. The Born kernel's third derivative is fully
+/// symmetric, so the second-order far term reads only this part
+/// (DESIGN.md §2.6).
+struct NormalMoment2 {
+  double xxx = 0.0, yyy = 0.0, zzz = 0.0, xxy = 0.0, xxz = 0.0, xyy = 0.0,
+         yyz = 0.0, xzz = 0.0, yzz = 0.0, xyz = 0.0;
+};
+
 /// Quadrature-points octree T_Q with payloads in tree order.
 ///
 /// Coordinates (the octree's planes) and weighted normals are SoA planes in
@@ -93,6 +103,9 @@ struct QPointsTree {
   /// Symmetric normal moment of each node about its centroid c (indexed
   /// by node id): the first-order correction of the Born far term.
   std::vector<NormalMoment> node_wmoment;
+  /// Fully symmetric second normal moment of each node about its
+  /// centroid (indexed by node id): the second-order correction.
+  std::vector<NormalMoment2> node_wmoment2;
 
   /// Coordinate planes, tree order (owned by the octree; see AtomsTree).
   std::span<const double> soa_x() const { return tree.soa_x(); }
@@ -109,8 +122,8 @@ struct QPointsTree {
   /// preserved.
   void refit(const surface::Surface& surf);
 
-  /// Recompute node_wnormal and node_wmoment from the weighted-normal
-  /// planes (after refit or deserialization).
+  /// Recompute node_wnormal, node_wmoment and node_wmoment2 from the
+  /// weighted-normal planes (after refit or deserialization).
   void rebuild_derived();
 
   /// Weighted normal w_q · n_q at tree position `pos`.

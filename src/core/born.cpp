@@ -1,6 +1,8 @@
 #include "octgb/core/born.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "atomic_add.hpp"
 #include "born_walk.hpp"
@@ -35,7 +37,7 @@ struct EvalSink {
   detail::NearField nf;
   double* node_s;
   double* atom_s;
-  Vec3* grad;              ///< per-T_A-node A-side far gradient
+  FarExpansion* far;       ///< per-T_A-node A-side far expansion
   PlanRecorder* recorder;  ///< non-null: the walk runs serially
 
   struct Owner {
@@ -47,7 +49,8 @@ struct EvalSink {
       if (s.recorder) s.recorder->far(a_id, q_id);
       s.node_s[a_id] += born_far_term(
           a.centroid, s.tq.tree.node(q_id).centroid, s.tq.node_wnormal[q_id],
-          s.tq.node_wmoment[q_id], s.nf.fast, s.grad[a_id]);
+          s.tq.node_wmoment[q_id], s.tq.node_wmoment2[q_id], s.nf.fast,
+          s.far[a_id]);
     }
     void near(std::uint32_t q_id) {
       if (s.recorder) s.recorder->near(a_id, q_id);
@@ -67,7 +70,8 @@ struct EvalSink {
 }  // namespace
 
 double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
-                     const NormalMoment& wm, bool approx_math, Vec3& grad) {
+                     const NormalMoment& wm, const NormalMoment2& wm2,
+                     bool approx_math, FarExpansion& far) {
   const Vec3 d = qc - ac;
   const double r2 = geom::dist2(ac, qc);
   // Same coincidence guard as the near kernels (r ≤ 1e-6): the criterion
@@ -75,7 +79,8 @@ double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
   // geometry can — return 0 instead of an infinity that would poison the
   // node partial. !(r2 > …) also catches NaN centroids.
   if (!(r2 > 1e-12)) return 0.0;
-  // One 1/r² (fast_rsqrt² under approx_math); 1/r⁶ and 1/r⁸ by products.
+  // One 1/r² (fast_rsqrt² under approx_math); 1/r⁶, 1/r⁸ and 1/r¹⁰ by
+  // products.
   double u;
   if (approx_math) {
     const double t = fast_rsqrt(r2);
@@ -85,13 +90,37 @@ double born_far_term(const Vec3& ac, const Vec3& qc, const Vec3& wn,
   }
   const double i6 = u * u * u;
   const double i8 = i6 * u;
+  const double i10 = i8 * u;
   const double nd = wn.dot(d);
-  const double dsd = wm.xx * d.x * d.x + wm.yy * d.y * d.y +
-                     wm.zz * d.z * d.z +
-                     2.0 * (wm.xy * d.x * d.y + wm.xz * d.x * d.z +
-                            wm.yz * d.y * d.z);
-  grad -= wn * i6 - d * (6.0 * nd * i8);
-  return (nd + wm.xx + wm.yy + wm.zz) * i6 - 6.0 * dsd * i8;
+  const double tr = wm.xx + wm.yy + wm.zz;
+  const Vec3 sd{wm.xx * d.x + wm.xy * d.y + wm.xz * d.z,
+                wm.xy * d.x + wm.yy * d.y + wm.yz * d.z,
+                wm.xz * d.x + wm.yz * d.y + wm.zz * d.z};
+  const double dsd = d.dot(sd);
+  // The second moment's trace vector t_k = O_iik and its cube O(δ,δ,δ).
+  const Vec3 t{wm2.xxx + wm2.xyy + wm2.xzz, wm2.xxy + wm2.yyy + wm2.yzz,
+               wm2.xxz + wm2.yyz + wm2.zzz};
+  const double ddd =
+      wm2.xxx * d.x * d.x * d.x + wm2.yyy * d.y * d.y * d.y +
+      wm2.zzz * d.z * d.z * d.z +
+      3.0 * (wm2.xxy * d.x * d.x * d.y + wm2.xxz * d.x * d.x * d.z +
+             wm2.xyy * d.x * d.y * d.y + wm2.yyz * d.y * d.y * d.z +
+             wm2.xzz * d.x * d.z * d.z + wm2.yzz * d.y * d.z * d.z) +
+      6.0 * wm2.xyz * d.x * d.y * d.z;
+  // A side: the monopole's gradient and the S×a cross term, then the
+  // monopole's Hessian.
+  const double ntr = nd + tr;
+  far.g += d * (6.0 * ntr * i8 - 48.0 * dsd * i10) - wn * i6 +
+           sd * (12.0 * i8);
+  const double a8 = -6.0 * i8;
+  const double b10 = 48.0 * nd * i10;
+  far.hxx += a8 * (2.0 * wn.x * d.x + nd) + b10 * d.x * d.x;
+  far.hyy += a8 * (2.0 * wn.y * d.y + nd) + b10 * d.y * d.y;
+  far.hzz += a8 * (2.0 * wn.z * d.z + nd) + b10 * d.z * d.z;
+  far.hxy += a8 * (wn.x * d.y + wn.y * d.x) + b10 * d.x * d.y;
+  far.hxz += a8 * (wn.x * d.z + wn.z * d.x) + b10 * d.x * d.z;
+  far.hyz += a8 * (wn.y * d.z + wn.z * d.y) + b10 * d.y * d.z;
+  return ntr * i6 - (6.0 * dsd + 9.0 * t.dot(d)) * i8 + 24.0 * ddd * i10;
 }
 
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
@@ -100,17 +129,18 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<double> node_s, std::span<double> atom_s,
                       perf::WorkCounters& counters, bool strict_criterion,
                       KernelKind, const simd::VectorParams& vector,
-                      PlanRecorder* recorder) {
+                      PlanRecorder* recorder, std::span<FarExpansion> far) {
   OCTGB_CHECK_MSG(eps_born > 0.0, "eps_born must be positive");
   OCTGB_CHECK(node_s.size() == ta.tree.nodes().size());
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
-  std::vector<Vec3> grad(node_s.size());
+  std::vector<FarExpansion> own;
+  far = detail::far_scratch(ta, far, own);
   EvalSink sink{ta,
                 tq,
                 detail::select_near_field(vector, approx_math),
                 node_s.data(),
                 atom_s.data(),
-                grad.data(),
+                far.data(),
                 recorder};
   // One "born.leaves" span per walk task: the per-worker Born activity
   // the trace shows under the phase-level "born.traversal" span.
@@ -118,7 +148,7 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                              born_threshold(eps_born, strict_criterion), sink,
                              recorder == nullptr, "born.leaves")
       .run(q_leaf_ids, counters);
-  detail::add_far_gradients(ta, grad, atom_s);
+  detail::add_far_gradients(ta, far, atom_s);
 }
 
 void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
@@ -126,44 +156,71 @@ void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
                            std::span<double> node_s, std::span<double> atom_s,
                            perf::WorkCounters& counters,
                            bool strict_criterion,
-                           const simd::VectorParams& vector) {
+                           const simd::VectorParams& vector,
+                           std::span<FarExpansion> far) {
   // Fig. 1 is the same walk started from the T_Q root (DESIGN.md §2.6).
   const std::uint32_t root = 0;
   approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
-                   counters, strict_criterion, KernelKind::Batched, vector);
+                   counters, strict_criterion, KernelKind::Batched, vector,
+                   nullptr, far);
 }
 
 namespace {
 
-/// The far-gradient pass: every node carries the sum G of the gradients
-/// on its root path and that path's linear correction K evaluated at its
-/// own centroid, so each atom x of a leaf L receives K_L + G_L·(x − c_L).
+/// The far-gradient pass: every node carries the sums g and H of the
+/// gradients and Hessians on its root path and that path's correction k
+/// evaluated at its own centroid, so each atom x of a leaf L receives
+/// k_L + g_L·a + ½ aᵀH_L a with a = x − c_L. Stepping to a child at
+/// e = c_child − c_parent is the exact Taylor shift of that quadratic:
+/// k += g·e + ½ eᵀHe, g += He, H unchanged.
 struct GradientPass {
   const AtomsTree& ta;
-  const Vec3* grad;
+  const FarExpansion* far;
   double* atom_s;
 
-  void descend(std::uint32_t a_id, Vec3 g, double k) const {
+  static double quad(const FarExpansion& h, const Vec3& a) {
+    return h.hxx * a.x * a.x + h.hyy * a.y * a.y + h.hzz * a.z * a.z +
+           2.0 * (h.hxy * a.x * a.y + h.hxz * a.x * a.z + h.hyz * a.y * a.z);
+  }
+  static Vec3 apply(const FarExpansion& h, const Vec3& a) {
+    return {h.hxx * a.x + h.hxy * a.y + h.hxz * a.z,
+            h.hxy * a.x + h.hyy * a.y + h.hyz * a.z,
+            h.hxz * a.x + h.hyz * a.y + h.hzz * a.z};
+  }
+
+  void descend(std::uint32_t a_id, FarExpansion e, double k) const {
     const Octree::Node& a = ta.tree.node(a_id);
-    g += grad[a_id];
+    const FarExpansion& own = far[a_id];
+    e.g += own.g;
+    e.hxx += own.hxx;
+    e.hyy += own.hyy;
+    e.hzz += own.hzz;
+    e.hxy += own.hxy;
+    e.hxz += own.hxz;
+    e.hyz += own.hyz;
     if (a.is_leaf()) {
       const double* const px = ta.soa_x().data();
       const double* const py = ta.soa_y().data();
       const double* const pz = ta.soa_z().data();
       const Vec3 c = a.centroid;
-      for (std::uint32_t ai = a.begin; ai < a.end; ++ai)
-        atom_s[ai] += k + g.dot({px[ai] - c.x, py[ai] - c.y, pz[ai] - c.z});
+      for (std::uint32_t ai = a.begin; ai < a.end; ++ai) {
+        const Vec3 r{px[ai] - c.x, py[ai] - c.y, pz[ai] - c.z};
+        atom_s[ai] += k + e.g.dot(r) + 0.5 * quad(e, r);
+      }
       return;
     }
     const bool fork = a.size() > 4096 && ws::Scheduler::current() != nullptr;
     std::vector<std::function<void()>> forks;
     for (std::uint8_t c = 0; c < a.child_count; ++c) {
       const std::uint32_t child = a.first_child + c;
-      const double kc = k + g.dot(ta.tree.node(child).centroid - a.centroid);
+      const Vec3 step = ta.tree.node(child).centroid - a.centroid;
+      const double kc = k + e.g.dot(step) + 0.5 * quad(e, step);
+      FarExpansion ec = e;
+      ec.g += apply(e, step);
       if (fork)
-        forks.emplace_back([this, child, g, kc] { descend(child, g, kc); });
+        forks.emplace_back([this, child, ec, kc] { descend(child, ec, kc); });
       else
-        descend(child, g, kc);
+        descend(child, ec, kc);
     }
     if (fork) ws::Scheduler::fork_all(forks);
   }
@@ -173,13 +230,27 @@ struct GradientPass {
 
 namespace detail {
 
-void add_far_gradients(const AtomsTree& ta, std::span<const Vec3> grad,
+std::span<FarExpansion> far_scratch(const AtomsTree& ta,
+                                    std::span<FarExpansion> given,
+                                    std::vector<FarExpansion>& own) {
+  const std::size_t n = ta.tree.nodes().size();
+  if (given.empty()) {
+    own.assign(n, FarExpansion{});
+    return own;
+  }
+  OCTGB_CHECK(given.size() == n);
+  std::fill(given.begin(), given.end(), FarExpansion{});
+  return given;
+}
+
+void add_far_gradients(const AtomsTree& ta,
+                       std::span<const FarExpansion> far,
                        std::span<double> atom_s) {
-  OCTGB_CHECK(grad.size() == ta.tree.nodes().size());
+  OCTGB_CHECK(far.size() == ta.tree.nodes().size());
   OCTGB_CHECK(atom_s.size() == ta.num_atoms());
   if (ta.tree.empty()) return;
   OCTGB_SPAN("born.gradient");
-  GradientPass{ta, grad.data(), atom_s.data()}.descend(0, Vec3{}, 0.0);
+  GradientPass{ta, far.data(), atom_s.data()}.descend(0, FarExpansion{}, 0.0);
 }
 
 }  // namespace detail

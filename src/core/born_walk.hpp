@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "atomic_add.hpp"
+#include "octgb/core/born.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/trees.hpp"
 #include "octgb/perf/counters.hpp"
@@ -45,15 +46,22 @@
 
 namespace octgb::core::detail {
 
-/// The far-gradient pass (DESIGN.md §2.6): add Σ grad[A]·(x − c_A) over
-/// the T_A nodes A containing each atom x into its atom_s slot (tree
-/// order). `grad` holds one A-side far gradient per T_A node, summed in
-/// decision order by the node's owner. Runs after every near pair of the
-/// walk or replay has been added; each atom's slot has one writer, and
-/// the pass forks over large subtrees like the push, so the result is
-/// bitwise at every worker count.
-void add_far_gradients(const AtomsTree& ta, std::span<const geom::Vec3> grad,
+/// The far-gradient pass (DESIGN.md §2.6): add Σ g_A·a + ½ aᵀH_A a,
+/// a = x − c_A, over the T_A nodes A containing each atom x into its
+/// atom_s slot (tree order). `far` holds one A-side far expansion per T_A
+/// node, summed in decision order by the node's owner. Runs after every
+/// near pair of the walk or replay has been added; each atom's slot has
+/// one writer, and the pass forks over large subtrees like the push, so
+/// the result is bitwise at every worker count.
+void add_far_gradients(const AtomsTree& ta,
+                       std::span<const FarExpansion> far,
                        std::span<double> atom_s);
+
+/// The far-expansion scratch of one evaluation: `given` zeroed (it must
+/// hold one entry per T_A node), or, when empty, `own` sized and zeroed.
+std::span<FarExpansion> far_scratch(const AtomsTree& ta,
+                                    std::span<FarExpansion> given,
+                                    std::vector<FarExpansion>& own);
 
 /// Fork over A's children while |A| × |pass-down list| exceeds this — an
 /// estimate of the decisions and leaf pairs below A. Smaller subtrees

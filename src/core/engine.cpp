@@ -43,6 +43,9 @@ void EvalScratch::prepare(std::size_t n_nodes, std::size_t n_atoms) {
   size_to(born_tree, n_atoms, /*zero=*/true);
   // born_input is fully overwritten by the remap permutation; no zeroing.
   size_to(born_input, n_atoms, /*zero=*/false);
+  const std::size_t far_cap = far.capacity();
+  far.resize(n_nodes);
+  grew |= far.capacity() > far_cap;
   if (grew) ++allocation_events;
 }
 
@@ -50,13 +53,15 @@ std::size_t EvalScratch::footprint_bytes() const {
   return (node_s.capacity() + atom_s.capacity() + born_tree.capacity() +
           born_input.capacity()) *
              sizeof(double) +
-         epol_ctx.footprint_bytes() + plan_cache.footprint_bytes();
+         far.capacity() * sizeof(FarExpansion) + epol_ctx.footprint_bytes() +
+         plan_cache.footprint_bytes();
 }
 
 void GBEngine::phase_integrals(Segment q_leaf_segment,
                                std::span<double> node_s,
                                std::span<double> atom_s,
-                               perf::WorkCounters& counters) const {
+                               perf::WorkCounters& counters,
+                               std::span<FarExpansion> far) const {
   OCTGB_SPAN("born.traversal");
   const auto& leaves = q_leaves();
   OCTGB_CHECK(q_leaf_segment.end <= leaves.size());
@@ -66,7 +71,7 @@ void GBEngine::phase_integrals(Segment q_leaf_segment,
           q_leaf_segment.begin, q_leaf_segment.size()),
       config_.approx.eps_born, config_.approx.approx_math, node_s, atom_s,
       counters, config_.approx.strict_born_criterion, KernelKind::Batched,
-      config_.approx.vector);
+      config_.approx.vector, nullptr, far);
 }
 
 void GBEngine::phase_push(Segment atom_segment,
@@ -242,7 +247,7 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
       case Action::Replay: {
         OCTGB_SPAN("plan.replay");
         pc.plan.replay(ta_, tq_, approx.approx_math, rvec, scratch.node_s,
-                       scratch.atom_s, result.work);
+                       scratch.atom_s, result.work, scratch.far);
         break;
       }
       case Action::Capture: {
@@ -254,17 +259,19 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
         pc.locality += pc.plan.locality_stats();
         OCTGB_SPAN("plan.replay");
         pc.plan.replay(ta_, tq_, approx.approx_math, rvec, scratch.node_s,
-                       scratch.atom_s, result.work);
+                       scratch.atom_s, result.work, scratch.far);
         break;
       }
       case Action::Traverse: {
         if (flavor == PlanFlavor::Single) {
           phase_integrals({0, static_cast<std::uint32_t>(q_leaves().size())},
-                          scratch.node_s, scratch.atom_s, result.work);
+                          scratch.node_s, scratch.atom_s, result.work,
+                          scratch.far);
         } else {
           approx_integrals_dual(ta_, tq_, approx.eps_born, approx.approx_math,
                                 scratch.node_s, scratch.atom_s, result.work,
-                                approx.strict_born_criterion, rvec);
+                                approx.strict_born_criterion, rvec,
+                                scratch.far);
         }
         break;
       }

@@ -19,14 +19,14 @@ using octree::Octree;
 
 constexpr std::uint32_t kNoGroup = 0xffffffffu;
 
-/// Cost of one first-order far term (born_far_term: 1/r⁶ and 1/r⁸, the
-/// moment contractions and the A-side gradient) in exact point-pair
-/// equivalents; used only to balance replay chunks, never to price
-/// results. Measured on 1BGX_l_b node pairs against the v256 Born batch
-/// kernel (shared 4-vCPU x86-64 host, best of 7 per run, six runs):
-/// 5.6–9.9 pairs per far term, median 6.6, where the monopole term
-/// measured 2.4–4.0 (the former constant, 8, was a model).
-constexpr std::uint64_t kFarCost = 7;
+/// Cost of one second-order far term (born_far_term: 1/r⁶, 1/r⁸ and
+/// 1/r¹⁰, the moment contractions, the A-side gradient and Hessian) in
+/// exact point-pair equivalents; used only to balance replay chunks,
+/// never to price results. Measured on 1BGX_l_b's far and near decisions
+/// against the v256 Born batch kernel (4-vCPU x86-64 host, eight timed
+/// passes): 19–30 pairs per far term, about 26 ns against 1.3 ns. The
+/// first-order term measured 6.3–7.9 on the same harness.
+constexpr std::uint64_t kFarCost = 20;
 
 /// Replay chunk target: enough cost-sorted chunks that greedy packing
 /// load-balances any worker count the scheduler realistically runs with,
@@ -365,7 +365,8 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
                              const simd::VectorParams& vector,
                              std::span<double> node_s,
                              std::span<double> atom_s,
-                             perf::WorkCounters& work) const {
+                             perf::WorkCounters& work,
+                             std::span<FarExpansion> far) const {
   OCTGB_CHECK_MSG(valid_, "replay() on an invalid plan");
   // Same arithmetic selection as the Born walk: identical out-of-line
   // kernel code per near pair keeps replay bit-identical to it.
@@ -377,7 +378,8 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
   const double* const py = ta.soa_y().data();
   const double* const pz = ta.soa_z().data();
   double* const ps = atom_s.data();
-  std::vector<geom::Vec3> grad(ta.tree.nodes().size());
+  std::vector<FarExpansion> own;
+  far = detail::far_scratch(ta, far, own);
   const bool want_prefetch = key_.locality;
   // Chunks are cost-balanced already; grain 1 keeps every chunk stealable.
   ws::Scheduler::parallel_for(
@@ -399,22 +401,22 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
               prefetch_ro(pz + nx.begin);
               prefetch_rw(ps + nx.begin);
             }
-            // Far terms: node_s[a_id] and grad[a_id] belong to this task
+            // Far terms: node_s[a_id] and far[a_id] belong to this task
             // alone; the list is in the walk's order, so both sums match
             // the walk bit for bit (the arithmetic is the same out-of-line
             // born_far_term the walk calls).
             if (far_begin_[g] != far_begin_[g + 1]) {
               double acc = 0.0;
-              geom::Vec3 ga;
               for (std::uint32_t k = far_begin_[g]; k < far_begin_[g + 1];
                    ++k) {
                 const std::uint32_t q_id = far_q_[k];
                 acc += born_far_term(a.centroid, tq.tree.node(q_id).centroid,
                                      tq.node_wnormal[q_id],
-                                     tq.node_wmoment[q_id], approx_math, ga);
+                                     tq.node_wmoment[q_id],
+                                     tq.node_wmoment2[q_id], approx_math,
+                                     far[a_id]);
               }
               node_s[a_id] += acc;
-              grad[a_id] = ga;
             }
             // Near pairs: the owner is an A-leaf, and its atom range
             // [a.begin, a.end) of atom_s is exclusive to this task. The
@@ -429,7 +431,7 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
         }
       });
   // The walk's gradient pass, once every near pair is in.
-  detail::add_far_gradients(ta, grad, atom_s);
+  detail::add_far_gradients(ta, far, atom_s);
   work += base_work_;
 }
 

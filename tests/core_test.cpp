@@ -101,15 +101,23 @@ TEST(GBParams, BornFarFieldCriterion) {
   const double dstar = 2.0 * (pow6 + 1.0) / (pow6 - 1.0);
   EXPECT_FALSE(core::born_far_enough(dstar * 0.999, 1.0, 1.0, pow6));
   EXPECT_TRUE(core::born_far_enough(dstar * 1.001, 1.0, 1.0, pow6));
+  // The default threshold's d* is the second-order factor (1 + 2/ε)^0.72
+  // times ra + rq, nearer than the first-order term's (1 + 2/ε)^0.9.
+  const double k = core::born_threshold(0.9, false);
+  const double dk = 2.0 * (k + 1.0) / (k - 1.0);
+  EXPECT_NEAR(dk, 2.0 * std::pow(1.0 + 2.0 / 0.9, 0.72), 1e-12);
+  EXPECT_LT(dk, 2.0 * std::pow(1.0 + 2.0 / 0.9, 0.9));
+  EXPECT_FALSE(core::born_far_enough(dk * 0.999, 1.0, 1.0, k));
+  EXPECT_TRUE(core::born_far_enough(dk * 1.001, 1.0, 1.0, k));
 }
 
-TEST(GBParams, BornThresholdOpensAtFirstOrderFactor) {
-  // Non-strict: nodes open at d/s = (1 + 2/ε)^0.9 (2.87 at ε = 0.9),
-  // i.e. k = (f+1)/(f−1) ≈ 2.07. Strict: the paper's (1+ε)^(1/6).
-  const double f = std::pow(1.0 + 2.0 / 0.9, 0.9);
+TEST(GBParams, BornThresholdOpensAtSecondOrderFactor) {
+  // Non-strict: nodes open at d/s = (1 + 2/ε)^0.72 (2.32 at ε = 0.9),
+  // i.e. k = (f+1)/(f−1) ≈ 2.51. Strict: the paper's (1+ε)^(1/6).
+  const double f = std::pow(1.0 + 2.0 / 0.9, 0.72);
   const double k = core::born_threshold(0.9, false);
   EXPECT_EQ(k, (f + 1.0) / (f - 1.0));
-  EXPECT_NEAR(k, 2.0715, 5e-4);
+  EXPECT_NEAR(k, 2.5128, 5e-4);
   EXPECT_EQ(core::born_threshold(0.9, true), std::pow(1.9, 1.0 / 6.0));
   // The factor is the far boundary for s = ra + rq = 2.
   EXPECT_FALSE(core::born_far_enough(2.0 * f * 0.999, 1.0, 1.0, k));

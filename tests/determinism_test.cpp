@@ -272,45 +272,66 @@ TEST(Determinism, OneShotBornIsBitwiseAtEveryWorkerCount) {
 }
 
 TEST(BornGradientPass, ForkedPassIsBitwiseAndSumsEveryAncestor) {
-  // The far-gradient pass adds Σ g_A·(x − c_A) over the T_A nodes A
-  // holding each atom. Big enough that it forks below the root: the
-  // result must not depend on the worker count, and must equal the
-  // per-atom sum over ancestors up to rounding.
+  // The far-gradient pass adds Σ g_A·a + ½ aᵀH_A a (a = x − c_A) over
+  // the T_A nodes A holding each atom x. Big enough that it forks below
+  // the root: the result must not depend on the worker count, and must
+  // equal the per-atom sum over ancestors up to rounding — for the
+  // gradients alone, and with the Hessians too.
   const auto m = mol::generate_protein({.target_atoms = 9000, .seed = 33});
   const auto ta = core::AtomsTree::build(m);
   const std::size_t n_nodes = ta.tree.nodes().size();
   const std::size_t n_atoms = ta.num_atoms();
   util::Xoshiro256 rng(71);
-  std::vector<geom::Vec3> grad(n_nodes);
-  for (auto& g : grad)
-    g = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-         rng.uniform(-1.0, 1.0)};
+  std::vector<core::FarExpansion> far(n_nodes);
+  for (auto& f : far)
+    f.g = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+           rng.uniform(-1.0, 1.0)};
   std::vector<double> base(n_atoms);
   for (double& v : base) v = rng.uniform(-1.0, 1.0);
 
-  std::vector<double> serial = base;
-  core::detail::add_far_gradients(ta, grad, serial);
-  for (int workers : {2, 4}) {
-    ws::Scheduler sched(workers);
-    std::vector<double> par = base;
-    sched.run([&] { core::detail::add_far_gradients(ta, grad, par); });
-    EXPECT_EQ(std::memcmp(par.data(), serial.data(),
-                          n_atoms * sizeof(double)),
-              0)
-        << workers << " workers";
-  }
-
-  std::vector<double> want = base, scale(n_atoms, 1.0);
-  for (std::uint32_t id = 0; id < n_nodes; ++id) {
-    const auto& a = ta.tree.node(id);
-    for (std::uint32_t i = a.begin; i < a.end; ++i) {
-      const geom::Vec3 r = ta.tree.point(i) - a.centroid;
-      want[i] += grad[id].dot(r);
-      scale[i] += grad[id].norm() * r.norm();
+  const auto check = [&](const std::string& what) {
+    std::vector<double> serial = base;
+    core::detail::add_far_gradients(ta, far, serial);
+    for (int workers : {2, 4}) {
+      ws::Scheduler sched(workers);
+      std::vector<double> par = base;
+      sched.run([&] { core::detail::add_far_gradients(ta, far, par); });
+      EXPECT_EQ(std::memcmp(par.data(), serial.data(),
+                            n_atoms * sizeof(double)),
+                0)
+          << what << ", " << workers << " workers";
     }
+
+    std::vector<double> want = base, scale(n_atoms, 1.0);
+    for (std::uint32_t id = 0; id < n_nodes; ++id) {
+      const auto& a = ta.tree.node(id);
+      const core::FarExpansion& f = far[id];
+      const double hnorm =
+          std::sqrt(f.hxx * f.hxx + f.hyy * f.hyy + f.hzz * f.hzz +
+                    2.0 * (f.hxy * f.hxy + f.hxz * f.hxz + f.hyz * f.hyz));
+      for (std::uint32_t i = a.begin; i < a.end; ++i) {
+        const geom::Vec3 r = ta.tree.point(i) - a.centroid;
+        const geom::Vec3 hr{f.hxx * r.x + f.hxy * r.y + f.hxz * r.z,
+                            f.hxy * r.x + f.hyy * r.y + f.hyz * r.z,
+                            f.hxz * r.x + f.hyz * r.y + f.hzz * r.z};
+        want[i] += f.g.dot(r) + 0.5 * r.dot(hr);
+        scale[i] += f.g.norm() * r.norm() + hnorm * r.norm2();
+      }
+    }
+    for (std::size_t i = 0; i < n_atoms; ++i)
+      ASSERT_NEAR(serial[i], want[i], 1e-12 * scale[i])
+          << what << ", atom " << i;
+  };
+  check("gradients");
+  for (auto& f : far) {
+    f.hxx = rng.uniform(-1.0, 1.0);
+    f.hyy = rng.uniform(-1.0, 1.0);
+    f.hzz = rng.uniform(-1.0, 1.0);
+    f.hxy = rng.uniform(-1.0, 1.0);
+    f.hxz = rng.uniform(-1.0, 1.0);
+    f.hyz = rng.uniform(-1.0, 1.0);
   }
-  for (std::size_t i = 0; i < n_atoms; ++i)
-    ASSERT_NEAR(serial[i], want[i], 1e-12 * scale[i]) << "atom " << i;
+  check("gradients and Hessians");
 }
 
 TEST(Determinism, HybridIsBitwiseAcrossThreadsPerRank) {

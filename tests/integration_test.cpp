@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -147,15 +151,19 @@ TEST(ZdockAccuracy, QuickSelectionAgainstNaiveReference) {
   // largest: 12 molecules, 436 to 16,301 atoms), each in its generated
   // orientation with the default surface, evaluated one-shot against the
   // naive Born radii and Epol. Every molecule must stay under the 1 %
-  // Epol budget. On the two largest, the counts of radii more than 1 %
-  // off and of radii clamped to kMaxBornRadius where the naive radius is
-  // not must not exceed what the monopole far term at opening factor
-  // 1 + 2/ε left (1108 / 5 and 738 / 5).
+  // Epol budget, and the worst one under 2.57e-3, where the first-order
+  // Born far term at opening factor (1 + 2/ε)^0.9 left 1MAH_r_b (the
+  // second-order term at (1 + 2/ε)^0.72 leaves 2.20e-3, 1BGX_l_b; the
+  // worst error is recorded as the test property worst_epol_rel_err).
+  // On the two largest, the counts of radii more than 1 % off and of
+  // radii clamped to kMaxBornRadius where the naive radius is not must
+  // not exceed what the second-order term leaves (182 / 0 and 141 / 3;
+  // the first-order term left 729 / 4 and 395 / 3).
   struct Limit {
     const char* name;
     std::size_t off, clamped;
   };
-  const Limit limits[] = {{"1MAH_r_b", 1108, 5}, {"1BGX_l_b", 738, 5}};
+  const Limit limits[] = {{"1MAH_r_b", 182, 0}, {"1BGX_l_b", 141, 3}};
   const auto all = mol::zdock_set();
   std::vector<mol::BenchmarkEntry> set;
   for (std::size_t i = 0; i < all.size(); i += 4) set.push_back(all[i]);
@@ -194,11 +202,13 @@ TEST(ZdockAccuracy, QuickSelectionAgainstNaiveReference) {
         });
   });
 
+  double worst = 0.0;
   for (std::size_t k = 0; k < set.size(); ++k) {
     const Case& c = cases[k];
     const char* name = set[k].name;
-    EXPECT_LT(std::abs(c.epol - c.naive_e) / std::abs(c.naive_e), 0.01)
-        << name;
+    const double err = std::abs(c.epol - c.naive_e) / std::abs(c.naive_e);
+    EXPECT_LT(err, 0.01) << name;
+    worst = std::max(worst, err);
     std::size_t off = 0, clamped = 0;
     for (std::size_t i = 0; i < c.naive_born.size(); ++i) {
       if (std::abs(c.born[i] - c.naive_born[i]) > 0.01 * c.naive_born[i])
@@ -213,6 +223,10 @@ TEST(ZdockAccuracy, QuickSelectionAgainstNaiveReference) {
       EXPECT_LE(clamped, l.clamped) << name;
     }
   }
+  std::ostringstream worst_text;
+  worst_text << std::scientific << std::setprecision(4) << worst;
+  ::testing::Test::RecordProperty("worst_epol_rel_err", worst_text.str());
+  EXPECT_LE(worst, 2.57e-3);
 }
 
 TEST(Integration, EmptyAndDegenerateInputsFailLoudly) {

@@ -23,11 +23,14 @@
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
+#include "octgb/mol/zdock.hpp"
 #include "octgb/octree/morton.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/rng.hpp"
 #include "octgb/ws/scheduler.hpp"
+
+#include "../src/core/born_walk.hpp"
 
 using namespace octgb;
 using core::AtomBatch;
@@ -288,34 +291,45 @@ TEST(BatchKernelEdge, BornFarTermCoincidentCentroidsContributeZero) {
   // The admissibility criterion never admits d = 0, but direct calls and
   // degenerate single-point geometry can produce coincident (or NaN)
   // centroids; the far term must yield 0, not ±inf or NaN, and leave the
-  // A-side gradient untouched.
+  // A-side expansion untouched.
   const geom::Vec3 c{1.0, -2.0, 3.0};
   const geom::Vec3 wn{5.0, 7.0, -1.0};
   const core::NormalMoment wm{0.3, -0.2, 0.5, 0.1, -0.4, 0.25};
-  const geom::Vec3 g0{0.5, -1.5, 2.5};
+  const core::NormalMoment2 wm2{0.2,  -0.1, 0.4, 0.05, -0.3,
+                                0.15, 0.35, -0.2, 0.1, -0.05};
+  const core::FarExpansion f0{{0.5, -1.5, 2.5}, 1.0, -2.0, 3.0, -0.5, 0.25,
+                              0.75};
+  const auto same = [](const core::FarExpansion& x,
+                       const core::FarExpansion& y) {
+    return x.g == y.g && x.hxx == y.hxx && x.hyy == y.hyy && x.hzz == y.hzz &&
+           x.hxy == y.hxy && x.hxz == y.hxz && x.hyz == y.hyz;
+  };
   const auto expect_zero = [&](const geom::Vec3& qc, bool approx_math) {
-    geom::Vec3 g = g0;
-    EXPECT_EQ(core::born_far_term(c, qc, wn, wm, approx_math, g), 0.0);
-    EXPECT_EQ(g, g0);
+    core::FarExpansion f = f0;
+    EXPECT_EQ(core::born_far_term(c, qc, wn, wm, wm2, approx_math, f), 0.0);
+    EXPECT_TRUE(same(f, f0));
   };
   expect_zero(c, /*approx_math=*/false);
   expect_zero(c, /*approx_math=*/true);
   // Inside the r² ≤ 1e-12 coincidence band: still zero.
   expect_zero({1.0 + 1e-7, -2.0, 3.0}, false);
   // NaN centroid (poisoned upstream geometry) must not leak NaN into the
-  // node partial or its gradient.
+  // node partial or its expansion.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   expect_zero({nan, 0.0, 0.0}, false);
   expect_zero({nan, 0.0, 0.0}, true);
-  // Just outside the band: a genuine (huge but finite) contribution and
-  // gradient.
+  // Just outside the band: a genuine (huge but finite) contribution,
+  // gradient and Hessian.
   const geom::Vec3 out_c{1.0 + 2e-6, -2.0, 3.0};
-  geom::Vec3 g = g0;
-  const double t = core::born_far_term(c, out_c, wn, {}, false, g);
+  core::FarExpansion f = f0;
+  const double t = core::born_far_term(c, out_c, wn, {}, {}, false, f);
   EXPECT_TRUE(std::isfinite(t));
   EXPECT_GT(t, 0.0);
-  EXPECT_TRUE(std::isfinite(g.x) && std::isfinite(g.y) && std::isfinite(g.z));
-  EXPECT_NE(g, g0);
+  for (const double v : {f.g.x, f.g.y, f.g.z, f.hxx, f.hyy, f.hzz, f.hxy,
+                         f.hxz, f.hyz})
+    EXPECT_TRUE(std::isfinite(v));
+  EXPECT_NE(f.g, f0.g);
+  EXPECT_NE(f.hxx, f0.hxx);
 }
 
 TEST(BatchKernelEdge, ScalarBornPairSkipsCoincidentQPoints) {
@@ -454,15 +468,18 @@ surface::Surface normal_cluster(const geom::Vec3& dir, std::size_t n,
 
 TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
   // rebuild_derived builds internal moments from the children's by the
-  // parallel-axis shift; every node must equal the direct point sum
-  // S = sym Σ w (r − c) ⊗ n about its own centroid.
+  // parallel-axis shift; every node must equal the direct point sums
+  // S = sym Σ w (r − c) ⊗ n and O = sym Σ w n ⊗ (r − c) ⊗ (r − c) about
+  // its own centroid.
   const auto surf = normal_cluster({0.0, 0.0, 1.0}, 400, 5);
   const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
   ASSERT_GT(tq.tree.nodes().size(), 9u);
   for (std::uint32_t id = 0; id < tq.tree.nodes().size(); ++id) {
     const auto& n = tq.tree.node(id);
     core::NormalMoment want;
-    double scale = 0.0;
+    // O_ijk by brute force over all 27 index triples, then read off.
+    double o[3][3][3] = {};
+    double scale = 0.0, scale2 = 0.0;
     for (std::uint32_t i = n.begin; i < n.end; ++i) {
       const geom::Vec3 u = tq.tree.point(i) - n.centroid;
       const geom::Vec3 w = tq.wnormal(i);
@@ -473,7 +490,27 @@ TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
       want.xz += 0.5 * (u.x * w.z + u.z * w.x);
       want.yz += 0.5 * (u.y * w.z + u.z * w.y);
       scale += u.norm() * w.norm();
+      scale2 += u.norm2() * w.norm();
+      const double uv[3] = {u.x, u.y, u.z}, wv[3] = {w.x, w.y, w.z};
+      for (int a = 0; a < 3; ++a)
+        for (int b = 0; b < 3; ++b)
+          for (int c = 0; c < 3; ++c)
+            o[a][b][c] += (wv[a] * uv[b] * uv[c] + wv[b] * uv[a] * uv[c] +
+                           wv[c] * uv[a] * uv[b]) /
+                          3.0;
     }
+    const core::NormalMoment2& got2 = tq.node_wmoment2[id];
+    const double tol2 = 1e-12 * scale2;
+    EXPECT_NEAR(got2.xxx, o[0][0][0], tol2) << "node " << id;
+    EXPECT_NEAR(got2.yyy, o[1][1][1], tol2) << "node " << id;
+    EXPECT_NEAR(got2.zzz, o[2][2][2], tol2) << "node " << id;
+    EXPECT_NEAR(got2.xxy, o[0][0][1], tol2) << "node " << id;
+    EXPECT_NEAR(got2.xxz, o[0][0][2], tol2) << "node " << id;
+    EXPECT_NEAR(got2.xyy, o[0][1][1], tol2) << "node " << id;
+    EXPECT_NEAR(got2.yyz, o[1][1][2], tol2) << "node " << id;
+    EXPECT_NEAR(got2.xzz, o[0][2][2], tol2) << "node " << id;
+    EXPECT_NEAR(got2.yzz, o[1][2][2], tol2) << "node " << id;
+    EXPECT_NEAR(got2.xyz, o[0][1][2], tol2) << "node " << id;
     const core::NormalMoment& got = tq.node_wmoment[id];
     const double tol = 1e-12 * scale;
     EXPECT_NEAR(got.xx, want.xx, tol) << "node " << id;
@@ -485,18 +522,28 @@ TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
   }
 }
 
-TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
-  // One far term of a unit-radius T_Q cluster against atoms in a unit
-  // ball at distance d, each atom x taking term + grad·(x − c_A) as the
-  // gradient pass hands it out. Against the exact point sum, the
-  // relative error falls as (s/d)² with the first-order correction and as
-  // s/d for the bare monopole N·δ/r⁶: doubling d divides it by 4 and 2.
+namespace {
+
+/// One far term of a unit-radius T_Q cluster against 64 atoms in a unit
+/// ball at distances d = 16, 32, 64, 128 along the cluster's normal
+/// direction, each atom x taking term + g·a (+ ½ aᵀHa when `hessian`),
+/// a = x − c_A, as the gradient pass hands it out. Per d, the worst
+/// error against the exact point sum relative to the largest exact
+/// value: `err` for born_far_term with the node's second moment taken
+/// as `second` (or zero), `err_mono` for the bare monopole N·δ/r⁶.
+struct FarErrors {
+  std::vector<double> err, err_mono;
+};
+
+FarErrors far_errors(bool second, bool hessian) {
   const geom::Vec3 dir = geom::Vec3{1.0, 2.0, -2.0}.normalized();
   const auto surf = normal_cluster(dir, 300, 11);
   const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
   const geom::Vec3 cq = tq.tree.node(0).centroid;
   const geom::Vec3 wn = tq.node_wnormal[0];
   const core::NormalMoment& wm = tq.node_wmoment[0];
+  const core::NormalMoment2 wm2 =
+      second ? tq.node_wmoment2[0] : core::NormalMoment2{};
   const QPointBatch qb =
       tq.batch(0, static_cast<std::uint32_t>(tq.num_points()));
 
@@ -508,7 +555,7 @@ TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
     if (u.norm2() <= 1.0) offsets.push_back(u);
   }
 
-  std::vector<double> err_first, err_mono;
+  FarErrors out;
   for (const double d : {16.0, 32.0, 64.0, 128.0}) {
     std::vector<geom::Vec3> atoms;
     geom::Vec3 ca;
@@ -517,27 +564,57 @@ TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
       ca += atoms.back();
     }
     ca = ca / static_cast<double>(atoms.size());
-    geom::Vec3 grad;
-    const double term = core::born_far_term(ca, cq, wn, wm, false, grad);
+    core::FarExpansion f;
+    const double term = core::born_far_term(ca, cq, wn, wm, wm2, false, f);
     const geom::Vec3 delta = cq - ca;
     const double r2 = delta.norm2();
     const double mono = wn.dot(delta) / (r2 * r2 * r2);
-    double worst_first = 0.0, worst_mono = 0.0, biggest = 0.0;
+    double worst = 0.0, worst_mono = 0.0, biggest = 0.0;
     for (const auto& x : atoms) {
       const double exact = scalar_born_integral(x.x, x.y, x.z, qb);
-      worst_first = std::max(worst_first,
-                             std::abs(term + grad.dot(x - ca) - exact));
+      const geom::Vec3 a = x - ca;
+      double approx = term + f.g.dot(a);
+      if (hessian)
+        approx += 0.5 * (f.hxx * a.x * a.x + f.hyy * a.y * a.y +
+                         f.hzz * a.z * a.z +
+                         2.0 * (f.hxy * a.x * a.y + f.hxz * a.x * a.z +
+                                f.hyz * a.y * a.z));
+      worst = std::max(worst, std::abs(approx - exact));
       worst_mono = std::max(worst_mono, std::abs(mono - exact));
       biggest = std::max(biggest, std::abs(exact));
     }
-    err_first.push_back(worst_first / biggest);
-    err_mono.push_back(worst_mono / biggest);
+    out.err.push_back(worst / biggest);
+    out.err_mono.push_back(worst_mono / biggest);
   }
-  for (std::size_t k = 0; k + 1 < err_first.size(); ++k) {
+  return out;
+}
+
+}  // namespace
+
+TEST(BornFarField, FirstOrderErrorFallsAsSquareOfSizeOverDistance) {
+  // Without the second moment and the Hessian, the relative error falls
+  // as (s/d)² (the first-order terms on both sides, and the S×a cross
+  // term), and as s/d for the bare monopole N·δ/r⁶: doubling d divides
+  // them by 4 and 2.
+  const FarErrors e = far_errors(/*second=*/false, /*hessian=*/false);
+  for (std::size_t k = 0; k + 1 < e.err.size(); ++k) {
     const std::string at = "step " + std::to_string(k);
-    EXPECT_LT(err_first[k], err_mono[k]) << at;
-    EXPECT_NEAR(err_first[k] / err_first[k + 1], 4.0, 0.5) << at;
-    EXPECT_NEAR(err_mono[k] / err_mono[k + 1], 2.0, 0.25) << at;
+    EXPECT_LT(e.err[k], e.err_mono[k]) << at;
+    EXPECT_NEAR(e.err[k] / e.err[k + 1], 4.0, 0.5) << at;
+    EXPECT_NEAR(e.err_mono[k] / e.err_mono[k + 1], 2.0, 0.25) << at;
+  }
+}
+
+TEST(BornFarField, SecondOrderErrorFallsAsCubeOfSizeOverDistance) {
+  // The full term — the second moment on the Q side, the Hessian on the
+  // A side — leaves a third-order error: doubling d divides it by 8, and
+  // it stays below the truncation without them at every distance.
+  const FarErrors first = far_errors(false, false);
+  const FarErrors e = far_errors(/*second=*/true, /*hessian=*/true);
+  for (std::size_t k = 0; k + 1 < e.err.size(); ++k) {
+    const std::string at = "step " + std::to_string(k);
+    EXPECT_LT(e.err[k], first.err[k]) << at;
+    EXPECT_NEAR(e.err[k] / e.err[k + 1], 8.0, 1.0) << at;
   }
 }
 
@@ -682,6 +759,117 @@ TEST(KernelDiff, DegenerateMoleculesAgreeAcrossWidths) {
         EXPECT_LT(rel_diff(r.born[i], width1.born[i]), 1e-9)
             << where << " atom " << i;
       EXPECT_LT(rel_diff(r.epol, width1.epol), 1e-6) << where;
+    }
+  }
+}
+
+// ---- the ε → 0 limit --------------------------------------------------------
+
+namespace {
+
+/// The degenerate shapes plus two ZDock molecules (449 and 14,908
+/// atoms), each with its naive Born radii and Epol.
+struct LimitCase {
+  std::string name;
+  mol::Molecule molecule;
+  surface::Surface surf;
+  std::vector<double> naive_born;
+  double naive_e = 0.0;
+};
+
+std::vector<LimitCase> limit_cases(ws::Scheduler& sched) {
+  std::vector<LimitCase> out;
+  for (Shape& s : degenerate_shapes())
+    out.push_back({s.name, std::move(s.molecule), {}, {}});
+  for (const char* name : {"1PPE_l_b", "1MAH_r_b"})
+    out.push_back({name, mol::make_benchmark_molecule(name), {}, {}});
+  for (LimitCase& c : out) {
+    sched.run([&] {
+      c.surf = surface::build_surface(c.molecule);
+      c.naive_born = core::naive_born_radii(c.molecule, c.surf);
+      c.naive_e = core::naive_epol(c.molecule, c.naive_born);
+    });
+  }
+  return out;
+}
+
+/// The worst relative error of the radii and of Epol against naive.
+struct LimitError {
+  double born = 0.0, epol = 0.0;
+};
+
+/// Born walk sink counting far decisions whose two nodes are not both
+/// single points (radius 0): those are the only far terms that are not
+/// the exact point-pair term.
+struct SizedFarSink {
+  const core::AtomsTree& ta;
+  const core::QPointsTree& tq;
+  std::uint64_t sized = 0;  ///< the walk runs serially
+  struct Owner {
+    SizedFarSink& s;
+    double ra;
+    void far(std::uint32_t q_id) {
+      if (ra + s.tq.tree.node(q_id).radius > 0.0) ++s.sized;
+    }
+    void near(std::uint32_t) {}
+    bool close() { return true; }
+  };
+  Owner open(std::uint32_t a_id) { return {*this, ta.tree.node(a_id).radius}; }
+};
+
+LimitError limit_error(const LimitCase& c, const EnergyResult& r) {
+  LimitError e;
+  for (std::size_t i = 0; i < r.born.size(); ++i)
+    e.born = std::max(e.born, rel_diff(r.born[i], c.naive_born[i]));
+  // Zero-charge shapes have Epol exactly 0 on both sides.
+  e.epol = c.naive_e == 0.0 ? std::abs(r.epol) : rel_diff(r.epol, c.naive_e);
+  return e;
+}
+
+}  // namespace
+
+/// As ε_born and ε_epol shrink together, the octree result walks to the
+/// naive one: the worst radius error and the Epol error never grow along
+/// the ladder (beyond 1e-12, rounding). The rungs are about a decade
+/// apart: between closer ones the small errors can tick up (1MAH_r_b's
+/// Epol error is 2.4e-7 at ε = 0.1 and 3.7e-7 at 0.03). At the last
+/// rung no bin pair and no approximate far term is left, and the radii
+/// and Epol equal naive_born_radii and naive_epol to rounding (the
+/// radii to 1e-11: a buried atom's integral cancels over the surface). Far decisions between
+/// two single-point nodes (radius 0) pass the Born criterion at every ε,
+/// and their far term is the exact point pair, so the rung asserts that
+/// every far decision left is one of those. That rung is ε_born = 1e-9
+/// but ε_epol = 1e-3: the Epol bins are (1 + ε)-wide in the Born radius,
+/// and the int16 bin index caps their count.
+TEST(EpsilonLimit, ErrorFallsMonotonicallyToNaive) {
+  ws::Scheduler sched(4);
+  for (const LimitCase& c : limit_cases(sched)) {
+    LimitError prev{std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+    for (const double eps : {0.9, 0.3, 0.1, 0.01, 1e-9}) {
+      const std::string where = c.name + " eps " + std::to_string(eps);
+      EngineConfig cfg;
+      cfg.approx.eps_born = eps;
+      cfg.approx.eps_epol = std::max(eps, 1e-3);
+      const GBEngine engine(c.molecule, c.surf, cfg);
+      const EnergyResult r = engine.compute(&sched);
+      const LimitError e = limit_error(c, r);
+      EXPECT_LE(e.born, prev.born + 1e-12) << where;
+      EXPECT_LE(e.epol, prev.epol + 1e-12) << where;
+      prev = e;
+      if (eps != 1e-9) continue;
+      const core::AtomsTree& ta = engine.atoms_tree();
+      const core::QPointsTree& tq = engine.qpoints_tree();
+      SizedFarSink sink{ta, tq};
+      perf::WorkCounters walk;
+      core::detail::BornWalk<SizedFarSink>(
+          ta, tq, core::born_threshold(eps, false), sink, false)
+          .run(tq.tree.leaf_ids(), walk);
+      EXPECT_EQ(walk.born_approx, r.work.born_approx) << where;
+      EXPECT_EQ(sink.sized, 0u) << where;
+      EXPECT_EQ(r.work.epol_bins, 0u) << where;
+      EXPECT_LT(e.born, 1e-11) << where;
+      EXPECT_LT(e.epol, 1e-12) << where;
     }
   }
 }

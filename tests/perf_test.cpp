@@ -67,7 +67,7 @@ TEST(PercentError, SignsAndZeroReference) {
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += i;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i;
   const double first = t.seconds();
   EXPECT_GT(first, 0.0);
   t.reset();

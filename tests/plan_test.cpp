@@ -123,7 +123,7 @@ struct SerialDescent {
   double k;  ///< born_threshold
   core::detail::NearField nf;
   std::vector<double> node_s, atom_s;
-  std::vector<geom::Vec3> grad;
+  std::vector<core::FarExpansion> far;
   std::vector<std::vector<std::uint32_t>> near_q;  ///< per T_A node
   perf::WorkCounters work;
 
@@ -135,7 +135,7 @@ struct SerialDescent {
         nf(core::detail::select_near_field(vector, approx_math)),
         node_s(engine.num_ta_nodes(), 0.0),
         atom_s(engine.num_atoms(), 0.0),
-        grad(engine.num_ta_nodes()),
+        far(engine.num_ta_nodes()),
         near_q(engine.num_ta_nodes()) {}
 
   /// Far or exact at (A, Q); false: refine.
@@ -146,10 +146,9 @@ struct SerialDescent {
     if (core::born_far_enough(std::sqrt(geom::dist2(a.centroid, q.centroid)),
                               a.radius, q.radius, k)) {
       ++work.born_approx;
-      node_s[a_id] += core::born_far_term(a.centroid, q.centroid,
-                                          tq.node_wnormal[q_id],
-                                          tq.node_wmoment[q_id], nf.fast,
-                                          grad[a_id]);
+      node_s[a_id] += core::born_far_term(
+          a.centroid, q.centroid, tq.node_wnormal[q_id], tq.node_wmoment[q_id],
+          tq.node_wmoment2[q_id], nf.fast, far[a_id]);
       return true;
     }
     if (!a.is_leaf() || !q.is_leaf()) return false;
@@ -191,7 +190,7 @@ struct SerialDescent {
         runs.add(tq.tree.node(q_id));
       runs.flush();
     }
-    core::detail::add_far_gradients(ta, grad, atom_s);
+    core::detail::add_far_gradients(ta, far, atom_s);
   }
 };
 

@@ -278,8 +278,8 @@ TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
 TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
   // Exact accounting, built or reloaded: each octree plus its tree-order
   // payload planes and nothing else. T_A carries charge and vdW radius;
-  // T_Q carries the three w·n SoA planes, and per node one w·n aggregate
-  // and one six-entry normal moment.
+  // T_Q carries the three w·n SoA planes, and per node one w·n aggregate,
+  // one six-entry normal moment and one ten-entry second moment.
   const Problem p(400);
   const auto expect_exact = [](const core::Preprocessed& pre) {
     const core::AtomsTree& ta = pre.atoms;
@@ -290,7 +290,7 @@ TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
               tq.tree.footprint_bytes() +
                   tq.num_points() * 3 * sizeof(double) +
                   tq.tree.nodes().size() *
-                      (sizeof(geom::Vec3) + 6 * sizeof(double)));
+                      (sizeof(geom::Vec3) + 16 * sizeof(double)));
     EXPECT_EQ(pre.footprint_bytes(),
               ta.footprint_bytes() + tq.footprint_bytes());
   };
