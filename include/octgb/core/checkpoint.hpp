@@ -98,10 +98,8 @@ class CheckpointStore {
   std::optional<SuperstepCheckpoint> get_checkpoint(std::string_view phase,
                                                     std::uint64_t task) const;
 
-  /// Lifetime counters for recovery metrics (checkpoint.* counters).
+  /// Lifetime count of put() calls (ElasticResult::checkpoint_puts).
   std::uint64_t puts() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
 
   /// Directory of a file-backed store; empty for the in-memory mode.
   const std::string& directory() const { return dir_; }
@@ -112,9 +110,7 @@ class CheckpointStore {
   mutable std::mutex mu_;
   std::string dir_;  ///< empty → in-memory mode
   std::unordered_map<std::string, std::string> map_;
-  mutable std::uint64_t puts_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  std::uint64_t puts_ = 0;
 };
 
 }  // namespace octgb::core

@@ -19,35 +19,26 @@
 
 namespace octgb::core {
 
-/// Observability knobs (see OBSERVABILITY.md). `enabled` turns on the
-/// global octgb::trace recorder for the engine's compute paths; the
-/// OCTGB_TRACE=1 environment variable is the no-recompile equivalent.
-struct TraceOptions {
-  bool enabled = false;  ///< record phase/worker spans during compute
-};
-
 /// Engine configuration: approximation parameters, GB constants, octree
 /// build knobs. `approx.vector` picks the width the exact near-field
 /// kernels run at (octgb/simd/, runtime-dispatched; VectorIsa::Scalar is
 /// width 1), the only near-field selector besides approx_math. Like
 /// approx_math it changes results only by floating-point reassociation,
 /// never the traversal partition, so it participates in the Born-cache
-/// stamp but not in the PlanKey.
-/// `trace.enabled` opts the compute paths into span recording; tracing
-/// never changes results or operation counts.
+/// stamp but not in the PlanKey. Tracing is process-wide, not a config
+/// field: `OCTGB_TRACE=1` or trace::Tracer::set_enabled (OBSERVABILITY.md).
 ///
 /// Mutability contract: the tree-build knobs (`atoms_tree_params`,
 /// `qpoints_tree_params`) are consumed at construction and *must not*
 /// change afterwards — mutating them on a live engine would silently
 /// desynchronize the config from the trees it describes. GBEngine
-/// therefore exposes only the evaluation-time knobs (`approx`, `gb`,
-/// `trace`) for post-construction mutation; the full config is read-only.
+/// therefore exposes only the evaluation-time knobs (`approx`, `gb`) for
+/// post-construction mutation; the full config is read-only.
 struct EngineConfig {
   ApproxParams approx;
   GBParams gb;
   octree::BuildParams atoms_tree_params{.max_leaf_size = 32};
   octree::BuildParams qpoints_tree_params{.max_leaf_size = 64};
-  TraceOptions trace;
 };
 
 /// Result of a full energy evaluation.
@@ -78,9 +69,9 @@ struct EvalScratch {
   std::vector<FarExpansion> far;
   EpolContext epol_ctx;            ///< moment-by-bin tables (energy phase)
   /// Cached interaction plan + Born results for the engine/params most
-  /// recently evaluated through this scratch (PlanMode::Auto), plus the
-  /// plan statistics. Plan buffers obey the same capacity-reuse contract
-  /// as the phase buffers.
+  /// recently evaluated through this scratch, plus the plan statistics.
+  /// Plan buffers obey the same capacity-reuse contract as the phase
+  /// buffers.
   PlanCache plan_cache;
   /// Count of prepare()/context-rebuild steps that had to grow a buffer's
   /// capacity. Steady-state warm computes leave it unchanged; the session
@@ -123,7 +114,6 @@ class GBEngine {
   // EngineConfig mutability contract).
   ApproxParams& approx() { return config_.approx; }
   GBParams& gb() { return config_.gb; }
-  TraceOptions& trace() { return config_.trace; }
 
   /// Refit T_A in place to moved atom coordinates (input order, same
   /// count): topology is preserved, centroids/radii and the SoA planes
@@ -197,11 +187,11 @@ class GBEngine {
   /// buffers and the Epol context come from (and are left in) `scratch`,
   /// so back-to-back computes on the same tree shape grow no scratch
   /// buffer (see EvalScratch for what still allocates).
-  /// This is the hot path of ScoringSession. Under PlanMode::Auto (the
-  /// default) the Born phase goes through the scratch's plan cache: a
-  /// capture + replay on the first evaluation, replay or a full
-  /// Born-result reuse afterwards — bit-identical to the plan-off walk,
-  /// at any worker count, in every case (DESIGN.md §2.6).
+  /// This is the hot path of ScoringSession. The Born phase goes through
+  /// the scratch's plan cache: a capture + replay on the first
+  /// evaluation, replay or a full Born-result reuse afterwards —
+  /// bit-identical to the one-shot compute()'s walk, at any worker count,
+  /// in every case (DESIGN.md §2.6).
   EvalResult compute(EvalScratch& scratch, ws::Scheduler* sched = nullptr) const;
 
   /// Full computation using the legacy dual-tree Born traversal of

@@ -27,14 +27,14 @@ struct GBParams {
 /// it; ROADMAP item 1 deletes it.
 enum class KernelKind { Batched };
 
-/// Interaction-plan policy for the EvalScratch compute path (core/plan.hpp).
-/// `Auto` caches the Born-phase pair lists (and finished Born radii) in the
-/// scratch's PlanCache and replays them whenever the plan key matches —
-/// bit-identical to re-traversing, by construction. `Off` always re-runs
-/// the recursive traversal; the one-shot compute() wrapper always behaves
-/// as Off regardless of this setting (its scratch dies with the call, so a
-/// plan could never be reused).
-enum class PlanMode { Off, Auto };
+/// Interaction-plan policy of the EvalScratch compute path (core/plan.hpp):
+/// the scratch's PlanCache always caches the Born-phase pair lists (and
+/// finished Born radii) and replays them when the plan key matches —
+/// bit-identical to re-traversing, by construction. The one-shot
+/// compute() wrapper is the no-plan path (its scratch dies with the call,
+/// so a plan could never be reused). Single-valued because
+/// perfbench/traced.cpp spells it; ROADMAP item 1 deletes it.
+enum class PlanMode { Auto };
 
 /// Tunable approximation parameters of the octree algorithms (§II, §IV).
 struct ApproxParams {
@@ -53,9 +53,9 @@ struct ApproxParams {
   bool strict_born_criterion = false;
   /// Not a knob: perfbench/traced.cpp reads it. Deleted with KernelKind.
   static constexpr KernelKind kernel = KernelKind::Batched;
-  /// Interaction-plan caching for the warm (EvalScratch) compute path;
-  /// numerically inert — plan replay reproduces the traversal bit for bit.
-  PlanMode plan = PlanMode::Auto;
+  /// Not a knob: perfbench/traced.cpp reads it. ROADMAP item 1 deletes
+  /// it.
+  static constexpr PlanMode plan = PlanMode::Auto;
   /// Explicit-SIMD kernel selection for the exact near-field loops and
   /// the bin-pair far field (simd/dispatch.hpp): the only arithmetic
   /// selector besides approx_math. Arithmetic-only, like
@@ -65,14 +65,10 @@ struct ApproxParams {
   /// CPU support (deterministic bits per width); VectorIsa::Scalar is
   /// width 1. When `approx_math` is set the fastmath kernels run.
   simd::VectorParams vector;
-  /// Locality-aware plan execution (DESIGN.md §2.11): carve replay chunks
-  /// along Morton leaf-run boundaries (streaming access instead of
-  /// cost-sorted jumps) and software-prefetch the next owner's planes.
-  /// Numerically inert — only the iteration *grouping* changes, never
-  /// the per-slot accumulation order — so it is excluded from the svc
-  /// artifact digest like PlanMode; it does sit in the PlanKey, since
-  /// flipping it changes the carving and must recapture.
-  bool locality = true;
+  /// Not a knob: replay chunks are always carved along Morton leaf runs
+  /// (DESIGN.md §2.11). perfbench/traced.cpp reads it into its PlanKey;
+  /// ROADMAP item 1 deletes it.
+  static constexpr bool locality = true;
 };
 
 /// Threshold k used by born_far_enough: far iff (d+s) ≤ k·(d−s). The

@@ -112,13 +112,14 @@ struct ElasticConfig {
   HybridConfig hybrid;
   /// Seeded fault schedule (empty = run fault-free).
   mpp::faults::FaultPlan fault_plan;
-  /// Attach per-message CRCs so injected corruption is detected.
-  bool checksum = true;
+  /// Per-message CRCs are always attached, so injected corruption is
+  /// detected.
+  static constexpr bool checksum = true;
   /// Deadline for one done/release control exchange; expiry falls back to
   /// polling the checkpoint store.
-  double control_deadline_ms = 20.0;
+  static constexpr double control_deadline_ms = 20.0;
   /// Re-plan attempts per phase before declaring the run wedged.
-  int max_attempts = 10000;
+  static constexpr int max_attempts = 10000;
   /// External stable storage. When set, run_hybrid_elastic checkpoints
   /// there (e.g. a file-backed store shared by real rank processes)
   /// instead of a run-local in-memory store. The store is NOT cleared:

@@ -35,9 +35,11 @@
 ///
 /// Lifecycle (driven by GBEngine::compute on the EvalScratch path, see
 /// DESIGN.md §2.6):
-///   capture  — parallel count + emit walk, then finalize; the evaluation
-///              that captured then replays, so even the first one is
-///              exact;
+///   capture  — parallel count + emit walk, then finalize, which orders
+///              the owners by atom range and carves the replay chunks
+///              along the Morton leaf runs (DESIGN.md §2.11); the
+///              evaluation that captured then replays, so even the first
+///              one is exact;
 ///   replay   — flat execution at unchanged tree geometry;
 ///   validate — after an in-place refit, the same walk in parallel, each
 ///              owner's decisions compared element-wise with its stored
@@ -83,10 +85,8 @@ struct PlanKey {
   /// Unread (perfbench); ROADMAP item 1 deletes it.
   KernelKind kernel = KernelKind::Batched;
   PlanFlavor flavor = PlanFlavor::Single;
-  /// Locality-aware chunk carving (ApproxParams::locality). In the key
-  /// because flipping it changes owner ordering and chunk bounds — the
-  /// *partition* of work — even though per-slot accumulation order (and
-  /// hence every bit of the result) is unchanged.
+  /// Unread (perfbench brace-initialises all seven fields): the carve
+  /// always follows Morton leaf runs. ROADMAP item 1 deletes it.
   bool locality = true;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
@@ -100,6 +100,15 @@ class PlanRecorder;
 /// the caller can maintain the EvalScratch::allocation_events contract.
 class InteractionPlan {
  public:
+  /// Replay chunk target: total modeled cost / kTargetChunks per chunk.
+  /// A streaming run re-uses the SoA planes it just pulled into cache, so
+  /// chunks are coarse; the hierarchical stealer keeps them balanced.
+  static constexpr std::uint64_t kTargetChunks = 48;
+  /// A chunk may overshoot its cost target while inside a streaming run
+  /// (to close on the run boundary), but never past this multiple — one
+  /// giant run must still split into stealable pieces.
+  static constexpr std::uint64_t kMaxOvershoot = 4;
+
   // --- capture ----------------------------------------------------------
 
   /// Capture `key`'s partition of (ta, tq) by the owner-major walk
@@ -119,8 +128,8 @@ class InteractionPlan {
   PlanRecorder begin_capture(const PlanKey& key);
 
   /// Freeze the captured lists: compute per-owner costs, order the owners
-  /// (by cost, or by atom range under locality carving) and carve the
-  /// chunk ranges of replay's parallel_for. `captured_work` is the walk's
+  /// by atom range, find the streaming runs and carve the chunk ranges of
+  /// replay's parallel_for (DESIGN.md §2.11). `captured_work` is the walk's
   /// Born-phase counter contribution (reported verbatim by later replays
   /// — operation counts are a property of the partition, not of how it
   /// is executed). After a recorder capture this first closes the
@@ -169,16 +178,18 @@ class InteractionPlan {
   /// are set; prefetch_batches stays zero (a per-replay event the engine
   /// accumulates itself).
   const perf::LocalityCounters& locality_stats() const { return locality_; }
-  /// Prefetch issues one replay performs (0 when the plan was carved with
-  /// locality off).
+  /// Prefetch issues one replay performs: one per owner with a successor
+  /// in its chunk.
   std::uint64_t prefetches_per_replay() const { return prefetches_per_replay_; }
-  /// Chunk bounds as indices into owner_order(); size chunks()+1.
+  /// Chunk bounds as indices into owner_order(); size chunks()+1. A chunk
+  /// closes at a run boundary once its cost reaches the target, or
+  /// mid-run once it reaches kMaxOvershoot × the target.
   std::span<const std::uint32_t> chunk_offsets() const { return chunk_begin_; }
   /// Maximal streaming-run bounds as indices into owner_order(); size
-  /// runs+1 under locality carving, empty otherwise.
+  /// runs+1.
   std::span<const std::uint32_t> run_offsets() const { return run_begin_; }
-  /// Owner-group execution order (stream order under locality carving,
-  /// cost-descending otherwise).
+  /// Owner-group execution order: by the owner's atom range start, then
+  /// by node id (stream order).
   std::span<const std::uint32_t> owner_order() const { return owner_order_; }
   /// Modeled cost of owner group `g` (point-pair equivalents).
   std::uint64_t group_cost(std::uint32_t g) const { return cost_[g]; }
@@ -197,9 +208,10 @@ class InteractionPlan {
 
   /// Evaluate the captured lists into node_s / atom_s (both pre-zeroed,
   /// as in the traversal) with a chunked parallel_for over the
-  /// cost-sorted owner groups. Adds the capture's Born-phase counters to
-  /// `work`. Bit-identical to the serial recursive traversal *at the same
-  /// (approx_math, vector) arithmetic flavor*: the near loop dispatches
+  /// run-carved owner groups, prefetching each next owner's planes. Adds
+  /// the capture's Born-phase counters to `work`. Bit-identical to the
+  /// serial recursive traversal *at the same (approx_math, vector)
+  /// arithmetic flavor*: the near loop dispatches
   /// through the identical out-of-line kernels (simd/dispatch.hpp) the
   /// traversal used; the far loop always runs the scalar born_far_term in
   /// capture order, and the far-gradient pass runs after every chunk, as

@@ -10,8 +10,8 @@
 /// point→leaf assignment) and recomputes node centroids and enclosing
 /// radii bottom-up in O(n). The far-field admissibility tests stay
 /// correct because they only consult centroids and radii. When the
-/// accumulated drift inflates leaves past a quality threshold, the tree
-/// is rebuilt from scratch. Refit and rebuild are the only two ways a
+/// accumulated drift inflates leaves past a fixed quality threshold, the
+/// tree is rebuilt from scratch. Refit and rebuild are the only two ways a
 /// tree moves.
 
 #include <vector>
@@ -23,11 +23,11 @@ namespace octgb::octree {
 /// The refit-vs-rebuild quality policy. Its owner refits the tree in
 /// place with Octree::refit() (core::ScoringSession does so for the
 /// engine's AtomsTree/QPointsTree), asks should_rebuild(), and after a
-/// rebuild calls rebase().
+/// rebuild calls rebase(). The threshold is two constants, not a knob.
 ///
 /// The monitor snapshots each leaf's enclosing radius at (re)build time
 /// ("rebase"). After refits, a leaf whose radius has inflated past
-/// rebuild_radius_factor × max(radius_at_rebase, rebuild_radius_slack)
+/// kRebuildRadiusFactor × max(radius_at_rebase, kRebuildRadiusSlack)
 /// signals that the topology has degraded enough to warrant a rebuild.
 /// Refit tolerance contract: as long as should_rebuild() is honoured, the
 /// far-field admissibility tests stay sound (they only consult the
@@ -37,17 +37,14 @@ namespace octgb::octree {
 /// default ε, the bound the extension tests assert.
 class RefitMonitor {
  public:
-  struct Policy {
-    /// Rebuild when any leaf's radius exceeds
-    /// rebuild_radius_factor × max(its radius at rebase time, slack).
-    double rebuild_radius_factor = 1.5;
-    double rebuild_radius_slack = 1.0;  ///< Å
-  };
+  /// Rebuild when any leaf's radius exceeds
+  /// kRebuildRadiusFactor × max(its radius at rebase time, slack).
+  static constexpr double kRebuildRadiusFactor = 1.5;
+  static constexpr double kRebuildRadiusSlack = 1.0;  ///< Å
 
   RefitMonitor() = default;
   /// Snapshot `tree`'s current radii as the rebase state.
   explicit RefitMonitor(const Octree& tree);
-  RefitMonitor(const Octree& tree, Policy policy);
 
   /// Re-snapshot after a rebuild (or any topology change).
   void rebase(const Octree& tree);
@@ -59,10 +56,7 @@ class RefitMonitor {
   /// True when any leaf's inflation exceeds the rebuild threshold.
   bool should_rebuild(const Octree& tree) const;
 
-  const Policy& policy() const { return policy_; }
-
  private:
-  Policy policy_;
   std::vector<double> base_radius_;  ///< per-node radius at rebase time
 };
 

@@ -5,10 +5,11 @@
 /// cache-friendly layout the paper credits for part of its speedup.
 ///
 /// Construction is a linear-octree pipeline over Morton location codes
-/// (DESIGN.md §2.9): quantize to a 2^grid_bits grid, sort (key, id) pairs
-/// (in parallel under a ws::Scheduler), derive nodes from longest-common-
-/// prefix runs of the sorted keys, and emit them in the same
-/// parents-before-children order the legacy recursive partitioner used.
+/// (DESIGN.md §2.9): quantize to a 2^21 grid (kMortonMaxBits bits per
+/// axis), sort (key, id) pairs (in parallel under a ws::Scheduler), derive
+/// nodes from longest-common-prefix runs of the sorted keys, and emit them
+/// in the same parents-before-children order the legacy recursive
+/// partitioner used.
 /// The sorted point order doubles as the SoA leaf-plane order: the tree
 /// owns its coordinate planes (soa_x/y/z), and they are the only copy of
 /// the coordinates it keeps — point() assembles one point from them. The
@@ -30,14 +31,16 @@
 
 namespace octgb::octree {
 
+/// Hard depth cap of every octree (degenerate inputs). A Morton build
+/// quantizes to kMortonMaxBits bits per axis, so its keys run out of
+/// digits at depth 21 first.
+inline constexpr int kMaxDepth = 24;
+
 /// Build-time knobs. Every field shapes tree topology, so svc/digest.hpp
-/// must pin all of them in the artifact-cache key.
+/// must pin all of them in the artifact-cache key. The grid resolution
+/// (kMortonMaxBits) and the depth cap (kMaxDepth) are constants.
 struct BuildParams {
   std::uint32_t max_leaf_size = 32;  ///< split nodes larger than this
-  int max_depth = 24;                ///< hard depth cap (degenerate inputs)
-  /// Morton quantization bits per axis (clamped to 1..21). Coarser grids
-  /// merge near-coincident points into shared keys earlier.
-  std::uint8_t grid_bits = 21;
 };
 
 /// Flat, immutable octree.

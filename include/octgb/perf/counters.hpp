@@ -108,7 +108,7 @@ struct PlanCounters {
   std::uint64_t key_hits = 0;     ///< evaluations whose plan key matched
   std::uint64_t key_misses = 0;   ///< evaluations that needed a new key
   std::uint64_t invalidated_topology = 0;  ///< rebuild/engine-change misses
-  std::uint64_t invalidated_params = 0;    ///< eps_born/criterion/locality misses
+  std::uint64_t invalidated_params = 0;    ///< eps_born/criterion misses
   std::uint64_t invalidated_drift = 0;     ///< refit drift failed validation
   std::uint64_t validations = 0;  ///< far-list admissibility re-checks run
 

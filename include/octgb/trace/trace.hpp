@@ -11,8 +11,8 @@
 /// **no allocation and no clock read** (tests/trace_test.cpp asserts
 /// this), so the instrumentation can stay in the kernels permanently.
 ///
-/// Enabling: set `EngineConfig::trace.enabled`, export `OCTGB_TRACE=1`,
-/// or call `Tracer::instance().set_enabled(true)` before the run. Every
+/// Enabling: export `OCTGB_TRACE=1` or call
+/// `Tracer::instance().set_enabled(true)` before the run. Every
 /// thread appends events to its own buffer (registered lazily, mutex only
 /// on first use per thread); `Tracer::write_chrome_trace()` merges the
 /// buffers into chrome://tracing JSON loadable in Perfetto. The span

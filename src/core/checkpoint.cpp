@@ -159,19 +159,11 @@ std::optional<std::string> CheckpointStore::get(
   std::lock_guard<std::mutex> lock(mu_);
   if (dir_.empty()) {
     auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return std::nullopt;
-    }
-    ++hits_;
+    if (it == map_.end()) return std::nullopt;
     return it->second;
   }
   std::string bytes;
-  if (!util::io::read_file(file_of(key), bytes)) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
+  if (!util::io::read_file(file_of(key), bytes)) return std::nullopt;
   return bytes;
 }
 
@@ -236,16 +228,6 @@ std::optional<SuperstepCheckpoint> CheckpointStore::get_checkpoint(
 std::uint64_t CheckpointStore::puts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return puts_;
-}
-
-std::uint64_t CheckpointStore::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t CheckpointStore::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 }  // namespace octgb::core

@@ -154,8 +154,8 @@ std::uint64_t GBEngine::next_engine_id() {
 
 /// Shared driver for compute()/compute_dual() on the EvalScratch path.
 ///
-/// The Born phase runs through the scratch's plan cache (PlanMode::Auto,
-/// unless the caller disallows it):
+/// The Born phase runs through the scratch's plan cache unless the caller
+/// disallows it:
 ///   capture    — key miss: math-free owner-major walk (count + emit,
 ///                parallel over T_A subtrees) + finalize, then the
 ///                flat-list replay;
@@ -165,12 +165,11 @@ std::uint64_t GBEngine::next_engine_id() {
 ///   born reuse — key hit at unchanged geometry + arithmetic: the cached
 ///                Born radii are exact, integrals + push are skipped.
 /// Validation, capture and replay all run inside the scheduler's run().
-/// Without a plan (one-shot calls, PlanMode::Off) the evaluating walk runs
-/// directly. Every path reports the same operation counters and the same
-/// bits at every worker count — see DESIGN.md §2.6.
+/// Without a plan (the one-shot calls) the evaluating walk runs directly.
+/// Every path reports the same operation counters and the same bits at
+/// every worker count — see DESIGN.md §2.6.
 EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
                                   PlanFlavor flavor, bool allow_plan) const {
-  if (config_.trace.enabled) trace::Tracer::instance().set_enabled(true);
   OCTGB_SPAN("engine.compute");
   EvalResult result;
   perf::Timer timer;
@@ -184,10 +183,8 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
   // *resolved* params, so Auto and an explicit widest-ISA request hit the
   // same cache entry.
   const simd::VectorParams rvec = simd::resolve(approx.vector);
-  if (config_.trace.enabled) {
-    trace::counter("kernel.simd.lanes",
-                   static_cast<double>(simd::lanes(rvec.isa)));
-  }
+  trace::counter("kernel.simd.lanes",
+                 static_cast<double>(simd::lanes(rvec.isa)));
   // Only the Fig. 2 walk goes through the plan (compute_dual is one-shot).
   const PlanKey key{engine_id_,
                     topology_epoch_,
@@ -195,11 +192,11 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
                     approx.strict_born_criterion,
                     KernelKind::Batched,
                     PlanFlavor::Single,
-                    approx.locality};
+                    ApproxParams::locality};
   enum class Action { Traverse, Capture, Replay, BornReuse };
   Action act = Action::Traverse;
   PlanCache& pc = scratch.plan_cache;
-  if (allow_plan && approx.plan == PlanMode::Auto) {
+  if (allow_plan) {
     if (pc.plan.valid() && pc.plan.key() == key) {
       ++pc.stats.key_hits;
       act = pc.plan.born_valid(geometry_epoch_, approx.approx_math, rvec)

@@ -114,7 +114,6 @@ RankOutcome run_hybrid_rank(const GBEngine& engine,
 }
 
 HybridResult run_hybrid(const GBEngine& engine, const HybridConfig& config) {
-  if (engine.config().trace.enabled) trace::Tracer::instance().set_enabled(true);
   OCTGB_CHECK_MSG(config.ranks >= 1, "need at least one rank");
   OCTGB_CHECK_MSG(config.threads_per_rank >= 1, "need at least one thread");
 
@@ -164,6 +163,8 @@ constexpr const char* kPhaseNames[3] = {"integrals", "born", "epol"};
 int control_tag(int phase, int attempt, int kind) {
   return phase * 65536 + attempt * 2 + kind + 1;
 }
+static_assert(ElasticConfig::max_attempts <= 32768,
+              "max_attempts would overflow the control-tag space");
 
 }  // namespace
 
@@ -174,8 +175,6 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   OCTGB_CHECK_MSG(comm.size() == hc.ranks,
                   "comm has " << comm.size() << " ranks, config wants "
                               << hc.ranks);
-  OCTGB_CHECK_MSG(config.max_attempts <= 32768,
-                  "max_attempts would overflow the control-tag space");
   const int P = hc.ranks;
   const int me = comm.rank();
   const auto n_nodes = engine.num_ta_nodes();
@@ -292,7 +291,7 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
     int attempt = 0;
     int last_epoch = comm.failure_epoch();
     for (;;) {
-      OCTGB_CHECK_MSG(attempt < config.max_attempts,
+      OCTGB_CHECK_MSG(attempt < ElasticConfig::max_attempts,
                       "elastic phase '" << kPhaseNames[phase]
                                         << "' made no progress after "
                                         << attempt << " attempts");
@@ -333,7 +332,8 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
         for (int r : alive) {
           if (r == me || !comm.is_alive(r)) continue;
           (void)comm.recv_value_deadline<int>(
-              r, control_tag(phase, attempt, 0), config.control_deadline_ms);
+              r, control_tag(phase, attempt, 0),
+              ElasticConfig::control_deadline_ms);
         }
         if (missing_tasks(phase).empty()) break;
       } else {
@@ -341,7 +341,7 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
         int token = 0;
         mpp::RetryPolicy policy;
         policy.attempts = 2;
-        policy.deadline_ms = config.control_deadline_ms;
+        policy.deadline_ms = ElasticConfig::control_deadline_ms;
         auto res = comm.recv_bytes_retry(coord,
                                          control_tag(phase, attempt, 1),
                                          &token, sizeof(token), policy);
@@ -414,7 +414,6 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
 
 ElasticResult run_hybrid_elastic(const GBEngine& engine,
                                  const ElasticConfig& config) {
-  if (engine.config().trace.enabled) trace::Tracer::instance().set_enabled(true);
   const HybridConfig& hc = config.hybrid;
   OCTGB_CHECK_MSG(hc.ranks >= 1, "need at least one rank");
   OCTGB_CHECK_MSG(hc.threads_per_rank >= 1, "need at least one thread");
@@ -442,7 +441,7 @@ ElasticResult run_hybrid_elastic(const GBEngine& engine,
   mpp::Runtime::Options opts;
   opts.ranks = P;
   opts.topology = hc.topology;
-  opts.checksum = config.checksum;
+  opts.checksum = ElasticConfig::checksum;
   opts.fault_plan = config.fault_plan;
   opts.fault_stats_out = &result.faults;
 

@@ -28,23 +28,6 @@ constexpr std::uint32_t kNoGroup = 0xffffffffu;
 /// first-order term measured 6.3–7.9 on the same harness.
 constexpr std::uint64_t kFarCost = 20;
 
-/// Replay chunk target: enough cost-sorted chunks that greedy packing
-/// load-balances any worker count the scheduler realistically runs with,
-/// few enough that per-chunk task overhead stays negligible.
-constexpr std::uint64_t kTargetChunks = 96;
-
-/// Locality carving targets fewer, larger chunks: a streaming run re-uses
-/// the SoA planes it just pulled into cache, so the per-chunk overhead
-/// argument flips — coarser chunks amortize better and the hierarchical
-/// stealer keeps them balanced. Half the chunk count doubles the target
-/// cost per chunk.
-constexpr std::uint64_t kTargetChunksLocality = kTargetChunks / 2;
-
-/// A chunk may overshoot its cost target while inside a streaming run (to
-/// close on the run boundary), but never past this multiple — one giant
-/// run must still split into stealable pieces.
-constexpr std::uint64_t kMaxOvershoot = 4;
-
 inline void prefetch_ro(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 0, 3);
@@ -230,8 +213,7 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
     recording_ = false;
   }
 
-  // Per-owner modeled cost, then owners sorted most-expensive-first so the
-  // greedy chunking below cannot strand one huge owner at the tail.
+  // Per-owner modeled cost, the chunk-size currency.
   cost_.assign(groups, 0);
   for (std::size_t g = 0; g < groups; ++g) {
     const std::uint64_t a_size = ta.tree.node(owner_[g]).size();
@@ -239,90 +221,65 @@ bool InteractionPlan::finalize(const AtomsTree& ta, const QPointsTree& tq,
       cost_[g] += a_size * tq.tree.node(near_q_[k]).size();
     cost_[g] += kFarCost * (far_begin_[g + 1] - far_begin_[g]);
   }
-  owner_order_.resize(groups);
-  std::iota(owner_order_.begin(), owner_order_.end(), 0u);
   const std::uint64_t total =
       std::accumulate(cost_.begin(), cost_.end(), std::uint64_t{0});
 
+  // Stream order: owners sorted by their A-node's atom range start. The
+  // Morton octree stores leaves' [begin, end) contiguously in tree order,
+  // so consecutive owners whose ranges abut form a *run* that replay
+  // walks as one forward stream over the SoA planes and atom_s. Per-owner
+  // pair lists (and therefore per-slot accumulation order) are untouched
+  // — only the order owners are *visited* in changes, and no two owners
+  // share a slot, so replay stays bit-identical to the walk.
+  owner_order_.resize(groups);
+  std::iota(owner_order_.begin(), owner_order_.end(), 0u);
+  std::stable_sort(owner_order_.begin(), owner_order_.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     const auto& nx = ta.tree.node(owner_[x]);
+                     const auto& ny = ta.tree.node(owner_[y]);
+                     if (nx.begin != ny.begin) return nx.begin < ny.begin;
+                     return owner_[x] < owner_[y];
+                   });
+  // Run detection: a run extends while the next owner's range starts
+  // where the current one ends.
   run_begin_.clear();
-  locality_ = perf::LocalityCounters{};
-  prefetches_per_replay_ = 0;
-  if (!key_.locality) {
-    // PR-9 behaviour, byte for byte: owners most-expensive-first, greedy
-    // cost-balanced chunks.
-    std::stable_sort(owner_order_.begin(), owner_order_.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return cost_[x] > cost_[y];
-                     });
-    const std::uint64_t target =
-        std::max<std::uint64_t>(1, total / kTargetChunks);
-    chunk_begin_.clear();
-    chunk_begin_.push_back(0);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < groups; ++i) {
-      acc += cost_[owner_order_[i]];
-      if (acc >= target && i + 1 < groups) {
-        chunk_begin_.push_back(static_cast<std::uint32_t>(i + 1));
-        acc = 0;
-      }
-    }
-    chunk_begin_.push_back(static_cast<std::uint32_t>(groups));
-    locality_.chunks = chunks();
-  } else {
-    // Stream order: owners sorted by their A-node's atom range start. The
-    // Morton octree stores leaves' [begin, end) contiguously in tree
-    // order, so consecutive owners whose ranges abut form a *run* that
-    // replay walks as one forward stream over the SoA planes and atom_s.
-    // Per-owner pair lists (and therefore per-slot accumulation order)
-    // are untouched — only the order owners are *visited* in changes,
-    // and no two owners share a slot, so replay stays bit-identical.
-    std::stable_sort(owner_order_.begin(), owner_order_.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       const auto& nx = ta.tree.node(owner_[x]);
-                       const auto& ny = ta.tree.node(owner_[y]);
-                       if (nx.begin != ny.begin) return nx.begin < ny.begin;
-                       return owner_[x] < owner_[y];
-                     });
-    // Run detection: a run extends while the next owner's range starts
-    // where the current one ends.
-    run_begin_.push_back(0);
-    for (std::size_t i = 1; i < groups; ++i) {
-      const auto& prev = ta.tree.node(owner_[owner_order_[i - 1]]);
-      const auto& cur = ta.tree.node(owner_[owner_order_[i]]);
-      if (cur.begin != prev.end)
-        run_begin_.push_back(static_cast<std::uint32_t>(i));
-    }
-    run_begin_.push_back(static_cast<std::uint32_t>(groups));
-    locality_.runs = groups == 0 ? 0 : run_begin_.size() - 1;
-    locality_.run_owners = groups;
-    // Carve along run boundaries: close a chunk at a run boundary once the
-    // target is met, or mid-run (still on an owner boundary) only past the
-    // overshoot cap.
-    const std::uint64_t target =
-        std::max<std::uint64_t>(1, total / kTargetChunksLocality);
-    chunk_begin_.clear();
-    chunk_begin_.push_back(0);
-    std::uint64_t acc = 0;
-    std::size_t next_run = 1;  // run_begin_ index of the next boundary
-    for (std::size_t i = 0; i < groups; ++i) {
-      acc += cost_[owner_order_[i]];
-      const bool at_run_boundary =
-          next_run < run_begin_.size() && run_begin_[next_run] == i + 1;
-      if (at_run_boundary) ++next_run;
-      if (i + 1 < groups &&
-          ((acc >= target && at_run_boundary) ||
-           acc >= kMaxOvershoot * target)) {
-        chunk_begin_.push_back(static_cast<std::uint32_t>(i + 1));
-        acc = 0;
-      }
-    }
-    chunk_begin_.push_back(static_cast<std::uint32_t>(groups));
-    locality_.chunks = chunks();
-    // One prefetch batch per owner that has a successor in its chunk.
-    prefetches_per_replay_ =
-        static_cast<std::uint64_t>(groups) -
-        std::min<std::uint64_t>(groups, chunks());
+  run_begin_.push_back(0);
+  for (std::size_t i = 1; i < groups; ++i) {
+    const auto& prev = ta.tree.node(owner_[owner_order_[i - 1]]);
+    const auto& cur = ta.tree.node(owner_[owner_order_[i]]);
+    if (cur.begin != prev.end)
+      run_begin_.push_back(static_cast<std::uint32_t>(i));
   }
+  run_begin_.push_back(static_cast<std::uint32_t>(groups));
+  locality_ = perf::LocalityCounters{};
+  locality_.runs = groups == 0 ? 0 : run_begin_.size() - 1;
+  locality_.run_owners = groups;
+  // Carve along run boundaries: close a chunk at a run boundary once the
+  // target is met, or mid-run (still on an owner boundary) only past the
+  // overshoot cap.
+  const std::uint64_t target =
+      std::max<std::uint64_t>(1, total / kTargetChunks);
+  chunk_begin_.clear();
+  chunk_begin_.push_back(0);
+  std::uint64_t acc = 0;
+  std::size_t next_run = 1;  // run_begin_ index of the next boundary
+  for (std::size_t i = 0; i < groups; ++i) {
+    acc += cost_[owner_order_[i]];
+    const bool at_run_boundary =
+        next_run < run_begin_.size() && run_begin_[next_run] == i + 1;
+    if (at_run_boundary) ++next_run;
+    if (i + 1 < groups &&
+        ((acc >= target && at_run_boundary) ||
+         acc >= kMaxOvershoot * target)) {
+      chunk_begin_.push_back(static_cast<std::uint32_t>(i + 1));
+      acc = 0;
+    }
+  }
+  chunk_begin_.push_back(static_cast<std::uint32_t>(groups));
+  locality_.chunks = chunks();
+  // One prefetch batch per owner that has a successor in its chunk.
+  prefetches_per_replay_ = static_cast<std::uint64_t>(groups) -
+                           std::min<std::uint64_t>(groups, chunks());
 
   base_work_ = captured_work;
   geometry_epoch_ = geometry_epoch;
@@ -380,7 +337,6 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
   double* const ps = atom_s.data();
   std::vector<FarExpansion> own;
   far = detail::far_scratch(ta, far, own);
-  const bool want_prefetch = key_.locality;
   // Chunks are cost-balanced already; grain 1 keeps every chunk stealable.
   ws::Scheduler::parallel_for(
       0, nchunks, 1, [&](std::int64_t lo, std::int64_t hi) {
@@ -393,7 +349,7 @@ void InteractionPlan::replay(const AtomsTree& ta, const QPointsTree& tq,
             // Streaming carve visits owners in atom-range order, so the
             // next owner's planes are the upcoming stream: pull their
             // first lines in while this owner's arithmetic retires.
-            if (want_prefetch && oi + 1 < chunk_begin_[c + 1]) {
+            if (oi + 1 < chunk_begin_[c + 1]) {
               const Octree::Node& nx =
                   ta.tree.node(owner_[owner_order_[oi + 1]]);
               prefetch_ro(px + nx.begin);

@@ -7,12 +7,7 @@
 
 namespace octgb::octree {
 
-RefitMonitor::RefitMonitor(const Octree& tree) : RefitMonitor(tree, Policy()) {}
-
-RefitMonitor::RefitMonitor(const Octree& tree, Policy policy)
-    : policy_(policy) {
-  rebase(tree);
-}
+RefitMonitor::RefitMonitor(const Octree& tree) { rebase(tree); }
 
 void RefitMonitor::rebase(const Octree& tree) {
   base_radius_.resize(tree.nodes().size());
@@ -25,8 +20,7 @@ double RefitMonitor::worst_leaf_inflation(const Octree& tree) const {
                   "monitor not rebased after a topology change");
   double worst = 0.0;
   for (std::uint32_t id : tree.leaf_ids()) {
-    const double base =
-        std::max(base_radius_[id], policy_.rebuild_radius_slack);
+    const double base = std::max(base_radius_[id], kRebuildRadiusSlack);
     worst = std::max(worst, tree.node(id).radius / base);
   }
   return worst;
@@ -37,8 +31,7 @@ bool RefitMonitor::should_rebuild(const Octree& tree) const {
                   "monitor not rebased after a topology change");
   for (std::uint32_t id : tree.leaf_ids()) {
     const double limit =
-        policy_.rebuild_radius_factor *
-        std::max(base_radius_[id], policy_.rebuild_radius_slack);
+        kRebuildRadiusFactor * std::max(base_radius_[id], kRebuildRadiusSlack);
     if (tree.node(id).radius > limit) return true;
   }
   return false;

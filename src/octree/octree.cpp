@@ -184,7 +184,7 @@ struct MortonBuilder {
 
       const int level = node.depth;
       const bool make_leaf = node.size() <= params.max_leaf_size ||
-                             node.depth >= params.max_depth ||
+                             node.depth >= kMaxDepth ||
                              level >= bits ||
                              key(node.begin) == key(node.end - 1);
       if (!make_leaf) {
@@ -285,9 +285,8 @@ struct MortonBuilder {
 Octree Octree::build(std::span<const geom::Vec3> input,
                      const BuildParams& params) {
   OCTGB_SPAN("tree.build.morton");
-  const int bits =
-      std::clamp<int>(params.grid_bits, 1, kMortonMaxBits);
-  return MortonBuilder::build(input, MortonGrid::of(input, bits), params);
+  return MortonBuilder::build(input, MortonGrid::of(input, kMortonMaxBits),
+                              params);
 }
 
 Octree Octree::from_parts(std::vector<Node> nodes,

@@ -52,7 +52,6 @@ std::string sim_rank_name(int r) {
 
 SimResult simulate_cluster(const GBEngine& engine,
                            const ClusterConfig& config) {
-  if (engine.config().trace.enabled) trace::Tracer::instance().set_enabled(true);
   OCTGB_CHECK_MSG(config.ranks >= 1 && config.threads_per_rank >= 1,
                   "bad cluster shape");
   const int P = config.ranks;

@@ -67,15 +67,10 @@ Digest digest_job_inputs(const mol::Molecule& mol,
   b.pod(surface.subdivision);
   b.pod(surface.quad_degree);
   b.pod(surface.burial_scale);
-  // Tree topology knobs. The Morton field must separate artifacts too:
-  // grid_bits changes node partitions (and therefore plan capture order
-  // and result bits).
+  // Tree topology knobs (the grid resolution and depth cap are
+  // constants).
   b.pod(config.atoms_tree_params.max_leaf_size);
-  b.pod(config.atoms_tree_params.max_depth);
-  b.pod(config.atoms_tree_params.grid_bits);
   b.pod(config.qpoints_tree_params.max_leaf_size);
-  b.pod(config.qpoints_tree_params.max_depth);
-  b.pod(config.qpoints_tree_params.grid_bits);
   // Partition + arithmetic knobs (everything the plan key or the Born
   // cache stamp depends on). eps_epol and GBParams are deliberately
   // absent — they are warm re-dials on a shared artifact.

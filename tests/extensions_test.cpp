@@ -286,7 +286,7 @@ TEST(DynamicOctree, LargeMotionTriggersRebuild) {
   for (auto& v : pts) v = v * 4.0 + geom::Vec3{rng.normal() * 10, 0, 0};
   tree.refit(pts);
   EXPECT_GT(monitor.worst_leaf_inflation(tree),
-            monitor.policy().rebuild_radius_factor);
+            octree::RefitMonitor::kRebuildRadiusFactor);
   ASSERT_TRUE(monitor.should_rebuild(tree));
   tree = octree::Octree::build(pts);
   monitor.rebase(tree);

@@ -365,7 +365,7 @@ TEST(Morton, SortedKeyOrderIsDepthFirstOctantOrder) {
   // key order *is* depth-first traversal order.
   const auto pts = random_points(2500, 34);
   const Octree t = Octree::build(pts);
-  const int bits = BuildParams{}.grid_bits;
+  const int bits = octree::kMortonMaxBits;
   const octree::MortonGrid grid = octree::MortonGrid::of(pts, bits);
   std::vector<std::uint64_t> keys;
   for (const std::uint32_t id : t.point_index())

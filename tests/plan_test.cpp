@@ -48,7 +48,6 @@ using namespace octgb;
 using core::EvalScratch;
 using core::GBEngine;
 using core::PlanFlavor;
-using core::PlanMode;
 
 namespace {
 
@@ -410,22 +409,6 @@ TEST(Plan, ApproxMathTogglesBornCacheButNotPlan) {
   EXPECT_EQ(scratch.plan_cache.stats.key_hits, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
   EXPECT_EQ(scratch.plan_cache.stats.builds, 1u);
-}
-
-TEST(Plan, PlanModeOffNeverCaches) {
-  const Problem p(300);
-  core::EngineConfig config;
-  config.approx.plan = PlanMode::Off;
-  GBEngine warm(p.molecule, p.surf, config);
-  GBEngine cold(p.molecule, p.surf, config);
-  EvalScratch scratch;
-
-  expect_bitwise_equal(warm.compute(scratch), cold.compute());
-  expect_bitwise_equal(warm.compute(scratch), cold.compute());
-  EXPECT_EQ(scratch.plan_cache.stats.builds, 0u);
-  EXPECT_EQ(scratch.plan_cache.stats.key_hits, 0u);
-  EXPECT_EQ(scratch.plan_cache.stats.key_misses, 0u);
-  EXPECT_EQ(scratch.plan_cache.plan.near_pairs(), 0u);
 }
 
 // ---- the owner-major walk vs the serial descents --------------------------
@@ -1062,113 +1045,128 @@ TEST(Plan, MetricsRegistryExportsPlanCounters) {
 // ---- locality-aware execution (DESIGN.md §2.11) -----------------------------
 
 TEST(Plan, LocalityReplayBitwiseMatchesBaselineAtEveryWorkerCount) {
-  // The acceptance gate of the locality work: warm replay with
-  // run-coalesced carving must produce bitwise-identical phase buffers
-  // (node_s, atom_s, Born radii) to the locality-off carving — the PR-9
-  // baseline — at every worker count. Epol is bitwise too: approx_epol
-  // folds fixed leaf-block partials in block order, whatever the
-  // schedule, so it matches the serial traversal reference as well.
+  // Run-coalesced carving only regroups owners across tasks: a warm
+  // replay's Born radii and energy are bitwise those of the one-shot
+  // compute() walk (the no-plan baseline) at every worker count. Epol is
+  // bitwise too: approx_epol folds fixed leaf-block partials in block
+  // order, whatever the schedule.
   const Problem p(800);
-  core::EngineConfig on_cfg, off_cfg;
-  on_cfg.approx.locality = true;
-  off_cfg.approx.locality = false;
-
   const auto moved = jittered_positions(p.molecule, 1e-7, 29);
   for (int workers : {1, 2, 4}) {
-    GBEngine on(p.molecule, p.surf, on_cfg);
-    GBEngine off(p.molecule, p.surf, off_cfg);
-    EvalScratch s_on, s_off;
+    GBEngine warm(p.molecule, p.surf);
+    EvalScratch scratch;
     ws::Scheduler sched(workers);
 
-    (void)on.compute(s_on, &sched);    // capture
-    (void)off.compute(s_off, &sched);  // capture
-    on.refit_atoms(moved);             // force a true replay
-    off.refit_atoms(moved);
-    const auto r_on = on.compute(s_on, &sched);
-    const double epol_on = r_on.epol;
-    const std::vector<double> born_on(r_on.born.begin(), r_on.born.end());
-    const auto r_off = off.compute(s_off, &sched);
-    EXPECT_EQ(s_on.plan_cache.stats.replays, 1u);
-    EXPECT_EQ(s_off.plan_cache.stats.replays, 1u);
-    ASSERT_EQ(born_on.size(), r_off.born.size());
-    for (std::size_t i = 0; i < born_on.size(); ++i)
-      ASSERT_EQ(born_on[i], r_off.born[i]) << "atom " << i;
-    EXPECT_EQ(s_on.node_s, s_off.node_s) << workers << " workers";
-    EXPECT_EQ(s_on.atom_s, s_off.atom_s) << workers << " workers";
-    EXPECT_EQ(s_on.born_tree, s_off.born_tree) << workers << " workers";
-    EXPECT_EQ(epol_on, r_off.epol) << workers << " workers";
+    (void)warm.compute(scratch, &sched);  // capture
+    warm.refit_atoms(moved);              // force a true replay
+    const auto replay = warm.compute(scratch, &sched);
+    EXPECT_EQ(scratch.plan_cache.stats.replays, 1u) << workers << " workers";
+    EXPECT_EQ(scratch.plan_cache.stats.builds, 1u) << workers << " workers";
 
-    GBEngine cold(p.molecule, p.surf, on_cfg);  // traversal reference
+    GBEngine cold(p.molecule, p.surf);
     cold.refit_atoms(moved);
-    const auto c = cold.compute();
-    EXPECT_EQ(epol_on, c.epol) << workers << " workers";
-    for (std::size_t i = 0; i < born_on.size(); ++i)
-      ASSERT_EQ(born_on[i], c.born[i]) << "atom " << i;
+    const auto want = cold.compute(&sched);
+    EXPECT_EQ(replay.epol, want.epol) << workers << " workers";
+    // The phase buffers too: the one-shot path's Born walk.
+    std::vector<double> node_s(cold.num_ta_nodes(), 0.0);
+    std::vector<double> atom_s(cold.num_atoms(), 0.0);
+    perf::WorkCounters walked;
+    sched.run([&] {
+      cold.phase_integrals(
+          {0, static_cast<std::uint32_t>(cold.q_leaves().size())}, node_s,
+          atom_s, walked);
+    });
+    EXPECT_EQ(scratch.node_s, node_s) << workers << " workers";
+    EXPECT_EQ(scratch.atom_s, atom_s) << workers << " workers";
+    ASSERT_EQ(replay.born.size(), want.born.size());
+    for (std::size_t i = 0; i < want.born.size(); ++i)
+      ASSERT_EQ(replay.born[i], want.born[i])
+          << workers << " workers, atom " << i;
   }
 }
 
 TEST(Plan, LocalityCarvingCoalescesRunsAndChunks) {
+  // The carve's invariants, checked directly against the captured plan.
   const Problem p(1500);
-  core::EngineConfig config;
-  config.approx.locality = true;
-  GBEngine warm(p.molecule, p.surf, config);
+  GBEngine warm(p.molecule, p.surf);
   EvalScratch scratch;
   (void)warm.compute(scratch);
 
   const core::InteractionPlan& plan = scratch.plan_cache.plan;
+  const octree::Octree& tree = warm.atoms_tree().tree;
+  const auto order = plan.owner_order();
+  const auto node_of = [&](std::uint32_t i) -> const octree::Octree::Node& {
+    return tree.node(plan.owner(order[i]));
+  };
+  ASSERT_EQ(order.size(), plan.groups());
+  ASSERT_GT(order.size(), 1u);
+
+  // Owners run in atom-range order (ties: node id), each group once.
+  std::vector<bool> seen(plan.groups(), false);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_FALSE(seen[order[i]]) << "group " << order[i] << " twice";
+    seen[order[i]] = true;
+    if (i == 0) continue;
+    const auto& prev = node_of(i - 1);
+    const auto& cur = node_of(i);
+    ASSERT_TRUE(prev.begin < cur.begin ||
+                (prev.begin == cur.begin &&
+                 plan.owner(order[i - 1]) < plan.owner(order[i])))
+        << "owner " << i << " out of atom-range order";
+  }
+
+  // Runs tile owner_order(): inside a run the atom ranges abut, and every
+  // run boundary is a place where they do not.
+  const auto runs = plan.run_offsets();
+  ASSERT_GE(runs.size(), 2u);
+  EXPECT_EQ(runs.front(), 0u);
+  EXPECT_EQ(runs.back(), order.size());
+  std::vector<bool> run_boundary(order.size() + 1, false);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_LT(runs[r - 1], runs[r]) << "empty run " << r;
+    run_boundary[runs[r]] = true;
+  }
+  for (std::size_t i = 1; i < order.size(); ++i)
+    EXPECT_EQ(run_boundary[i], node_of(i).begin != node_of(i - 1).end)
+        << "owner " << i;
+
+  // Chunks tile owner_order(). A chunk closes at a run boundary once its
+  // cost reaches the target, mid-run only once it reaches kMaxOvershoot ×
+  // the target, and at no earlier owner where either rule held.
+  using core::InteractionPlan;
+  std::uint64_t total = 0;
+  for (std::uint32_t g = 0; g < plan.groups(); ++g) total += plan.group_cost(g);
+  const std::uint64_t target =
+      std::max<std::uint64_t>(1, total / InteractionPlan::kTargetChunks);
+  const std::uint64_t cap = InteractionPlan::kMaxOvershoot * target;
+  const auto chunks = plan.chunk_offsets();
+  ASSERT_EQ(chunks.size(), plan.chunks() + 1);
+  EXPECT_EQ(chunks.front(), 0u);
+  EXPECT_EQ(chunks.back(), order.size());
+  EXPECT_GT(plan.chunks(), 1u);
+  for (std::size_t c = 0; c + 1 < chunks.size(); ++c) {
+    ASSERT_LT(chunks[c], chunks[c + 1]) << "empty chunk " << c;
+    std::uint64_t acc = 0;
+    for (std::uint32_t i = chunks[c]; i < chunks[c + 1]; ++i) {
+      acc += plan.group_cost(order[i]);
+      const bool closes = (acc >= target && run_boundary[i + 1]) || acc >= cap;
+      if (i + 1 < chunks[c + 1]) {
+        EXPECT_FALSE(closes) << "chunk " << c << " should close at " << i + 1;
+      } else if (i + 1 < order.size()) {
+        EXPECT_TRUE(closes) << "chunk " << c << " closed early at " << i + 1;
+      }
+    }
+  }
+
+  // The counters describe the same carve, and Morton leaves abut, so runs
+  // really coalesce owners.
   const perf::LocalityCounters& l = plan.locality_stats();
-  // Morton leaves abut, so streaming runs must actually coalesce owners…
-  EXPECT_GT(l.run_owners, 0u);
+  EXPECT_EQ(l.runs, runs.size() - 1);
+  EXPECT_EQ(l.run_owners, order.size());
+  EXPECT_EQ(l.chunks, plan.chunks());
   EXPECT_LT(l.runs, l.run_owners);
   EXPECT_GT(l.mean_run_length(), 1.0);
-  // …and the carving must produce at most half the chunks the cost-sorted
-  // carve of a locality-off plan on the same engine produces.
-  warm.approx().locality = false;
-  EvalScratch off_scratch;
-  (void)warm.compute(off_scratch);
-  const std::size_t cost_sorted_chunks = off_scratch.plan_cache.plan.chunks();
-  EXPECT_GT(cost_sorted_chunks, 0u);
-  EXPECT_LE(2 * l.chunks, cost_sorted_chunks);
-  EXPECT_EQ(l.chunks, plan.chunks());
-  // Introspection shape: chunk bounds tile owner_order, runs tile it too.
-  ASSERT_FALSE(plan.chunk_offsets().empty());
-  EXPECT_EQ(plan.chunk_offsets().front(), 0u);
-  EXPECT_EQ(plan.chunk_offsets().back(), plan.owner_order().size());
-  ASSERT_FALSE(plan.run_offsets().empty());
-  EXPECT_EQ(plan.run_offsets().back(), plan.owner_order().size());
-}
-
-TEST(Plan, LocalityOffKeepsCostSortedCarving) {
-  const Problem p(1000);
-  core::EngineConfig config;
-  config.approx.locality = false;
-  GBEngine warm(p.molecule, p.surf, config);
-  EvalScratch scratch;
-  (void)warm.compute(scratch);
-  const core::InteractionPlan& plan = scratch.plan_cache.plan;
-  const perf::LocalityCounters& l = plan.locality_stats();
-  EXPECT_EQ(l.runs, 0u);             // no run detection off-path
-  EXPECT_TRUE(plan.run_offsets().empty());
-  EXPECT_EQ(l.chunks, plan.chunks());
-  EXPECT_EQ(plan.prefetches_per_replay(), 0u);
-}
-
-TEST(Plan, LocalityKnobFlipRecapturesAsParamsInvalidation) {
-  const Problem p(400);
-  GBEngine warm(p.molecule, p.surf);  // locality defaults to on
-  EvalScratch scratch;
-  (void)warm.compute(scratch);
-  EXPECT_EQ(scratch.plan_cache.stats.builds, 1u);
-
-  warm.approx().locality = false;
-  (void)warm.compute(scratch);
-  EXPECT_EQ(scratch.plan_cache.stats.builds, 2u);
-  EXPECT_EQ(scratch.plan_cache.stats.invalidated_params, 1u);
-
-  warm.approx().locality = true;
-  (void)warm.compute(scratch);
-  EXPECT_EQ(scratch.plan_cache.stats.builds, 3u);
-  EXPECT_EQ(scratch.plan_cache.stats.invalidated_params, 2u);
+  EXPECT_EQ(plan.prefetches_per_replay(), order.size() - plan.chunks());
 }
 
 TEST(Plan, MetricsRegistryExportsLocalityCounters) {

@@ -122,7 +122,6 @@ TEST(EngineConfig, EvaluationKnobsMutableAfterConstruction) {
   GBEngine engine(p.molecule, p.surf);
   engine.approx().eps_epol = 2.0;
   engine.gb().eps_solv = 40.0;
-  engine.trace().enabled = false;
   EXPECT_EQ(engine.config().approx.eps_epol, 2.0);
   EXPECT_EQ(engine.config().gb.eps_solv, 40.0);
 }

@@ -679,36 +679,30 @@ TEST(SimdEngine, WarmPlanReplayIsBitwiseAtEveryWidth) {
 }
 
 TEST(SimdEngine, LocalityCarvingIsBitwiseAtEveryWidth) {
-  // Locality-aware run coalescing regroups the replay chunks but must
-  // not move a single arithmetic operation: at every dispatched width, a
-  // warm replay with locality on reproduces the locality-off replay bit
-  // for bit (serial execution, so Epol's completion-order fold is fixed
-  // and comparable too).
+  // The run-coalesced carve spreads its chunks over the workers and
+  // prefetches between owners, but must not move a single arithmetic
+  // operation: at every dispatched width, a 4-worker warm replay is
+  // bitwise the one-shot compute() walk.
   const Problem p(350);
+  ws::Scheduler sched(4);
   for (VectorIsa isa : available_widths()) {
-    core::EngineConfig on_cfg, off_cfg;
-    on_cfg.approx.vector = {isa};
-    on_cfg.approx.locality = true;
-    off_cfg.approx.vector = {isa};
-    off_cfg.approx.locality = false;
-    GBEngine on(p.molecule, p.surf, on_cfg);
-    GBEngine off(p.molecule, p.surf, off_cfg);
-    EvalScratch s_on, s_off;
-    (void)on.compute(s_on);    // capture
-    (void)off.compute(s_off);  // capture
+    core::EngineConfig cfg;
+    cfg.approx.vector = {isa};
+    GBEngine warm(p.molecule, p.surf, cfg);
+    EvalScratch scratch;
+    (void)warm.compute(scratch, &sched);  // capture
+    ASSERT_GT(scratch.plan_cache.plan.chunks(), 1u) << simd::isa_name(isa);
     std::vector<geom::Vec3> same;
     same.reserve(p.molecule.size());
     for (const auto& atom : p.molecule.atoms()) same.push_back(atom.pos);
-    on.refit_atoms(same);   // epoch bump → validate + replay
-    off.refit_atoms(same);
-    const auto r_on = on.compute(s_on);
-    const auto r_off = off.compute(s_off);
-    EXPECT_EQ(s_on.plan_cache.stats.replays, 1u);
-    EXPECT_EQ(s_off.plan_cache.stats.replays, 1u);
-    EXPECT_EQ(r_on.epol, r_off.epol) << simd::isa_name(isa);
-    ASSERT_EQ(r_on.born.size(), r_off.born.size());
-    for (std::size_t i = 0; i < r_on.born.size(); ++i)
-      ASSERT_EQ(r_on.born[i], r_off.born[i])
+    warm.refit_atoms(same);  // epoch bump → validate + replay
+    const auto replay = warm.compute(scratch, &sched);
+    EXPECT_EQ(scratch.plan_cache.stats.replays, 1u);
+    const auto ref = GBEngine(p.molecule, p.surf, cfg).compute(&sched);
+    EXPECT_EQ(replay.epol, ref.epol) << simd::isa_name(isa);
+    ASSERT_EQ(replay.born.size(), ref.born.size());
+    for (std::size_t i = 0; i < replay.born.size(); ++i)
+      ASSERT_EQ(replay.born[i], ref.born[i])
           << simd::isa_name(isa) << " atom " << i;
   }
 }

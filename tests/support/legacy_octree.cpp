@@ -49,7 +49,7 @@ Octree build_legacy(std::span<const geom::Vec3> input,
     stack.pop_back();
     Octree::Node node = nodes[item.node_id];  // copy; nodes may grow below
     const std::uint32_t n = node.size();
-    if (n <= params.max_leaf_size || node.depth >= params.max_depth)
+    if (n <= params.max_leaf_size || node.depth >= octree::kMaxDepth)
       continue;
 
     // Stable counting sort of the node's range into its eight octants.

@@ -10,8 +10,7 @@ namespace octgb::test_support {
 MortonState morton_state(const octree::Octree& tree) {
   std::vector<geom::Vec3> pts(tree.num_points());
   for (std::uint32_t i = 0; i < pts.size(); ++i) pts[i] = tree.point(i);
-  const auto grid =
-      octree::MortonGrid::of(pts, octree::BuildParams{}.grid_bits);
+  const auto grid = octree::MortonGrid::of(pts, octree::kMortonMaxBits);
   MortonState s;
   s.keys.reserve(pts.size());
   for (const geom::Vec3& p : pts) s.keys.push_back(grid.key(p));

@@ -22,9 +22,9 @@ struct MortonState {
 };
 
 /// The keys and grid of `tree`, which must come straight from
-/// Octree::build with the default BuildParams::grid_bits: the grid is the
-/// cubified bounding box of its points, and each key is its tree-order
-/// point's cell.
+/// Octree::build, whose grid has kMortonMaxBits bits per axis: the grid is
+/// the cubified bounding box of its points, and each key is its
+/// tree-order point's cell.
 MortonState morton_state(const octree::Octree& tree);
 
 /// write_octree's stream for `tree` with its two empty v2 sections

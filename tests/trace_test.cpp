@@ -17,6 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "octgb/core/engine.hpp"
+#include "octgb/mol/generate.hpp"
+#include "octgb/simd/dispatch.hpp"
+#include "octgb/surface/surface.hpp"
 #include "octgb/trace/metrics.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/ws/scheduler.hpp"
@@ -483,4 +487,28 @@ TEST_F(TraceCounters, WorkCountersIdenticalTracedAndUntraced) {
   trace::Tracer::instance().set_enabled(false);
   EXPECT_EQ(traced, untraced);
   EXPECT_GT(trace::Tracer::instance().event_count(), 0u);
+}
+
+TEST_F(TraceCounters, ComputeRecordsSimdLanesWhenEnabledProgrammatically) {
+  // A trace switched on by Tracer::set_enabled (or OCTGB_TRACE=1) carries
+  // the resolved kernel width of every default compute().
+  const auto molecule = mol::generate_protein({.target_atoms = 120, .seed = 5});
+  const core::GBEngine engine(
+      molecule, surface::build_surface(molecule, {.subdivision = 1}));
+  trace::Tracer::instance().set_enabled(true);
+  (void)engine.compute();
+  trace::Tracer::instance().set_enabled(false);
+
+  const std::string json = export_trace();
+  const auto ev = parse_events(json);
+  const auto* lanes = find_event(ev, "kernel.simd.lanes");
+  ASSERT_NE(lanes, nullptr);
+  EXPECT_EQ(lanes->ph, "C");
+  const int want = simd::lanes(simd::resolve(simd::VectorParams{}).isa);
+  const auto at = json.find("\"kernel.simd.lanes\"");
+  const auto eol = json.find('\n', at);
+  EXPECT_NE(json.substr(at, eol - at)
+                .find("\"value\":" + std::to_string(want) + "}"),
+            std::string::npos);
+  EXPECT_NE(find_event(ev, "engine.compute"), nullptr);
 }
