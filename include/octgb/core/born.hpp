@@ -57,7 +57,9 @@ struct FarExpansion {
 /// the walk serial* (even under an active scheduler), so it sees the
 /// owners one at a time. `far` is the far-expansion scratch, one entry
 /// per T_A node, overwritten (an EvalScratch's keeps warm evaluations
-/// from allocating); empty, the call allocates its own.
+/// from allocating); empty, the call allocates its own. Throws
+/// util::CheckError naming the first id of `q_leaf_ids` that is not a
+/// T_Q leaf (only leaves carry the moments the far term reads).
 void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                       std::span<const std::uint32_t> q_leaf_ids,
                       double eps_born, bool approx_math,

@@ -194,13 +194,6 @@ class GBEngine {
   /// in every case (DESIGN.md §2.6).
   EvalResult compute(EvalScratch& scratch, ws::Scheduler* sched = nullptr) const;
 
-  /// Full computation using the legacy dual-tree Born traversal of
-  /// Chowdhury & Bajaj [6] (see dual_traversal.hpp) instead of the
-  /// paper's one-tree APPROX-INTEGRALS; the Epol phase is shared. One-shot
-  /// like compute(sched): a cold scratch, no plan (the Fig. 1 ablation of
-  /// bench_dual_traversal).
-  EnergyResult compute_dual(ws::Scheduler* sched = nullptr) const;
-
   /// Energy only, with externally supplied Born radii (input order) — the
   /// octree Epol kernel runs unchanged on HCT/OBC/Still radii, mirroring
   /// MD packages' support for multiple GB models on one engine.
@@ -212,7 +205,8 @@ class GBEngine {
   /// Born phase A on a segment of q_leaves(); accumulates into
   /// node_s (size num_ta_nodes()) and atom_s (size num_atoms()), bitwise
   /// at any worker count. Concurrent calls must not share the spans.
-  /// `far` is the far-expansion scratch (approx_integrals).
+  /// `far` is the far-expansion scratch (approx_integrals). Throws
+  /// util::CheckError unless begin ≤ end ≤ q_leaves().size().
   void phase_integrals(Segment q_leaf_segment, std::span<double> node_s,
                        std::span<double> atom_s,
                        perf::WorkCounters& counters,
@@ -231,7 +225,8 @@ class GBEngine {
   /// partial Epol (node-based work division). Each mutual near leaf pair
   /// is evaluated by only one of its two leaves (see approx_epol), so a
   /// segment's partial is not its own leaves' share: only the sum over
-  /// segments that partition a_leaves() is the full energy.
+  /// segments that partition a_leaves() is the full energy. Throws
+  /// util::CheckError unless begin ≤ end ≤ a_leaves().size().
   double phase_epol(const EpolContext& ctx,
                     std::span<const double> born_tree, Segment a_leaf_segment,
                     perf::WorkCounters& counters) const;
@@ -254,7 +249,7 @@ class GBEngine {
 
  private:
   EvalResult compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
-                          PlanFlavor flavor, bool allow_plan) const;
+                          bool allow_plan) const;
 
   static std::uint64_t next_engine_id();
 

@@ -10,8 +10,8 @@
 /// serial recursive traversal makes:
 ///
 ///   - the near-field list: (A-leaf, Q-leaf) pairs evaluated exactly, and
-///   - the far-field list: (A-node, Q-node) pairs evaluated as one
-///     pseudo-particle term into node_s[A].
+///   - the far-field list: (A-node, Q-leaf) pairs evaluated as one
+///     pseudo-particle term into node_s[A] from the Q leaf's moments.
 ///
 /// Both lists are stored grouped by target A-node ("owner"), each
 /// owner's entries in the order the serial traversal accumulates them.
@@ -61,14 +61,10 @@
 
 namespace octgb::core {
 
-/// Which Born traversal a key describes. The plan captures and
-/// re-validates the Fig. 2 partition only: every key it holds is Single.
-/// Dual names the one-shot Fig. 1 walk (GBEngine::compute_dual), which
-/// never goes through a plan.
-enum class PlanFlavor : std::uint8_t {
-  Single,  ///< approx_integrals: every T_Q leaf (Fig. 2)
-  Dual,    ///< approx_integrals_dual: the T_Q root (Fig. 1)
-};
+/// Which Born traversal a key describes. There is one, the Fig. 2 walk
+/// from every T_Q leaf (approx_integrals); the enum and PlanKey::flavor
+/// stay because perfbench spells PlanFlavor::Single.
+enum class PlanFlavor : std::uint8_t { Single };
 
 /// Everything the Born-phase partition depends on. Two evaluations with
 /// equal keys traverse the same (A, Q) pair structure *if* the tree
@@ -84,6 +80,7 @@ struct PlanKey {
   bool strict_criterion = false;
   /// Unread (perfbench); ROADMAP item 1 deletes it.
   KernelKind kernel = KernelKind::Batched;
+  /// Always Single (perfbench brace-initialises it).
   PlanFlavor flavor = PlanFlavor::Single;
   /// Unread (perfbench brace-initialises all seven fields): the carve
   /// always follows Morton leaf runs. ROADMAP item 1 deletes it.
@@ -161,7 +158,7 @@ class InteractionPlan {
   /// capture(), in walk order after a recorder capture; either way a
   /// node owns at most one group.
   std::uint32_t owner(std::uint32_t g) const { return owner_[g]; }
-  /// Group `g`'s near (T_Q leaf) and far (T_Q node) ids, in the order the
+  /// Group `g`'s near and far T_Q leaf ids, in the order the
   /// walk accumulates them into the owner's slots.
   std::span<const std::uint32_t> near_list(std::uint32_t g) const {
     return std::span(near_q_).subspan(near_begin_[g],

@@ -1,8 +1,10 @@
 #pragma once
 /// \file trees.hpp
-/// The two octrees of the algorithm (Fig. 1): T_A over atom centers with
+/// The two octrees of the algorithm (§II): T_A over atom centers with
 /// per-atom charge/radius payloads, and T_Q over surface quadrature points
-/// with per-point and per-leaf aggregated weighted normals.
+/// with per-point weighted normals and per-leaf weighted-normal moments
+/// (the Born walk takes Q only at T_Q leaves, so internal T_Q nodes carry
+/// none).
 ///
 /// All payloads are stored in *tree order* (the octree's permuted point
 /// order) so every node's data is contiguous — the cache-friendliness the
@@ -97,14 +99,17 @@ struct NormalMoment2 {
 struct QPointsTree {
   octree::Octree tree;
   std::vector<double> soa_wnx, soa_wny, soa_wnz;  ///< w_q · n_q, tree order
-  /// Σ (w·n) over the points of each *node* (indexed by node id): the
-  /// monopole of the Born far term.
+  // The three per-leaf moment arrays are indexed by node id; entries of
+  // internal nodes are zero and never read.
+
+  /// Σ (w·n) over the points of each leaf: the monopole of the Born far
+  /// term.
   std::vector<geom::Vec3> node_wnormal;
-  /// Symmetric normal moment of each node about its centroid c (indexed
-  /// by node id): the first-order correction of the Born far term.
+  /// Symmetric normal moment of each leaf about its centroid c: the
+  /// first-order correction of the Born far term.
   std::vector<NormalMoment> node_wmoment;
-  /// Fully symmetric second normal moment of each node about its
-  /// centroid (indexed by node id): the second-order correction.
+  /// Fully symmetric second normal moment of each leaf about its
+  /// centroid: the second-order correction.
   std::vector<NormalMoment2> node_wmoment2;
 
   /// Coordinate planes, tree order (owned by the octree; see AtomsTree).
@@ -118,12 +123,13 @@ struct QPointsTree {
   /// Refit in place to a moved surface with the same point count and input
   /// order (e.g. rigidly transformed quadrature points): recompute node
   /// centroids/radii, refresh the weighted-normal planes from `surf`, and
-  /// rebuild the per-node aggregates — topology and leaf contiguity
+  /// rebuild the per-leaf moments — topology and leaf contiguity
   /// preserved.
   void refit(const surface::Surface& surf);
 
   /// Recompute node_wnormal, node_wmoment and node_wmoment2 from the
-  /// weighted-normal planes (after refit or deserialization).
+  /// weighted-normal planes (after refit or deserialization): leaves get
+  /// their own points' sums, internal nodes zero.
   void rebuild_derived();
 
   /// Weighted normal w_q · n_q at tree position `pos`.

@@ -41,7 +41,7 @@ struct ClusterConfig {
   /// Multiplicative overhead per extra worker thread (cilk++ scheduling;
   /// the paper's footnote 5 notes cilk-4.5.4 generated slower code than
   /// later runtimes).
-  double thread_overhead = 0.04;
+  static constexpr double thread_overhead = 0.04;
   /// Fixed per-run cost of interfacing cilk++ with MPI (§V-C: "an
   /// additional overhead of interfacing cilk++ and MPI … prominent for
   /// smaller molecules"). Charged when P > 1 and p > 1.

@@ -7,7 +7,6 @@
 #include "atomic_add.hpp"
 #include "born_walk.hpp"
 #include "near_field.hpp"
-#include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/fastmath.hpp"
 #include "octgb/core/gb_params.hpp"
 #include "octgb/core/naive.hpp"
@@ -149,20 +148,6 @@ void approx_integrals(const AtomsTree& ta, const QPointsTree& tq,
                              recorder == nullptr, "born.leaves")
       .run(q_leaf_ids, counters);
   detail::add_far_gradients(ta, far, atom_s);
-}
-
-void approx_integrals_dual(const AtomsTree& ta, const QPointsTree& tq,
-                           double eps_born, bool approx_math,
-                           std::span<double> node_s, std::span<double> atom_s,
-                           perf::WorkCounters& counters,
-                           bool strict_criterion,
-                           const simd::VectorParams& vector,
-                           std::span<FarExpansion> far) {
-  // Fig. 1 is the same walk started from the T_Q root (DESIGN.md §2.6).
-  const std::uint32_t root = 0;
-  approx_integrals(ta, tq, {&root, 1}, eps_born, approx_math, node_s, atom_s,
-                   counters, strict_criterion, KernelKind::Batched, vector,
-                   nullptr, far);
 }
 
 namespace {

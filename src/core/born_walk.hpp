@@ -1,25 +1,25 @@
 #pragma once
 /// \file born_walk.hpp
 /// The one Born-phase traversal of octgb_core (DESIGN.md §2.6): the
-/// admissibility structure of APPROX-INTEGRALS (Fig. 2) and of the
-/// dual-tree variant (Fig. 1), walked *owner-major*. Internal to
-/// octgb_core: not part of the installed headers.
+/// admissibility structure of APPROX-INTEGRALS (Fig. 2), walked
+/// *owner-major*. Internal to octgb_core: not part of the installed
+/// headers.
 ///
-/// The walk descends T_A top-down. Every T_A node A receives, in order,
-/// the open list of T_Q nodes that reached it and resolves each one:
+/// The walk starts from a span of T_Q leaves (all of them, or one
+/// segment of a distributed driver; any other start id is rejected) and
+/// descends T_A top-down. Every T_A node A receives, in order, the open
+/// list of T_Q leaves that reached it and resolves each one:
 ///
-///   far (born_far_enough)             → a far decision of owner A;
-///   A leaf and Q leaf                 → a near decision of owner A;
-///   A internal, Q leaf or r_A ≥ r_Q   → Q goes on A's pass-down list;
-///   otherwise (Q the larger)          → Q splits in place, child by child.
+///   far (born_far_enough) → a far decision of owner A;
+///   A leaf                → a near decision of owner A;
+///   A internal            → Q goes on A's pass-down list;
 ///
 /// then forks over A's children, each handed the whole pass-down list.
-/// The flavors differ only in the starting list: the T_Q-leaf span for
-/// Fig. 2, {T_Q root} for Fig. 1. Every decision of owner A is made by
-/// the one task visiting A, in the order the serial Q-major traversal
-/// makes it — so each node_s slot and each A-leaf's atom_s range has one
-/// writer, which adds its terms in serial order: no atomics, and the
-/// results are bitwise at every worker count.
+/// Every decision of owner A is made by the one task visiting A, in the
+/// order the serial Q-major traversal makes it — so each node_s slot and
+/// each A-leaf's atom_s range has one writer, which adds its terms in
+/// serial order: no atomics, and the results are bitwise at every worker
+/// count.
 ///
 /// What happens to a decision is the sink's business. Per visited T_A
 /// node the walk makes one `Sink::Owner o = sink.open(a_id)`, hands it
@@ -42,6 +42,7 @@
 #include "octgb/core/trees.hpp"
 #include "octgb/perf/counters.hpp"
 #include "octgb/trace/trace.hpp"
+#include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
 
 namespace octgb::core::detail {
@@ -84,12 +85,17 @@ class BornWalk {
         parallel_(parallel),
         task_span_(task_span) {}
 
-  /// Walk from `start` (T_Q node ids) and add the Born-phase counters
+  /// Walk from `start` (T_Q leaf ids) and add the Born-phase counters
   /// (visits, exact pairs, far terms) to `work`. False when a close()
-  /// failed.
+  /// failed. Throws util::CheckError naming the first start id that is
+  /// not a T_Q leaf.
   bool run(std::span<const std::uint32_t> start, perf::WorkCounters& work) {
     work_ = &work;
     if (ta_.tree.empty() || tq_.tree.empty()) return true;
+    for (const std::uint32_t q_id : start)
+      OCTGB_CHECK_MSG(
+          q_id < tq_.tree.nodes().size() && tq_.tree.node(q_id).is_leaf(),
+          "Born walk: start id " << q_id << " is not a T_Q leaf");
     task({start.begin(), start.end()}, 0);
     return !failed_.load(std::memory_order_relaxed);
   }
@@ -156,21 +162,12 @@ class BornWalk {
     if (born_far_enough(d, a.radius, q.radius, threshold_)) {
       ++t.approx;
       o.far(q_id);
-      return;
-    }
-    const bool q_leaf = q.is_leaf();
-    if (a.is_leaf()) {
-      if (q_leaf) {
-        t.exact += std::uint64_t{a.size()} * q.size();
-        o.near(q_id);
-        return;
-      }
-    } else if (q_leaf || a.radius >= q.radius) {
+    } else if (a.is_leaf()) {
+      t.exact += std::uint64_t{a.size()} * q.size();
+      o.near(q_id);
+    } else {
       buf.push_back(q_id);
-      return;
     }
-    for (std::uint8_t c = 0; c < q.child_count; ++c)
-      resolve(a, q.first_child + c, o, buf, t);
   }
 
   const AtomsTree& ta_;

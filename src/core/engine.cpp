@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "octgb/core/dual_traversal.hpp"
 #include "octgb/perf/stats.hpp"
 #include "octgb/simd/dispatch.hpp"
 #include "octgb/trace/trace.hpp"
@@ -64,7 +63,8 @@ void GBEngine::phase_integrals(Segment q_leaf_segment,
                                std::span<FarExpansion> far) const {
   OCTGB_SPAN("born.traversal");
   const auto& leaves = q_leaves();
-  OCTGB_CHECK(q_leaf_segment.end <= leaves.size());
+  OCTGB_CHECK(q_leaf_segment.begin <= q_leaf_segment.end &&
+              q_leaf_segment.end <= leaves.size());
   approx_integrals(
       ta_, tq_,
       std::span<const std::uint32_t>(leaves).subspan(
@@ -97,7 +97,8 @@ double GBEngine::phase_epol(const EpolContext& ctx,
                             perf::WorkCounters& counters) const {
   OCTGB_SPAN("epol.traversal");
   const auto& leaves = a_leaves();
-  OCTGB_CHECK(a_leaf_segment.end <= leaves.size());
+  OCTGB_CHECK(a_leaf_segment.begin <= a_leaf_segment.end &&
+              a_leaf_segment.end <= leaves.size());
   return approx_epol(ta_, ctx, born_tree,
                      std::span<const std::uint32_t>(leaves).subspan(
                          a_leaf_segment.begin, a_leaf_segment.size()),
@@ -152,7 +153,7 @@ std::uint64_t GBEngine::next_engine_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Shared driver for compute()/compute_dual() on the EvalScratch path.
+/// Shared driver of both compute() overloads on the EvalScratch path.
 ///
 /// The Born phase runs through the scratch's plan cache unless the caller
 /// disallows it:
@@ -169,7 +170,7 @@ std::uint64_t GBEngine::next_engine_id() {
 /// Every path reports the same operation counters and the same bits at
 /// every worker count — see DESIGN.md §2.6.
 EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
-                                  PlanFlavor flavor, bool allow_plan) const {
+                                  bool allow_plan) const {
   OCTGB_SPAN("engine.compute");
   EvalResult result;
   perf::Timer timer;
@@ -185,7 +186,6 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
   const simd::VectorParams rvec = simd::resolve(approx.vector);
   trace::counter("kernel.simd.lanes",
                  static_cast<double>(simd::lanes(rvec.isa)));
-  // Only the Fig. 2 walk goes through the plan (compute_dual is one-shot).
   const PlanKey key{engine_id_,
                     topology_epoch_,
                     approx.eps_born,
@@ -260,16 +260,9 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
         break;
       }
       case Action::Traverse: {
-        if (flavor == PlanFlavor::Single) {
-          phase_integrals({0, static_cast<std::uint32_t>(q_leaves().size())},
-                          scratch.node_s, scratch.atom_s, result.work,
-                          scratch.far);
-        } else {
-          approx_integrals_dual(ta_, tq_, approx.eps_born, approx.approx_math,
-                                scratch.node_s, scratch.atom_s, result.work,
-                                approx.strict_born_criterion, rvec,
-                                scratch.far);
-        }
+        phase_integrals({0, static_cast<std::uint32_t>(q_leaves().size())},
+                        scratch.node_s, scratch.atom_s, result.work,
+                        scratch.far);
         break;
       }
     }
@@ -317,20 +310,13 @@ EvalResult GBEngine::compute_eval(EvalScratch& scratch, ws::Scheduler* sched,
 }
 
 EvalResult GBEngine::compute(EvalScratch& scratch, ws::Scheduler* sched) const {
-  return compute_eval(scratch, sched, PlanFlavor::Single, /*allow_plan=*/true);
+  return compute_eval(scratch, sched, /*allow_plan=*/true);
 }
 
 EnergyResult GBEngine::compute(ws::Scheduler* sched) const {
   // One-shot scratch: a plan could never be reused, so don't build one.
   EvalScratch scratch;
-  return to_energy_result(
-      compute_eval(scratch, sched, PlanFlavor::Single, /*allow_plan=*/false));
-}
-
-EnergyResult GBEngine::compute_dual(ws::Scheduler* sched) const {
-  EvalScratch scratch;
-  return to_energy_result(
-      compute_eval(scratch, sched, PlanFlavor::Dual, /*allow_plan=*/false));
+  return to_energy_result(compute_eval(scratch, sched, /*allow_plan=*/false));
 }
 
 double GBEngine::epol_with_radii(std::span<const double> born_input_order,

@@ -5,10 +5,10 @@
 /// headers.
 ///
 /// Every exact leaf×leaf term — the Born integral of APPROX-INTEGRALS
-/// (traversal, dual traversal, plan replay) and the GB pair sum and
-/// bin-pair far field of APPROX-EPOL — is computed through a NearField
-/// resolved once per call from (VectorParams, approx_math): the resolved
-/// ISA's kernel table, with approx_math picking its *_fast entries.
+/// (walk and plan replay) and the GB pair sum and bin-pair far field of
+/// APPROX-EPOL — is computed through a NearField resolved once per call
+/// from (VectorParams, approx_math): the resolved ISA's kernel table,
+/// with approx_math picking its *_fast entries.
 /// born_near() and epol_near() hold the only copy of the fastmath
 /// branches; call sites never branch on the arithmetic. NearRun
 /// coalesces abutting near leaves into one sweep per run.

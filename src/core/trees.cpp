@@ -105,82 +105,27 @@ void add_sym3(NormalMoment2& o, const geom::Vec3& n, const geom::Vec3& u) {
   o.xyz += third * (n.x * u.y * u.z + n.y * u.x * u.z + n.z * u.x * u.y);
 }
 
-/// o += 2 sym(m ⊗ s) for a symmetric m: the cross term of shifting a
-/// second moment by s (Σ n ⊗ u ⊗ s + n ⊗ s ⊗ u, whose full symmetrization
-/// reads only the symmetric part of Σ n ⊗ u).
-void add_sym3_cross(NormalMoment2& o, const NormalMoment& m,
-                    const geom::Vec3& s) {
-  constexpr double two_thirds = 2.0 / 3.0;
-  o.xxx += 2.0 * m.xx * s.x;
-  o.yyy += 2.0 * m.yy * s.y;
-  o.zzz += 2.0 * m.zz * s.z;
-  o.xxy += two_thirds * (m.xx * s.y + 2.0 * m.xy * s.x);
-  o.xxz += two_thirds * (m.xx * s.z + 2.0 * m.xz * s.x);
-  o.xyy += two_thirds * (m.yy * s.x + 2.0 * m.xy * s.y);
-  o.yyz += two_thirds * (m.yy * s.z + 2.0 * m.yz * s.y);
-  o.xzz += two_thirds * (m.zz * s.x + 2.0 * m.xz * s.z);
-  o.yzz += two_thirds * (m.zz * s.y + 2.0 * m.yz * s.z);
-  o.xyz += two_thirds * (m.xy * s.z + m.xz * s.y + m.yz * s.x);
-}
-
 }  // namespace
 
 void QPointsTree::rebuild_derived() {
-  const auto nodes = tree.nodes();
-  node_wnormal.resize(nodes.size());
-  node_wmoment.resize(nodes.size());
-  node_wmoment2.resize(nodes.size());
-  // Children come after parents in the flat array, so a reverse sweep can
-  // aggregate bottom-up; leaves sum their own points, parents shift each
-  // child's moments to their own centroid (parallel axis: with the child's
-  // points at u + s, s = c_child − c_parent, the first moment gains
-  // sym(s ⊗ N) and the second 2 sym(S ⊗ s) + sym(N ⊗ s ⊗ s), N and S the
-  // child's own).
-  for (std::size_t id = nodes.size(); id-- > 0;) {
-    const auto& n = nodes[id];
-    geom::Vec3 s;
-    NormalMoment m;
-    NormalMoment2 o;
-    if (n.is_leaf()) {
-      for (std::uint32_t i = n.begin; i < n.end; ++i) {
-        const geom::Vec3 wn = wnormal(i);
-        const geom::Vec3 u = tree.point(i) - n.centroid;
-        s += wn;
-        add_sym(m, u, wn);
-        add_sym3(o, wn, u);
-      }
-    } else {
-      for (std::uint8_t c = 0; c < n.child_count; ++c) {
-        const std::uint32_t child = n.first_child + c;
-        const geom::Vec3& nc = node_wnormal[child];
-        const NormalMoment& mc = node_wmoment[child];
-        const NormalMoment2& oc = node_wmoment2[child];
-        const geom::Vec3 shift = nodes[child].centroid - n.centroid;
-        s += nc;
-        m.xx += mc.xx;
-        m.yy += mc.yy;
-        m.zz += mc.zz;
-        m.xy += mc.xy;
-        m.xz += mc.xz;
-        m.yz += mc.yz;
-        add_sym(m, shift, nc);
-        o.xxx += oc.xxx;
-        o.yyy += oc.yyy;
-        o.zzz += oc.zzz;
-        o.xxy += oc.xxy;
-        o.xxz += oc.xxz;
-        o.xyy += oc.xyy;
-        o.yyz += oc.yyz;
-        o.xzz += oc.xzz;
-        o.yzz += oc.yzz;
-        o.xyz += oc.xyz;
-        add_sym3_cross(o, mc, shift);
-        add_sym3(o, nc, shift);
-      }
+  const std::size_t n_nodes = tree.nodes().size();
+  node_wnormal.assign(n_nodes, {});
+  node_wmoment.assign(n_nodes, {});
+  node_wmoment2.assign(n_nodes, {});
+  // The Born walk takes Q only at leaves, so only leaves carry moments:
+  // their own points' sums about the leaf centroid.
+  for (const std::uint32_t id : tree.leaf_ids()) {
+    const auto& n = tree.node(id);
+    geom::Vec3& s = node_wnormal[id];
+    NormalMoment& m = node_wmoment[id];
+    NormalMoment2& o = node_wmoment2[id];
+    for (std::uint32_t i = n.begin; i < n.end; ++i) {
+      const geom::Vec3 wn = wnormal(i);
+      const geom::Vec3 u = tree.point(i) - n.centroid;
+      s += wn;
+      add_sym(m, u, wn);
+      add_sym3(o, wn, u);
     }
-    node_wnormal[id] = s;
-    node_wmoment[id] = m;
-    node_wmoment2[id] = o;
   }
 }
 

@@ -121,7 +121,7 @@ SimResult simulate_cluster(const GBEngine& engine,
   const double cache_factor = m.cache_factor(socket_bytes, 1);
 
   // Work-stealing / interfacing overhead grows with p.
-  const double thread_eff = 1.0 + config.thread_overhead * (p - 1);
+  const double thread_eff = 1.0 + ClusterConfig::thread_overhead * (p - 1);
 
   double max_rank_seconds = 0.0;
   for (const auto& w : result.work_per_rank) {

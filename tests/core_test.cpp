@@ -1022,6 +1022,52 @@ TEST(Engine, NonFiniteChargeOrBadRadiusIsRejectedAtIngress) {
   EXPECT_NO_THROW((void)core::AtomsTree::build(zero));
 }
 
+TEST(Engine, BornWalkRejectsStartIdsThatAreNotTQLeaves) {
+  // The Born walk takes Q only at T_Q leaves, and only leaves carry
+  // moments: an internal start id would silently contribute nothing, so
+  // it is rejected by id, as is one past the last node.
+  const Problem p(300);
+  GBEngine engine(p.molecule, p.surf);
+  const core::AtomsTree& ta = engine.atoms_tree();
+  const core::QPointsTree& tq = engine.qpoints_tree();
+  ASSERT_FALSE(tq.tree.node(0).is_leaf());
+  const auto n_nodes = static_cast<std::uint32_t>(tq.tree.nodes().size());
+  for (const std::uint32_t bad : {0u, n_nodes}) {
+    std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+    std::vector<double> atom_s(engine.num_atoms(), 0.0);
+    perf::WorkCounters work;
+    try {
+      core::approx_integrals(ta, tq, {&bad, 1}, 0.9, false, node_s, atom_s,
+                             work);
+      ADD_FAILURE() << "accepted start id " << bad;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("start id " +
+                                           std::to_string(bad) + " "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Engine, ReversedPhaseSegmentIsRejected) {
+  // Segment{5, 3}.size() wraps around; the phase calls must reject it
+  // before it reaches subspan.
+  const Problem p(300);
+  GBEngine engine(p.molecule, p.surf);
+  ASSERT_GT(engine.q_leaves().size(), 5u);
+  ASSERT_GT(engine.a_leaves().size(), 5u);
+  const core::Segment reversed{5, 3};
+  std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+  std::vector<double> atom_s(engine.num_atoms(), 0.0);
+  perf::WorkCounters work;
+  EXPECT_THROW(engine.phase_integrals(reversed, node_s, atom_s, work),
+               util::CheckError);
+  const std::vector<double> born_tree(engine.num_atoms(), 2.0);
+  const core::EpolContext ctx = engine.build_epol_context(born_tree);
+  EXPECT_THROW((void)engine.phase_epol(ctx, born_tree, reversed, work),
+               util::CheckError);
+}
+
 // ---- structural invariance ------------------------------------------------
 
 /// The energy must be (approximation-band) independent of the octree

@@ -246,14 +246,13 @@ void expect_same_born_counters(const perf::WorkCounters& got,
 }
 
 TEST(Determinism, OneShotBornIsBitwiseAtEveryWorkerCount) {
-  // One-shot compute() / compute_dual() run the evaluating Born walk, in
-  // which every node_s slot and atom_s range has one writer: Born radii,
-  // Epol and the Born counters cannot depend on the schedule.
+  // One-shot compute() runs the evaluating Born walk, in which every
+  // node_s slot and atom_s range has one writer: Born radii, Epol and the
+  // Born counters cannot depend on the schedule.
   const auto m = mol::generate_protein({.target_atoms = 1500, .seed = 21});
   const auto surf = surface::build_surface(m);
   core::GBEngine engine(m, surf);
   const auto single = engine.compute();
-  const auto dual = engine.compute_dual();
   for (int workers : {1, 2, 4}) {
     ws::Scheduler sched(workers);
     for (int run = 0; run < 2; ++run) {
@@ -262,11 +261,7 @@ TEST(Determinism, OneShotBornIsBitwiseAtEveryWorkerCount) {
       const auto s = engine.compute(&sched);
       EXPECT_EQ(s.epol, single.epol) << at;
       EXPECT_EQ(s.born, single.born) << at;
-      expect_same_born_counters(s.work, single.work, "single, " + at);
-      const auto d = engine.compute_dual(&sched);
-      EXPECT_EQ(d.epol, dual.epol) << at;
-      EXPECT_EQ(d.born, dual.born) << at;
-      expect_same_born_counters(d.work, dual.work, "dual, " + at);
+      expect_same_born_counters(s.work, single.work, at);
     }
   }
 }

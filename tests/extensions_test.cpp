@@ -1,6 +1,6 @@
-// Tests for the extension features: the legacy dual-tree traversal [6],
-// the data-distribution variant (paper's future work), dynamic octree
-// refitting [8], and external-Born-radius energy evaluation.
+// Tests for the extension features: the data-distribution variant
+// (paper's future work), dynamic octree refitting [8], and
+// external-Born-radius energy evaluation.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "octgb/baselines/descreening.hpp"
 #include "octgb/core/data_distributed.hpp"
-#include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/engine.hpp"
 #include "octgb/core/epol.hpp"
 #include "octgb/core/naive.hpp"
@@ -33,68 +32,6 @@ struct Problem {
 };
 
 }  // namespace
-
-// ---- dual-tree traversal ---------------------------------------------------
-
-TEST(DualTraversal, MatchesNaiveForSmallEps) {
-  const Problem p(400);
-  const auto naive = core::naive_born_radii(p.molecule, p.surf);
-  core::EngineConfig cfg;
-  cfg.approx.eps_born = 0.05;
-  GBEngine engine(p.molecule, p.surf, cfg);
-  const auto result = engine.compute_dual();
-  for (std::size_t i = 0; i < naive.size(); ++i)
-    EXPECT_NEAR(result.born[i], naive[i], 0.02 * naive[i]) << "atom " << i;
-}
-
-TEST(DualTraversal, CloseToOneTreeAlgorithmAtDefaultEps) {
-  const Problem p(800);
-  GBEngine engine(p.molecule, p.surf);
-  const auto one_tree = engine.compute();
-  const auto dual = engine.compute_dual();
-  EXPECT_NEAR(dual.epol, one_tree.epol, 0.01 * std::abs(one_tree.epol));
-}
-
-TEST(DualTraversal, ApproximatesAtInternalQNodes) {
-  // The defining difference from the one-tree algorithm: Q-side
-  // approximation can happen above the leaves, so the dual pass does
-  // fewer (or equal) total interactions.
-  const Problem p(2500);
-  GBEngine engine(p.molecule, p.surf);
-  const auto one_tree = engine.compute();
-  const auto dual = engine.compute_dual();
-  EXPECT_LE(dual.work.born_exact + dual.work.born_approx,
-            one_tree.work.born_exact + one_tree.work.born_approx);
-  EXPECT_GT(dual.work.born_approx, 0u);
-}
-
-TEST(DualTraversal, ParallelMatchesSerial) {
-  const Problem p(600);
-  GBEngine engine(p.molecule, p.surf);
-  const auto serial = engine.compute_dual();
-  ws::Scheduler sched(3);
-  const auto parallel = engine.compute_dual(&sched);
-  EXPECT_EQ(parallel.epol, serial.epol);
-  for (std::size_t i = 0; i < serial.born.size(); ++i)
-    EXPECT_EQ(parallel.born[i], serial.born[i]) << "atom " << i;
-}
-
-TEST(DualTraversal, ErrorShrinksWithEps) {
-  const Problem p(500);
-  const auto naive_born = core::naive_born_radii(p.molecule, p.surf);
-  const double naive_e = core::naive_epol(p.molecule, naive_born);
-  double prev_err = 1e300;
-  for (double eps : {2.0, 0.5, 0.05}) {
-    core::EngineConfig cfg;
-    cfg.approx.eps_born = eps;
-    cfg.approx.eps_epol = 0.05;
-    GBEngine engine(p.molecule, p.surf, cfg);
-    const double err =
-        std::abs(engine.compute_dual().epol - naive_e) / std::abs(naive_e);
-    EXPECT_LE(err, prev_err + 1e-6) << "eps=" << eps;
-    prev_err = err;
-  }
-}
 
 // ---- data distribution --------------------------------------------------------
 

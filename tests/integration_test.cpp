@@ -69,12 +69,6 @@ TEST(Integration, EveryExecutionPathAgreesOnEnergy) {
     const double e = core::run_data_distributed(p.engine, 4).epol;
     EXPECT_NEAR(e, reference, 1e-9 * std::abs(reference));
   }
-  // Dual-tree legacy algorithm: same physics, different approximation
-  // pattern — agrees within the approximation band.
-  {
-    const double e = p.engine.compute_dual().epol;
-    EXPECT_NEAR(e, reference, 0.01 * std::abs(reference));
-  }
 }
 
 TEST(Integration, BaselinesLandInTheSamePhysicalRegime) {

@@ -1,9 +1,9 @@
 // Differential tests guarding the SoA near-field kernels: the default
 // (widest) vector width must agree with the width-1 Scalar ISA up to
 // floating-point reassociation at every level (raw kernel, octree engine,
-// dual traversal, degenerate molecules), and the default octree energy
-// must stay inside the paper's (1+ε) approximation bound against the
-// naive reference. The raw kernels are the Scalar ISA's width-1 table
+// degenerate molecules), and the default octree energy must stay inside
+// the paper's (1+ε) approximation bound against the naive reference.
+// The raw kernels are the Scalar ISA's width-1 table
 // (simd::kernels(VectorIsa::Scalar)); this file's own loops are the
 // independent references. Also pins down the kernels' edge-case
 // contracts: empty/single-point batches, the branchless |r−a| < 1e-6
@@ -167,15 +167,6 @@ TEST(KernelDiff, EngineBatchedMatchesScalarManySeeds) {
     EXPECT_EQ(rb.work.born_exact, rs.work.born_exact) << "seed " << seed;
     EXPECT_EQ(rb.work.epol_exact, rs.work.epol_exact) << "seed " << seed;
   }
-}
-
-TEST(KernelDiff, DualTraversalBatchedMatchesScalar) {
-  const Problem p(400, 13);
-  const auto rs = GBEngine(p.molecule, p.surf, width_one()).compute_dual();
-  const auto rb = GBEngine(p.molecule, p.surf).compute_dual();
-  for (std::size_t i = 0; i < rs.born.size(); ++i)
-    EXPECT_LT(rel_diff(rb.born[i], rs.born[i]), 1e-9) << "atom " << i;
-  EXPECT_LT(rel_diff(rb.epol, rs.epol), 1e-6);
 }
 
 /// The §V-C approximate-math mode must vectorize too: the vector fastmath
@@ -467,14 +458,13 @@ surface::Surface normal_cluster(const geom::Vec3& dir, std::size_t n,
 }  // namespace
 
 TEST(BornFarField, NodeMomentsMatchDirectSumsAboutEachCentroid) {
-  // rebuild_derived builds internal moments from the children's by the
-  // parallel-axis shift; every node must equal the direct point sums
+  // Every leaf's moments must equal the direct point sums
   // S = sym Σ w (r − c) ⊗ n and O = sym Σ w n ⊗ (r − c) ⊗ (r − c) about
-  // its own centroid.
+  // its own centroid (the Born walk reads moments at leaves only).
   const auto surf = normal_cluster({0.0, 0.0, 1.0}, 400, 5);
   const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
-  ASSERT_GT(tq.tree.nodes().size(), 9u);
-  for (std::uint32_t id = 0; id < tq.tree.nodes().size(); ++id) {
+  ASSERT_GT(tq.tree.leaf_ids().size(), 9u);
+  for (const std::uint32_t id : tq.tree.leaf_ids()) {
     const auto& n = tq.tree.node(id);
     core::NormalMoment want;
     // O_ijk by brute force over all 27 index triples, then read off.
@@ -538,7 +528,8 @@ struct FarErrors {
 FarErrors far_errors(bool second, bool hessian) {
   const geom::Vec3 dir = geom::Vec3{1.0, 2.0, -2.0}.normalized();
   const auto surf = normal_cluster(dir, 300, 11);
-  const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 8});
+  // One leaf: the far term reads moments at T_Q leaves only.
+  const auto tq = core::QPointsTree::build(surf, {.max_leaf_size = 512});
   const geom::Vec3 cq = tq.tree.node(0).centroid;
   const geom::Vec3 wn = tq.node_wnormal[0];
   const core::NormalMoment& wm = tq.node_wmoment[0];

@@ -1,7 +1,7 @@
 // Interaction-plan lifecycle tests (core/plan.hpp): capture / replay /
 // Born-reuse equivalence against the evaluating walk, the owner-major
 // walk (evaluate, parallel capture, serial PlanRecorder capture, validate)
-// against literal serial Fig. 2 / Fig. 1 descents kept here as test code,
+// against the literal serial Fig. 2 descent kept here as test code,
 // the run rule of the exact near field and the mirrored-Epol owner rule,
 // key-based invalidation (params, topology), refit validation and drift
 // recapture, and the allocation-free steady state of the warm path and of
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "octgb/core/born.hpp"
-#include "octgb/core/dual_traversal.hpp"
 #include "octgb/core/engine.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
@@ -37,8 +36,8 @@
 #include "octgb/trace/metrics.hpp"
 #include "octgb/util/rng.hpp"
 
-// The oracle descents share the leaf and far-term arithmetic and the
-// far-gradient pass (not the traversal) with the library, so they can be
+// The oracle descent shares the leaf and far-term arithmetic and the
+// far-gradient pass (not the traversal) with the library, so it can be
 // compared bit for bit.
 #include "../src/core/born_walk.hpp"
 #include "../src/core/epol_walk.hpp"
@@ -107,15 +106,14 @@ surface::Surface shift_leaves(const surface::Surface& surf,
   return out;
 }
 
-/// Test oracle: the paper's serial Born descents, literally. fig2()
-/// descends T_A once per T_Q leaf, Q-major (APPROX-INTEGRALS, Fig. 2);
-/// fig1() is the simultaneous dual-tree descent (Fig. 1). Every far term
-/// goes straight into its slot, in visiting order, and its A-side
-/// gradient into its node's `grad` slot. Every exact pair goes on its A
-/// leaf's near list in visiting order; run() then hands each list to the
-/// library's run helper (one kernel sweep per run of abutting Q leaves,
-/// the association every Born path shares) and, once every near pair is
-/// in, the gradients to the library's gradient pass.
+/// Test oracle: the paper's serial Born descent, literally. fig2()
+/// descends T_A once per T_Q leaf, Q-major (APPROX-INTEGRALS, Fig. 2).
+/// Every far term goes straight into its slot, in visiting order, and its
+/// A-side gradient into its node's `grad` slot. Every exact pair goes on
+/// its A leaf's near list in visiting order; run() then hands each list
+/// to the library's run helper (one kernel sweep per run of abutting Q
+/// leaves, the association every Born path shares) and, once every near
+/// pair is in, the gradients to the library's gradient pass.
 struct SerialDescent {
   const core::AtomsTree& ta;
   const core::QPointsTree& tq;
@@ -163,25 +161,8 @@ struct SerialDescent {
       fig2(a.first_child + c, q_leaf);
   }
 
-  void fig1(std::uint32_t a_id, std::uint32_t q_id) {
-    if (settle(a_id, q_id)) return;
-    const auto& a = ta.tree.node(a_id);
-    const auto& q = tq.tree.node(q_id);
-    if (!a.is_leaf() && (q.is_leaf() || a.radius >= q.radius)) {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        fig1(a.first_child + c, q_id);
-    } else {
-      for (std::uint8_t c = 0; c < q.child_count; ++c)
-        fig1(a_id, q.first_child + c);
-    }
-  }
-
-  void run(PlanFlavor flavor) {
-    if (flavor == PlanFlavor::Dual) {
-      fig1(0, 0);
-    } else {
-      for (const std::uint32_t q_leaf : tq.tree.leaf_ids()) fig2(0, q_leaf);
-    }
+  void run() {
+    for (const std::uint32_t q_leaf : tq.tree.leaf_ids()) fig2(0, q_leaf);
     for (std::uint32_t a_id = 0; a_id < near_q.size(); ++a_id) {
       core::detail::BornNearRuns runs(nf, ta, ta.tree.node(a_id), tq,
                                       atom_s.data());
@@ -226,9 +207,8 @@ OwnerLists without(OwnerLists lists, const std::vector<std::uint32_t>& drop) {
 }
 
 /// `key`'s plan recorded by the recorder-instrumented (serial) walk of
-/// `engine`'s trees (over `leaves`; the plan holds the single flavor
-/// only), with the phase buffers and Born-phase counters that walk
-/// produced.
+/// `engine`'s trees (over `leaves`), with the phase buffers and
+/// Born-phase counters that walk produced.
 struct Recorded {
   core::InteractionPlan plan;
   std::vector<double> node_s, atom_s;
@@ -411,8 +391,10 @@ TEST(Plan, ApproxMathTogglesBornCacheButNotPlan) {
   EXPECT_EQ(scratch.plan_cache.stats.builds, 1u);
 }
 
-// ---- the owner-major walk vs the serial descents --------------------------
+// ---- the owner-major walk vs the serial descent ---------------------------
 
+/// `flavor` is the PlanKey field the case captures under (always Single:
+/// the one Born walk); it keeps the 4-byte parameter the suite prints.
 struct CaptureParams {
   PlanFlavor flavor;
   bool strict;
@@ -432,8 +414,6 @@ void expect_same_born_counters(const perf::WorkCounters& got,
 /// (SerialDescent), bit for bit, at 1, 2 and 4 workers: the evaluating
 /// walk, the serial recorder capture, the parallel capture + replay
 /// through the engine, and the parallel validate of the recorded plan.
-/// The Fig. 1 (Dual) flavor never goes through a plan: its faces are the
-/// evaluating walk and the one-shot GBEngine::compute_dual.
 void expect_capture_matches_recorder(const CaptureParams& c) {
   const auto [flavor, strict, isa, approx_math] = c;
   if (!simd::isa_available(isa)) GTEST_SKIP() << "width not runnable here";
@@ -454,7 +434,7 @@ void expect_capture_matches_recorder(const CaptureParams& c) {
     ws::Scheduler sched(workers);
 
     SerialDescent ref(engine, approx.eps_born, strict, rvec, approx_math);
-    ref.run(flavor);
+    ref.run();
     perf::WorkCounters want = ref.work;
     std::vector<double> born_ref(n_atoms, 0.0);
     core::push_integrals_to_atoms(ta, ref.node_s, ref.atom_s, 0,
@@ -466,27 +446,13 @@ void expect_capture_matches_recorder(const CaptureParams& c) {
     std::vector<double> atom_s(n_atoms, 0.0);
     perf::WorkCounters walked;
     sched.run([&] {
-      if (flavor == PlanFlavor::Single)
-        core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
-                               approx_math, node_s, atom_s, walked, strict,
-                               core::KernelKind::Batched, rvec);
-      else
-        core::approx_integrals_dual(ta, tq, approx.eps_born, approx_math,
-                                    node_s, atom_s, walked, strict, rvec);
+      core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
+                             approx_math, node_s, atom_s, walked, strict,
+                             core::KernelKind::Batched, rvec);
     });
     EXPECT_EQ(node_s, ref.node_s) << "evaluate, " << at;
     EXPECT_EQ(atom_s, ref.atom_s) << "evaluate, " << at;
     expect_same_born_counters(walked, ref.work, "evaluate, " + at);
-
-    if (flavor == PlanFlavor::Dual) {
-      const auto got = engine.compute_dual(&sched);
-      EXPECT_EQ(got.born, engine.born_to_input_order(born_ref))
-          << "one-shot, " << at;
-      expect_same_born_counters(got.work, want, "one-shot, " + at);
-      EXPECT_EQ(got.work.push_atoms, want.push_atoms);
-      EXPECT_EQ(got.work.push_visits, want.push_visits);
-      continue;
-    }
 
     // The serial recorder capture evaluates too.
     const core::PlanKey key{1, 0, approx.eps_born, strict,
@@ -533,22 +499,21 @@ TEST_P(ParallelCapture, MatchesSerialRecorderBitForBit) {
 
 std::vector<CaptureParams> capture_matrix() {
   std::vector<CaptureParams> out;
-  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
-    for (bool strict : {false, true})
-      for (simd::VectorIsa isa : {simd::VectorIsa::Scalar,
-                                  simd::VectorIsa::V128,
-                                  simd::VectorIsa::V256})
-        out.push_back({flavor, strict, isa, false});
+  for (bool strict : {false, true})
+    for (simd::VectorIsa isa : {simd::VectorIsa::Scalar,
+                                simd::VectorIsa::V128,
+                                simd::VectorIsa::V256})
+      out.push_back({PlanFlavor::Single, strict, isa, false});
   return out;
 }
 
-/// The "Double" suffix names the double arithmetic every row runs; it
-/// keeps the case names the suite has always printed.
+/// The "Single" prefix (the Fig. 2 walk) and the "Double" suffix (the
+/// double arithmetic every row runs) keep the case names the suite has
+/// always printed.
 std::string capture_label(const CaptureParams& c) {
   static constexpr const char* kIsa[] = {"Auto", "Scalar", "V128", "V256"};
-  return std::string(c.flavor == PlanFlavor::Single ? "Single" : "Dual") +
-         (c.strict ? "Strict" : "Loose") + kIsa[static_cast<int>(c.isa)] +
-         "Double";
+  return std::string("Single") + (c.strict ? "Strict" : "Loose") +
+         kIsa[static_cast<int>(c.isa)] + "Double";
 }
 
 std::string capture_name(const ::testing::TestParamInfo<CaptureParams>& p) {
@@ -572,10 +537,9 @@ TEST_P(ParallelCaptureSelector, MatchesSerialRecorderBitForBit) {
 std::vector<CaptureParams> selector_matrix() {
   using simd::VectorIsa;
   std::vector<CaptureParams> out;
-  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual})
-    for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128,
-                          VectorIsa::V256})
-      out.push_back({flavor, false, isa, true});
+  for (VectorIsa isa : {VectorIsa::Scalar, VectorIsa::V128,
+                        VectorIsa::V256})
+    out.push_back({PlanFlavor::Single, false, isa, true});
   return out;
 }
 
@@ -655,67 +619,58 @@ std::size_t near_runs(const core::InteractionPlan& plan,
 
 }  // namespace
 
-TEST(NearRuns, WalkCaptureReplayAndDualAreBitwiseAtEveryWorkerCount) {
+TEST(NearRuns, WalkCaptureAndReplayAreBitwiseAtEveryWorkerCount) {
   // Every Born path coalesces the same runs: the evaluating walk, the
   // serial recorder capture and the parallel capture + replay give the
   // same node_s and atom_s bits at 1, 2 and 4 workers, on a fixture where
-  // runs really merge leaves. The dual walk (Fig. 1, no plan) is bitwise
-  // across worker counts too.
+  // runs really merge leaves.
   const Problem p(700);
-  for (PlanFlavor flavor : {PlanFlavor::Single, PlanFlavor::Dual}) {
-    const bool single = flavor == PlanFlavor::Single;
-    SCOPED_TRACE(single ? "Fig. 2" : "Fig. 1");
-    std::vector<double> want_node_s, want_atom_s;
-    for (int workers : {1, 2, 4}) {
-      const std::string at = std::to_string(workers) + " workers";
-      GBEngine engine(p.molecule, p.surf);
-      const core::AtomsTree& ta = engine.atoms_tree();
-      const core::QPointsTree& tq = engine.qpoints_tree();
-      const auto& approx = engine.config().approx;
-      const simd::VectorParams rvec = simd::resolve(approx.vector);
-      ws::Scheduler sched(workers);
+  std::vector<double> want_node_s, want_atom_s;
+  for (int workers : {1, 2, 4}) {
+    const std::string at = std::to_string(workers) + " workers";
+    GBEngine engine(p.molecule, p.surf);
+    const core::AtomsTree& ta = engine.atoms_tree();
+    const core::QPointsTree& tq = engine.qpoints_tree();
+    const auto& approx = engine.config().approx;
+    const simd::VectorParams rvec = simd::resolve(approx.vector);
+    ws::Scheduler sched(workers);
 
-      std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
-      std::vector<double> atom_s(engine.num_atoms(), 0.0);
-      perf::WorkCounters walked;
-      sched.run([&] {
-        if (single)
-          core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
-                                 approx.approx_math, node_s, atom_s, walked,
-                                 approx.strict_born_criterion,
-                                 core::KernelKind::Batched, rvec);
-        else
-          core::approx_integrals_dual(ta, tq, approx.eps_born,
-                                      approx.approx_math, node_s, atom_s,
-                                      walked, approx.strict_born_criterion,
-                                      rvec);
-      });
-      if (workers == 1) {
-        want_node_s = node_s;
-        want_atom_s = atom_s;
-      }
-      EXPECT_EQ(node_s, want_node_s) << "walk, " << at;
-      EXPECT_EQ(atom_s, want_atom_s) << "walk, " << at;
-      if (!single) continue;
-
-      const core::PlanKey key{1,      0, approx.eps_born,
-                              approx.strict_born_criterion,
-                              core::KernelKind::Batched, flavor,
-                              approx.locality};
-      const Recorded rec = record_plan(engine, key, engine.q_leaves(), rvec,
-                                       approx.approx_math);
-      EXPECT_EQ(rec.node_s, want_node_s) << "record, " << at;
-      EXPECT_EQ(rec.atom_s, want_atom_s) << "record, " << at;
-      const std::size_t runs = near_runs(rec.plan, tq);
-      EXPECT_GT(runs, 0u);
-      EXPECT_LT(runs, rec.plan.near_pairs()) << "no two near leaves merged";
-
-      EvalScratch scratch;
-      (void)engine.compute(scratch, &sched);
-      EXPECT_EQ(scratch.plan_cache.stats.builds, 1u) << at;
-      EXPECT_EQ(scratch.node_s, want_node_s) << "capture + replay, " << at;
-      EXPECT_EQ(scratch.atom_s, want_atom_s) << "capture + replay, " << at;
+    std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
+    std::vector<double> atom_s(engine.num_atoms(), 0.0);
+    perf::WorkCounters walked;
+    sched.run([&] {
+      core::approx_integrals(ta, tq, engine.q_leaves(), approx.eps_born,
+                             approx.approx_math, node_s, atom_s, walked,
+                             approx.strict_born_criterion,
+                             core::KernelKind::Batched, rvec);
+    });
+    if (workers == 1) {
+      want_node_s = node_s;
+      want_atom_s = atom_s;
     }
+    EXPECT_EQ(node_s, want_node_s) << "walk, " << at;
+    EXPECT_EQ(atom_s, want_atom_s) << "walk, " << at;
+
+    const core::PlanKey key{1,
+                            0,
+                            approx.eps_born,
+                            approx.strict_born_criterion,
+                            core::KernelKind::Batched,
+                            PlanFlavor::Single,
+                            approx.locality};
+    const Recorded rec = record_plan(engine, key, engine.q_leaves(), rvec,
+                                     approx.approx_math);
+    EXPECT_EQ(rec.node_s, want_node_s) << "record, " << at;
+    EXPECT_EQ(rec.atom_s, want_atom_s) << "record, " << at;
+    const std::size_t runs = near_runs(rec.plan, tq);
+    EXPECT_GT(runs, 0u);
+    EXPECT_LT(runs, rec.plan.near_pairs()) << "no two near leaves merged";
+
+    EvalScratch scratch;
+    (void)engine.compute(scratch, &sched);
+    EXPECT_EQ(scratch.plan_cache.stats.builds, 1u) << at;
+    EXPECT_EQ(scratch.node_s, want_node_s) << "capture + replay, " << at;
+    EXPECT_EQ(scratch.atom_s, want_atom_s) << "capture + replay, " << at;
   }
 }
 
@@ -822,7 +777,7 @@ std::vector<std::pair<std::uint32_t, bool>> entries_of(const OwnerLists& lists,
 
 TEST(Plan, ValidateCatchesDriftInOneSegment) {
   // Move one contiguous run of T_Q leaves far away: only their decisions
-  // change (the single-flavor walk of a Q-leaf reads only that leaf), and
+  // change (the walk of a Q leaf reads only that leaf), and
   // the parallel validate must still report drift.
   const Problem p(700);
   GBEngine warm(p.molecule, p.surf);
