@@ -3,9 +3,10 @@
 /// Message-passing runtime — the reproduction's stand-in for MPI/MVAPICH2
 /// on the Lonestar4 cluster (see DESIGN.md §2).
 ///
-/// The API mirrors the MPI subset the paper's algorithm needs: blocking
-/// tagged send/recv plus Barrier, Bcast, Reduce, Allreduce, Gatherv,
-/// Allgatherv — all built on top of point-to-point messages with
+/// The API is the MPI subset the paper's algorithm (Fig. 4) needs:
+/// blocking tagged send/recv, Allreduce of the partial integrals and of
+/// Epol, and Allgatherv of the Born radii. The collectives are built from
+/// Bcast, Reduce and Gatherv over point-to-point messages with
 /// binomial-tree algorithms, exactly like a real MPI implementation, so
 /// measured message counts and byte volumes are faithful. A Topology maps
 /// ranks to nodes/sockets so traffic is classified intra- vs inter-node
@@ -72,16 +73,15 @@ class RankKilledError : public std::runtime_error {
 };
 
 /// Backoff schedule for recv_bytes_retry: `attempts` tries, the first with
-/// `deadline_ms`, each subsequent deadline multiplied by `backoff`.
+/// `deadline_ms`, each subsequent deadline multiplied by `backoff`. The
+/// remaining attempts (and any in-progress wait) are abandoned as soon as
+/// the failure epoch advances past its value at the first attempt: a
+/// death anywhere in the job means the caller should re-plan now, not
+/// after the backoff window drains. PeerDead always fails fast.
 struct RetryPolicy {
   int attempts = 3;
   double deadline_ms = 100.0;
   double backoff = 2.0;
-  /// Abort the remaining attempts (and any in-progress wait) as soon as
-  /// the failure epoch advances past its value at the first attempt: a
-  /// death anywhere in the job means the caller should re-plan now, not
-  /// after the backoff window drains. PeerDead always fails fast.
-  bool abort_on_epoch_advance = true;
 };
 
 class Comm;
@@ -118,70 +118,10 @@ class Comm {
   /// Receive with retry-with-backoff: re-arms the deadline per attempt
   /// (survives injected delays and corrupt copies followed by clean
   /// duplicates). Timeout/ChecksumMismatch retry; PeerDead fails fast,
-  /// and (per RetryPolicy::abort_on_epoch_advance) so does any advance of
-  /// the failure epoch mid-wait.
+  /// and so does any advance of the failure epoch mid-wait.
   CommResult recv_bytes_retry(int src, int tag, void* data,
                               std::size_t bytes, const RetryPolicy& policy);
 
-  /// Nonblocking receive handle. Completed by wait(); handles must not
-  /// outlive the Comm.
-  class Request {
-   public:
-    bool valid() const { return comm_ != nullptr; }
-
-   private:
-    friend class Comm;
-    Comm* comm_ = nullptr;
-    int src_ = -1;
-    int tag_ = 0;
-    void* data_ = nullptr;
-    std::size_t bytes_ = 0;
-  };
-
-  /// Post a receive without blocking; the buffer must stay alive until
-  /// wait(). (Sends in this runtime are buffered and never block, so an
-  /// isend is just send_bytes.)
-  Request irecv_bytes(int src, int tag, void* data, std::size_t bytes);
-  template <class T>
-  Request irecv(int src, int tag, std::span<T> data) {
-    return irecv_bytes(src, tag, data.data(), data.size_bytes());
-  }
-
-  /// Complete a posted receive (blocks until the message arrives; honours
-  /// the transport's default deadline like recv_bytes). Waiting twice on
-  /// the same request is a contract violation (CheckError).
-  void wait(Request& request);
-
-  /// Complete a posted receive with an explicit deadline. On success the
-  /// request is invalidated; on Timeout it stays valid and can be waited
-  /// on again.
-  CommResult wait_deadline(Request& request, double deadline_ms);
-
-  /// True when the matching message has already arrived (wait() would not
-  /// block). Does not consume the message; delayed (in-flight) messages
-  /// do not count as arrived.
-  bool test(const Request& request);
-
-  /// Combined exchange (deadlock-free even for self-paired patterns):
-  /// send to `dest` and receive from `src` in one call.
-  void sendrecv_bytes(int dest, int send_tag, const void* send_data,
-                      std::size_t send_bytes, int src, int recv_tag,
-                      void* recv_data, std::size_t recv_bytes);
-  template <class T>
-  void sendrecv(int dest, int send_tag, std::span<const T> send_data,
-                int src, int recv_tag, std::span<T> recv_data) {
-    sendrecv_bytes(dest, send_tag, send_data.data(), send_data.size_bytes(),
-                   src, recv_tag, recv_data.data(), recv_data.size_bytes());
-  }
-
-  template <class T>
-  void send(int dest, int tag, std::span<const T> data) {
-    send_bytes(dest, tag, data.data(), data.size_bytes());
-  }
-  template <class T>
-  void recv(int src, int tag, std::span<T> data) {
-    recv_bytes(src, tag, data.data(), data.size_bytes());
-  }
   template <class T>
   void send_value(int dest, int tag, const T& v) {
     send_bytes(dest, tag, &v, sizeof(T));
@@ -221,9 +161,6 @@ class Comm {
   /// advancing while alive is stalled (straggler), not dead.
   std::uint64_t heartbeat_of(int rank) const;
 
-  /// Communication operations this rank has performed (sends + receives).
-  std::uint64_t comm_ops() const { return ops_; }
-
   /// Advance this rank's comm-op counter through the fault point without
   /// transferring data: refreshes the heartbeat and lets injected stalls
   /// and kills land at a deterministic point. Long compute sections
@@ -242,8 +179,6 @@ class Comm {
   // Collective internals inherit per-hop CRC protection from the
   // transport (opt-in checksum in-thread, always-on on the wire).
 
-  void barrier();
-
   /// Broadcast root's buffer to all ranks (in place).
   template <class T>
   void bcast(std::span<T> data, int root);
@@ -259,9 +194,6 @@ class Comm {
   /// Scalar sum Allreduce convenience.
   double allreduce_sum(double v);
   std::uint64_t allreduce_sum(std::uint64_t v);
-  /// Scalar min/max Allreduce.
-  double allreduce_min(double v);
-  double allreduce_max(double v);
 
   /// Gather variable-size contributions to root; root gets the
   /// rank-ordered concatenation, others get an empty vector.
@@ -271,16 +203,6 @@ class Comm {
   /// Allgatherv: every rank receives the rank-ordered concatenation.
   template <class T>
   std::vector<T> allgatherv(std::span<const T> mine);
-
-  /// All-to-all personalized exchange: `outgoing[r]` goes to rank r; the
-  /// returned vector holds what every rank sent to *this* rank (own slot
-  /// copied directly). All ranks must call with `outgoing.size() == size()`.
-  template <class T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& outgoing);
-
-  /// Inclusive prefix sum across ranks: returns Σ_{r ≤ rank} value_r.
-  double scan_sum(double value);
 
   /// Traffic accounted against this rank so far.
   const perf::CommCounters& counters() const { return counters_; }
@@ -321,7 +243,7 @@ class Runtime {
   struct Options {
     int ranks = 1;
     Topology topology;
-    /// Deadline (milliseconds) applied to plain recv_bytes/wait calls;
+    /// Deadline (milliseconds) applied to plain recv_bytes calls;
     /// 0 waits forever (the classic MPI hang). Setting it turns a receive
     /// of a never-sent message into CommException{Timeout} carrying the
     /// (src, tag, bytes) triple instead of a silent deadlock.
@@ -450,35 +372,6 @@ std::vector<T> Comm::allgatherv(std::span<const T> mine) {
   all.resize(n);
   bcast(std::span<T>(all), 0);
   return all;
-}
-
-template <class T>
-std::vector<std::vector<T>> Comm::alltoallv(
-    const std::vector<std::vector<T>>& outgoing) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  OCTGB_SPAN("mpp.alltoallv");
-  OCTGB_CHECK_MSG(outgoing.size() == static_cast<std::size_t>(size_),
-                  "alltoallv needs one outgoing bucket per rank");
-  const int tag_len = next_coll_tag();
-  const int tag_data = next_coll_tag();
-  std::vector<std::vector<T>> incoming(size_);
-  incoming[rank_] = outgoing[rank_];
-  // Buffered sends never block, so post all sends then drain receives.
-  for (int r = 0; r < size_; ++r) {
-    if (r == rank_) continue;
-    send_value<std::uint64_t>(r, tag_len, outgoing[r].size());
-    if (!outgoing[r].empty())
-      send_bytes(r, tag_data, outgoing[r].data(),
-                 outgoing[r].size() * sizeof(T));
-  }
-  for (int r = 0; r < size_; ++r) {
-    if (r == rank_) continue;
-    const auto n = recv_value<std::uint64_t>(r, tag_len);
-    incoming[r].resize(n);
-    if (n) recv_bytes(r, tag_data, incoming[r].data(), n * sizeof(T));
-  }
-  ++counters_.collectives;
-  return incoming;
 }
 
 }  // namespace octgb::mpp

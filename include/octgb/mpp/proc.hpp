@@ -93,7 +93,6 @@ class ProcEndpoint final : public detail::Endpoint {
             std::uint64_t op) override;
   CommResult recv(int src, int tag, void* data, std::size_t bytes,
                   double deadline_ms, int abort_epoch) override;
-  bool has_message(int src, int tag) override;
   bool is_alive(int rank) const override;
   int failure_epoch() const override;
   std::uint64_t heartbeat_of(int rank) const override;

@@ -95,9 +95,10 @@ class CommException : public std::runtime_error {
 
 namespace detail {
 
-/// Per-rank transport endpoint: the six operations Comm needs from a
-/// medium. One instance per rank, alive for the duration of the rank's
-/// run; Comm never owns it.
+/// Per-rank transport endpoint: what Comm needs from a medium — rank
+/// placement and the default deadline, tagged send and matched receive,
+/// and the failure detector. One instance per rank, alive for the
+/// duration of the rank's run; Comm never owns it.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -123,9 +124,6 @@ class Endpoint {
   /// Timeout) — the fail-fast contract retry-with-backoff relies on.
   virtual CommResult recv(int src, int tag, void* data, std::size_t bytes,
                           double deadline_ms, int abort_epoch) = 0;
-
-  /// True when a matching message has already arrived (Comm::test).
-  virtual bool has_message(int src, int tag) = 0;
 
   /// Failure detector: liveness, global failure epoch, heartbeats.
   virtual bool is_alive(int rank) const = 0;

@@ -132,14 +132,6 @@ class Scheduler {
                            const std::function<void(std::int64_t,
                                                     std::int64_t)>& body);
 
-  /// Parallel sum-reduction: `body(lo, hi)` returns its subrange's
-  /// partial value; partials combine with +. Deterministic tree-shaped
-  /// combination order (independent of the thread schedule). `grain <= 0`
-  /// derives the same automatic grain as parallel_for.
-  static double parallel_reduce(
-      std::int64_t begin, std::int64_t end, std::int64_t grain,
-      const std::function<double(std::int64_t, std::int64_t)>& body);
-
  private:
   struct Worker {
     ChaseLevDeque<detail::Task> deque;

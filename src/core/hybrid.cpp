@@ -1,6 +1,9 @@
 #include "octgb/core/hybrid.hpp"
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 
@@ -10,6 +13,18 @@
 #include "octgb/util/check.hpp"
 
 namespace octgb::core {
+
+namespace {
+
+/// Ranks agree on an energy when its bits match: each holds the root's
+/// broadcast value or folds the same stored tasks in the same order, and
+/// a NaN energy (from overflowing charge products) must not read as a
+/// disagreement.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 RankOutcome run_hybrid_rank(const GBEngine& engine,
                             const HybridConfig& config, mpp::Comm& comm) {
@@ -141,7 +156,7 @@ HybridResult run_hybrid(const GBEngine& engine, const HybridConfig& config) {
   result.wall_seconds = timer.seconds();
   result.epol = final_epol[0];
   for (int r = 1; r < P; ++r)
-    OCTGB_CHECK_MSG(final_epol[r] == final_epol[0],
+    OCTGB_CHECK_MSG(same_bits(final_epol[r], final_epol[0]),
                     "ranks disagree on the reduced energy");
   result.born = engine.born_to_input_order(final_born[0]);
   for (const auto& w : result.work_per_rank) result.work_total += w;
@@ -274,6 +289,13 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
     c.phase = kPhaseNames[phase];
     c.task = static_cast<std::uint64_t>(t);
     c.data = compute_task(phase, t);
+    // A checkpoint never decodes a non-finite payload, so such a task
+    // would read as missing and be recomputed forever: fail it here.
+    for (std::size_t i = 0; i < c.data.size(); ++i)
+      OCTGB_CHECK_MSG(std::isfinite(c.data[i]),
+                      "elastic phase '" << kPhaseNames[phase] << "' task "
+                                        << t << " has a non-finite result "
+                                        << c.data[i] << " at entry " << i);
     store.put_checkpoint(c);
     ++out.tasks_computed;
     // Task t's original owner is rank t; doing someone else's task is
@@ -468,7 +490,7 @@ ElasticResult run_hybrid_elastic(const GBEngine& engine,
       continue;
     }
     if (first_done < 0) first_done = r;
-    OCTGB_CHECK_MSG(final_epol[r] == final_epol[first_done],
+    OCTGB_CHECK_MSG(same_bits(final_epol[r], final_epol[first_done]),
                     "survivors disagree on the recovered energy");
     ++result.ranks_completed;
   }

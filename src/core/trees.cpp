@@ -45,9 +45,35 @@ std::size_t AtomsTree::footprint_bytes() const {
          vdw_radius.capacity() * sizeof(double);
 }
 
+namespace {
+
+/// Reject a surface whose per-point payload is short or non-finite: one
+/// NaN weight would otherwise spread through the far terms to every Born
+/// radius. Positions are checked by Octree::build and Octree::refit.
+void check_surface_payload(const surface::Surface& surf, const char* where) {
+  OCTGB_CHECK_MSG(surf.normals.size() == surf.size() &&
+                      surf.weights.size() == surf.size(),
+                  where << ": " << surf.size() << " points but "
+                        << surf.normals.size() << " normals and "
+                        << surf.weights.size() << " weights");
+  for (std::size_t i = 0; i < surf.size(); ++i) {
+    OCTGB_CHECK_MSG(std::isfinite(surf.weights[i]),
+                    where << ": point " << i << " has a non-finite weight "
+                          << surf.weights[i]);
+    const geom::Vec3& n = surf.normals[i];
+    OCTGB_CHECK_MSG(
+        std::isfinite(n.x) && std::isfinite(n.y) && std::isfinite(n.z),
+        where << ": point " << i << " has a non-finite normal (" << n.x
+              << ", " << n.y << ", " << n.z << ")");
+  }
+}
+
+}  // namespace
+
 QPointsTree QPointsTree::build(const surface::Surface& surf,
                                const octree::BuildParams& params) {
   OCTGB_SPAN("tree.build.qpoints");
+  check_surface_payload(surf, "QPointsTree::build");
   QPointsTree t;
   t.tree = octree::Octree::build(surf.positions, params);
   t.assign_surface(surf);
@@ -59,6 +85,7 @@ void QPointsTree::refit(const surface::Surface& surf) {
   OCTGB_SPAN("tree.refit.qpoints");
   OCTGB_CHECK_MSG(surf.size() == num_points(),
                   "surface point count changed; rebuild the QPointsTree");
+  check_surface_payload(surf, "QPointsTree::refit");
   tree.refit(surf.positions);
   assign_surface(surf);
   rebuild_derived();

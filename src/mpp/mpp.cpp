@@ -173,17 +173,6 @@ class ThreadEndpoint final : public Endpoint {
     }
   }
 
-  bool has_message(int src, int tag) override {
-    Mailbox& box = *state_->mailboxes[rank_];
-    std::lock_guard<std::mutex> lock(box.mu);
-    const auto now = Clock::now();
-    for (const auto& msg : box.messages) {
-      if (msg.src == src && msg.tag == tag && msg.visible_at <= now)
-        return true;
-    }
-    return false;
-  }
-
   bool is_alive(int rank) const override {
     return !state_->ranks[rank]->dead.load(std::memory_order_acquire);
   }
@@ -306,8 +295,7 @@ CommResult Comm::recv_bytes_retry(int src, int tag, void* data,
   // can abort as soon as *any* rank dies — without this, a kill of a rank
   // other than `src` would let the receive sleep out its entire backoff
   // window before the caller learns it must re-plan.
-  const int epoch0 =
-      policy.abort_on_epoch_advance ? ep_->failure_epoch() : -1;
+  const int epoch0 = ep_->failure_epoch();
   double deadline_ms = policy.deadline_ms;
   CommResult last = CommResult::failure(
       {CommStatus::Timeout, rank_, src, tag, bytes});
@@ -323,45 +311,12 @@ CommResult Comm::recv_bytes_retry(int src, int tag, void* data,
     if (last.error().status == CommStatus::PeerDead) return last;
     // Same for a lost connection the transport already failed to restore.
     if (last.error().status == CommStatus::ConnectionLost) return last;
-    if (epoch0 >= 0 && ep_->failure_epoch() > epoch0) {
+    if (ep_->failure_epoch() > epoch0) {
       trace::instant("mpp.retry_abort");
       return last;
     }
   }
   return last;
-}
-
-Comm::Request Comm::irecv_bytes(int src, int tag, void* data,
-                                std::size_t bytes) {
-  OCTGB_CHECK_MSG(src >= 0 && src < size_, "irecv from invalid rank " << src);
-  Request r;
-  r.comm_ = this;
-  r.src_ = src;
-  r.tag_ = tag;
-  r.data_ = data;
-  r.bytes_ = bytes;
-  return r;
-}
-
-void Comm::wait(Request& request) {
-  OCTGB_CHECK_MSG(request.valid(), "wait on an invalid request");
-  OCTGB_CHECK_MSG(request.comm_ == this, "request belongs to another comm");
-  recv_bytes(request.src_, request.tag_, request.data_, request.bytes_);
-  request.comm_ = nullptr;
-}
-
-CommResult Comm::wait_deadline(Request& request, double deadline_ms) {
-  OCTGB_CHECK_MSG(request.valid(), "wait on an invalid request");
-  OCTGB_CHECK_MSG(request.comm_ == this, "request belongs to another comm");
-  CommResult r = recv_impl(request.src_, request.tag_, request.data_,
-                           request.bytes_, deadline_ms);
-  if (r) request.comm_ = nullptr;
-  return r;
-}
-
-bool Comm::test(const Request& request) {
-  OCTGB_CHECK_MSG(request.valid(), "test on an invalid request");
-  return ep_->has_message(request.src_, request.tag_);
 }
 
 bool Comm::is_alive(int rank) const {
@@ -384,24 +339,6 @@ std::uint64_t Comm::heartbeat_of(int rank) const {
   return ep_->heartbeat_of(rank);
 }
 
-void Comm::sendrecv_bytes(int dest, int send_tag, const void* send_data,
-                          std::size_t send_len, int src, int recv_tag,
-                          void* recv_data, std::size_t recv_len) {
-  // Sends are buffered (never block), so send-then-receive cannot
-  // deadlock regardless of the pairing pattern.
-  send_bytes(dest, send_tag, send_data, send_len);
-  recv_bytes(src, recv_tag, recv_data, recv_len);
-}
-
-void Comm::barrier() {
-  OCTGB_SPAN("mpp.barrier");
-  // Reduce a dummy byte to rank 0, then broadcast it back.
-  std::uint8_t dummy = 0;
-  std::span<std::uint8_t> s(&dummy, 1);
-  reduce_sum(s, 0);
-  bcast(s, 0);
-}
-
 double Comm::allreduce_sum(double v) {
   std::span<double> s(&v, 1);
   allreduce_sum(s);
@@ -412,61 +349,6 @@ std::uint64_t Comm::allreduce_sum(std::uint64_t v) {
   std::span<std::uint64_t> s(&v, 1);
   allreduce_sum(s);
   return v;
-}
-
-double Comm::allreduce_min(double v) {
-  // min(x) = -max(-x); implemented directly with a gather-to-root pattern
-  // would skew counters, so use the same reduce/bcast shape with a trick:
-  // negate, reduce via sum of singleton maxima is wrong — do it explicitly.
-  // We reuse the binomial structure by exchanging scalars manually.
-  const int tag = next_coll_tag();
-  int mask = 1;
-  while (mask < size_) {
-    if (rank_ & mask) {
-      send_value(rank_ - mask, tag, v);
-      break;
-    }
-    if (rank_ + mask < size_) {
-      const double other = recv_value<double>(rank_ + mask, tag);
-      v = other < v ? other : v;
-    }
-    mask <<= 1;
-  }
-  ++counters_.collectives;
-  std::span<double> s(&v, 1);
-  bcast(s, 0);
-  return v;
-}
-
-double Comm::allreduce_max(double v) {
-  const int tag = next_coll_tag();
-  int mask = 1;
-  while (mask < size_) {
-    if (rank_ & mask) {
-      send_value(rank_ - mask, tag, v);
-      break;
-    }
-    if (rank_ + mask < size_) {
-      const double other = recv_value<double>(rank_ + mask, tag);
-      v = other > v ? other : v;
-    }
-    mask <<= 1;
-  }
-  ++counters_.collectives;
-  std::span<double> s(&v, 1);
-  bcast(s, 0);
-  return v;
-}
-
-double Comm::scan_sum(double value) {
-  // Linear pipeline: rank r receives the prefix of ranks < r, adds its
-  // value, forwards. O(P) latency but exact left-to-right order.
-  const int tag = next_coll_tag();
-  double prefix = value;
-  if (rank_ > 0) prefix += recv_value<double>(rank_ - 1, tag);
-  if (rank_ + 1 < size_) send_value(rank_ + 1, tag, prefix);
-  ++counters_.collectives;
-  return prefix;
 }
 
 std::vector<perf::CommCounters> Runtime::run(

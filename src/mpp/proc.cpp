@@ -431,13 +431,6 @@ CommResult ProcEndpoint::recv(int src, int tag, void* data,
   }
 }
 
-bool ProcEndpoint::has_message(int src, int tag) {
-  drain_step(false);
-  for (const auto& pd : pending_[src])
-    if (pd.tag == tag) return true;
-  return false;
-}
-
 // --- send path --------------------------------------------------------------
 
 void ProcEndpoint::send(int dest, int tag, const void* data,

@@ -316,24 +316,6 @@ void Scheduler::parallel_for(
         [=, &body] { parallel_for(mid, end, grain, body); });
 }
 
-double Scheduler::parallel_reduce(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<double(std::int64_t, std::int64_t)>& body) {
-  if (begin >= end) return 0.0;
-  grain = resolve_grain(grain, end - begin, tls_scheduler);
-  if (end - begin <= grain || tls_scheduler == nullptr) {
-    return body(begin, end);
-  }
-  const std::int64_t mid = begin + (end - begin) / 2;
-  double left = 0.0, right = 0.0;
-  fork2([=, &body, &left] { left = parallel_reduce(begin, mid, grain, body); },
-        [=, &body, &right] {
-          right = parallel_reduce(mid, end, grain, body);
-        });
-  // Fixed combination order: the result is schedule-independent.
-  return left + right;
-}
-
 SchedulerStats Scheduler::stats() const {
   SchedulerStats s;
   for (const auto& w : all_workers_) {

@@ -1022,6 +1022,85 @@ TEST(Engine, NonFiniteChargeOrBadRadiusIsRejectedAtIngress) {
   EXPECT_NO_THROW((void)core::AtomsTree::build(zero));
 }
 
+namespace {
+
+/// One non-finite surface payload: a weight or one normal component.
+struct BadPayload {
+  int axis;  // -1 poisons the weight, 0..2 that normal component
+  double value;
+};
+
+std::vector<BadPayload> bad_payloads() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {{-1, nan}, {-1, inf}, {-1, -inf}, {0, nan}, {1, inf}, {2, -inf}};
+}
+
+surface::Surface poisoned(const surface::Surface& surf, std::size_t i,
+                          const BadPayload& c) {
+  surface::Surface bad = surf;
+  if (c.axis < 0)
+    bad.weights[i] = c.value;
+  else
+    (c.axis == 0 ? bad.normals[i].x
+                 : c.axis == 1 ? bad.normals[i].y : bad.normals[i].z) =
+        c.value;
+  return bad;
+}
+
+/// `call` must throw a CheckError naming point `i` and the poisoned field.
+template <class F>
+void expect_payload_rejected(const F& call, std::size_t i,
+                             const BadPayload& c) {
+  const std::string field = c.axis < 0 ? "weight" : "normal";
+  SCOPED_TRACE(field + " axis " + std::to_string(c.axis) + " = " +
+               std::to_string(c.value));
+  try {
+    call();
+    ADD_FAILURE() << "accepted a non-finite " << field;
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("point " + std::to_string(i) + " "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("non-finite " + field), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(QPointsTree, BuildRejectsNonFiniteWeightOrNormal) {
+  // One NaN weight would spread through the far terms to every Born
+  // radius; the tree build (and so the engine) rejects it by point index.
+  const Problem p(200);
+  constexpr std::size_t kBad = 5;
+  for (const BadPayload& c : bad_payloads()) {
+    const surface::Surface bad = poisoned(p.surf, kBad, c);
+    expect_payload_rejected([&] { (void)core::QPointsTree::build(bad); },
+                            kBad, c);
+    expect_payload_rejected([&] { GBEngine engine(p.molecule, bad); }, kBad,
+                            c);
+  }
+  // A payload shorter than the point list would be read out of bounds.
+  surface::Surface short_weights = p.surf;
+  short_weights.weights.pop_back();
+  EXPECT_THROW((void)core::QPointsTree::build(short_weights),
+               util::CheckError);
+}
+
+TEST(QPointsTree, RefitRejectsNonFiniteWeightOrNormalAndKeepsTheTree) {
+  const Problem p(200);
+  core::QPointsTree tq = core::QPointsTree::build(p.surf);
+  const std::vector<double> wnx = tq.soa_wnx;
+  const std::size_t kBad = p.surf.size() - 1;
+  for (const BadPayload& c : bad_payloads()) {
+    const surface::Surface bad = poisoned(p.surf, kBad, c);
+    expect_payload_rejected([&] { tq.refit(bad); }, kBad, c);
+    EXPECT_EQ(tq.soa_wnx, wnx);  // the throw left the payload as it was
+  }
+  EXPECT_NO_THROW(tq.refit(p.surf));
+}
+
 TEST(Engine, BornWalkRejectsStartIdsThatAreNotTQLeaves) {
   // The Born walk takes Q only at T_Q leaves, and only leaves carry
   // moments: an internal start id would silently contribute nothing, so

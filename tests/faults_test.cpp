@@ -221,34 +221,6 @@ TEST(Faults, RetryAbortsRemainingBackoffWhenFailureEpochAdvances) {
   });
 }
 
-TEST(Faults, RetryWithoutEpochAbortDrainsTheFullSchedule) {
-  // The opt-out: with abort_on_epoch_advance = false the same unrelated
-  // death leaves the wait running to the end of its (small) schedule.
-  auto o = base_opts(3);
-  o.fault_plan = rank_kill_plan(/*seed=*/29, /*victim=*/2, /*after_op=*/0);
-  Runtime::run(o, [](Comm& c) {
-    if (c.rank() == 0) {
-      int v = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto r = c.recv_bytes_retry(1, 6, &v, sizeof(v),
-                                  {.attempts = 4, .deadline_ms = 30.0,
-                                   .backoff = 1.0,
-                                   .abort_on_epoch_advance = false});
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      ASSERT_FALSE(r.has_value());
-      EXPECT_EQ(r.error().status, mpp::CommStatus::Timeout);
-      EXPECT_GE(elapsed_ms, 100.0) << "wait ended before the schedule "
-                                      "despite abort_on_epoch_advance=false";
-    } else if (c.rank() == 2) {
-      c.send_value(0, 99, 1);  // fault point: dies here
-      FAIL() << "rank 2 should have been killed";
-    }
-  });
-}
-
 TEST(Faults, CollectivePayloadCorruptionIsDetectedByChecksum) {
   // Satellite: the per-message CRC covers collective *internals* — every
   // hop of bcast / reduce_sum / gatherv is a checksummed message, so a
@@ -614,6 +586,38 @@ TEST(Elastic, CorruptStoredCheckpointsAreRecomputed) {
   EXPECT_EQ(r.tasks_computed, 6u);    // 3 phases × 2 tasks, each once
   EXPECT_TRUE(store.get_checkpoint("born", 0).has_value());
   EXPECT_EQ(store.get_checkpoint("epol", 1)->data.size(), 1u);
+}
+
+TEST(Elastic, NonFiniteTaskResultIsANamedErrorNotARecomputeLoop) {
+  // Charges of ±1e200 pass ingress but overflow every Epol pair term. A
+  // checkpoint never decodes a non-finite payload, so storing such a task
+  // would leave it missing and the ranks would recompute it without end;
+  // run_hybrid_elastic instead fails the task, naming the phase, within
+  // seconds.
+  mol::Molecule molecule =
+      mol::generate_protein({.target_atoms = 200, .seed = 21});
+  for (std::size_t i = 0; i < molecule.size(); ++i)
+    molecule.atoms()[i].charge = i % 2 == 0 ? 1e200 : -1e200;
+  const core::GBEngine engine(
+      molecule, surface::build_surface(molecule, {.subdivision = 1}));
+  for (int ranks : {1, 2}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    core::ElasticConfig cfg;
+    cfg.hybrid.ranks = ranks;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)core::run_hybrid_elastic(engine, cfg);
+      ADD_FAILURE() << "a non-finite task result was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("phase 'epol' task "), std::string::npos) << what;
+      EXPECT_NE(what.find("non-finite result"), std::string::npos) << what;
+    }
+    const double elapsed_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+    EXPECT_LT(elapsed_s, 5.0);
+  }
 }
 
 // ---- recovery model ---------------------------------------------------------

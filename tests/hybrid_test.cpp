@@ -180,3 +180,25 @@ TEST(Hybrid, IntraVsInterNodeTrafficFollowsTopology) {
   const auto r2 = run_hybrid(fixture().engine, spread);
   for (const auto& c : r2.comm_per_rank) EXPECT_EQ(c.bytes_intranode, 0u);
 }
+
+TEST(Hybrid, NonFiniteEnergyIsReturnedLikeTheEngine) {
+  // Charges of ±1e200 are finite and pass ingress, but their products
+  // overflow, so compute() returns a non-finite energy. Every rank holds
+  // the root's broadcast copy of it, so the ranks agree bit for bit and
+  // run_hybrid returns it instead of reporting a disagreement.
+  mol::Molecule molecule =
+      mol::generate_protein({.target_atoms = 200, .seed = 21});
+  for (std::size_t i = 0; i < molecule.size(); ++i)
+    molecule.atoms()[i].charge = i % 2 == 0 ? 1e200 : -1e200;
+  const auto surf = surface::build_surface(molecule, {.subdivision = 1});
+  const GBEngine engine(molecule, surf);
+  const double ref = engine.compute().epol;
+  ASSERT_FALSE(std::isfinite(ref));
+  for (int ranks : {2, 3}) {
+    HybridConfig cfg;
+    cfg.ranks = ranks;
+    const auto r = run_hybrid(engine, cfg);
+    EXPECT_FALSE(std::isfinite(r.epol)) << ranks << " ranks";
+    EXPECT_EQ(std::isnan(r.epol), std::isnan(ref)) << ranks << " ranks";
+  }
+}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -348,66 +349,6 @@ TEST(Scheduler, ParallelForAutoGrainSerialFallback) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(Scheduler, ParallelReduceAutoGrainMatchesExplicitGrain) {
-  // The derived grain changes only the chunking; the fixed tree-shaped
-  // combination keeps the reduction value schedule-independent, and any
-  // grain sums the same integer series exactly.
-  Scheduler sched(4);
-  double auto_grain = 0.0, explicit_grain = 0.0;
-  const auto body = [](std::int64_t lo, std::int64_t hi) {
-    double s = 0;
-    for (auto i = lo; i < hi; ++i) s += double(i);
-    return s;
-  };
-  sched.run([&] {
-    auto_grain = Scheduler::parallel_reduce(0, 20000, 0, body);
-    explicit_grain = Scheduler::parallel_reduce(0, 20000, 64, body);
-  });
-  EXPECT_DOUBLE_EQ(auto_grain, explicit_grain);
-  EXPECT_DOUBLE_EQ(auto_grain, 20000.0 * 19999.0 / 2.0);
-}
-
-// ---- parallel_reduce ---------------------------------------------------------
-
-TEST(Scheduler, ParallelReduceMatchesSerialSum) {
-  Scheduler sched(4);
-  double result = 0.0;
-  sched.run([&] {
-    result = Scheduler::parallel_reduce(
-        1, 100001, 128, [](std::int64_t lo, std::int64_t hi) {
-          double s = 0;
-          for (auto i = lo; i < hi; ++i) s += 1.0 / double(i);
-          return s;
-        });
-  });
-  double expected = 0;
-  for (int i = 1; i <= 100000; ++i) expected += 1.0 / i;
-  // Fixed tree-shaped combination: equal every run, near-serial value.
-  EXPECT_NEAR(result, expected, 1e-9);
-  double second = 0.0;
-  sched.run([&] {
-    second = Scheduler::parallel_reduce(
-        1, 100001, 128, [](std::int64_t lo, std::int64_t hi) {
-          double s = 0;
-          for (auto i = lo; i < hi; ++i) s += 1.0 / double(i);
-          return s;
-        });
-  });
-  EXPECT_DOUBLE_EQ(result, second);  // schedule-independent
-}
-
-TEST(Scheduler, ParallelReduceSerialFallback) {
-  EXPECT_EQ(Scheduler::current(), nullptr);
-  const double r = Scheduler::parallel_reduce(
-      0, 100, 8, [](std::int64_t lo, std::int64_t hi) {
-        return double(hi - lo);
-      });
-  EXPECT_DOUBLE_EQ(r, 100.0);
-  EXPECT_DOUBLE_EQ(Scheduler::parallel_reduce(
-                       5, 5, 1, [](std::int64_t, std::int64_t) { return 9.0; }),
-                   0.0);
-}
-
 TEST(Scheduler, ConcurrentIndependentSchedulers) {
   // The hybrid driver runs one scheduler per mpp rank, all in the same
   // process at the same time — their thread-local worker contexts must
@@ -518,18 +459,32 @@ TEST(Scheduler, TieredStealsClassifyAgainstTopology) {
 }
 
 TEST(Scheduler, ResultsBitIdenticalAcrossTopologiesAndWorkerCounts) {
-  // parallel_reduce has a fixed combination tree, so the double result is
-  // bitwise identical whatever the victim hierarchy or worker count.
-  const auto body = [](std::int64_t lo, std::int64_t hi) {
-    double s = 0.0;
-    for (std::int64_t i = lo; i < hi; ++i)
-      s += 1.0 / (1.0 + static_cast<double>(i));
-    return s;
+  // The production reduction shape: parallel_for writes one partial per
+  // fixed chunk, and the partials fold in ascending chunk order, so the
+  // double result is bitwise identical whatever the victim hierarchy or
+  // worker count.
+  constexpr std::int64_t kN = 50000, kChunk = 64;
+  constexpr std::int64_t kChunks = (kN + kChunk - 1) / kChunk;
+  const auto sum = [&] {
+    std::vector<double> partial(kChunks, 0.0);
+    Scheduler::parallel_for(0, kChunks, 1, [&](std::int64_t lo,
+                                               std::int64_t hi) {
+      for (std::int64_t c = lo; c < hi; ++c) {
+        double s = 0.0;
+        for (std::int64_t i = c * kChunk; i < std::min(kN, (c + 1) * kChunk);
+             ++i)
+          s += 1.0 / (1.0 + static_cast<double>(i));
+        partial[static_cast<std::size_t>(c)] = s;
+      }
+    });
+    double total = 0.0;
+    for (const double s : partial) total += s;
+    return total;
   };
   double ref = 0.0;
   {
     Scheduler s1(1);
-    s1.run([&] { ref = Scheduler::parallel_reduce(0, 50000, 64, body); });
+    s1.run([&] { ref = sum(); });
   }
   for (int workers : {2, 3, 4}) {
     for (int half : {1, 2}) {
@@ -538,7 +493,7 @@ TEST(Scheduler, ResultsBitIdenticalAcrossTopologiesAndWorkerCounts) {
       opts.topology = &topo;
       Scheduler sched(workers, opts);
       double got = 0.0;
-      sched.run([&] { got = Scheduler::parallel_reduce(0, 50000, 64, body); });
+      sched.run([&] { got = sum(); });
       EXPECT_EQ(got, ref) << workers << " workers, half=" << half;
     }
   }
