@@ -13,9 +13,8 @@
 ///
 /// The wire format is defensive: decode_checkpoint() returns an error (it
 /// never yields partial state or UB) on bad magic, short reads, counts
-/// that would overflow the buffer, or non-finite payload values — the
-/// same hardening contract as core/persist.hpp, since a checkpoint read
-/// happens exactly when the system is already degraded.
+/// that would overflow the buffer, or non-finite payload values, since a
+/// checkpoint read happens exactly when the system is already degraded.
 
 #include <cstdint>
 #include <mutex>

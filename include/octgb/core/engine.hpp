@@ -102,10 +102,10 @@ class GBEngine {
   GBEngine(const mol::Molecule& mol, const surface::Surface& surf,
            EngineConfig config = {});
 
-  /// Adopt already-built stage-1 trees (Preprocessed::build or
-  /// core/persist.hpp). `config`'s tree-build knobs are kept only for
-  /// later rebuild_atoms()/rebuild_qpoints() calls; they are *not*
-  /// re-applied to the adopted trees.
+  /// Adopt already-built stage-1 trees (Preprocessed::build). `config`'s
+  /// tree-build knobs are kept only for later rebuild_atoms() /
+  /// rebuild_qpoints() calls; they are *not* re-applied to the adopted
+  /// trees.
   GBEngine(Preprocessed pre, EngineConfig config = {});
 
   const EngineConfig& config() const { return config_; }

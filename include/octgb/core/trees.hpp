@@ -127,11 +127,6 @@ struct QPointsTree {
   /// preserved.
   void refit(const surface::Surface& surf);
 
-  /// Recompute node_wnormal, node_wmoment and node_wmoment2 from the
-  /// weighted-normal planes (after refit or deserialization): leaves get
-  /// their own points' sums, internal nodes zero.
-  void rebuild_derived();
-
   /// Weighted normal w_q · n_q at tree position `pos`.
   geom::Vec3 wnormal(std::uint32_t pos) const {
     return {soa_wnx[pos], soa_wny[pos], soa_wnz[pos]};
@@ -156,6 +151,10 @@ struct QPointsTree {
   /// Fill the weighted-normal planes from `surf` through the tree's
   /// permutation (shared by build and refit).
   void assign_surface(const surface::Surface& surf);
+  /// Recompute node_wnormal, node_wmoment and node_wmoment2 from the
+  /// weighted-normal planes (after build or refit): leaves get their own
+  /// points' sums, internal nodes zero.
+  void rebuild_derived();
 };
 
 /// Stage-1 artifact of the evaluation pipeline: both octrees (with their
@@ -163,8 +162,8 @@ struct QPointsTree {
 /// evaluation stage is concerned — evaluations never write into it, so one
 /// Preprocessed can back any number of evaluations at any approximation
 /// parameters ("once an octree is built, it can be used for any
-/// approximation parameter"), be refitted for moved coordinates, or be
-/// persisted and reloaded across processes (core/persist.hpp).
+/// approximation parameter"), or be refitted for moved coordinates. It
+/// lives in memory only: a new process rebuilds it.
 struct Preprocessed {
   AtomsTree atoms;
   QPointsTree qpoints;

@@ -16,8 +16,9 @@
 namespace octgb::mol {
 
 /// Thrown by read_pdb on malformed input: overlong (non-PDB) lines,
-/// blank or non-numeric coordinate fields, or a file with no atoms at
-/// all. The message names the offending line number.
+/// blank or non-numeric coordinate fields, non-integer serial or
+/// residue-sequence fields, or a file with no atoms at all. The message
+/// names the offending line number.
 class PdbParseError : public std::runtime_error {
  public:
   explicit PdbParseError(const std::string& what)

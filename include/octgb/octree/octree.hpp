@@ -106,7 +106,8 @@ class Octree {
   std::size_t footprint_bytes() const;
 
   /// Internal consistency check (ranges, child links, radii). Used by
-  /// tests and the stream reader; returns true when every invariant holds.
+  /// the tests' structural checks; returns true when every invariant
+  /// holds.
   bool validate() const;
 
   /// Refit: move the points to `positions` (input order, same length as
@@ -121,11 +122,11 @@ class Octree {
   /// service builds never race on a shared counter).
   const perf::TreeBuildCounters& build_stats() const { return stats_; }
 
-  /// Reassemble a tree from its parts (used by serialize.hpp). `points`
-  /// are in tree order; they fill the SoA planes, and leaf ids and the
-  /// depth are derived from the nodes. Throws util::CheckError naming the
-  /// first point with a NaN or infinite coordinate; callers should
-  /// validate() the rest.
+  /// Assemble a tree from its parts (used by the test-reference legacy
+  /// partitioner). `points` are in tree order; they fill the SoA planes,
+  /// and leaf ids and the depth are derived from the nodes. Throws
+  /// util::CheckError naming the first point with a NaN or infinite
+  /// coordinate; callers should validate() the rest.
   static Octree from_parts(std::vector<Node> nodes,
                            std::span<const geom::Vec3> points,
                            std::vector<std::uint32_t> point_index);

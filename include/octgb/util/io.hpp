@@ -1,7 +1,7 @@
 #pragma once
 /// \file io.hpp
-/// Hardened low-level I/O loops shared by the persistence streams and the
-/// out-of-process mpp transport (DESIGN.md §2.10).
+/// Hardened low-level I/O loops shared by the out-of-process mpp transport
+/// and the file-backed checkpoint store (DESIGN.md §2.10).
 ///
 /// POSIX read()/write() may transfer fewer bytes than asked (short reads on
 /// sockets and pipes are routine, short writes happen under memory
@@ -9,15 +9,13 @@
 /// chaos launcher delivers real signals, so the transport hits both paths
 /// for real. Every byte-exact transfer in the repo goes through the two
 /// loops below instead of re-implementing the retry dance: the TCP frame
-/// codec (mpp/proc), the file-backed checkpoint store (core/checkpoint)
-/// and the octree stream reader (octree/serialize) all reuse them, so the
-/// truncation-sweep hardening applies uniformly.
+/// codec (mpp/transport) and the file-backed checkpoint store (core/checkpoint)
+/// both reuse them, so the truncation-sweep hardening applies uniformly.
 
 #include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "octgb/util/expected.hpp"
 
@@ -52,33 +50,6 @@ IoResult read_exact(int fd, void* data, std::size_t bytes);
 /// EPIPE/ECONNRESET surface as Error with the errno preserved so the
 /// transport can map them onto its connection-loss taxonomy.
 IoResult write_exact(int fd, const void* data, std::size_t bytes);
-
-/// Read exactly `bytes` from a stream; false on truncation (stream state
-/// is left failed, matching std::istream conventions).
-bool read_exact(std::istream& in, void* data, std::size_t bytes);
-
-/// Chunk size used by read_vector (1 MiB): bounds the damage of a lying
-/// element count to one chunk past the actual data.
-inline constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
-
-/// Read `count` trivially-copyable elements into `v`, growing chunk by
-/// chunk so a corrupt header claiming 2^32 elements cannot force a huge
-/// allocation before the stream runs dry. Returns false on truncation.
-template <class T>
-bool read_vector(std::istream& in, std::vector<T>& v, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  constexpr std::size_t kChunkElems =
-      kReadChunkBytes / sizeof(T) ? kReadChunkBytes / sizeof(T) : 1;
-  v.clear();
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t batch = std::min(kChunkElems, count - done);
-    v.resize(done + batch);
-    if (!read_exact(in, v.data() + done, batch * sizeof(T))) return false;
-    done += batch;
-  }
-  return true;
-}
 
 /// Read a whole file into `out` (replacing it); false when the file
 /// cannot be opened or read. Uses the fd read loop, so a file shrinking

@@ -30,7 +30,13 @@ std::string to_upper(std::string_view s);
 /// Returns `fallback` if the field is blank; throws CheckError on garbage.
 double parse_double_field(std::string_view field, double fallback);
 
-/// Parse an int from a fixed-width field (tolerates surrounding blanks).
+/// Parse a long long from a fixed-width field (tolerates surrounding
+/// blanks). Returns `fallback` if the field is blank; throws CheckError on
+/// garbage or a value outside long long.
+long long parse_llong_field(std::string_view field, long long fallback);
+
+/// parse_llong_field narrowed to int: also throws CheckError on a value
+/// outside int.
 int parse_int_field(std::string_view field, int fallback);
 
 /// printf-style formatting into std::string.

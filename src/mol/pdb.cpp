@@ -48,6 +48,19 @@ double parse_coord(std::string_view field, char axis, int line_no) {
   return v;
 }
 
+/// Parse an optional integer column (serial, resSeq): blank reads as 0,
+/// and a non-integer or out-of-range field is a hard error naming the
+/// line.
+int parse_int_column(std::string_view field, const char* what, int line_no) {
+  try {
+    return util::parse_int_field(field, 0);
+  } catch (const util::CheckError&) {
+    throw PdbParseError(util::format(
+        "PDB line %d: non-integer %s field '%.*s'", line_no, what,
+        static_cast<int>(field.size()), field.data()));
+  }
+}
+
 }  // namespace
 
 double protein_partial_charge(std::string_view atom_name,
@@ -179,12 +192,13 @@ Molecule read_pdb(std::istream& in, const std::string& name) {
 
     Atom a;
     AtomLabel label;
-    label.serial = util::parse_int_field(column(line, 6, 11), 0);
+    label.serial = parse_int_column(column(line, 6, 11), "serial", line_no);
     label.atom_name = std::string(column(line, 12, 16));
     label.residue_name = std::string(util::trim(column(line, 17, 20)));
     const auto chain = column(line, 21, 22);
     label.chain_id = chain.empty() ? 'A' : chain[0];
-    label.residue_seq = util::parse_int_field(column(line, 22, 26), 0);
+    label.residue_seq =
+        parse_int_column(column(line, 22, 26), "residue-sequence", line_no);
     a.pos.x = parse_coord(column(line, 30, 38), 'x', line_no);
     a.pos.y = parse_coord(column(line, 38, 46), 'y', line_no);
     a.pos.z = parse_coord(column(line, 46, 54), 'z', line_no);

@@ -52,7 +52,7 @@ Args& Args::add(const std::string& name, long long* target,
   o.help = help_text;
   o.default_repr = format("%lld", *target);
   o.set = [target](const std::string& v) {
-    *target = std::strtoll(v.c_str(), nullptr, 10);
+    *target = parse_llong_field(v, *target);
   };
   opts_[name] = std::move(o);
   order_.push_back(name);

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -51,11 +50,6 @@ IoResult write_exact(int fd, const void* data, std::size_t bytes) {
     return IoResult::failure({IoStatus::Error, errno, done, bytes});
   }
   return IoResult::success({});
-}
-
-bool read_exact(std::istream& in, void* data, std::size_t bytes) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  return static_cast<bool>(in);
 }
 
 bool read_file(const std::string& path, std::string& out) {

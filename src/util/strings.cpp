@@ -1,9 +1,11 @@
 #include "octgb/util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "octgb/util/check.hpp"
 
@@ -67,14 +69,25 @@ double parse_double_field(std::string_view field, double fallback) {
   return v;
 }
 
-int parse_int_field(std::string_view field, int fallback) {
+long long parse_llong_field(std::string_view field, long long fallback) {
   const std::string_view t = trim(field);
   if (t.empty()) return fallback;
   std::string buf(t);
   char* end = nullptr;
-  const long v = std::strtol(buf.c_str(), &end, 10);
+  errno = 0;
+  const long long v = std::strtoll(buf.c_str(), &end, 10);
   OCTGB_CHECK_MSG(end == buf.c_str() + buf.size(),
                   "bad integer field: '" << buf << "'");
+  OCTGB_CHECK_MSG(errno != ERANGE,
+                  "integer field out of range: '" << buf << "'");
+  return v;
+}
+
+int parse_int_field(std::string_view field, int fallback) {
+  const long long v = parse_llong_field(field, fallback);
+  OCTGB_CHECK_MSG(v >= std::numeric_limits<int>::min() &&
+                      v <= std::numeric_limits<int>::max(),
+                  "integer field out of range: '" << trim(field) << "'");
   return static_cast<int>(v);
 }
 

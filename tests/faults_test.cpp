@@ -9,7 +9,6 @@
 #include <cstring>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <thread>
 
 #include "octgb/core/checkpoint.hpp"
@@ -17,11 +16,9 @@
 #include "octgb/mol/generate.hpp"
 #include "octgb/mpp/faults.hpp"
 #include "octgb/mpp/mpp.hpp"
-#include "octgb/octree/serialize.hpp"
 #include "octgb/sim/cluster.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
-#include "support/morton_stream.hpp"
 
 using namespace octgb;
 using mpp::Comm;
@@ -327,41 +324,6 @@ TEST(Checkpoint, NonFinitePayloadIsANamedErrorAndReadsAsMissing) {
     }
   }
   EXPECT_TRUE(core::decode_checkpoint(core::encode_checkpoint(c)).has_value());
-}
-
-TEST(Checkpoint, OctreeV2StreamTruncationSweepErrorsCleanly) {
-  // The serialize-v2 extension appends the "mkey"/"mgrd" tagged sections
-  // after the v1 body; the hardening contract extends to them — a stream
-  // cut anywhere (header region, the v1 body, either new section's header
-  // or payload) must throw a CheckError, never crash or hand back a
-  // half-loaded tree. The stream carries non-empty Morton sections, as
-  // older writers emitted them, so every check the reader makes on them
-  // is under the sweep.
-  const auto m = mol::generate_protein({.target_atoms = 150, .seed = 55});
-  std::vector<geom::Vec3> pts(m.size());
-  for (std::size_t i = 0; i < m.size(); ++i) pts[i] = m.atom(i).pos;
-  const octree::Octree tree = octree::Octree::build(pts);
-  const auto state = test_support::morton_state(tree);
-  const std::string bytes = test_support::v2_stream(tree, state);
-  // The Morton tail: both section headers (24 bytes each), every key, and
-  // the 5-double grid payload.
-  const std::size_t tail =
-      2 * 24 + state.keys.size() * sizeof(std::uint64_t) + 5 * sizeof(double);
-  ASSERT_GT(bytes.size(), tail);
-  std::vector<std::size_t> cuts;
-  for (std::size_t i = 0; i < std::min<std::size_t>(bytes.size(), 128); ++i)
-    cuts.push_back(i);  // header region, every byte
-  for (std::size_t i = 128; i + tail < bytes.size(); i += 97)
-    cuts.push_back(i);  // v1 body, strided
-  for (std::size_t i = bytes.size() - tail; i < bytes.size(); ++i)
-    cuts.push_back(i);  // v2 sections, every byte
-  for (const std::size_t cut : cuts) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(octree::read_octree(truncated), util::CheckError)
-        << "cut at " << cut << " of " << bytes.size();
-  }
-  std::stringstream whole(bytes);
-  EXPECT_NO_THROW(octree::read_octree(whole));
 }
 
 TEST(Checkpoint, BadMagicAndCorruptLengthAreRejected) {

@@ -161,6 +161,14 @@ TEST(Pdb, MalformedInputThrowsParseErrorsWithLineNumbers) {
                            f + "\n",
                        "line 2: non-finite z-coordinate");
   }
+  // Non-integer serial (cols 7-11) and residue sequence (cols 23-26).
+  expect_parse_error(
+      "ATOM  ABCDE  CA  ALA A   1      11.104   6.134  -6.504\n",
+      "line 1: non-integer serial field 'ABCDE'");
+  expect_parse_error(
+      "REMARK    padding\n"
+      "ATOM      1  CA  ALA A  1x      11.104   6.134  -6.504\n",
+      "line 2: non-integer residue-sequence field '  1x'");
   // Blank coordinate column (short line cuts off z).
   expect_parse_error(
       "REMARK    padding\n"

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -12,9 +11,8 @@
 #include "octgb/mol/generate.hpp"
 #include "octgb/octree/nblist.hpp"
 #include "octgb/octree/octree.hpp"
+#include "octgb/util/check.hpp"
 #include "octgb/util/rng.hpp"
-#include "support/legacy_octree.hpp"
-#include "support/morton_stream.hpp"
 
 using namespace octgb;
 using octree::BuildParams;
@@ -215,78 +213,6 @@ TEST(NbList, OctreeFootprintIndependentOfCutoffUnlikeNblist) {
   EXPECT_LT(octree_bytes, big_cut.footprint_bytes());
 }
 
-// ---- serialization -----------------------------------------------------------
-
-#include <sstream>
-
-#include "octgb/octree/serialize.hpp"
-#include "octgb/util/check.hpp"
-
-TEST(OctreeSerialize, RoundTripPreservesEverything) {
-  const auto pts = random_points(1234, 21);
-  const Octree original = Octree::build(pts);
-  std::stringstream buf;
-  octree::write_octree(original, buf);
-  const Octree loaded = octree::read_octree(buf);
-  EXPECT_TRUE(loaded.validate());
-  ASSERT_EQ(loaded.nodes().size(), original.nodes().size());
-  ASSERT_EQ(loaded.num_points(), original.num_points());
-  for (std::size_t i = 0; i < original.nodes().size(); ++i) {
-    EXPECT_EQ(loaded.node(i).centroid, original.node(i).centroid);
-    EXPECT_EQ(loaded.node(i).begin, original.node(i).begin);
-    EXPECT_EQ(loaded.node(i).first_child, original.node(i).first_child);
-  }
-  EXPECT_EQ(loaded.leaf_ids(), original.leaf_ids());
-  EXPECT_EQ(loaded.max_depth(), original.max_depth());
-  EXPECT_TRUE(std::ranges::equal(loaded.soa_x(), original.soa_x()));
-  EXPECT_TRUE(std::ranges::equal(loaded.soa_y(), original.soa_y()));
-  EXPECT_TRUE(std::ranges::equal(loaded.soa_z(), original.soa_z()));
-}
-
-TEST(OctreeSerialize, RejectsGarbageAndTruncation) {
-  std::stringstream garbage("this is not an octree");
-  EXPECT_THROW(octree::read_octree(garbage), octgb::util::CheckError);
-
-  const auto pts = random_points(100, 22);
-  const Octree t = Octree::build(pts);
-  std::stringstream buf;
-  octree::write_octree(t, buf);
-  std::string bytes = buf.str();
-  bytes.resize(bytes.size() / 2);  // truncate
-  std::stringstream truncated(bytes);
-  EXPECT_THROW(octree::read_octree(truncated), octgb::util::CheckError);
-}
-
-TEST(OctreeSerialize, WriteIsByteDeterministic) {
-  // Node's fields leave padding bytes; the stream must not carry them. One
-  // tree written twice, a rebuilt equal tree, and the same nodes in records
-  // whose padding holds garbage all give the same bytes.
-  const auto pts = random_points(700, 47);
-  const Octree t = Octree::build(pts);
-  const auto bytes_of = [](const Octree& tree) {
-    std::stringstream buf;
-    octree::write_octree(tree, buf);
-    return buf.str();
-  };
-  const std::string once = bytes_of(t);
-  EXPECT_EQ(bytes_of(t), once);
-  EXPECT_EQ(bytes_of(Octree::build(pts)), once);
-
-  using Node = Octree::Node;
-  constexpr std::size_t pad_at = offsetof(Node, depth) + sizeof(Node::depth);
-  static_assert(pad_at < sizeof(Node), "Node has no tail padding to poison");
-  std::vector<Node> nodes(t.nodes().begin(), t.nodes().end());
-  for (Node& n : nodes)
-    std::memset(reinterpret_cast<unsigned char*>(&n) + pad_at, 0xA5,
-                sizeof(Node) - pad_at);
-  std::vector<geom::Vec3> points(t.num_points());
-  for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = t.point(i);
-  const Octree poisoned = Octree::from_parts(
-      std::move(nodes), points,
-      {t.point_index().begin(), t.point_index().end()});
-  EXPECT_EQ(bytes_of(poisoned), once);
-}
-
 // ---- Morton location codes ---------------------------------------------------
 
 #include "octgb/octree/morton.hpp"
@@ -435,132 +361,6 @@ TEST(Morton, CoincidentPointsShareOneKeyAndOneLeaf) {
   EXPECT_EQ(t.root().size(), 100u);
 }
 
-namespace {
-
-std::string serialized(const Octree& t) {
-  std::stringstream buf;
-  octree::write_octree(t, buf);
-  return buf.str();
-}
-
-/// Reading `stream` must throw a CheckError whose message contains `what`.
-void expect_read_error(const std::string& stream, const std::string& what) {
-  std::stringstream in(stream);
-  try {
-    (void)octree::read_octree(in);
-    ADD_FAILURE() << "accepted a stream that should fail with: " << what;
-  } catch (const octgb::util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-        << e.what();
-  }
-}
-
-}  // namespace
-
-TEST(OctreeSerialize, V2StreamWithMortonSectionsLoadsIntoTheSameTree) {
-  // Older writers filled the "mkey"/"mgrd" sections; the reader checks
-  // them and drops them, so the loaded tree writes back the current,
-  // empty-section stream of the tree it came from.
-  const auto pts = random_points(900, 36);
-  const Octree original = Octree::build(pts);
-  const auto state = test_support::morton_state(original);
-  const std::string older = test_support::v2_stream(original, state);
-  const std::string current = serialized(original);
-  ASSERT_EQ(older.size(), current.size() + pts.size() * sizeof(std::uint64_t) +
-                              5 * sizeof(double));
-  std::stringstream in(older);
-  const Octree loaded = octree::read_octree(in);
-  EXPECT_TRUE(loaded.validate());
-  EXPECT_EQ(serialized(loaded), current);
-}
-
-TEST(OctreeSerialize, MalformedMortonSectionsAreRejected) {
-  const Octree t = Octree::build(random_points(300, 39));
-  const auto good = test_support::morton_state(t);
-  const auto stream_with = [&](auto&& corrupt) {
-    test_support::MortonState s = good;
-    corrupt(s);
-    return test_support::v2_stream(t, s);
-  };
-  const std::string malformed = "malformed Morton grid";
-  expect_read_error(stream_with([](auto& s) { s.grid.pop_back(); }),
-                    "grid section has 4 values, expected 5");
-  expect_read_error(stream_with([](auto& s) { s.grid.clear(); }),
-                    "pairs keys and grid inconsistently");
-  expect_read_error(stream_with([](auto& s) { s.keys.clear(); }),
-                    "pairs keys and grid inconsistently");
-  for (const double bits : {0.0, 22.0, 2.5,
-                            std::numeric_limits<double>::quiet_NaN()})
-    expect_read_error(stream_with([&](auto& s) { s.grid[4] = bits; }),
-                      malformed);
-  for (const double cell : {0.0, -1.0})
-    expect_read_error(stream_with([&](auto& s) { s.grid[3] = cell; }),
-                      malformed);
-  expect_read_error(stream_with([](auto& s) { s.keys.pop_back(); }),
-                    "key section disagrees with the point count");
-  ASSERT_LT(good.keys.front(), good.keys.back());
-  expect_read_error(
-      stream_with([](auto& s) { std::swap(s.keys.front(), s.keys.back()); }),
-      "corrupt octree stream");
-  // Each section header must carry its own tag.
-  std::string retagged = test_support::v2_stream(t, good);
-  const std::size_t mkey_at =
-      retagged.size() - 2 * 24 - good.keys.size() * sizeof(std::uint64_t) -
-      5 * sizeof(double);
-  retagged[mkey_at + 1] = 'g';  // "mkey" → "mgey"
-  expect_read_error(retagged, "expected section 'mkey'");
-  // The intact stream loads.
-  std::stringstream in(test_support::v2_stream(t, good));
-  EXPECT_NO_THROW((void)octree::read_octree(in));
-}
-
-TEST(OctreeSerialize, LegacyTreeRoundTripsThroughV2WithoutMortonState) {
-  const auto pts = random_points(400, 37);
-  const Octree legacy = test_support::build_legacy(pts);
-  std::stringstream buf;
-  octree::write_octree(legacy, buf);
-  const Octree loaded = octree::read_octree(buf);
-  EXPECT_TRUE(loaded.validate());
-  EXPECT_EQ(loaded.nodes().size(), legacy.nodes().size());
-  EXPECT_EQ(serialized(loaded), serialized(legacy));
-}
-
-TEST(OctreeSerialize, V1StreamStillLoads) {
-  // Synthesize a v1 stream from a v2 one: the v2 tail is exactly two
-  // empty tagged sections (24-byte headers, no payload), so stripping them
-  // and patching the version field back to 1 reproduces the old format
-  // byte for byte.
-  const auto pts = random_points(350, 38);
-  const Octree legacy = test_support::build_legacy(pts);
-  std::stringstream buf;
-  octree::write_octree(legacy, buf);
-  std::string bytes = buf.str();
-  ASSERT_GT(bytes.size(), 48u);
-  bytes.resize(bytes.size() - 48);  // drop the "mkey" + "mgrd" sections
-  bytes[8] = 1;                     // version field (after the u64 magic)
-  std::stringstream v1(bytes);
-  const Octree loaded = octree::read_octree(v1);
-  EXPECT_TRUE(loaded.validate());
-  ASSERT_EQ(loaded.nodes().size(), legacy.nodes().size());
-  for (std::size_t i = 0; i < legacy.nodes().size(); ++i) {
-    EXPECT_EQ(loaded.node(i).centroid, legacy.node(i).centroid);
-    EXPECT_EQ(loaded.node(i).begin, legacy.node(i).begin);
-    EXPECT_EQ(loaded.node(i).end, legacy.node(i).end);
-  }
-}
-
-TEST(OctreeSerialize, FileRoundTrip) {
-  const auto pts = random_points(300, 23);
-  const Octree t = Octree::build(pts);
-  const std::string path = "serialize_test.octree";
-  octree::write_octree_file(t, path);
-  const Octree loaded = octree::read_octree_file(path);
-  EXPECT_TRUE(loaded.validate());
-  EXPECT_EQ(loaded.num_points(), t.num_points());
-  std::remove(path.c_str());
-  EXPECT_THROW(octree::read_octree_file(path), octgb::util::CheckError);
-}
-
 // ---- non-finite input --------------------------------------------------------
 
 #include "octgb/ws/scheduler.hpp"
@@ -651,85 +451,21 @@ TEST(OctreeNonFinite, RefitRejectsNanAndInfOnEveryAxisAndKeepsTheTree) {
   }
 }
 
-TEST(OctreeNonFinite, ReadRejectsNanAndInfOnEveryAxis) {
-  // A stream whose point bytes are poisoned fails on load with an error
-  // that names the tree position, not as a generic corrupt stream.
+TEST(OctreeNonFinite, FromPartsRejectsNanAndInfOnEveryAxis) {
+  // Assembling a tree from parts whose points carry a NaN or infinity
+  // fails with an error that names the tree position.
   const Octree t = Octree::build(random_points(200, 46));
-  std::stringstream buf;
-  octree::write_octree(t, buf);
-  const std::string bytes = buf.str();
-  // Header: magic u64, version u32, reserved u32, node and point counts
-  // (u64 each); then the node array, then the points as AoS Vec3s.
-  const std::size_t points_at = 32 + t.nodes().size() * sizeof(Octree::Node);
+  std::vector<geom::Vec3> points(t.num_points());
+  for (std::uint32_t i = 0; i < points.size(); ++i) points[i] = t.point(i);
   for (const NonFinite& c : non_finite_cases()) {
     SCOPED_TRACE(label(c));
-    std::string bad = bytes;
-    std::memcpy(&bad[points_at + kBad * sizeof(geom::Vec3) +
-                     c.axis * sizeof(double)],
-                &c.value, sizeof(double));
-    std::stringstream in(bad);
-    expect_rejects([&] { (void)octree::read_octree(in); },
-                   "Octree::from_parts", kBad);
-  }
-}
-
-TEST(OctreeNonFinite, ReadRejectsNonFiniteNodeGeometry) {
-  // validate() checks each point against its node's ball, which an
-  // infinite radius passes, and with it any centroid: the reader names the
-  // node (or the grid field of an older writer's Morton section) instead
-  // of loading the tree.
-  const Octree t = Octree::build(random_points(200, 48));
-  const std::string bytes =
-      test_support::v2_stream(t, test_support::morton_state(t));
-  const auto expect_named = [](const std::string& stream,
-                               const std::string& name) {
-    std::stringstream in(stream);
-    try {
-      (void)octree::read_octree(in);
-      ADD_FAILURE() << "accepted: " << name;
-    } catch (const octgb::util::CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-          << e.what();
-    }
-  };
-  using Node = Octree::Node;
-  constexpr std::size_t kNodesAt = 32;  // after the 32-byte header
-  const std::uint32_t id = t.root().first_child + 1;
-  ASSERT_LT(id, t.nodes().size());
-  const std::size_t node_at = kNodesAt + id * sizeof(Node);
-  const auto poison = [&](std::size_t at, double value) {
-    std::string bad = bytes;
-    std::memcpy(&bad[at], &value, sizeof(double));
-    return bad;
-  };
-  const std::string node = "octree node " + std::to_string(id) + " ";
-  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
-                         std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::infinity()}) {
-    SCOPED_TRACE(std::to_string(v));
-    expect_named(poison(node_at + offsetof(Node, radius), v),
-                 node + "has a non-finite radius");
-    for (int axis = 0; axis < 3; ++axis)
-      expect_named(
-          poison(node_at + offsetof(Node, centroid) + axis * sizeof(double),
-                 v),
-          node + "has a non-finite centroid");
-  }
-  // Infinite radius and centroid together pass the ball test.
-  std::string both = poison(node_at + offsetof(Node, radius),
-                            std::numeric_limits<double>::infinity());
-  const double inf = std::numeric_limits<double>::infinity();
-  std::memcpy(&both[node_at + offsetof(Node, centroid)], &inf, sizeof inf);
-  expect_named(both, node);
-
-  // The grid's five doubles close the stream: origin x, y, z, cell, bits.
-  const std::size_t grid_at = bytes.size() - 5 * sizeof(double);
-  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
-    SCOPED_TRACE(std::to_string(v));
-    for (int axis = 0; axis < 3; ++axis)
-      expect_named(poison(grid_at + axis * sizeof(double), v),
-                   "Morton grid origin is non-finite");
-    expect_named(poison(grid_at + 3 * sizeof(double), v),
-                 "Morton grid cell is non-finite");
+    const auto bad = poisoned(points, kBad, c);
+    expect_rejects(
+        [&] {
+          (void)Octree::from_parts(
+              {t.nodes().begin(), t.nodes().end()}, bad,
+              {t.point_index().begin(), t.point_index().end()});
+        },
+        "Octree::from_parts", kBad);
   }
 }

@@ -1,5 +1,5 @@
-// Tests for the three-stage evaluation pipeline: Preprocessed artifacts
-// (+ persistence), EvalScratch reuse, and the ScoringSession drivers
+// Tests for the three-stage evaluation pipeline: Preprocessed artifacts,
+// EvalScratch reuse, and the ScoringSession drivers
 // (parameter re-evaluation, moved-atom updates, rigid pose streams in
 // both Full and CrossScreen modes).
 
@@ -7,16 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "octgb/core/engine.hpp"
 #include "octgb/core/naive.hpp"
-#include "octgb/core/persist.hpp"
 #include "octgb/core/session.hpp"
 #include "octgb/mol/generate.hpp"
-#include "octgb/octree/serialize.hpp"
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/util/rng.hpp"
@@ -126,178 +122,34 @@ TEST(EngineConfig, EvaluationKnobsMutableAfterConstruction) {
   EXPECT_EQ(engine.config().gb.eps_solv, 40.0);
 }
 
-// ---- persistence ------------------------------------------------------------
-
-TEST(Persist, PreprocessedRoundTripsBitForBit) {
+TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
+  // Exact accounting: each octree plus its tree-order payload planes and
+  // nothing else. T_A carries charge and vdW radius; T_Q carries the three
+  // w·n SoA planes, and per node one w·n aggregate, one six-entry normal
+  // moment and one ten-entry second moment.
   const Problem p(400);
   const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-
-  std::stringstream ss;
-  core::write_preprocessed(pre, ss);
-  auto loaded = core::read_preprocessed(ss);
-
-  EXPECT_EQ(loaded.atoms.num_atoms(), pre.atoms.num_atoms());
-  EXPECT_EQ(loaded.atoms.tree.nodes().size(), pre.atoms.tree.nodes().size());
-  EXPECT_EQ(loaded.qpoints.num_points(), pre.qpoints.num_points());
-  EXPECT_EQ(loaded.atoms.charge, pre.atoms.charge);
-  // The planes go out as AoS sections and come back as planes.
-  EXPECT_TRUE(std::ranges::equal(loaded.atoms.soa_x(), pre.atoms.soa_x()));
-  EXPECT_EQ(loaded.qpoints.soa_wnx, pre.qpoints.soa_wnx);
-  EXPECT_EQ(loaded.qpoints.soa_wny, pre.qpoints.soa_wny);
-  EXPECT_EQ(loaded.qpoints.soa_wnz, pre.qpoints.soa_wnz);
-
-  // An engine adopting the loaded artifact evaluates identically.
-  GBEngine fresh(p.molecule, p.surf);
-  GBEngine adopted(std::move(loaded));
-  EXPECT_EQ(fresh.compute().epol, adopted.compute().epol);
+  const core::AtomsTree& ta = pre.atoms;
+  const core::QPointsTree& tq = pre.qpoints;
+  EXPECT_EQ(ta.footprint_bytes(),
+            ta.tree.footprint_bytes() + ta.num_atoms() * 2 * sizeof(double));
+  EXPECT_EQ(tq.footprint_bytes(),
+            tq.tree.footprint_bytes() + tq.num_points() * 3 * sizeof(double) +
+                tq.tree.nodes().size() *
+                    (sizeof(geom::Vec3) + 16 * sizeof(double)));
+  EXPECT_EQ(pre.footprint_bytes(), ta.footprint_bytes() + tq.footprint_bytes());
 }
 
-TEST(Persist, ReloadedNormalMomentsAndBornRadiiAreBitwise) {
-  // The T_Q normal moments are derived (rebuild_derived on load), not
-  // serialized: a reloaded tree must reproduce them, and the Born radii
-  // their far terms feed, bit for bit.
+TEST(Preprocessed, AdoptingEngineMatchesBuildingEngineBitForBit) {
+  // An engine handed Preprocessed::build's trees evaluates exactly like
+  // one that builds its own from the same molecule and surface.
   const Problem p(400);
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  std::stringstream ss;
-  core::write_qpoints_tree(pre.qpoints, ss);
-  const core::QPointsTree loaded = core::read_qpoints_tree(ss);
-  const auto& want = pre.qpoints.node_wmoment;
-  ASSERT_EQ(loaded.node_wmoment.size(), want.size());
-  EXPECT_EQ(std::memcmp(loaded.node_wmoment.data(), want.data(),
-                        want.size() * sizeof(core::NormalMoment)),
-            0);
-  EXPECT_EQ(loaded.node_wnormal, pre.qpoints.node_wnormal);
-
-  std::stringstream whole;
-  core::write_preprocessed(pre, whole);
   GBEngine fresh(p.molecule, p.surf);
-  GBEngine adopted(core::read_preprocessed(whole));
+  GBEngine adopted(core::Preprocessed::build(p.molecule, p.surf));
   const auto a = fresh.compute();
   const auto b = adopted.compute();
   EXPECT_EQ(a.born, b.born);
   EXPECT_EQ(a.epol, b.epol);
-}
-
-TEST(Persist, RejectsMismatchedSectionTag) {
-  const Problem p(200);
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  std::stringstream ss;
-  core::write_qpoints_tree(pre.qpoints, ss);  // wrong artifact on purpose
-  EXPECT_THROW(core::read_atoms_tree(ss), util::CheckError);
-}
-
-TEST(Persist, RejectsNonFinitePayloadSections) {
-  // A NaN or infinite charge, radius or weighted normal fails the load
-  // with an error naming the section and the element.
-  const Problem p(200);
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  std::stringstream ss;
-  core::write_preprocessed(pre, ss);
-  const std::string bytes = ss.str();
-  struct Poison {
-    const char* tag;
-    std::uint32_t elem_size;
-    std::size_t offset;  // of the poisoned double within the element
-  };
-  constexpr std::size_t kElem = 5;
-  for (const Poison& site : {Poison{"chg", 8, 0}, Poison{"vdw", 8, 0},
-                             Poison{"wnrm", 24, 0}, Poison{"wnrm", 24, 8},
-                             Poison{"wnrm", 24, 16}}) {
-    // A section header is an 8-byte tag, the u32 element size, a reserved
-    // u32 and the u64 count; the elements follow it.
-    std::string head(16, '\0');
-    std::memcpy(head.data(), site.tag, std::strlen(site.tag));
-    std::memcpy(head.data() + 8, &site.elem_size, sizeof site.elem_size);
-    const std::size_t at = bytes.find(head);
-    ASSERT_NE(at, std::string::npos) << site.tag;
-    ASSERT_EQ(bytes.find(head, at + 1), std::string::npos) << site.tag;
-    const std::size_t data = at + 24;
-    for (const double v : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()}) {
-      SCOPED_TRACE(std::string(site.tag) + " " + std::to_string(v));
-      std::string bad = bytes;
-      std::memcpy(&bad[data + kElem * site.elem_size + site.offset], &v,
-                  sizeof v);
-      std::stringstream in(bad);
-      try {
-        (void)core::read_preprocessed(in);
-        ADD_FAILURE() << "accepted a non-finite payload";
-      } catch (const util::CheckError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find(std::string("'") + site.tag + "'"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("element " + std::to_string(kElem) + " "),
-                  std::string::npos)
-            << what;
-      }
-    }
-  }
-}
-
-TEST(Persist, TrailingWeightSectionOfOlderStreamsIsLeftUnread) {
-  // Streams written while T_Q still stored its quadrature weights end
-  // with a "wgt" section after "wnrm". They load unchanged: the reader
-  // stops after "wnrm" and leaves the weights unread in the stream.
-  const Problem p(200);
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  std::stringstream ss;
-  core::write_preprocessed(pre, ss);
-  const std::vector<double> weights(pre.qpoints.num_points(), 0.25);
-  octree::write_f64_section(ss, "wgt", weights);
-  GBEngine fresh(p.molecule, p.surf);
-  GBEngine adopted(core::read_preprocessed(ss));
-  EXPECT_EQ(fresh.compute().epol, adopted.compute().epol);
-  EXPECT_EQ(octree::read_f64_section(ss, "wgt"), weights);
-}
-
-TEST(Persist, TruncationSweepAlwaysErrorsCleanly) {
-  // Loading a stream cut at any point must throw a CheckError (short
-  // read / bad magic / implausible length), never crash or return a
-  // partially-filled artifact.
-  const Problem p(120);
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  std::stringstream ss;
-  core::write_preprocessed(pre, ss);
-  const std::string bytes = ss.str();
-  // Every prefix in the header region, then strided through the payload
-  // (the payload is large; every section boundary is still crossed).
-  std::vector<std::size_t> cuts;
-  for (std::size_t i = 0; i < std::min<std::size_t>(bytes.size(), 256); ++i)
-    cuts.push_back(i);
-  for (std::size_t i = 256; i < bytes.size(); i += 97) cuts.push_back(i);
-  for (const std::size_t cut : cuts) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(core::read_preprocessed(truncated), util::CheckError)
-        << "cut at " << cut << " of " << bytes.size();
-  }
-}
-
-TEST(Preprocessed, FootprintIsTheTreesPlusTheirPayloadPlanes) {
-  // Exact accounting, built or reloaded: each octree plus its tree-order
-  // payload planes and nothing else. T_A carries charge and vdW radius;
-  // T_Q carries the three w·n SoA planes, and per node one w·n aggregate,
-  // one six-entry normal moment and one ten-entry second moment.
-  const Problem p(400);
-  const auto expect_exact = [](const core::Preprocessed& pre) {
-    const core::AtomsTree& ta = pre.atoms;
-    const core::QPointsTree& tq = pre.qpoints;
-    EXPECT_EQ(ta.footprint_bytes(),
-              ta.tree.footprint_bytes() + ta.num_atoms() * 2 * sizeof(double));
-    EXPECT_EQ(tq.footprint_bytes(),
-              tq.tree.footprint_bytes() +
-                  tq.num_points() * 3 * sizeof(double) +
-                  tq.tree.nodes().size() *
-                      (sizeof(geom::Vec3) + 16 * sizeof(double)));
-    EXPECT_EQ(pre.footprint_bytes(),
-              ta.footprint_bytes() + tq.footprint_bytes());
-  };
-  const auto pre = core::Preprocessed::build(p.molecule, p.surf);
-  expect_exact(pre);
-  std::stringstream ss;
-  core::write_preprocessed(pre, ss);
-  expect_exact(core::read_preprocessed(ss));
 }
 
 // ---- ScoringSession: parameter re-evaluation --------------------------------

@@ -1,9 +1,7 @@
 #pragma once
 /// \file legacy_octree.hpp
 /// The pre-Morton recursive octree partitioner, kept as a test reference:
-/// octree_equiv_test checks that the Morton pipeline yields the same tree,
-/// and octree_test round-trips its trees through serialize v1/v2 as trees
-/// assembled through from_parts rather than built.
+/// octree_equiv_test checks that the Morton pipeline yields the same tree.
 
 #include <span>
 

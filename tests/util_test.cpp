@@ -76,6 +76,12 @@ TEST(Strings, ParseIntField) {
   EXPECT_EQ(util::parse_int_field("", 9), 9);
   EXPECT_EQ(util::parse_int_field("-7", 0), -7);
   EXPECT_THROW(util::parse_int_field("4.2", 0), util::CheckError);
+  // Outside int: rejected, not wrapped (4294967298 would read as 2).
+  EXPECT_THROW(util::parse_int_field("4294967298", 0), util::CheckError);
+  EXPECT_THROW(util::parse_int_field("-2147483649", 0), util::CheckError);
+  EXPECT_EQ(util::parse_int_field("2147483647", 0), 2147483647);
+  EXPECT_THROW(util::parse_llong_field("99999999999999999999", 0),
+               util::CheckError);
 }
 
 TEST(Strings, Format) {
@@ -170,19 +176,32 @@ TEST(Args, ParsesAllForms) {
   std::string name = "default";
   double x = 1.0;
   int n = 2;
+  long long seed = 3;
   bool flag = false;
   util::Args args;
   args.add("name", &name, "a name")
       .add("x", &x, "a double")
       .add("n", &n, "an int")
+      .add("seed", &seed, "a long long")
       .flag("verbose", &flag, "a flag");
   const char* argv[] = {"prog", "--name", "mol", "--x=2.5", "--n", "7",
-                        "--verbose"};
-  args.parse(7, const_cast<char**>(argv));
+                        "--seed=-12", "--verbose"};
+  args.parse(8, const_cast<char**>(argv));
   EXPECT_EQ(name, "mol");
   EXPECT_DOUBLE_EQ(x, 2.5);
   EXPECT_EQ(n, 7);
+  EXPECT_EQ(seed, -12);
   EXPECT_TRUE(flag);
+  // Every numeric form rejects trailing garbage and out-of-range values.
+  for (const char* bad : {"--x=2.5x", "--n=7abc", "--n=4294967298",
+                          "--seed=12abc", "--seed=abc"}) {
+    SCOPED_TRACE(bad);
+    const char* bad_argv[] = {"prog", bad};
+    EXPECT_THROW(args.parse(2, const_cast<char**>(bad_argv)),
+                 util::CheckError);
+  }
+  EXPECT_EQ(n, 7);
+  EXPECT_EQ(seed, -12);
 }
 
 TEST(Args, UnknownOptionThrows) {
