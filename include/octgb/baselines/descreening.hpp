@@ -21,8 +21,6 @@ namespace octgb::baselines {
 /// Which pairwise Born-radius model to evaluate.
 enum class BornModel { HCT, OBC, Still };
 
-const char* born_model_name(BornModel m);
-
 /// Model constants (defaults follow the cited papers).
 struct DescreeningParams {
   double dielectric_offset = 0.09;  ///< ρ̃ = ρ − offset (HCT/OBC), Å

@@ -41,13 +41,6 @@ inline double fast_exp(double x) {
   return std::bit_cast<double>(static_cast<std::uint64_t>(t));
 }
 
-/// x^(-3) via rsqrt: x^(-3) = (1/sqrt(x))^6.
-inline double fast_inv_cube(double x) {
-  const double r = fast_rsqrt(x);
-  const double r2 = r * r;
-  return r2 * r2 * r2;
-}
-
 /// Approximate x^(-1/3) (used by the Born radius finalization):
 /// x^(-1/3) = (1/sqrt(x))^(2/3) — computed as rsqrt(cbrt estimate) with a
 /// Newton step on y³ = 1/x.

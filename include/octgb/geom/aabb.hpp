@@ -54,12 +54,6 @@ struct Aabb {
            p.z >= lo.z && p.z <= hi.z;
   }
 
-  bool overlaps(const Aabb& b) const {
-    return !empty() && !b.empty() && lo.x <= b.hi.x && b.lo.x <= hi.x &&
-           lo.y <= b.hi.y && b.lo.y <= hi.y && lo.z <= b.hi.z &&
-           b.lo.z <= hi.z;
-  }
-
   /// Bounding box of a point set.
   static Aabb of(std::span<const Vec3> pts) {
     Aabb b;

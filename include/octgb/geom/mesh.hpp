@@ -22,7 +22,6 @@ struct TriMesh {
   };
   std::vector<Tri> triangles;
 
-  std::size_t num_vertices() const { return vertices.size(); }
   std::size_t num_triangles() const { return triangles.size(); }
 
   /// Total surface area of the mesh.
@@ -36,8 +35,5 @@ TriMesh icosahedron();
 /// faces), vertices re-projected to the unit sphere. Results are cached;
 /// the returned reference is valid for the program's lifetime.
 const TriMesh& icosphere(int level);
-
-/// Euler characteristic V - E + F (2 for a sphere) — used in tests.
-long euler_characteristic(const TriMesh& mesh);
 
 }  // namespace octgb::geom

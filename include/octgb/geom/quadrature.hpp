@@ -24,9 +24,6 @@ struct TriQuadPoint {
 /// Degrees outside the range are clamped. The returned span is static data.
 std::span<const TriQuadPoint> dunavant_rule(int degree);
 
-/// Number of points in the rule for `degree`.
-std::size_t dunavant_point_count(int degree);
-
 /// A quadrature point positioned on a concrete 3D triangle.
 struct SurfacePoint {
   Vec3 position;

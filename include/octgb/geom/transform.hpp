@@ -40,9 +40,6 @@ struct Mat3 {
       for (int c = 0; c < 3; ++c) t.m[c * 3 + r] = m[r * 3 + c];
     return t;
   }
-
-  /// Deviation of Rᵀ R from identity; ~0 for a true rotation.
-  double orthogonality_error() const;
 };
 
 /// Rigid transform p ↦ R p + t.

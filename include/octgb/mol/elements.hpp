@@ -26,9 +26,6 @@ enum class Element : std::uint8_t {
 /// Bondi van-der-Waals radius in Å. Unknown elements get 1.7 Å (carbon).
 double vdw_radius(Element e);
 
-/// Atomic mass in Daltons (unknown → 12).
-double atomic_mass(Element e);
-
 /// One- or two-letter element symbol ("C", "Fe"); Unknown → "X".
 std::string_view element_symbol(Element e);
 

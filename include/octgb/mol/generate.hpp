@@ -17,6 +17,12 @@
 
 namespace octgb::mol {
 
+/// Largest `target_atoms` either generator accepts, well above the 6M-atom
+/// BTV (the largest molecule the paper runs). A negative CLI count cast to
+/// std::size_t lands far above it and is rejected, instead of growing a
+/// molecule until the process is killed.
+inline constexpr std::size_t kMaxGeneratedAtoms = 100'000'000;
+
 /// Parameters for the globular synthetic protein generator.
 struct ProteinSpec {
   std::size_t target_atoms = 1000;  ///< approximate atom count (± 1 residue)
@@ -27,7 +33,8 @@ struct ProteinSpec {
 /// Generate a globular protein-like molecule: a self-avoiding Cα random
 /// walk confined to a sphere sized for protein density, with residue
 /// templates (backbone + side-chain atoms, CHARMM-like partial charges)
-/// attached at each Cα. Net charge is a small integer.
+/// attached at each Cα. Net charge is a small integer. Throws
+/// util::CheckError unless 6 <= target_atoms <= kMaxGeneratedAtoms.
 Molecule generate_protein(const ProteinSpec& spec);
 
 /// Parameters for the icosahedral virus-shell generator.
@@ -39,7 +46,8 @@ struct ShellSpec {
 
 /// Generate a hollow capsid shell: protein-like residue clusters placed on
 /// a Fibonacci lattice over a sphere whose radius is chosen so the wall has
-/// protein density. This is the stand-in for BTV / the CMV shell.
+/// protein density. This is the stand-in for BTV / the CMV shell. Throws
+/// util::CheckError unless 100 <= target_atoms <= kMaxGeneratedAtoms.
 Molecule generate_virus_shell(const ShellSpec& spec);
 
 }  // namespace octgb::mol

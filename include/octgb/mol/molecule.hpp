@@ -49,7 +49,6 @@ class Molecule {
 
   /// Labels are either empty or exactly parallel to atoms().
   std::span<const AtomLabel> labels() const { return labels_; }
-  bool has_labels() const { return !labels_.empty(); }
 
   /// Append an atom without a label. Mixing labeled and unlabeled appends
   /// is rejected.

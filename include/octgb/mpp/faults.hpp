@@ -33,9 +33,6 @@ enum class FaultKind : std::uint8_t {
   Kill        ///< the rank dies (RankKilledError) at the operation
 };
 
-/// Stable display name ("drop", "kill", ...) for logs and metrics.
-const char* fault_kind_name(FaultKind kind);
-
 /// One seeded fault rule. Message-fault rules (Drop/Delay/Duplicate/
 /// Corrupt) trigger on sends; Stall/Kill trigger on any communication
 /// operation of the victim rank.

@@ -49,10 +49,6 @@ class RefitMonitor {
   /// Re-snapshot after a rebuild (or any topology change).
   void rebase(const Octree& tree);
 
-  /// Worst current leaf inflation: max over leaves of
-  /// radius_now / max(radius_at_rebase, slack). ≤ 1 right after rebase.
-  double worst_leaf_inflation(const Octree& tree) const;
-
   /// True when any leaf's inflation exceeds the rebuild threshold.
   bool should_rebuild(const Octree& tree) const;
 

@@ -38,52 +38,11 @@ constexpr std::uint64_t morton_spread(std::uint64_t v) {
   return v;
 }
 
-/// Inverse of morton_spread: gather every third bit back into the low 21.
-constexpr std::uint32_t morton_compact(std::uint64_t v) {
-  v &= 0x1249249249249249ULL;
-  v = (v | (v >> 2)) & 0x10c30c30c30c30c3ULL;
-  v = (v | (v >> 4)) & 0x100f00f00f00f00fULL;
-  v = (v | (v >> 8)) & 0x001f0000ff0000ffULL;
-  v = (v | (v >> 16)) & 0x001f00000000ffffULL;
-  v = (v | (v >> 32)) & 0x00000000001fffffULL;
-  return static_cast<std::uint32_t>(v);
-}
-
 /// Interleave three ≤21-bit coordinates into one key (x least significant
 /// within each 3-bit digit, matching the legacy octant numbering).
 constexpr std::uint64_t morton_encode(std::uint32_t x, std::uint32_t y,
                                       std::uint32_t z) {
   return morton_spread(x) | (morton_spread(y) << 1) | (morton_spread(z) << 2);
-}
-
-/// De-interleaved coordinates of a Morton key.
-struct MortonCoords {
-  std::uint32_t x = 0, y = 0, z = 0;
-  friend bool operator==(const MortonCoords&, const MortonCoords&) = default;
-};
-
-/// Inverse of morton_encode.
-constexpr MortonCoords morton_decode(std::uint64_t key) {
-  return {morton_compact(key), morton_compact(key >> 1),
-          morton_compact(key >> 2)};
-}
-
-/// The 3-bit octant digit of `key` at tree `level` (level 0 = the root
-/// split) for a grid of `bits` levels. Digits run from the most significant
-/// triple down, so lexicographic key order is depth-first octant order.
-constexpr unsigned morton_digit(std::uint64_t key, int level, int bits) {
-  return static_cast<unsigned>((key >> (3 * (bits - 1 - level))) & 7u);
-}
-
-/// Number of leading levels on which two keys agree (their lowest common
-/// ancestor's depth in a `bits`-level grid). Equal keys share all levels.
-constexpr int morton_common_levels(std::uint64_t a, std::uint64_t b,
-                                   int bits) {
-  int level = 0;
-  while (level < bits && morton_digit(a, level, bits) ==
-                             morton_digit(b, level, bits))
-    ++level;
-  return level;
 }
 
 /// The quantization grid a Morton tree was built over: a cubical box of
@@ -124,13 +83,6 @@ struct MortonGrid {
   std::uint64_t key(const geom::Vec3& p) const {
     return morton_encode(quantize(p.x, origin.x), quantize(p.y, origin.y),
                          quantize(p.z, origin.z));
-  }
-
-  /// Center of the grid cell addressed by a key (tests; lossy inverse).
-  geom::Vec3 cell_center(std::uint64_t k) const {
-    const MortonCoords c = morton_decode(k);
-    return {origin.x + (c.x + 0.5) * cell, origin.y + (c.y + 0.5) * cell,
-            origin.z + (c.z + 0.5) * cell};
   }
 };
 

@@ -57,9 +57,4 @@ struct Surface {
 Surface build_surface(const mol::Molecule& mol,
                       const SurfaceParams& params = {});
 
-/// Sample a single isolated sphere (used by calibration tests and the
-/// quickstart example).
-Surface build_sphere_surface(const geom::Vec3& center, double radius,
-                             const SurfaceParams& params = {});
-
 }  // namespace octgb::surface

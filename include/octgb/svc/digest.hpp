@@ -76,10 +76,6 @@ class DigestBuilder {
   std::uint64_t lo_ = 0xcbf29ce484222325ULL;  // FNV-1a-64 state
 };
 
-/// Digest of a molecule's evaluation-relevant content (positions, radii,
-/// charges — not the name or labels).
-Digest digest_molecule(const mol::Molecule& mol);
-
 /// The artifact-cache key for one job's inputs: molecule content, surface
 /// sampling, tree-build parameters, and the partition/arithmetic knobs of
 /// `config` (see the file comment for the exact in/out list).

@@ -4,8 +4,8 @@
 ///
 /// Usage:
 ///   OCTGB_LOG(info) << "built octree with " << n << " nodes";
-/// Level is controlled globally (Logger::set_level) or via the OCTGB_LOG
-/// environment variable (trace|debug|info|warn|error|off).
+/// Only the OCTGB_LOG environment variable (trace|debug|info|warn|error|off)
+/// sets the level, read once at first use; the default is warn.
 
 #include <atomic>
 #include <mutex>
@@ -24,7 +24,6 @@ class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel lvl) { level_.store(static_cast<int>(lvl)); }
   LogLevel level() const { return static_cast<LogLevel>(level_.load()); }
   bool enabled(LogLevel lvl) const {
     return static_cast<int>(lvl) >= level_.load();

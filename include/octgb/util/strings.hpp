@@ -14,14 +14,8 @@ std::string_view trim(std::string_view s);
 /// Split on a single-character delimiter. Empty fields are kept.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Split on arbitrary runs of whitespace. Empty fields are dropped.
-std::vector<std::string> split_ws(std::string_view s);
-
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Lower-case an ASCII string.
-std::string to_lower(std::string_view s);
 
 /// Upper-case an ASCII string.
 std::string to_upper(std::string_view s);

@@ -21,9 +21,6 @@ class Table {
   /// Append one row; must match the header width.
   void row(std::vector<std::string> cells);
 
-  /// Convenience: format cells with snprintf-style specs.
-  void rowf(std::initializer_list<std::string> cells);
-
   /// Render the aligned table.
   std::string str() const;
 
@@ -37,8 +34,6 @@ class Table {
   /// Print the aligned table to stdout.
   void print() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::string>& header_row() const { return header_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:

@@ -88,12 +88,6 @@ class ChaseLevDeque {
     return x;
   }
 
-  /// Approximate size; exact only when quiescent.
-  std::int64_t size_approx() const {
-    return bottom_.load(std::memory_order_relaxed) -
-           top_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Array {
     explicit Array(std::size_t cap) : capacity(cap), slots(cap) {}

@@ -104,10 +104,6 @@ class Scheduler {
   SchedulerStats stats() const;
   void reset_stats();
 
-  /// The cpu id worker `i` is mapped to (pinned or not); its victim
-  /// tiers are built from this cpu's topology domains.
-  int worker_cpu(int i) const;
-
   /// The scheduler the current thread is executing under, or nullptr.
   static Scheduler* current();
 

@@ -7,18 +7,6 @@
 
 namespace octgb::baselines {
 
-const char* born_model_name(BornModel m) {
-  switch (m) {
-    case BornModel::HCT:
-      return "HCT";
-    case BornModel::OBC:
-      return "OBC";
-    case BornModel::Still:
-      return "STILL";
-  }
-  return "?";
-}
-
 namespace {
 
 /// The HCT pair descreening integral I(r, s, rho): the amount atom j

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "octgb/geom/quadrature.hpp"
@@ -77,18 +76,6 @@ const TriMesh& icosphere(int level) {
   TriMesh m = icosahedron();
   for (int i = 0; i < level; ++i) m = subdivide(m);
   return cache.emplace(level, std::move(m)).first->second;
-}
-
-long euler_characteristic(const TriMesh& mesh) {
-  std::set<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (const auto& t : mesh.triangles) {
-    edges.insert(std::minmax(t.v0, t.v1));
-    edges.insert(std::minmax(t.v1, t.v2));
-    edges.insert(std::minmax(t.v2, t.v0));
-  }
-  return static_cast<long>(mesh.vertices.size()) -
-         static_cast<long>(edges.size()) +
-         static_cast<long>(mesh.triangles.size());
 }
 
 }  // namespace octgb::geom

@@ -101,10 +101,6 @@ std::span<const TriQuadPoint> dunavant_rule(int degree) {
   return all_rules()[degree - 1];
 }
 
-std::size_t dunavant_point_count(int degree) {
-  return dunavant_rule(degree).size();
-}
-
 double triangle_area(const Vec3& v0, const Vec3& v1, const Vec3& v2) {
   return 0.5 * (v1 - v0).cross(v2 - v0).norm();
 }

@@ -28,13 +28,4 @@ Mat3 Mat3::operator*(const Mat3& o) const {
   return r;
 }
 
-double Mat3::orthogonality_error() const {
-  const Mat3 p = transposed() * *this;
-  double err = 0.0;
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 3; ++j)
-      err = std::max(err, std::abs(p.m[i * 3 + j] - (i == j ? 1.0 : 0.0)));
-  return err;
-}
-
 }  // namespace octgb::geom

@@ -30,30 +30,6 @@ double vdw_radius(Element e) {
   return 1.70;
 }
 
-double atomic_mass(Element e) {
-  switch (e) {
-    case Element::H:
-      return 1.008;
-    case Element::C:
-      return 12.011;
-    case Element::N:
-      return 14.007;
-    case Element::O:
-      return 15.999;
-    case Element::P:
-      return 30.974;
-    case Element::S:
-      return 32.06;
-    case Element::Fe:
-      return 55.845;
-    case Element::Zn:
-      return 65.38;
-    case Element::Unknown:
-      return 12.011;
-  }
-  return 12.011;
-}
-
 std::string_view element_symbol(Element e) {
   switch (e) {
     case Element::H:

@@ -298,6 +298,9 @@ double mean_atoms_per_residue() {
 
 Molecule generate_protein(const ProteinSpec& spec) {
   OCTGB_CHECK_MSG(spec.target_atoms >= 6, "need at least one residue");
+  OCTGB_CHECK_MSG(spec.target_atoms <= kMaxGeneratedAtoms,
+                  "target_atoms " << spec.target_atoms << " exceeds "
+                                  << kMaxGeneratedAtoms);
   Xoshiro256 rng(spec.seed);
   const auto& templates = residue_templates();
 
@@ -376,6 +379,9 @@ Molecule generate_protein(const ProteinSpec& spec) {
 
 Molecule generate_virus_shell(const ShellSpec& spec) {
   OCTGB_CHECK_MSG(spec.target_atoms >= 100, "shell too small");
+  OCTGB_CHECK_MSG(spec.target_atoms <= kMaxGeneratedAtoms,
+                  "target_atoms " << spec.target_atoms << " exceeds "
+                                  << kMaxGeneratedAtoms);
   Xoshiro256 rng(spec.seed);
   const auto& templates = residue_templates();
   const double apr = mean_atoms_per_residue();

@@ -7,18 +7,6 @@
 
 namespace octgb::mpp::faults {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::Drop: return "drop";
-    case FaultKind::Delay: return "delay";
-    case FaultKind::Duplicate: return "duplicate";
-    case FaultKind::Corrupt: return "corrupt";
-    case FaultKind::Stall: return "stall";
-    case FaultKind::Kill: return "kill";
-  }
-  return "unknown";
-}
-
 FaultPlan message_loss_plan(std::uint64_t seed, double p) {
   FaultPlan plan;
   plan.seed = seed;

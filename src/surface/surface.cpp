@@ -333,15 +333,4 @@ Surface build_surface(const mol::Molecule& mol, const SurfaceParams& params) {
   return out;
 }
 
-Surface build_sphere_surface(const geom::Vec3& center, double radius,
-                             const SurfaceParams& params) {
-  mol::Molecule m("sphere");
-  mol::Atom a;
-  a.pos = center;
-  a.radius = radius;
-  a.charge = 1.0;
-  m.add_atom(a);
-  return build_surface(m, params);
-}
-
 }  // namespace octgb::surface

@@ -37,19 +37,6 @@ void DigestBuilder::bytes(const void* data, std::size_t n) {
   }
 }
 
-Digest digest_molecule(const mol::Molecule& mol) {
-  DigestBuilder b;
-  b.pod(mol.size());
-  for (const auto& a : mol.atoms()) {
-    b.pod(a.pos.x);
-    b.pod(a.pos.y);
-    b.pod(a.pos.z);
-    b.pod(a.radius);
-    b.pod(a.charge);
-  }
-  return b.finish();
-}
-
 Digest digest_job_inputs(const mol::Molecule& mol,
                          const surface::SurfaceParams& surface,
                          const core::EngineConfig& config) {

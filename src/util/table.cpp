@@ -21,10 +21,6 @@ void Table::row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::rowf(std::initializer_list<std::string> cells) {
-  row(std::vector<std::string>(cells));
-}
-
 std::string Table::str() const {
   std::vector<std::size_t> widths(header_.size(), 0);
   for (std::size_t c = 0; c < header_.size(); ++c)

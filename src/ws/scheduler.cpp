@@ -101,12 +101,6 @@ Scheduler::~Scheduler() {
 
 Scheduler* Scheduler::current() { return tls_scheduler; }
 
-int Scheduler::worker_cpu(int i) const {
-  const int n = static_cast<int>(all_workers_.size());
-  OCTGB_CHECK_MSG(i >= 0 && i < n, "worker index out of range");
-  return all_workers_[static_cast<std::size_t>(i)]->cpu;
-}
-
 void Scheduler::run(const std::function<void()>& root) {
   OCTGB_CHECK_MSG(tls_scheduler == nullptr, "Scheduler::run is not reentrant");
   Worker& w0 = *all_workers_[0];

@@ -35,7 +35,7 @@ TEST(Descreening, IsolatedAtomKeepsReducedRadius) {
     const auto born = pairwise_born_radii(m, nb, model);
     ASSERT_EQ(born.size(), 1u);
     // No neighbors → Born radius = intrinsic (clamped to vdW).
-    EXPECT_NEAR(born[0], 1.7, 0.12) << baselines::born_model_name(model);
+    EXPECT_NEAR(born[0], 1.7, 0.12) << "model " << static_cast<int>(model);
   }
 }
 
@@ -50,7 +50,7 @@ TEST(Descreening, NeighborsIncreaseBornRadius) {
     const auto lone_born = pairwise_born_radii(lone, full_nblist(lone), model);
     const auto pair_born = pairwise_born_radii(pair, full_nblist(pair), model);
     EXPECT_GT(pair_born[0], lone_born[0] - 1e-9)
-        << baselines::born_model_name(model);
+        << "model " << static_cast<int>(model);
   }
 }
 
@@ -66,7 +66,7 @@ TEST(Descreening, BuriedAtomLargerThanSurfaceAtom) {
   for (BornModel model :
        {BornModel::HCT, BornModel::OBC, BornModel::Still}) {
     const auto born = pairwise_born_radii(m, nb, model);
-    EXPECT_GT(born[13], born[0]) << baselines::born_model_name(model);
+    EXPECT_GT(born[13], born[0]) << "model " << static_cast<int>(model);
     EXPECT_NEAR(born[0], born[26], 1e-9);  // opposite corners symmetric
   }
 }

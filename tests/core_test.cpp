@@ -70,12 +70,6 @@ TEST(FastMath, InvCbrtAccuracy) {
   }
 }
 
-TEST(FastMath, InvCubeMatchesExactClosely) {
-  for (double x : {0.5, 1.0, 7.7, 500.0}) {
-    EXPECT_NEAR(core::fast_inv_cube(x) * x * x * x, 1.0, 2e-3) << x;
-  }
-}
-
 // ---- GB parameters -----------------------------------------------------------
 
 TEST(GBParams, TauMatchesDefinition) {

@@ -450,7 +450,7 @@ TEST(Determinism, GeneratorsCoverAllTwentyResidueFamilies) {
   // A large molecule should sample every template (probabilistic but with
   // margin: 19 templates, ~600 residues).
   const auto m = mol::generate_protein({.target_atoms = 12000, .seed = 8});
-  ASSERT_TRUE(m.has_labels());
+  ASSERT_EQ(m.labels().size(), m.size());
   std::set<std::string> seen;
   for (const auto& l : m.labels()) seen.insert(l.residue_name);
   EXPECT_GE(seen.size(), 15u);

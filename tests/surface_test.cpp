@@ -16,9 +16,10 @@
 #include "octgb/surface/surface.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/ws/scheduler.hpp"
+#include "support/sphere_surface.hpp"
 
 using namespace octgb;
-using surface::build_sphere_surface;
+using test_support::build_sphere_surface;
 using surface::build_surface;
 using surface::Surface;
 using surface::SurfaceParams;

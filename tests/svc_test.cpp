@@ -60,6 +60,14 @@ TEST(SvcDigest, DeterministicAcrossCalls) {
   EXPECT_EQ(a.hex().size(), 32u);
 }
 
+// A fixed input's key, pinned: a change that moves it would orphan every
+// warm artifact, so digest refactors must keep it.
+TEST(SvcDigest, GoldenKeyForAFixedGeneratedMolecule) {
+  const Digest d = svc::digest_job_inputs(
+      small_protein(7), surface::SurfaceParams{}, core::EngineConfig{});
+  EXPECT_EQ(d.hex(), "2bd7dbd6a4fcf5ceea3ebf3cc3180469");
+}
+
 // Every knob that shapes trees, partition, or arithmetic must move the
 // digest; the full variant set must be pairwise collision-free.
 TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
@@ -156,12 +164,18 @@ svc::ArtifactBuilder session_builder(const mol::Molecule& mol) {
   };
 }
 
+/// The cache key of the artifact session_builder(mol) builds.
+Digest session_key(const mol::Molecule& mol) {
+  return svc::digest_job_inputs(mol, surface::SurfaceParams{.subdivision = 0},
+                                core::EngineConfig{});
+}
+
 }  // namespace
 
 TEST(SvcCache, HitSkipsTheBuilder) {
   svc::ArtifactCache cache(std::size_t{1} << 30);
   const auto mol = small_protein(3, 120);
-  const Digest d = svc::digest_molecule(mol);
+  const Digest d = session_key(mol);
 
   int builds = 0;
   auto counting = [&]() {
@@ -194,9 +208,9 @@ TEST(SvcCache, LruEvictsUnderByteBudget) {
   const auto m1 = small_protein(11, 120);
   const auto m2 = small_protein(12, 120);
   const auto m3 = small_protein(13, 120);
-  const Digest d1 = svc::digest_molecule(m1);
-  const Digest d2 = svc::digest_molecule(m2);
-  const Digest d3 = svc::digest_molecule(m3);
+  const Digest d1 = session_key(m1);
+  const Digest d2 = session_key(m2);
+  const Digest d3 = session_key(m3);
 
   // Measure one artifact to size the budget.
   std::size_t one = 0;
@@ -225,7 +239,7 @@ TEST(SvcCache, LruEvictsUnderByteBudget) {
 
 TEST(SvcCache, MruSurvivesEvenAZeroBudget) {
   const auto mol = small_protein(5, 120);
-  const Digest d = svc::digest_molecule(mol);
+  const Digest d = session_key(mol);
   svc::ArtifactCache cache(0);
   cache.acquire(d, session_builder(mol));
   EXPECT_TRUE(cache.contains(d))
@@ -239,9 +253,9 @@ TEST(SvcCache, InFlightHandleSurvivesEviction) {
   const auto m1 = small_protein(21, 120);
   const auto m2 = small_protein(22, 120);
   svc::ArtifactCache cache(0);  // single-entry: every insert evicts the rest
-  auto held = cache.acquire(svc::digest_molecule(m1), session_builder(m1));
-  cache.acquire(svc::digest_molecule(m2), session_builder(m2));
-  EXPECT_FALSE(cache.contains(svc::digest_molecule(m1)));
+  auto held = cache.acquire(session_key(m1), session_builder(m1));
+  cache.acquire(session_key(m2), session_builder(m2));
+  EXPECT_FALSE(cache.contains(session_key(m1)));
   // The evicted artifact stays alive and usable through the shared handle.
   ASSERT_NE(held->session, nullptr);
   EXPECT_GT(held->session->molecule().size(), 0u);
@@ -250,7 +264,7 @@ TEST(SvcCache, InFlightHandleSurvivesEviction) {
 TEST(SvcCache, FailedBuildPropagatesAndRetries) {
   svc::ArtifactCache cache(std::size_t{1} << 30);
   const auto mol = small_protein(6, 120);
-  const Digest d = svc::digest_molecule(mol);
+  const Digest d = session_key(mol);
   EXPECT_THROW(
       cache.acquire(d, []() -> std::unique_ptr<core::ScoringSession> {
         throw std::runtime_error("injected build failure");
@@ -271,7 +285,7 @@ TEST(SvcCache, ColdBuildRunsUnderOneInlineWorker) {
   svc::ArtifactCache cache(std::size_t{1} << 30);
   const auto mol = small_protein(8, 120);
   int ambient_workers = 0;
-  cache.acquire(svc::digest_molecule(mol), [&] {
+  cache.acquire(session_key(mol), [&] {
     const ws::Scheduler* s = ws::Scheduler::current();
     ambient_workers = s ? s->num_workers() : 0;
     return session_builder(mol)();
@@ -667,7 +681,7 @@ TEST(SvcService, UnpinnedServiceStillExportsStealTiers) {
 TEST(SvcConcurrency, CoalescedMissesBuildOnce) {
   svc::ArtifactCache cache(std::size_t{1} << 30);
   const auto mol = small_protein(61, 150);
-  const Digest d = svc::digest_molecule(mol);
+  const Digest d = session_key(mol);
   std::atomic<int> builds{0};
   std::atomic<int> arrived{0};
   auto builder = [&]() {

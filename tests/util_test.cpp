@@ -46,13 +46,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, SplitWsDropsEmptyFields) {
-  const auto parts = util::split_ws("  a \t b\n c ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(util::starts_with("ATOM  123", "ATOM"));
   EXPECT_FALSE(util::starts_with("AT", "ATOM"));
@@ -60,7 +53,6 @@ TEST(Strings, StartsWith) {
 }
 
 TEST(Strings, CaseConversion) {
-  EXPECT_EQ(util::to_lower("AbC1"), "abc1");
   EXPECT_EQ(util::to_upper("aBc1"), "ABC1");
 }
 
