@@ -24,24 +24,20 @@ int main(int argc, char** argv) {
 
   util::Table t("replicated vs data-distributed layout");
   t.header({"ranks", "replicated B/rank", "distributed worst B/rank",
-            "memory ratio", "worst ghosts", "ghost exchange", "Epol match"});
+            "memory ratio", "worst ghosts", "ghost exchange"});
 
-  const auto replicated = p.engine->compute();
   for (int ranks : {2, 4, 8, 16, 32}) {
     const auto dd = core::run_data_distributed(*p.engine, ranks, machine);
     std::size_t worst_ghosts = 0;
     for (const auto& r : dd.ranks)
       worst_ghosts = std::max(worst_ghosts, r.ghost_atoms);
-    const bool match =
-        std::abs(dd.epol - replicated.epol) < 1e-6 * std::abs(replicated.epol);
     t.row({util::format("%d", ranks),
            util::human_bytes(double(dd.replicated_bytes_per_rank)),
            util::human_bytes(double(dd.max_rank_bytes())),
            util::format("%.1fx", double(dd.replicated_bytes_per_rank) /
                                      double(dd.max_rank_bytes())),
            util::format("%zu atoms", worst_ghosts),
-           bench::fmt_time(dd.ghost_exchange_seconds),
-           match ? "yes" : "NO"});
+           bench::fmt_time(dd.ghost_exchange_seconds)});
   }
   t.print();
   bench::save_csv(t, "data_distribution");

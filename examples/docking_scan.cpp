@@ -11,12 +11,13 @@
 // ΔEpol = Epol(complex) − Epol(receptor) − Epol(ligand) wins.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int receptor_atoms = 2000;
   int ligand_atoms = 300;
   int poses = 12;
@@ -111,4 +112,7 @@ int main(int argc, char** argv) {
   std::printf("tree maintenance: %zu refits, %zu rebuilds\n",
               session.move_stats().refits, session.move_stats().rebuilds);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -5,12 +5,13 @@
 // parameter, unlike cutoff-based methods).
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 4000;
   util::Args args;
   args.add("atoms", &atoms, "synthetic protein size");
@@ -56,4 +57,7 @@ int main(int argc, char** argv) {
       "\nNote the last column: octree memory is identical at every eps — "
       "the space/accuracy decoupling that nblist-based packages lack.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -5,12 +5,13 @@
 // introduction motivates.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 500;
   int outer = 5;
   int inner = 4;
@@ -61,4 +62,7 @@ int main(int argc, char** argv) {
   std::printf("\nEpol: %.2f -> %.2f kcal/mol (%+.2f)\n", previous, final_e,
               final_e - previous);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -6,12 +6,13 @@
 // steady-state loop grows no scratch buffer.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 1500;
   int steps = 20;
   double step_sigma = 0.08;  // Å per step, thermal-jiggle scale
@@ -67,4 +68,7 @@ int main(int argc, char** argv) {
               session.move_stats().refits, session.move_stats().rebuilds,
               session.scratch().allocation_events);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -3,12 +3,13 @@
 // round-trip — the workflow for feeding external structures to octgb.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 800;
   std::string path = "example_molecule.pdb";
   util::Args args;
@@ -43,4 +44,7 @@ int main(int argc, char** argv) {
       "difference     = %.4f %% (PDB stores 3 decimals of position)\n",
       e_original, e_parsed, perf::percent_error(e_parsed, e_original));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

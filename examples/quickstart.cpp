@@ -10,12 +10,13 @@
 //   4. compute() → Epol + per-atom Born radii.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 1000;
   double eps = 0.9;
   std::string pdb_path;
@@ -70,4 +71,7 @@ int main(int argc, char** argv) {
       "\nBorn radii: min %.2f A, mean %.2f A, max %.2f A over %zu atoms\n",
       radii.min(), radii.mean(), radii.max(), result.born.size());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -4,12 +4,13 @@
 // onto simulated cluster shapes of the Table I machine.
 
 #include <cstdio>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 20000;
   int ranks = 4;
   int threads = 2;
@@ -76,4 +77,7 @@ int main(int argc, char** argv) {
   }
   t.print();
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

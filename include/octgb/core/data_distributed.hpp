@@ -15,10 +15,11 @@
 /// replaying the admissibility decisions of APPROX-INTEGRALS and
 /// APPROX-EPOL, and prices the resulting exchange with the machine model.
 ///
-/// Energies are identical to the replicated algorithm by construction
-/// (same kernels, same segmentation); what changes is the measured
-/// memory-per-rank and the added ghost-exchange communication — the
-/// tradeoff bench_data_distribution quantifies.
+/// The kernels and the segmentation are the replicated algorithm's, so a
+/// deployment would compute the same energy; this module computes none.
+/// It reports only what changes: the measured memory per rank and the
+/// added ghost-exchange communication — the tradeoff
+/// bench_data_distribution quantifies.
 
 #include <cstdint>
 #include <vector>
@@ -33,15 +34,13 @@ struct DataDistRank {
   std::size_t owned_atoms = 0;
   std::size_t owned_qpoints = 0;
   std::size_t ghost_atoms = 0;    ///< near-field atoms fetched from peers
-  std::size_t ghost_qpoints = 0;  ///< near-field q-points fetched from peers
   std::size_t owned_bytes = 0;    ///< payloads this rank stores
   std::size_t ghost_bytes = 0;    ///< payloads exchanged per evaluation
   std::size_t skeleton_bytes = 0; ///< replicated tree structure
 };
 
-/// Result of a data-distributed evaluation.
+/// The data-distributed layout over all ranks and its modeled exchange.
 struct DataDistResult {
-  double epol = 0.0;
   std::vector<DataDistRank> ranks;
   /// Modeled extra communication for the ghost exchange (critical path).
   double ghost_exchange_seconds = 0.0;
@@ -52,8 +51,8 @@ struct DataDistResult {
   std::size_t max_rank_bytes() const;
 };
 
-/// Evaluate with data distribution over `ranks` ranks; physics identical
-/// to simulate_cluster with the same segmentation.
+/// Account the data-distributed layout over `ranks` ranks, segmented as
+/// simulate_cluster segments them.
 DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
                                     const perf::MachineModel& machine = {});
 

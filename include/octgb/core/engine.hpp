@@ -231,7 +231,8 @@ class GBEngine {
                     std::span<const double> born_tree, Segment a_leaf_segment,
                     perf::WorkCounters& counters) const;
 
-  /// Energy phase with atom-based work division (ablation).
+  /// Energy phase with atom-based work division: the §IV ablation, run
+  /// only by sim::simulate_cluster (the real drivers divide by leaf).
   double phase_epol_atom_based(const EpolContext& ctx,
                                std::span<const double> born_tree,
                                Segment atom_segment,

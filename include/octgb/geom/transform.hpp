@@ -33,13 +33,6 @@ struct Mat3 {
   }
 
   Mat3 operator*(const Mat3& o) const;
-
-  Mat3 transposed() const {
-    Mat3 t;
-    for (int r = 0; r < 3; ++r)
-      for (int c = 0; c < 3; ++c) t.m[c * 3 + r] = m[r * 3 + c];
-    return t;
-  }
 };
 
 /// Rigid transform p ↦ R p + t.
@@ -60,11 +53,6 @@ struct RigidTransform {
   /// Composition: (a * b).apply(p) == a.apply(b.apply(p)).
   RigidTransform operator*(const RigidTransform& o) const {
     return {rotation * o.rotation, rotation.apply(o.translation) + translation};
-  }
-
-  RigidTransform inverse() const {
-    const Mat3 rt = rotation.transposed();
-    return {rt, -rt.apply(translation)};
   }
 };
 

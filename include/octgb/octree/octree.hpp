@@ -100,8 +100,6 @@ class Octree {
   /// node-based work division segments exactly this sequence.
   const std::vector<std::uint32_t>& leaf_ids() const { return leaf_ids_; }
 
-  int max_depth() const { return max_depth_; }
-
   /// Memory footprint (replication accounting).
   std::size_t footprint_bytes() const;
 
@@ -124,7 +122,7 @@ class Octree {
 
   /// Assemble a tree from its parts (used by the test-reference legacy
   /// partitioner). `points` are in tree order; they fill the SoA planes,
-  /// and leaf ids and the depth are derived from the nodes. Throws
+  /// and the leaf ids are derived from the nodes. Throws
   /// util::CheckError naming the first point with a NaN or infinite
   /// coordinate; callers should validate() the rest.
   static Octree from_parts(std::vector<Node> nodes,
@@ -138,14 +136,13 @@ class Octree {
     soa_z_[pos] = p.z;
   }
   void assign_planes(std::span<const geom::Vec3> pts);  ///< resize + fill
-  void finish_derived();  ///< max_depth_ + leaf_ids_ from nodes_
+  void finish_derived();  ///< leaf_ids_ from nodes_
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> point_index_;  // permuted → original
   std::vector<std::uint32_t> leaf_ids_;
   std::vector<double> soa_x_, soa_y_, soa_z_;  // coordinate planes, permuted
   perf::TreeBuildCounters stats_;
-  int max_depth_ = 0;
 
   friend struct MortonBuilder;
 };

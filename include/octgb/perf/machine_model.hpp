@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "octgb/perf/counters.hpp"
-#include "octgb/perf/topology.hpp"
 
 namespace octgb::perf {
 
@@ -70,15 +69,6 @@ struct MachineModel {
 
   /// Cache inflation factor in [1, cache_miss_penalty].
   double cache_factor(double working_set_bytes, int cores_sharing_l3) const;
-
-  /// Table I constants overlaid with a *discovered* host shape: core and
-  /// socket counts (and the shared-L3 capacity, when sysfs reports it)
-  /// come from `topo`; the per-operation cycle costs and network terms
-  /// stay the documented Westmere values — they price operations, not the
-  /// host, and re-tuning them per machine would undermine the "chosen
-  /// once" contract above. The flat fallback topology therefore yields a
-  /// single-socket model whose cache term matches one uniform domain.
-  static MachineModel from_topology(const CpuTopology& topo);
 };
 
 /// Traffic summary for one rank (filled by the mpp runtime).
@@ -99,8 +89,5 @@ struct CommCounters {
     return *this;
   }
 };
-
-/// Communication seconds for one rank's traffic under the model.
-double comm_seconds(const MachineModel& m, const CommCounters& c);
 
 }  // namespace octgb::perf

@@ -5,13 +5,11 @@
 /// fallback for containers and non-Linux hosts.
 ///
 /// The paper's platform model (machine_model.hpp) fixes "2 sockets x 6
-/// cores, 12 MB shared L3 per socket" as Table I constants; this module
-/// discovers the *actual* host shape so the locality-aware execution layer
-/// (DESIGN.md §2.11) can act on it:
-///   - ws::Scheduler derives hierarchical steal-victim tiers (same L3 →
-///     same socket → remote) from the per-cpu domain ids;
-///   - MachineModel::from_topology folds the discovered shape into the
-///     modeled cache-pressure terms.
+/// cores, 12 MB shared L3 per socket" as Table I constants and never reads
+/// the host; this module discovers the *actual* host shape so the
+/// locality-aware execution layer (DESIGN.md §2.11) can act on it:
+/// ws::Scheduler derives hierarchical steal-victim tiers (same L3 → same
+/// socket → remote) from the per-cpu domain ids.
 ///
 /// Discovery never throws: any missing or malformed sysfs attribute
 /// degrades the affected cpu (and, when nothing at all is readable, the

@@ -36,7 +36,12 @@ struct ClusterConfig {
   int threads_per_rank = 1;  ///< p
   mpp::Topology topology{12};
   perf::MachineModel machine;
+  /// Point-count-weighted leaf segmentation instead of the paper's
+  /// even-by-count split (load-balancing ablation).
   bool weighted_division = false;
+  /// Atom-based instead of node-based division of the energy phase
+  /// (work-division ablation, §IV). The real drivers run neither
+  /// ablation; bench_workdiv sets both here.
   bool atom_based_epol = false;
   /// Multiplicative overhead per extra worker thread (cilk++ scheduling;
   /// the paper's footnote 5 notes cilk-4.5.4 generated slower code than
@@ -45,7 +50,7 @@ struct ClusterConfig {
   /// Fixed per-run cost of interfacing cilk++ with MPI (§V-C: "an
   /// additional overhead of interfacing cilk++ and MPI … prominent for
   /// smaller molecules"). Charged when P > 1 and p > 1.
-  double mpi_cilk_interface_seconds = 8e-4;
+  static constexpr double mpi_cilk_interface_seconds = 8e-4;
 };
 
 /// Result of one simulated run.
@@ -83,7 +88,7 @@ struct RecoveryConfig {
   double checkpoint_seconds = 0.05;
   /// Cost of restarting from the last checkpoint after a failure
   /// (re-division + reloading durable state).
-  double restart_seconds = 0.1;
+  static constexpr double restart_seconds = 0.1;
   /// Checkpoint cadence; 0 selects the Young/Daly optimum.
   double checkpoint_interval_seconds = 0.0;
 };

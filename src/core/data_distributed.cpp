@@ -106,23 +106,6 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
   DataDistResult result;
   result.ranks.resize(ranks);
 
-  // Physics: identical to the replicated algorithm — run the standard
-  // phases with the same segmentation (a real deployment would run them
-  // over the exchanged ghosts; the kernels and numbers are the same).
-  std::vector<double> node_s(engine.num_ta_nodes(), 0.0);
-  std::vector<double> atom_s(n_atoms, 0.0);
-  std::vector<double> born_tree(n_atoms, 0.0);
-  perf::WorkCounters work;
-  for (int r = 0; r < ranks; ++r)
-    engine.phase_integrals(div.q_segments[r], node_s, atom_s, work);
-  engine.phase_push({0, static_cast<std::uint32_t>(n_atoms)}, node_s, atom_s,
-                    born_tree, work);
-  const EpolContext ctx = engine.build_epol_context(born_tree);
-  double epol = 0.0;
-  for (int r = 0; r < ranks; ++r)
-    epol += engine.phase_epol(ctx, born_tree, div.a_leaf_segments[r], work);
-  result.epol = epol;
-
   // Accounting: owned payloads + measured ghost sets per rank.
   const std::size_t skeleton =
       (ta.tree.nodes().size() + tq.tree.nodes().size()) * kSkeletonNodeBytes;

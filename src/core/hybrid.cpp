@@ -1,10 +1,8 @@
 #include "octgb/core/hybrid.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 
 #include "octgb/core/checkpoint.hpp"
@@ -24,6 +22,38 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The in-thread harness of run_hybrid and run_hybrid_elastic: runs
+/// `rank_body` on every rank of an mpp::Runtime and fills what both
+/// results report — per-rank work and traffic, the wall time, and the
+/// energy and input-order radii of the first rank to finish, which every
+/// other finished rank must match. Returns each rank's outcome, empty for
+/// a rank a fault-plan kill ended.
+template <class Result, class RankBody>
+std::vector<std::optional<RankOutcome>> run_in_threads(
+    const GBEngine& engine, const mpp::Runtime::Options& opts,
+    Result& result, RankBody&& rank_body) {
+  std::vector<std::optional<RankOutcome>> outcomes(opts.ranks);
+  perf::Timer timer;
+  // Each rank writes only its own slot; Runtime::run joins them all.
+  result.comm_per_rank = mpp::Runtime::run(
+      opts, [&](mpp::Comm& comm) { outcomes[comm.rank()] = rank_body(comm); });
+  result.wall_seconds = timer.seconds();
+
+  result.work_per_rank.resize(opts.ranks);
+  const RankOutcome* first = nullptr;
+  for (int r = 0; r < opts.ranks; ++r) {
+    if (!outcomes[r]) continue;
+    result.work_per_rank[r] = outcomes[r]->work;
+    if (first == nullptr) first = &*outcomes[r];
+    OCTGB_CHECK_MSG(same_bits(outcomes[r]->epol, first->epol),
+                    "ranks disagree on the reduced energy");
+  }
+  OCTGB_CHECK_MSG(first != nullptr, "every rank died; nothing to recover");
+  result.epol = first->epol;
+  result.born = engine.born_to_input_order(first->born_tree);
+  return outcomes;
+}
+
 }  // namespace
 
 RankOutcome run_hybrid_rank(const GBEngine& engine,
@@ -34,8 +64,8 @@ RankOutcome run_hybrid_rank(const GBEngine& engine,
   const int r = comm.rank();
   const auto n_nodes = engine.num_ta_nodes();
   const auto n_atoms = engine.num_atoms();
-  const Division div =
-      make_division(engine, config.ranks, config.weighted_division);
+  const Division div = make_division(engine, config.ranks,
+                                     HybridConfig::weighted_division);
 
   RankOutcome out;
   perf::WorkCounters& work = out.work;
@@ -94,16 +124,13 @@ RankOutcome run_hybrid_rank(const GBEngine& engine,
     born_tree = std::move(all);
   }
 
-  // Step 6: partial energy (node- or atom-based division).
+  // Step 6: partial energy over my T_A leaf segment.
   {
     OCTGB_SPAN("hybrid.epol");
     const EpolContext ctx = engine.build_epol_context(born_tree);
     auto step6 = [&] {
-      epol_part = config.atom_based_epol
-                      ? engine.phase_epol_atom_based(
-                            ctx, born_tree, div.atom_segments[r], work)
-                      : engine.phase_epol(ctx, born_tree,
-                                          div.a_leaf_segments[r], work);
+      epol_part =
+          engine.phase_epol(ctx, born_tree, div.a_leaf_segments[r], work);
     };
     if (sched)
       sched->run(step6);
@@ -132,35 +159,14 @@ HybridResult run_hybrid(const GBEngine& engine, const HybridConfig& config) {
   OCTGB_CHECK_MSG(config.ranks >= 1, "need at least one rank");
   OCTGB_CHECK_MSG(config.threads_per_rank >= 1, "need at least one thread");
 
-  const int P = config.ranks;
-  HybridResult result;
-  result.work_per_rank.resize(P);
-  std::vector<double> final_epol(P, 0.0);
-  std::vector<std::vector<double>> final_born(P);
-  std::mutex result_mu;
-
-  perf::Timer timer;
   mpp::Runtime::Options opts;
-  opts.ranks = P;
+  opts.ranks = config.ranks;
   opts.topology = config.topology;
-
-  result.comm_per_rank = mpp::Runtime::run(opts, [&](mpp::Comm& comm) {
-    RankOutcome out = run_hybrid_rank(engine, config, comm);
-    const int r = comm.rank();
-    std::lock_guard<std::mutex> lock(result_mu);
-    result.work_per_rank[r] = out.work;
-    final_epol[r] = out.epol;
-    final_born[r] = std::move(out.born_tree);
+  HybridResult result;
+  run_in_threads(engine, opts, result, [&](mpp::Comm& comm) {
+    return run_hybrid_rank(engine, config, comm);
   });
-
-  result.wall_seconds = timer.seconds();
-  result.epol = final_epol[0];
-  for (int r = 1; r < P; ++r)
-    OCTGB_CHECK_MSG(same_bits(final_epol[r], final_epol[0]),
-                    "ranks disagree on the reduced energy");
-  result.born = engine.born_to_input_order(final_born[0]);
   for (const auto& w : result.work_per_rank) result.work_total += w;
-
   result.bytes_per_rank =
       replicated_rank_bytes(engine, config.threads_per_rank);
   return result;
@@ -198,7 +204,8 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
   // run_hybrid's static division. Deaths never change task boundaries —
   // only who computes which task — which is what makes recovery
   // bit-identical.
-  const Division div = make_division(engine, P, hc.weighted_division);
+  const Division div =
+      make_division(engine, P, HybridConfig::weighted_division);
 
   RankOutcome out;
   perf::WorkCounters& work = out.work;
@@ -242,11 +249,8 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
       default: {
         double part = 0.0;
         run_sched([&] {
-          part = hc.atom_based_epol
-                     ? engine.phase_epol_atom_based(
-                           *epol_ctx, born_tree, div.atom_segments[t], work)
-                     : engine.phase_epol(*epol_ctx, born_tree,
-                                         div.a_leaf_segments[t], work);
+          part = engine.phase_epol(*epol_ctx, born_tree,
+                                   div.a_leaf_segments[t], work);
         });
         data.push_back(part);
         break;
@@ -410,7 +414,7 @@ RankOutcome run_elastic_rank(const GBEngine& engine,
               born_tree.begin() + div.atom_segments[t].begin);
   }
 
-  // Phase 3: partial energies over the fixed leaf/atom segments.
+  // Phase 3: partial energies over the fixed T_A leaf segments.
   epol_ctx.emplace(engine.build_epol_context(born_tree));
   {
     OCTGB_SPAN("elastic.epol");
@@ -440,8 +444,6 @@ ElasticResult run_hybrid_elastic(const GBEngine& engine,
   OCTGB_CHECK_MSG(hc.ranks >= 1, "need at least one rank");
   OCTGB_CHECK_MSG(hc.threads_per_rank >= 1, "need at least one thread");
 
-  const int P = hc.ranks;
-
   // Simulated stable storage, shared by all ranks and surviving any of
   // them (it lives on the launching thread) — unless the caller supplied
   // real (file-backed) storage.
@@ -450,57 +452,27 @@ ElasticResult run_hybrid_elastic(const GBEngine& engine,
       config.store != nullptr ? *config.store : local_store;
 
   ElasticResult result;
-  result.work_per_rank.resize(P);
-  std::atomic<std::uint64_t> tasks_computed{0};
-  std::atomic<std::uint64_t> tasks_recomputed{0};
-  std::atomic<std::uint64_t> control_retries{0};
-  std::vector<std::uint8_t> done_flag(P, 0);
-  std::vector<double> final_epol(P, 0.0);
-  std::vector<std::vector<double>> final_born(P);
-  std::mutex result_mu;
-
-  perf::Timer timer;
   mpp::Runtime::Options opts;
-  opts.ranks = P;
+  opts.ranks = hc.ranks;
   opts.topology = hc.topology;
   opts.checksum = ElasticConfig::checksum;
   opts.fault_plan = config.fault_plan;
   opts.fault_stats_out = &result.faults;
-
-  result.comm_per_rank = mpp::Runtime::run(opts, [&](mpp::Comm& comm) {
-    const int me = comm.rank();
-    RankOutcome out = run_elastic_rank(engine, config, comm, store);
-    tasks_computed.fetch_add(out.tasks_computed, std::memory_order_relaxed);
-    tasks_recomputed.fetch_add(out.tasks_recomputed,
-                               std::memory_order_relaxed);
-    control_retries.fetch_add(out.control_retries,
-                              std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(result_mu);
-    result.work_per_rank[me] = out.work;
-    done_flag[me] = 1;
-    final_epol[me] = out.epol;
-    final_born[me] = std::move(out.born_tree);
-  });
-
-  result.wall_seconds = timer.seconds();
-  int first_done = -1;
-  for (int r = 0; r < P; ++r) {
-    if (!done_flag[r]) {
+  const auto outcomes =
+      run_in_threads(engine, opts, result, [&](mpp::Comm& comm) {
+        return run_elastic_rank(engine, config, comm, store);
+      });
+  for (int r = 0; r < hc.ranks; ++r) {
+    if (!outcomes[r]) {
       result.dead_ranks.push_back(r);
       continue;
     }
-    if (first_done < 0) first_done = r;
-    OCTGB_CHECK_MSG(same_bits(final_epol[r], final_epol[first_done]),
-                    "survivors disagree on the recovered energy");
     ++result.ranks_completed;
+    result.tasks_computed += outcomes[r]->tasks_computed;
+    result.tasks_recomputed += outcomes[r]->tasks_recomputed;
+    result.control_retries += outcomes[r]->control_retries;
   }
-  OCTGB_CHECK_MSG(first_done >= 0, "every rank died; nothing to recover");
-  result.epol = final_epol[first_done];
-  result.born = engine.born_to_input_order(final_born[first_done]);
-  result.tasks_computed = tasks_computed.load();
-  result.tasks_recomputed = tasks_recomputed.load();
   result.checkpoint_puts = store.puts();
-  result.control_retries = control_retries.load();
   if (trace::enabled()) {
     trace::counter("recovery.tasks_recomputed",
                    static_cast<double>(result.tasks_recomputed));

@@ -180,7 +180,6 @@ struct MortonBuilder {
       const std::uint32_t id = stack.back();
       stack.pop_back();
       Octree::Node node = t.nodes_[id];  // copy; vector may grow below
-      t.max_depth_ = std::max(t.max_depth_, static_cast<int>(node.depth));
 
       const int level = node.depth;
       const bool make_leaf = node.size() <= params.max_leaf_size ||
@@ -323,10 +322,8 @@ void Octree::assign_planes(std::span<const geom::Vec3> pts) {
 }
 
 void Octree::finish_derived() {
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    max_depth_ = std::max(max_depth_, static_cast<int>(nodes_[id].depth));
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id)
     if (nodes_[id].is_leaf()) leaf_ids_.push_back(id);
-  }
   // Left-to-right (point-range) order: leaf segments used for work
   // division are then spatially coherent, like the paper's.
   std::sort(leaf_ids_.begin(), leaf_ids_.end(),

@@ -44,19 +44,4 @@ double MachineModel::compute_seconds(const WorkCounters& w,
   return (interact_cycles + traversal_cycles) * factor / clock_hz;
 }
 
-MachineModel MachineModel::from_topology(const CpuTopology& topo) {
-  MachineModel m;
-  m.cores_per_node = std::max(1, topo.num_cpus());
-  m.sockets_per_node = std::max(1, topo.sockets);
-  if (topo.l3_bytes > 0) m.l3_bytes = static_cast<double>(topo.l3_bytes);
-  return m;
-}
-
-double comm_seconds(const MachineModel& m, const CommCounters& c) {
-  return static_cast<double>(c.messages_internode) * m.net_ts +
-         static_cast<double>(c.bytes_internode) * m.net_tw +
-         static_cast<double>(c.messages_intranode) * m.shm_ts +
-         static_cast<double>(c.bytes_intranode) * m.shm_tw;
-}
-
 }  // namespace octgb::perf

@@ -142,7 +142,7 @@ SimResult simulate_cluster(const GBEngine& engine,
                         costs.allgatherv(atom_bytes) +
                         costs.allreduce(sizeof(double));
   if (P > 1 && p > 1)
-    result.comm_seconds += config.mpi_cilk_interface_seconds;
+    result.comm_seconds += ClusterConfig::mpi_cilk_interface_seconds;
   result.total_seconds = result.compute_seconds + result.comm_seconds;
   return result;
 }
@@ -173,9 +173,8 @@ double optimal_checkpoint_interval(double checkpoint_seconds,
 RecoveryEstimate estimate_recovery(const SimResult& base,
                                    const RecoveryConfig& config) {
   OCTGB_CHECK_MSG(config.mtbf_seconds > 0.0, "MTBF must be positive");
-  OCTGB_CHECK_MSG(config.checkpoint_seconds >= 0.0 &&
-                      config.restart_seconds >= 0.0,
-                  "checkpoint/restart costs must be non-negative");
+  OCTGB_CHECK_MSG(config.checkpoint_seconds >= 0.0,
+                  "checkpoint cost must be non-negative");
   RecoveryEstimate est;
   est.optimal_interval_seconds =
       config.checkpoint_seconds > 0.0
@@ -199,7 +198,7 @@ RecoveryEstimate estimate_recovery(const SimResult& base,
   est.expected_failures = stretched / config.mtbf_seconds;
   est.rework_seconds =
       est.expected_failures *
-      (0.5 * est.interval_seconds + config.restart_seconds);
+      (0.5 * est.interval_seconds + RecoveryConfig::restart_seconds);
   est.expected_total_seconds = stretched + est.rework_seconds;
   est.overhead_fraction =
       T > 0.0 ? (est.expected_total_seconds - T) / T : 0.0;

@@ -35,17 +35,6 @@ struct Problem {
 
 // ---- data distribution --------------------------------------------------------
 
-TEST(DataDistributed, EnergyMatchesReplicatedAlgorithm) {
-  const Problem p(700);
-  GBEngine engine(p.molecule, p.surf);
-  const auto replicated = engine.compute();
-  for (int ranks : {1, 2, 4, 8}) {
-    const auto dd = core::run_data_distributed(engine, ranks);
-    EXPECT_NEAR(dd.epol, replicated.epol, 1e-9 * std::abs(replicated.epol))
-        << "ranks=" << ranks;
-  }
-}
-
 TEST(DataDistributed, OwnedDataPartitionsTheProblem) {
   const Problem p(900);
   GBEngine engine(p.molecule, p.surf);

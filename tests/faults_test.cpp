@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -447,6 +448,27 @@ TEST(Elastic, FaultFreeRunMatchesSerialReferenceAndDoesMinimalWork) {
   EXPECT_EQ(base.tasks_computed, 12u);  // 3 phases × 4 tasks, no repeats
   EXPECT_EQ(base.tasks_recomputed, 0u);
   EXPECT_EQ(base.faults.total(), 0u);
+}
+
+TEST(Elastic, FaultFreeRunIsBitwiseThePlainDriver) {
+  // Up to three ranks the elastic driver's ordered combine
+  // ((0 + r0) + r1) + r2 and run_hybrid's binomial reduce (r0 + r1) + r2
+  // associate the same way, so both drivers agree in every bit.
+  const auto& engine = elastic_fixture().engine;
+  for (int ranks : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    core::ElasticConfig cfg;
+    cfg.hybrid.ranks = ranks;
+    const auto elastic = core::run_hybrid_elastic(engine, cfg);
+    const auto plain = core::run_hybrid(engine, cfg.hybrid);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(elastic.epol),
+              std::bit_cast<std::uint64_t>(plain.epol));
+    ASSERT_EQ(elastic.born.size(), plain.born.size());
+    for (std::size_t i = 0; i < plain.born.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(elastic.born[i]),
+                std::bit_cast<std::uint64_t>(plain.born[i]))
+          << "atom " << i;
+  }
 }
 
 TEST(Elastic, KillOneRankRecoversBitIdentically) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "octgb/core/hybrid.hpp"
 #include "octgb/mol/generate.hpp"
@@ -98,33 +100,48 @@ TEST(Hybrid, HybridModeMatchesReference) {
   EXPECT_GT(r.work_total.spawns, 0u);
 }
 
-TEST(Hybrid, WeightedDivisionMatchesReference) {
-  HybridConfig cfg;
-  cfg.ranks = 4;
-  cfg.weighted_division = true;
-  const auto r = run_hybrid(fixture().engine, cfg);
-  expect_matches_reference(r);
-}
+TEST(Hybrid, TwoRanksAreBitwiseTheSegmentPhases) {
+  // Rank r runs phase_integrals, phase_push and phase_epol on segment r of
+  // make_division's split; a two-rank binomial reduce adds r0 + r1, so the
+  // driver's Epol and every radius equal the phases done by hand.
+  const GBEngine& engine = fixture().engine;
+  const auto n_nodes = engine.num_ta_nodes();
+  const auto n_atoms = engine.num_atoms();
+  const core::Division div = core::make_division(engine, 2, false);
+  perf::WorkCounters work;
 
-TEST(Hybrid, AtomBasedEpolIsCloseButDivisionDependent) {
-  // Atom-based division changes which (U, V) pairs are admissible, so the
-  // energy moves with P — the effect the paper reports (§IV). It must stay
-  // within the approximation band but generally differs across P.
-  const Fixture& f = fixture();
-  std::vector<double> energies;
-  for (int P : {1, 2, 5}) {
-    HybridConfig cfg;
-    cfg.ranks = P;
-    cfg.atom_based_epol = true;
-    const auto r = run_hybrid(f.engine, cfg);
-    EXPECT_NEAR(r.epol, f.reference_epol,
-                0.02 * std::abs(f.reference_epol));
-    energies.push_back(r.epol);
+  std::vector<double> node_s[2], atom_s[2];
+  for (int r = 0; r < 2; ++r) {
+    node_s[r].assign(n_nodes, 0.0);
+    atom_s[r].assign(n_atoms, 0.0);
+    engine.phase_integrals(div.q_segments[r], node_s[r], atom_s[r], work);
   }
-  // The P = 1 atom-based energy differs from at least one multi-P value
-  // (identical values would mean division boundaries don't matter, which
-  // would contradict the paper's §IV observation).
-  EXPECT_TRUE(energies[0] != energies[1] || energies[0] != energies[2]);
+  std::vector<double> node_sum(n_nodes), atom_sum(n_atoms);
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    node_sum[i] = node_s[0][i] + node_s[1][i];
+  for (std::size_t i = 0; i < n_atoms; ++i)
+    atom_sum[i] = atom_s[0][i] + atom_s[1][i];
+
+  std::vector<double> born_tree(n_atoms, 0.0);
+  for (int r = 0; r < 2; ++r)
+    engine.phase_push(div.atom_segments[r], node_sum, atom_sum, born_tree,
+                      work);
+  const core::EpolContext ctx = engine.build_epol_context(born_tree);
+  double part[2];
+  for (int r = 0; r < 2; ++r)
+    part[r] = engine.phase_epol(ctx, born_tree, div.a_leaf_segments[r], work);
+  const double epol = part[0] + part[1];
+  const std::vector<double> born = engine.born_to_input_order(born_tree);
+
+  HybridConfig cfg;
+  cfg.ranks = 2;
+  cfg.threads_per_rank = 2;
+  const auto r = run_hybrid(engine, cfg);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(r.epol), bits(epol));
+  ASSERT_EQ(r.born.size(), born.size());
+  for (std::size_t i = 0; i < born.size(); ++i)
+    ASSERT_EQ(bits(r.born[i]), bits(born[i])) << "atom " << i;
 }
 
 TEST(Hybrid, CommunicationVolumeScalesWithRanks) {

@@ -64,11 +64,6 @@ TEST(Integration, EveryExecutionPathAgreesOnEnergy) {
     const double e = sim::simulate_cluster(p.engine, cfg).epol;
     EXPECT_NEAR(e, reference, 1e-9 * std::abs(reference));
   }
-  // Data-distributed variant.
-  {
-    const double e = core::run_data_distributed(p.engine, 4).epol;
-    EXPECT_NEAR(e, reference, 1e-9 * std::abs(reference));
-  }
 }
 
 TEST(Integration, BaselinesLandInTheSamePhysicalRegime) {

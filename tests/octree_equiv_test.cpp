@@ -60,7 +60,6 @@ std::vector<std::set<std::uint32_t>> leaf_partition(const Octree& t) {
 void expect_same_tree(const Octree& a, const Octree& b) {
   ASSERT_EQ(a.nodes().size(), b.nodes().size());
   ASSERT_EQ(a.num_points(), b.num_points());
-  EXPECT_EQ(a.max_depth(), b.max_depth());
   EXPECT_EQ(a.leaf_ids(), b.leaf_ids());
   for (std::uint32_t i = 0; i < a.nodes().size(); ++i) {
     const auto& na = a.node(i);
@@ -100,7 +99,6 @@ void expect_bit_identical(const Octree& a, const Octree& b) {
   EXPECT_TRUE(std::ranges::equal(a.soa_y(), b.soa_y()));
   EXPECT_TRUE(std::ranges::equal(a.soa_z(), b.soa_z()));
   EXPECT_EQ(a.leaf_ids(), b.leaf_ids());
-  EXPECT_EQ(a.max_depth(), b.max_depth());
 }
 
 }  // namespace

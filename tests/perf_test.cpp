@@ -207,18 +207,6 @@ TEST(MachineModel, CacheFactorMonotoneAndBounded) {
   EXPECT_DOUBLE_EQ(m.cache_factor(0.0, 6), 1.0);
 }
 
-TEST(MachineModel, CommSecondsPricesTrafficByLocality) {
-  MachineModel m;
-  CommCounters intra, inter;
-  intra.messages_intranode = 10;
-  intra.bytes_intranode = 1 << 20;
-  inter.messages_internode = 10;
-  inter.bytes_internode = 1 << 20;
-  // Inter-node traffic is strictly more expensive at equal volume.
-  EXPECT_GT(comm_seconds(m, inter), comm_seconds(m, intra));
-  EXPECT_DOUBLE_EQ(comm_seconds(m, CommCounters{}), 0.0);
-}
-
 TEST(MachineModel, CommCountersAccumulate) {
   CommCounters a, b;
   a.bytes_internode = 100;
@@ -330,12 +318,6 @@ TEST(CpuTopology, TwoSocketFixtureSplitsDomains) {
   EXPECT_TRUE(t.same_l3(0, 1));
   EXPECT_FALSE(t.same_l3(1, 2));
   EXPECT_FALSE(t.same_socket(0, 3));
-  // MachineModel overlay: discovered shape, Table I cycle costs.
-  const MachineModel m = MachineModel::from_topology(t);
-  EXPECT_EQ(m.cores_per_node, 4);
-  EXPECT_EQ(m.sockets_per_node, 2);
-  EXPECT_DOUBLE_EQ(m.l3_bytes, 12288.0 * 1024.0);
-  EXPECT_DOUBLE_EQ(m.cyc_spawn, MachineModel{}.cyc_spawn);
 }
 
 TEST(CpuTopology, MissingCacheInfoDegradesToSocketGranularity) {
