@@ -5,17 +5,17 @@
 // measured interaction counts.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   util::Table t("§V-C — approximate math on vs off (OCT_MPI+CILK, 12 cores)");
   t.header({"molecule", "atoms", "E exact-math", "E approx-math",
@@ -54,4 +54,7 @@ int main(int argc, char** argv) {
       "speedup %.2fx (paper: 1.42x)\n",
       shift.mean(), speedup.mean());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

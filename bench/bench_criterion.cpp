@@ -9,17 +9,17 @@
 // far below the 1 % budget.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   util::Table t(
       "Born far-field criterion: strict (1+e)^(1/6) vs default (1+2/e)^0.72");
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
       "factor while keeping the energy error well inside the paper's 1% "
       "budget; the strict criterion does nearly exact work.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -4,19 +4,19 @@
 // communication, across rank counts.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   double scale = bench::quick_mode() ? 0.003 : 0.01;
   util::Args args;
   args.add("scale", &scale, "BTV scale factor (1.0 = 6M atoms)");
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   bench::Prepared p = bench::prepare(mol::make_btv(scale));
   std::printf("BTV': %zu atoms, %zu quadrature points\n\n", p.atoms(),
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
             "memory ratio", "worst ghosts", "ghost exchange"});
 
   for (int ranks : {2, 4, 8, 16, 32}) {
-    const auto dd = core::run_data_distributed(*p.engine, ranks, machine);
+    const auto dd = core::run_data_distributed(*p.engine, ranks);
     std::size_t worst_ghosts = 0;
     for (const auto& r : dd.ranks)
       worst_ghosts = std::max(worst_ghosts, r.ghost_atoms);
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
       "ghost exchange per evaluation — the tradeoff the paper flags as "
       "future work.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

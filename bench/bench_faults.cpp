@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "common.hpp"
 
@@ -59,7 +60,7 @@ std::string join_ranks(const std::vector<int>& ranks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int atoms = 800;
   int ranks = 4;
   std::string plan_filter = "all";
@@ -170,4 +171,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nall fault plans recovered bit-identically\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -8,20 +8,20 @@
 // are ε-insensitive.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   bench::TraceSession ts;
   ts.register_args(args);
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   const double eps_values[] = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
       "~1.5% band of Fig. 10; large-molecule time falls with eps while "
       "small-molecule time barely moves.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -9,12 +9,13 @@
 // memory; Gromacs/NAMD only run with unusably small cutoffs.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   double scale = bench::quick_mode() ? 0.02 : 0.06;  // of 509,640 atoms
   util::Args args;
   args.add("scale", &scale, "CMV scale factor (1.0 = 509,640 atoms)");
@@ -23,8 +24,7 @@ int main(int argc, char** argv) {
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   std::printf("Preparing CMV' (scale %.3f)...\n", scale);
   bench::Prepared p = bench::prepare(mol::make_cmv(scale));
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
       core::naive_born_radii(p.molecule, p.surf, &naive_work);
   const double naive_e =
       core::naive_epol(p.molecule, naive_born, {}, &naive_work);
-  const double naive_t = machine.compute_seconds(naive_work, 0.0, 1, false);
+  const double naive_t =
+      perf::machine::compute_seconds(naive_work, 0.0, 1, false);
 
   // Octree configurations (real physics, modeled time).
   const auto cilk12 = bench::run_config(*p.engine, bench::oct_cilk_config(12));
@@ -64,17 +65,16 @@ int main(int argc, char** argv) {
   // sum over its HCT radii (the default cutoff list would truncate badly
   // on a hollow shell and overstate Amber's error).
   const auto* amber_spec = baselines::find_package("Amber 12");
-  auto amber12 = baselines::run_package(*amber_spec, p.molecule, machine, 12);
-  const auto amber144 = baselines::run_package(*amber_spec, p.molecule,
-                                               machine, 144);
+  auto amber12 = baselines::run_package(*amber_spec, p.molecule, 12);
+  const auto amber144 = baselines::run_package(*amber_spec, p.molecule, 144);
   if (!amber12.out_of_memory)
     amber12.epol = core::naive_epol(p.molecule, amber12.born);
 
   // The comparators that fall over on CMV (§V-F).
   const auto tinker = baselines::run_package(
-      *baselines::find_package("Tinker 6.0"), p.molecule, machine);
+      *baselines::find_package("Tinker 6.0"), p.molecule);
   const auto gbr6 = baselines::run_package(
-      *baselines::find_package("GBr6"), p.molecule, machine);
+      *baselines::find_package("GBr6"), p.molecule);
 
   util::Table t("Fig. 11 — CMV' scalability (modeled times, real energies)");
   t.header({"program", "12 cores", "144 cores", "speedup vs Amber (12c)",
@@ -115,4 +115,7 @@ int main(int argc, char** argv) {
       "than Amber with <1% error vs naive; hybrid and pure MPI close at "
       "144 cores; Tinker and GBr6 out of memory.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -8,12 +8,13 @@
 // measured per-rank work and collective volumes (DESIGN.md §2).
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   double scale = bench::quick_mode() ? 0.005 : 0.01;  // of 6M atoms
   int max_nodes = 36;
   util::Args args;
@@ -24,8 +25,7 @@ int main(int argc, char** argv) {
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   std::printf("Preparing BTV' (scale %.3f)...\n", scale);
   bench::Prepared p = bench::prepare(mol::make_btv(scale));
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const int node_counts[] = {1, 2, 4, 8, 12, 16, 24, 30, 36};
   for (int nodes : node_counts) {
     if (nodes > max_nodes) break;
-    const int cores = nodes * machine.cores_per_node;
+    const int cores = nodes * perf::machine::cores_per_node;
     const auto mpi =
         bench::run_config(*p.engine, bench::oct_mpi_config(cores));
     const auto hyb =
@@ -72,4 +72,7 @@ int main(int argc, char** argv) {
       "collective volume (P-fold gathers) and per-socket cache pressure "
       "grow.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

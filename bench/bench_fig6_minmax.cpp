@@ -7,12 +7,13 @@
 // documented jitter model (per-rank OS noise + network jitter).
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   double scale = bench::quick_mode() ? 0.005 : 0.01;
   int repeats = 20;
   util::Args args;
@@ -23,8 +24,7 @@ int main(int argc, char** argv) {
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   bench::Prepared p = bench::prepare(mol::make_btv(scale));
   std::printf("BTV': %zu atoms, %zu quadrature points\n\n", p.atoms(),
@@ -69,4 +69,7 @@ int main(int argc, char** argv) {
       "communication), and the hybrid min overtakes the MPI min in the "
       "upper core range.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

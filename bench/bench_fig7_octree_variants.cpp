@@ -10,20 +10,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   bench::TraceSession ts;
   ts.register_args(args);
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   struct Row {
     std::string name;
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
       "ones.\n",
       cilk_wins_small, mpi_wins_large);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -9,20 +9,20 @@
 // / 1.14). The naive engine is serial, like the paper's.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   bench::TraceSession ts;
   ts.register_args(args);
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
   bench::print_package_table();
 
   util::Table ta(
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
     std::map<std::string, double> pkg_time;
     for (const auto& spec : baselines::package_registry()) {
-      const auto r = baselines::run_package(spec, p.molecule, machine);
+      const auto r = baselines::run_package(spec, p.molecule);
       pkg_time[spec.name] = r.out_of_memory ? -1.0 : r.modeled_seconds;
     }
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     naive_work.push_atoms = p.atoms();
     naive_work.epol_exact = std::uint64_t(p.atoms()) * p.atoms();
     const double naive_t =
-        machine.compute_seconds(naive_work, 0.0, 1, false);
+        perf::machine::compute_seconds(naive_work, 0.0, 1, false);
 
     auto fmt = [](double s) {
       return s < 0 ? std::string("OOM") : bench::fmt_time(s);
@@ -139,4 +139,7 @@ int main(int argc, char** argv) {
   bench::save_csv(anchors, "fig8b_anchors");
   ts.finish();
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -8,20 +8,20 @@
 // variants agree with each other.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   bench::TraceSession ts;
   ts.register_args(args);
   args.parse(argc, argv);
   ts.begin();
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   util::Table t("Fig. 9 — Epol (kcal/mol) by algorithm");
   t.header({"molecule", "atoms", "Naive", "OCT", "Amber", "Gromacs", "NAMD",
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
     std::map<std::string, double> pkg;
     for (const auto& spec : baselines::package_registry()) {
-      const auto r = baselines::run_package(spec, p.molecule, machine);
+      const auto r = baselines::run_package(spec, p.molecule);
       pkg[spec.name] = r.out_of_memory ? 0.0 : r.epol;
     }
 
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
       oct_err.mean(), std::max(std::abs(oct_err.min()), std::abs(oct_err.max())),
       amber_ratio.mean(), tinker_ratio.mean());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

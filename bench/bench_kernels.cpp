@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -344,7 +345,7 @@ BENCHMARK(BM_MppAllreduce)->Arg(2)->Arg(4)->Arg(8);
 // flags. --smoke shrinks per-series measuring time so the CI simd-matrix
 // job can emit one CSV per width without budget; --smoke numbers are for
 // shape inspection, not for regression comparison.
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool want_trace = false;
   bool smoke = false;
   std::vector<char*> pass_argv;
@@ -393,4 +394,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -4,19 +4,19 @@
 // 1.4 GB on BTV, a 5.86× ratio.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   double scale = bench::quick_mode() ? 0.003 : 0.01;
   util::Args args;
   args.add("scale", &scale, "BTV scale factor (1.0 = 6M atoms)");
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   bench::Prepared p = bench::prepare(mol::make_btv(scale));
   std::printf("BTV': %zu atoms, %zu quadrature points\n\n", p.atoms(),
@@ -44,4 +44,7 @@ int main(int argc, char** argv) {
       "(paper: 8.2 GB / 1.4 GB = 5.86)\n",
       mpi_node / hyb_node);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -5,17 +5,17 @@
 // molecules that make nblist-based MD packages run out of memory.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args;
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   // --- memory vs cutoff at fixed size -----------------------------------
   const auto m = mol::generate_protein(
@@ -78,4 +78,7 @@ int main(int argc, char** argv) {
   std::printf("  octree (any eps): %s\n",
               util::human_bytes(double(tr.footprint_bytes())).c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

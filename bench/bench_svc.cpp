@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
@@ -68,7 +69,7 @@ double mean_exec_seconds(const std::vector<svc::JobTicket>& tickets) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   int cores = 8;
   int executors = 4;
   int tenants = 4;
@@ -315,4 +316,7 @@ int main(int argc, char** argv) {
   ts.metrics().set("svc.warm_speedup", warm_speedup);
   ts.finish();
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

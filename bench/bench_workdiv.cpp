@@ -9,19 +9,19 @@
 // (points-balanced) split as a load-balancing ablation.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
 using namespace octgb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string molecule_name = "1FQ1_l_b";  // mid-size, 4,730 atoms
   util::Args args;
   args.add("molecule", &molecule_name, "ZDock molecule to use");
   args.parse(argc, argv);
 
-  perf::MachineModel machine;
-  bench::print_environment(machine);
+  bench::print_environment();
 
   bench::Prepared p =
       bench::prepare(mol::make_benchmark_molecule(molecule_name));
@@ -70,4 +70,7 @@ int main(int argc, char** argv) {
       "(constant), atom-based spread = %.6f%% (drifts with P)\n",
       node_spread, atom_spread);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -6,19 +6,20 @@
 
 namespace octgb::bench {
 
-void print_environment(const perf::MachineModel& machine) {
+void print_environment() {
+  namespace m = perf::machine;
   util::Table t("Simulation environment (Table I; modeled — see DESIGN.md)");
   t.header({"attribute", "property"});
   t.row({"Processors", util::format("%.2f GHz hexa-core Intel Westmere "
                                     "(modeled)",
-                                    machine.clock_hz / 1e9)});
-  t.row({"Cores/node", util::format("%d", machine.cores_per_node)});
-  t.row({"RAM", util::human_bytes(machine.ram_bytes)});
+                                    m::clock_hz / 1e9)});
+  t.row({"Cores/node", util::format("%d", m::cores_per_node)});
+  t.row({"RAM", util::human_bytes(m::ram_bytes)});
   t.row({"Interconnect", util::format(
                              "InfiniBand fat-tree (t_s=%.1f us, %.1f GB/s)",
-                             machine.net_ts * 1e6, 1e-9 / machine.net_tw)});
+                             m::net_ts * 1e6, 1e-9 / m::net_tw)});
   t.row({"Cache", util::format("%s shared L3 per socket",
-                               util::human_bytes(machine.l3_bytes).c_str())});
+                               util::human_bytes(m::l3_bytes).c_str())});
   t.row({"Parallelism", "octgb::ws (cilk-style) + octgb::mpp (MPI-style)"});
   t.print();
   std::puts("");

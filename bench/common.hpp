@@ -19,7 +19,7 @@
 namespace octgb::bench {
 
 /// Print the Table I machine description once per bench.
-void print_environment(const perf::MachineModel& machine);
+void print_environment();
 
 /// Print Table II (packages, GB models, parallelism).
 void print_package_table();

@@ -21,34 +21,12 @@ namespace octgb::baselines {
 /// Which pairwise Born-radius model to evaluate.
 enum class BornModel { HCT, OBC, Still };
 
-/// Model constants (defaults follow the cited papers).
-struct DescreeningParams {
-  double dielectric_offset = 0.09;  ///< ρ̃ = ρ − offset (HCT/OBC), Å
-  /// S_j descreening scale factor. Amber uses ~0.8 for real proteins with
-  /// bonded-overlap corrections; our pairwise sum has no overlap
-  /// correction and the synthetic residues interpenetrate more than real
-  /// ones, so the calibrated value is lower to keep HCT radii tracking
-  /// the exact surface-r⁶ radii (Fig. 9's "Amber close to naive").
-  double hct_scale = 0.55;
-  /// Upper clamp on Born radii (Å) — packages cap at ~rgbmax; without it
-  /// deeply buried atoms blow up and flip the energy sign.
-  double max_born = 30.0;
-  // OBC II tanh coefficients.
-  double obc_alpha = 1.0;
-  double obc_beta = 0.8;
-  double obc_gamma = 4.85;
-  /// Still/Qiu volume-descreening strength (dimensionless); calibrated so
-  /// the resulting |Epol| lands near the ~70 % of the exact value the
-  /// paper observes for Tinker (Fig. 9).
-  double still_p4 = 0.10;
-};
-
-/// Compute Born radii with the chosen pairwise model over the nblist.
-/// Counts one pairlist_pairs unit per evaluated pair.
+/// Compute Born radii with the chosen pairwise model over the nblist
+/// (model constants follow the cited papers, calibrated where noted in
+/// descreening.cpp). Counts one pairlist_pairs unit per evaluated pair.
 std::vector<double> pairwise_born_radii(const mol::Molecule& mol,
                                         const octree::NbList& nblist,
                                         BornModel model,
-                                        const DescreeningParams& params = {},
                                         perf::WorkCounters* counters = nullptr);
 
 }  // namespace octgb::baselines

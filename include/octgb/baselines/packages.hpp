@@ -21,7 +21,6 @@
 #include "octgb/baselines/descreening.hpp"
 #include "octgb/baselines/gbr6.hpp"
 #include "octgb/core/gb_params.hpp"
-#include "octgb/perf/machine_model.hpp"
 
 namespace octgb::baselines {
 
@@ -66,7 +65,6 @@ struct PackageResult {
 /// 12-core configuration (1 for GBr6, per Fig. 8). Cutoff may be
 /// overridden (the Fig. 11 CMV experiment reduces it until it fits).
 PackageResult run_package(const PackageSpec& spec, const mol::Molecule& mol,
-                          const perf::MachineModel& machine = {},
                           int cores = 0,
                           std::optional<double> cutoff_override = {},
                           const core::GBParams& gb = {});

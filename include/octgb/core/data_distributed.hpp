@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "octgb/core/engine.hpp"
-#include "octgb/perf/machine_model.hpp"
 
 namespace octgb::core {
 
@@ -53,8 +52,7 @@ struct DataDistResult {
 
 /// Account the data-distributed layout over `ranks` ranks, segmented as
 /// simulate_cluster segments them.
-DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
-                                    const perf::MachineModel& machine = {});
+DataDistResult run_data_distributed(const GBEngine& engine, int ranks);
 
 /// Measurement helper (exposed for tests): T_A leaf ids whose atoms the
 /// Born-phase traversal of the given T_Q leaves touches *exactly* (the

@@ -194,12 +194,6 @@ class GBEngine {
   /// in every case (DESIGN.md §2.6).
   EvalResult compute(EvalScratch& scratch, ws::Scheduler* sched = nullptr) const;
 
-  /// Energy only, with externally supplied Born radii (input order) — the
-  /// octree Epol kernel runs unchanged on HCT/OBC/Still radii, mirroring
-  /// MD packages' support for multiple GB models on one engine.
-  double epol_with_radii(std::span<const double> born_input_order,
-                         perf::WorkCounters& counters) const;
-
   // --- phase API for distributed drivers -------------------------------
 
   /// Born phase A on a segment of q_leaves(); accumulates into

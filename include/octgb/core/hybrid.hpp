@@ -110,11 +110,9 @@ struct ElasticConfig {
   /// Base parameters; `hybrid.ranks` is also the size of the fixed task
   /// grid every phase is divided into.
   HybridConfig hybrid;
-  /// Seeded fault schedule (empty = run fault-free).
+  /// Seeded fault schedule (empty = run fault-free). A non-empty plan
+  /// attaches per-message CRCs, so injected corruption is detected.
   mpp::faults::FaultPlan fault_plan;
-  /// Per-message CRCs are always attached, so injected corruption is
-  /// detected.
-  static constexpr bool checksum = true;
   /// Deadline for one done/release control exchange; expiry falls back to
   /// polling the checkpoint store.
   static constexpr double control_deadline_ms = 20.0;

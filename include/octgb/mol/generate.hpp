@@ -27,7 +27,6 @@ inline constexpr std::size_t kMaxGeneratedAtoms = 100'000'000;
 struct ProteinSpec {
   std::size_t target_atoms = 1000;  ///< approximate atom count (± 1 residue)
   std::uint64_t seed = 1;           ///< deterministic stream seed
-  double compactness = 1.0;         ///< >1 = denser packing, <1 = looser
 };
 
 /// Generate a globular protein-like molecule: a self-avoiding Cα random
@@ -41,13 +40,13 @@ Molecule generate_protein(const ProteinSpec& spec);
 struct ShellSpec {
   std::size_t target_atoms = 100000;  ///< approximate atom count
   std::uint64_t seed = 7;
-  double thickness = 18.0;  ///< shell wall thickness (Å), capsid-like
 };
 
 /// Generate a hollow capsid shell: protein-like residue clusters placed on
-/// a Fibonacci lattice over a sphere whose radius is chosen so the wall has
-/// protein density. This is the stand-in for BTV / the CMV shell. Throws
-/// util::CheckError unless 100 <= target_atoms <= kMaxGeneratedAtoms.
+/// a Fibonacci lattice over a sphere whose radius is chosen so the wall
+/// (18 Å thick, capsid-like) has protein density. This is the stand-in for
+/// BTV / the CMV shell. Throws util::CheckError unless 100 <= target_atoms
+/// <= kMaxGeneratedAtoms.
 Molecule generate_virus_shell(const ShellSpec& spec);
 
 }  // namespace octgb::mol

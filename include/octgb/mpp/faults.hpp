@@ -73,8 +73,9 @@ FaultPlan rank_kill_plan(std::uint64_t seed, int victim,
 /// Stall any rank for `millis` with probability `p` per comm op.
 FaultPlan stall_plan(std::uint64_t seed, double p = 0.02,
                      double millis = 5.0);
-/// Corrupt each message independently with probability `p` (pair with
-/// Runtime::Options::checksum so corruption is *detected*, not absorbed).
+/// Corrupt each message independently with probability `p` (the runtime
+/// checksums every message while a plan runs, so corruption is *detected*,
+/// not absorbed).
 FaultPlan corruption_plan(std::uint64_t seed, double p = 0.05);
 
 /// Snapshot of how many faults of each kind have fired so far.
@@ -143,8 +144,8 @@ class FaultInjector {
   mutable std::atomic<std::uint64_t> stat_[6] = {};
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of a byte range — the optional
-/// per-message checksum the runtime uses to *detect* injected corruption.
+/// CRC-32 (IEEE 802.3, reflected) of a byte range — the per-message
+/// checksum the runtime uses to *detect* injected corruption.
 std::uint32_t crc32(const void* data, std::size_t bytes);
 
 }  // namespace octgb::mpp::faults

@@ -4,7 +4,7 @@
 /// (DESIGN.md §2.10). The CLI wrapper is tools/octgb_launch.
 ///
 /// run_job() plays the role ibrun/mpirun plays on a real cluster: it
-/// creates the job directory, initializes the shared-memory segment,
+/// creates a fresh job directory, initializes the shared-memory segment,
 /// forks/execs one process per rank with the rendezvous environment
 /// (mpp/proc.hpp), optionally pins each rank to its node's block of cores
 /// (the NUMA-ish placement a block scheduler would produce), and reaps
@@ -16,9 +16,7 @@
 /// nonzero or dies from any signal is marked dead too; a clean exit 0 is
 /// not a failure.
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "octgb/mpp/transport.hpp"
@@ -46,19 +44,10 @@ struct JobSpec {
   /// argv of the rank executable (argv[0] = path). Every rank gets the
   /// same command line; per-rank identity arrives via the environment.
   std::vector<std::string> command;
-  /// Job directory (segment, port files, checkpoint store). Empty →
-  /// a fresh mkdtemp under $TMPDIR which the caller owns afterwards.
-  std::string job_dir;
   std::vector<KillSpec> kills;
   /// Pin each rank to one core of its node's contiguous core block
   /// (wraps modulo the machine's core count; Linux only, no-op elsewhere).
   bool bind_cores = false;
-  std::uint64_t ring_bytes = std::uint64_t{1} << 20;
-  /// Default deadline handed to every rank's blocking receives: on a real
-  /// transport an unbounded receive from a SIGKILLed peer could otherwise
-  /// wait forever between failure-epoch checks.
-  double default_deadline_ms = 2000.0;
-  std::vector<std::pair<std::string, std::string>> extra_env;
   /// Whole-job watchdog; on expiry every surviving rank is SIGKILLed and
   /// the job reports timed_out.
   double timeout_ms = 120000.0;
@@ -80,6 +69,8 @@ struct JobResult {
   int kills_delivered = 0;
   bool timed_out = false;
   double wall_ms = 0.0;
+  /// The job directory (segment, port files, checkpoint store): a fresh
+  /// mkdtemp under $TMPDIR, which the caller owns afterwards.
   std::string job_dir;
 
   /// True when every rank not killed by the chaos schedule exited 0.

@@ -177,7 +177,7 @@ class Comm {
   // fails fast (CommException{PeerDead}) instead of hanging; the elastic
   // driver (core/hybrid.hpp) catches and re-plans over the survivors.
   // Collective internals inherit per-hop CRC protection from the
-  // transport (opt-in checksum in-thread, always-on on the wire).
+  // transport (in-thread whenever a fault plan runs, always on the wire).
 
   /// Broadcast root's buffer to all ranks (in place).
   template <class T>
@@ -248,13 +248,13 @@ class Runtime {
     /// of a never-sent message into CommException{Timeout} carrying the
     /// (src, tag, bytes) triple instead of a silent deadlock.
     double default_deadline_ms = 0.0;
-    /// Attach a CRC-32 to every message and verify it on receive;
-    /// injected corruption then surfaces as ChecksumMismatch instead of
-    /// silently wrong payloads. Collective internals are covered too —
-    /// every hop of a bcast/reduce/gatherv is a checksummed message.
-    bool checksum = false;
     /// Seeded fault schedule executed by a deterministic FaultInjector;
-    /// empty = no faults (and zero overhead on the message path).
+    /// empty = no faults (and zero overhead on the message path). A
+    /// non-empty plan also attaches a CRC-32 to every message and verifies
+    /// it on receive, so injected corruption surfaces as ChecksumMismatch
+    /// instead of silently wrong payloads; collective internals are covered
+    /// too — every hop of a bcast/reduce/gatherv is a checksummed message.
+    /// Without an injector nothing in-thread can corrupt a message.
     faults::FaultPlan fault_plan;
     /// When set, receives the injector's fire counts after the run
     /// (zeroed when fault_plan is empty).

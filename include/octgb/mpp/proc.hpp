@@ -51,15 +51,17 @@ inline constexpr const char* kEnvSize = "OCTGB_MPP_SIZE";
 inline constexpr const char* kEnvDir = "OCTGB_MPP_DIR";
 
 /// Reconnect schedule: capped exponential backoff, `attempts` tries.
-struct BackoffPolicy {
-  int attempts = 10;
-  double base_ms = 5.0;
-  double factor = 2.0;
-  double cap_ms = 100.0;
+namespace backoff {
 
-  /// Sleep before attempt `i` (0-based; attempt 0 is immediate).
-  double delay_ms(int i) const;
-};
+inline constexpr int attempts = 10;
+inline constexpr double base_ms = 5.0;
+inline constexpr double factor = 2.0;
+inline constexpr double cap_ms = 100.0;
+
+/// Sleep before attempt `i` (0-based; attempt 0 is immediate).
+double delay_ms(int i);
+
+}  // namespace backoff
 
 /// Wire-level counters for the mpp.transport.* metrics schema
 /// (OBSERVABILITY.md).
@@ -81,8 +83,7 @@ struct TransportStats {
 /// its listener address).
 class ProcEndpoint final : public detail::Endpoint {
  public:
-  ProcEndpoint(shm::Segment* segment, int rank, std::string job_dir,
-               BackoffPolicy backoff = {});
+  ProcEndpoint(shm::Segment* segment, int rank, std::string job_dir);
   ~ProcEndpoint() override;
   ProcEndpoint(const ProcEndpoint&) = delete;
   ProcEndpoint& operator=(const ProcEndpoint&) = delete;
@@ -127,7 +128,6 @@ class ProcEndpoint final : public detail::Endpoint {
   int size_;
   Topology topology_;
   std::string dir_;
-  BackoffPolicy backoff_;
 
   std::vector<shm::Ring> in_rings_;   ///< per src; invalid when no shm path
   std::vector<shm::Ring> out_rings_;  ///< per dst

@@ -5,8 +5,8 @@
 /// This reproduction cannot run on the paper's 36-node cluster, so cluster
 /// wall-clock is modeled rather than timed. Every kernel counts the
 /// operations it performs — exact pair interactions, node-level
-/// pseudo-interactions, tree-node visits — per rank and per worker. The
-/// MachineModel (machine_model.hpp) converts these measured counts into
+/// pseudo-interactions, tree-node visits — per rank and per worker.
+/// perf::machine (machine_model.hpp) converts these measured counts into
 /// modeled time on the paper's hardware. Counts are exact and reproducible,
 /// so "who wins and by what factor" is driven entirely by real algorithmic
 /// behaviour. (Host-side per-phase wall time *is* observable: enable the
@@ -75,7 +75,7 @@ struct WorkCounters {
   ///  - born_visits / push_visits / epol_visits count tree-node
   ///    *traversal* steps (MAC tests, prefix accumulation), orders of
   ///    magnitude cheaper than a pair evaluation and priced separately by
-  ///    MachineModel::compute_seconds;
+  ///    machine::compute_seconds;
   ///  - push_atoms counts per-atom finalizations (O(N), not O(pairs));
   ///  - spawns / steals are scheduler bookkeeping, not numerical work —
   ///    they feed the model's parallel-overhead term instead.

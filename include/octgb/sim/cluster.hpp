@@ -6,7 +6,7 @@
 /// are reproduced by *measurement + model* (DESIGN.md §2): every rank's
 /// kernels execute for real (sequentially, deterministic) and report exact
 /// operation counts; communication volumes follow the same binomial-tree
-/// collectives the mpp runtime implements; the MachineModel converts both
+/// collectives the mpp runtime implements; perf::machine converts both
 /// into time on the Table I hardware. Energies and Born radii produced
 /// here are bit-comparable to a real hybrid run on the same segments.
 ///
@@ -26,7 +26,6 @@
 
 #include "octgb/core/engine.hpp"
 #include "octgb/mpp/mpp.hpp"
-#include "octgb/perf/machine_model.hpp"
 
 namespace octgb::sim {
 
@@ -35,7 +34,6 @@ struct ClusterConfig {
   int ranks = 12;            ///< P
   int threads_per_rank = 1;  ///< p
   mpp::Topology topology{12};
-  perf::MachineModel machine;
   /// Point-count-weighted leaf segmentation instead of the paper's
   /// even-by-count split (load-balancing ablation).
   bool weighted_division = false;
@@ -119,7 +117,6 @@ RecoveryEstimate estimate_recovery(const SimResult& base,
 /// Analytic collective costs (mirror mpp's implementations; exposed for
 /// tests and the scalability benches).
 struct CollectiveCosts {
-  const perf::MachineModel& machine;
   const mpp::Topology& topology;
   int ranks;
 

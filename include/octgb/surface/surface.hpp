@@ -33,8 +33,8 @@ struct SurfaceParams {
   int quad_degree = 1;   ///< Dunavant rule degree (1..8) per triangle
   /// Shrink factor for the burial test: a point is buried if it lies
   /// inside another atom's sphere scaled by this factor. Slightly < 1
-  /// keeps quadrature points of tangent spheres alive. Finite, ≥ 0.
-  double burial_scale = 0.99;
+  /// keeps quadrature points of tangent spheres alive.
+  static constexpr double burial_scale = 0.99;
 };
 
 /// The sampled surface (structure-of-arrays: the quadrature octree and the

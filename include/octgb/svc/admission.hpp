@@ -35,6 +35,7 @@ enum class RejectReason : std::uint8_t {
   QueueFull,       ///< the global queue bound is reached
   TooLarge,        ///< molecule exceeds max_atoms
   ShuttingDown,    ///< service stopping; no new work
+  Failed,          ///< admitted, but the job threw while it ran
 };
 
 /// Stable lowercase label for metrics/logs (e.g. "tenant_queue_full").

@@ -12,17 +12,13 @@
 /// on its width (which DESIGN.md §2.8 pins to a pure function of the
 /// artifact, making repeat executions bit-identical).
 ///
-/// `try_alloc` is first-fit over a free bitmap and fails (returns nullopt)
-/// rather than blocks; `alloc` waits on a condition variable. The
-/// SET-style proportional split — divide a core range among children in
-/// proportion to their work — is provided as `proportional_split` for
-/// sizing executor groups from expected tenant load.
+/// `alloc` is first-fit over a free bitmap; when no free range fits, it
+/// waits on a condition variable until a release makes one.
 
 #include <cstdint>
 #include <mutex>
 #include <condition_variable>
 #include <optional>
-#include <span>
 #include <vector>
 
 namespace octgb::svc {
@@ -32,7 +28,7 @@ struct CoreLease {
   int first = -1;  ///< first core index, -1 when invalid
   int count = 0;   ///< cores held
 
-  /// True for a live lease returned by alloc/try_alloc.
+  /// True for a live lease returned by alloc.
   bool valid() const { return first >= 0 && count > 0; }
 };
 
@@ -47,11 +43,8 @@ class CoreAllocator {
   CoreAllocator(const CoreAllocator&) = delete;             ///< non-copyable
   CoreAllocator& operator=(const CoreAllocator&) = delete;  ///< non-assignable
 
-  /// Allocate `count` contiguous free cores (first fit); nullopt when no
-  /// such range is currently free. `count` is clamped to [1, total()].
-  std::optional<CoreLease> try_alloc(int count);
-
-  /// Blocking allocate: waits until try_alloc succeeds.
+  /// Allocate `count` contiguous free cores (first fit), waiting until
+  /// such a range is free. `count` is clamped to [1, total()].
   CoreLease alloc(int count);
 
   /// Return a lease. Invalid leases are ignored.
@@ -66,15 +59,10 @@ class CoreAllocator {
   /// alloc() calls that had to wait for capacity.
   std::uint64_t waits() const;
 
-  /// SET-style proportional core split: divide `cores` among children in
-  /// proportion to `ops` (expected work), guaranteeing every child with
-  /// nonzero work at least one core when `cores >= children`. Returns one
-  /// count per child summing to exactly `cores`.
-  static std::vector<int> proportional_split(std::span<const std::uint64_t> ops,
-                                             int cores);
-
  private:
-  std::optional<CoreLease> try_alloc_locked(int count);
+  /// First-fit grab of `count` free cores; nullopt when no such range is
+  /// free. Caller holds mu_.
+  std::optional<CoreLease> try_alloc(int count);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -27,7 +27,12 @@
 ///   - Queues are bounded; overload surfaces as an immediate
 ///     RejectReason, never as unbounded growth.
 ///   - Concurrent jobs run on *disjoint* core subsets (SET-style
-///     try_alloc placement), not an oversubscribed pool.
+///     try_alloc placement), not an oversubscribed pool. Each job's
+///     scheduler workers are pinned onto its leased block (best effort —
+///     a refused affinity call leaves the worker unpinned), so a width-W
+///     job occupies exactly cores [lease.first, lease.first + W) and all
+///     its steals stay inside that block (the ws.steal.offblock
+///     invariant; see DESIGN.md §2.11).
 ///   - Jobs touching one artifact serialize on its lock; tenant fairness
 ///     is start-time fair queuing weighted by TenantConfig::weight.
 ///
@@ -129,12 +134,6 @@ struct ServiceConfig {
   std::size_t atoms_per_core = 2000;  ///< width sizing: 1 core per this many
   std::size_t cache_budget_bytes = std::size_t{512} << 20;  ///< artifact LRU
   AdmissionConfig admission;  ///< queue bounds and size ceiling
-  /// Pin each job's scheduler workers onto its leased core block (best
-  /// effort — a refused affinity call leaves the worker unpinned). With
-  /// pinning, a width-W job occupies exactly cores [lease.first,
-  /// lease.first + W) and all its steals stay inside that block (the
-  /// ws.steal.offblock invariant; see DESIGN.md §2.11).
-  bool pin_cores = true;
 };
 
 /// The multi-tenant scoring service. Construct, submit, wait on tickets;
@@ -195,9 +194,9 @@ class ScoringService {
 
   /// Steal-tier classification sampled per job (each job's final
   /// evaluation — the engine resets scheduler stats per compute) and
-  /// accumulated for the service lifetime. `offblock` must stay 0 when
-  /// pin_cores is on: it counts steals whose victim sits outside the
-  /// thief's leased core block.
+  /// accumulated for the service lifetime. `offblock` must stay 0: it
+  /// counts steals whose victim sits outside the thief's leased core
+  /// block.
   struct StealTierTotals {
     std::uint64_t local = 0;
     std::uint64_t socket = 0;
@@ -216,9 +215,9 @@ class ScoringService {
     std::chrono::steady_clock::time_point submitted;
   };
 
-  /// Executor-local scheduler pool key: (width, first leased core) when
-  /// pinning — affinity is construction-only, so a lease landing on a
-  /// different block needs a different scheduler — or (width, -1) without.
+  /// Executor-local scheduler pool key: (width, first leased core) —
+  /// affinity is construction-only, so a lease landing on a different
+  /// block needs a different scheduler.
   using SchedPool = std::map<std::pair<int, int>,
                              std::unique_ptr<ws::Scheduler>>;
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 
+#include "octgb/perf/machine_model.hpp"
 #include "octgb/util/check.hpp"
 
 namespace octgb::baselines {
@@ -90,13 +91,14 @@ double cutoff_epol(const mol::Molecule& mol, const octree::NbList& nblist,
 }
 
 PackageResult run_package(const PackageSpec& spec, const mol::Molecule& mol,
-                          const perf::MachineModel& machine, int cores,
+                          int cores,
                           std::optional<double> cutoff_override,
                           const core::GBParams& gb) {
   PackageResult result;
   if (cores <= 0)
-    cores = spec.parallelism == Parallelism::Serial ? 1
-                                                    : machine.cores_per_node;
+    cores = spec.parallelism == Parallelism::Serial
+                ? 1
+                : perf::machine::cores_per_node;
   const double cutoff = cutoff_override.value_or(spec.cutoff);
   const std::size_t budget = std::size_t{20} * 1024 * 1024 * 1024;
 
@@ -134,7 +136,7 @@ PackageResult run_package(const PackageSpec& spec, const mol::Molecule& mol,
       if (spec.born_model == BornModel::Still && own_bytes > 1.3e9)
         throw octree::NbListOutOfMemory("Tinker pair tables");
       result.born =
-          pairwise_born_radii(mol, nblist, spec.born_model, {}, &result.work);
+          pairwise_born_radii(mol, nblist, spec.born_model, &result.work);
       result.epol = cutoff_epol(mol, nblist, result.born, gb, &result.work);
     }
   } catch (const octree::NbListOutOfMemory&) {
@@ -150,7 +152,7 @@ PackageResult run_package(const PackageSpec& spec, const mol::Molecule& mol,
   const double m2 =
       static_cast<double>(mol.size()) * static_cast<double>(mol.size());
   const double rate =
-      machine.clock_hz * std::max(1.0, cores * spec.parallel_efficiency);
+      perf::machine::clock_hz * std::max(1.0, cores * spec.parallel_efficiency);
   result.modeled_seconds =
       spec.startup_seconds +
       (ops * spec.per_pair_cycles + m2 * spec.per_atom2_cycles) / rate;

@@ -6,6 +6,7 @@
 #include "born_walk.hpp"
 #include "epol_walk.hpp"
 #include "octgb/core/gb_params.hpp"
+#include "octgb/perf/machine_model.hpp"
 #include "octgb/util/check.hpp"
 
 namespace octgb::core {
@@ -93,8 +94,7 @@ std::vector<std::uint32_t> collect_near_epol_leaves(
   return touched_to_ids(touched);
 }
 
-DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
-                                    const perf::MachineModel& machine) {
+DataDistResult run_data_distributed(const GBEngine& engine, int ranks) {
   OCTGB_CHECK_MSG(ranks >= 1, "need at least one rank");
   const auto& ta = engine.atoms_tree();
   const auto& tq = engine.qpoints_tree();
@@ -160,8 +160,8 @@ DataDistResult run_data_distributed(const GBEngine& engine, int ranks,
   // transfer of the worst rank's ghost volume (critical path) plus a
   // latency per peer.
   result.ghost_exchange_seconds =
-      worst_ghost_bytes * machine.net_tw +
-      static_cast<double>(std::max(0, ranks - 1)) * machine.net_ts;
+      worst_ghost_bytes * perf::machine::net_tw +
+      static_cast<double>(std::max(0, ranks - 1)) * perf::machine::net_ts;
 
   result.replicated_bytes_per_rank = replicated_rank_bytes(engine, 1);
   return result;

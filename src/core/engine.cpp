@@ -319,17 +319,4 @@ EnergyResult GBEngine::compute(ws::Scheduler* sched) const {
   return to_energy_result(compute_eval(scratch, sched, /*allow_plan=*/false));
 }
 
-double GBEngine::epol_with_radii(std::span<const double> born_input_order,
-                                 perf::WorkCounters& counters) const {
-  OCTGB_CHECK(born_input_order.size() == num_atoms());
-  const auto idx = ta_.tree.point_index();
-  std::vector<double> born_tree(born_input_order.size());
-  for (std::size_t pos = 0; pos < idx.size(); ++pos)
-    born_tree[pos] = born_input_order[idx[pos]];
-  const EpolContext ctx = build_epol_context(born_tree);
-  return phase_epol(ctx, born_tree,
-                    {0, static_cast<std::uint32_t>(a_leaves().size())},
-                    counters);
-}
-
 }  // namespace octgb::core

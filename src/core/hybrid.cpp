@@ -455,7 +455,6 @@ ElasticResult run_hybrid_elastic(const GBEngine& engine,
   mpp::Runtime::Options opts;
   opts.ranks = hc.ranks;
   opts.topology = hc.topology;
-  opts.checksum = ElasticConfig::checksum;
   opts.fault_plan = config.fault_plan;
   opts.fault_stats_out = &result.faults;
   const auto outcomes =

@@ -284,6 +284,8 @@ const std::vector<ResidueTemplate>& residue_templates() {
 /// Protein interior density: ~0.0085 residues per Å means one residue per
 /// ~118 Å³ — matches globular proteins.
 constexpr double kResiduePerA3 = 1.0 / 118.0;
+/// Virus-shell wall thickness (Å), capsid-like.
+constexpr double kShellThickness = 18.0;
 
 /// Average atoms per residue across the template set (used to size the
 /// confining sphere from the atom budget).
@@ -307,7 +309,7 @@ Molecule generate_protein(const ProteinSpec& spec) {
   const double n_res_target =
       static_cast<double>(spec.target_atoms) / mean_atoms_per_residue();
   // Confining sphere sized for protein density.
-  const double volume = n_res_target / (kResiduePerA3 * spec.compactness);
+  const double volume = n_res_target / kResiduePerA3;
   const double R = std::cbrt(volume * 3.0 / (4.0 * std::numbers::pi));
 
   Molecule mol;
@@ -390,7 +392,7 @@ Molecule generate_virus_shell(const ShellSpec& spec) {
   // Shell wall volume = 4π R² t at protein density ⇒ R from the budget.
   const double wall_volume = n_res / kResiduePerA3;
   const double R =
-      std::sqrt(wall_volume / (4.0 * std::numbers::pi * spec.thickness));
+      std::sqrt(wall_volume / (4.0 * std::numbers::pi * kShellThickness));
 
   Molecule mol;
   mol.reserve(spec.target_atoms + 64);
@@ -406,8 +408,7 @@ Molecule generate_virus_shell(const ShellSpec& spec) {
     const double r_xy = std::sqrt(std::max(0.0, 1.0 - y * y));
     const double theta = golden * static_cast<double>(i);
     const Vec3 unit{r_xy * std::cos(theta), y, r_xy * std::sin(theta)};
-    const double radial =
-        R + spec.thickness * (rng.uniform() - 0.5);
+    const double radial = R + kShellThickness * (rng.uniform() - 0.5);
     const Vec3 site = unit * radial;
 
     const auto& tpl = templates[rng.below(templates.size())];

@@ -22,6 +22,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Default deadline handed to every rank's blocking receives: on a real
+/// transport an unbounded receive from a SIGKILLed peer could otherwise
+/// wait forever between failure-epoch checks.
+constexpr double kRankDeadlineMs = 2000.0;
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
@@ -76,8 +81,6 @@ int count_store_files(const std::string& job_dir) {
   ::setenv(proc::kEnvRank, std::to_string(rank).c_str(), 1);
   ::setenv(proc::kEnvSize, std::to_string(spec.ranks).c_str(), 1);
   ::setenv(proc::kEnvDir, dir.c_str(), 1);
-  for (const auto& [key, value] : spec.extra_env)
-    ::setenv(key.c_str(), value.c_str(), 1);
   if (spec.bind_cores) bind_to_core(rank);
   std::vector<char*> argv;
   argv.reserve(spec.command.size() + 1);
@@ -104,14 +107,13 @@ JobResult run_job(const JobSpec& spec) {
                     "kill targets invalid rank " << k.rank);
 
   JobResult result;
-  result.job_dir = spec.job_dir.empty() ? make_job_dir() : spec.job_dir;
+  result.job_dir = make_job_dir();
   result.ranks.resize(spec.ranks);
 
   shm::Segment::Options seg_opts;
   seg_opts.ranks = spec.ranks;
   seg_opts.topology = spec.topology;
-  seg_opts.ring_bytes = spec.ring_bytes;
-  seg_opts.default_deadline_ms = spec.default_deadline_ms;
+  seg_opts.default_deadline_ms = kRankDeadlineMs;
   shm::Segment seg =
       shm::Segment::create(result.job_dir + "/shm", seg_opts);
 

@@ -25,8 +25,9 @@ struct Message {
   /// Delivery time for injected delays; matched receives skip messages
   /// still "on the wire".
   Clock::time_point visible_at{};
-  std::uint32_t crc = 0;   ///< CRC-32 of the payload as sent
-  bool has_crc = false;    ///< set when Options::checksum is on
+  /// CRC-32 of the payload as sent; computed only while a fault injector
+  /// runs (without one, nothing in-thread can corrupt a message).
+  std::uint32_t crc = 0;
 };
 
 /// Per-rank mailbox with blocking matched receive.
@@ -49,7 +50,6 @@ struct SharedState {
   std::atomic<bool> aborted{false};
   std::atomic<int> failure_epoch{0};
   const faults::FaultInjector* injector = nullptr;
-  bool checksum = false;
   double default_deadline_ms = 0.0;
 };
 
@@ -84,13 +84,11 @@ class ThreadEndpoint final : public Endpoint {
     msg.tag = tag;
     msg.payload.resize(bytes);
     if (bytes) std::memcpy(msg.payload.data(), data, bytes);
-    if (state_->checksum) {
+    if (state_->injector != nullptr)
       msg.crc = faults::crc32(msg.payload.data(), msg.payload.size());
-      msg.has_crc = true;
-    }
     if (f.corrupt && bytes > 0) {
       // Bit-flip after the checksum was computed — wire corruption, which
-      // the CRC (when enabled) detects at the receiver.
+      // the CRC detects at the receiver.
       trace::instant("fault.corrupt");
       msg.payload[static_cast<std::size_t>(op) % bytes] ^= 0xA5;
     }
@@ -136,8 +134,9 @@ class ThreadEndpoint final : public Endpoint {
         OCTGB_CHECK_MSG(it->payload.size() == bytes,
                         "message size mismatch: got "
                             << it->payload.size() << ", want " << bytes);
-        if (it->has_crc && faults::crc32(it->payload.data(),
-                                         it->payload.size()) != it->crc) {
+        if (state_->injector != nullptr &&
+            faults::crc32(it->payload.data(), it->payload.size()) !=
+                it->crc) {
           // Consume the corrupt copy so a retry can match a clean
           // duplicate.
           box.messages.erase(it);
@@ -356,7 +355,6 @@ std::vector<perf::CommCounters> Runtime::run(
   OCTGB_CHECK_MSG(opts.ranks >= 1, "need at least one rank");
   detail::SharedState state;
   state.topology = opts.topology;
-  state.checksum = opts.checksum;
   state.default_deadline_ms = opts.default_deadline_ms;
   std::unique_ptr<faults::FaultInjector> injector;
   if (!opts.fault_plan.empty()) {

@@ -56,19 +56,18 @@ void sleep_ms(double ms) {
 
 }  // namespace
 
-double BackoffPolicy::delay_ms(int i) const {
+double backoff::delay_ms(int i) {
   if (i <= 0) return 0.0;
   return std::min(cap_ms, base_ms * std::pow(factor, i - 1));
 }
 
 ProcEndpoint::ProcEndpoint(shm::Segment* segment, int rank,
-                           std::string job_dir, BackoffPolicy backoff)
+                           std::string job_dir)
     : seg_(segment),
       rank_(rank),
       size_(segment->ranks()),
       topology_(segment->topology()),
       dir_(std::move(job_dir)),
-      backoff_(backoff),
       last_heartbeat_wire_(Clock::now()) {
   OCTGB_CHECK_MSG(rank_ >= 0 && rank_ < size_,
                   "rank " << rank_ << " outside segment of " << size_);
@@ -142,8 +141,8 @@ void ProcEndpoint::heartbeat() { seg_->beat(rank_); }
 // --- connection management --------------------------------------------------
 
 int ProcEndpoint::connect_to(int peer) {
-  for (int attempt = 0; attempt < backoff_.attempts; ++attempt) {
-    sleep_ms(backoff_.delay_ms(attempt));
+  for (int attempt = 0; attempt < backoff::attempts; ++attempt) {
+    sleep_ms(backoff::delay_ms(attempt));
     if (!seg_->is_alive(peer)) return -1;
     std::string port_text;
     if (!util::io::read_file(port_file(dir_, peer), port_text))
@@ -190,8 +189,8 @@ int ProcEndpoint::ensure_connection(int dest) {
     return fd;
   }
   // The peer initiates: wait for its (re)connect to land on our listener.
-  for (int attempt = 0; attempt < backoff_.attempts; ++attempt) {
-    sleep_ms(backoff_.delay_ms(attempt));
+  for (int attempt = 0; attempt < backoff::attempts; ++attempt) {
+    sleep_ms(backoff::delay_ms(attempt));
     drain_step(false);
     if (peer_fd_[dest] >= 0) return peer_fd_[dest];
     if (!seg_->is_alive(dest)) return -1;
@@ -509,14 +508,14 @@ void ProcEndpoint::send_tcp(int dest, const std::vector<std::uint8_t>& frame) {
       return;
     }
     lose_connection(dest);
-    if (round + 1 >= backoff_.attempts) {
+    if (round + 1 >= backoff::attempts) {
       // Reconnects keep failing: give the peer up for dead so receivers
       // waiting on it fail fast.
       seg_->mark_dead(dest);
       ++stats_.sends_dropped_dead;
       return;
     }
-    sleep_ms(backoff_.delay_ms(round + 1));
+    sleep_ms(backoff::delay_ms(round + 1));
   }
 }
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-namespace octgb::perf {
+namespace octgb::perf::machine {
 
-double MachineModel::cache_factor(double working_set_bytes,
-                                  int cores_sharing_l3) const {
+double cache_factor(double working_set_bytes, int cores_sharing_l3) {
   if (working_set_bytes <= 0.0) return 1.0;
   const double share = l3_bytes / std::max(1, cores_sharing_l3);
   const double pressure = working_set_bytes / share;
@@ -16,10 +15,8 @@ double MachineModel::cache_factor(double working_set_bytes,
   return 1.0 + (cache_miss_penalty - 1.0) * excess;
 }
 
-double MachineModel::compute_seconds(const WorkCounters& w,
-                                     double working_set_bytes,
-                                     int cores_sharing_l3,
-                                     bool approx_math) const {
+double compute_seconds(const WorkCounters& w, double working_set_bytes,
+                       int cores_sharing_l3, bool approx_math) {
   const double math_div = approx_math ? approx_math_speedup : 1.0;
   // Interaction arithmetic benefits from approximate math; traversal and
   // scheduling overheads do not.
@@ -44,4 +41,4 @@ double MachineModel::compute_seconds(const WorkCounters& w,
   return (interact_cycles + traversal_cycles) * factor / clock_hz;
 }
 
-}  // namespace octgb::perf
+}  // namespace octgb::perf::machine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "octgb/perf/machine_model.hpp"
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
 #include "octgb/util/rng.hpp"
@@ -10,6 +11,7 @@
 namespace octgb::sim {
 
 using core::GBEngine;
+namespace m = perf::machine;
 
 double CollectiveCosts::tree_collective(double bytes) const {
   if (ranks <= 1) return 0.0;
@@ -18,8 +20,8 @@ double CollectiveCosts::tree_collective(double bytes) const {
   const int intra_levels = static_cast<int>(std::ceil(std::log2(
       static_cast<double>(std::min(ranks, topology.ranks_per_node)))));
   const int inter_levels = std::max(0, levels - intra_levels);
-  return intra_levels * (machine.shm_ts + machine.shm_tw * bytes) +
-         inter_levels * (machine.net_ts + machine.net_tw * bytes);
+  return intra_levels * (m::shm_ts + m::shm_tw * bytes) +
+         inter_levels * (m::net_ts + m::net_tw * bytes);
 }
 
 double CollectiveCosts::allreduce(double bytes) const {
@@ -34,9 +36,9 @@ double CollectiveCosts::allgatherv(double total_bytes) const {
   double recv = 0.0;
   for (int r = 1; r < ranks; ++r) {
     if (topology.same_node(0, r))
-      recv += machine.shm_ts + machine.shm_tw * per_msg;
+      recv += m::shm_ts + m::shm_tw * per_msg;
     else
-      recv += machine.net_ts + machine.net_tw * per_msg;
+      recv += m::net_ts + m::net_tw * per_msg;
   }
   return recv + tree_collective(total_bytes);
 }
@@ -101,7 +103,6 @@ SimResult simulate_cluster(const GBEngine& engine,
   for (const auto& w : result.work_per_rank) result.work_total += w;
 
   // ---- modeled time -----------------------------------------------------
-  const perf::MachineModel& m = config.machine;
   const bool approx = engine.config().approx.approx_math;
 
   result.bytes_per_rank = core::replicated_rank_bytes(engine, p);
@@ -111,14 +112,14 @@ SimResult simulate_cluster(const GBEngine& engine,
   // rank touches its leaf segment's share of the tree data plus the
   // shared accumulation arrays.
   const int ranks_per_node = std::min(P, config.topology.ranks_per_node);
-  const int sockets = m.sockets_per_node;
+  const int sockets = m::sockets_per_node;
   const int procs_per_socket =
       std::max(1, (ranks_per_node + sockets - 1) / sockets);
   const double ws_per_rank =
       static_cast<double>(engine.footprint_bytes()) / P +
       static_cast<double>((n_nodes + 2 * n_atoms) * sizeof(double));
   const double socket_bytes = ws_per_rank * procs_per_socket;
-  const double cache_factor = m.cache_factor(socket_bytes, 1);
+  const double cache_factor = m::cache_factor(socket_bytes, 1);
 
   // Work-stealing / interfacing overhead grows with p.
   const double thread_eff = 1.0 + ClusterConfig::thread_overhead * (p - 1);
@@ -127,14 +128,14 @@ SimResult simulate_cluster(const GBEngine& engine,
   for (const auto& w : result.work_per_rank) {
     // compute_seconds already includes the cache factor via its argument;
     // here we pass factor 1 and apply our socket-level factor explicitly.
-    const double cycles_seconds = m.compute_seconds(w, 0.0, 1, approx);
+    const double cycles_seconds = m::compute_seconds(w, 0.0, 1, approx);
     const double t = cycles_seconds * cache_factor * thread_eff / p;
     max_rank_seconds = std::max(max_rank_seconds, t);
   }
   result.compute_seconds = max_rank_seconds;
 
   // Collectives (Fig. 4 steps 3, 5, 7).
-  CollectiveCosts costs{m, config.topology, P};
+  CollectiveCosts costs{config.topology, P};
   const double node_bytes = static_cast<double>(n_nodes) * sizeof(double);
   const double atom_bytes = static_cast<double>(n_atoms) * sizeof(double);
   result.comm_seconds = costs.allreduce(node_bytes) +

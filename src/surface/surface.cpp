@@ -155,7 +155,6 @@ struct Sampler {
   std::span<const geom::TriQuadPoint> rule;
   std::vector<Vec3> dirs;  ///< candidate_dirs(unit, rule)
   double area_correction;
-  double burial_scale;
   double max_radius;
   const CellList& cells;
 
@@ -171,10 +170,11 @@ struct Sampler {
     // |c_i − c_j| < r_i + s·r_j (+ δ for rounding).
     blockers.clear();
     cells.for_each_near(
-        atom.pos, r + burial_scale * max_radius + kBlockerMargin,
+        atom.pos,
+        r + SurfaceParams::burial_scale * max_radius + kBlockerMargin,
         [&](std::uint32_t j, const Vec3& cj, double radius_j) {
           if (j == ai) return;
-          const double rj = radius_j * burial_scale;
+          const double rj = radius_j * SurfaceParams::burial_scale;
           const double reach = r + rj + kBlockerMargin;
           if (geom::dist2(atom.pos, cj) < reach * reach)
             blockers.push_back({cj, rj * rj});
@@ -257,9 +257,6 @@ std::size_t Surface::footprint_bytes() const {
 Surface build_surface(const mol::Molecule& mol, const SurfaceParams& params) {
   OCTGB_CHECK_MSG(params.subdivision >= 0 && params.subdivision <= 5,
                   "subdivision out of range");
-  OCTGB_CHECK_MSG(std::isfinite(params.burial_scale) &&
-                      params.burial_scale >= 0.0,
-                  "burial_scale must be finite and non-negative");
   Surface out;
   const auto atoms = mol.atoms();
   check_atoms(atoms);
@@ -274,14 +271,14 @@ Surface build_surface(const mol::Molecule& mol, const SurfaceParams& params) {
 
   ws::with_workers(candidates, kPrivatePoolCandidates, [&](bool parallel) {
     const CellList cells(
-        atoms, (1.0 + params.burial_scale) * max_radius + kBlockerMargin);
+        atoms,
+        (1.0 + SurfaceParams::burial_scale) * max_radius + kBlockerMargin);
     // Scale flat-facet areas so a full sphere integrates to exactly 4πr².
     const Sampler s{atoms,
                     unit,
                     rule,
                     candidate_dirs(unit, rule),
                     4.0 * std::numbers::pi / unit.area(),
-                    params.burial_scale,
                     max_radius,
                     cells};
 

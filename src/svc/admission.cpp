@@ -13,6 +13,7 @@ const char* to_string(RejectReason r) {
     case RejectReason::QueueFull: return "queue_full";
     case RejectReason::TooLarge: return "too_large";
     case RejectReason::ShuttingDown: return "shutting_down";
+    case RejectReason::Failed: return "failed";
   }
   return "unknown";
 }

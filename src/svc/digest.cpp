@@ -50,10 +50,11 @@ Digest digest_job_inputs(const mol::Molecule& mol,
     b.pod(a.radius);
     b.pod(a.charge);
   }
-  // Surface sampling shapes T_Q.
+  // Surface sampling shapes T_Q. The burial scale is a constant; it stays
+  // in the stream so existing keys keep their value.
   b.pod(surface.subdivision);
   b.pod(surface.quad_degree);
-  b.pod(surface.burial_scale);
+  b.pod(surface::SurfaceParams::burial_scale);
   // Tree topology knobs (the grid resolution and depth cap are
   // constants).
   b.pod(config.atoms_tree_params.max_leaf_size);

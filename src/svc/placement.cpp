@@ -1,7 +1,6 @@
 #include "octgb/svc/placement.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "octgb/trace/trace.hpp"
 #include "octgb/util/check.hpp"
@@ -10,7 +9,7 @@ namespace octgb::svc {
 
 CoreAllocator::CoreAllocator(int total) : used_(std::max(total, 1), 0) {}
 
-std::optional<CoreLease> CoreAllocator::try_alloc_locked(int count) {
+std::optional<CoreLease> CoreAllocator::try_alloc(int count) {
   count = std::clamp(count, 1, total());
   int run = 0;
   for (int i = 0; i < total(); ++i) {
@@ -26,19 +25,14 @@ std::optional<CoreLease> CoreAllocator::try_alloc_locked(int count) {
   return std::nullopt;
 }
 
-std::optional<CoreLease> CoreAllocator::try_alloc(int count) {
-  std::lock_guard lk(mu_);
-  return try_alloc_locked(count);
-}
-
 CoreLease CoreAllocator::alloc(int count) {
   std::unique_lock lk(mu_);
-  auto lease = try_alloc_locked(count);
+  auto lease = try_alloc(count);
   if (!lease) {
     ++waits_;
     OCTGB_SPAN("svc.place.wait");
     cv_.wait(lk, [&] {
-      lease = try_alloc_locked(count);
+      lease = try_alloc(count);
       return lease.has_value();
     });
   }
@@ -73,53 +67,6 @@ std::uint64_t CoreAllocator::grants() const {
 std::uint64_t CoreAllocator::waits() const {
   std::lock_guard lk(mu_);
   return waits_;
-}
-
-std::vector<int> CoreAllocator::proportional_split(
-    std::span<const std::uint64_t> ops, int cores) {
-  std::vector<int> out(ops.size(), 0);
-  if (ops.empty() || cores <= 0) return out;
-  const std::uint64_t tot =
-      std::accumulate(ops.begin(), ops.end(), std::uint64_t{0});
-  if (tot == 0) {  // no load information: even split, remainder to the front
-    for (std::size_t i = 0; i < ops.size(); ++i)
-      out[i] = cores / static_cast<int>(ops.size()) +
-               (static_cast<int>(i) < cores % static_cast<int>(ops.size()));
-    return out;
-  }
-  // Floor of the proportional share, then hand remaining cores to the
-  // children with the largest fractional remainder (largest-remainder
-  // method, as SET's try_alloc does for utilization).
-  int assigned = 0;
-  std::vector<double> frac(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const double exact = static_cast<double>(ops[i]) * cores /
-                         static_cast<double>(tot);
-    out[i] = static_cast<int>(exact);
-    frac[i] = exact - out[i];
-    assigned += out[i];
-  }
-  std::vector<std::size_t> order(ops.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return frac[a] > frac[b]; });
-  for (std::size_t k = 0; assigned < cores; ++k) {
-    ++out[order[k % order.size()]];
-    ++assigned;
-  }
-  // Every child with work gets at least one core when there are enough.
-  if (cores >= static_cast<int>(ops.size())) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i] == 0 || out[i] > 0) continue;
-      // Take one from the largest holder.
-      auto big = std::max_element(out.begin(), out.end());
-      if (*big > 1) {
-        --*big;
-        out[i] = 1;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace octgb::svc

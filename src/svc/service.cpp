@@ -207,37 +207,35 @@ void ScoringService::run_job(Job job, SchedPool& pool) {
     // queue always drains — see DESIGN.md §2.8).
     std::lock_guard artifact_lk(artifact->exec_mu);
     const CoreLease lease = alloc_.alloc(width);
-
-    // Pinned schedulers are placement-specific: worker→core affinity is
-    // fixed at construction, so the pool key carries the lease's first
-    // core. Unpinned schedulers are placement-free and share one entry
-    // per width.
-    const int block = config_.pin_cores ? lease.first : -1;
-    auto& sched = pool[{width, block}];
-    if (!sched) {
-      ws::SchedulerOptions opts;
-      opts.pin = config_.pin_cores;
-      opts.pin_first = lease.first;
-      sched = std::make_unique<ws::Scheduler>(width, opts);
-    }
-
-    core::ScoringSession& session = *artifact->session;
-    session.engine().gb() = req.config.gb;
-    {
-      OCTGB_SPAN("svc.exec");
-      if (req.kind == JobKind::Evaluate) {
-        result.epol = session.evaluate_at(req.config.approx, sched.get()).epol;
-      } else {
-        session.engine().approx() = req.config.approx;
-        result.pose_scores = session.score_poses(
-            req.poses, req.ligand_begin, req.pose_mode, sched.get());
-        if (req.pose_mode == core::PoseMode::Full) session.reset_to_base();
+    try {
+      // Pinned schedulers are placement-specific: worker→core affinity is
+      // fixed at construction, so the pool key carries the lease's first
+      // core.
+      auto& sched = pool[{width, lease.first}];
+      if (!sched) {
+        ws::SchedulerOptions opts;
+        opts.pin = true;
+        opts.pin_first = lease.first;
+        sched = std::make_unique<ws::Scheduler>(width, opts);
       }
-    }
-    // Sample the steal-tier classification of the job's final evaluation
-    // (the engine resets scheduler stats per compute) before handing the
-    // cores back; offblock must stay zero under pinning.
-    {
+
+      core::ScoringSession& session = *artifact->session;
+      session.engine().gb() = req.config.gb;
+      {
+        OCTGB_SPAN("svc.exec");
+        if (req.kind == JobKind::Evaluate) {
+          result.epol =
+              session.evaluate_at(req.config.approx, sched.get()).epol;
+        } else {
+          session.engine().approx() = req.config.approx;
+          result.pose_scores = session.score_poses(
+              req.poses, req.ligand_begin, req.pose_mode, sched.get());
+          if (req.pose_mode == core::PoseMode::Full) session.reset_to_base();
+        }
+      }
+      // Sample the steal-tier classification of the job's final evaluation
+      // (the engine resets scheduler stats per compute) before handing the
+      // cores back; offblock must stay zero under pinning.
       const ws::SchedulerStats st = sched->stats();
       std::lock_guard lk(mu_);
       steal_tiers_.local += st.local_steals;
@@ -246,13 +244,18 @@ void ScoringService::run_job(Job job, SchedPool& pool) {
       steal_tiers_.offblock += st.offblock_steals;
       steal_tiers_.pinned_workers =
           std::max(steal_tiers_.pinned_workers, st.pinned_workers);
+    } catch (...) {
+      // A failed job must not strand its cores: later jobs would wait in
+      // alloc() for them forever.
+      alloc_.release(lease);
+      throw;
     }
     alloc_.release(lease);
   } catch (...) {
-    // Surface the failure on the ticket as a reject, keep the service up.
+    // Surface the failure on the ticket, keep the service up.
     {
       std::lock_guard slk(job.state->mu);
-      job.state->rejected = RejectReason::TooLarge;
+      job.state->rejected = RejectReason::Failed;
       job.state->finished = true;
     }
     job.state->cv.notify_all();

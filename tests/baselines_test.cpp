@@ -14,7 +14,6 @@
 
 using namespace octgb;
 using baselines::BornModel;
-using baselines::DescreeningParams;
 using baselines::pairwise_born_radii;
 
 namespace {
@@ -231,7 +230,7 @@ TEST(Packages, CutoffOverrideShrinksWork) {
   const auto m = mol::generate_protein({.target_atoms = 2000, .seed = 49});
   const auto* spec = baselines::find_package("Gromacs 4.5.3");
   const auto wide = baselines::run_package(*spec, m);
-  const auto narrow = baselines::run_package(*spec, m, {}, 0, 6.0);
+  const auto narrow = baselines::run_package(*spec, m, 0, 6.0);
   EXPECT_LT(narrow.work.pairlist_pairs, wide.work.pairlist_pairs);
   EXPECT_LT(narrow.nblist_bytes, wide.nblist_bytes);
 }

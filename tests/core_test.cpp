@@ -446,6 +446,9 @@ TEST(EpolContext, RejectsNonFiniteOrNonPositiveRadii) {
     for (const double bad : {nan, 0.0, -1.0, inf}) {
       std::vector<double> radii = born;
       radii[idx[pos]] = bad;
+      std::vector<double> radii_tree(radii.size());
+      for (std::size_t k = 0; k < idx.size(); ++k)
+        radii_tree[k] = radii[idx[k]];
       std::ostringstream want;
       want << "Born radius at tree index " << pos << " is " << bad;
       const auto expect_named = [&](const auto& call, const char* what) {
@@ -459,8 +462,8 @@ TEST(EpolContext, RejectsNonFiniteOrNonPositiveRadii) {
         }
       };
       perf::WorkCounters wc;
-      expect_named([&] { engine.epol_with_radii(radii, wc); },
-                   "epol_with_radii");
+      expect_named([&] { engine.build_epol_context(radii_tree); },
+                   "build_epol_context");
       expect_named([&] { core::approx_epol_forces(engine, radii, wc); },
                    "approx_epol_forces");
     }

@@ -31,6 +31,20 @@ struct Problem {
         surf(surface::build_surface(molecule, {.subdivision = 1})) {}
 };
 
+/// The octree Epol kernel over externally supplied Born radii (input
+/// order), through the public phase API: it runs unchanged on HCT/OBC/Still
+/// radii, as MD packages run several GB models on one engine.
+double epol_over_radii(const GBEngine& engine, std::span<const double> radii) {
+  const auto idx = engine.atoms_tree().tree.point_index();
+  std::vector<double> born_tree(radii.size());
+  for (std::size_t pos = 0; pos < idx.size(); ++pos)
+    born_tree[pos] = radii[idx[pos]];
+  perf::WorkCounters wc;
+  return engine.phase_epol(
+      engine.build_epol_context(born_tree), born_tree,
+      {0, static_cast<std::uint32_t>(engine.a_leaves().size())}, wc);
+}
+
 }  // namespace
 
 // ---- data distribution --------------------------------------------------------
@@ -297,8 +311,7 @@ TEST(EpolWithRadii, MatchesNaiveEpolOnSameRadii) {
                                                   .max_bytes = 0});
   const auto hct = baselines::pairwise_born_radii(p.molecule, nb,
                                                   baselines::BornModel::HCT);
-  perf::WorkCounters wc;
-  const double octree_e = engine.epol_with_radii(hct, wc);
+  const double octree_e = epol_over_radii(engine, hct);
   const double naive_e = core::naive_epol(p.molecule, hct);
   EXPECT_NEAR(octree_e, naive_e, 0.01 * std::abs(naive_e));
 }
@@ -308,8 +321,7 @@ TEST(EpolWithRadii, UniformRadiiClosedFormCrossCheck) {
   const Problem p(300);
   GBEngine engine(p.molecule, p.surf);
   std::vector<double> radii(p.molecule.size(), 3.0);
-  perf::WorkCounters wc;
-  const double octree_e = engine.epol_with_radii(radii, wc);
+  const double octree_e = epol_over_radii(engine, radii);
   const double naive_e = core::naive_epol(p.molecule, radii);
   EXPECT_NEAR(octree_e, naive_e, 0.01 * std::abs(naive_e));
 }

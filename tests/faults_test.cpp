@@ -110,7 +110,6 @@ TEST(Faults, DroppedMessageSurfacesAsTimeout) {
 
 TEST(Faults, CorruptionIsDetectedByChecksumAndRetryFindsCleanCopy) {
   auto o = base_opts(2);
-  o.checksum = true;
   FaultPlan plan;
   plan.seed = 11;
   // Corrupt exactly the sender's first message; the re-send is clean.
@@ -226,7 +225,6 @@ TEST(Faults, CollectivePayloadCorruptionIsDetectedByChecksum) {
   // instead of silently poisoning the reduction.
   const auto expect_mismatch = [](int corrupt_rank, auto&& body) {
     auto o = base_opts(2);
-    o.checksum = true;
     FaultPlan plan;
     plan.seed = 31;
     plan.rules.push_back({.kind = FaultKind::Corrupt,

@@ -257,9 +257,8 @@ TEST(Generate, NetChargeIsSmall) {
 }
 
 TEST(Generate, VirusShellIsHollow) {
-  const Molecule shell = generate_virus_shell({.target_atoms = 50000,
-                                               .seed = 7,
-                                               .thickness = 18.0});
+  const Molecule shell =
+      generate_virus_shell({.target_atoms = 50000, .seed = 7});
   EXPECT_GE(shell.size(), 49000u);
   const auto c = shell.centroid();
   double rmin = 1e30, rmax = 0;
@@ -356,19 +355,4 @@ TEST(Pdb, SerialAndResseqClampForHugeMolecules) {
     ASSERT_EQ(parsed.size(), 1u);
     EXPECT_NEAR(parsed.atom(0).pos.x, 1.0, 1e-9);
   });
-}
-
-TEST(Generate, CompactnessControlsDensity) {
-  const auto loose = generate_protein(
-      {.target_atoms = 800, .seed = 31, .compactness = 0.5});
-  const auto dense = generate_protein(
-      {.target_atoms = 800, .seed = 31, .compactness = 2.0});
-  auto radius_of = [](const Molecule& m) {
-    const auto c = m.centroid();
-    double r2 = 0;
-    for (const auto& a : m.atoms())
-      r2 = std::max(r2, octgb::geom::dist2(a.pos, c));
-    return std::sqrt(r2);
-  };
-  EXPECT_GT(radius_of(loose), radius_of(dense));
 }

@@ -162,49 +162,49 @@ TEST(WorkCounters, TotalInteractionsSumsKernelWork) {
 // ---- MachineModel ---------------------------------------------------------------
 
 TEST(MachineModel, TableIConstants) {
-  MachineModel m;
-  EXPECT_DOUBLE_EQ(m.clock_hz, 3.33e9);
-  EXPECT_EQ(m.cores_per_node, 12);
-  EXPECT_EQ(m.sockets_per_node, 2);
-  EXPECT_DOUBLE_EQ(m.l3_bytes, 12.0 * 1024 * 1024);
+  namespace m = machine;
+  EXPECT_DOUBLE_EQ(m::clock_hz, 3.33e9);
+  EXPECT_EQ(m::cores_per_node, 12);
+  EXPECT_EQ(m::sockets_per_node, 2);
+  EXPECT_DOUBLE_EQ(m::l3_bytes, 12.0 * 1024 * 1024);
 }
 
 TEST(MachineModel, ComputeSecondsLinearInWork) {
-  MachineModel m;
+  namespace m = machine;
   WorkCounters w1, w2;
   w1.epol_exact = 1000000;
   w2.epol_exact = 2000000;
-  const double t1 = m.compute_seconds(w1, 0.0, 1, false);
-  const double t2 = m.compute_seconds(w2, 0.0, 1, false);
+  const double t1 = m::compute_seconds(w1, 0.0, 1, false);
+  const double t2 = m::compute_seconds(w2, 0.0, 1, false);
   EXPECT_NEAR(t2, 2.0 * t1, 1e-15);
-  EXPECT_NEAR(t1, 1e6 * m.cyc_epol_exact / m.clock_hz, 1e-12);
+  EXPECT_NEAR(t1, 1e6 * m::cyc_epol_exact / m::clock_hz, 1e-12);
 }
 
 TEST(MachineModel, ApproxMathSpeedsUpInteractionsOnly) {
-  MachineModel m;
+  namespace m = machine;
   WorkCounters w;
   w.born_exact = 1000000;
   w.born_visits = 1000000;  // traversal is not accelerated
-  const double exact = m.compute_seconds(w, 0.0, 1, false);
-  const double fast = m.compute_seconds(w, 0.0, 1, true);
+  const double exact = m::compute_seconds(w, 0.0, 1, false);
+  const double fast = m::compute_seconds(w, 0.0, 1, true);
   EXPECT_LT(fast, exact);
   // Lower bound: only the interaction share shrinks.
-  const double interact = 1e6 * m.cyc_born_exact / m.clock_hz;
-  const double traverse = 1e6 * m.cyc_born_visit / m.clock_hz;
-  EXPECT_NEAR(fast, interact / m.approx_math_speedup + traverse, 1e-12);
+  const double interact = 1e6 * m::cyc_born_exact / m::clock_hz;
+  const double traverse = 1e6 * m::cyc_born_visit / m::clock_hz;
+  EXPECT_NEAR(fast, interact / m::approx_math_speedup + traverse, 1e-12);
 }
 
 TEST(MachineModel, CacheFactorMonotoneAndBounded) {
-  MachineModel m;
+  namespace m = machine;
   double prev = 0.0;
   for (double ws : {1e5, 1e6, 1e7, 1e8, 1e9, 1e12}) {
-    const double f = m.cache_factor(ws, 6);
+    const double f = m::cache_factor(ws, 6);
     EXPECT_GE(f, prev);
     EXPECT_GE(f, 1.0);
-    EXPECT_LE(f, m.cache_miss_penalty);
+    EXPECT_LE(f, m::cache_miss_penalty);
     prev = f;
   }
-  EXPECT_DOUBLE_EQ(m.cache_factor(0.0, 6), 1.0);
+  EXPECT_DOUBLE_EQ(m::cache_factor(0.0, 6), 1.0);
 }
 
 TEST(MachineModel, CommCountersAccumulate) {

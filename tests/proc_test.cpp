@@ -327,16 +327,13 @@ TEST(ShmSegment, AttachRejectsGarbageFile) {
 // --- backoff policy ---------------------------------------------------------
 
 TEST(Backoff, ExponentialDelaysAreCapped) {
-  mpp::proc::BackoffPolicy p;
-  p.base_ms = 5.0;
-  p.factor = 2.0;
-  p.cap_ms = 100.0;
-  EXPECT_DOUBLE_EQ(p.delay_ms(0), 0.0);   // first attempt is immediate
-  EXPECT_DOUBLE_EQ(p.delay_ms(1), 5.0);
-  EXPECT_DOUBLE_EQ(p.delay_ms(2), 10.0);
-  EXPECT_DOUBLE_EQ(p.delay_ms(3), 20.0);
-  EXPECT_DOUBLE_EQ(p.delay_ms(6), 100.0);  // capped
-  EXPECT_DOUBLE_EQ(p.delay_ms(20), 100.0);
+  namespace b = mpp::proc::backoff;
+  EXPECT_DOUBLE_EQ(b::delay_ms(0), 0.0);   // first attempt is immediate
+  EXPECT_DOUBLE_EQ(b::delay_ms(1), 5.0);
+  EXPECT_DOUBLE_EQ(b::delay_ms(2), 10.0);
+  EXPECT_DOUBLE_EQ(b::delay_ms(3), 20.0);
+  EXPECT_DOUBLE_EQ(b::delay_ms(6), 100.0);  // capped
+  EXPECT_DOUBLE_EQ(b::delay_ms(20), 100.0);
 }
 
 // --- file-backed checkpoint store -------------------------------------------

@@ -226,22 +226,21 @@ TEST(Sim, MaxJitterGrowsWithRankCount) {
 }
 
 TEST(Sim, CollectiveCostsAreMonotone) {
-  perf::MachineModel m;
   mpp::Topology topo{12};
-  sim::CollectiveCosts c12{m, topo, 12}, c144{m, topo, 144};
+  sim::CollectiveCosts c12{topo, 12}, c144{topo, 144};
   EXPECT_GT(c144.tree_collective(1e6), c12.tree_collective(1e6));
   EXPECT_GT(c12.tree_collective(1e7), c12.tree_collective(1e6));
   EXPECT_GT(c144.allgatherv(1e6), c12.allgatherv(1e6));
-  EXPECT_DOUBLE_EQ((sim::CollectiveCosts{m, topo, 1}).allreduce(1e6), 0.0);
+  EXPECT_DOUBLE_EQ((sim::CollectiveCosts{topo, 1}).allreduce(1e6), 0.0);
 }
 
 TEST(Sim, CacheFactorPenalizesOversubscribedSockets) {
-  perf::MachineModel m;
+  namespace m = perf::machine;
   // Working set below the L3 share: no penalty.
-  EXPECT_DOUBLE_EQ(m.cache_factor(1e6, 1), 1.0);
+  EXPECT_DOUBLE_EQ(m::cache_factor(1e6, 1), 1.0);
   // Far above: penalty approaches the cap.
-  EXPECT_GT(m.cache_factor(1e9, 6), 1.3);
-  EXPECT_LE(m.cache_factor(1e12, 6), m.cache_miss_penalty);
+  EXPECT_GT(m::cache_factor(1e9, 6), 1.3);
+  EXPECT_LE(m::cache_factor(1e12, 6), m::cache_miss_penalty);
   // More cores sharing the L3 → more pressure at the same working set.
-  EXPECT_GE(m.cache_factor(6e6, 6), m.cache_factor(6e6, 1));
+  EXPECT_GE(m::cache_factor(6e6, 6), m::cache_factor(6e6, 1));
 }

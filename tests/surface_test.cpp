@@ -105,7 +105,7 @@ Surface build_surface(const mol::Molecule& mol, const SurfaceParams& params) {
         bool buried = false;
         for (std::uint32_t j : blockers) {
           if (j == i) continue;
-          const double rj = atoms[j].radius * params.burial_scale;
+          const double rj = atoms[j].radius * SurfaceParams::burial_scale;
           if (geom::dist2(p, atoms[j].pos) < rj * rj) {
             buried = true;
             break;
@@ -389,7 +389,8 @@ TEST(Surface, DegenerateGeometryByteIdenticalToSerialOracle) {
     mol::Molecule tangent;
     tangent.add_atom({{0, 0, 0}, ri, 0, mol::Element::C});
     tangent.add_atom(
-        {{ri + p.burial_scale * rj, 0, 0}, rj, 0, mol::Element::S});
+        {{ri + SurfaceParams::burial_scale * rj, 0, 0}, rj, 0,
+         mol::Element::S});
     expect_matches_oracle(tangent, p, "tangent pair");
   }
   {

@@ -93,9 +93,6 @@ TEST(SvcDigest, CollisionFreeAcrossParameterAxes) {
     auto s3 = sp;
     s3.quad_degree += 1;
     digests.push_back(svc::digest_job_inputs(mol, s3, cfg));
-    auto s4 = sp;
-    s4.burial_scale *= 1.25;
-    digests.push_back(svc::digest_job_inputs(mol, s4, cfg));
   }
   {  // tree topology
     auto c2 = cfg;
@@ -300,15 +297,15 @@ TEST(SvcCache, ColdBuildRunsUnderOneInlineWorker) {
 
 TEST(SvcPlacement, LeasesAreDisjointAndContiguous) {
   svc::CoreAllocator alloc(8);
-  auto a = alloc.try_alloc(3);
-  auto b = alloc.try_alloc(3);
-  auto c = alloc.try_alloc(2);
-  ASSERT_TRUE(a && b && c);
+  const svc::CoreLease a = alloc.alloc(3);
+  const svc::CoreLease b = alloc.alloc(3);
+  const svc::CoreLease c = alloc.alloc(2);
   EXPECT_EQ(alloc.in_use(), 8);
+  EXPECT_EQ(alloc.waits(), 0u);
   // Disjointness: no core belongs to two leases.
   std::vector<int> owner(8, -1);
   int id = 0;
-  for (const auto& l : {*a, *b, *c}) {
+  for (const auto& l : {a, b, c}) {
     for (int core = l.first; core < l.first + l.count; ++core) {
       ASSERT_GE(core, 0);
       ASSERT_LT(core, 8);
@@ -317,13 +314,13 @@ TEST(SvcPlacement, LeasesAreDisjointAndContiguous) {
     }
     ++id;
   }
-  // Full machine: the next request must fail, and succeed after a release.
-  EXPECT_FALSE(alloc.try_alloc(1).has_value());
-  alloc.release(*b);
+  // A release on the full machine frees a range that fits without a wait
+  // (AllocBlocksUntilCapacityFrees covers the wait itself).
+  alloc.release(b);
   EXPECT_EQ(alloc.in_use(), 5);
-  auto d = alloc.try_alloc(3);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->first, b->first) << "first-fit reuses the freed range";
+  const svc::CoreLease d = alloc.alloc(3);
+  EXPECT_EQ(d.first, b.first) << "first-fit reuses the freed range";
+  EXPECT_EQ(alloc.waits(), 0u);
 }
 
 TEST(SvcPlacement, AllocBlocksUntilCapacityFrees) {
@@ -342,25 +339,6 @@ TEST(SvcPlacement, AllocBlocksUntilCapacityFrees) {
   EXPECT_TRUE(got.load());
   EXPECT_GE(alloc.waits(), 1u);
   EXPECT_EQ(alloc.in_use(), 0);
-}
-
-TEST(SvcPlacement, ProportionalSplitMatchesSetDiscipline) {
-  // SET-style: cores proportional to work, every nonzero child ≥ 1, exact
-  // total.
-  const std::uint64_t ops[] = {600, 300, 100};
-  auto split = svc::CoreAllocator::proportional_split(ops, 10);
-  ASSERT_EQ(split.size(), 3u);
-  EXPECT_EQ(split[0] + split[1] + split[2], 10);
-  EXPECT_EQ(split[0], 6);
-  EXPECT_EQ(split[1], 3);
-  EXPECT_EQ(split[2], 1);
-
-  // A tiny child still gets one core when cores >= children.
-  const std::uint64_t skew[] = {10'000, 1, 1};
-  auto s2 = svc::CoreAllocator::proportional_split(skew, 4);
-  EXPECT_EQ(s2[0] + s2[1] + s2[2], 4);
-  EXPECT_GE(s2[1], 1);
-  EXPECT_GE(s2[2], 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +603,26 @@ TEST(SvcService, RejectsSurfaceAsTicketsNotExceptions) {
   EXPECT_EQ(service.counters().rejected_total(), 1u);
 }
 
+TEST(SvcService, FailedJobReleasesItsCoresAndSaysWhy) {
+  // A job that throws after taking its lease must hand the cores back and
+  // report Failed, not TooLarge. Both are checked before the next job is
+  // submitted: with the cores stranded, that job would wait forever.
+  svc::ServiceConfig cfg = small_service_config();
+  cfg.cores = 2;
+  svc::ScoringService service(cfg);
+  svc::JobRequest bad = make_request(79, 400);
+  bad.config.approx.eps_epol = 0.0;  // rejected inside the evaluation
+  auto t = service.submit(std::move(bad));
+  t.wait();
+  EXPECT_FALSE(t.accepted());
+  EXPECT_STREQ(svc::to_string(t.reject()), "failed");
+  ASSERT_EQ(service.allocator().in_use(), 0);
+
+  auto good = service.submit(make_request(79, 400));
+  ASSERT_TRUE(good.accepted());
+  EXPECT_EQ(good.result().cores, 2);
+}
+
 TEST(SvcService, StopRejectsNewWorkAndDrains) {
   svc::ScoringService service(small_service_config());
   auto t = service.submit(make_request(53));
@@ -636,12 +634,11 @@ TEST(SvcService, StopRejectsNewWorkAndDrains) {
 }
 
 TEST(SvcService, PinnedJobsReportZeroOffblockSteals) {
-  // With pin_cores on (the default), every job's scheduler workers sit on
-  // the job's leased core block, and no steal may cross a block boundary:
-  // ws.steal.offblock must stay exactly 0 for the service lifetime
-  // (DESIGN.md §2.11). Width-2 jobs force real multi-worker scheduling.
+  // Every job's scheduler workers sit on the job's leased core block, and
+  // no steal may cross a block boundary: ws.steal.offblock must stay
+  // exactly 0 for the service lifetime (DESIGN.md §2.11). Width-2 jobs
+  // force real multi-worker scheduling.
   svc::ScoringService service(small_service_config());
-  ASSERT_TRUE(service.config().pin_cores);
   std::vector<svc::JobTicket> tickets;
   for (std::uint64_t seed : {71u, 72u, 73u, 74u})
     tickets.push_back(service.submit(make_request(seed, 400)));
@@ -658,20 +655,6 @@ TEST(SvcService, PinnedJobsReportZeroOffblockSteals) {
   EXPECT_TRUE(m.contains("ws.steal.offblock"));
   EXPECT_EQ(m.get_int("ws.steal.offblock"), 0u);
   EXPECT_TRUE(m.contains("ws.pinned_workers"));
-}
-
-TEST(SvcService, UnpinnedServiceStillExportsStealTiers) {
-  svc::ServiceConfig cfg = small_service_config();
-  cfg.pin_cores = false;
-  svc::ScoringService service(cfg);
-  auto t = service.submit(make_request(75, 400));
-  ASSERT_TRUE(t.accepted());
-  t.wait();
-  const auto st = service.steal_tiers();
-  EXPECT_EQ(st.pinned_workers, 0u) << "pin_cores off must not pin";
-  trace::MetricsRegistry m;
-  service.export_metrics(m);
-  EXPECT_EQ(m.get_int("ws.pinned_workers"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <optional>
 
@@ -318,7 +319,7 @@ int run_fig5(CliOptions opt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliOptions opt;
   util::Args args;
   args.add("ranks", &opt.ranks, "rank processes to launch");
@@ -362,4 +363,7 @@ int main(int argc, char** argv) {
   const bool ok = !r.timed_out && r.survivors_clean();
   cleanup(opt, r);
   return ok ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "octgb/octgb.hpp"
 
@@ -57,7 +58,7 @@ void write_epol(const std::string& dir, int rank, double epol) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string mode = "elastic";
   int atoms = 400;
   long long seed = 31;
@@ -142,4 +143,7 @@ int main(int argc, char** argv) {
   }
   m.save_json(env->dir + "/metrics." + std::to_string(env->rank) + ".json");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }
